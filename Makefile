@@ -3,19 +3,17 @@
 #   make check   — everything below in sequence (the tier-1 gate + races)
 #   make race    — race-detector pass over the concurrency-bearing packages
 #   make fuzz    — short native-fuzzing pass over the crash-safety targets
-#   make bench   — trace + find benchmarks (BENCH_trace.json, BENCH_find.json)
-#   make benchsmoke — one-iteration find benchmark + obs overhead gate
+#   make benchsmoke — prescreen metric export + obs overhead gate
+#   make pipebench-smoke — build and smoke-test the pipeline benchmark
+#                  (bench/pipebench; `bash bench/pipebench/run.sh` times it)
 #   make cover   — coverage floors for internal/core and internal/obs
 #   make serversmoke — end-to-end daemon check: cold run, warm store hit
 #   make chaos   — fault-injection suite + chaos smoke against the binary
-#   make tracescale — out-of-core smoke: a trace 10× the bench input must
-#                  spill, page under the budget, and export the
-#                  discovery_ddg_pages_* metrics
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz bench findbench benchsmoke cover serversmoke chaos tracescale
+.PHONY: check build vet test race fuzz benchsmoke pipebench-smoke cover serversmoke chaos
 
 check: build vet test race
 
@@ -41,25 +39,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPrescreen$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedCSR$$' -fuzztime $(FUZZTIME) ./internal/ddg
 
-bench:
-	GOMAXPROCS=4 $(GO) run ./cmd/experiments -run bench -bench-reps 20 -bench-scale 32
-
-# The find benchmark alone, in its own process at the machine's native
-# GOMAXPROCS: the trace bench needs 4 threads for its speedup table, but
-# its heap and the forced oversubscription only add variance to the find
-# fixpoint timings (this regenerates BENCH_find.json).
-findbench:
-	$(GO) run ./cmd/experiments -run findbench -find-reps 41
-
-# One timed iteration of the find fixpoint benchmark: catches bit-rot in
-# the benchmark itself without the cost of a real measurement run. The
-# second command checks that the prescreen skip-rate counter is exported
-# under its canonical name (internal/obs/names.go). The third runs the
-# disabled-observability overhead gate: the find fixpoint with the no-op
-# recorder must stay within 2% of running with no recorder at all (the
-# zero-cost-when-disabled contract, DESIGN.md §12).
+# The first command checks that the prescreen skip-rate counter is
+# exported under its canonical name (internal/obs/names.go). The second
+# runs the disabled-observability overhead gate: the find fixpoint with the
+# no-op recorder must stay within 2% of running with no recorder at all
+# (the zero-cost-when-disabled contract, DESIGN.md §12).
 benchsmoke:
-	$(GO) test -run '^$$' -bench '^BenchmarkFindFixpoint$$' -benchtime=1x .
 	$(GO) test -run '^TestPrescreenSkipRateExported$$' -count=1 .
 	OBS_OVERHEAD=1 $(GO) test -run '^TestNopRecorderOverhead$$' .
 
@@ -77,12 +62,11 @@ chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/server/
 	sh scripts/chaossmoke.sh
 
-# The out-of-core smoke gate: trace md5 at 4× and 40× the stress input
-# under a 256 KiB arc-byte budget; the large trace must spill, fault its
-# way through a full adjacency sweep, keep peak resident bytes inside the
-# budget headroom, and export it all as discovery_ddg_pages_* metrics.
-tracescale:
-	$(GO) run ./cmd/experiments -run tracescale -tracescale-scales 4,40 -tracescale-budget 262144 -tracescale-smoke
+# The pipeline benchmark is its own module (bench/pipebench/go.mod), so
+# the root ./... patterns never compile it; its test suite builds the
+# harness and smoke-runs every workload at a tiny size.
+pipebench-smoke:
+	cd bench/pipebench && $(GO) test ./...
 
 # Coverage floors. The thresholds sit a few points under the levels the
 # suite reaches at the time of writing (core 95%, obs 92%, sched 94%,

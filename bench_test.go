@@ -119,42 +119,6 @@ func BenchmarkFigure7_PerBenchmark(b *testing.B) {
 	}
 }
 
-// BenchmarkFindFixpoint times the pattern-finding fixpoint on a traced
-// Starbench workload, cold (a fresh view cache every run) and warm (one
-// cache shared across runs of the same trace). The warm/cold gap is what
-// the content-addressed solve cache buys repeated analyses of an
-// unchanged trace; cmd/experiments -run bench measures the same thing
-// with medians across more workloads (BENCH_find.json).
-func BenchmarkFindFixpoint(b *testing.B) {
-	bench := starbench.ByName("streamcluster")
-	built := bench.Build(starbench.Pthreads, bench.Analysis)
-	tr, err := trace.Run(built.Prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("cold", func(b *testing.B) {
-		var res *core.Result
-		for i := 0; i < b.N; i++ {
-			res = core.Find(tr.Graph, benchOpts())
-		}
-		b.ReportMetric(float64(len(res.Patterns)), "patterns")
-	})
-	b.Run("warm", func(b *testing.B) {
-		opts := benchOpts()
-		opts.Cache = core.NewViewCache()
-		core.Find(tr.Graph, opts) // prime outside the timed loop
-		b.ResetTimer()
-		var res *core.Result
-		for i := 0; i < b.N; i++ {
-			res = core.Find(tr.Graph, opts)
-		}
-		b.ReportMetric(float64(len(res.Patterns)), "patterns")
-		hits, misses, _ := res.CacheStats()
-		b.ReportMetric(float64(hits), "cache-hits")
-		b.ReportMetric(float64(misses), "cache-misses")
-	})
-}
-
 // BenchmarkFigure8_Portability regenerates Figure 8: the streamcluster
 // portability study. Metrics: the six speedups.
 func BenchmarkFigure8_Portability(b *testing.B) {

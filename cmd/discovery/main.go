@@ -46,7 +46,6 @@ func main() {
 		check      = flag.Bool("check", false, "verify DDG structural invariants after tracing and after simplification")
 		memBudget  = flag.Int64("trace-memory-budget", 0, "resident DDG arc-byte budget; larger graphs page through an unlinked spill file (0 = fully resident)")
 		spillDir   = flag.String("ddg-spill-dir", "", "directory for DDG spill files (default: the system temp dir)")
-		noCompact  = flag.Bool("no-online-compact", false, "disable online loop-iteration compaction in the trace buffers (escape hatch; views fall back to scope-chain walks)")
 		obsOn      = flag.Bool("obs", false, "record phase spans and metrics; print the phase tree to stderr")
 		obsOut     = flag.String("obs-out", "", "write the observability JSON document (spans + metrics) to this file (implies -obs)")
 		metrics    = flag.Bool("metrics", false, "print metrics in Prometheus text format to stderr (implies -obs)")
@@ -119,12 +118,8 @@ func main() {
 	}
 
 	built := b.Build(v, b.Analysis)
-	builder := trace.NewBuilder()
-	if *noCompact {
-		builder = trace.NewBuilderNoCompact()
-	}
 	start := time.Now()
-	tr, err := trace.RunObservedWith(builder, built.Prog, rec, analyzeSpan)
+	tr, err := trace.RunObserved(built.Prog, rec, analyzeSpan)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracing failed: %v\n", err)
 		os.Exit(1)
@@ -162,7 +157,9 @@ func main() {
 		defer pool.Close()
 		opts.Scheduler = pool
 	}
+	start = time.Now()
 	res := core.Find(tr.Graph, opts)
+	findTime := time.Since(start)
 	defer res.Graph.CloseSpill()
 	if rec.Enabled() {
 		rec.EndSpan(analyzeSpan,
@@ -199,7 +196,7 @@ func main() {
 		fmt.Printf("%s/%s (input: %s)\n", b.Name, v, b.AnalysisDesc)
 		fmt.Printf("traced %d nodes in %v; pattern finding took %v\n",
 			tr.Graph.NumNodes(), traceTime.Round(time.Millisecond),
-			res.Phases.Total().Round(time.Millisecond))
+			findTime.Round(time.Millisecond))
 		fmt.Print(report.Summary(res))
 		if len(res.Patterns) > 0 {
 			fmt.Println("modernization suggestions (paper Figure 2b):")

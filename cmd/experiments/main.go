@@ -8,17 +8,8 @@
 //	experiments -run figure7 -factors 1,2,4,8
 //
 // Available experiments: table1, table2, table3, accuracy, figure7,
-// figure8, phases, phasetable, simplify, ablation, all. "bench" (not part of all)
-// measures tracing throughput and the pattern-finding fixpoint (cold vs
-// warm view cache), writing BENCH_trace.json and BENCH_find.json:
-//
-//	experiments -run bench -bench-reps 20 -bench-scale 32 -find-reps 10
-//
-// "tracescale" (also not part of all) runs the out-of-core scale ladder
-// alone — md5 at growing inputs under a fixed resident arc-byte budget —
-// and with -tracescale-smoke asserts the spill/paging evidence:
-//
-//	experiments -run tracescale -tracescale-scales 32,320 -tracescale-budget 4194304
+// figure8, phases, simplify, ablation, all. Timing the pipeline as a whole
+// is bench/pipebench's job (bash bench/pipebench/run.sh).
 package main
 
 import (
@@ -41,14 +32,6 @@ func main() {
 		budget     = flag.Duration("budget", 0, "global wall-clock budget per pattern finding run (0 = none)")
 		solverBudg = flag.Duration("solver-budget", 0, "per-solve constraint solver timeout (0 = the 60s default)")
 		solverStep = flag.Int64("solver-steps", 0, "deterministic per-solve step limit, nodes+propagations (0 = none)")
-		benchReps  = flag.Int("bench-reps", 20, "repetitions per bench configuration")
-		benchScal  = flag.Int64("bench-scale", 32, "input scale for bench (md5 nbuf = 8*scale)")
-		benchOut   = flag.String("bench-out", "BENCH_trace.json", "output file for trace bench results")
-		findReps   = flag.Int("find-reps", 10, "repetitions per find bench configuration")
-		findOut    = flag.String("find-out", "BENCH_find.json", "output file for find bench results")
-		scaleList  = flag.String("tracescale-scales", "32,320", "input scale ladder for tracescale (md5 nbuf = 8*scale)")
-		scaleBudg  = flag.Int64("tracescale-budget", 4<<20, "resident arc-byte budget for tracescale; over-budget graphs spill")
-		scaleSmoke = flag.Bool("tracescale-smoke", false, "assert the tracescale ladder spilled, paged, and stayed under budget (CI gate)")
 		obsOn      = flag.Bool("obs", false, "record phase spans and metrics across all runs; print the phase tree to stderr")
 		obsOut     = flag.String("obs-out", "", "write the observability JSON document (spans + metrics) to this file (implies -obs)")
 		metrics    = flag.Bool("metrics", false, "print metrics in Prometheus text format to stderr (implies -obs)")
@@ -151,14 +134,6 @@ func main() {
 			fmt.Println(res.Text())
 			return nil
 		},
-		"phasetable": func() error {
-			res, err := experiments.RunPhaseTable(opts())
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Text())
-			return nil
-		},
 		"ablation": func() error {
 			rows, err := experiments.RunAblations()
 			if err != nil {
@@ -167,79 +142,10 @@ func main() {
 			fmt.Println(experiments.AblationsText(rows))
 			return nil
 		},
-		// tracescale is not part of "all": it demonstrates the out-of-core
-		// pager bounding resident memory across an input ladder. With
-		// -tracescale-smoke it doubles as the CI gate: the run must spill,
-		// page, stay under budget, and surface it all through the
-		// discovery_ddg_pages_* metrics.
-		"tracescale": func() error {
-			scales, err := parseScales(*scaleList)
-			if err != nil {
-				return err
-			}
-			c := collector
-			if c == nil {
-				c = obs.NewCollector() // smoke asserts on metrics even without -obs
-			}
-			res, err := experiments.RunTraceScale(c, scales, *scaleBudg)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Text())
-			if *scaleSmoke {
-				if err := res.CheckSpill(); err != nil {
-					return err
-				}
-				rendered := report.PrometheusMetrics(c)
-				for _, name := range []string{
-					obs.MetricDDGSpills,
-					obs.MetricDDGPageFaults,
-					obs.MetricDDGPagesSpilledBytes,
-					obs.MetricDDGPagesPeakResidentBytes,
-				} {
-					if !strings.Contains(rendered, name) {
-						return fmt.Errorf("tracescale: metric %s missing from the collector", name)
-					}
-				}
-				fmt.Println("tracescale smoke: spill, paging, and budget bounds verified")
-			}
-			return nil
-		},
-		// bench is not part of "all": it is a timing run, not a paper table.
-		"bench": func() error {
-			res, err := experiments.RunTraceBench(*benchReps, *benchScal)
-			if err != nil {
-				return err
-			}
-			scales, err := parseScales(*scaleList)
-			if err != nil {
-				return err
-			}
-			res.TraceScale, err = experiments.RunTraceScale(rec, scales, *scaleBudg)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Text())
-			fmt.Println(res.TraceScale.Text())
-			data, err := res.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *benchOut)
-			return runFindBench(*findReps, *findOut)
-		},
-		// findbench runs the find fixpoint benchmark alone, in a process
-		// unpolluted by the trace bench's heap (steadier medians).
-		"findbench": func() error {
-			return runFindBench(*findReps, *findOut)
-		},
 	}
 
 	order := []string{"table1", "table2", "table3", "accuracy", "figure7",
-		"figure8", "phases", "phasetable", "simplify", "ablation"}
+		"figure8", "phases", "simplify", "ablation"}
 
 	names := []string{*run}
 	if *run == "all" {
@@ -248,7 +154,7 @@ func main() {
 	for _, name := range names {
 		fn, ok := runners[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %s, bench, tracescale, all\n",
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %s, all\n",
 				name, strings.Join(order, ", "))
 			os.Exit(1)
 		}
@@ -286,35 +192,4 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *obsOut)
 		}
 	}
-}
-
-// parseScales parses a comma-separated scale ladder.
-func parseScales(s string) ([]int64, error) {
-	var scales []int64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad scale %q", part)
-		}
-		scales = append(scales, v)
-	}
-	return scales, nil
-}
-
-// runFindBench measures the find fixpoint and writes the JSON artifact.
-func runFindBench(reps int, out string) error {
-	res, err := experiments.RunFindBench(reps)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Text())
-	data, err := res.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
 }

@@ -196,22 +196,6 @@ type Match struct {
 	Iteration int // 1-based
 }
 
-// PhaseTimes breaks down where pattern finding time goes (§6.2 reports
-// tracing ≈1%, matching ≈48%, other phases ≈51%).
-type PhaseTimes struct {
-	Simplify  time.Duration
-	Decompose time.Duration
-	Match     time.Duration
-	Subtract  time.Duration
-	Fuse      time.Duration
-	Merge     time.Duration
-}
-
-// Total sums all phases.
-func (p PhaseTimes) Total() time.Duration {
-	return p.Simplify + p.Decompose + p.Match + p.Subtract + p.Fuse + p.Merge
-}
-
 // Result is the outcome of a pattern finding run.
 type Result struct {
 	// Patterns are the final merged patterns (subsumed ones discarded).
@@ -253,8 +237,6 @@ type Result struct {
 	// continued, so the other Result fields hold the partial outcome; a
 	// non-empty Failures marks the run degraded.
 	Failures []*analysis.Error
-	// Phases is the per-phase timing breakdown.
-	Phases PhaseTimes
 
 	// phaseHook carries Options.PhaseHook to guard without threading a
 	// parameter through every phase call site.
@@ -347,7 +329,6 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 	res.OriginalNodes = g.NumNodes()
 
 	// Phase: simplify.
-	start := time.Now()
 	gs := g
 	if !opts.DisableSimplify {
 		sp := rec.StartSpan("simplify", root, obs.Int("nodes", int64(g.NumNodes())))
@@ -359,7 +340,6 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 	}
 	res.Graph = gs
 	res.SimplifiedNodes = gs.NumNodes()
-	res.Phases.Simplify = time.Since(start)
 
 	// Phase: spill. The simplified graph is what every later phase
 	// traverses; when its arc arrays exceed the budget they move out of
@@ -420,7 +400,6 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 
 	// Phase: decompose (the decomposed sub-DDGs are compacted lazily when
 	// viewed, per sub-DDG provenance).
-	start = time.Now()
 	var pool []*SubDDG
 	seen := map[ddg.Hash128]bool{}
 	addPool := func(s *SubDDG) bool {
@@ -456,7 +435,6 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 		endPhase(rec, sp, ok, obs.Int("pool", int64(len(pool))))
 	}
 	active := append([]*SubDDG(nil), pool...)
-	res.Phases.Decompose = time.Since(start)
 
 	// Fixpoint loop: match, subtract, fuse.
 	for iter := 1; len(active) > 0 && iter <= opts.maxIterations(); iter++ {
@@ -469,7 +447,6 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 		// Phase: match (parallel across active sub-DDGs). Worker panics are
 		// contained per sub-DDG inside runMatchPhase; this guard covers the
 		// phase's own bookkeeping.
-		start = time.Now()
 		var matched []*SubDDG
 		sp := rec.StartSpan("match", iterSpan, obs.Int("active", int64(len(active))))
 		ok := guard(res, "match", func() { matched = runMatchPhase(ctx, gs, active, opts, res, rcache, sc, rec, sp) })
@@ -479,7 +456,6 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 				res.Matches = append(res.Matches, Match{Pattern: p, Sub: s, Iteration: iter})
 			}
 		}
-		res.Phases.Match += time.Since(start)
 
 		if opts.DisableIterate {
 			rec.EndSpan(iterSpan)
@@ -494,23 +470,19 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 		// from already-matched sub-DDGs only fragments their pattern into
 		// smaller instances that merging would discard anyway, and does so
 		// combinatorially, so matched sub-DDGs are skipped.
-		start = time.Now()
 		sp = rec.StartSpan("subtract", iterSpan)
 		ok = guard(res, "subtract", func() {
 			fresh = append(fresh, subtractPhase(ctx, pool, matched, sc, res, addPool)...)
 		})
 		endPhase(rec, sp, ok, obs.Int("fresh", int64(len(fresh))))
-		res.Phases.Subtract += time.Since(start)
 
 		// Phase: fuse adjacent pool sub-DDGs with compatible matches (a
 		// map flowing into any pattern).
-		start = time.Now()
 		sp = rec.StartSpan("fuse", iterSpan)
 		ok = guard(res, "fuse", func() {
 			fresh = append(fresh, fusePhase(ctx, gs, pool, matched, sc, res, addPool)...)
 		})
 		endPhase(rec, sp, ok, obs.Int("fresh", int64(len(fresh))))
-		res.Phases.Fuse += time.Since(start)
 
 		rec.EndSpan(iterSpan)
 		active = fresh
@@ -520,19 +492,15 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 	// Extension: pipeline detection over pairs of unmatched stage loops
 	// (paper §9 future work; see patterns.MatchPipeline).
 	if opts.Extensions && !interrupted(ctx, res) {
-		start = time.Now()
 		sp := rec.StartSpan("pipelines", root, obs.Int("pool", int64(len(pool))))
 		ok := guard(res, "pipelines", func() { detectPipelines(ctx, gs, pool, opts, res, rcache, sc, rec, sp) })
 		endPhase(rec, sp, ok)
-		res.Phases.Match += time.Since(start)
 	}
 
 	// Phase: merge — discard patterns subsumed by larger ones.
-	start = time.Now()
 	sp := rec.StartSpan("merge", root, obs.Int("matches", int64(len(res.Matches))))
 	ok := guard(res, "merge", func() { res.Patterns = merge(res.Matches) })
 	endPhase(rec, sp, ok, obs.Int("patterns", int64(len(res.Patterns))))
-	res.Phases.Merge = time.Since(start)
 	return res
 }
 

@@ -492,12 +492,9 @@ func TestFindDeterministic(t *testing.T) {
 	}
 }
 
-func TestPhaseTimesPopulated(t *testing.T) {
+func TestResultSizesPopulated(t *testing.T) {
 	g := traceProgram(t, fig2cProgram(4, 2))
 	res := Find(g, defaultOpts())
-	if res.Phases.Total() <= 0 {
-		t.Error("phase times not recorded")
-	}
 	if res.PoolSize == 0 {
 		t.Error("pool size not recorded")
 	}

@@ -441,72 +441,6 @@ func (f *Figure7Result) Text() string {
 }
 
 // ---------------------------------------------------------------------------
-// §6.2 phase split and DDG growth.
-
-// PhasesResult captures the time split and seq-vs-Pthreads comparisons.
-type PhasesResult struct {
-	TracingFraction  float64
-	MatchingFraction float64
-	OtherFraction    float64
-	// DDGGrowth is the average Pthreads/sequential DDG size ratio.
-	DDGGrowth float64
-	// TimeGrowth is the average Pthreads/sequential finding time ratio.
-	TimeGrowth float64
-}
-
-// RunPhases measures where pattern finding time goes.
-func RunPhases(opts core.Options) (*PhasesResult, error) {
-	var tracing, matching, other float64
-	var growthN, growthT float64
-	var n int
-	for _, b := range starbench.All() {
-		seq, err := starbench.Evaluate(b, starbench.Seq, opts)
-		if err != nil {
-			return nil, err
-		}
-		par, err := starbench.Evaluate(b, starbench.Pthreads, opts)
-		if err != nil {
-			return nil, err
-		}
-		for _, res := range []*starbench.BenchResult{seq, par} {
-			tr := float64(res.TraceTime)
-			match := float64(res.Finder.Phases.Match)
-			tot := tr + float64(res.Finder.Phases.Total())
-			tracing += tr / tot
-			matching += match / tot
-			other += (tot - tr - match) / tot
-		}
-		growthN += float64(par.DDGNodes) / float64(seq.DDGNodes)
-		seqT := float64(seq.TraceTime) + float64(seq.Finder.Phases.Total())
-		parT := float64(par.TraceTime) + float64(par.Finder.Phases.Total())
-		growthT += parT / seqT
-		n++
-	}
-	runs := float64(2 * n)
-	return &PhasesResult{
-		TracingFraction:  tracing / runs,
-		MatchingFraction: matching / runs,
-		OtherFraction:    other / runs,
-		DDGGrowth:        growthN / float64(n),
-		TimeGrowth:       growthT / float64(n),
-	}, nil
-}
-
-// Text renders the phase experiment.
-func (p *PhasesResult) Text() string {
-	var sb strings.Builder
-	sb.WriteString("Phase time split and DDG growth (paper §6.2)\n\n")
-	fmt.Fprintf(&sb, "tracing:      %5.1f%% of total time (paper: ~1%%)\n", 100*p.TracingFraction)
-	fmt.Fprintf(&sb, "matching:     %5.1f%% of total time (paper: ~48%%)\n", 100*p.MatchingFraction)
-	fmt.Fprintf(&sb, "other phases: %5.1f%% of total time (paper: ~51%%)\n", 100*p.OtherFraction)
-	fmt.Fprintf(&sb, "Pthreads DDGs %.0f%% larger than sequential (paper: 15%%)\n",
-		100*(p.DDGGrowth-1))
-	fmt.Fprintf(&sb, "Pthreads finding %.0f%% slower than sequential (paper: 28%%)\n",
-		100*(p.TimeGrowth-1))
-	return sb.String()
-}
-
-// ---------------------------------------------------------------------------
 // §5 simplification factor.
 
 // SimplifyResult reports the DDG reduction achieved by simplification.

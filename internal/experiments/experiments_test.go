@@ -101,8 +101,22 @@ func TestPhases(t *testing.T) {
 	if res.DDGGrowth < 1.0 {
 		t.Errorf("Pthreads DDGs should not shrink: growth %g", res.DDGGrowth)
 	}
-	if !strings.Contains(res.Text(), "tracing:") {
-		t.Error("text incomplete")
+	// The fractions are computed from the per-benchmark span rows: every
+	// benchmark in both versions, each with a traced and a matched phase.
+	if len(res.Rows) != 16 {
+		t.Fatalf("rows = %d, want 16", len(res.Rows))
+	}
+	for _, row := range res.Rows {
+		if row.Trace <= 0 || row.Phases["match"] <= 0 || row.Total <= row.Trace {
+			t.Errorf("%s/%s: span times not recorded: trace %v, match %v, total %v",
+				row.Bench, row.Version, row.Trace, row.Phases["match"], row.Total)
+		}
+	}
+	text := res.Text()
+	for _, want := range []string{"tracing:", "matching:", "Per-benchmark phase times", "streamcluster"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("text missing %q:\n%s", want, text)
+		}
 	}
 }
 

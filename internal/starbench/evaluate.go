@@ -2,7 +2,6 @@ package starbench
 
 import (
 	"fmt"
-	"time"
 
 	"discovery/internal/core"
 	"discovery/internal/ddg"
@@ -34,9 +33,8 @@ type BenchResult struct {
 	// (the paper's §6.1 accuracy study material).
 	Additional []*patterns.Pattern
 
-	TraceTime time.Duration
-	DDGNodes  int // traced DDG size before simplification
-	Ops       int64
+	DDGNodes int // traced DDG size before simplification
+	Ops      int64
 }
 
 // Evaluate traces one benchmark version with its analysis input, runs the
@@ -47,22 +45,19 @@ func Evaluate(b *Benchmark, v Version, opts core.Options) (*BenchResult, error) 
 
 func evaluateWith(b *Benchmark, v Version, par Params, opts core.Options) (*BenchResult, error) {
 	built := b.Build(v, par)
-	start := time.Now()
 	tr, err := trace.Run(built.Prog)
 	if err != nil {
 		return nil, fmt.Errorf("starbench: tracing %s/%s: %w", b.Name, v, err)
 	}
-	traceTime := time.Since(start)
 	finder := core.Find(tr.Graph, opts)
 
 	res := &BenchResult{
-		Bench:     b,
-		Version:   v,
-		Built:     built,
-		Finder:    finder,
-		TraceTime: traceTime,
-		DDGNodes:  tr.Graph.NumNodes(),
-		Ops:       tr.Ops,
+		Bench:    b,
+		Version:  v,
+		Built:    built,
+		Finder:   finder,
+		DDGNodes: tr.Graph.NumNodes(),
+		Ops:      tr.Ops,
 	}
 	res.scoreExpectations()
 	res.collectAdditional()

@@ -35,10 +35,10 @@ import (
 // is acyclic by construction (no CheckAcyclic pass needed).
 //
 // Buffers produced by the VM hot path are well-formed by construction, but
-// finalize also accepts buffers rebuilt from external graphs
-// (Canonicalize) and fuzzed ones, so it validates shape up front and
-// returns typed errors — InvalidInput for malformed buffers,
-// InvariantViolation for an operand cycle — instead of crashing.
+// finalize also accepts buffers rebuilt from external graphs (the
+// equivalence tests' Canonicalize) and fuzzed ones, so it validates
+// shape up front and returns typed errors — InvalidInput for malformed
+// buffers, InvariantViolation for an operand cycle — instead of crashing.
 func finalize(bufs []*threadBuf) (*ddg.Graph, error) {
 	total, maxArcs := 0, 0
 	for _, tb := range bufs {
@@ -135,8 +135,8 @@ func finalize(bufs []*threadBuf) (*ddg.Graph, error) {
 	}
 	// Online compaction, part two: the per-thread iteration runs folded at
 	// emit time become per-loop iteration indexes over final ids. Buffers
-	// recorded without compaction (Canonicalize's pseudo-buffers, the
-	// differential baseline) carry no runs and the graph stays index-free.
+	// recorded without compaction (RunNoCompact, the differential
+	// baseline) carry no runs and the graph stays index-free.
 	ixs, err := buildIterIndexes(bufs, remap, total)
 	if err != nil {
 		return nil, err
@@ -237,54 +237,4 @@ func buildIterIndexes(bufs []*threadBuf, remap [][]ddg.NodeID, total int) ([]*dd
 		out = append(out, ix)
 	}
 	return out, nil
-}
-
-// Canonicalize renumbers a traced DDG into the deterministic order that
-// finalize produces: per-thread streams (taken in ascending node-id
-// order, which for an execution-ordered graph is each thread's program
-// order) interleaved by the same ready-run merge. Graphs produced by the
-// per-thread tracer are already canonical, so Canonicalize is the
-// identity on them; applying it to a legacy global-lock trace yields the
-// exact graph the per-thread tracer builds for the same execution, which
-// is how the equivalence tests compare the two tracers. Graphs that the
-// per-thread tracer could not have produced — thread ids or per-thread
-// stream lengths outside the provisional-id space — are rejected with an
-// InvalidInput error.
-func Canonicalize(g *ddg.Graph) (*ddg.Graph, error) {
-	n := g.NumNodes()
-	// Rebuild pseudo-buffers: assign each node a provisional id from its
-	// (thread, per-thread order) and re-record its operands (preds are
-	// stored in operand order).
-	prov := make([]ddg.NodeID, n)
-	var bufs []*threadBuf
-	for i := 0; i < n; i++ {
-		u := ddg.NodeID(i)
-		t := g.Thread(u)
-		if t < 0 || t >= maxThreads {
-			return nil, analysis.Errorf(analysis.StageFinalize, analysis.InvalidInput,
-				"trace: Canonicalize: node %d has thread id %d outside [0, %d)", u, t, maxThreads).OnThread(t)
-		}
-		for int(t) >= len(bufs) {
-			bufs = append(bufs, nil)
-		}
-		if bufs[t] == nil {
-			bufs[t] = &threadBuf{thread: t}
-		}
-		if len(bufs[t].recs) >= maxNodesPerThread {
-			return nil, analysis.Errorf(analysis.StageFinalize, analysis.ResourceExhausted,
-				"trace: Canonicalize: thread %d stream exceeds %d nodes", t, maxNodesPerThread).OnThread(t)
-		}
-		prov[u] = packProv(t, len(bufs[t].recs))
-		bufs[t].recs = append(bufs[t].recs, nodeRec{op: g.Op(u), pos: g.Pos(u), scope: g.ScopeOf(u)})
-	}
-	for i := 0; i < n; i++ {
-		u := ddg.NodeID(i)
-		tb := bufs[g.Thread(u)]
-		for _, p := range g.Preds(u) {
-			tb.operands = append(tb.operands, prov[p])
-		}
-		_, idx := unpackProv(prov[u])
-		tb.recs[idx].opEnd = uint32(len(tb.operands))
-	}
-	return finalize(bufs)
 }

@@ -1,9 +1,16 @@
 package trace
 
+// The independent reference the tracer's equivalence tests compare
+// against: the original single-lock tracer and the renumbering that maps
+// its graphs onto the per-thread tracer's canonical order. Both live in a
+// _test.go file of package trace, so the external trace_test package sees
+// them while production builds carry one tracer only.
+
 import (
 	"fmt"
 	"sync"
 
+	"discovery/internal/analysis"
 	"discovery/internal/ddg"
 	"discovery/internal/mir"
 	"discovery/internal/vm"
@@ -11,10 +18,8 @@ import (
 
 // LegacyBuilder is the original single-lock tracer: every node creation
 // serializes through one global mutex and the shadow memory is a sharded
-// map. It is retained as the baseline the parallel-native Builder is
-// validated against (same DDG up to the deterministic renumbering; see
-// Canonicalize) and benchmarked against (BenchmarkTraceThroughput, the
-// BENCH_trace.json before/after numbers).
+// map. It is the reference the parallel-native Builder is validated
+// against: same DDG up to the deterministic renumbering (see Canonicalize).
 type LegacyBuilder struct {
 	mu sync.Mutex
 	g  *ddg.Graph
@@ -99,8 +104,7 @@ func (b *LegacyBuilder) StoreShadow(addr int64, def ddg.NodeID) {
 // on the scheduler interleaving (the dataflow shape does not).
 func (b *LegacyBuilder) Graph() *ddg.Graph { return b.g }
 
-// RunLegacy executes the program under the single-lock tracer. It is the
-// seed tracer's behaviour, kept for differential tests and benchmarks.
+// RunLegacy executes the program under the single-lock tracer.
 func RunLegacy(prog *mir.Program, opts ...vm.Option) (*Result, error) {
 	b := NewLegacyBuilder()
 	opts = append([]vm.Option{vm.WithTracer(b)}, opts...)
@@ -116,4 +120,54 @@ func RunLegacy(prog *mir.Program, opts ...vm.Option) (*Result, error) {
 		return nil, fmt.Errorf("trace: %q produced a malformed DDG (legacy): %w", prog.Name, err)
 	}
 	return &Result{Graph: b.g, Return: ret, Ops: m.Ops()}, nil
+}
+
+// Canonicalize renumbers a traced DDG into the deterministic order that
+// finalize produces: per-thread streams (taken in ascending node-id
+// order, which for an execution-ordered graph is each thread's program
+// order) interleaved by the same ready-run merge. Graphs produced by the
+// per-thread tracer are already canonical, so Canonicalize is the
+// identity on them; applying it to a legacy global-lock trace yields the
+// exact graph the per-thread tracer builds for the same execution, which
+// is how the equivalence tests compare the two tracers. Graphs that the
+// per-thread tracer could not have produced — thread ids or per-thread
+// stream lengths outside the provisional-id space — are rejected with an
+// InvalidInput error.
+func Canonicalize(g *ddg.Graph) (*ddg.Graph, error) {
+	n := g.NumNodes()
+	// Rebuild pseudo-buffers: assign each node a provisional id from its
+	// (thread, per-thread order) and re-record its operands (preds are
+	// stored in operand order).
+	prov := make([]ddg.NodeID, n)
+	var bufs []*threadBuf
+	for i := 0; i < n; i++ {
+		u := ddg.NodeID(i)
+		t := g.Thread(u)
+		if t < 0 || t >= maxThreads {
+			return nil, analysis.Errorf(analysis.StageFinalize, analysis.InvalidInput,
+				"trace: Canonicalize: node %d has thread id %d outside [0, %d)", u, t, maxThreads).OnThread(t)
+		}
+		for int(t) >= len(bufs) {
+			bufs = append(bufs, nil)
+		}
+		if bufs[t] == nil {
+			bufs[t] = &threadBuf{thread: t}
+		}
+		if len(bufs[t].recs) >= maxNodesPerThread {
+			return nil, analysis.Errorf(analysis.StageFinalize, analysis.ResourceExhausted,
+				"trace: Canonicalize: thread %d stream exceeds %d nodes", t, maxNodesPerThread).OnThread(t)
+		}
+		prov[u] = packProv(t, len(bufs[t].recs))
+		bufs[t].recs = append(bufs[t].recs, nodeRec{op: g.Op(u), pos: g.Pos(u), scope: g.ScopeOf(u)})
+	}
+	for i := 0; i < n; i++ {
+		u := ddg.NodeID(i)
+		tb := bufs[g.Thread(u)]
+		for _, p := range g.Preds(u) {
+			tb.operands = append(tb.operands, prov[p])
+		}
+		_, idx := unpackProv(prov[u])
+		tb.recs[idx].opEnd = uint32(len(tb.operands))
+	}
+	return finalize(bufs)
 }

@@ -36,18 +36,12 @@ func (b *Builder) threadNodes() (threads []int32, counts []int) {
 // (under parent). With a nil or disabled recorder it behaves exactly like
 // Run. The returned error, if any, is also marked on the corresponding
 // span, so a failed run still yields a closed, exportable span tree.
-func RunObserved(prog *mir.Program, rec obs.Recorder, parent obs.SpanID, opts ...vm.Option) (*Result, error) {
-	return RunObservedWith(NewBuilder(), prog, rec, parent, opts...)
-}
-
-// RunObservedWith is RunObserved recording into a caller-supplied builder
-// — the seam the -no-online-compact escape hatch uses to trace through
-// NewBuilderNoCompact with the span tree intact.
-func RunObservedWith(b *Builder, prog *mir.Program, rec obs.Recorder, parent obs.SpanID, opts ...vm.Option) (res *Result, err error) {
+func RunObserved(prog *mir.Program, rec obs.Recorder, parent obs.SpanID, opts ...vm.Option) (res *Result, err error) {
 	rec = obs.OrNop(rec)
 	if !rec.Enabled() {
-		return runWith(b, prog, opts...)
+		return Run(prog, opts...)
 	}
+	b := NewBuilder()
 	root := rec.StartSpan("trace", parent, obs.Str("program", prog.Name))
 	defer func() {
 		attrs := []obs.Attr{}

@@ -47,7 +47,7 @@ const (
 // maxNodesPerThread caps one thread's trace length at the provisional-id
 // index width. Reaching it truncates that thread's trace (recording stops,
 // the run continues) rather than aborting the execution; a var so tests
-// can lower it to exercise the truncation path (see export_test.go).
+// can lower it to exercise the truncation path (see failure_test.go).
 var maxNodesPerThread = 1 << provIndexBits
 
 func packProv(thread int32, index int) ddg.NodeID {
@@ -247,14 +247,6 @@ func NewBuilder() *Builder {
 	return &Builder{shadow: newShadowMemory(), compact: true}
 }
 
-// NewBuilderNoCompact returns a builder with online compaction off: the
-// merged graph carries no iteration indexes and compacted views fall back
-// to scope-chain grouping. This is the trace-then-compact baseline the
-// differential tests compare against; production paths use NewBuilder.
-func NewBuilderNoCompact() *Builder {
-	return &Builder{shadow: newShadowMemory()}
-}
-
 // ThreadTracer returns the tracing handle for one VM thread, creating its
 // buffer on first use.
 func (b *Builder) ThreadTracer(thread int32) vm.ThreadTracer {
@@ -373,10 +365,10 @@ func Run(prog *mir.Program, opts ...vm.Option) (*Result, error) {
 // the trace-then-compact baseline. The returned graph is byte-identical
 // to Run's (same ops, arcs, scope chains, fingerprint) but carries no
 // iteration indexes, so downstream compacted views re-derive their
-// grouping from the scope chains. It exists for the differential tests
-// and the -no-online-compact escape hatch.
+// grouping from the scope chains. It is the reference the compaction
+// differential tests compare against; production paths use Run.
 func RunNoCompact(prog *mir.Program, opts ...vm.Option) (*Result, error) {
-	return runWith(NewBuilderNoCompact(), prog, opts...)
+	return runWith(&Builder{shadow: newShadowMemory()}, prog, opts...)
 }
 
 func runWith(b *Builder, prog *mir.Program, opts ...vm.Option) (*Result, error) {
