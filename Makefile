@@ -6,7 +6,7 @@
 #   make benchsmoke — prescreen metric export + obs overhead gate
 #   make pipebench-smoke — build and smoke-test the pipeline benchmark
 #                  (bench/pipebench; `bash bench/pipebench/run.sh` times it)
-#   make cover   — coverage floors for internal/core and internal/obs
+#   make cover   — coverage floors for internal/core, obs, sched, trace and ddg
 #   make serversmoke — end-to-end daemon check: cold run, warm store hit
 #   make chaos   — fault-injection suite + chaos smoke against the binary
 

@@ -20,7 +20,7 @@ import (
 )
 
 func benchOpts() core.Options {
-	return core.Options{Workers: 0}
+	return core.Options{}
 }
 
 // BenchmarkTable1_IterativeTrace regenerates Table 1: the iterative

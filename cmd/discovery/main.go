@@ -31,8 +31,7 @@ func main() {
 		benchName  = flag.String("bench", "streamcluster", "benchmark to analyze")
 		version    = flag.String("version", "pthreads", "benchmark version: seq or pthreads")
 		format     = flag.String("format", "summary", "output format: summary, text, html, or json")
-		workers    = flag.Int("workers", 0, "parallel matching workers (0 = all cores)")
-		schedWork  = flag.Int("sched-workers", 0, "run solves on an explicit shared scheduler pool of this size (0 = per-run pool sized by -workers)")
+		schedWork  = flag.Int("sched-workers", 0, "run solves on an explicit scheduler pool of this many goroutines (0 = the process default pool)")
 		verify     = flag.Bool("verify", true, "re-verify matches against the unrelaxed definitions")
 		extensions = flag.Bool("extensions", false, "enable the future-work pattern kinds (stencil, pipeline, tree reduction)")
 		budget     = flag.Duration("budget", 0, "global wall-clock budget for pattern finding (0 = none)")
@@ -40,7 +39,6 @@ func main() {
 		solverStep = flag.Int64("solver-steps", 0, "deterministic per-solve step limit, nodes+propagations (0 = none)")
 		noCache    = flag.Bool("no-cache", false, "disable the view-verdict solve cache (escape hatch; every solve runs)")
 		cacheStats = flag.Bool("cache-stats", false, "print view cache hit/miss/skip counts to stderr")
-		noPrescr   = flag.Bool("no-prescreen", false, "disable the structural prescreen (escape hatch; every matcher runs)")
 		prescrStat = flag.Bool("prescreen-stats", false, "print prescreen check/skip counts to stderr")
 		restarts   = flag.Int64("solver-restarts", 0, "Luby restart slice in solver steps, with nogood recording (0 = plain DFS)")
 		check      = flag.Bool("check", false, "verify DDG structural invariants after tracing and after simplification")
@@ -141,17 +139,16 @@ func main() {
 		}
 	}
 	opts := core.Options{
-		Workers: *workers, VerifyMatches: *verify, Extensions: *extensions,
+		VerifyMatches: *verify, Extensions: *extensions, DisableCache: *noCache,
 		Budget: *budget, SolverBudget: *solverBudg, SolverStepLimit: *solverStep,
-		DisableCache: *noCache, DisablePrescreen: *noPrescr,
 		SolverRestartSlice: *restarts, Obs: rec, ObsParent: analyzeSpan,
 		SpillBudget: *memBudget, SpillDir: *spillDir,
 	}
 	// -sched-workers exercises the daemon's configuration from the CLI: an
-	// explicit shared pool instead of the finder's private per-run one.
-	// With a single run the two are equivalent in output (that equivalence
-	// is tested); the flag exists to reproduce and profile the shared-pool
-	// code path outside the server.
+	// explicit pool of that size with the collector attached, instead of
+	// the process default pool. Output is the same on either pool; the
+	// flag exists to reproduce and profile the daemon's pool sizing and
+	// scheduler metrics outside the server.
 	if *schedWork > 0 {
 		pool := sched.NewPool(*schedWork, rec)
 		defer pool.Close()
@@ -184,11 +181,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, line)
 	}
 	if *prescrStat {
-		line := report.PrescreenStats(res)
-		if line == "" {
-			line = "prescreen: disabled"
-		}
-		fmt.Fprintln(os.Stderr, line)
+		// Unlike report.PrescreenStats, which omits a run with no censuses
+		// from the summary, the flag always prints the counts.
+		checks, skips := res.PrescreenStats()
+		fmt.Fprintf(os.Stderr, "prescreen: %d check(s), %d solve(s) skipped\n", checks, skips)
 	}
 
 	switch *format {

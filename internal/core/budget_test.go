@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"discovery/internal/patterns"
+	"discovery/internal/sched"
 )
 
 // TestTinyStepLimitDegradedDeterministic: with a deliberately tiny
@@ -17,8 +18,12 @@ func TestTinyStepLimitDegradedDeterministic(t *testing.T) {
 	g := traceProgram(t, seqSumProgram(6))
 
 	run := func() *Result {
+		// A zero-worker pool runs every task on this goroutine, in
+		// submission order: an exact replay.
+		pool := sched.NewPool(0, nil)
+		defer pool.Close()
 		opts := defaultOpts()
-		opts.Workers = 1 // fixed sub-to-worker assignment for exact replay
+		opts.Scheduler = pool
 		opts.SolverStepLimit = 1
 		return Find(g, opts)
 	}

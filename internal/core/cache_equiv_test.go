@@ -2,13 +2,14 @@ package core
 
 // Cache/no-cache equivalence on random programs, in-package so it reuses
 // the random_test generators. Complements the corpus suite in
-// equivalence_test.go; Workers is set high so `make race` exercises the
-// matching workers sharing one cache.
+// equivalence_test.go; a pool of 7 workers (8 executors) makes `make
+// race` exercise the matching workers sharing one cache.
 
 import (
 	"fmt"
 	"testing"
 
+	"discovery/internal/sched"
 	"discovery/internal/trace"
 )
 
@@ -34,7 +35,9 @@ func TestCacheEquivalenceOnRandomPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trace: %v", err)
 			}
-			opts := Options{Workers: 8, VerifyMatches: true}
+			pool := sched.NewPool(7, nil)
+			defer pool.Close()
+			opts := Options{Scheduler: pool, VerifyMatches: true}
 			if seed%3 == 0 {
 				opts.Extensions = true
 			}
@@ -72,9 +75,9 @@ func TestSharedCacheAcrossGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		off := Options{Workers: 2, DisableCache: true}
+		off := Options{DisableCache: true}
 		want := resultSig(Find(tr.Graph, off))
-		res := Find(tr.Graph, Options{Workers: 2, Cache: cache})
+		res := Find(tr.Graph, Options{Cache: cache})
 		if got := resultSig(res); got != want {
 			t.Errorf("seed %d with shared cache diverges:\nwant %s\ngot  %s", seed, want, got)
 		}

@@ -56,8 +56,8 @@ func TestCompactionDifferentialRandomPrograms(t *testing.T) {
 			if err := cg.CheckInvariants(); err != nil {
 				t.Fatalf("compact graph fails invariants: %v", err)
 			}
-			fast := Find(cg, Options{Workers: 2})
-			slow := Find(bg, Options{Workers: 2})
+			fast := Find(cg, Options{})
+			slow := Find(bg, Options{})
 			if got, want := patternSig(fast), patternSig(slow); got != want {
 				t.Fatalf("indexed finder found %q, scope-chain finder found %q", got, want)
 			}
@@ -78,8 +78,8 @@ func TestFinderEquivalentWhenSpilled(t *testing.T) {
 				}
 				return tr.Graph
 			}
-			resident := Find(traced(), Options{Workers: 2})
-			paged := Find(traced(), Options{Workers: 2, SpillBudget: 128, SpillDir: t.TempDir()})
+			resident := Find(traced(), Options{})
+			paged := Find(traced(), Options{SpillBudget: 128, SpillDir: t.TempDir()})
 			defer paged.Graph.CloseSpill()
 			if !paged.Graph.Spilled() {
 				t.Fatal("128-byte budget did not spill the simplified graph")

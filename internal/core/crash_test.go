@@ -32,14 +32,11 @@ func tracedBenchmark(t *testing.T) *trace.Result {
 
 func TestFindContainsMidPhasePanic(t *testing.T) {
 	tr := tracedBenchmark(t)
-	core.SetFindTestHook(func(phase string) {
+	res := core.Find(tr.Graph, core.Options{PhaseHook: func(phase string) {
 		if phase == "merge" {
 			panic("injected merge bug")
 		}
-	})
-	defer core.SetFindTestHook(nil)
-
-	res := core.Find(tr.Graph, core.Options{Workers: 2})
+	}})
 
 	if !res.Degraded() {
 		t.Fatal("run with a contained panic not flagged degraded")
@@ -87,14 +84,11 @@ func TestFindContainsMidPhasePanic(t *testing.T) {
 
 func TestFindContainsMatchPhasePanic(t *testing.T) {
 	tr := tracedBenchmark(t)
-	core.SetFindTestHook(func(phase string) {
+	res := core.Find(tr.Graph, core.Options{PhaseHook: func(phase string) {
 		if phase == "match" {
 			panic("injected match bug")
 		}
-	})
-	defer core.SetFindTestHook(nil)
-
-	res := core.Find(tr.Graph, core.Options{Workers: 2})
+	}})
 	if !res.Degraded() {
 		t.Fatal("not degraded")
 	}
@@ -115,7 +109,7 @@ func TestFindContainsMatchPhasePanic(t *testing.T) {
 
 func TestFindCleanRunHasNoFailures(t *testing.T) {
 	tr := tracedBenchmark(t)
-	res := core.Find(tr.Graph, core.Options{Workers: 2})
+	res := core.Find(tr.Graph, core.Options{})
 	if len(res.Failures) != 0 || res.Degraded() {
 		t.Fatalf("clean run reports failures: %v", res.Failures)
 	}
@@ -141,7 +135,6 @@ func TestFindNilGraphIsInvalidInput(t *testing.T) {
 func TestOptionsPhaseHookPanicContained(t *testing.T) {
 	tr := tracedBenchmark(t)
 	res := core.Find(tr.Graph, core.Options{
-		Workers: 2,
 		PhaseHook: func(phase string) {
 			if phase == "subtract" {
 				panic("injected subtract fault")
@@ -164,7 +157,7 @@ func TestOptionsPhaseHookPanicContained(t *testing.T) {
 
 	// A hook-free run in the same process stays clean: the hook is run
 	// state, not package state.
-	clean := core.Find(tr.Graph, core.Options{Workers: 2})
+	clean := core.Find(tr.Graph, core.Options{})
 	if clean.Degraded() || len(clean.Failures) != 0 {
 		t.Fatalf("hook leaked into an unrelated run: %v", clean.Failures)
 	}

@@ -129,7 +129,7 @@ func TestFindEquivalenceCacheOnOff(t *testing.T) {
 		for _, v := range starbench.Versions() {
 			b, v := b, v
 			t.Run(b.Name+"/"+string(v), func(t *testing.T) {
-				runModes(t, b.Name, v, core.Options{Workers: 2, VerifyMatches: true})
+				runModes(t, b.Name, v, core.Options{VerifyMatches: true})
 			})
 		}
 	}
@@ -144,7 +144,7 @@ func TestFindEquivalenceExtensions(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			runModes(t, name, starbench.Pthreads,
-				core.Options{Workers: 2, VerifyMatches: true, Extensions: true})
+				core.Options{VerifyMatches: true, Extensions: true})
 		})
 	}
 }
@@ -153,5 +153,5 @@ func TestFindEquivalenceNoCompact(t *testing.T) {
 	// Compaction mode is part of the view hash; equivalence must also hold
 	// with compaction disabled (node-per-node views everywhere).
 	runModes(t, "kmeans", starbench.Pthreads,
-		core.Options{Workers: 2, VerifyMatches: true, DisableCompact: true})
+		core.Options{VerifyMatches: true, DisableCompact: true})
 }

@@ -5,10 +5,13 @@ import (
 	"discovery/internal/patterns"
 )
 
-// SetFindTestHook installs (or, with nil, removes) the hook run at every
-// guarded finder phase. External test packages use it to inject panics at
-// named phases and observe the degraded-but-partial Result contract.
-func SetFindTestHook(h func(phase string)) { findTestHook = h }
+// WithoutPrescreen returns opts with the structural prescreen turned off:
+// every (sub-DDG × kind) solve reaches the cache and then its matcher. The
+// prescreen differential suite uses it as the reference run.
+func WithoutPrescreen(opts Options) Options {
+	opts.noPrescreen = true
+	return opts
+}
 
 // SetMatchTaskHook installs (or, with nil, removes) the hook run at the
 // entry of every (sub-DDG × kind) solve task, on the worker goroutine.

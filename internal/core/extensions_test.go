@@ -43,7 +43,7 @@ func TestStencilDetection(t *testing.T) {
 	g := traceProgram(t, jacobiProgram(10))
 
 	// Without extensions: a plain map.
-	base := Find(g, Options{Workers: 2, VerifyMatches: true})
+	base := Find(g, Options{VerifyMatches: true})
 	if ks := kinds(base); ks[patterns.KindMap] == 0 {
 		t.Fatalf("baseline should report the Jacobi loop as a map: %v", ks)
 	}
@@ -52,7 +52,7 @@ func TestStencilDetection(t *testing.T) {
 	}
 
 	// With extensions: refined into a stencil.
-	ext := Find(g, Options{Workers: 2, VerifyMatches: true, Extensions: true})
+	ext := Find(g, Options{VerifyMatches: true, Extensions: true})
 	ks := kinds(ext)
 	if ks[patterns.KindStencil] == 0 {
 		t.Fatalf("stencil not detected with extensions: %v", ks)
@@ -73,7 +73,7 @@ func TestStencilNotReportedForIndependentMap(t *testing.T) {
 	// A pointwise map (components share only broadcast inputs at most)
 	// must stay a map under extensions.
 	g := traceProgram(t, mapKernelProgram(6))
-	ext := Find(g, Options{Workers: 2, Extensions: true})
+	ext := Find(g, Options{Extensions: true})
 	if ks := kinds(ext); ks[patterns.KindStencil] != 0 {
 		t.Errorf("pointwise map misreported as stencil: %v", ks)
 	}
@@ -119,13 +119,13 @@ func TestTreeReductionDetection(t *testing.T) {
 	g := traceProgram(t, treeSumProgram())
 
 	// The tree shape matches neither the linear nor the tiled variant.
-	base := Find(g, Options{Workers: 2, VerifyMatches: true})
+	base := Find(g, Options{VerifyMatches: true})
 	ks := kinds(base)
 	if ks[patterns.KindLinearReduction]+ks[patterns.KindTiledReduction] != 0 {
 		t.Errorf("baseline misclassified the tree: %v", ks)
 	}
 
-	ext := Find(g, Options{Workers: 2, VerifyMatches: true, Extensions: true})
+	ext := Find(g, Options{VerifyMatches: true, Extensions: true})
 	ks = kinds(ext)
 	if ks[patterns.KindTreeReduction] == 0 {
 		t.Fatalf("tree reduction not detected: %v", ks)

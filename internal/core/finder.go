@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,24 +20,15 @@ import (
 // the smallest benchmark, and (§6.1) that seven patterns need a second and
 // two a third iteration.
 type Options struct {
-	// Workers bounds the run's parallel solve fan-out: the executor count
-	// its private scheduler pool provides when Scheduler is nil. Zero — the
-	// default — means GOMAXPROCS. Values above the process-wide budget
-	// (twice GOMAXPROCS, floor 4) are clamped to it: a run is one client of
-	// one machine, and a daemon serving many runs should share one pool via
-	// Scheduler instead of multiplying private workers. Ignored when
-	// Scheduler is set — the shared pool's size already is the process
-	// budget.
-	Workers int
-	// Scheduler, when non-nil, is the shared solve pool this run submits
-	// its parallel work to (see internal/sched): the daemon creates one
-	// sized pool at startup so N concurrent analyses share one set of
-	// workers instead of multiplying them, and a small warm run's tasks
-	// interleave with a large cold run's instead of queueing behind it.
-	// Nil — the default — gives the run a private pool for its duration,
-	// reproducing the old per-run parallelism. Scheduling never changes
-	// output, only execution order: results are delivered in deterministic
-	// owner order either way.
+	// Scheduler is the solve pool this run submits its parallel work to
+	// (see internal/sched). Nil — the default — means the process default
+	// pool (sched.Default), which with the run's own helping goroutine
+	// gives GOMAXPROCS executors. The daemon passes one sized pool of its
+	// own so its metrics reach the daemon's registry. Every run sharing a
+	// pool is one owner among many: a small warm run's tasks interleave
+	// with a large cold run's instead of queueing behind it. Scheduling
+	// never changes output, only execution order: results are delivered
+	// in deterministic owner order whichever pool ran them.
 	Scheduler *sched.Pool
 	// MaxIterations bounds the match/subtract/fuse fixpoint loop.
 	MaxIterations int
@@ -112,19 +102,18 @@ type Options struct {
 	// with the phase's name, inside the phase's recover boundary — a panic
 	// it raises is contained exactly like a bug in the phase itself
 	// (recorded on Result.Failures, run degraded, later phases continue).
-	// It exists for deterministic fault injection (internal/fault): unlike
-	// the test-only package hook it is per-run, so concurrent FindCtx runs
-	// can carry independent fault plans without racing. It never changes a
+	// It exists for deterministic fault injection (internal/fault) and
+	// crash tests; being per-run, concurrent FindCtx runs can carry
+	// independent fault plans without racing. It never changes a
 	// non-panicking run's output and is not part of any cache fingerprint.
 	PhaseHook func(phase string)
 
-	// DisablePrescreen turns off the structural prescreen (the
-	// -no-prescreen escape hatch): every (sub-DDG × kind) solve consults
-	// only the cache and then runs its matcher, as before the fast path
-	// existed. The prescreen is sound (it prunes only solves the matcher
-	// would reject before reaching the solver), so this switch exists for
-	// differential testing and triage, not correctness.
-	DisablePrescreen bool
+	// noPrescreen turns off the structural prescreen: every (sub-DDG ×
+	// kind) solve consults only the cache and then runs its matcher. The
+	// prescreen is sound (it prunes only solves the matcher would reject
+	// before reaching the solver), so the switch exists only as the
+	// differential tests' reference (export_test.go).
+	noPrescreen bool
 
 	// DisableCache turns off the view–verdict cache (the -no-cache escape
 	// hatch): every solve runs even when an identical view was already
@@ -143,29 +132,6 @@ type Options struct {
 	DisableDecompose bool
 	DisableCompact   bool
 	DisableIterate   bool
-}
-
-func (o Options) workers() int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if budget := processWorkerBudget(); w > budget {
-		w = budget
-	}
-	return w
-}
-
-// processWorkerBudget is the ceiling on one run's private solve fan-out:
-// twice GOMAXPROCS (solve tasks block on more than CPU), floor 4 so tests
-// that force small fan-outs behave the same on single-CPU machines. A
-// caller copying an unvalidated Workers value into Options cannot
-// oversubscribe the process past this.
-func processWorkerBudget() int {
-	if n := 2 * runtime.GOMAXPROCS(0); n > 4 {
-		return n
-	}
-	return 4
 }
 
 func (o Options) maxIterations() int {
@@ -380,22 +346,9 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 
 	// The solve scheduler: every parallelizable unit of the run — a
 	// (sub-DDG × kind) match solve, a subtract or fuse candidate sweep, a
-	// pipeline pair solve — is submitted to this pool and waited out at
-	// each phase barrier. With a shared pool (Options.Scheduler) the run
-	// is one owner among many and a "sched" span records its share of the
-	// pool; a private pool reproduces the old per-run parallelism.
-	sc := newRunSched(ctx, opts)
-	if opts.Scheduler != nil && rec.Enabled() {
-		sp := rec.StartSpan("sched", root)
-		defer func() {
-			st := sc.pool.Stats()
-			rec.EndSpan(sp,
-				obs.Int("pool_workers", int64(st.Workers)),
-				obs.Int("pool_queued", int64(st.Queued)),
-				obs.Int("pool_steals", st.Steals),
-				obs.Int("pool_expired", st.Expired))
-		}()
-	}
+	// pipeline pair solve — is submitted to the run's owner on the pool
+	// and waited out at each phase barrier.
+	sc := newRunSched(ctx, opts, res)
 	defer sc.close()
 
 	// Phase: decompose (the decomposed sub-DDGs are compacted lazily when
@@ -570,16 +523,11 @@ func emitFindMetrics(rec obs.Recorder, res *Result, cache *ViewCache) {
 	}
 }
 
-// findTestHook, when non-nil, runs at the entry of every guarded phase
-// with the phase's name; a panic it raises simulates an internal bug at
-// that exact point. Tests install it through export_test.go.
-var findTestHook func(phase string)
-
 // guard runs one finder phase inside a recover boundary. A panic inside fn
 // is recorded on res.Failures as a structured match-stage error naming the
 // phase; whatever the phase wrote before dying is kept, and guard reports
 // false so the caller can fall back. Phases run on the calling goroutine —
-// worker-goroutine panics are contained separately (safeTask), since a
+// task panics are contained separately (runSched.submit), since a
 // recover only catches panics on its own stack.
 func guard(res *Result, phase string, fn func()) (ok bool) {
 	defer func() {
@@ -590,9 +538,6 @@ func guard(res *Result, phase string, fn func()) (ok bool) {
 			ok = false
 		}
 	}()
-	if findTestHook != nil {
-		findTestHook(phase)
-	}
 	if res.phaseHook != nil {
 		res.phaseHook(phase)
 	}
@@ -612,12 +557,12 @@ func interrupted(ctx context.Context, res *Result) bool {
 
 // sweep fans the index range [0, n) out over the scheduler as chunked
 // tasks running body, and waits them out. Panics inside a chunk are
-// contained per chunk and recorded on res.Failures, matching the guard
-// semantics the sequential loops had; chunks claimed past the run's
-// deadline are dropped (their indices contribute nothing, and the
-// interrupted(ctx, res) the caller runs afterwards labels the result).
-// Runs on the phase goroutine; returns only after every chunk finished.
-func sweep(sc *runSched, res *Result, phase string, n int, body func(i int)) {
+// contained per chunk by the scheduler (runSched.submit); chunks claimed
+// past the run's deadline are dropped (their indices contribute nothing,
+// and the interrupted(ctx, res) the caller runs afterwards labels the
+// result). Runs on the phase goroutine; returns only after every chunk
+// finished.
+func sweep(sc *runSched, phase string, n int, body func(i int)) {
 	if n == 0 {
 		return
 	}
@@ -628,33 +573,21 @@ func sweep(sc *runSched, res *Result, phase string, n int, body func(i int)) {
 		chunks = n
 	}
 	size := (n + chunks - 1) / chunks
-	var mu sync.Mutex
-	var fails []*analysis.Error
 	for lo := 0; lo < n; lo += size {
 		lo, hi := lo, lo+size
 		if hi > n {
 			hi = n
 		}
-		sc.submit(classSolve, func(expired bool) {
+		sc.submit(phase, classSolve, func(expired bool) {
 			if expired {
 				return
 			}
-			defer func() {
-				if r := recover(); r != nil {
-					ae := analysis.Recovered(analysis.StageMatch, r)
-					mu.Lock()
-					fails = append(fails, analysis.Wrap(ae.Stage, ae.Kind, ae,
-						"%s task failed", phase))
-					mu.Unlock()
-				}
-			}()
 			for i := lo; i < hi; i++ {
 				body(i)
 			}
 		})
 	}
 	sc.wait()
-	res.Failures = append(res.Failures, fails...)
 }
 
 // subtractPhase subtracts this iteration's matches from the unmatched
@@ -674,7 +607,7 @@ func subtractPhase(ctx context.Context, pool, matched []*SubDDG, sc *runSched, r
 		return nil
 	}
 	cands := make([][]*SubDDG, len(pool))
-	sweep(sc, res, "subtract", len(pool), func(i int) {
+	sweep(sc, "subtract", len(pool), func(i int) {
 		g1 := pool[i]
 		if len(g1.Matched) > 0 {
 			return
@@ -718,7 +651,7 @@ func fusePhase(ctx context.Context, gs *ddg.Graph, pool, matched []*SubDDG, sc *
 		isNew[s] = true
 	}
 	cands := make([][]*SubDDG, len(pool))
-	sweep(sc, res, "fuse", len(pool), func(i int) {
+	sweep(sc, "fuse", len(pool), func(i int) {
 		a := pool[i]
 		if len(a.Matched) == 0 || !hasMapMatch(a) {
 			return
@@ -802,8 +735,6 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 	}
 	var jobs []pairJob
 	pendingSolves := map[ddg.Hash128]*pipeSolve{}
-	var mu sync.Mutex
-	var fails []*analysis.Error
 	for _, a := range stages {
 		if interrupted(ctx, res) {
 			break
@@ -842,19 +773,10 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 				pendingSolves[pair] = ps
 				jobs = append(jobs, pairJob{a: a, solve: ps})
 				a, b := a, b
-				sc.submit(classSolve, func(expired bool) {
+				sc.submit("pipelines", classSolve, func(expired bool) {
 					if expired {
 						return
 					}
-					defer func() {
-						if r := recover(); r != nil {
-							ae := analysis.Recovered(analysis.StageMatch, r)
-							mu.Lock()
-							fails = append(fails, analysis.Wrap(ae.Stage, ae.Kind, ae,
-								"pipelines task failed"))
-							mu.Unlock()
-						}
-					}()
 					p := patterns.MatchPipeline(gs, a.CachedView(gs, compact), b.CachedView(gs, compact))
 					if p != nil && opts.VerifyMatches {
 						if err := patterns.Verify(gs, p); err != nil {
@@ -868,7 +790,6 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 		}
 	}
 	sc.wait()
-	res.Failures = append(res.Failures, fails...)
 	interrupted(ctx, res)
 	for _, j := range jobs {
 		p := j.p
@@ -896,56 +817,75 @@ const (
 	classSolve   = 1
 )
 
-// runSched is one Find run's client handle on a solve scheduler: the
-// shared process pool when Options.Scheduler is set, else a pool private
-// to the run. The private pool holds workers()−1 goroutines; together
-// with the submitting goroutine — which executes its own tasks while it
-// waits (sched.Owner help-first waiting) — that reproduces the old
-// workers() per-run parallelism exactly.
+// runSched is one Find run's client handle on its solve pool
+// (Options.Scheduler, else sched.Default): one owner on the pool, plus
+// the run's task recover boundary. The submitting goroutine executes its
+// own tasks while it waits (sched.Owner help-first waiting), so a run
+// progresses even on a pool with no workers.
 type runSched struct {
-	pool    *sched.Pool
-	owner   *sched.Owner
-	private bool
+	pool  *sched.Pool
+	owner *sched.Owner
+	res   *Result
 	// deadline is the run's global budget as a per-task deadline, checked
 	// by the pool at claim time: once it passes, remaining tasks are
-	// dropped before any solver work runs (PR-2's budget, enforced at the
+	// dropped before any solver work runs (the run budget, enforced at the
 	// steal point instead of inside each solve).
 	deadline time.Time
+
+	mu    sync.Mutex
+	fails []*analysis.Error // contained task panics, flushed by wait
 }
 
-func newRunSched(ctx context.Context, opts Options) *runSched {
-	rs := &runSched{deadline: (&patterns.Budget{Ctx: ctx}).Deadline()}
-	if opts.Scheduler != nil {
-		rs.pool = opts.Scheduler
-	} else {
-		rs.pool = sched.NewPool(opts.workers()-1, nil)
-		rs.private = true
+func newRunSched(ctx context.Context, opts Options, res *Result) *runSched {
+	pool := opts.Scheduler
+	if pool == nil {
+		pool = sched.Default()
 	}
-	rs.owner = rs.pool.NewOwner(ctx)
-	return rs
+	return &runSched{
+		pool:     pool,
+		owner:    pool.NewOwner(ctx),
+		res:      res,
+		deadline: (&patterns.Budget{Ctx: ctx}).Deadline(),
+	}
 }
 
-// close releases the run's scheduler resources: the owner always, the
-// pool only when it is this run's private one.
-func (rs *runSched) close() {
-	rs.owner.Close()
-	if rs.private {
-		rs.pool.Close()
-	}
-}
+// close deregisters the run's owner; the pool outlives the run.
+func (rs *runSched) close() { rs.owner.Close() }
 
 // executors is the parallel capacity this run sees; phase chunking sizes
 // its task batches with it.
 func (rs *runSched) executors() int { return rs.pool.Executors() }
 
-// submit queues one task under the run's deadline.
-func (rs *runSched) submit(class int, do func(expired bool)) {
-	rs.owner.Submit(sched.Task{Do: do, Class: class, Deadline: rs.deadline})
+// submit queues one task of the named phase under the run's deadline.
+// It is the task recover boundary: a panic inside do is recorded as a
+// structured "<phase> task failed" error, and the next wait appends it to
+// Result.Failures; the run's other tasks carry on.
+func (rs *runSched) submit(phase string, class int, do func(expired bool)) {
+	rs.owner.Submit(sched.Task{Class: class, Deadline: rs.deadline, Do: func(expired bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				ae := analysis.Recovered(analysis.StageMatch, r)
+				rs.mu.Lock()
+				rs.fails = append(rs.fails, analysis.Wrap(ae.Stage, ae.Kind, ae,
+					"%s task failed", phase))
+				rs.mu.Unlock()
+			}
+		}()
+		do(expired)
+	}})
 }
 
 // wait blocks until every submitted task completed, helping the pool by
-// executing this run's own tasks meanwhile.
-func (rs *runSched) wait() { rs.owner.Wait() }
+// executing this run's own tasks meanwhile, then moves the contained task
+// failures onto the Result. Runs on the phase goroutine, the Result's
+// only writer at that point.
+func (rs *runSched) wait() {
+	rs.owner.Wait()
+	rs.mu.Lock()
+	rs.res.Failures = append(rs.res.Failures, rs.fails...)
+	rs.fails = nil
+	rs.mu.Unlock()
+}
 
 // budgetFor builds a fresh solver budget carrying the run's bounds. Each
 // solve task gets its own so per-task "budget exceeded" outcomes stay
@@ -1076,7 +1016,7 @@ func runMatchPhase(ctx context.Context, gs *ddg.Graph, active []*SubDDG, opts Op
 	mp.buildTasks(active)
 	for _, t := range mp.tasks {
 		t := t
-		sc.submit(t.class, func(expired bool) { mp.runTask(t, expired) })
+		sc.submit("match", t.class, func(expired bool) { mp.runTask(t, expired) })
 	}
 	sc.wait()
 	res.SkippedViews += int(mp.skips.Load())
@@ -1261,7 +1201,7 @@ func (mp *matchPhase) prep(st *subState) {
 				return
 			}
 		}
-		if !mp.opts.DisablePrescreen {
+		if !mp.opts.noPrescreen {
 			rec := mp.rec
 			if rec.Enabled() {
 				t0 := time.Now()

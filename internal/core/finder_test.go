@@ -22,7 +22,7 @@ func traceProgram(t *testing.T, p *mir.Program) *ddg.Graph {
 // defaultOpts verifies every match against the unrelaxed definitions,
 // mirroring the paper's observation that relaxations cause no violations.
 func defaultOpts() Options {
-	return Options{VerifyMatches: true, Workers: 2}
+	return Options{VerifyMatches: true}
 }
 
 // fig2cProgram is the paper's §2 motivating example: nproc threads compute
@@ -442,7 +442,7 @@ func TestKmeansMissShape(t *testing.T) {
 
 func TestAblationDisableIterate(t *testing.T) {
 	g := traceProgram(t, fig2cProgram(4, 2))
-	res := Find(g, Options{DisableIterate: true, Workers: 2})
+	res := Find(g, Options{DisableIterate: true})
 	ks := kinds(res)
 	if ks[patterns.KindTiledMapReduction] != 0 {
 		t.Error("map-reduction requires iteration; found without")
@@ -458,7 +458,7 @@ func TestAblationDisableIterate(t *testing.T) {
 
 func TestAblationDisableSimplify(t *testing.T) {
 	g := traceProgram(t, seqSumProgram(6))
-	res := Find(g, Options{DisableSimplify: true, Workers: 2})
+	res := Find(g, Options{DisableSimplify: true})
 	if res.SimplifiedNodes != res.OriginalNodes {
 		t.Error("DisableSimplify should keep the graph unchanged")
 	}
@@ -466,7 +466,7 @@ func TestAblationDisableSimplify(t *testing.T) {
 
 func TestAblationDisableDecompose(t *testing.T) {
 	g := traceProgram(t, seqSumProgram(4))
-	res := Find(g, Options{DisableDecompose: true, Workers: 2, MaxViewGroups: 8})
+	res := Find(g, Options{DisableDecompose: true, MaxViewGroups: 8})
 	// The whole graph as one node-per-node view exceeds the budget: the
 	// stand-in for the paper's solver memory exhaustion.
 	if res.SkippedViews == 0 {

@@ -1,7 +1,7 @@
 package core_test
 
-// Degraded-run observability: a panic injected mid-phase (through the same
-// hook the crash tests use) must still yield a closed, exportable span
+// Degraded-run observability: a panic injected mid-phase (through
+// Options.PhaseHook, as in the crash tests) must still yield a closed, exportable span
 // tree — the failing phase's span present and marked failed, every span
 // ended — and the metrics recorded before the failure must survive. The
 // span tree is the artifact an operator reads to diagnose exactly such a
@@ -28,14 +28,12 @@ func findWithPanicAt(t *testing.T, phase string) (*obs.Collector, *core.Result) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetFindTestHook(func(p string) {
+	c := obs.NewCollector()
+	res := core.Find(tr.Graph, core.Options{Obs: c, PhaseHook: func(p string) {
 		if p == phase {
 			panic("injected: " + phase)
 		}
-	})
-	defer core.SetFindTestHook(nil)
-	c := obs.NewCollector()
-	res := core.Find(tr.Graph, core.Options{Obs: c})
+	}})
 	return c, res
 }
 

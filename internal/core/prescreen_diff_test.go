@@ -6,9 +6,9 @@ package core_test
 // matcher rejection would have. So a run with the prescreen enabled
 // (the default) must produce byte-identical report JSON — patterns,
 // matches, per-kind solver counters, cache rollup, everything — to a
-// -no-prescreen run, on every corpus benchmark×version and on a spread
-// of random programs. Any divergence means a prescreen rule diverged
-// from its matcher.
+// prescreen-off run (core.WithoutPrescreen), on every corpus
+// benchmark×version and on a spread of random programs. Any divergence
+// means a prescreen rule diverged from its matcher.
 
 import (
 	"bytes"
@@ -17,6 +17,7 @@ import (
 
 	"discovery/internal/core"
 	"discovery/internal/report"
+	"discovery/internal/sched"
 	"discovery/internal/starbench"
 	"discovery/internal/trace"
 )
@@ -27,13 +28,11 @@ import (
 // assertions.
 func comparePrescreenModes(t *testing.T, find func(core.Options) *core.Result, opts core.Options) *core.Result {
 	t.Helper()
-	off := opts
-	off.DisablePrescreen = true
-	resOff := find(off)
+	resOff := find(core.WithoutPrescreen(opts))
 	resOn := find(opts)
 
 	if got, want := findSig(resOn), findSig(resOff); got != want {
-		t.Errorf("prescreen changes the pattern set:\n--- no-prescreen ---\n%s--- prescreen ---\n%s", want, got)
+		t.Errorf("prescreen changes the pattern set:\n--- prescreen off ---\n%s--- prescreen ---\n%s", want, got)
 	}
 	// Solver elapsed time is wall clock — the one legitimately
 	// nondeterministic field. Zero it on both sides so the byte comparison
@@ -46,17 +45,17 @@ func comparePrescreenModes(t *testing.T, find func(core.Options) *core.Result, o
 	}
 	jsonOff, err := report.JSON(resOff)
 	if err != nil {
-		t.Fatalf("json (no-prescreen): %v", err)
+		t.Fatalf("json (prescreen off): %v", err)
 	}
 	jsonOn, err := report.JSON(resOn)
 	if err != nil {
 		t.Fatalf("json (prescreen): %v", err)
 	}
 	if !bytes.Equal(jsonOn, jsonOff) {
-		t.Errorf("prescreen changes the report JSON:\n--- no-prescreen ---\n%s\n--- prescreen ---\n%s", jsonOff, jsonOn)
+		t.Errorf("prescreen changes the report JSON:\n--- prescreen off ---\n%s\n--- prescreen ---\n%s", jsonOff, jsonOn)
 	}
 	if checks, _ := resOff.PrescreenStats(); checks != 0 {
-		t.Errorf("-no-prescreen run still ran %d prescreen check(s)", checks)
+		t.Errorf("prescreen-off run still ran %d prescreen check(s)", checks)
 	}
 	return resOn
 }
@@ -73,7 +72,7 @@ func TestPrescreenDifferentialCorpus(t *testing.T) {
 				}
 				res := comparePrescreenModes(t, func(o core.Options) *core.Result {
 					return core.Find(tr.Graph, o)
-				}, core.Options{Workers: 2, VerifyMatches: true})
+				}, core.Options{VerifyMatches: true})
 				if checks, _ := res.PrescreenStats(); checks == 0 {
 					t.Errorf("prescreen-on run recorded no prescreen checks")
 				}
@@ -90,7 +89,9 @@ func TestPrescreenDifferentialRandomPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trace: %v", err)
 			}
-			opts := core.Options{Workers: 8, VerifyMatches: true}
+			pool := sched.NewPool(7, nil)
+			defer pool.Close()
+			opts := core.Options{Scheduler: pool, VerifyMatches: true}
 			if seed%3 == 0 {
 				opts.Extensions = true
 			}

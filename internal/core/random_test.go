@@ -125,7 +125,7 @@ func TestFinderSoundOnRandomPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trace: %v", err)
 			}
-			res := Find(tr.Graph, Options{Workers: 2})
+			res := Find(tr.Graph, Options{})
 			all := res.Graph.Nodes()
 			// Every match satisfies the unrelaxed definitions.
 			for _, m := range res.Matches {
@@ -158,7 +158,7 @@ func TestFinderDeterministicOnRandomPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := Find(tr.Graph, Options{Workers: 4})
+			res := Find(tr.Graph, Options{})
 			s := ""
 			for _, p := range res.Patterns {
 				s += p.Kind.String() + ":" + p.Nodes().Key() + ";"
@@ -178,7 +178,7 @@ func TestExtensionsSoundOnRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Find(tr.Graph, Options{Workers: 2, Extensions: true})
+		res := Find(tr.Graph, Options{Extensions: true})
 		for _, m := range res.Matches {
 			if err := patterns.Verify(res.Graph, m.Pattern); err != nil {
 				t.Errorf("seed %d: extension match %v violates its definition: %v",

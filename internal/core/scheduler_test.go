@@ -12,6 +12,8 @@ import (
 	"discovery/internal/core"
 	"discovery/internal/mir"
 	"discovery/internal/patterns"
+	"discovery/internal/sched"
+	"discovery/internal/starbench"
 	"discovery/internal/trace"
 )
 
@@ -57,10 +59,13 @@ func TestSingleSubDDGMatchesOnMultipleWorkers(t *testing.T) {
 	})
 	defer core.SetMatchTaskHook(nil)
 
+	// Two executors: one pool worker plus the run's helping waiter.
+	pool := sched.NewPool(1, nil)
+	defer pool.Close()
 	done := make(chan *core.Result, 1)
 	go func() {
 		done <- core.Find(tr.Graph, core.Options{
-			Workers: 2, VerifyMatches: true, DisableDecompose: true, DisableIterate: true,
+			Scheduler: pool, VerifyMatches: true, DisableDecompose: true, DisableIterate: true,
 		})
 	}()
 	var kinds []patterns.Kind
@@ -83,5 +88,28 @@ func TestSingleSubDDGMatchesOnMultipleWorkers(t *testing.T) {
 	// tasks must have been different kinds of the same sub-DDG.
 	if kinds[0] == kinds[1] {
 		t.Fatalf("both concurrent tasks were %v; want two distinct kinds of the one sub-DDG", kinds[0])
+	}
+}
+
+// TestFindDefaultsToProcessPool: a Find with no Scheduler runs its tasks
+// on sched.Default() as one owner, and deregisters that owner on return.
+func TestFindDefaultsToProcessPool(t *testing.T) {
+	b := starbench.ByName("rgbyuv")
+	tr, err := trace.Run(b.Build(starbench.Seq, b.Analysis).Prog)
+	if err != nil {
+		t.Fatalf("trace: %v", err)
+	}
+	pool := sched.Default()
+	before := pool.Stats()
+	res := core.Find(tr.Graph, core.Options{VerifyMatches: true})
+	after := pool.Stats()
+	if len(res.Patterns) == 0 {
+		t.Fatal("no patterns found")
+	}
+	if after.Submitted <= before.Submitted {
+		t.Errorf("default pool saw no submissions: %d before, %d after", before.Submitted, after.Submitted)
+	}
+	if after.Owners != before.Owners {
+		t.Errorf("default pool owners %d after the run, want %d as before", after.Owners, before.Owners)
 	}
 }

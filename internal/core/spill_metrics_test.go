@@ -28,7 +28,7 @@ func TestFindSpillExportsPagingMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := obs.NewCollector()
-	res := core.Find(tr.Graph, core.Options{Workers: 2, SpillBudget: budget, SpillDir: t.TempDir(), Obs: c})
+	res := core.Find(tr.Graph, core.Options{SpillBudget: budget, SpillDir: t.TempDir(), Obs: c})
 	defer res.Graph.CloseSpill()
 	if len(res.Failures) > 0 {
 		t.Fatalf("spilled run degraded: %v", res.Failures[0])

@@ -39,13 +39,13 @@ func TestConcurrentFindSharedViewCache(t *testing.T) {
 		work = append(work, &workload{
 			name:  fmt.Sprintf("seed%d", seed),
 			graph: tr.Graph,
-			opts:  Options{Workers: 2, VerifyMatches: true},
+			opts:  Options{VerifyMatches: true},
 		})
 	}
 	work = append(work, &workload{
 		name:  "seed141-extensions",
 		graph: work[0].graph,
-		opts:  Options{Workers: 2, VerifyMatches: true, Extensions: true},
+		opts:  Options{VerifyMatches: true, Extensions: true},
 	})
 	for _, w := range work {
 		off := w.opts
@@ -142,8 +142,13 @@ func TestConcurrentFindSharedSchedulerPool(t *testing.T) {
 		graph: work[0].graph,
 		opts:  Options{VerifyMatches: true, DisableCache: true, Extensions: true},
 	})
+	// Solo baselines on a zero-worker pool: the sequential reference.
+	solo := sched.NewPool(0, nil)
+	defer solo.Close()
 	for _, w := range work {
-		w.want = resultSig(Find(w.graph, w.opts)) // solo baseline, private pool
+		opts := w.opts
+		opts.Scheduler = solo
+		w.want = resultSig(Find(w.graph, opts))
 	}
 
 	pool := sched.NewPool(4, nil)

@@ -29,7 +29,7 @@ import (
 
 // Opts returns the finder options used by all experiments.
 func Opts() core.Options {
-	return core.Options{Workers: 0, VerifyMatches: true}
+	return core.Options{VerifyMatches: true}
 }
 
 // ---------------------------------------------------------------------------
@@ -522,11 +522,11 @@ func RunAblations() ([]AblationRow, error) {
 		name string
 		opts core.Options
 	}{
-		{"full pipeline", core.Options{Workers: 0, VerifyMatches: true}},
-		{"no iteration (single match pass)", core.Options{Workers: 0, DisableIterate: true}},
-		{"no compaction", core.Options{Workers: 0, DisableCompact: true, MaxViewGroups: 512}},
-		{"no decomposition", core.Options{Workers: 0, DisableDecompose: true, MaxViewGroups: 256}},
-		{"no simplification", core.Options{Workers: 0, DisableSimplify: true}},
+		{"full pipeline", core.Options{VerifyMatches: true}},
+		{"no iteration (single match pass)", core.Options{DisableIterate: true}},
+		{"no compaction", core.Options{DisableCompact: true, MaxViewGroups: 512}},
+		{"no decomposition", core.Options{DisableDecompose: true, MaxViewGroups: 256}},
+		{"no simplification", core.Options{DisableSimplify: true}},
 	}
 	var rows []AblationRow
 	for _, c := range configs {

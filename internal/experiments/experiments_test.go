@@ -8,7 +8,7 @@ import (
 )
 
 func fastOpts() core.Options {
-	return core.Options{Workers: 0, VerifyMatches: false}
+	return core.Options{VerifyMatches: false}
 }
 
 func TestTable1(t *testing.T) {

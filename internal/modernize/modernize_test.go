@@ -51,7 +51,7 @@ func TestSuggestTemplates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.Find(tr.Graph, core.Options{Workers: 2})
+	res := core.Find(tr.Graph, core.Options{})
 	suggestions := SuggestAll(res.Graph, res.Patterns)
 	if len(suggestions) != len(res.Patterns) {
 		t.Fatal("one suggestion per pattern expected")
@@ -139,7 +139,7 @@ func TestParallelizeMapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.Find(tr.Graph, core.Options{Workers: 2, VerifyMatches: true})
+	res := core.Find(tr.Graph, core.Options{VerifyMatches: true})
 	found := false
 	for _, p := range res.Patterns {
 		if p.Kind == patterns.KindMap && len(p.Comps) == 16 {

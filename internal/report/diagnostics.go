@@ -56,7 +56,8 @@ func Diagnostics(res *core.Result) string {
 }
 
 // PrescreenStats renders a one-line structural-prescreen summary ("" when
-// the run ran no prescreen checks, e.g. under -no-prescreen).
+// the run ran no prescreen checks, e.g. every view was over the size gate
+// or the budget ran out before matching).
 func PrescreenStats(res *core.Result) string {
 	checks, skips := res.PrescreenStats()
 	if checks == 0 {

@@ -41,7 +41,7 @@ func tracedSumProgram(t *testing.T, opts core.Options) *core.Result {
 // runs render exactly the pre-budget summary, limited runs grow a labeled
 // diagnostics section (this is what cmd/discovery prints).
 func TestSummaryDiagnosticsOnlyWhenDegraded(t *testing.T) {
-	clean := tracedSumProgram(t, core.Options{Workers: 1, VerifyMatches: true})
+	clean := tracedSumProgram(t, core.Options{VerifyMatches: true})
 	if clean.Degraded() {
 		t.Fatal("unbudgeted run is degraded")
 	}
@@ -50,7 +50,7 @@ func TestSummaryDiagnosticsOnlyWhenDegraded(t *testing.T) {
 	}
 
 	limited := tracedSumProgram(t, core.Options{
-		Workers: 1, VerifyMatches: true, SolverStepLimit: 1,
+		VerifyMatches: true, SolverStepLimit: 1,
 	})
 	if limited.TimedOutViews == 0 {
 		t.Fatal("step-limited run reported no timed-out views")
@@ -77,7 +77,7 @@ func TestDiagnosticsInterrupted(t *testing.T) {
 
 func TestJSONExport(t *testing.T) {
 	res := tracedSumProgram(t, core.Options{
-		Workers: 1, VerifyMatches: true, SolverStepLimit: 1,
+		VerifyMatches: true, SolverStepLimit: 1,
 	})
 	data, err := JSON(res)
 	if err != nil {
@@ -161,7 +161,7 @@ func TestKindStatsElapsedMS(t *testing.T) {
 // disabled), as explicit zeros — absent only in the default export, where
 // omitting it keeps old outputs byte-identical.
 func TestJSONCacheBlockExplicit(t *testing.T) {
-	res := tracedSumProgram(t, core.Options{Workers: 1, DisableCache: true})
+	res := tracedSumProgram(t, core.Options{DisableCache: true})
 	if h, m, s := res.CacheStats(); h+m+s != 0 {
 		t.Fatalf("cache-disabled run recorded cache activity: %d/%d/%d", h, m, s)
 	}
@@ -190,7 +190,7 @@ func TestJSONCacheBlockExplicit(t *testing.T) {
 	}
 
 	// With the cache on, both exports agree and carry the real counts.
-	res = tracedSumProgram(t, core.Options{Workers: 1})
+	res = tracedSumProgram(t, core.Options{})
 	hits, misses, skips := res.CacheStats()
 	if hits+misses+skips == 0 {
 		t.Fatal("cache-enabled run recorded no cache activity")

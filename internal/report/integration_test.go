@@ -19,7 +19,7 @@ func TestReportsForWholeSuite(t *testing.T) {
 		for _, v := range starbench.Versions() {
 			b, v := b, v
 			t.Run(b.Name+"/"+string(v), func(t *testing.T) {
-				res, err := starbench.Evaluate(b, v, core.Options{Workers: 4})
+				res, err := starbench.Evaluate(b, v, core.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

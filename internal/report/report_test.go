@@ -33,7 +33,7 @@ func tracedMapProgram(t *testing.T) (*mir.Program, *core.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, core.Find(res.Graph, core.Options{Workers: 1})
+	return p, core.Find(res.Graph, core.Options{})
 }
 
 func TestAnnotations(t *testing.T) {

@@ -48,6 +48,7 @@ import (
 	"container/heap"
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -125,8 +126,8 @@ func (h *taskHeap) Pop() any {
 	return t
 }
 
-// Pool is a shared worker pool. Create one per process (or per run, for
-// the legacy private-pool mode) with NewPool; submit work through Owners.
+// Pool is a shared worker pool. Create one per process with NewPool, or
+// use the process default (Default); submit work through Owners.
 type Pool struct {
 	rec obs.Recorder
 
@@ -181,6 +182,14 @@ func NewPool(workers int, rec obs.Recorder) *Pool {
 	}
 	return p
 }
+
+var defaultPool = sync.OnceValue(func() *Pool { return NewPool(runtime.GOMAXPROCS(0)-1, nil) })
+
+// Default returns the process default pool, built on first use with
+// GOMAXPROCS−1 workers and never closed. With the helping waiter every
+// owner brings, a run on it sees GOMAXPROCS executors; on one CPU it has
+// no workers and a run executes its tasks on its own goroutine.
+func Default() *Pool { return defaultPool() }
 
 // Workers returns the pool's goroutine count.
 func (p *Pool) Workers() int { return p.workers }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -369,5 +370,18 @@ func TestExecutors(t *testing.T) {
 	defer p.Close()
 	if got := p.Executors(); got != 4 {
 		t.Fatalf("Executors() = %d, want 4", got)
+	}
+}
+
+// TestDefaultPool: Default is one lazily built pool, the same on every
+// call, sized GOMAXPROCS−1 so a run plus its helping waiter sees
+// GOMAXPROCS executors.
+func TestDefaultPool(t *testing.T) {
+	p := Default()
+	if Default() != p {
+		t.Fatal("Default() returned two different pools")
+	}
+	if got, want := p.Workers(), max(runtime.GOMAXPROCS(0)-1, 0); got != want {
+		t.Fatalf("Default().Workers() = %d, want %d", got, want)
 	}
 }

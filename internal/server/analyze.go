@@ -39,7 +39,7 @@ type Request struct {
 
 // RequestOptions is the core.Options subset a request may set. Every
 // field that changes the report participates in the options fingerprint;
-// NoCache and NoPrescreen are output-invariant escape hatches and do not.
+// NoCache is an output-invariant escape hatch and does not.
 type RequestOptions struct {
 	// BudgetMS bounds the run end to end, queue wait included (0 means
 	// the server's default; values above the server's maximum are
@@ -59,8 +59,6 @@ type RequestOptions struct {
 	Extensions bool `json:"extensions,omitempty"`
 	// NoCache opts this request out of the shared ViewCache.
 	NoCache bool `json:"no_cache,omitempty"`
-	// NoPrescreen disables the structural prescreen.
-	NoPrescreen bool `json:"no_prescreen,omitempty"`
 }
 
 // Response is the analysis envelope: where the answer came from (store),
@@ -186,15 +184,14 @@ func (s *Server) coreOptions(o RequestOptions, budget time.Duration) core.Option
 		SolverStepLimit:    o.SolverSteps,
 		SolverRestartSlice: o.SolverRestarts,
 		DisableCache:       o.NoCache,
-		DisablePrescreen:   o.NoPrescreen,
 	}
 }
 
 // optionsFingerprint hashes every option that changes the report. The
 // budget fields are included because truncation changes the output; the
-// cache and prescreen switches are not, because both layers are
-// output-invariant by construction (that invariance is exactly what the
-// equivalence tests assert).
+// cache switch is not, because the cache is output-invariant by
+// construction (that invariance is exactly what the equivalence tests
+// assert).
 func optionsFingerprint(opts core.Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v1|verify=%t|ext=%t|mvg=%d|budget=%d|sbudget=%d|steps=%d|restart=%d",

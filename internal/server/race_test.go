@@ -73,7 +73,6 @@ func TestConcurrentRequestsMatchDirectRuns(t *testing.T) {
 		}
 		opts := wl.opts
 		opts.DisableCache = true
-		opts.DisablePrescreen = true
 		res := core.Find(tr.Graph, opts)
 		doc, err := report.JSON(res)
 		if err != nil {

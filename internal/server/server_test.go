@@ -149,6 +149,7 @@ func TestValidation(t *testing.T) {
 		`{"bench":"md5","version":"seq","options":{"solver_restarts":-1}}`,
 		`{"bench":"md5","version":"seq","options":{"max_view_groups":-1}}`,
 		`{"bench":"md5","version":"seq","bogus_field":1}`,
+		`{"bench":"md5","version":"seq","options":{"no_prescreen":true}}`, // removed option
 		`not json`,
 	} {
 		if _, code := analyze(t, ts, body); code != 400 {

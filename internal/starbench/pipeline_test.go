@@ -38,7 +38,7 @@ func TestPipelineDetection(t *testing.T) {
 			// fused maps); only the tiny per-item handoff chains show up
 			// as true-but-trivial reductions, the paper's "additional
 			// patterns" family.
-			base := core.Find(tr.Graph, core.Options{Workers: 2, VerifyMatches: true})
+			base := core.Find(tr.Graph, core.Options{VerifyMatches: true})
 			for _, p := range base.Patterns {
 				if p.Kind.IsMapKind() {
 					t.Errorf("baseline found %v in a stateful pipeline", p.Kind)
@@ -49,7 +49,7 @@ func TestPipelineDetection(t *testing.T) {
 				}
 			}
 			// Extensions: the two-stage pipeline over the 8 items.
-			ext := core.Find(tr.Graph, core.Options{Workers: 2, VerifyMatches: true, Extensions: true})
+			ext := core.Find(tr.Graph, core.Options{VerifyMatches: true, Extensions: true})
 			var pl *patterns.Pattern
 			for _, p := range ext.Patterns {
 				if p.Kind == patterns.KindPipeline {
@@ -88,7 +88,7 @@ func TestPipelineNotReportedForFusableMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := core.Find(tr.Graph, core.Options{Workers: 2, VerifyMatches: true, Extensions: true})
+	ext := core.Find(tr.Graph, core.Options{VerifyMatches: true, Extensions: true})
 	for _, p := range ext.Patterns {
 		if p.Kind == patterns.KindPipeline {
 			t.Errorf("rot-cc misreported as pipeline (it is a fused map)")
@@ -118,7 +118,7 @@ func TestThreeStagePipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ext := core.Find(tr.Graph, core.Options{Workers: 2, VerifyMatches: true, Extensions: true})
+		ext := core.Find(tr.Graph, core.Options{VerifyMatches: true, Extensions: true})
 		pipelines := 0
 		for _, p := range ext.Patterns {
 			if p.Kind == patterns.KindPipeline {

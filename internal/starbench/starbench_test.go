@@ -10,7 +10,7 @@ import (
 )
 
 func opts() core.Options {
-	return core.Options{Workers: 4, VerifyMatches: true}
+	return core.Options{VerifyMatches: true}
 }
 
 // vmMust builds a machine for a benchmark program, which must validate.

@@ -19,7 +19,7 @@ func findWith(t *testing.T, b *Benchmark, v Version, par Params) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.Find(tr.Graph, core.Options{Workers: 4, VerifyMatches: true})
+	return core.Find(tr.Graph, core.Options{VerifyMatches: true})
 }
 
 func kindCounts(res *core.Result) map[patterns.Kind]int {

@@ -40,7 +40,7 @@ func TestRaceFindPagesWhileTracing(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res := core.Find(prevRes.Graph, core.Options{Workers: 4})
+		res := core.Find(prevRes.Graph, core.Options{})
 		res.Graph.CloseSpill() // simplified copy; no-op unless it spilled
 	}()
 

@@ -20,6 +20,7 @@ import (
 
 	"discovery/internal/core"
 	"discovery/internal/obs"
+	"discovery/internal/sched"
 	"discovery/internal/starbench"
 	"discovery/internal/trace"
 )
@@ -46,12 +47,15 @@ func TestNopRecorderOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers=1 keeps scheduler noise out of a timing comparison.
+	// A zero-worker pool runs every task on the calling goroutine, which
+	// keeps scheduler noise out of a timing comparison.
+	pool := sched.NewPool(0, nil)
+	defer pool.Close()
 	withNil := func() *core.Result {
-		return core.Find(tr.Graph, core.Options{Workers: 1})
+		return core.Find(tr.Graph, core.Options{Scheduler: pool})
 	}
 	withNop := func() *core.Result {
-		return core.Find(tr.Graph, core.Options{Workers: 1, Obs: obs.Nop})
+		return core.Find(tr.Graph, core.Options{Scheduler: pool, Obs: obs.Nop})
 	}
 
 	const reps = 7

@@ -26,7 +26,7 @@ func TestPrescreenSkipRateExported(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := obs.NewCollector()
-	res := core.Find(tr.Graph, core.Options{Workers: 2, VerifyMatches: true, Obs: col})
+	res := core.Find(tr.Graph, core.Options{VerifyMatches: true, Obs: col})
 	checks, skips := res.PrescreenStats()
 	if checks == 0 || skips == 0 {
 		t.Fatalf("default find ran %d prescreen check(s) with %d skip(s); want both positive", checks, skips)
