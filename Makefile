@@ -20,8 +20,12 @@ check: build vet test race
 build:
 	$(GO) build ./...
 
+# vet also fails when any Go file is not gofmt-clean (gofmt -l lists it).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...

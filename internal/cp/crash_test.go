@@ -12,7 +12,7 @@ import (
 
 type boomPropagator struct{ v *IntVar }
 
-func (p *boomPropagator) Vars() []*IntVar        { return []*IntVar{p.v} }
+func (p *boomPropagator) Vars() []*IntVar         { return []*IntVar{p.v} }
 func (p *boomPropagator) Propagate(s *Space) bool { panic("boom: injected propagator bug") }
 
 func TestSolverContainsPropagatorPanic(t *testing.T) {

@@ -92,12 +92,12 @@ var Nop Recorder = nopRecorder{}
 
 type nopRecorder struct{}
 
-func (nopRecorder) Enabled() bool                                { return false }
-func (nopRecorder) StartSpan(string, SpanID, ...Attr) SpanID     { return 0 }
-func (nopRecorder) EndSpan(SpanID, ...Attr)                      {}
-func (nopRecorder) Count(string, int64)                          {}
-func (nopRecorder) Gauge(string, float64)                        {}
-func (nopRecorder) Observe(string, float64)                      {}
+func (nopRecorder) Enabled() bool                            { return false }
+func (nopRecorder) StartSpan(string, SpanID, ...Attr) SpanID { return 0 }
+func (nopRecorder) EndSpan(SpanID, ...Attr)                  {}
+func (nopRecorder) Count(string, int64)                      {}
+func (nopRecorder) Gauge(string, float64)                    {}
+func (nopRecorder) Observe(string, float64)                  {}
 
 // OrNop resolves a possibly-nil Recorder to a usable one.
 func OrNop(r Recorder) Recorder {

@@ -122,51 +122,21 @@ func MatchStencil(g ddg.GraphView, m *Pattern) *Pattern {
 // or nil. Linear chains and tiled arrangements also satisfy the tree
 // shape; callers should prefer the more specific matchers first.
 func MatchTreeReduction(v *View) *Pattern {
+	// The census gate decides (3b) one associative op and the in-tree
+	// shape: at most one use of every node inside the view, exactly one
+	// sink (the root), and n-1 arcs, which with one root means connected.
+	if v.cannotMatch(KindTreeReduction) {
+		return nil
+	}
 	n := v.NumGroups()
-	if n < 3 {
-		return nil
-	}
-	op, ok := singleAssocOp(v)
-	if !ok {
-		return nil
-	}
-	// In-tree shape: every node has at most one use inside the view and
-	// there is exactly one sink (the root).
-	sink := -1
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		if v.OutDegree(i) > 1 {
-			return nil
-		}
-		for _, j := range v.Arcs(i) {
-			indeg[j]++
-		}
-		if v.OutDegree(i) == 0 {
-			if sink >= 0 {
-				return nil
-			}
-			sink = i
-		}
-	}
-	if sink < 0 {
-		return nil
-	}
-	// Connected (an in-tree with one root and n-1 arcs is connected).
-	arcs := 0
-	for i := 0; i < n; i++ {
-		arcs += v.OutDegree(i)
-	}
-	if arcs != n-1 {
-		return nil
-	}
 	// Leaves take input elements; the root produces the result.
 	for i := 0; i < n; i++ {
-		if indeg[i] == 0 && !v.ExtIn(i) {
+		if v.InDegree(i) == 0 && !v.ExtIn(i) {
 			return nil
 		}
-	}
-	if !v.ExtOut(sink) {
-		return nil
+		if v.OutDegree(i) == 0 && !v.ExtOut(i) {
+			return nil
+		}
 	}
 	if !v.G.Convex(v.Ambient, nil) {
 		return nil
@@ -177,17 +147,15 @@ func MatchTreeReduction(v *View) *Pattern {
 	for k, i := range order {
 		comps[k] = v.Groups[i]
 	}
-	return &Pattern{Kind: KindTreeReduction, Comps: comps, Op: op}
+	return &Pattern{Kind: KindTreeReduction, Comps: comps, Op: v.op()}
 }
 
 // topoOrder returns a leaves-first topological order of the view.
 func topoOrder(v *View) []int {
 	n := v.NumGroups()
 	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		for _, j := range v.Arcs(i) {
-			indeg[j]++
-		}
+	for i := range indeg {
+		indeg[i] = v.InDegree(i)
 	}
 	var queue []int
 	for i := 0; i < n; i++ {

@@ -16,19 +16,14 @@ import "discovery/internal/ddg"
 // nil. The conditional variant covers views where only some components
 // produce output (paper §4.2, Map variants).
 func MatchMap(v *View) *Pattern {
-	n := v.NumGroups()
-	if n < 2 {
+	// The census gate decides (2b) component independence — no arcs
+	// between groups, hence no transitive dependencies either — (2c) an
+	// input element for every component, and (2d) an output element for at
+	// least one.
+	if v.cannotMatch(KindMap) {
 		return nil
 	}
-	// (2b) component independence: no arcs between groups. Transitive
-	// dependencies between groups cannot exist either (pattern convexity
-	// 1e is checked for the ambient below; group-level reachability
-	// coincides with arcs when there are none).
-	for i := 0; i < n; i++ {
-		if v.OutDegree(i) > 0 {
-			return nil
-		}
-	}
+	n := v.NumGroups()
 	// (1d) weak connectivity of each component, relaxed to connectivity
 	// through shared inputs (see ddg.WeaklyConnectedWithInputs).
 	for i := 0; i < n; i++ {
@@ -36,15 +31,8 @@ func MatchMap(v *View) *Pattern {
 			return nil
 		}
 	}
-	// (2c) every component takes an input element.
-	for i := 0; i < n; i++ {
-		if !v.ExtIn(i) {
-			return nil
-		}
-	}
 	// (2d) output elements: full components have them; the conditional
-	// variant tolerates components without, but at least one must produce
-	// output for the view to compute anything.
+	// variant tolerates components without.
 	var full, partial []int
 	for i := 0; i < n; i++ {
 		if v.ExtOut(i) {
@@ -52,9 +40,6 @@ func MatchMap(v *View) *Pattern {
 		} else {
 			partial = append(partial, i)
 		}
-	}
-	if len(full) == 0 {
-		return nil
 	}
 	// (1c) relaxed isomorphism: full components share an operation-set
 	// label; conditional components execute a subset of it (they skipped

@@ -101,6 +101,29 @@ func TestMatchMapRejectsNoOutput(t *testing.T) {
 	}
 }
 
+func TestMatchMapRejectsInputlessComponent(t *testing.T) {
+	// Component 2 computes from nothing: its fsub has no operand. The
+	// components are still independent, connected and isomorphic, but
+	// (2c) requires every component to take an input element.
+	b := newGB()
+	var ambient []ddg.NodeID
+	for i := 0; i < 4; i++ {
+		var a ddg.NodeID
+		if i == 2 {
+			a = b.node(mir.OpFSub, int64(i))
+		} else {
+			a = b.node(mir.OpFSub, int64(i), b.node(mir.OpI2F, -1))
+		}
+		c := b.node(mir.OpFMul, int64(i), a)
+		b.node(mir.OpFloor, -1, c) // sink
+		ambient = append(ambient, a, c)
+	}
+	v := LoopView(b.g, ddg.NewSet(ambient...), 1)
+	if p := MatchMap(v); p != nil {
+		t.Errorf("map matched with an input-less component: %v", p)
+	}
+}
+
 func TestMatchConditionalMap(t *testing.T) {
 	// Components 0 and 2 produce output; 1 and 3 skip the output branch
 	// (they execute a subset of the operations).
@@ -240,6 +263,19 @@ func TestMatchLinearReductionRejectsMissingOutput(t *testing.T) {
 	_ = a2 // no sink: final value unused
 	if p := MatchLinearReduction(NodeView(b.g, ddg.NewSet(a1, a2)), nil); p != nil {
 		t.Errorf("reduction without output matched: %v", p)
+	}
+}
+
+func TestMatchLinearReductionRejectsInputlessHead(t *testing.T) {
+	// The chain's head has no operand at all: (3e) requires every
+	// component, the first included, to take an input element.
+	b := newGB()
+	a1 := b.node(mir.OpFAdd, 0)
+	a2 := b.node(mir.OpFAdd, 1, b.node(mir.OpI2F, -1), a1)
+	a3 := b.node(mir.OpFAdd, 2, b.node(mir.OpI2F, -1), a2)
+	b.node(mir.OpFloor, -1, a3) // sink
+	if p := MatchLinearReduction(NodeView(b.g, ddg.NewSet(a1, a2, a3)), nil); p != nil {
+		t.Errorf("reduction with an input-less head matched: %v", p)
 	}
 }
 

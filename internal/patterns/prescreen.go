@@ -1,22 +1,27 @@
 package patterns
 
-// Structural prescreen: a one-pass census over the zero-copy overlay that
-// decides, per pattern kind, whether a view can possibly match before any
-// grouping, labelling, or solving happens. Telegin et al. (PAPERS.md) show
-// cheap graph-label censuses answer parallelizability questions without
-// search; here the census replicates exactly the matchers' own pre-solver
-// structural rejections, so a CannotMatch verdict is sound (the matcher
-// would return nil) and never suppresses a constraint-solver run the
-// matcher would have performed — which is what keeps default outputs,
-// including the per-kind solver-effort accounting, byte-identical with the
-// prescreen on.
+// Structural prescreen: the one home of the paper's per-kind structural
+// rules (map 2b–2d, linear reduction 3b–3f, tiled reduction 4a–4e, and the
+// tree extension's shape), written once in verdicts and fed by two
+// censuses of the same facts. Telegin et al. (PAPERS.md) show cheap
+// graph-label censuses answer parallelizability questions without search.
 //
-// The payoff is where the work happens, not what is decided: one O(nodes +
-// arcs) pass over the overlay replaces, for structurally doomed views, the
-// grouping build (maps and sorts for compacted loop views), the per-kind
-// matcher preambles, and the label/op-set string construction. Verdicts
-// are content-addressed into the finder's view cache under the same
-// 128-bit view hash the solve verdicts use.
+//   - PrescreenSub counts them at node level in one pass over the overlay,
+//     before any view is built. For a node view that census is exact; for
+//     a compacted loop view the groups are unknown, so only the size, op
+//     and boundary rules that hold under any grouping apply.
+//   - View.build counts them at group level from the adjacency it derives
+//     anyway. That census is exact, and View.cannotMatch — every matcher's
+//     first statement — is the matchers' only structural gate.
+//
+// A CannotMatch verdict is therefore sound by construction (the matcher
+// would return nil at its gate) and never suppresses a constraint-solver
+// run the matcher would have performed, which keeps outputs, including
+// the per-kind solver-effort accounting, identical with the prescreen on
+// or off. The node-level payoff is one O(nodes + arcs) pass instead of the
+// grouping build (maps and sorts for compacted loop views) and the label
+// construction. Verdicts are content-addressed into the finder's view
+// cache under the same 128-bit view hash the solve verdicts use.
 
 import (
 	"discovery/internal/ddg"
@@ -24,8 +29,10 @@ import (
 )
 
 // Prescreen is the structural census of one view, with per-kind
-// CannotMatch verdicts derived from it. A nil *Prescreen is valid and
-// means "not screened" (every kind Maybe).
+// CannotMatch verdicts derived from it. PrescreenSub's census counts
+// nodes; a view's own census (View.build) counts groups, and "member"
+// below then reads "group". A nil *Prescreen is valid and means "not
+// screened" (every kind Maybe).
 type Prescreen struct {
 	// NumNodes and Arcs count the members and the distinct member-to-member
 	// arcs (node level, parallel arcs deduplicated).
@@ -37,25 +44,25 @@ type Prescreen struct {
 	// MaxIn/MaxOut are the largest in-view node degrees; Sources and Sinks
 	// count in-view degree-zero members; Junctions counts members with
 	// in-view in-degree exactly two (the tiled reduction's final-chain
-	// joins). Node-level facts: for node-per-node views they equal the
-	// group-level facts the matchers test.
+	// joins). For a node view the two censuses agree field for field.
 	MaxIn, MaxOut  int
 	Sources, Sinks int
 	Junctions      int
 	// Isolated counts members with neither an external nor an in-view
 	// predecessor (a linear reduction's (3e) violation).
 	Isolated int
-	// AllAssocOneOp reports that every member is one common associative
-	// operation — necessary for every reduction kind under the paper's 3b
-	// under-approximation.
+	// AllAssocOneOp reports that every member is one node of one common
+	// associative operation — necessary for every reduction kind under the
+	// paper's 3b under-approximation.
 	AllAssocOneOp bool
 	// InterGroup reports an arc between members of different groups. For
 	// compacted loop views this is the loop-carried dependence bit (an arc
 	// crossing (invocation, iteration) classes); it refutes the map kinds'
 	// component-independence constraint (2b) without building the grouping.
 	InterGroup bool
-	// CompactedLoop marks a compacted loop view, where groups are unknown at
-	// node level and only the group-count-insensitive rules apply.
+	// CompactedLoop marks a node-level census of a compacted loop view,
+	// where groups are unknown and only the grouping-insensitive rules
+	// apply.
 	CompactedLoop bool
 
 	cannot uint32
@@ -184,45 +191,47 @@ func PrescreenSub(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) *Prescreen {
 	return p
 }
 
-// verdicts derives the per-kind CannotMatch bits. Every rule replicates a
-// rejection the kind's matcher performs before any solver run:
+// verdicts derives the per-kind CannotMatch bits from the census. A rule
+// that fires proves the kind's matcher returns nil at its gate.
 //
-//   - Node-per-node views expose the exact group structure, so the full
-//     pre-solver preamble of each matcher is mirrored.
-//   - Compacted loop views hide the grouping; only rules that are
-//     group-count-insensitive apply (a loop-carried arc refutes map
-//     independence 2b; a non-uniform or non-associative op multiset
-//     refutes singleAssocOp for every reduction; no external input
-//     anywhere refutes map 2c and linear 3e; node-count lower bounds
-//     dominate group counts).
+//   - An exact census (node view, or any view's group-level census) gets
+//     the full rule set.
+//   - A node-level census of a compacted loop view gets the rules that
+//     hold under any grouping: node-count lower bounds (groups never
+//     outnumber nodes), 3b (a multi-node group is no single op), a
+//     loop-carried arc refuting map independence 2b, and no external
+//     input or output anywhere refuting map 2c/2d and linear 3e.
 func (p *Prescreen) verdicts() {
-	noRed := !p.AllAssocOneOp
-	var cannotMap, cannotLin, cannotTiled, cannotTree bool
+	p.cannot = shapeVerdicts(p.NumNodes, !p.CompactedLoop, p.AllAssocOneOp)
 	if p.CompactedLoop {
-		cannotMap = p.NumNodes < 2 || p.InterGroup || p.ExtIn == 0 || p.ExtOut == 0
-		cannotLin = p.NumNodes < 2 || noRed || p.ExtIn == 0
-		cannotTiled = p.NumNodes < 4 || noRed
-		cannotTree = p.NumNodes < 3 || noRed
-	} else {
-		m := p.Junctions + 1
-		cannotMap = p.NumNodes < 2 || p.Arcs > 0 || p.ExtIn < p.NumNodes || p.ExtOut == 0
-		cannotLin = p.NumNodes < 2 || noRed || p.Isolated > 0 ||
-			p.MaxOut > 1 || p.MaxIn > 1 || p.Arcs != p.NumNodes-1 || p.Sources != 1
-		cannotTiled = p.NumNodes < 4 || p.NumNodes > 4096 || noRed || p.MaxIn > 2 ||
-			p.Sinks != 1 || m < 2 || (p.NumNodes-m)%m != 0
-		cannotTree = p.NumNodes < 3 || noRed || p.MaxOut > 1 ||
-			p.Sinks != 1 || p.Arcs != p.NumNodes-1
+		p.cannot |= bitIf(KindMap, p.InterGroup || p.ExtIn == 0 || p.ExtOut == 0) |
+			bitIf(KindLinearReduction, p.ExtIn == 0)
+		return
 	}
-	if cannotMap {
-		p.cannot |= prescreenBit(KindMap)
+	n, m := p.NumNodes, p.Junctions+1 // m: the tiled final chain's length
+	p.cannot |= bitIf(KindMap, p.Arcs > 0 || p.ExtIn < n || p.ExtOut == 0) |
+		bitIf(KindLinearReduction, p.Isolated > 0 || p.MaxOut > 1 || p.MaxIn > 1 ||
+			p.Arcs != n-1 || p.Sources != 1) |
+		bitIf(KindTiledReduction, p.MaxIn > 2 || p.Sinks != 1 || m < 2 || (n-m)%m != 0) |
+		bitIf(KindTreeReduction, p.MaxOut > 1 || p.Sinks != 1 || p.Arcs != n-1)
+}
+
+// shapeVerdicts holds the rules that need only the group count n and
+// whether every group is one node of one common associative operation (the
+// paper's 3b under-approximation), so a view decides them before building
+// its adjacency. When n is a node count rather than an exact group count
+// (exact false), only its lower bounds apply.
+func shapeVerdicts(n int, exact, oneAssocOp bool) uint32 {
+	return bitIf(KindMap, n < 2) |
+		bitIf(KindLinearReduction, n < 2 || !oneAssocOp) |
+		bitIf(KindTiledReduction, n < 4 || exact && n > 4096 || !oneAssocOp) |
+		bitIf(KindTreeReduction, n < 3 || !oneAssocOp)
+}
+
+// bitIf returns kind's verdict bit when the rule refutes it.
+func bitIf(k Kind, refuted bool) uint32 {
+	if refuted {
+		return prescreenBit(k)
 	}
-	if cannotLin {
-		p.cannot |= prescreenBit(KindLinearReduction)
-	}
-	if cannotTiled {
-		p.cannot |= prescreenBit(KindTiledReduction)
-	}
-	if cannotTree {
-		p.cannot |= prescreenBit(KindTreeReduction)
-	}
+	return 0
 }

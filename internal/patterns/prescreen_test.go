@@ -18,7 +18,7 @@ import (
 // screenKinds are the kinds the prescreen reasons about, in slot order.
 var screenKinds = []Kind{KindMap, KindLinearReduction, KindTiledReduction, KindTreeReduction}
 
-// runMatcher invokes kind's matcher on the view with no budget.
+// runMatcherOn invokes kind's matcher on the view with no budget.
 func runMatcherOn(v *View, k Kind) *Pattern {
 	switch k {
 	case KindMap:
@@ -33,7 +33,10 @@ func runMatcherOn(v *View, k Kind) *Pattern {
 }
 
 // checkSound fails if any CannotMatch verdict contradicts the matcher on
-// both the node view and the loop-1 view of the set.
+// the node view or the loop-1 view of the set, or if the node-level census
+// disagrees with the view's group-level census: on the node view the two
+// must be equal field for field, and on the loop view every kind the node
+// level refutes must also be refuted at group level.
 func checkSound(t *testing.T, g *ddg.Graph, nodes ddg.Set) {
 	t.Helper()
 	for _, loop := range []mir.LoopID{0, 1} {
@@ -52,6 +55,13 @@ func checkSound(t *testing.T, g *ddg.Graph, nodes ddg.Set) {
 				t.Errorf("loop=%d: prescreen says cannot match %v, but the matcher found %v",
 					loop, k, got.Kind)
 			}
+		}
+		v.ensure()
+		if loop == 0 && *p != v.census {
+			t.Errorf("node view: node-level census %+v, group-level census %+v", *p, v.census)
+		}
+		if extra := p.cannot &^ v.census.cannot; loop != 0 && extra != 0 {
+			t.Errorf("loop view: node-level census refutes kind bits %04b, group-level census does not", extra)
 		}
 	}
 }
@@ -130,6 +140,22 @@ func TestPrescreenParallelArcsDeduplicated(t *testing.T) {
 		t.Errorf("two-node fadd chain prescreened away")
 	}
 	checkSound(t, b.g, nodes)
+}
+
+func TestGateDecidesShapeBeforeAdjacency(t *testing.T) {
+	// Every group of this compacted loop view holds two nodes, so (3b)
+	// refutes each reduction kind from the groups and ops alone: the
+	// matcher's gate must answer without building the view's adjacency.
+	g, nodes := buildMapDDG(4)
+	for _, k := range []Kind{KindLinearReduction, KindTiledReduction, KindTreeReduction} {
+		v := LoopView(g, nodes, 1)
+		if got := runMatcherOn(v, k); got != nil {
+			t.Errorf("%v matched a view of two-node groups: %v", k, got)
+		}
+		if v.arcs != nil {
+			t.Errorf("%v: the gate built the view's adjacency for a shape-refuted view", k)
+		}
+	}
 }
 
 func TestPrescreenNilIsMaybe(t *testing.T) {

@@ -38,23 +38,15 @@ const cpCrossCheckLimit = 64
 // "undecided within budget" (the outcome that used to be silently
 // conflated with unsatisfiability).
 func MatchLinearReduction(v *View, budget *Budget) *Pattern {
+	// The census gate decides (3b) one associative op, (3e) an input for
+	// every component, and the chain shape: with single-node components,
+	// (3c)/(3d) say the view is a simple path, i.e. one source, in/out
+	// degrees at most one and n-1 arcs.
+	if v.cannotMatch(KindLinearReduction) {
+		return nil
+	}
 	n := v.NumGroups()
-	if n < 2 {
-		return nil
-	}
-	op, ok := singleAssocOp(v)
-	if !ok {
-		return nil
-	}
-	// (3e) every component takes an input data element.
-	for i := 0; i < n; i++ {
-		if !v.ExtIn(i) && v.InDegree(i) == 0 {
-			return nil
-		}
-	}
-	// (3c)/(3d) with single-node components are equivalent to the view
-	// being a simple path: arcs exactly between consecutive components.
-	order := pathOrder(v)
+	order := chainOrder(v)
 	if order == nil {
 		return nil
 	}
@@ -105,54 +97,22 @@ func MatchLinearReduction(v *View, budget *Budget) *Pattern {
 	for k, i := range order {
 		comps[k] = v.Groups[i]
 	}
-	return &Pattern{Kind: KindLinearReduction, Comps: comps, Op: op}
+	return &Pattern{Kind: KindLinearReduction, Comps: comps, Op: v.op()}
 }
 
-// pathOrder returns the chain order if the view is a simple directed path
-// (every in/out degree at most one, one source, one sink, n-1 arcs), or
-// nil.
-func pathOrder(v *View) []int {
-	n := v.NumGroups()
-	indeg := make([]int, n)
-	arcs := 0
-	next := make([]int, n)
-	for i := range next {
-		next[i] = -1
+// chainOrder walks the chain from its source, or returns nil if the walk
+// misses a group: with the degrees the gate has fixed, only a cycle (which
+// traces never produce) can hide one.
+func chainOrder(v *View) []int {
+	src := 0
+	for v.InDegree(src) != 0 {
+		src++
 	}
-	for i := 0; i < n; i++ {
-		a := v.Arcs(i)
-		if len(a) > 1 {
-			return nil
-		}
-		if len(a) == 1 {
-			next[i] = a[0]
-			indeg[a[0]]++
-			arcs++
-		}
+	order := []int{src}
+	for a := v.Arcs(src); len(a) == 1; a = v.Arcs(a[0]) {
+		order = append(order, a[0])
 	}
-	if arcs != n-1 {
-		return nil
-	}
-	src := -1
-	for i := 0; i < n; i++ {
-		if indeg[i] > 1 {
-			return nil
-		}
-		if indeg[i] == 0 {
-			if src >= 0 {
-				return nil
-			}
-			src = i
-		}
-	}
-	if src < 0 {
-		return nil
-	}
-	order := make([]int, 0, n)
-	for cur := src; cur >= 0; cur = next[cur] {
-		order = append(order, cur)
-	}
-	if len(order) != n {
+	if len(order) != v.NumGroups() {
 		return nil
 	}
 	return order
@@ -185,77 +145,44 @@ func (p *diffNe) Propagate(s *cp.Space) bool {
 // length p feeding an m-component final chain (paper Figure 3, right).
 // Budget semantics are as for MatchLinearReduction.
 func MatchTiledReduction(v *View, budget *Budget) *Pattern {
-	n := v.NumGroups()
-	if n < 4 { // minimum: 2 partials of length 1 + final chain of 2
-		return nil
-	}
-	if n > 4096 {
-		return nil // beyond any analysis-input reduction; bounds search
-	}
-	op, ok := singleAssocOp(v)
-	if !ok {
-		return nil
-	}
-	// Structural degrees within the view. Partial-chain nodes have in-view
-	// in-degree ≤ 1; final components 2..m are the junctions with
+	// The census gate decides (3b) one associative op, the size bounds
+	// (at least 2 partials of length 1 plus a final chain of 2; at most
+	// 4096 groups, beyond any analysis-input reduction), one sink, in-view
+	// in-degrees of at most two, and m partial chains of equal length
+	// (n-m)/m, where final components 2..m are the junctions with
 	// in-degree 2 (previous final component + one partial tail).
-	indeg := make([]int, n)
-	outdeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		outdeg[i] = v.OutDegree(i)
-		for _, j := range v.Arcs(i) {
-			indeg[j]++
-		}
-	}
-	junctions := 0
-	sink := -1
-	for i := 0; i < n; i++ {
-		switch {
-		case indeg[i] > 2:
-			return nil
-		case indeg[i] == 2:
-			junctions++
-		}
-		if outdeg[i] == 0 {
-			if sink >= 0 {
-				return nil // a tiled reduction has exactly one sink
-			}
-			sink = i
-		}
-	}
-	m := junctions + 1 // final components 2..m are junctions
-	if m < 2 || sink < 0 {
+	if v.cannotMatch(KindTiledReduction) {
 		return nil
 	}
-	if (n-m)%m != 0 {
-		return nil // partial chains of equal length p = (n-m)/m
-	}
+	n, m := v.NumGroups(), v.census.Junctions+1
+	op := v.op()
 
 	// Role model: role[i] = 1 if group i is a final-reduction component.
 	// Junctions are forced final, in-degree-0 groups are forced partial
-	// (the final chain's head is fed by a partial tail), and the final
-	// chain has exactly m components. The residual choice — which
-	// in-degree-1 group is the final head — is the solver's.
+	// (the final chain's head is fed by a partial tail), the sink is
+	// final, and the final chain has exactly m components. The residual
+	// choice — which in-degree-1 group is the final head — is the
+	// solver's; tiledShape checks the full structure.
 	model := cp.NewModel()
 	role := make([]*cp.IntVar, n)
 	for i := range role {
 		role[i] = model.NewBoolVar("final")
 	}
+	sink := 0
 	for i := 0; i < n; i++ {
 		switch {
-		case indeg[i] == 2:
+		case v.InDegree(i) == 2:
 			model.EqC(role[i], 1)
-		case indeg[i] == 0:
+		case v.InDegree(i) == 0:
 			model.EqC(role[i], 0)
+		}
+		if v.OutDegree(i) == 0 {
+			sink = i
 		}
 	}
 	model.SumEq(role, m)
 	model.EqC(role[sink], 1)
-	// A final component's successor along the chain is final; since every
-	// group has at most one successor here... (not true in general: a
-	// partial tail has one successor too). Structure is verified by the
-	// global checker below.
-	model.Add(&tiledShape{view: v, role: role, indeg: indeg})
+	model.Add(&tiledShape{view: v, role: role})
 
 	sv := &cp.Solver{Model: model}
 	var result *Pattern
@@ -281,9 +208,8 @@ func MatchTiledReduction(v *View, budget *Budget) *Pattern {
 // tiledShape prunes obviously broken role assignments and, once all roles
 // are fixed, checks the full tiled structure (4a–4e).
 type tiledShape struct {
-	view  *View
-	role  []*cp.IntVar
-	indeg []int
+	view *View
+	role []*cp.IntVar
 }
 
 func (p *tiledShape) Vars() []*cp.IntVar { return p.role }
@@ -497,26 +423,4 @@ func buildTiled(v *View, sol cp.Solution, role []*cp.IntVar, op mir.Op) *Pattern
 		}
 	}
 	return &Pattern{Kind: KindTiledReduction, Partials: partials, Final: final, Op: op}
-}
-
-// singleAssocOp reports whether every view group is a single node of one
-// common associative operation (the paper's 3b under-approximation),
-// returning that operation.
-func singleAssocOp(v *View) (mir.Op, bool) {
-	var op mir.Op
-	for i, grp := range v.Groups {
-		if len(grp) != 1 {
-			return mir.OpInvalid, false
-		}
-		o := v.G.Op(grp[0])
-		if !o.Associative() {
-			return mir.OpInvalid, false
-		}
-		if i == 0 {
-			op = o
-		} else if o != op {
-			return mir.OpInvalid, false
-		}
-	}
-	return op, true
 }

@@ -20,9 +20,9 @@ import (
 // Only the grouping is built eagerly. Group arcs, boundary flags, and
 // labels derive lazily from a zero-copy overlay of the ambient node set
 // (ddg.SubView) the first time a matcher asks for them — a view that is
-// answered from the finder's verdict cache, or rejected by the group-count
-// gate, never touches the graph's adjacency at all. Nothing of the base
-// graph is copied either way.
+// answered from the finder's verdict cache, or refuted by the group count
+// and ops alone (cannotMatch), never touches the graph's adjacency at all.
+// Nothing of the base graph is copied either way.
 type View struct {
 	G       ddg.GraphView
 	Ambient ddg.Set   // the sub-DDG's nodes
@@ -36,10 +36,11 @@ type View struct {
 	// Lazily built group structure (ensure). Guarded by ensOnce: matchers
 	// for different kinds may share one view across workers.
 	ensOnce sync.Once
-	arcs    [][]int // group adjacency (original arcs between groups), sorted
-	indeg   []int   // distinct-group in-degree per group
-	extIn   []bool  // group receives an arc from outside the sub-DDG
-	extOut  []bool  // group sends an arc outside the sub-DDG
+	arcs    [][]int   // group adjacency (original arcs between groups), sorted
+	indeg   []int     // distinct-group in-degree per group
+	extIn   []bool    // group receives an arc from outside the sub-DDG
+	extOut  []bool    // group sends an arc outside the sub-DDG
+	census  Prescreen // group-level census of the above, with verdicts
 
 	// Lazily computed labels, per group ("" = not yet computed; group
 	// labels are never empty since groups are non-empty). mu guards the
@@ -229,7 +230,64 @@ func (v *View) build() {
 			v.indeg[j]++
 		}
 	}
+	c := Prescreen{NumNodes: n, AllAssocOneOp: v.oneAssocOp()}
+	for i, in := range v.indeg {
+		out := len(v.arcs[i])
+		c.Arcs += out
+		c.MaxIn, c.MaxOut = max(c.MaxIn, in), max(c.MaxOut, out)
+		if v.extIn[i] {
+			c.ExtIn++
+		} else if in == 0 {
+			c.Isolated++
+		}
+		if v.extOut[i] {
+			c.ExtOut++
+		}
+		switch in {
+		case 0:
+			c.Sources++
+		case 2:
+			c.Junctions++
+		}
+		if out == 0 {
+			c.Sinks++
+		}
+	}
+	c.InterGroup = c.Arcs > 0
+	c.verdicts()
+	v.census = c
 }
+
+// cannotMatch is every matcher's structural gate: it reports that the
+// rules of Prescreen.verdicts refute kind on this view. The rules that
+// need only the group count and the ops are decided first, so a view they
+// refute never builds its adjacency; the rest read the group-level census.
+func (v *View) cannotMatch(k Kind) bool {
+	if shapeVerdicts(len(v.Groups), true, v.oneAssocOp())&prescreenBit(k) != 0 {
+		return true
+	}
+	v.ensure()
+	return v.census.CannotMatch(k)
+}
+
+// oneAssocOp reports whether every group is a single node and all of them
+// carry one common associative operation (the paper's 3b
+// under-approximation).
+func (v *View) oneAssocOp() bool {
+	for _, grp := range v.Groups {
+		if len(grp) != 1 {
+			return false
+		}
+		if op := v.G.Op(grp[0]); !op.Associative() || op != v.G.Op(v.Groups[0][0]) {
+			return false
+		}
+	}
+	return true
+}
+
+// op returns the common operation of a view that passed a reduction
+// kind's gate (every group one node of one associative op).
+func (v *View) op() mir.Op { return v.G.Op(v.Groups[0][0]) }
 
 // NumGroups returns the number of view groups.
 func (v *View) NumGroups() int { return len(v.Groups) }

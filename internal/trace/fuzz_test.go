@@ -55,10 +55,10 @@ func buildFuzzBufs(data []byte) []*threadBuf {
 
 func FuzzFinalize(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{3, 0, 0, 1, 0, 0, 2, 1, 1, 0})            // simple cross-thread chain
-	f.Add([]byte{2, 0, 1, 3, 0, 0, 1, 2, 0, 1})            // dangling references
-	f.Add([]byte{2, 0, 1, 1, 0, 1, 1, 0, 0})               // mutual dependency
-	f.Add([]byte{1, 0, 0x81, 0xff})                        // corrupt offset
+	f.Add([]byte{3, 0, 0, 1, 0, 0, 2, 1, 1, 0}) // simple cross-thread chain
+	f.Add([]byte{2, 0, 1, 3, 0, 0, 1, 2, 0, 1}) // dangling references
+	f.Add([]byte{2, 0, 1, 1, 0, 1, 1, 0, 0})    // mutual dependency
+	f.Add([]byte{1, 0, 0x81, 0xff})             // corrupt offset
 	f.Add([]byte{9, 0, 2, 0, 0, 0, 1, 1, 1, 1, 0, 2, 2, 2, 0, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := finalize(buildFuzzBufs(data))
