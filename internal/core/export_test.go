@@ -1,6 +1,7 @@
 package core
 
 import (
+	"discovery/internal/ddg"
 	"discovery/internal/mir"
 	"discovery/internal/patterns"
 )
@@ -23,3 +24,8 @@ func SetMatchTaskHook(h func(kind patterns.Kind)) { matchTaskHook = h }
 // packages. The prescreen differential suite lives outside the package
 // because it compares report bytes, and report imports core.
 func GenRandomProgram(seed uint64) *mir.Program { return genProgram(seed) }
+
+// PartnerDiff runs the finder's fixpoint on g with the indexed partner
+// search of subtract, fuse and merge checked against the pairwise oracle
+// at every phase (partners_oracle_test.go); nil means they agreed.
+func PartnerDiff(g *ddg.Graph, opts Options) error { return partnerDiff(g, opts, 0) }

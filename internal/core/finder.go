@@ -602,28 +602,41 @@ func sweep(sc *runSched, phase string, n int, body func(i int)) {
 // already-matched sub-DDGs only fragments their pattern into smaller
 // instances that merging would discard anyway, and does so
 // combinatorially, so matched sub-DDGs are skipped.
+//
+// A match disjoint from g1 would leave it unchanged, so each g1 asks a
+// node index over the matches for the ones it shares a node with, in
+// matched order — the same candidates, in the same order, as testing
+// every match.
 func subtractPhase(ctx context.Context, pool, matched []*SubDDG, sc *runSched, res *Result, addPool func(*SubDDG) bool) []*SubDDG {
 	if len(matched) == 0 {
 		return nil
 	}
+	sets := nodeSets(matched)
+	ix := newNodeIndex(sets)
 	cands := make([][]*SubDDG, len(pool))
 	sweep(sc, "subtract", len(pool), func(i int) {
 		g1 := pool[i]
 		if len(g1.Matched) > 0 {
 			return
 		}
-		for _, g2 := range matched {
-			if g1.Nodes.Disjoint(g2.Nodes) {
-				continue // the difference would be g1 unchanged
-			}
-			diff := g1.Nodes.Diff(g2.Nodes)
-			if diff.Len() == 0 || diff.Len() == g1.Nodes.Len() {
+		for _, j := range ix.sharing(g1.Nodes) {
+			// Sharing a node, the difference is smaller than g1.
+			diff := g1.Nodes.Diff(sets[j])
+			if diff.Len() == 0 {
 				continue
 			}
-			cands[i] = append(cands[i], &SubDDG{Nodes: diff, Loop: g1.Loop, Assoc: g1.Assoc})
+			c := &SubDDG{Nodes: diff, Loop: g1.Loop, Assoc: g1.Assoc}
+			c.Key() // memoized: hashed here in parallel, only looked up by the fold
+			cands[i] = append(cands[i], c)
 		}
 	})
 	interrupted(ctx, res)
+	return foldCands(cands, addPool)
+}
+
+// foldCands adds each phase's candidates to the pool in candidate order
+// and returns the ones the pool took.
+func foldCands(cands [][]*SubDDG, addPool func(*SubDDG) bool) []*SubDDG {
 	var fresh []*SubDDG
 	for _, cs := range cands {
 		for _, s := range cs {
@@ -641,7 +654,8 @@ func subtractPhase(ctx context.Context, pool, matched []*SubDDG, sc *runSched, r
 // (a, b) order. The snapshot is taken before any candidate is added, so
 // tasks never observe this phase's own additions — the sequential loop
 // behaved identically, since every added fusion has no matches yet and
-// both loops skip matchless sub-DDGs.
+// both loops skip matchless sub-DDGs. Partners come from a node index
+// over the matched pool entries (nodeIndex.flowTargets), in pool order.
 func fusePhase(ctx context.Context, gs *ddg.Graph, pool, matched []*SubDDG, sc *runSched, res *Result, addPool func(*SubDDG) bool) []*SubDDG {
 	if len(matched) == 0 {
 		return nil
@@ -650,37 +664,29 @@ func fusePhase(ctx context.Context, gs *ddg.Graph, pool, matched []*SubDDG, sc *
 	for _, s := range matched {
 		isNew[s] = true
 	}
+	sets := make([]ddg.Set, len(pool))
+	for i, s := range pool {
+		if len(s.Matched) > 0 {
+			sets[i] = s.Nodes
+		}
+	}
+	ix := newNodeIndex(sets)
 	cands := make([][]*SubDDG, len(pool))
 	sweep(sc, "fuse", len(pool), func(i int) {
 		a := pool[i]
 		if len(a.Matched) == 0 || !hasMapMatch(a) {
 			return
 		}
-		for _, b := range pool {
-			if a == b || len(b.Matched) == 0 {
-				continue
-			}
+		ix.flowTargets(gs, i, func(j int) {
 			// At least one of the pair must be a new match this iteration,
 			// otherwise the fusion already happened.
-			if !isNew[a] && !isNew[b] {
-				continue
+			if b := pool[j]; isNew[a] || isNew[b] {
+				cands[i] = append(cands[i], &SubDDG{Nodes: a.Nodes.Union(b.Nodes), FusedA: a, FusedB: b})
 			}
-			if !a.Nodes.Disjoint(b.Nodes) || !gs.FlowsInto(a.Nodes, b.Nodes) {
-				continue
-			}
-			cands[i] = append(cands[i], &SubDDG{Nodes: a.Nodes.Union(b.Nodes), FusedA: a, FusedB: b})
-		}
+		})
 	})
 	interrupted(ctx, res)
-	var fresh []*SubDDG
-	for _, cs := range cands {
-		for _, s := range cs {
-			if addPool(s) {
-				fresh = append(fresh, s)
-			}
-		}
-	}
-	return fresh
+	return foldCands(cands, addPool)
 }
 
 // detectPipelines looks for stage pairs among unmatched loop sub-DDGs: the
@@ -735,16 +741,15 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 	}
 	var jobs []pairJob
 	pendingSolves := map[ddg.Hash128]*pipeSolve{}
-	for _, a := range stages {
+	ix := newNodeIndex(nodeSets(stages))
+	for ai, a := range stages {
 		if interrupted(ctx, res) {
 			break
 		}
-		for _, b := range stages {
-			if a == b || !a.Nodes.Disjoint(b.Nodes) || !gs.FlowsInto(a.Nodes, b.Nodes) {
-				continue
-			}
+		ix.flowTargets(gs, ai, func(bi int) {
+			b := stages[bi]
 			if groupsOf(a) > opts.maxViewGroups() || groupsOf(b) > opts.maxViewGroups() {
-				continue
+				return
 			}
 			// The pipeline verdict is a property of the ordered stage pair,
 			// cached under the pair's combined view hash.
@@ -759,7 +764,7 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 				// fold, when the solve has run.
 				pb.RecordCacheHit(patterns.KindPipeline)
 				jobs = append(jobs, pairJob{a: a, solve: ps})
-				continue
+				return
 			}
 			switch status, pat := cache.lookup(pair, patterns.KindPipeline, score); status {
 			case cacheHit:
@@ -772,7 +777,6 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 				ps := &pipeSolve{}
 				pendingSolves[pair] = ps
 				jobs = append(jobs, pairJob{a: a, solve: ps})
-				a, b := a, b
 				sc.submit("pipelines", classSolve, func(expired bool) {
 					if expired {
 						return
@@ -787,7 +791,7 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 					ps.p = p
 				})
 			}
-		}
+		})
 	}
 	sc.wait()
 	interrupted(ctx, res)
@@ -1411,18 +1415,26 @@ func merge(matches []Match) []*patterns.Pattern {
 		out = append(out, m.Pattern)
 	}
 	// A pattern is discarded iff a strictly larger pattern subsumes it.
-	// Sorting by node-set size descending makes the strictly-larger
-	// candidates for each pattern exactly a prefix of the slice, so each
-	// pattern is tested only against that prefix instead of every other
-	// pattern (the prefix scan stops at the first equal-sized entry).
+	// Such a pattern contains p's first node, and with out sorted by size
+	// descending, a node index lists the candidates in that order: each
+	// pattern is tested only against the larger patterns holding its first
+	// node, stopping at the first entry no larger than itself.
 	sort.SliceStable(out, func(i, j int) bool {
 		return out[i].Nodes().Len() > out[j].Nodes().Len()
 	})
+	sets := make([]ddg.Set, len(out))
+	for i, p := range out {
+		sets[i] = p.Nodes()
+	}
+	ix := newNodeIndex(sets)
 	var final []*patterns.Pattern
-	for _, p := range out {
-		size := p.Nodes().Len()
+	for i, p := range out {
+		size := sets[i].Len()
 		subsumed := false
-		for j := 0; j < len(out) && out[j].Nodes().Len() > size; j++ {
+		for _, j := range ix.list(sets[i][0]) {
+			if sets[j].Len() <= size {
+				break
+			}
 			if out[j].Subsumes(p) {
 				subsumed = true
 				break

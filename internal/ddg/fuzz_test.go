@@ -80,3 +80,83 @@ func FuzzPagedCSR(f *testing.F) {
 		}
 	})
 }
+
+// setPairFromBytes carves two sets from the fuzzer's bytes. data[0] picks
+// where the rest splits and a run-length multiplier for the second set,
+// so pairs range from equal sizes to one set over a hundred times the
+// other's (the binary-search branches of Diff and SubsetOf). Each byte
+// adds a run of ids: its high nibble is the gap from the previous run's
+// start, its low nibble the run's length.
+func setPairFromBytes(data []byte) (Set, Set) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	if len(data) > 256 {
+		data = data[:256]
+	}
+	head, rest := data[0], data[1:]
+	split := int(head) % (len(rest) + 1)
+	runs := func(bs []byte, mult NodeID) Set {
+		var ids []NodeID
+		var cur NodeID
+		for _, b := range bs {
+			cur += NodeID(b >> 4)
+			for k := NodeID(0); k < (NodeID(b&15)+1)*mult; k++ {
+				ids = append(ids, cur+k)
+			}
+		}
+		return NewSet(ids...)
+	}
+	return runs(rest[:split], 1), runs(rest[split:], NodeID(head>>4)*8+1)
+}
+
+// FuzzSetOps checks the set algebra against a map-based reference, in
+// both argument orders.
+func FuzzSetOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x13, 0x21, 0x05, 0x30})
+	f.Add([]byte{0xf2, 0x01, 0x12, 0x00, 0x31})
+	f.Add([]byte{0x83, 0x10, 0x11, 0x12, 0x4f, 0x0f, 0x2a})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := setPairFromBytes(data)
+		for _, p := range [][2]Set{{a, b}, {b, a}} {
+			s, u := p[0], p[1]
+			inS, inU := map[NodeID]bool{}, map[NodeID]bool{}
+			for _, id := range s {
+				inS[id] = true
+			}
+			for _, id := range u {
+				inU[id] = true
+			}
+			var union, diff, inter []NodeID
+			for id := range inS {
+				union = append(union, id)
+				if inU[id] {
+					inter = append(inter, id)
+				} else {
+					diff = append(diff, id)
+				}
+			}
+			for id := range inU {
+				if !inS[id] {
+					union = append(union, id)
+				}
+			}
+			if got, want := s.Union(u), NewSet(union...); !got.Equal(want) {
+				t.Fatalf("%v ∪ %v = %v, want %v", s, u, got, want)
+			}
+			if got, want := s.Diff(u), NewSet(diff...); !got.Equal(want) {
+				t.Fatalf("%v \\ %v = %v, want %v", s, u, got, want)
+			}
+			if got, want := s.Intersect(u), NewSet(inter...); !got.Equal(want) {
+				t.Fatalf("%v ∩ %v = %v, want %v", s, u, got, want)
+			}
+			if got, want := s.SubsetOf(u), len(diff) == 0; got != want {
+				t.Fatalf("%v ⊆ %v = %v, want %v", s, u, got, want)
+			}
+			if got, want := s.Disjoint(u), len(inter) == 0; got != want {
+				t.Fatalf("%v disjoint from %v = %v, want %v", s, u, got, want)
+			}
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package ddg
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -69,9 +70,28 @@ func (s Set) Union(t Set) Set {
 	return out
 }
 
+// skewed reports whether t is so much larger than s that walking s and
+// binary-searching each element in t beats the linear merge: a handful of
+// nodes tested against one huge pattern. A probe is a branch the CPU
+// mispredicts half the time, a merge step a compare it predicts, so the
+// merge wins well past 8 elements of t per element of s (ray-rot's
+// subtract diffs ran slower binary-searched at that ratio).
+func skewed(s, t Set) bool { return len(t) > 32*len(s) }
+
 // Diff returns s \ t.
 func (s Set) Diff(t Set) Set {
 	out := make(Set, 0, len(s))
+	if skewed(s, t) {
+		j := 0
+		for _, id := range s {
+			k, found := slices.BinarySearch(t[j:], id)
+			j += k
+			if !found {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
 	i, j := 0, 0
 	for i < len(s) {
 		for j < len(t) && t[j] < s[i] {
@@ -124,6 +144,17 @@ func (s Set) SubsetOf(t Set) bool {
 	if len(s) > len(t) {
 		return false
 	}
+	if skewed(s, t) {
+		j := 0
+		for _, id := range s {
+			k, found := slices.BinarySearch(t[j:], id)
+			if !found {
+				return false
+			}
+			j += k + 1
+		}
+		return true
+	}
 	i, j := 0, 0
 	for i < len(s) {
 		for j < len(t) && t[j] < s[i] {
@@ -143,8 +174,8 @@ func (s Set) Disjoint(t Set) bool {
 	if len(s) == 0 || len(t) == 0 {
 		return true
 	}
-	// Range fast path: patterns are localized in the id space, so most
-	// pairs the finder compares do not even overlap in range.
+	// Range fast path: node sets are localized in the id space, so two
+	// of them often do not even overlap in range.
 	if s[len(s)-1] < t[0] || t[len(t)-1] < s[0] {
 		return true
 	}
@@ -162,8 +193,9 @@ func (s Set) Disjoint(t Set) bool {
 	return true
 }
 
-// Key returns a canonical string key, used to reject duplicate sub-DDGs in
-// the pattern finder pool (the termination argument of Algorithm 1).
+// Key returns a canonical, human-readable string key for the set. Tests
+// use it to compare node sets by value; the finder's pool deduplicates by
+// the 128-bit SubDDG.Key instead.
 func (s Set) Key() string {
 	buf := make([]byte, 0, len(s)*7)
 	for i, id := range s {

@@ -111,7 +111,61 @@ func TestSetAlgebraProperties(t *testing.T) {
 		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+		// Skewed pairs, in both orders: one set more than 32 times the
+		// other's size takes the binary-search branches of Diff and
+		// SubsetOf.
+		skewedProp := func(x, y, z []byte) bool {
+			s, big := skewedPair(x, y)
+			return law(s, big, toSet(z)) && law(big, s, toSet(z))
+		}
+		if err := quick.Check(skewedProp, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("%s on skewed pairs: %v", name, err)
+		}
 	}
+	skewedRef := func(x, y []byte) bool {
+		s, big := skewedPair(x, y)
+		in := map[NodeID]bool{}
+		for _, id := range big {
+			in[id] = true
+		}
+		var diff []NodeID
+		subset := true
+		for _, id := range s {
+			if !in[id] {
+				diff = append(diff, id)
+				subset = false
+			}
+		}
+		return s.Diff(big).Equal(NewSet(diff...)) && s.SubsetOf(big) == subset
+	}
+	if err := quick.Check(skewedRef, &quick.Config{MaxCount: 500}); err != nil {
+		t.Errorf("skewed Diff/SubsetOf disagree with the reference: %v", err)
+	}
+}
+
+// skewedPair returns a set s of at most 8 ids below 64 drawn from x and
+// a set t of more than 32·|s| ids: the range [0, 800) with holes below 64
+// carved by y, so s's ids, often adjacent, land both in t and in its
+// holes.
+func skewedPair(x, y []byte) (Set, Set) {
+	if len(x) > 8 {
+		x = x[:8]
+	}
+	ids := make([]NodeID, len(x))
+	for i, b := range x {
+		ids[i] = NodeID(b % 64)
+	}
+	holes := map[NodeID]bool{}
+	for _, b := range y {
+		holes[NodeID(b%64)] = true
+	}
+	var t []NodeID
+	for id := NodeID(0); id < 800; id++ {
+		if !holes[id] {
+			t = append(t, id)
+		}
+	}
+	return NewSet(ids...), NewSet(t...)
 }
 
 func TestUnionAll(t *testing.T) {
