@@ -1,17 +1,19 @@
 package core
 
-// Randomized differential suite for online loop-iteration compaction and
-// out-of-core paging: over structured random programs, the compact tracer
-// must build byte-identical graphs to the trace-then-compact baseline,
-// and the finder must report identical patterns whether views take the
-// indexed fast path or the scope-chain slow path, and whether the
-// simplified graph's adjacency is resident or paged through a spill file.
+// Randomized differential suite for DDG compaction and out-of-core
+// paging. Over structured random programs, patterns.LoopView must group
+// every loop's nodes exactly as an oracle reading the scope chains does,
+// and the finder must report identical patterns whether the simplified
+// graph's adjacency is resident or paged through a spill file.
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"discovery/internal/ddg"
+	"discovery/internal/mir"
+	"discovery/internal/patterns"
 	"discovery/internal/trace"
 )
 
@@ -24,42 +26,101 @@ func patternSig(res *Result) string {
 	return s
 }
 
+// scopeChainGroups is the compaction oracle: the grouping LoopView must
+// produce, read straight off the scope chains — one group per
+// (invocation, iteration) of loop in ascending order, then each node
+// without a frame for the loop on its own, in input order.
+func scopeChainGroups(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) []ddg.Set {
+	byIter := map[ddg.IterationKey][]ddg.NodeID{}
+	var keys []ddg.IterationKey
+	var loose []ddg.NodeID
+	for _, u := range nodes {
+		k, ok := g.IterationOf(u, loop)
+		if !ok {
+			loose = append(loose, u)
+			continue
+		}
+		if _, seen := byIter[k]; !seen {
+			keys = append(keys, k)
+		}
+		byIter[k] = append(byIter[k], u)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Invocation != keys[j].Invocation {
+			return keys[i].Invocation < keys[j].Invocation
+		}
+		return keys[i].Iter < keys[j].Iter
+	})
+	groups := make([]ddg.Set, 0, len(keys)+len(loose))
+	for _, k := range keys {
+		groups = append(groups, ddg.NewSet(byIter[k]...))
+	}
+	for _, u := range loose {
+		groups = append(groups, ddg.NewSet(u))
+	}
+	return groups
+}
+
+// subsetsOf returns deterministic node subsets to view: the full set, the
+// first half, every other node, and a pseudo-random third.
+func subsetsOf(g *ddg.Graph, seed uint64) []ddg.Set {
+	n := g.NumNodes()
+	half := make([]ddg.NodeID, 0, n/2)
+	even := make([]ddg.NodeID, 0, n/2)
+	var rnd []ddg.NodeID
+	x := seed | 1
+	for u := 0; u < n; u++ {
+		if u < n/2 {
+			half = append(half, ddg.NodeID(u))
+		}
+		if u%2 == 0 {
+			even = append(even, ddg.NodeID(u))
+		}
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		if x%3 == 0 {
+			rnd = append(rnd, ddg.NodeID(u))
+		}
+	}
+	return []ddg.Set{g.Nodes(), ddg.NewSet(half...), ddg.NewSet(even...), ddg.NewSet(rnd...)}
+}
+
+// TestCompactionDifferentialRandomPrograms holds LoopView against the
+// scope-chain oracle for every loop of 30 random programs, over the
+// subsetsOf subsets of the traced graph and of its simplified graph.
 func TestCompactionDifferentialRandomPrograms(t *testing.T) {
 	for seed := uint64(1); seed <= 30; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			prog := genProgram(seed)
-			compact, err := trace.Run(prog)
+			tr, err := trace.Run(genProgram(seed))
 			if err != nil {
 				t.Fatalf("trace.Run: %v", err)
 			}
-			baseline, err := trace.RunNoCompact(prog)
-			if err != nil {
-				t.Fatalf("trace.RunNoCompact: %v", err)
-			}
-			cg, bg := compact.Graph, baseline.Graph
-			if cg.Fingerprint() != bg.Fingerprint() {
-				t.Fatal("compact and no-compact graphs differ")
-			}
-			if cg.NumNodes() != bg.NumNodes() || cg.NumArcs() != bg.NumArcs() {
-				t.Fatal("compact and no-compact graph shapes differ")
-			}
-			// genProgram always emits loops, so the compact graph must be
-			// indexed — and the indexes must agree with the scope chains.
-			if !cg.HasIterIndexes() {
-				t.Fatal("compact graph carries no iteration indexes")
-			}
-			if bg.HasIterIndexes() {
-				t.Fatal("no-compact graph carries iteration indexes")
-			}
-			if err := cg.CheckInvariants(); err != nil {
-				t.Fatalf("compact graph fails invariants: %v", err)
-			}
-			fast := Find(cg, Options{})
-			slow := Find(bg, Options{})
-			if got, want := patternSig(fast), patternSig(slow); got != want {
-				t.Fatalf("indexed finder found %q, scope-chain finder found %q", got, want)
+			for _, g := range []*ddg.Graph{tr.Graph, Simplify(tr.Graph)} {
+				if err := g.CheckInvariants(); err != nil {
+					t.Fatalf("graph fails invariants: %v", err)
+				}
+				loops := map[mir.LoopID]bool{}
+				for u := 0; u < g.NumNodes(); u++ {
+					for f := g.ScopeOf(ddg.NodeID(u)); f != nil; f = f.Parent {
+						loops[f.Loop] = true
+					}
+				}
+				if len(loops) == 0 {
+					t.Fatal("random program traced no loop")
+				}
+				for loop := range loops {
+					for si, nodes := range subsetsOf(g, seed+uint64(loop)) {
+						got := patterns.LoopView(g, nodes, loop).Groups
+						want := scopeChainGroups(g, nodes, loop)
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("%d-node graph, loop %d, subset %d: LoopView grouped %v, scope chains say %v",
+								g.NumNodes(), loop, si, got, want)
+						}
+					}
+				}
 			}
 		})
 	}

@@ -160,3 +160,68 @@ func FuzzSetOps(f *testing.F) {
 		}
 	})
 }
+
+// scopesFromBytes replays the fuzzer's bytes as a loop-scope program and
+// returns one scope per emitted node. Each byte's low two bits pick an
+// action — 0 enters loop 1+(b>>2)%3 as a fresh invocation (re-entering a
+// loop already on the chain is how recursion looks), 1 advances the top
+// frame's iteration, 2 exits the top frame, 3 changes nothing — and every
+// action is followed by b>>6 nodes in the resulting scope.
+func scopesFromBytes(data []byte) []*Scope {
+	if len(data) > 256 {
+		data = data[:256]
+	}
+	var s *Scope
+	var inv uint64
+	var scopes []*Scope
+	for _, b := range data {
+		switch b & 3 {
+		case 0:
+			s = s.Enter(mir.LoopID(1+(b>>2)%3), inv)
+			inv++
+		case 1:
+			if s != nil {
+				s = s.NextIter()
+			}
+		case 2:
+			if s != nil {
+				s = s.Exit()
+			}
+		}
+		for k := 0; k < int(b>>6); k++ {
+			scopes = append(scopes, s)
+		}
+	}
+	return scopes
+}
+
+// FuzzIterIndex checks the derived loop-iteration indexes against the
+// scope chains they summarize: for every node × loop, a graph built
+// through FrozenBuilder must index the node exactly under the frame
+// Scope.FrameFor reports, with sorted keys, and pass CheckInvariants.
+func FuzzIterIndex(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x40, 0x41, 0x41, 0x42, 0x43})
+	f.Add([]byte{0x40, 0x44, 0xc0, 0x41, 0x81, 0x42, 0x41, 0xc3})       // recursion: loop 1 inside loop 2 inside loop 1
+	f.Add([]byte{0x80, 0x41, 0x46, 0x41, 0xc2, 0xc2, 0x40, 0xc1, 0x03}) // nested, exited, re-entered
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scopes := scopesFromBytes(data)
+		fb := NewFrozenBuilder(len(scopes), len(scopes))
+		pos := mir.Pos{File: "fuzz.c", Line: 1}
+		for i, s := range scopes {
+			var preds []NodeID
+			if i > 0 && data[i%len(data)]&0x20 != 0 {
+				preds = append(preds, NodeID(i-1))
+			}
+			fb.AddNode(mir.OpAdd, pos, 0, s, preds...)
+		}
+		g, err := fb.Finish()
+		if err != nil {
+			t.Fatalf("Finish: %v", err)
+		}
+		checkAgainstFrames(t, g, []mir.LoopID{1, 2, 3, 4})
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("CheckInvariants: %v", err)
+		}
+	})
+}

@@ -55,10 +55,10 @@ type Graph struct {
 	// fpMemo caches Fingerprint (hash.go); immutable once computed.
 	fpMemo fingerprintMemo
 
-	// iterIdx holds the online-compaction indexes the tracer's
-	// finalization installs (iterindex.go); nil for graphs built outside
-	// the tracer. Derived metadata: it never participates in Fingerprint.
-	iterIdx map[mir.LoopID]*LoopIterIndex
+	// iterMemo caches the loop-iteration indexes a frozen graph derives
+	// from its scope chains on first use (iterindex.go). Derived metadata:
+	// it never participates in Fingerprint.
+	iterMemo iterIndexMemo
 
 	// pager, when non-nil, backs the frozen CSR arc arrays out of core
 	// (paged.go): succArr/predArr are released and Succs/Preds read
@@ -239,15 +239,6 @@ func (g *Graph) InducedSubgraph(keep Set) (*Graph, []NodeID) {
 			if nv, ok := remap[v]; ok {
 				out.AddArc(remap[u], nv)
 			}
-		}
-	}
-	// Carry the online-compaction indexes over: the subgraph's node i is
-	// the base's back[i], so each index restricts by composition — the
-	// simplified graph the finder matches on keeps the tracer's work.
-	if g.iterIdx != nil {
-		out.iterIdx = make(map[mir.LoopID]*LoopIterIndex, len(g.iterIdx))
-		for loop, ix := range g.iterIdx {
-			out.iterIdx[loop] = ix.restrict(back)
 		}
 	}
 	return out, back

@@ -18,6 +18,8 @@ import (
 //   - arc dedup: no node lists the same predecessor or successor twice;
 //   - pred/succ symmetry: the predecessor and successor adjacencies
 //     describe the same arc set, and their total size matches NumArcs;
+//   - loop-iteration indexes: every loop's index (deriving it if no view
+//     has yet) agrees with the scope chains node by node;
 //
 // and, for a frozen graph, that the CSR layout is well-formed (offset
 // arrays of the right length, monotone, covering the arc arrays) and that
@@ -139,12 +141,7 @@ func (g *Graph) CheckInvariants() error {
 				fromPreds[i].u, fromPreds[i].v, fromSuccs[i].u, fromSuccs[i].v)
 		}
 	}
-	if g.iterIdx != nil {
-		if err := g.checkIterIndexes(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.checkIterIndexes()
 }
 
 // arcLenSucc returns the successor arc-array length, whether the array is

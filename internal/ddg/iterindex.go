@@ -1,24 +1,20 @@
 package ddg
 
 // Loop-iteration indexes: the materialized form of the paper's DDG
-// Compaction phase (§5), computed once per graph instead of once per
+// Compaction phase (§5), derived once per frozen graph instead of once per
 // sub-DDG view.
 //
 // A LoopIterIndex maps every node to the dense ordinal of its dynamic
 // iteration of one static loop — the group the compacted view of any
-// sub-DDG derived from that loop places it in. The per-thread tracer
-// folds iteration runs online while the traced program executes
-// (internal/trace), so finalization installs these indexes on the frozen
-// graph and patterns.LoopView degenerates to a bucket sort over
-// precomputed ordinals: no scope-chain walks, no per-view key maps.
-// Graphs built outside the tracer (Canonicalize, InducedSubgraph sources,
-// tests) simply carry no indexes and views fall back to the scope-chain
-// path; both paths group byte-identically, which the differential suite
-// asserts.
+// sub-DDG derived from that loop places it in. The graph derives every
+// loop's index from its own scope chains the first time any view asks for
+// one, so patterns.LoopView is a bucket sort over precomputed ordinals: no
+// per-view scope-chain walks, no per-view key maps. Every graph — traced,
+// simplified, canonicalized or hand-built — gets its indexes the same way.
 
 import (
-	"fmt"
 	"sort"
+	"sync"
 
 	"discovery/internal/analysis"
 	"discovery/internal/mir"
@@ -35,118 +31,168 @@ type LoopIterIndex struct {
 	ord  []int32
 }
 
-// NewLoopIterIndex builds an index from a key table and a node→ordinal
-// map. Keys must be sorted strictly ascending by (invocation, iteration)
-// and every non-negative ordinal must address a key; violations return an
-// InvariantViolation instead of installing a corrupt index.
-func NewLoopIterIndex(loop mir.LoopID, keys []IterationKey, ord []int32) (*LoopIterIndex, error) {
-	for i := 1; i < len(keys); i++ {
-		a, b := keys[i-1], keys[i]
-		if a.Invocation > b.Invocation || (a.Invocation == b.Invocation && a.Iter >= b.Iter) {
-			return nil, analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation,
-				"ddg: iteration index for loop %d has unsorted keys at %d", loop, i)
-		}
-	}
-	for u, o := range ord {
-		if o < -1 || int(o) >= len(keys) {
-			return nil, analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation,
-				"ddg: iteration index for loop %d maps node %d to ordinal %d of %d keys",
-				loop, u, o, len(keys))
-		}
-	}
-	return &LoopIterIndex{Loop: loop, Keys: keys, ord: ord}, nil
-}
-
 // OrdinalOf returns the dense iteration ordinal of node u, or ok=false if
-// u did not execute inside the loop.
+// u did not execute inside the loop. A nil index holds no node.
 func (ix *LoopIterIndex) OrdinalOf(u NodeID) (int32, bool) {
-	if int(u) >= len(ix.ord) || ix.ord[u] < 0 {
+	if ix == nil || int(u) >= len(ix.ord) || ix.ord[u] < 0 {
 		return 0, false
 	}
 	return ix.ord[u], true
 }
 
 // NumGroups returns the number of dynamic iterations the index covers.
-func (ix *LoopIterIndex) NumGroups() int { return len(ix.Keys) }
-
-// restrict remaps the index onto a subgraph: newOrd[i] = ord[back[i]].
-// The key table is shared — ordinals keep their global order, which is
-// all compacted views need (absent ordinals simply produce no group).
-func (ix *LoopIterIndex) restrict(back []NodeID) *LoopIterIndex {
-	ord := make([]int32, len(back))
-	for i, old := range back {
-		if int(old) < len(ix.ord) {
-			ord[i] = ix.ord[old]
-		} else {
-			ord[i] = -1
-		}
+func (ix *LoopIterIndex) NumGroups() int {
+	if ix == nil {
+		return 0
 	}
-	return &LoopIterIndex{Loop: ix.Loop, Keys: ix.Keys, ord: ord}
+	return len(ix.Keys)
 }
 
-// InstallLoopIterIndexes attaches compaction indexes to the graph. It is
-// called once, by the tracer's finalization (or a test harness), after
-// the graph's nodes exist; each index must cover exactly the graph's
-// nodes. Re-installation is rejected — indexes describe immutable scope
-// chains, so there is never a second, different truth to install.
-func (g *Graph) InstallLoopIterIndexes(ixs []*LoopIterIndex) error {
-	if g.iterIdx != nil {
-		return analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation,
-			"ddg: loop-iteration indexes installed twice")
-	}
-	m := make(map[mir.LoopID]*LoopIterIndex, len(ixs))
-	for _, ix := range ixs {
-		if len(ix.ord) != g.NumNodes() {
-			return analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation,
-				"ddg: iteration index for loop %d covers %d nodes, graph has %d",
-				ix.Loop, len(ix.ord), g.NumNodes())
-		}
-		if _, dup := m[ix.Loop]; dup {
-			return analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation,
-				"ddg: duplicate iteration index for loop %d", ix.Loop)
-		}
-		m[ix.Loop] = ix
-	}
-	g.iterIdx = m
-	return nil
+// iterIndexMemo caches a frozen graph's derived indexes; immutable once
+// computed.
+type iterIndexMemo struct {
+	once sync.Once
+	ixs  map[mir.LoopID]*LoopIterIndex
 }
 
-// LoopIterIndex returns the compaction index for the given static loop,
-// or nil when the graph carries none (graphs built outside the tracer).
+// LoopIterIndex returns the compaction index for the given static loop, or
+// nil when no node of the graph executed inside it. A frozen graph derives
+// the indexes of all its loops once, on first call; an unfrozen graph
+// derives them afresh on every call, so a graph that still gains nodes
+// never serves a stale index.
 func (g *Graph) LoopIterIndex(loop mir.LoopID) *LoopIterIndex {
-	return g.iterIdx[loop]
+	return g.iterIndexes()[loop]
 }
 
-// HasIterIndexes reports whether the graph carries online-compaction
-// indexes at all (diagnostics and tests).
-func (g *Graph) HasIterIndexes() bool { return len(g.iterIdx) > 0 }
-
-// IterIndexStats returns how many loops the graph carries online
-// compaction for and the total dynamic iterations indexed (diagnostics).
-func (g *Graph) IterIndexStats() (loops, groups int) {
-	for _, ix := range g.iterIdx {
-		loops++
-		groups += len(ix.Keys)
+func (g *Graph) iterIndexes() map[mir.LoopID]*LoopIterIndex {
+	if !g.frozen {
+		return deriveIterIndexes(g.scope)
 	}
-	return loops, groups
+	g.iterMemo.once.Do(func() { g.iterMemo.ixs = deriveIterIndexes(g.scope) })
+	return g.iterMemo.ixs
 }
 
-// checkIterIndexes verifies every installed index against the ground
-// truth the scope chains encode: ord agrees with IterationOf node by
-// node, the ordinal's key is the node's key, and the key table is sorted.
-// Part of CheckInvariants — an index that drifted from the chains would
-// silently change compacted views, the worst kind of wrong.
+// deriveIterIndexes builds one index per static loop appearing in any
+// scope chain. Consecutive nodes of one iteration share the identical
+// *Scope (scopes are persistent stacks), so a chain is walked only where
+// the scope changes from the previous node's. Each node is charged to its
+// innermost frame of each loop — the frame Scope.FrameFor reports — which
+// matters when recursion nests the same static loop twice in one chain.
+// Keys are numbered in first-seen order while scanning, then sorted by
+// (invocation, iteration) and the ordinals renumbered to match.
+func deriveIterIndexes(scopes []*Scope) map[mir.LoopID]*LoopIterIndex {
+	type dynKey struct {
+		inv  uint64
+		iter int64
+	}
+	type loopBuild struct {
+		ix   *LoopIterIndex
+		seen map[dynKey]int32
+	}
+	type charge struct {
+		lb  *loopBuild
+		ord int32
+	}
+	byLoop := map[mir.LoopID]*loopBuild{}
+	var cur []charge // the current scope's innermost frame per loop
+	var prev *Scope
+	for u, s := range scopes {
+		if s != prev {
+			cur = cur[:0]
+		frames:
+			for f := s; f != nil; f = f.Parent {
+				lb := byLoop[f.Loop]
+				if lb == nil {
+					ord := make([]int32, len(scopes))
+					for i := range ord {
+						ord[i] = -1
+					}
+					lb = &loopBuild{ix: &LoopIterIndex{Loop: f.Loop, ord: ord}, seen: map[dynKey]int32{}}
+					byLoop[f.Loop] = lb
+				}
+				for _, c := range cur {
+					if c.lb == lb { // an outer frame of a re-entered loop
+						continue frames
+					}
+				}
+				k := dynKey{f.Invocation, f.Iter}
+				o, ok := lb.seen[k]
+				if !ok {
+					o = int32(len(lb.ix.Keys))
+					lb.seen[k] = o
+					lb.ix.Keys = append(lb.ix.Keys, IterationKey{Loop: f.Loop, Invocation: f.Invocation, Iter: f.Iter})
+				}
+				cur = append(cur, charge{lb, o})
+			}
+			prev = s
+		}
+		for _, c := range cur {
+			c.lb.ix.ord[u] = c.ord
+		}
+	}
+	out := make(map[mir.LoopID]*LoopIterIndex, len(byLoop))
+	for loop, lb := range byLoop {
+		ix := lb.ix
+		byKey := make([]int32, len(ix.Keys)) // sorted position -> first-seen ordinal
+		for i := range byKey {
+			byKey[i] = int32(i)
+		}
+		sort.Slice(byKey, func(i, j int) bool { return keyLess(ix.Keys[byKey[i]], ix.Keys[byKey[j]]) })
+		renum := make([]int32, len(byKey)) // first-seen ordinal -> sorted position
+		keys := make([]IterationKey, len(byKey))
+		for pos, o := range byKey {
+			renum[o] = int32(pos)
+			keys[pos] = ix.Keys[o]
+		}
+		for u, o := range ix.ord {
+			if o >= 0 {
+				ix.ord[u] = renum[o]
+			}
+		}
+		ix.Keys = keys
+		out[loop] = ix
+	}
+	return out
+}
+
+// keyLess orders iteration keys of one loop by (invocation, iteration).
+func keyLess(a, b IterationKey) bool {
+	if a.Invocation != b.Invocation {
+		return a.Invocation < b.Invocation
+	}
+	return a.Iter < b.Iter
+}
+
+// checkIterIndexes verifies the graph's indexes against the ground truth
+// the scope chains encode: every loop in a chain has an index, ord agrees
+// with IterationOf node by node, the ordinal's key is the node's key, and
+// the key table is sorted. Part of CheckInvariants — an index that drifted
+// from the chains would silently change compacted views, the worst kind of
+// wrong.
 func (g *Graph) checkIterIndexes() error {
 	fail := func(format string, args ...any) error {
 		return analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation, format, args...)
 	}
-	loops := make([]mir.LoopID, 0, len(g.iterIdx))
-	for loop := range g.iterIdx {
+	ixs := g.iterIndexes()
+	var prev *Scope
+	for u, s := range g.scope {
+		if s == prev {
+			continue
+		}
+		prev = s
+		for f := s; f != nil; f = f.Parent {
+			if ixs[f.Loop] == nil {
+				return fail("ddg: node %d runs in loop %d, which has no iteration index", u, f.Loop)
+			}
+		}
+	}
+	loops := make([]mir.LoopID, 0, len(ixs))
+	for loop := range ixs {
 		loops = append(loops, loop)
 	}
 	sort.Slice(loops, func(i, j int) bool { return loops[i] < loops[j] })
 	for _, loop := range loops {
-		ix := g.iterIdx[loop]
+		ix := ixs[loop]
 		if ix.Loop != loop {
 			return fail("ddg: iteration index filed under loop %d names loop %d", loop, ix.Loop)
 		}
@@ -155,8 +201,7 @@ func (g *Graph) checkIterIndexes() error {
 				loop, len(ix.ord), g.NumNodes())
 		}
 		for i := 1; i < len(ix.Keys); i++ {
-			a, b := ix.Keys[i-1], ix.Keys[i]
-			if a.Invocation > b.Invocation || (a.Invocation == b.Invocation && a.Iter >= b.Iter) {
+			if !keyLess(ix.Keys[i-1], ix.Keys[i]) {
 				return fail("ddg: iteration index for loop %d has unsorted keys at %d", loop, i)
 			}
 		}
@@ -168,16 +213,11 @@ func (g *Graph) checkIterIndexes() error {
 				return fail("ddg: iteration index for loop %d disagrees with node %d's scope chain (indexed=%t, in loop=%t)",
 					loop, u, ok, inLoop)
 			}
-			if ok && ix.Keys[o] != want {
-				return fail("ddg: iteration index for loop %d groups node %d under %v, scope chain says %v",
-					loop, u, ix.Keys[o], want)
+			if ok && (int(o) >= len(ix.Keys) || ix.Keys[o] != want) {
+				return fail("ddg: iteration index for loop %d groups node %d under ordinal %d, scope chain says %v",
+					loop, u, o, want)
 			}
 		}
 	}
 	return nil
-}
-
-// String summarizes the index.
-func (ix *LoopIterIndex) String() string {
-	return fmt.Sprintf("iterindex(L%d, %d groups, %d nodes)", ix.Loop, len(ix.Keys), len(ix.ord))
 }

@@ -1,10 +1,11 @@
 package ddg
 
-// Unit tests for the loop-iteration compaction indexes: constructor
-// validation, once-only installation, restriction onto subgraphs, and the
-// invariant checker's drift detection — an index that disagrees with the
-// scope chains must be caught, because it would silently change compacted
-// views.
+// Unit tests for the loop-iteration compaction indexes: derivation from
+// the scope chains (including recursion that re-enters one static loop),
+// the frozen/unfrozen memo contract, subgraphs deriving their own
+// indexes, and the invariant checker's drift detection — an index that
+// disagrees with the scope chains must be caught, because it would
+// silently change compacted views.
 
 import (
 	"testing"
@@ -33,38 +34,35 @@ func buildLoopGraph(t *testing.T) *Graph {
 	return g
 }
 
-func loopKeys() []IterationKey {
-	return []IterationKey{
-		{Loop: 1, Invocation: 0, Iter: 0},
-		{Loop: 1, Invocation: 0, Iter: 1},
-	}
-}
-
-func TestNewLoopIterIndexValidation(t *testing.T) {
-	if _, err := NewLoopIterIndex(1, loopKeys(), []int32{-1, 0, 0, 1, 1}); err != nil {
-		t.Fatalf("valid index rejected: %v", err)
-	}
-	unsorted := []IterationKey{{Loop: 1, Iter: 1}, {Loop: 1, Iter: 0}}
-	if _, err := NewLoopIterIndex(1, unsorted, []int32{0, 1}); err == nil {
-		t.Error("unsorted keys accepted")
-	}
-	dup := []IterationKey{{Loop: 1, Iter: 0}, {Loop: 1, Iter: 0}}
-	if _, err := NewLoopIterIndex(1, dup, []int32{0, 1}); err == nil {
-		t.Error("duplicate keys accepted")
-	}
-	if _, err := NewLoopIterIndex(1, loopKeys(), []int32{0, 2}); err == nil {
-		t.Error("out-of-range ordinal accepted")
-	}
-	if _, err := NewLoopIterIndex(1, loopKeys(), []int32{0, -2}); err == nil {
-		t.Error("ordinal below -1 accepted")
+// checkAgainstFrames asserts that every node's ordinal in every loop's
+// index names exactly the key Scope.FrameFor reports for it.
+func checkAgainstFrames(t *testing.T, g *Graph, loops []mir.LoopID) {
+	t.Helper()
+	for _, loop := range loops {
+		ix := g.LoopIterIndex(loop)
+		for i := 0; i < g.NumNodes(); i++ {
+			u := NodeID(i)
+			inv, iter, inLoop := g.ScopeOf(u).FrameFor(loop)
+			o, ok := ix.OrdinalOf(u)
+			if ok != inLoop {
+				t.Fatalf("loop %d node %d: indexed=%t, FrameFor in loop=%t", loop, u, ok, inLoop)
+			}
+			want := IterationKey{Loop: loop, Invocation: inv, Iter: iter}
+			if ok && ix.Keys[o] != want {
+				t.Fatalf("loop %d node %d: ordinal %d is key %v, FrameFor says %v", loop, u, o, ix.Keys[o], want)
+			}
+		}
+		for i := 1; i < ix.NumGroups(); i++ {
+			if !keyLess(ix.Keys[i-1], ix.Keys[i]) {
+				t.Fatalf("loop %d: keys unsorted at %d: %v", loop, i, ix.Keys)
+			}
+		}
 	}
 }
 
 func TestOrdinalOf(t *testing.T) {
-	ix, err := NewLoopIterIndex(1, loopKeys(), []int32{-1, 0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := buildLoopGraph(t)
+	ix := g.LoopIterIndex(1)
 	if ix.NumGroups() != 2 {
 		t.Fatalf("NumGroups = %d, want 2", ix.NumGroups())
 	}
@@ -77,69 +75,114 @@ func TestOrdinalOf(t *testing.T) {
 	if _, ok := ix.OrdinalOf(99); ok {
 		t.Error("node beyond the graph reported an ordinal")
 	}
+	if g.LoopIterIndex(2) != nil {
+		t.Error("loop no node ran in returned an index")
+	}
+	var none *LoopIterIndex
+	if _, ok := none.OrdinalOf(1); ok {
+		t.Error("nil index reported an ordinal")
+	}
+	if g.LoopIterIndex(1) != ix {
+		t.Error("frozen graph derived its index twice")
+	}
 }
 
-func TestInstallLoopIterIndexes(t *testing.T) {
-	g := buildLoopGraph(t)
-	ix, err := NewLoopIterIndex(1, loopKeys(), []int32{-1, 0, 0, 1, 1})
+// TestIterIndexRecursion builds a scope chain that holds static loop 1
+// twice — a recursive call re-entering the loop from inside one of its
+// own iterations — and checks that each node is charged to its innermost
+// frame, the one FrameFor reports. Keys are first met out of order (the
+// inner invocation before the outer loop's next iteration), so the
+// renumbering to sorted order is exercised too.
+func TestIterIndexRecursion(t *testing.T) {
+	var root *Scope
+	outer := root.Enter(1, 0)  // L1#0[0]
+	mid := outer.Enter(2, 5)   // L1#0[0]/L2#5[0]
+	inner := mid.Enter(1, 1)   // L1#0[0]/L2#5[0]/L1#1[0]
+	inner1 := inner.NextIter() // .../L1#1[1]
+	mid1 := inner1.Exit().NextIter()
+	outer1 := outer.NextIter()  // L1#0[1]
+	again := outer1.Enter(1, 2) // L1#0[1]/L1#2[0]
+	scopes := []*Scope{nil, outer, mid, inner, inner, inner1, mid1, outer1, again, again, outer1}
+	fb := NewFrozenBuilder(len(scopes), len(scopes))
+	pos := mir.Pos{File: "rec.c", Line: 1}
+	for i, s := range scopes {
+		if i == 0 {
+			fb.AddNode(mir.OpAdd, pos, 0, s)
+		} else {
+			fb.AddNode(mir.OpAdd, pos, 0, s, NodeID(i-1))
+		}
+	}
+	g, err := fb.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.InstallLoopIterIndexes([]*LoopIterIndex{ix}); err != nil {
-		t.Fatalf("install: %v", err)
-	}
-	if !g.HasIterIndexes() || g.LoopIterIndex(1) != ix {
-		t.Fatal("index not installed")
-	}
-	if g.LoopIterIndex(2) != nil {
-		t.Fatal("unindexed loop returned an index")
-	}
-	if loops, groups := g.IterIndexStats(); loops != 1 || groups != 2 {
-		t.Fatalf("IterIndexStats = (%d, %d), want (1, 2)", loops, groups)
-	}
-	if err := g.InstallLoopIterIndexes(nil); err == nil {
-		t.Error("second installation accepted")
-	}
+	checkAgainstFrames(t, g, []mir.LoopID{1, 2, 3})
 	if err := g.CheckInvariants(); err != nil {
-		t.Errorf("correct index fails invariants: %v", err)
+		t.Fatalf("recursive graph fails invariants: %v", err)
 	}
-
-	short, _ := NewLoopIterIndex(1, loopKeys(), []int32{0, 1})
-	fresh := buildLoopGraph(t)
-	if err := fresh.InstallLoopIterIndexes([]*LoopIterIndex{short}); err == nil {
-		t.Error("index covering the wrong node count accepted")
+	want := []IterationKey{{1, 0, 0}, {1, 0, 1}, {1, 1, 0}, {1, 1, 1}, {1, 2, 0}}
+	got := g.LoopIterIndex(1).Keys
+	if len(got) != len(want) {
+		t.Fatalf("loop 1 keys = %v, want %v", got, want)
 	}
-	both := buildLoopGraph(t)
-	a, _ := NewLoopIterIndex(1, loopKeys(), []int32{-1, 0, 0, 1, 1})
-	b, _ := NewLoopIterIndex(1, loopKeys(), []int32{-1, 0, 0, 1, 1})
-	if err := both.InstallLoopIterIndexes([]*LoopIterIndex{a, b}); err == nil {
-		t.Error("duplicate loop indexes accepted")
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("loop 1 keys = %v, want %v", got, want)
+		}
+	}
+	// Node 3 runs in the recursive invocation: loop 1 charges it there, not
+	// to the outer frame it also sits in.
+	if o, _ := g.LoopIterIndex(1).OrdinalOf(3); got[o] != (IterationKey{1, 1, 0}) {
+		t.Errorf("node 3 charged to %v, want the innermost frame L1#1[0]", got[o])
 	}
 }
 
-// TestCheckInvariantsCatchesIndexDrift installs indexes that are
-// internally valid but disagree with the scope chains, and asserts the
-// invariant checker rejects each flavor of drift.
+// TestIterIndexUnfrozenNotMemoized pins the memo contract: a graph still
+// being built derives afresh on every call, so a node added after a view
+// is reflected; once frozen, the derivation happens once.
+func TestIterIndexUnfrozenNotMemoized(t *testing.T) {
+	var root *Scope
+	s0 := root.Enter(1, 0)
+	g := New(2)
+	g.AddNode(mir.OpAdd, mir.Pos{}, 0, s0)
+	if n := g.LoopIterIndex(1).NumGroups(); n != 1 {
+		t.Fatalf("NumGroups = %d, want 1", n)
+	}
+	g.AddNode(mir.OpAdd, mir.Pos{}, 0, s0.NextIter())
+	if n := g.LoopIterIndex(1).NumGroups(); n != 2 {
+		t.Fatalf("NumGroups after AddNode = %d, want 2 (stale index served)", n)
+	}
+	g.Freeze()
+	ix := g.LoopIterIndex(1)
+	if ix.NumGroups() != 2 || g.LoopIterIndex(1) != ix {
+		t.Fatal("frozen graph did not memoize its index")
+	}
+}
+
+// TestCheckInvariantsCatchesIndexDrift corrupts a derived index in place
+// and asserts the invariant checker rejects each flavor of drift.
 func TestCheckInvariantsCatchesIndexDrift(t *testing.T) {
 	cases := []struct {
-		name string
-		ord  []int32
+		name    string
+		corrupt func(g *Graph, ix *LoopIterIndex)
 	}{
-		{"wrong-group", []int32{-1, 0, 1, 1, 1}},   // node 2 moved to iteration 1
-		{"missing-node", []int32{-1, 0, -1, 1, 1}}, // node 2 dropped from the loop
-		{"phantom-node", []int32{0, 0, 0, 1, 1}},   // node 0 pulled into the loop
+		{"wrong-group", func(_ *Graph, ix *LoopIterIndex) { ix.ord[2] = 1 }},   // node 2 moved to iteration 1
+		{"missing-node", func(_ *Graph, ix *LoopIterIndex) { ix.ord[2] = -1 }}, // node 2 dropped from the loop
+		{"phantom-node", func(_ *Graph, ix *LoopIterIndex) { ix.ord[0] = 0 }},  // node 0 pulled into the loop
+		{"out-of-range", func(_ *Graph, ix *LoopIterIndex) { ix.ord[4] = 2 }},
+		{"unsorted-keys", func(_ *Graph, ix *LoopIterIndex) { ix.Keys[0], ix.Keys[1] = ix.Keys[1], ix.Keys[0] }},
+		{"short", func(_ *Graph, ix *LoopIterIndex) { ix.ord = ix.ord[:3] }},
+		{"misfiled", func(_ *Graph, ix *LoopIterIndex) { ix.Loop = 9 }},
+		{"missing-loop", func(g *Graph, _ *LoopIterIndex) { delete(g.iterMemo.ixs, 1) }},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			g := buildLoopGraph(t)
-			ix, err := NewLoopIterIndex(1, loopKeys(), tc.ord)
-			if err != nil {
-				t.Fatal(err)
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatalf("clean graph fails invariants: %v", err)
 			}
-			if err := g.InstallLoopIterIndexes([]*LoopIterIndex{ix}); err != nil {
-				t.Fatal(err)
-			}
+			tc.corrupt(g, g.LoopIterIndex(1))
 			if err := g.CheckInvariants(); err == nil {
 				t.Fatal("drifted index passed invariant checking")
 			}
@@ -147,33 +190,29 @@ func TestCheckInvariantsCatchesIndexDrift(t *testing.T) {
 	}
 }
 
+// TestIterIndexRestrictsThroughInducedSubgraph checks that an induced
+// subgraph, deriving its index from the scope chains it inherits, groups
+// its nodes exactly as the base's index does: the same keys, in the same
+// relative order.
 func TestIterIndexRestrictsThroughInducedSubgraph(t *testing.T) {
 	g := buildLoopGraph(t)
-	ix, err := NewLoopIterIndex(1, loopKeys(), []int32{-1, 0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
+	sub, back := g.InducedSubgraph(NewSet(0, 1, 3, 4))
+	sub.Freeze()
+	if len(back) != 4 {
+		t.Fatalf("back map has %d entries, want 4", len(back))
 	}
-	if err := g.InstallLoopIterIndexes([]*LoopIterIndex{ix}); err != nil {
-		t.Fatal(err)
-	}
-	sub, back := g.InducedSubgraph(NewSet(0, 3, 4))
-	if len(back) != 3 {
-		t.Fatalf("back map has %d entries, want 3", len(back))
-	}
-	rix := sub.LoopIterIndex(1)
+	base, rix := g.LoopIterIndex(1), sub.LoopIterIndex(1)
 	if rix == nil {
-		t.Fatal("induced subgraph lost the iteration index")
+		t.Fatal("induced subgraph derived no iteration index")
 	}
-	// Ordinals keep their global values; only the node axis is remapped.
-	if _, ok := rix.OrdinalOf(0); ok {
-		t.Error("restricted node 0 (old 0, outside the loop) reported an ordinal")
-	}
-	for _, u := range []NodeID{1, 2} {
-		if o, ok := rix.OrdinalOf(u); !ok || o != 1 {
-			t.Errorf("restricted node %d ordinal = (%d, %t), want (1, true)", u, o, ok)
+	for i, old := range back {
+		o, ok := rix.OrdinalOf(NodeID(i))
+		bo, bok := base.OrdinalOf(old)
+		if ok != bok || (ok && rix.Keys[o] != base.Keys[bo]) {
+			t.Errorf("subgraph node %d (base %d) grouped differently from the base", i, old)
 		}
 	}
 	if err := sub.CheckInvariants(); err != nil {
-		t.Errorf("restricted index fails invariants: %v", err)
+		t.Errorf("subgraph index fails invariants: %v", err)
 	}
 }

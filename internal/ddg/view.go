@@ -24,9 +24,9 @@ type GraphView interface {
 	Thread(u NodeID) int32
 	ScopeOf(u NodeID) *Scope
 	IterationOf(u NodeID, loop mir.LoopID) (IterationKey, bool)
-	// LoopIterIndex returns the online-compaction index for a static loop,
-	// or nil when the graph carries none (see iterindex.go); views group
-	// by it when present and fall back to scope-chain walks otherwise.
+	// LoopIterIndex returns the compaction index for a static loop, which
+	// the graph derives from its scope chains (see iterindex.go), or nil
+	// when no node ran inside the loop; compacted views group by it.
 	LoopIterIndex(loop mir.LoopID) *LoopIterIndex
 
 	// Succs and Preds return adjacency slices the caller must not mutate.

@@ -13,8 +13,7 @@ import (
 	"discovery/internal/mir"
 )
 
-// buildViewGraph returns a small diamond-and-chain graph with loop scopes
-// and an iteration index:
+// buildViewGraph returns a small diamond-and-chain graph with loop scopes:
 //
 //	0 (init, no loop)
 //	1,2 = loop 7 iter 0;  3,4 = loop 7 iter 1;  5 = join
@@ -33,17 +32,6 @@ func buildViewGraph(t *testing.T) *Graph {
 	g, err := fb.Finish()
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
-	}
-	keys := []IterationKey{
-		{Loop: 7, Invocation: 0, Iter: 0},
-		{Loop: 7, Invocation: 0, Iter: 1},
-	}
-	ix, err := NewLoopIterIndex(7, keys, []int32{-1, 0, 0, 1, 1, -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.InstallLoopIterIndexes([]*LoopIterIndex{ix}); err != nil {
-		t.Fatal(err)
 	}
 	return g
 }

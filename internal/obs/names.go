@@ -31,11 +31,6 @@ const (
 	MetricIterations      = "discovery_find_iterations"
 	MetricPatterns        = "discovery_patterns_total"
 
-	// Online loop-iteration compaction (trace-time folding; see
-	// ddg.LoopIterIndex). Gauges, recorded per traced run.
-	MetricTraceIterIndexes = "discovery_trace_iter_indexes" // loops indexed online
-	MetricTraceIterGroups  = "discovery_trace_iter_groups"  // dynamic iterations indexed
-
 	// Out-of-core paged DDGs (ddg.SpillArcs). Counters unless noted.
 	MetricDDGSpills                 = "discovery_ddg_spills_total"
 	MetricDDGPageFaults             = "discovery_ddg_pages_faults_total"

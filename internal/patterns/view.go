@@ -73,60 +73,15 @@ func ViewKey(nodes ddg.Set, loop mir.LoopID) ddg.Hash128 {
 }
 
 // LoopView builds the compacted view of a loop-derived sub-DDG: one group
-// per (invocation, iteration) of the given static loop. Nodes lacking a
-// frame for the loop are grouped separately per node (they are rare:
-// boundary computation hoisted around the loop).
-//
-// When the graph carries an online-compaction index for the loop (the
-// tracer folded iteration runs at emit time; see ddg.LoopIterIndex), the
-// grouping is a bucket sort over precomputed ordinals instead of a
-// scope-chain walk plus key sort per view. The two paths group
-// byte-identically: index ordinals are assigned in ascending
-// (invocation, iteration) order over the whole graph, and restricting to
-// any node subset preserves that order, which is exactly the order the
-// sort below produces.
+// per (invocation, iteration) of the given static loop, in ascending
+// (invocation, iteration) order. The grouping is a bucket sort over the
+// graph's loop-iteration index (ddg.LoopIterIndex): its ordinals follow
+// that order over the whole graph, and restricting to any node subset
+// preserves it. Nodes lacking a frame for the loop — every node when the
+// index is nil — follow per node in input order (they are rare: boundary
+// computation hoisted around the loop).
 func LoopView(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) *View {
-	if ix := g.LoopIterIndex(loop); ix != nil {
-		return loopViewIndexed(g, nodes, loop, ix)
-	}
-	type key struct {
-		inv  uint64
-		iter int64
-	}
-	byIter := map[key][]ddg.NodeID{}
-	var loose []ddg.NodeID
-	for _, u := range nodes {
-		if k, ok := g.IterationOf(u, loop); ok {
-			byIter[key{k.Invocation, k.Iter}] = append(byIter[key{k.Invocation, k.Iter}], u)
-		} else {
-			loose = append(loose, u)
-		}
-	}
-	keys := make([]key, 0, len(byIter))
-	for k := range byIter {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].inv != keys[j].inv {
-			return keys[i].inv < keys[j].inv
-		}
-		return keys[i].iter < keys[j].iter
-	})
-	groups := make([]ddg.Set, 0, len(keys)+len(loose))
-	for _, k := range keys {
-		groups = append(groups, ddg.NewSet(byIter[k]...))
-	}
-	for _, u := range loose {
-		groups = append(groups, ddg.NewSet(u))
-	}
-	return &View{G: g, Ambient: nodes, Groups: groups, hash: ViewKey(nodes, loop)}
-}
-
-// loopViewIndexed is LoopView's fast path over a precomputed iteration
-// index: bucket the nodes by ordinal, emit buckets in ascending ordinal
-// order (the index's global (invocation, iteration) order), then loose
-// nodes per-node in input order — byte-identical to the scope-chain path.
-func loopViewIndexed(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID, ix *ddg.LoopIterIndex) *View {
+	ix := g.LoopIterIndex(loop)
 	byOrd := map[int32][]ddg.NodeID{}
 	var loose []ddg.NodeID
 	for _, u := range nodes {

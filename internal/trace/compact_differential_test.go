@@ -1,20 +1,22 @@
 package trace_test
 
-// Differential suite for online loop-iteration compaction. The tracer now
-// folds per-iteration runs into the thread buffers at emit time and
-// installs LoopIterIndexes during finalization; trace-then-compact (the
-// paper's original pipeline) survives as RunNoCompact. The two modes must
-// produce byte-identical graphs — indexes are derived metadata, never
-// part of the graph — and patterns.LoopView must group byte-identically
-// through the indexed fast path (compact graphs) and the scope-chain slow
-// path (index-less graphs), including when the graph's adjacency has been
-// spilled out of core.
+// Differential suite for DDG compaction (paper §5). A frozen graph derives
+// its loop-iteration indexes from its own scope chains, and
+// patterns.LoopView buckets nodes by them; here every grouping LoopView
+// produces is held against scopeChainGroups, an oracle that groups by
+// walking each node's scope chain — for every loop of every Starbench
+// trace, over several node subsets, on traced and simplified graphs, with
+// the adjacency resident or spilled out of core, and under concurrent
+// first use.
 
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
+	"discovery/internal/core"
 	"discovery/internal/ddg"
 	"discovery/internal/mir"
 	"discovery/internal/patterns"
@@ -40,13 +42,65 @@ func loopsOf(g *ddg.Graph) []mir.LoopID {
 	return loops
 }
 
-// groupsKey renders a view's grouping byte-for-byte.
-func groupsKey(v *patterns.View) string {
-	s := fmt.Sprintf("groups=%d\n", v.NumGroups())
-	for i, grp := range v.Groups {
-		s += fmt.Sprintf("%d: %v\n", i, grp)
+// scopeChainGroups is the compaction oracle: the grouping LoopView must
+// produce, read straight off the scope chains — one group per
+// (invocation, iteration) of loop in ascending order, then each node
+// without a frame for the loop on its own, in input order.
+func scopeChainGroups(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) []ddg.Set {
+	byIter := map[ddg.IterationKey][]ddg.NodeID{}
+	var keys []ddg.IterationKey
+	var loose []ddg.NodeID
+	for _, u := range nodes {
+		k, ok := g.IterationOf(u, loop)
+		if !ok {
+			loose = append(loose, u)
+			continue
+		}
+		if _, seen := byIter[k]; !seen {
+			keys = append(keys, k)
+		}
+		byIter[k] = append(byIter[k], u)
 	}
-	return s
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Invocation != keys[j].Invocation {
+			return keys[i].Invocation < keys[j].Invocation
+		}
+		return keys[i].Iter < keys[j].Iter
+	})
+	groups := make([]ddg.Set, 0, len(keys)+len(loose))
+	for _, k := range keys {
+		groups = append(groups, ddg.NewSet(byIter[k]...))
+	}
+	for _, u := range loose {
+		groups = append(groups, ddg.NewSet(u))
+	}
+	return groups
+}
+
+// renderGroups renders a grouping byte-for-byte.
+func renderGroups(groups []ddg.Set) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "groups=%d\n", len(groups))
+	for i, grp := range groups {
+		fmt.Fprintf(&b, "%d: %v\n", i, grp)
+	}
+	return b.String()
+}
+
+// checkLoopViews asserts that LoopView groups exactly as the oracle for
+// every loop of g over every given node subset.
+func checkLoopViews(t *testing.T, g *ddg.Graph, subsets func(loop mir.LoopID) []ddg.Set) {
+	t.Helper()
+	for _, loop := range loopsOf(g) {
+		for si, nodes := range subsets(loop) {
+			got := renderGroups(patterns.LoopView(g, nodes, loop).Groups)
+			want := renderGroups(scopeChainGroups(g, nodes, loop))
+			if got != want {
+				t.Fatalf("loop %d subset %d: LoopView grouping differs from the scope-chain oracle:\ngot:\n%swant:\n%s",
+					loop, si, got, want)
+			}
+		}
+	}
 }
 
 // subsetsOf returns deterministic node subsets to view: the full set, the
@@ -76,12 +130,11 @@ func subsetsOf(g *ddg.Graph, seed uint64) []ddg.Set {
 }
 
 // TestOnlineCompactionDifferentialStarbench asserts, for every benchmark ×
-// version, that the compact and no-compact tracers build byte-identical
-// graphs, that only the compact graph carries iteration indexes, that the
-// indexes survive full invariant checking (which cross-checks them
-// against the scope chains node by node), and that LoopView groups
-// byte-identically through both paths for every loop and several node
-// subsets.
+// version, that the traced graph's derived indexes survive full invariant
+// checking (which cross-checks them against the scope chains node by
+// node), and that LoopView matches the scope-chain oracle for every loop
+// and several node subsets, on the traced graph and on its simplified
+// graph (an InducedSubgraph, which derives its own indexes).
 func TestOnlineCompactionDifferentialStarbench(t *testing.T) {
 	for _, b := range starbench.All() {
 		for _, v := range starbench.Versions() {
@@ -89,60 +142,29 @@ func TestOnlineCompactionDifferentialStarbench(t *testing.T) {
 			t.Run(fmt.Sprintf("%s_%s", b.Name, v), func(t *testing.T) {
 				t.Parallel()
 				built := b.Build(v, b.Analysis)
-				compact, err := trace.Run(built.Prog, vm.WithMaxOps(1<<24))
+				res, err := trace.Run(built.Prog, vm.WithMaxOps(1<<24))
 				if err != nil {
 					t.Fatalf("trace.Run: %v", err)
 				}
-				baseline, err := trace.RunNoCompact(built.Prog, vm.WithMaxOps(1<<24))
-				if err != nil {
-					t.Fatalf("trace.RunNoCompact: %v", err)
+				g := res.Graph
+				if err := g.CheckInvariants(); err != nil {
+					t.Fatalf("traced graph fails invariants: %v", err)
 				}
-				cg, bg := compact.Graph, baseline.Graph
-
-				// The graphs are byte-identical: compaction is metadata.
-				if cg.Fingerprint() != bg.Fingerprint() {
-					t.Fatal("compact and no-compact graphs have different fingerprints")
+				checkLoopViews(t, g, func(loop mir.LoopID) []ddg.Set { return subsetsOf(g, uint64(loop)+1) })
+				gs := core.Simplify(g)
+				if err := gs.CheckInvariants(); err != nil {
+					t.Fatalf("simplified graph fails invariants: %v", err)
 				}
-				if fingerprint(cg) != fingerprint(bg) {
-					t.Fatal("compact and no-compact graphs differ structurally")
-				}
-
-				loops := loopsOf(cg)
-				if len(loops) > 0 && !cg.HasIterIndexes() {
-					t.Error("compact graph with loops carries no iteration indexes")
-				}
-				if bg.HasIterIndexes() {
-					t.Error("no-compact graph carries iteration indexes")
-				}
-				// CheckInvariants cross-checks every index against the scope
-				// chains (checkIterIndexes), so this is the ground-truth pass.
-				if err := cg.CheckInvariants(); err != nil {
-					t.Fatalf("compact graph fails invariants: %v", err)
-				}
-
-				for _, loop := range loops {
-					if ix := cg.LoopIterIndex(loop); ix == nil {
-						t.Errorf("loop %d in scope chains but unindexed", loop)
-						continue
-					}
-					for si, nodes := range subsetsOf(cg, uint64(loop)+1) {
-						fast := patterns.LoopView(cg, nodes, loop)
-						slow := patterns.LoopView(bg, nodes, loop)
-						if got, want := groupsKey(fast), groupsKey(slow); got != want {
-							t.Fatalf("loop %d subset %d: indexed grouping differs from scope-chain grouping:\nfast:\n%swant:\n%s",
-								loop, si, got, want)
-						}
-					}
-				}
+				checkLoopViews(t, gs, func(loop mir.LoopID) []ddg.Set { return subsetsOf(gs, uint64(loop)+1) })
 			})
 		}
 	}
 }
 
-// TestCompactionIndexedViewsOnSpilledGraph spills a compact graph's
+// TestCompactionIndexedViewsOnSpilledGraph spills a traced graph's
 // adjacency at a tiny budget and asserts the paged reads, the invariant
-// checker, and the indexed LoopView fast path all still agree byte-for-
-// byte with the fully-resident baseline.
+// checker, and LoopView all still agree byte-for-byte with the resident
+// graph and the scope-chain oracle.
 func TestCompactionIndexedViewsOnSpilledGraph(t *testing.T) {
 	for _, tc := range stressCases() {
 		tc := tc
@@ -150,74 +172,77 @@ func TestCompactionIndexedViewsOnSpilledGraph(t *testing.T) {
 			t.Parallel()
 			b := starbench.ByName(tc.name)
 			built := b.Build(starbench.Pthreads, tc.params)
-			compact, err := trace.Run(built.Prog, vm.WithMaxOps(1<<24))
+			res, err := trace.Run(built.Prog, vm.WithMaxOps(1<<24))
 			if err != nil {
 				t.Fatalf("trace.Run: %v", err)
 			}
-			baseline, err := trace.RunNoCompact(built.Prog, vm.WithMaxOps(1<<24))
-			if err != nil {
-				t.Fatalf("trace.RunNoCompact: %v", err)
-			}
-			cg := compact.Graph
-			resident := fingerprint(cg) // capture before the arcs move out of core
+			g := res.Graph
+			resident := fingerprint(g) // capture before the arcs move out of core
 
-			if err := cg.SpillArcs(ddg.SpillConfig{Dir: t.TempDir(), Budget: 256, SegmentBytes: 128}); err != nil {
+			if err := g.SpillArcs(ddg.SpillConfig{Dir: t.TempDir(), Budget: 256, SegmentBytes: 128}); err != nil {
 				t.Fatalf("SpillArcs: %v", err)
 			}
-			defer cg.CloseSpill()
-			if !cg.Spilled() {
+			defer g.CloseSpill()
+			if !g.Spilled() {
 				t.Fatal("graph did not spill")
 			}
 			// Every adjacency read now pages; the rendering must not change.
-			if got := fingerprint(cg); got != resident {
+			if got := fingerprint(g); got != resident {
 				t.Fatal("paged adjacency differs from resident adjacency")
 			}
-			st := cg.PageStats()
+			st := g.PageStats()
 			if st.Faults == 0 || st.SpilledBytes == 0 {
 				t.Fatalf("spilled graph recorded no paging activity: %+v", st)
 			}
-			if st.PeakResidentBytes > 256+int64(cg.NumNodes())*4 {
+			if st.PeakResidentBytes > 256+int64(g.NumNodes())*4 {
 				// Budget + one oversized in-flight segment is the ceiling.
 				t.Fatalf("peak resident %d exceeds budget headroom", st.PeakResidentBytes)
 			}
-			if err := cg.CheckInvariants(); err != nil {
+			if err := g.CheckInvariants(); err != nil {
 				t.Fatalf("spilled graph fails invariants: %v", err)
 			}
-			for _, loop := range loopsOf(cg) {
-				nodes := cg.Nodes()
-				fast := patterns.LoopView(cg, nodes, loop)
-				slow := patterns.LoopView(baseline.Graph, nodes, loop)
-				if groupsKey(fast) != groupsKey(slow) {
-					t.Fatalf("loop %d: grouping differs on the spilled graph", loop)
-				}
-			}
+			checkLoopViews(t, g, func(mir.LoopID) []ddg.Set { return []ddg.Set{g.Nodes()} })
 		})
 	}
 }
 
-// TestCanonicalizeDropsIndexes pins the index-less contract of graphs
-// rebuilt outside the tracer: Canonicalize produces a byte-identical graph
-// that carries no iteration indexes, so views over it take the scope-chain
-// path — exactly the trace-then-compact baseline the differential tests
-// compare against.
-func TestCanonicalizeDropsIndexes(t *testing.T) {
+// TestRaceFirstLoopViews makes the first LoopView calls on a fresh frozen
+// graph from 8 goroutines at once, so they race to derive its indexes;
+// run under -race by make race. Every goroutine must see the oracle's
+// grouping for every loop.
+func TestRaceFirstLoopViews(t *testing.T) {
 	b := starbench.ByName("md5")
 	built := b.Build(starbench.Pthreads, starbench.Params{"nbuf": 8, "bufwords": 4, "nproc": 8})
 	res, err := trace.Run(built.Prog, vm.WithMaxOps(1<<24))
 	if err != nil {
 		t.Fatalf("trace.Run: %v", err)
 	}
-	if !res.Graph.HasIterIndexes() {
-		t.Fatal("traced graph carries no indexes")
+	g := res.Graph
+	nodes := g.Nodes()
+	loops := loopsOf(g)
+	want := make([]string, len(loops))
+	for i, loop := range loops { // the oracle reads scope chains only, never the indexes
+		want[i] = renderGroups(scopeChainGroups(g, nodes, loop))
 	}
-	canon, err := trace.Canonicalize(res.Graph)
-	if err != nil {
-		t.Fatalf("Canonicalize: %v", err)
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for k := range loops {
+				i := (k + r) % len(loops) // goroutines start on different loops
+				if got := renderGroups(patterns.LoopView(g, nodes, loops[i]).Groups); got != want[i] {
+					errs <- fmt.Sprintf("goroutine %d, loop %d: LoopView grouping differs from the oracle", r, loops[i])
+					return
+				}
+			}
+		}(r)
 	}
-	if canon.HasIterIndexes() {
-		t.Error("canonicalized graph carries iteration indexes")
-	}
-	if fingerprint(canon) != fingerprint(res.Graph) {
-		t.Error("canonicalized graph differs from its source")
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
 	}
 }

@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"sort"
-
 	"discovery/internal/analysis"
 	"discovery/internal/ddg"
-	"discovery/internal/mir"
 )
 
 // finalize merges per-thread trace buffers into one DDG with dense node
@@ -129,112 +126,5 @@ func finalize(bufs []*threadBuf) (*ddg.Graph, error) {
 				emitted, total)
 		}
 	}
-	g, err := fb.Finish()
-	if err != nil {
-		return nil, err
-	}
-	// Online compaction, part two: the per-thread iteration runs folded at
-	// emit time become per-loop iteration indexes over final ids. Buffers
-	// recorded without compaction (RunNoCompact, the differential
-	// baseline) carry no runs and the graph stays index-free.
-	ixs, err := buildIterIndexes(bufs, remap, total)
-	if err != nil {
-		return nil, err
-	}
-	if len(ixs) > 0 {
-		if err := g.InstallLoopIterIndexes(ixs); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// buildIterIndexes turns the folded per-thread iteration runs into one
-// ddg.LoopIterIndex per static loop, over final node ids.
-//
-// Ordering rules that make the result byte-equivalent to the
-// trace-then-compact pipeline (patterns.LoopView's scope-chain path):
-//
-//   - Keys sort ascending by (invocation, iteration) — exactly LoopView's
-//     group order — so bucket-by-ordinal reproduces its output.
-//   - Within one thread, runs apply in ascending (start, depth) order and
-//     later assignments win: when recursion re-enters the same static
-//     loop, a node's innermost enclosing frame — the one Scope.FrameFor
-//     reports — starts latest (or ties deepest), so it lands last.
-func buildIterIndexes(bufs []*threadBuf, remap [][]ddg.NodeID, total int) ([]*ddg.LoopIterIndex, error) {
-	type runRef struct {
-		t   int
-		run *iterRun
-	}
-	byLoop := map[mir.LoopID][]runRef{}
-	for t, tb := range bufs {
-		if tb == nil {
-			continue
-		}
-		tb.closeRuns()
-		for i := range tb.runs {
-			r := &tb.runs[i]
-			byLoop[r.loop] = append(byLoop[r.loop], runRef{t, r})
-		}
-	}
-	if len(byLoop) == 0 {
-		return nil, nil
-	}
-	loops := make([]mir.LoopID, 0, len(byLoop))
-	for loop := range byLoop {
-		loops = append(loops, loop)
-	}
-	sort.Slice(loops, func(i, j int) bool { return loops[i] < loops[j] })
-
-	type dynKey struct {
-		inv  uint64
-		iter int64
-	}
-	out := make([]*ddg.LoopIterIndex, 0, len(loops))
-	for _, loop := range loops {
-		refs := byLoop[loop]
-		keySet := map[dynKey]struct{}{}
-		for _, rr := range refs {
-			keySet[dynKey{rr.run.inv, rr.run.iter}] = struct{}{}
-		}
-		keys := make([]ddg.IterationKey, 0, len(keySet))
-		for k := range keySet {
-			keys = append(keys, ddg.IterationKey{Loop: loop, Invocation: k.inv, Iter: k.iter})
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Invocation != keys[j].Invocation {
-				return keys[i].Invocation < keys[j].Invocation
-			}
-			return keys[i].Iter < keys[j].Iter
-		})
-		ordOf := make(map[dynKey]int32, len(keys))
-		for i, k := range keys {
-			ordOf[dynKey{k.Invocation, k.Iter}] = int32(i)
-		}
-		sort.Slice(refs, func(i, j int) bool {
-			if refs[i].t != refs[j].t {
-				return refs[i].t < refs[j].t
-			}
-			if refs[i].run.start != refs[j].run.start {
-				return refs[i].run.start < refs[j].run.start
-			}
-			return refs[i].run.depth < refs[j].run.depth
-		})
-		ord := make([]int32, total)
-		for i := range ord {
-			ord[i] = -1
-		}
-		for _, rr := range refs {
-			o := ordOf[dynKey{rr.run.inv, rr.run.iter}]
-			for i := rr.run.start; i < rr.run.end; i++ {
-				ord[remap[rr.t][i]-1] = o
-			}
-		}
-		ix, err := ddg.NewLoopIterIndex(loop, keys, ord)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ix)
-	}
-	return out, nil
+	return fb.Finish()
 }

@@ -102,13 +102,6 @@ func RunObserved(prog *mir.Program, rec obs.Recorder, parent obs.SpanID, opts ..
 		}
 		return nil, gerr
 	}
-	loops, groups := g.IterIndexStats()
-	if loops > 0 {
-		rec.Gauge(obs.MetricTraceIterIndexes, float64(loops))
-		rec.Gauge(obs.MetricTraceIterGroups, float64(groups))
-	}
-	rec.EndSpan(fin,
-		obs.Int("graph_nodes", int64(g.NumNodes())),
-		obs.Int("iter_indexes", int64(loops)))
+	rec.EndSpan(fin, obs.Int("graph_nodes", int64(g.NumNodes())))
 	return &Result{Graph: g, Return: ret, Ops: m.Ops(), TruncatedThreads: b.Truncated()}, nil
 }

@@ -2,9 +2,9 @@ package trace_test
 
 // Concurrency stress for the out-of-core pager, run under -race by make
 // race: a finder pages a previous graph's cold segments while a fresh
-// 8-thread trace folds iteration runs in its unsynchronized per-thread
-// buffers, and a pack of readers hammers a two-segment resident set to
-// force constant eviction. Paging must never change which bytes a read
+// 8-thread trace records into its unsynchronized per-thread buffers, and
+// a pack of readers hammers a two-segment resident set to force constant
+// eviction. Paging must never change which bytes a read
 // returns, no matter how the scheduler interleaves faults and evictions.
 
 import (
@@ -20,9 +20,8 @@ import (
 
 // TestRaceFindPagesWhileTracing runs the full finder over a spilled
 // previous graph — every matcher read faults cold segments through the
-// pager — while the tracer runs an 8-thread kernel with online compaction
-// in the foreground. The two share nothing but the Go runtime; -race
-// proves it.
+// pager — while the tracer runs an 8-thread kernel in the foreground. The
+// two share nothing but the Go runtime; -race proves it.
 func TestRaceFindPagesWhileTracing(t *testing.T) {
 	prev := starbench.ByName("md5")
 	prevBuilt := prev.Build(starbench.Pthreads, starbench.Params{"nbuf": 8, "bufwords": 4, "nproc": 8})
@@ -50,9 +49,6 @@ func TestRaceFindPagesWhileTracing(t *testing.T) {
 		res, err := trace.Run(built.Prog, vm.WithMaxOps(1<<24))
 		if err != nil {
 			t.Fatalf("trace.Run (%s): %v", tc.name, err)
-		}
-		if !res.Graph.HasIterIndexes() {
-			t.Errorf("%s: compact trace carries no iteration indexes", tc.name)
 		}
 		if err := res.Graph.CheckInvariants(); err != nil {
 			t.Errorf("%s: %v", tc.name, err)

@@ -68,34 +68,6 @@ type nodeRec struct {
 	opEnd uint32
 }
 
-// iterRun is one folded loop-iteration run: a maximal range of
-// consecutive records [start, end) that executed inside one dynamic
-// iteration frame of one static loop. Online compaction maintains these
-// incrementally while the thread records (see threadBuf.fold), so
-// finalization derives the graph's per-loop iteration indexes from runs
-// instead of walking scope chains per node per view. depth is the
-// frame's position in the scope chain (outermost 0): when recursion
-// nests the same static loop, the deepest run covering a node is the
-// frame trace.finalize's index must charge it to, matching
-// Scope.FrameFor's innermost-first walk.
-type iterRun struct {
-	loop  mir.LoopID
-	inv   uint64
-	iter  int64
-	depth int32
-	start int32
-	end   int32
-}
-
-// openFrame is an iteration frame the thread is currently inside: its
-// identity (frame pointers are stable for the life of one dynamic
-// iteration — NextIter, Enter, and Exit all swap pointers) and the index
-// of the first record folded into it.
-type openFrame struct {
-	frame *ddg.Scope
-	start int32
-}
-
 // threadBuf is the private trace log of one VM thread: one record per
 // executed operation, plus the flattened operand lists (provisional ids,
 // NoNode operands dropped at record time). Appends are unsynchronized —
@@ -112,71 +84,6 @@ type threadBuf struct {
 	// running and the buffer holds a consistent prefix of the thread's
 	// stream (dropped nodes simply become untraced sources downstream).
 	truncated bool
-
-	// Online loop-iteration compaction (DESIGN.md §17): the buffer folds
-	// its records into per-iteration runs as they are emitted. The hot
-	// path cost is one pointer comparison per node — scopes are persistent
-	// stacks, so a node in the same iteration as its predecessor carries
-	// the identical *Scope and the fold is skipped entirely.
-	compact  bool
-	curScope *ddg.Scope
-	open     []openFrame
-	runs     []iterRun
-	scratch  []*ddg.Scope
-}
-
-// fold updates the open iteration runs for a scope change: runs whose
-// frames the new scope left are closed at index, frames it entered open
-// new runs there. Frames are compared by pointer — an open frame's
-// pointer is kept alive by the open list itself, so address reuse cannot
-// confuse identity.
-func (b *threadBuf) fold(scope *ddg.Scope, index int) {
-	b.scratch = b.scratch[:0]
-	for f := scope; f != nil; f = f.Parent {
-		b.scratch = append(b.scratch, f)
-	}
-	// Reverse to outermost-first, mirroring the open list's order.
-	for i, j := 0, len(b.scratch)-1; i < j; i, j = i+1, j-1 {
-		b.scratch[i], b.scratch[j] = b.scratch[j], b.scratch[i]
-	}
-	shared := 0
-	for shared < len(b.open) && shared < len(b.scratch) && b.open[shared].frame == b.scratch[shared] {
-		shared++
-	}
-	for i := len(b.open) - 1; i >= shared; i-- {
-		of := b.open[i]
-		if of.start < int32(index) { // frames left without recording stay unmaterialized
-			f := of.frame
-			b.runs = append(b.runs, iterRun{
-				loop: f.Loop, inv: f.Invocation, iter: f.Iter,
-				depth: int32(i), start: of.start, end: int32(index),
-			})
-		}
-	}
-	b.open = b.open[:shared]
-	for i := shared; i < len(b.scratch); i++ {
-		b.open = append(b.open, openFrame{frame: b.scratch[i], start: int32(index)})
-	}
-	b.curScope = scope
-}
-
-// closeRuns closes every still-open iteration run at the end of the
-// recorded stream. Called by finalization, once the traced execution has
-// finished; idempotent.
-func (b *threadBuf) closeRuns() {
-	n := len(b.recs)
-	for i := len(b.open) - 1; i >= 0; i-- {
-		of := b.open[i]
-		if of.start < int32(n) {
-			f := of.frame
-			b.runs = append(b.runs, iterRun{
-				loop: f.Loop, inv: f.Invocation, iter: f.Iter,
-				depth: int32(i), start: of.start, end: int32(n),
-			})
-		}
-	}
-	b.open = b.open[:0]
-	b.curScope = nil
 }
 
 // Node records an operation execution in the thread's buffer and returns
@@ -186,9 +93,6 @@ func (b *threadBuf) Node(op mir.Op, pos mir.Pos, scope *ddg.Scope, operands ...d
 	if index >= maxNodesPerThread {
 		b.truncated = true
 		return ddg.NoNode
-	}
-	if b.compact && scope != b.curScope {
-		b.fold(scope, index)
 	}
 	for _, src := range operands {
 		if src != ddg.NoNode {
@@ -222,16 +126,6 @@ func (b *threadBuf) StoreShadow(addr int64, def ddg.NodeID) { b.shadow.store(add
 type Builder struct {
 	shadow *shadowMemory
 
-	// compact enables online loop-iteration compaction (the default):
-	// per-thread buffers fold iteration runs as nodes are emitted and
-	// finalization installs ddg.LoopIterIndex tables on the merged graph,
-	// so the finder's compacted views group by precomputed ordinals
-	// instead of re-deriving the partition from scope chains per view.
-	// The graph itself — ops, arcs, scope chains, fingerprint — is
-	// byte-identical either way; the differential suite holds the two
-	// modes against each other.
-	compact bool
-
 	// mu guards the buffer registry only; it is taken once per VM thread
 	// (at registration), never per operation.
 	mu   sync.Mutex
@@ -242,9 +136,9 @@ type Builder struct {
 	done bool
 }
 
-// NewBuilder returns an empty trace builder with online compaction on.
+// NewBuilder returns an empty trace builder.
 func NewBuilder() *Builder {
-	return &Builder{shadow: newShadowMemory(), compact: true}
+	return &Builder{shadow: newShadowMemory()}
 }
 
 // ThreadTracer returns the tracing handle for one VM thread, creating its
@@ -268,7 +162,7 @@ func (b *Builder) buf(thread int32) *threadBuf {
 		b.bufs = append(b.bufs, nil)
 	}
 	if b.bufs[thread] == nil {
-		b.bufs[thread] = &threadBuf{shadow: b.shadow, thread: thread, compact: b.compact}
+		b.bufs[thread] = &threadBuf{shadow: b.shadow, thread: thread}
 	}
 	return b.bufs[thread]
 }
@@ -358,20 +252,7 @@ func (r *Result) Diagnostic() *analysis.Error {
 // errors; a trace cut short by the per-thread buffer limit is not an error
 // but is reported through Result.TruncatedThreads.
 func Run(prog *mir.Program, opts ...vm.Option) (*Result, error) {
-	return runWith(NewBuilder(), prog, opts...)
-}
-
-// RunNoCompact is Run with online loop-iteration compaction disabled:
-// the trace-then-compact baseline. The returned graph is byte-identical
-// to Run's (same ops, arcs, scope chains, fingerprint) but carries no
-// iteration indexes, so downstream compacted views re-derive their
-// grouping from the scope chains. It is the reference the compaction
-// differential tests compare against; production paths use Run.
-func RunNoCompact(prog *mir.Program, opts ...vm.Option) (*Result, error) {
-	return runWith(&Builder{shadow: newShadowMemory()}, prog, opts...)
-}
-
-func runWith(b *Builder, prog *mir.Program, opts ...vm.Option) (*Result, error) {
+	b := NewBuilder()
 	opts = append([]vm.Option{vm.WithTracer(b)}, opts...)
 	m, err := vm.New(prog, opts...)
 	if err != nil {
