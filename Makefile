@@ -31,7 +31,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/trace/... ./internal/ddg/... ./internal/vm/... ./internal/pagetab/... ./internal/core/... ./internal/sched/... ./internal/obs/... ./internal/server/... ./internal/store/... ./internal/fault/...
+	$(GO) test -race ./internal/trace/... ./internal/ddg/... ./internal/vm/... ./internal/pagetab/... ./internal/core/... ./internal/patterns/... ./internal/sched/... ./internal/obs/... ./internal/server/... ./internal/store/... ./internal/fault/...
 
 # Each target runs for FUZZTIME; Go's fuzzer accepts one -fuzz pattern per
 # package invocation, so the targets run in sequence.
@@ -44,6 +44,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedCSR$$' -fuzztime $(FUZZTIME) ./internal/ddg
 	$(GO) test -run '^$$' -fuzz '^FuzzSetOps$$' -fuzztime $(FUZZTIME) ./internal/ddg
 	$(GO) test -run '^$$' -fuzz '^FuzzIterIndex$$' -fuzztime $(FUZZTIME) ./internal/ddg
+	$(GO) test -run '^$$' -fuzz '^FuzzGraphKernels$$' -fuzztime $(FUZZTIME) ./internal/ddg
 
 # The first command checks that the prescreen skip-rate counter is
 # exported under its canonical name (internal/obs/names.go). The second

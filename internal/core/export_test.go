@@ -20,6 +20,15 @@ func WithoutPrescreen(opts Options) Options {
 // independent tasks on separate workers.
 func SetMatchTaskHook(h func(kind patterns.Kind)) { matchTaskHook = h }
 
+// SetSweepItemHook installs (or, with nil, removes) the hook run before
+// every item of a subtract or fuse sweep, with the phase name. Tests use
+// it to cancel a run in the middle of a claimed chunk.
+func SetSweepItemHook(h func(phase string)) { sweepItemHook = h }
+
+// MaxPositionClasses exposes the cap on positionClosedSubsets' subset
+// enumeration to the decomposition oracle.
+const MaxPositionClasses = maxPositionClasses
+
 // GenRandomProgram exposes the random-program generator to external test
 // packages. The prescreen differential suite lives outside the package
 // because it compares report bytes, and report imports core.

@@ -558,10 +558,11 @@ func interrupted(ctx context.Context, res *Result) bool {
 // sweep fans the index range [0, n) out over the scheduler as chunked
 // tasks running body, and waits them out. Panics inside a chunk are
 // contained per chunk by the scheduler (runSched.submit); chunks claimed
-// past the run's deadline are dropped (their indices contribute nothing,
-// and the interrupted(ctx, res) the caller runs afterwards labels the
-// result). Runs on the phase goroutine; returns only after every chunk
-// finished.
+// past the run's deadline are dropped, and a running chunk stops at its
+// next item once the run's context is done (the skipped indices
+// contribute nothing, and the interrupted(ctx, res) the caller runs
+// afterwards labels the result). Runs on the phase goroutine; returns only
+// after every chunk finished.
 func sweep(sc *runSched, phase string, n int, body func(i int)) {
 	if n == 0 {
 		return
@@ -582,7 +583,20 @@ func sweep(sc *runSched, phase string, n int, body func(i int)) {
 			if expired {
 				return
 			}
+			// A non-blocking receive on Done is lock-free, so checking
+			// between items costs nothing a subtract diff would notice.
+			done := sc.ctx.Done()
 			for i := lo; i < hi; i++ {
+				if i > lo {
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+				if sweepItemHook != nil {
+					sweepItemHook(phase)
+				}
 				body(i)
 			}
 		})
@@ -829,6 +843,7 @@ const (
 type runSched struct {
 	pool  *sched.Pool
 	owner *sched.Owner
+	ctx   context.Context
 	res   *Result
 	// deadline is the run's global budget as a per-task deadline, checked
 	// by the pool at claim time: once it passes, remaining tasks are
@@ -848,6 +863,7 @@ func newRunSched(ctx context.Context, opts Options, res *Result) *runSched {
 	return &runSched{
 		pool:     pool,
 		owner:    pool.NewOwner(ctx),
+		ctx:      ctx,
 		res:      res,
 		deadline: (&patterns.Budget{Ctx: ctx}).Deadline(),
 	}
@@ -991,6 +1007,11 @@ type matchPhase struct {
 	rollup patterns.Budget
 	fails  []*analysis.Error
 }
+
+// sweepItemHook, when non-nil, runs before every item a sweep chunk
+// processes, on the executing goroutine, with the sweep's phase name.
+// Test-only, like matchTaskHook.
+var sweepItemHook func(phase string)
 
 // matchTaskHook, when non-nil, runs at the entry of every solve task with
 // the task's pattern kind, on the worker goroutine. Tests install it

@@ -31,9 +31,13 @@ func Simplify(g *ddg.Graph) *ddg.Graph {
 	// Closure: remove computation and conversion nodes all of whose uses
 	// were removed. Nodes with no uses at all stay: they are sinks of real
 	// computation (e.g. comparisons feeding branches), not traversals.
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
+	// Arcs of a traced DDG point to higher ids, so one pass in descending
+	// id order meets every node after all its uses are final. Only a
+	// decision made while a lower-id use was still kept can be stale; the
+	// pass repeats while such decisions coexist with removals.
+	for {
+		changed, stale := false, false
+		for i := n - 1; i >= 0; i-- {
 			if removed[i] {
 				continue
 			}
@@ -49,7 +53,7 @@ func Simplify(g *ddg.Graph) *ddg.Graph {
 			all := true
 			for _, v := range succs {
 				if !removed[v] {
-					all = false
+					all, stale = false, stale || v < u
 					break
 				}
 			}
@@ -58,16 +62,17 @@ func Simplify(g *ddg.Graph) *ddg.Graph {
 				changed = true
 			}
 		}
+		if !changed || !stale {
+			break
+		}
 	}
-	var keep []ddg.NodeID
+	// Ascending and distinct by construction: already a Set.
+	keep := make(ddg.Set, 0, n)
 	for i := 0; i < n; i++ {
 		if !removed[i] {
 			keep = append(keep, ddg.NodeID(i))
 		}
 	}
-	gs, _ := g.InducedSubgraph(ddg.NewSet(keep...))
-	// The simplified graph is never mutated again; freezing it packs the
-	// adjacency into its CSR layout for the traversal-heavy phases.
-	gs.Freeze()
+	gs, _ := g.InducedSubgraph(keep)
 	return gs
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"discovery/internal/ddg"
@@ -147,25 +149,35 @@ func (s *SubDDG) String() string {
 func Decompose(g *ddg.Graph) []*SubDDG {
 	var subs []*SubDDG
 
-	// Loop sub-DDGs.
-	byLoop := map[mir.LoopID][]ddg.NodeID{}
+	// Loop sub-DDGs, bucketed by loop id (static ids are small and dense).
+	// Nodes arrive in ascending order and join each loop of their chain
+	// once, so every bucket is already a Set. Consecutive nodes mostly
+	// share a scope, whose distinct loops are listed once per change.
+	var byLoop [][]ddg.NodeID
+	var loops []mir.LoopID
+	var prev *ddg.Scope
 	for i := 0; i < g.NumNodes(); i++ {
 		u := ddg.NodeID(i)
-		for f := g.ScopeOf(u); f != nil; f = f.Parent {
-			byLoop[f.Loop] = append(byLoop[f.Loop], u)
+		if s := g.ScopeOf(u); s != prev {
+			prev, loops = s, loops[:0]
+			for f := s; f != nil; f = f.Parent {
+				if !slices.Contains(loops, f.Loop) {
+					loops = append(loops, f.Loop)
+				}
+			}
+		}
+		for _, id := range loops {
+			if int(id) >= len(byLoop) {
+				byLoop = append(byLoop, make([][]ddg.NodeID, int(id)+1-len(byLoop))...)
+			}
+			byLoop[id] = append(byLoop[id], u)
 		}
 	}
-	loopIDs := make([]mir.LoopID, 0, len(byLoop))
-	for id := range byLoop {
-		loopIDs = append(loopIDs, id)
-	}
-	sort.Slice(loopIDs, func(i, j int) bool { return loopIDs[i] < loopIDs[j] })
-	for _, id := range loopIDs {
-		nodes := ddg.NewSet(byLoop[id]...)
-		if nodes.Len() < 2 {
+	for id, nodes := range byLoop {
+		if len(nodes) < 2 {
 			continue
 		}
-		subs = append(subs, &SubDDG{Nodes: nodes, Loop: id})
+		subs = append(subs, &SubDDG{Nodes: nodes, Loop: mir.LoopID(id)})
 	}
 
 	// Associative component sub-DDGs, per associative operation. A weakly
@@ -179,18 +191,15 @@ func Decompose(g *ddg.Graph) []*SubDDG {
 	// component). This is the node-set freedom the paper's constraint
 	// models have natively; class counts per component are small, so the
 	// enumeration is cheap (and capped).
-	byOp := map[mir.Op][]ddg.NodeID{}
+	// Bucketed by operation code, in ascending node order: each bucket is
+	// already a Set.
+	var byOp [256]ddg.Set
 	for i := 0; i < g.NumNodes(); i++ {
 		u := ddg.NodeID(i)
-		if g.Op(u).Associative() {
-			byOp[g.Op(u)] = append(byOp[g.Op(u)], u)
+		if op := g.Op(u); op.Associative() {
+			byOp[op] = append(byOp[op], u)
 		}
 	}
-	ops := make([]mir.Op, 0, len(byOp))
-	for op := range byOp {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
 	seen := map[ddg.Hash128]bool{}
 	addAssoc := func(nodes ddg.Set) {
 		if nodes.Len() < 2 || seen[nodes.Hash()] {
@@ -199,8 +208,7 @@ func Decompose(g *ddg.Graph) []*SubDDG {
 		seen[nodes.Hash()] = true
 		subs = append(subs, &SubDDG{Nodes: nodes, Assoc: true})
 	}
-	for _, op := range ops {
-		all := ddg.NewSet(byOp[op]...)
+	for _, all := range byOp {
 		for _, comp := range g.WeaklyConnectedComponents(all) {
 			if comp.Len() < 2 {
 				continue
@@ -223,27 +231,23 @@ const maxPositionClasses = 6
 // positionClosedSubsets enumerates the subsets of comp that are closed
 // over static source positions, including comp itself.
 func positionClosedSubsets(g *ddg.Graph, comp ddg.Set) []ddg.Set {
-	byPos := map[mir.Pos][]ddg.NodeID{}
+	// The distinct positions, sorted by (file, line); components mix few.
+	var poss []mir.Pos
 	for _, u := range comp {
-		byPos[g.Pos(u)] = append(byPos[g.Pos(u)], u)
+		if i, found := slices.BinarySearchFunc(poss, g.Pos(u), comparePos); !found {
+			poss = slices.Insert(poss, i, g.Pos(u))
+		}
 	}
-	if len(byPos) == 1 {
+	if len(poss) == 1 {
 		return []ddg.Set{comp}
 	}
-	classes := make([]ddg.Set, 0, len(byPos))
-	poss := make([]mir.Pos, 0, len(byPos))
-	for pos := range byPos {
-		poss = append(poss, pos)
+	// One class per position, in position order.
+	cls := make([]int32, len(comp))
+	for i, u := range comp {
+		c, _ := slices.BinarySearchFunc(poss, g.Pos(u), comparePos)
+		cls[i] = int32(c)
 	}
-	sort.Slice(poss, func(i, j int) bool {
-		if poss[i].File != poss[j].File {
-			return poss[i].File < poss[j].File
-		}
-		return poss[i].Line < poss[j].Line
-	})
-	for _, pos := range poss {
-		classes = append(classes, ddg.NewSet(byPos[pos]...))
-	}
+	classes := ddg.Partition(comp, cls, len(poss))
 	if len(classes) > maxPositionClasses {
 		out := []ddg.Set{comp}
 		out = append(out, classes...)
@@ -260,4 +264,12 @@ func positionClosedSubsets(g *ddg.Graph, comp ddg.Set) []ddg.Set {
 		out = append(out, ddg.UnionAll(parts...))
 	}
 	return out
+}
+
+// comparePos orders source positions by file, then line.
+func comparePos(a, b mir.Pos) int {
+	if c := strings.Compare(a.File, b.File); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Line, b.Line)
 }

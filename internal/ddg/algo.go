@@ -14,53 +14,77 @@ import (
 
 // WeaklyConnectedComponents partitions the induced subgraph over nodes into
 // its weakly connected components, returned in deterministic order (by
-// smallest member id).
+// smallest member id), members ascending, as Partition lays them out.
 func (g *Graph) WeaklyConnectedComponents(nodes Set) []Set {
-	if len(nodes) == 0 {
+	comp, k := g.componentLabels(nodes)
+	if k == 0 {
 		return nil
 	}
-	parent := make(map[NodeID]NodeID, len(nodes))
-	for _, u := range nodes {
-		parent[u] = u
+	return Partition(nodes, comp, k)
+}
+
+// componentLabels runs union-find over positions in the sorted set nodes,
+// following the induced subgraph's arcs, and labels each position with its
+// component: labels number the components 0..k-1 in order of their
+// smallest member. Unions link toward the smaller position, so every root
+// is its component's smallest position and parent[i] <= i throughout;
+// one forward pass then resolves each position to its root.
+func (g *Graph) componentLabels(nodes Set) (comp []int32, k int) {
+	n := len(nodes)
+	if n == 0 {
+		return nil, 0
 	}
-	var find func(NodeID) NodeID
-	find = func(u NodeID) NodeID {
-		for parent[u] != u {
-			parent[u] = parent[parent[u]]
-			u = parent[u]
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(i int32) int32 {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
 		}
-		return u
+		return i
 	}
-	union := func(u, v NodeID) {
-		ru, rv := find(u), find(v)
-		if ru != rv {
-			parent[ru] = rv
-		}
-	}
-	for _, u := range nodes {
+	lo, hi := nodes[0], nodes[n-1]
+	for i, u := range nodes {
 		for _, v := range g.Succs(u) {
-			if _, in := parent[v]; in {
-				union(u, v)
+			if v < lo || v > hi {
+				continue
+			}
+			j := nodes.IndexFrom(i, v)
+			if j < 0 {
+				continue
+			}
+			ri, rj := find(int32(i)), find(int32(j))
+			if ri < rj {
+				parent[rj] = ri
+			} else if rj < ri {
+				parent[ri] = rj
 			}
 		}
 	}
-	groups := map[NodeID]Set{}
-	for _, u := range nodes {
-		r := find(u)
-		groups[r] = append(groups[r], u)
+	// parent[i] <= i, so one forward pass can overwrite parents with
+	// labels in place: a non-root takes the label of its parent, which
+	// shares its component and was labelled earlier in the pass.
+	for i, p := range parent {
+		if p == int32(i) {
+			parent[i] = int32(k)
+			k++
+		} else {
+			parent[i] = parent[p]
+		}
 	}
-	out := make([]Set, 0, len(groups))
-	for _, members := range groups {
-		out = append(out, NewSet(members...))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
+	return parent, k
 }
 
 // WeaklyConnected reports whether the induced subgraph over nodes is
 // weakly connected (constraint 1d).
 func (g *Graph) WeaklyConnected(nodes Set) bool {
-	return len(nodes) <= 1 || len(g.WeaklyConnectedComponents(nodes)) == 1
+	if len(nodes) <= 1 {
+		return true
+	}
+	_, k := g.componentLabels(nodes)
+	return k == 1
 }
 
 // WeaklyConnectedWithInputs checks constraint (1d) under the relaxation
@@ -77,13 +101,26 @@ func (g *Graph) WeaklyConnectedWithInputs(nodes Set) bool {
 	for _, u := range nodes {
 		preds = append(preds, g.Preds(u)...)
 	}
-	extended := nodes.Union(NewSet(preds...))
-	for _, comp := range g.WeaklyConnectedComponents(extended) {
-		if comp.Contains(nodes[0]) {
-			return nodes.SubsetOf(comp)
+	return g.connectedWithin(nodes, nodes.Union(NewSet(preds...)))
+}
+
+// connectedWithin reports whether every node of nodes falls in one weakly
+// connected component of the subgraph induced by extended ⊇ nodes.
+func (g *Graph) connectedWithin(nodes, extended Set) bool {
+	comp, _ := g.componentLabels(extended)
+	// nodes ⊆ extended, both sorted: one merge walk finds each position.
+	want, j := int32(-1), 0
+	for _, u := range nodes {
+		for extended[j] != u {
+			j++
+		}
+		if want < 0 {
+			want = comp[j]
+		} else if comp[j] != want {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // ReachableFrom returns every node reachable from any node in from

@@ -11,6 +11,7 @@ package ddg
 
 import (
 	"fmt"
+	"slices"
 
 	"discovery/internal/mir"
 )
@@ -223,25 +224,48 @@ func (g *Graph) String() string {
 }
 
 // InducedSubgraph materializes the subgraph induced by keep as a fresh
-// graph, returning it together with the mapping from new to old ids. It is
-// used by DDG simplification, which rebuilds the graph without auxiliary
-// computation.
+// frozen graph, returning it together with the mapping from new to old
+// ids — keep itself, since new id i is keep[i]. It is used by DDG
+// simplification, which rebuilds the graph without auxiliary computation.
+//
+// New ids follow keep's sorted order, so the topological-id invariant
+// carries over: every kept predecessor of a node precedes it, and the
+// nodes stream straight into a FrozenBuilder through a dense remap over
+// keep's id span. Each node's predecessors go in ascending order and
+// FrozenBuilder fills successors ascending, the order the graph's own
+// arcs had. A graph violating the invariant has no such order; it is a
+// caller bug, reported by panic.
 func (g *Graph) InducedSubgraph(keep Set) (*Graph, []NodeID) {
-	remap := make(map[NodeID]NodeID, len(keep))
-	back := make([]NodeID, 0, len(keep))
-	out := New(len(keep))
-	for _, u := range keep {
-		remap[u] = out.AddNode(g.ops[u], g.pos[u], g.thread[u], g.scope[u])
-		back = append(back, u)
+	if len(keep) == 0 {
+		out, _ := NewFrozenBuilder(0, 0).Finish()
+		return out, keep
 	}
+	lo := keep[0]
+	remap := make([]NodeID, keep[len(keep)-1]-lo+1)
+	for i := range remap {
+		remap[i] = NoNode
+	}
+	for i, u := range keep {
+		remap[u-lo] = NodeID(i)
+	}
+	// Size the arc array by the kept share of the graph's arcs.
+	fb := NewFrozenBuilder(len(keep), int(int64(g.arcs)*int64(len(keep))/int64(max(g.NumNodes(), 1))))
+	var preds []NodeID
 	for _, u := range keep {
-		for _, v := range g.Succs(u) {
-			if nv, ok := remap[v]; ok {
-				out.AddArc(remap[u], nv)
+		preds = preds[:0]
+		for _, p := range g.Preds(u) {
+			if p >= lo && int(p-lo) < len(remap) && remap[p-lo] != NoNode {
+				preds = append(preds, remap[p-lo])
 			}
 		}
+		slices.Sort(preds)
+		fb.AddNode(g.ops[u], g.pos[u], g.thread[u], g.scope[u], preds...)
 	}
-	return out, back
+	out, err := fb.Finish()
+	if err != nil {
+		panic(err)
+	}
+	return out, keep
 }
 
 // CheckAcyclic verifies that the graph is a DAG, which every well-formed

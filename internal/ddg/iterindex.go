@@ -8,11 +8,13 @@ package ddg
 // iteration of one static loop — the group the compacted view of any
 // sub-DDG derived from that loop places it in. The graph derives every
 // loop's index from its own scope chains the first time any view asks for
-// one, so patterns.LoopView is a bucket sort over precomputed ordinals: no
+// one, so patterns.LoopView is a sort over precomputed ordinals: no
 // per-view scope-chain walks, no per-view key maps. Every graph — traced,
 // simplified, canonicalized or hand-built — gets its indexes the same way.
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -78,71 +80,70 @@ func (g *Graph) iterIndexes() map[mir.LoopID]*LoopIterIndex {
 // the scope changes from the previous node's. Each node is charged to its
 // innermost frame of each loop — the frame Scope.FrameFor reports — which
 // matters when recursion nests the same static loop twice in one chain.
-// Keys are numbered in first-seen order while scanning, then sorted by
-// (invocation, iteration) and the ordinals renumbered to match.
+// While scanning, each run of one key gets a provisional number (a key met
+// again after another key gets a second); at the end the provisional keys
+// are sorted by (invocation, iteration), equal keys merged, and the
+// ordinals renumbered to the distinct keys' positions. Loops are slots of
+// a slice indexed by id, so no step hashes.
 func deriveIterIndexes(scopes []*Scope) map[mir.LoopID]*LoopIterIndex {
-	type dynKey struct {
-		inv  uint64
-		iter int64
-	}
-	type loopBuild struct {
-		ix   *LoopIterIndex
-		seen map[dynKey]int32
-	}
 	type charge struct {
-		lb  *loopBuild
+		ix  *LoopIterIndex
 		ord int32
 	}
-	byLoop := map[mir.LoopID]*loopBuild{}
-	var cur []charge // the current scope's innermost frame per loop
+	var byLoop []*LoopIterIndex // by loop id; Keys provisional until the end
+	var cur []charge            // the current scope's innermost frame per loop
 	var prev *Scope
 	for u, s := range scopes {
 		if s != prev {
 			cur = cur[:0]
 		frames:
 			for f := s; f != nil; f = f.Parent {
-				lb := byLoop[f.Loop]
-				if lb == nil {
+				if int(f.Loop) >= len(byLoop) {
+					byLoop = append(byLoop, make([]*LoopIterIndex, int(f.Loop)+1-len(byLoop))...)
+				}
+				ix := byLoop[f.Loop]
+				if ix == nil {
 					ord := make([]int32, len(scopes))
 					for i := range ord {
 						ord[i] = -1
 					}
-					lb = &loopBuild{ix: &LoopIterIndex{Loop: f.Loop, ord: ord}, seen: map[dynKey]int32{}}
-					byLoop[f.Loop] = lb
+					ix = &LoopIterIndex{Loop: f.Loop, ord: ord}
+					byLoop[f.Loop] = ix
 				}
 				for _, c := range cur {
-					if c.lb == lb { // an outer frame of a re-entered loop
+					if c.ix == ix { // an outer frame of a re-entered loop
 						continue frames
 					}
 				}
-				k := dynKey{f.Invocation, f.Iter}
-				o, ok := lb.seen[k]
-				if !ok {
-					o = int32(len(lb.ix.Keys))
-					lb.seen[k] = o
-					lb.ix.Keys = append(lb.ix.Keys, IterationKey{Loop: f.Loop, Invocation: f.Invocation, Iter: f.Iter})
+				k := IterationKey{Loop: f.Loop, Invocation: f.Invocation, Iter: f.Iter}
+				if n := len(ix.Keys); n == 0 || ix.Keys[n-1] != k {
+					ix.Keys = append(ix.Keys, k)
 				}
-				cur = append(cur, charge{lb, o})
+				cur = append(cur, charge{ix, int32(len(ix.Keys) - 1)})
 			}
 			prev = s
 		}
 		for _, c := range cur {
-			c.lb.ix.ord[u] = c.ord
+			c.ix.ord[u] = c.ord
 		}
 	}
-	out := make(map[mir.LoopID]*LoopIterIndex, len(byLoop))
-	for loop, lb := range byLoop {
-		ix := lb.ix
-		byKey := make([]int32, len(ix.Keys)) // sorted position -> first-seen ordinal
+	out := map[mir.LoopID]*LoopIterIndex{}
+	for _, ix := range byLoop {
+		if ix == nil {
+			continue
+		}
+		byKey := make([]int32, len(ix.Keys)) // sorted position -> provisional number
 		for i := range byKey {
 			byKey[i] = int32(i)
 		}
-		sort.Slice(byKey, func(i, j int) bool { return keyLess(ix.Keys[byKey[i]], ix.Keys[byKey[j]]) })
-		renum := make([]int32, len(byKey)) // first-seen ordinal -> sorted position
-		keys := make([]IterationKey, len(byKey))
-		for pos, o := range byKey {
-			renum[o] = int32(pos)
-			keys[pos] = ix.Keys[o]
+		slices.SortFunc(byKey, func(a, b int32) int { return compareKeys(ix.Keys[a], ix.Keys[b]) })
+		renum := make([]int32, len(byKey)) // provisional number -> distinct key position
+		var keys []IterationKey
+		for _, o := range byKey {
+			if k := ix.Keys[o]; len(keys) == 0 || keys[len(keys)-1] != k {
+				keys = append(keys, k)
+			}
+			renum[o] = int32(len(keys) - 1)
 		}
 		for u, o := range ix.ord {
 			if o >= 0 {
@@ -150,17 +151,17 @@ func deriveIterIndexes(scopes []*Scope) map[mir.LoopID]*LoopIterIndex {
 			}
 		}
 		ix.Keys = keys
-		out[loop] = ix
+		out[ix.Loop] = ix
 	}
 	return out
 }
 
-// keyLess orders iteration keys of one loop by (invocation, iteration).
-func keyLess(a, b IterationKey) bool {
-	if a.Invocation != b.Invocation {
-		return a.Invocation < b.Invocation
+// compareKeys orders iteration keys of one loop by (invocation, iteration).
+func compareKeys(a, b IterationKey) int {
+	if c := cmp.Compare(a.Invocation, b.Invocation); c != 0 {
+		return c
 	}
-	return a.Iter < b.Iter
+	return cmp.Compare(a.Iter, b.Iter)
 }
 
 // checkIterIndexes verifies the graph's indexes against the ground truth
@@ -201,7 +202,7 @@ func (g *Graph) checkIterIndexes() error {
 				loop, len(ix.ord), g.NumNodes())
 		}
 		for i := 1; i < len(ix.Keys); i++ {
-			if !keyLess(ix.Keys[i-1], ix.Keys[i]) {
+			if compareKeys(ix.Keys[i-1], ix.Keys[i]) >= 0 {
 				return fail("ddg: iteration index for loop %d has unsorted keys at %d", loop, i)
 			}
 		}

@@ -53,7 +53,7 @@ func checkAgainstFrames(t *testing.T, g *Graph, loops []mir.LoopID) {
 			}
 		}
 		for i := 1; i < ix.NumGroups(); i++ {
-			if !keyLess(ix.Keys[i-1], ix.Keys[i]) {
+			if compareKeys(ix.Keys[i-1], ix.Keys[i]) >= 0 {
 				t.Fatalf("loop %d: keys unsorted at %d: %v", loop, i, ix.Keys)
 			}
 		}

@@ -1,0 +1,306 @@
+package ddg
+
+// Differential oracles for the dense graph kernels. The map-based
+// versions below are the straightforward formulations the kernels
+// replaced — union-find over a map with a final sort, and a rebuild
+// through New + AddArc — kept here as references: every component, its
+// order, and every byte of an induced graph's CSR arrays must agree.
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+
+	"discovery/internal/mir"
+)
+
+// oracleWCC is the map-based union-find: components by smallest member.
+func oracleWCC(g *Graph, nodes Set) []Set {
+	if len(nodes) == 0 {
+		return nil
+	}
+	parent := make(map[NodeID]NodeID, len(nodes))
+	for _, u := range nodes {
+		parent[u] = u
+	}
+	find := func(u NodeID) NodeID {
+		for parent[u] != u {
+			parent[u] = parent[parent[u]]
+			u = parent[u]
+		}
+		return u
+	}
+	for _, u := range nodes {
+		for _, v := range g.Succs(u) {
+			if _, in := parent[v]; in {
+				if ru, rv := find(u), find(v); ru != rv {
+					parent[ru] = rv
+				}
+			}
+		}
+	}
+	groups := map[NodeID]Set{}
+	for _, u := range nodes {
+		r := find(u)
+		groups[r] = append(groups[r], u)
+	}
+	out := make([]Set, 0, len(groups))
+	for _, members := range groups {
+		out = append(out, NewSet(members...))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// oracleWithInputs is constraint (1d)'s relaxation over oracleWCC: nodes
+// plus their direct predecessors (as filtered by preds) in one component.
+func oracleWithInputs(g *Graph, nodes Set, preds func(NodeID) []NodeID) bool {
+	if len(nodes) <= 1 {
+		return true
+	}
+	var ext []NodeID
+	for _, u := range nodes {
+		ext = append(ext, preds(u)...)
+	}
+	for _, comp := range oracleWCC(g, nodes.Union(NewSet(ext...))) {
+		if comp.Contains(nodes[0]) {
+			return nodes.SubsetOf(comp)
+		}
+	}
+	return false
+}
+
+// oracleInduced rebuilds the induced subgraph through New + AddArc with a
+// map remap, then freezes it.
+func oracleInduced(g *Graph, keep Set) (*Graph, []NodeID) {
+	remap := make(map[NodeID]NodeID, len(keep))
+	back := make([]NodeID, 0, len(keep))
+	out := New(len(keep))
+	for _, u := range keep {
+		remap[u] = out.AddNode(g.ops[u], g.pos[u], g.thread[u], g.scope[u])
+		back = append(back, u)
+	}
+	for _, u := range keep {
+		for _, v := range g.Succs(u) {
+			if nv, ok := remap[v]; ok {
+				out.AddArc(remap[u], nv)
+			}
+		}
+	}
+	out.Freeze()
+	return out, back
+}
+
+func renderSets(sets []Set) string {
+	s := ""
+	for _, c := range sets {
+		s += "{" + c.Key() + "}"
+	}
+	return s
+}
+
+// kernelScopes are the scopes kernel graphs draw from: a few iterations
+// of two nested loops. They are shared, so two builds of one seed hold
+// identical scope pointers.
+var kernelScopes = func() []*Scope {
+	outer := (*Scope)(nil).Enter(1, 0)
+	inner := outer.Enter(2, 1)
+	return []*Scope{nil, outer, outer.NextIter(), inner, inner.NextIter()}
+}()
+
+// kernelGraph streams a random forward DAG of n nodes through the
+// FrozenBuilder: up to fan predecessors each, mostly near the node (so
+// components stay local) with some long arcs, and kernelScopes scopes.
+func kernelGraph(seed uint64, n, fan int) *Graph {
+	r := &xrng{s: seed | 1}
+	scopes := kernelScopes
+	fb := NewFrozenBuilder(n, n*fan)
+	for u := 0; u < n; u++ {
+		var preds []NodeID
+		for j := 0; u > 0 && j < int(r.next()%uint64(fan+1)); j++ {
+			if r.next()%4 == 0 {
+				preds = append(preds, NodeID(r.next()%uint64(u)))
+			} else {
+				preds = append(preds, NodeID(u-1-int(r.next()%uint64(min(u, 4)))))
+			}
+		}
+		op := mir.OpFAdd
+		if r.next()%3 == 0 {
+			op = mir.OpFMul
+		}
+		fb.AddNode(op, mir.Pos{File: "k.c", Line: 1 + int(r.next()%5)}, int32(r.next()%2),
+			scopes[r.next()%uint64(len(scopes))], preds...)
+	}
+	g, err := fb.Finish()
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// kernelSubsets returns the node subsets a kernel case runs on: the
+// empty set, a singleton, the ids around the word boundaries 63/64 and
+// 127/128, a run straddling 64, the whole graph, and the subset mask
+// selects (bit i of mask picks node i, the mask repeating).
+func kernelSubsets(n int, mask []byte) []Set {
+	clip := func(ids ...NodeID) Set {
+		var out []NodeID
+		for _, u := range ids {
+			if int(u) < n {
+				out = append(out, u)
+			}
+		}
+		return NewSet(out...)
+	}
+	var run []NodeID
+	for u := NodeID(60); u < 70; u++ {
+		run = append(run, u)
+	}
+	subs := []Set{
+		nil,
+		clip(NodeID(n / 2)),
+		clip(63, 64),
+		clip(63, 64, 127, 128),
+		clip(127, 128),
+		clip(run...),
+		clip(0, 63, 64, 127, 128, NodeID(n-1)),
+	}
+	all := make([]NodeID, n)
+	for i := range all {
+		all[i] = NodeID(i)
+	}
+	subs = append(subs, NewSet(all...))
+	if len(mask) > 0 {
+		var picked []NodeID
+		for i := 0; i < n; i++ {
+			if mask[(i/8)%len(mask)]&(1<<(i%8)) != 0 {
+				picked = append(picked, NodeID(i))
+			}
+		}
+		subs = append(subs, NewSet(picked...))
+	}
+	return subs
+}
+
+// checkKernels compares every dense kernel with its oracle on g (whose
+// adjacency the oracles read from ref, the same graph kept resident).
+func checkKernels(t *testing.T, g, ref *Graph, subs []Set) {
+	t.Helper()
+	for _, sub := range subs {
+		want := oracleWCC(ref, sub)
+		if got := g.WeaklyConnectedComponents(sub); renderSets(got) != renderSets(want) || len(got) != len(want) {
+			t.Fatalf("WCC(%v):\n got %s\nwant %s", sub, renderSets(got), renderSets(want))
+		}
+		if got, wantC := g.WeaklyConnected(sub), len(sub) <= 1 || len(want) == 1; got != wantC {
+			t.Fatalf("WeaklyConnected(%v) = %t, want %t", sub, got, wantC)
+		}
+		if got, wantI := g.WeaklyConnectedWithInputs(sub), oracleWithInputs(ref, sub, ref.Preds); got != wantI {
+			t.Fatalf("WeaklyConnectedWithInputs(%v) = %t, want %t", sub, got, wantI)
+		}
+		checkInduced(t, g, ref, sub)
+
+		// The SubView forms, over every other subset as the member set.
+		for _, amb := range subs {
+			sv := g.Overlay(amb)
+			in := sub.Intersect(amb)
+			if got, want := renderSets(sv.WeaklyConnectedComponents(sub)), renderSets(oracleWCC(ref, in)); got != want {
+				t.Fatalf("SubView(%v).WCC(%v):\n got %s\nwant %s", amb, sub, got, want)
+			}
+			memberPreds := func(u NodeID) []NodeID {
+				var out []NodeID
+				for _, p := range ref.Preds(u) {
+					if amb.Contains(p) {
+						out = append(out, p)
+					}
+				}
+				return out
+			}
+			if got, want := sv.WeaklyConnectedWithInputs(sub), oracleWithInputs(ref, in, memberPreds); got != want {
+				t.Fatalf("SubView(%v).WeaklyConnectedWithInputs(%v) = %t, want %t", amb, sub, got, want)
+			}
+		}
+	}
+}
+
+// checkInduced compares InducedSubgraph with the New + AddArc rebuild:
+// the CSR arrays byte for byte, node attributes, scopes, and back map.
+func checkInduced(t *testing.T, g, ref *Graph, keep Set) {
+	t.Helper()
+	got, gotBack := g.InducedSubgraph(keep)
+	want, wantBack := oracleInduced(ref, keep)
+	if !got.Frozen() || got.Spilled() {
+		t.Fatalf("induced(%v): frozen=%t spilled=%t, want a resident frozen graph", keep, got.Frozen(), got.Spilled())
+	}
+	if !slices.Equal(gotBack, wantBack) {
+		t.Fatalf("induced(%v) back map %v, want %v", keep, gotBack, wantBack)
+	}
+	if got.NumArcs() != want.NumArcs() ||
+		!slices.Equal(got.succOff, want.succOff) || !slices.Equal(got.succArr, want.succArr) ||
+		!slices.Equal(got.predOff, want.predOff) || !slices.Equal(got.predArr, want.predArr) {
+		t.Fatalf("induced(%v) CSR differs:\n got %s\nwant %s", keep, renderAdj(got), renderAdj(want))
+	}
+	if !slices.Equal(got.ops, want.ops) || !slices.Equal(got.pos, want.pos) ||
+		!slices.Equal(got.thread, want.thread) || !slices.Equal(got.scope, want.scope) {
+		t.Fatalf("induced(%v) node attributes or scopes differ", keep)
+	}
+	if err := got.CheckInvariants(); err != nil {
+		t.Fatalf("induced(%v): %v", keep, err)
+	}
+}
+
+// FuzzGraphKernels holds WeaklyConnectedComponents (components and their
+// order), WeaklyConnected, WeaklyConnectedWithInputs, their SubView forms
+// and InducedSubgraph against the map-based oracles, over random forward
+// DAGs and subsets, on a resident base and on the same graph spilled.
+func FuzzGraphKernels(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(2), []byte{})
+	f.Add(uint64(2), uint8(63), uint8(1), []byte{0xff})
+	f.Add(uint64(3), uint8(64), uint8(3), []byte{0x55, 0xaa})
+	f.Add(uint64(4), uint8(128), uint8(2), []byte{0x0f, 0xf0, 0x81})
+	f.Add(uint64(5), uint8(200), uint8(4), []byte{0x13, 0x37, 0x00, 0xfe})
+	f.Fuzz(func(t *testing.T, seed uint64, size, fan uint8, mask []byte) {
+		n, k := int(size)+1, int(fan%4)+1
+		resident := kernelGraph(seed, n, k)
+		subs := kernelSubsets(n, mask)
+		checkKernels(t, resident, resident, subs)
+
+		spilled := kernelGraph(seed, n, k)
+		if err := spilled.SpillArcs(SpillConfig{Dir: t.TempDir(), Budget: 64, SegmentBytes: 32}); err != nil {
+			t.Fatalf("SpillArcs: %v", err)
+		}
+		defer spilled.CloseSpill()
+		checkKernels(t, spilled, resident, subs)
+	})
+}
+
+// TestGraphKernelsAgainstOracles runs the fuzz body over fixed seeds and
+// every size across the word boundaries, so `go test` covers it too.
+func TestGraphKernelsAgainstOracles(t *testing.T) {
+	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 200} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("n%d/seed%d", n, seed), func(t *testing.T) {
+				g := kernelGraph(seed, n, int(seed))
+				checkKernels(t, g, g, kernelSubsets(n, []byte{byte(seed * 37), 0x5a}))
+			})
+		}
+	}
+}
+
+// TestInducedSubgraphRejectsBackwardArcs: a graph whose arcs do not all
+// point to higher ids has no predecessor-first order, so InducedSubgraph
+// refuses it loudly rather than building a wrong graph.
+func TestInducedSubgraphRejectsBackwardArcs(t *testing.T) {
+	g := New(3)
+	for i := 0; i < 3; i++ {
+		g.AddNode(mir.OpFAdd, mir.Pos{}, 0, nil)
+	}
+	g.AddArc(2, 0)
+	g.Freeze()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("InducedSubgraph accepted a backward arc")
+		}
+	}()
+	g.InducedSubgraph(NewSet(0, 1, 2))
+}

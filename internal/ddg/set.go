@@ -2,7 +2,6 @@ package ddg
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 )
 
@@ -16,17 +15,8 @@ type Set []NodeID
 func NewSet(ids ...NodeID) Set {
 	s := make(Set, len(ids))
 	copy(s, ids)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:0]
-	var prev NodeID
-	for i, id := range s {
-		if i > 0 && id == prev {
-			continue
-		}
-		out = append(out, id)
-		prev = id
-	}
-	return out
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // Len returns the cardinality of the set.
@@ -34,15 +24,34 @@ func (s Set) Len() int { return len(s) }
 
 // Contains reports membership via binary search.
 func (s Set) Contains(id NodeID) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	return i < len(s) && s[i] == id
+	_, found := slices.BinarySearch(s, id)
+	return found
 }
 
 // IndexOf returns the position of id in the sorted set, or -1 if absent.
 func (s Set) IndexOf(id NodeID) int {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	if i < len(s) && s[i] == id {
+	if i, found := slices.BinarySearch(s, id); found {
 		return i
+	}
+	return -1
+}
+
+// IndexFrom is IndexOf searching outward from position i, which must
+// index s: it gallops toward id at doubling distances, then
+// binary-searches the bracket it found. A successor of s[i] usually sits
+// a few positions on, so the search costs the logarithm of that distance
+// rather than of len(s).
+func (s Set) IndexFrom(i int, id NodeID) int {
+	if id < s[i] {
+		return s[:i].IndexOf(id)
+	}
+	lo, step := i, 1
+	for lo+step < len(s) && s[lo+step] < id {
+		lo += step
+		step *= 2
+	}
+	if j := s[lo:min(lo+step+1, len(s))].IndexOf(id); j >= 0 {
+		return lo + j
 	}
 	return -1
 }
@@ -211,6 +220,29 @@ func (s Set) Key() string {
 func (s Set) Clone() Set {
 	out := make(Set, len(s))
 	copy(out, s)
+	return out
+}
+
+// Partition splits s into k sets by label: s[i] goes to set label[i], in
+// [0, k). It is a counting sort whose forward fill keeps every set
+// ascending. The sets share one backing array, each capped at its own
+// length, so appending to one never overwrites the next.
+func Partition(s Set, label []int32, k int) []Set {
+	off := make([]int32, k+1)
+	for _, c := range label {
+		off[c+1]++
+	}
+	for c := 1; c <= k; c++ {
+		off[c] += off[c-1]
+	}
+	all := make(Set, len(s))
+	out := make([]Set, k)
+	for c := range out {
+		out[c] = all[off[c]:off[c]:off[c+1]]
+	}
+	for i, c := range label {
+		out[c] = append(out[c], s[i])
+	}
 	return out
 }
 

@@ -6,9 +6,11 @@ package ddg
 // membership mask over the shared CSR arrays, with arcs filtered on the
 // fly. It replaces materialized sub-graphs on the matching path — node ids
 // are preserved (no renumbering, no remap tables) and nothing of the
-// adjacency is copied, so deriving a sub-DDG view is O(|nodes| + n/64)
-// rather than O(n + m). InducedSubgraph remains for simplification, which
-// genuinely rebuilds the graph.
+// adjacency is copied. The mask covers only the words between the least
+// and greatest member id, so deriving a sub-DDG view is O(|nodes| +
+// span/64), span being that id range, rather than O(n + m).
+// InducedSubgraph remains for simplification, which genuinely rebuilds
+// the graph.
 
 import "discovery/internal/mir"
 
@@ -66,11 +68,17 @@ var (
 // Overlay returns the zero-copy restriction of the graph to nodes. The
 // node set is retained (not copied); callers must not mutate it afterwards.
 func (g *Graph) Overlay(nodes Set) *SubView {
-	mask := make([]uint64, (g.NumNodes()+63)/64)
-	for _, u := range nodes {
-		mask[u>>6] |= 1 << (u & 63)
+	sv := &SubView{base: g, nodes: nodes, arcs: -1}
+	if len(nodes) == 0 {
+		return sv
 	}
-	return &SubView{base: g, nodes: nodes, mask: mask, arcs: -1}
+	// The mask spans only the words between the first and last member.
+	sv.word0 = int(nodes[0] >> 6)
+	sv.mask = make([]uint64, int(nodes[len(nodes)-1]>>6)-sv.word0+1)
+	for _, u := range nodes {
+		sv.mask[int(u>>6)-sv.word0] |= 1 << (u & 63)
+	}
+	return sv
 }
 
 // SubView is a read-only restriction of a base graph to a member node set.
@@ -81,7 +89,10 @@ func (g *Graph) Overlay(nodes Set) *SubView {
 type SubView struct {
 	base  *Graph
 	nodes Set
+	// mask is the membership bitset over the words the member set spans:
+	// mask[w] holds ids [64(word0+w), 64(word0+w+1)).
 	mask  []uint64
+	word0 int
 
 	arcs int // member-to-member arc count, computed lazily (-1 until then)
 
@@ -98,9 +109,11 @@ func (sv *SubView) Nodes() Set { return sv.nodes }
 // Len returns the number of member nodes.
 func (sv *SubView) Len() int { return len(sv.nodes) }
 
-// Contains reports membership in O(1) via the bitset mask.
+// Contains reports membership in O(1) via the bitset mask; ids outside
+// the span the mask covers are never members.
 func (sv *SubView) Contains(u NodeID) bool {
-	return sv.mask[u>>6]&(1<<(u&63)) != 0
+	w := int(u>>6) - sv.word0
+	return uint(w) < uint(len(sv.mask)) && sv.mask[w]&(1<<(u&63)) != 0
 }
 
 // EachSucc calls fn for every member successor of u, without allocating.
@@ -292,13 +305,7 @@ func (sv *SubView) WeaklyConnectedWithInputs(nodes Set) bool {
 	for _, u := range nodes {
 		sv.EachPred(u, func(v NodeID) bool { preds = append(preds, v); return true })
 	}
-	extended := nodes.Union(NewSet(preds...))
-	for _, comp := range sv.base.WeaklyConnectedComponents(extended) {
-		if comp.Contains(nodes[0]) {
-			return nodes.SubsetOf(comp)
-		}
-	}
-	return false
+	return sv.base.connectedWithin(nodes, nodes.Union(NewSet(preds...)))
 }
 
 // ArcsBetween returns the member arcs from a ∩ members into b ∩ members.

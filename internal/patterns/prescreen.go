@@ -163,7 +163,7 @@ func PrescreenSub(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) *Prescreen {
 			p.Sinks++
 		}
 		for _, w := range scratch {
-			indeg[nodes.IndexOf(w)]++
+			indeg[nodes.IndexFrom(i, w)]++
 			if p.CompactedLoop && !p.InterGroup {
 				ku, oku := g.IterationOf(u, loop)
 				kw, okw := g.IterationOf(w, loop)

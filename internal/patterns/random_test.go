@@ -8,6 +8,7 @@ package patterns
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"discovery/internal/ddg"
@@ -138,6 +139,107 @@ func TestMatchersDeterministicOnRandomDAGs(t *testing.T) {
 		}
 		if sig() != sig() {
 			t.Errorf("seed %d: matcher output not deterministic", seed)
+		}
+	}
+}
+
+// bucketLoopGroups is the map-bucket grouping LoopView's sort replaced:
+// nodes bucketed by iteration ordinal in a map, buckets in ascending
+// ordinal order, then the nodes lacking a frame for the loop one per
+// group in input order.
+func bucketLoopGroups(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) []ddg.Set {
+	ix := g.LoopIterIndex(loop)
+	byOrd := map[int32][]ddg.NodeID{}
+	var loose []ddg.NodeID
+	for _, u := range nodes {
+		if o, ok := ix.OrdinalOf(u); ok {
+			byOrd[o] = append(byOrd[o], u)
+		} else {
+			loose = append(loose, u)
+		}
+	}
+	ords := make([]int32, 0, len(byOrd))
+	for o := range byOrd {
+		ords = append(ords, o)
+	}
+	sort.Slice(ords, func(i, j int) bool { return ords[i] < ords[j] })
+	groups := make([]ddg.Set, 0, len(ords)+len(loose))
+	for _, o := range ords {
+		groups = append(groups, ddg.NewSet(byOrd[o]...))
+	}
+	for _, u := range loose {
+		groups = append(groups, ddg.NewSet(u))
+	}
+	return groups
+}
+
+// nestedScopeDAG is randomDAG with richer scopes: a random walk that
+// enters loops 1 and 2 (nested either way, re-entered under new
+// invocations), advances iterations and exits, so iteration keys recur
+// out of order and some nodes sit outside every loop.
+func nestedScopeDAG(seed uint64) (*ddg.Graph, ddg.Set) {
+	r := &prng{s: seed | 1}
+	n := 10 + r.intn(60)
+	g := ddg.New(n)
+	var s *ddg.Scope
+	var inv uint64
+	for i := 0; i < n; i++ {
+		switch r.intn(5) {
+		case 0:
+			s = s.Enter(mir.LoopID(1+r.intn(2)), inv)
+			inv++
+		case 1, 2:
+			if s != nil {
+				s = s.NextIter()
+			}
+		case 3:
+			if s != nil {
+				s = s.Exit()
+			}
+		}
+		g.AddNode(mir.OpFAdd, mir.Pos{File: "n.c", Line: 1 + r.intn(3)}, 0, s)
+		if i > 0 && r.intn(2) == 0 {
+			g.AddArc(ddg.NodeID(r.intn(i)), ddg.NodeID(i))
+		}
+	}
+	var amb []ddg.NodeID
+	for i := 0; i < n; i++ {
+		if r.intn(3) != 0 {
+			amb = append(amb, ddg.NodeID(i))
+		}
+	}
+	if seed%2 == 0 {
+		g.Freeze() // the memoized index path
+	}
+	return g, ddg.NewSet(amb...)
+}
+
+// TestLoopViewMatchesBucketOracle holds LoopView's groups — members and
+// order — against the map-bucket grouping, for loops present, nested and
+// absent (a nil index: every node loose), on whole ambients and on
+// overlays of them.
+func TestLoopViewMatchesBucketOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		var g *ddg.Graph
+		var amb ddg.Set
+		if seed%3 == 0 {
+			g, amb = randomDAG(seed)
+		} else {
+			g, amb = nestedScopeDAG(seed)
+		}
+		for _, gv := range []ddg.GraphView{g, g.Overlay(amb)} {
+			for _, loop := range []mir.LoopID{1, 2, 3} {
+				got := LoopView(gv, amb, loop).Groups
+				want := bucketLoopGroups(gv, amb, loop)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d loop %d: %d groups, oracle %d", seed, loop, len(got), len(want))
+				}
+				for i := range want {
+					if !got[i].Equal(want[i]) {
+						t.Fatalf("seed %d loop %d group %d: %v, oracle %v", seed, loop, i, got[i], want[i])
+					}
+				}
+			}
 		}
 	}
 }

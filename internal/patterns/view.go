@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -74,44 +75,51 @@ func ViewKey(nodes ddg.Set, loop mir.LoopID) ddg.Hash128 {
 
 // LoopView builds the compacted view of a loop-derived sub-DDG: one group
 // per (invocation, iteration) of the given static loop, in ascending
-// (invocation, iteration) order. The grouping is a bucket sort over the
-// graph's loop-iteration index (ddg.LoopIterIndex): its ordinals follow
-// that order over the whole graph, and restricting to any node subset
-// preserves it. Nodes lacking a frame for the loop — every node when the
-// index is nil — follow per node in input order (they are rare: boundary
-// computation hoisted around the loop).
+// (invocation, iteration) order. The grouping sorts (ordinal, node) pairs
+// over the graph's loop-iteration index (ddg.LoopIterIndex): its ordinals
+// follow that order over the whole graph, and restricting to any node
+// subset preserves it. Nodes lacking a frame for the loop — every node
+// when the index is nil — follow per node in input order (they are rare:
+// boundary computation hoisted around the loop). All groups share one
+// backing array, each capped at its own length.
 func LoopView(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) *View {
 	ix := g.LoopIterIndex(loop)
-	byOrd := map[int32][]ddg.NodeID{}
+	// An ordinal is non-negative, so (ordinal << 32 | node) sorts by
+	// ordinal and, within one, by node id.
+	keyed := make([]uint64, 0, len(nodes))
 	var loose []ddg.NodeID
 	for _, u := range nodes {
 		if o, ok := ix.OrdinalOf(u); ok {
-			byOrd[o] = append(byOrd[o], u)
+			keyed = append(keyed, uint64(o)<<32|uint64(u))
 		} else {
 			loose = append(loose, u)
 		}
 	}
-	ords := make([]int32, 0, len(byOrd))
-	for o := range byOrd {
-		ords = append(ords, o)
-	}
-	sort.Slice(ords, func(i, j int) bool { return ords[i] < ords[j] })
-	groups := make([]ddg.Set, 0, len(ords)+len(loose))
-	for _, o := range ords {
-		groups = append(groups, ddg.NewSet(byOrd[o]...))
+	slices.Sort(keyed)
+	all := make(ddg.Set, len(keyed)+len(loose))
+	var groups []ddg.Set
+	start := 0
+	for i, k := range keyed {
+		all[i] = ddg.NodeID(k)
+		if i+1 == len(keyed) || k>>32 != keyed[i+1]>>32 {
+			groups = append(groups, all[start:i+1:i+1])
+			start = i + 1
+		}
 	}
 	for _, u := range loose {
-		groups = append(groups, ddg.NewSet(u))
+		all[start] = u
+		groups = append(groups, all[start:start+1:start+1])
+		start++
 	}
 	return &View{G: g, Ambient: nodes, Groups: groups, hash: ViewKey(nodes, loop)}
 }
 
 // NodeView builds the node-per-node view of a sub-DDG (associative
-// components).
+// components). Each singleton group is a capped window onto nodes.
 func NodeView(g ddg.GraphView, nodes ddg.Set) *View {
 	groups := make([]ddg.Set, len(nodes))
-	for i, u := range nodes {
-		groups[i] = ddg.NewSet(u)
+	for i := range nodes {
+		groups[i] = nodes[i : i+1 : i+1]
 	}
 	return &View{G: g, Ambient: nodes, Groups: groups, hash: ViewKey(nodes, 0)}
 }
@@ -144,22 +152,28 @@ func (v *View) build() {
 	v.indeg = make([]int, n)
 	v.extIn = make([]bool, n)
 	v.extOut = make([]bool, n)
-	// Ambient-aligned group index: gidx[i] = group of v.Ambient[i].
+	// Ambient-aligned group index: gidx[i] = group of v.Ambient[i]. A
+	// group's members ascend, so each one's position is searched from the
+	// previous one's, and a successor's from its source's.
 	gidx := make([]int32, len(v.Ambient))
 	for i, grp := range v.Groups {
+		p := 0
 		for _, u := range grp {
-			gidx[v.Ambient.IndexOf(u)] = int32(i)
+			p = v.Ambient.IndexFrom(p, u)
+			gidx[p] = int32(i)
 		}
 	}
 	for i, grp := range v.Groups {
 		var out []int
+		p := 0
 		for _, u := range grp {
+			p = v.Ambient.IndexFrom(p, u)
 			for _, w := range v.G.Succs(u) {
 				if !sub.Contains(w) {
 					v.extOut[i] = true
 					continue
 				}
-				if j := int(gidx[v.Ambient.IndexOf(w)]); j != i {
+				if j := int(gidx[v.Ambient.IndexFrom(p, w)]); j != i {
 					out = append(out, j)
 				}
 			}
