@@ -31,11 +31,6 @@ func (m *Model) NewIntVar(name string, lo, hi int) *IntVar {
 	return m.newVar(name, newDomainRange(lo, hi))
 }
 
-// NewIntVarValues declares a variable with an explicit value set.
-func (m *Model) NewIntVarValues(name string, values ...int) *IntVar {
-	return m.newVar(name, newDomainValues(values...))
-}
-
 // NewBoolVar declares a 0/1 variable.
 func (m *Model) NewBoolVar(name string) *IntVar { return m.NewIntVar(name, 0, 1) }
 
@@ -46,9 +41,6 @@ func (m *Model) newVar(name string, d domain) *IntVar {
 	m.watchers = append(m.watchers, nil)
 	return v
 }
-
-// NumVars returns the number of declared variables.
-func (m *Model) NumVars() int { return len(m.vars) }
 
 // Vars returns the declared variables.
 func (m *Model) Vars() []*IntVar { return m.vars }

@@ -123,40 +123,6 @@ func (g *Graph) connectedWithin(nodes, extended Set) bool {
 	return true
 }
 
-// ReachableFrom returns every node reachable from any node in from
-// (inclusive), restricted to within if non-nil.
-func (g *Graph) ReachableFrom(from Set, within Set) Set {
-	var inWithin func(NodeID) bool
-	if within == nil {
-		inWithin = func(NodeID) bool { return true }
-	} else {
-		inWithin = within.Contains
-	}
-	seen := map[NodeID]bool{}
-	stack := make([]NodeID, 0, len(from))
-	for _, u := range from {
-		if inWithin(u) && !seen[u] {
-			seen[u] = true
-			stack = append(stack, u)
-		}
-	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.Succs(u) {
-			if inWithin(v) && !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	out := make(Set, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	return NewSet(out...)
-}
-
 // Reaches reports whether there is a (possibly empty) path from u to v in
 // the whole graph.
 func (g *Graph) Reaches(u, v NodeID) bool {
@@ -317,15 +283,6 @@ func (g *Graph) ArcsBetween(a, b Set) [][2]NodeID {
 		}
 	}
 	return arcs
-}
-
-// Adjacent reports whether all arcs between a and b flow from a into b,
-// with at least one such arc.
-func (g *Graph) Adjacent(a, b Set) bool {
-	if len(g.ArcsBetween(b, a)) > 0 {
-		return false
-	}
-	return len(g.ArcsBetween(a, b)) > 0
 }
 
 // FlowsInto reports the fusion precondition of paper §5: all arcs from a

@@ -8,13 +8,8 @@ import (
 
 func TestFlowsInto(t *testing.T) {
 	// a = {0,1}, b = {2}: 0->2, 1->2, plus an external sink 3 fed by 2.
-	g := New(4)
-	for i := 0; i < 4; i++ {
-		g.AddNode(mir.OpFAdd, mir.Pos{}, 0, nil)
-	}
-	g.AddArc(0, 2)
-	g.AddArc(1, 2)
-	g.AddArc(2, 3)
+	arcs := [][2]NodeID{{0, 2}, {1, 2}, {2, 3}}
+	g := arcGraph(sameOps(mir.OpFAdd, 4), nil, arcs...)
 	a, b := NewSet(0, 1), NewSet(2)
 	if !g.FlowsInto(a, b) {
 		t.Error("a flows entirely into b")
@@ -24,26 +19,22 @@ func TestFlowsInto(t *testing.T) {
 		t.Error("b does not flow into a")
 	}
 	// If one of a's arcs escapes, the producer no longer flows into b.
-	g.AddArc(1, 3)
+	g = arcGraph(sameOps(mir.OpFAdd, 4), nil, append(arcs, [2]NodeID{1, 3})...)
 	if g.FlowsInto(a, b) {
 		t.Error("escaping arc should break FlowsInto")
 	}
 }
 
 func TestFlowsIntoRequiresForwardArc(t *testing.T) {
-	g := New(3)
-	for i := 0; i < 3; i++ {
-		g.AddNode(mir.OpFAdd, mir.Pos{}, 0, nil)
-	}
 	// No arcs at all: vacuous flow is not flow.
-	if g.FlowsInto(NewSet(0), NewSet(1)) {
+	g := arcGraph(sameOps(mir.OpFAdd, 3), nil)
+	if g.FlowsInto(NewSet(1), NewSet(0, 2)) {
 		t.Error("no arcs should mean no flow")
 	}
-	// A back arc forbids fusion.
-	g.AddArc(0, 1)
-	g.AddArc(2, 0)
-	if g.FlowsInto(NewSet(0), NewSet(1, 2)) {
-		// 0 -> 1 is in b, but 2 -> 0 is a back arc.
+	// A back arc forbids fusion: 1 -> 2 lands in b, but 0 -> 1 flows from
+	// b back into a.
+	g = arcGraph(sameOps(mir.OpFAdd, 3), nil, [2]NodeID{1, 2}, [2]NodeID{0, 1})
+	if g.FlowsInto(NewSet(1), NewSet(0, 2)) {
 		t.Error("back arc should break FlowsInto")
 	}
 }
@@ -51,12 +42,7 @@ func TestFlowsIntoRequiresForwardArc(t *testing.T) {
 func TestWeaklyConnectedWithInputs(t *testing.T) {
 	// cmp (1) and mul (2) share the external source 0 but have no arc
 	// between themselves: connected only through their shared input.
-	g := New(3)
-	g.AddNode(mir.OpFDiv, mir.Pos{}, 0, nil) // 0: shared source
-	g.AddNode(mir.OpGt, mir.Pos{}, 0, nil)   // 1
-	g.AddNode(mir.OpFMul, mir.Pos{}, 0, nil) // 2
-	g.AddArc(0, 1)
-	g.AddArc(0, 2)
+	g := arcGraph([]mir.Op{mir.OpFDiv, mir.OpGt, mir.OpFMul}, nil, [2]NodeID{0, 1}, [2]NodeID{0, 2})
 	comp := NewSet(1, 2)
 	if g.WeaklyConnected(comp) {
 		t.Error("1 and 2 are not directly connected")
@@ -65,36 +51,16 @@ func TestWeaklyConnectedWithInputs(t *testing.T) {
 		t.Error("1 and 2 connect through their shared input")
 	}
 	// Genuinely unrelated nodes stay unconnected.
-	g2 := New(4)
-	for i := 0; i < 4; i++ {
-		g2.AddNode(mir.OpFMul, mir.Pos{}, 0, nil)
-	}
-	g2.AddArc(0, 1)
-	g2.AddArc(2, 3)
+	g2 := arcGraph(sameOps(mir.OpFMul, 4), nil, [2]NodeID{0, 1}, [2]NodeID{2, 3})
 	if g2.WeaklyConnectedWithInputs(NewSet(1, 3)) {
 		t.Error("nodes with disjoint inputs must not connect")
-	}
-}
-
-func TestReachableFromEmpty(t *testing.T) {
-	g := New(2)
-	g.AddNode(mir.OpAdd, mir.Pos{}, 0, nil)
-	g.AddNode(mir.OpAdd, mir.Pos{}, 0, nil)
-	if got := g.ReachableFrom(nil, nil); got.Len() != 0 {
-		t.Errorf("ReachableFrom(empty) = %v", got)
 	}
 }
 
 func TestConvexityThroughLongExteriorPath(t *testing.T) {
 	// 0 -> 1 -> 2 -> 3 with pattern {0, 3}: the exterior path 1->2
 	// witnesses non-convexity even though it has length 2.
-	g := New(4)
-	for i := 0; i < 4; i++ {
-		g.AddNode(mir.OpFAdd, mir.Pos{}, 0, nil)
-	}
-	g.AddArc(0, 1)
-	g.AddArc(1, 2)
-	g.AddArc(2, 3)
+	g := arcGraph(sameOps(mir.OpFAdd, 4), nil, [2]NodeID{0, 1}, [2]NodeID{1, 2}, [2]NodeID{2, 3})
 	if g.Convex(NewSet(0, 3), nil) {
 		t.Error("{0,3} connected through {1,2} must not be convex")
 	}

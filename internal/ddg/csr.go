@@ -5,18 +5,17 @@ import (
 	"discovery/internal/mir"
 )
 
-// FrozenBuilder constructs a frozen (CSR-form) graph directly, without
-// the building-phase per-node adjacency slices. Callers stream nodes in
-// final id order, each with its full predecessor list; the builder packs
-// predecessors into the CSR arrays as they arrive and derives the
-// successor arrays in one counting-sort pass at Finish.
+// FrozenBuilder constructs a Graph; it is the only way to make one.
+// Callers stream nodes in final id order, each with its full predecessor
+// list; the builder packs predecessors into the CSR arrays as they arrive
+// and derives the successor arrays in one counting-sort pass at Finish.
 //
 // Because every predecessor must already exist (AddNode rejects preds at
 // or beyond the new node's id), a finished graph satisfies the
-// topological-id invariant by construction — it cannot contain a cycle,
-// so no CheckAcyclic pass is needed. This is the fast path used by the
-// tracer's finalization, where the merge order makes predecessor-first
-// emission natural.
+// topological-id invariant by construction and so cannot contain a cycle.
+// The tracer's finalization, where the merge order makes
+// predecessor-first emission natural, and InducedSubgraph both build
+// through it.
 type FrozenBuilder struct {
 	g *Graph
 	// succCnt[u] counts u's successors until Finish turns it into the
@@ -42,13 +41,13 @@ func NewFrozenBuilder(nodes, maxArcs int) *FrozenBuilder {
 }
 
 // AddNode appends a node with the given predecessors and returns its id.
-// NoNode preds are skipped, duplicates within the list are dropped (the
-// same global dedup Graph.AddArc performs, since an arc (u,v) can only be
-// proposed while v is being added), and a pred >= the new id — nodes must
-// arrive in an order where every value flows forward — records an
-// InvariantViolation that Finish reports; the offending arc is dropped so
-// building can continue and the violation is surfaced once, typed,
-// instead of as a panic.
+// NoNode preds are skipped and duplicates within the list are dropped,
+// which dedups the whole graph, since an arc (u,v) can only be proposed
+// while v is being added. A pred >= the new id — nodes must arrive in an
+// order where every value flows forward — records an InvariantViolation
+// that Finish reports; the offending arc is dropped so building can
+// continue and the violation is surfaced once, typed, instead of as a
+// panic.
 func (fb *FrozenBuilder) AddNode(op mir.Op, pos mir.Pos, thread int32, scope *Scope, preds ...NodeID) NodeID {
 	g := fb.g
 	id := NodeID(len(g.ops))
@@ -108,9 +107,7 @@ func (fb *FrozenBuilder) Finish() (*Graph, error) {
 		}
 	}
 	// Walking v in ascending order fills each successor list in ascending
-	// target order — the same order Freeze produces for a graph whose arcs
-	// were added at v-creation time.
-	g.frozen = true
+	// target order.
 	fb.g, fb.succCnt = nil, nil
 	return g, nil
 }

@@ -93,7 +93,7 @@ func (s Set) Hash() Hash128 {
 }
 
 // fingerprint state lives on the Graph (graph.go) and memoizes via
-// sync.Once: frozen graphs are immutable, so one pass suffices.
+// sync.Once: graphs are immutable, so one pass suffices.
 type fingerprintMemo struct {
 	once sync.Once
 	fp   Hash128

@@ -67,31 +67,21 @@ func TestSetHash(t *testing.T) {
 	}
 }
 
-// hashTestGraph builds a small frozen graph: a 4-node chain plus a fork.
+// hashTestGraph builds a small graph: a 4-node chain plus a fork,
 //
 //	0 -> 1 -> 2 -> 3
 //	     1 -> 4
-func hashTestGraph(t *testing.T) *Graph {
-	t.Helper()
-	g := New(5)
+//
+// with any extra arcs appended.
+func hashTestGraph(extra ...[2]NodeID) *Graph {
 	ops := []mir.Op{mir.OpFSub, mir.OpFAdd, mir.OpFMul, mir.OpFDiv, mir.OpFDiv}
-	for i, op := range ops {
-		id := g.AddNode(op, mir.Pos{File: "h.c", Line: i + 1}, 0, nil)
-		if id != NodeID(i) {
-			t.Fatalf("node id %d != %d", id, i)
-		}
-	}
-	g.AddArc(0, 1)
-	g.AddArc(1, 2)
-	g.AddArc(2, 3)
-	g.AddArc(1, 4)
-	g.Freeze()
-	return g
+	pos := func(i int) mir.Pos { return mir.Pos{File: "h.c", Line: i + 1} }
+	return arcGraph(ops, pos, append([][2]NodeID{{0, 1}, {1, 2}, {2, 3}, {1, 4}}, extra...)...)
 }
 
 func TestGraphFingerprint(t *testing.T) {
-	g1 := hashTestGraph(t)
-	g2 := hashTestGraph(t)
+	g1 := hashTestGraph()
+	g2 := hashTestGraph()
 	if g1.Fingerprint() != g2.Fingerprint() {
 		t.Error("identically built graphs must fingerprint equally")
 	}
@@ -100,23 +90,14 @@ func TestGraphFingerprint(t *testing.T) {
 	}
 
 	// One extra arc changes it.
-	g3 := New(5)
-	for i, op := range []mir.Op{mir.OpFSub, mir.OpFAdd, mir.OpFMul, mir.OpFDiv, mir.OpFDiv} {
-		g3.AddNode(op, mir.Pos{File: "h.c", Line: i + 1}, 0, nil)
-	}
-	g3.AddArc(0, 1)
-	g3.AddArc(1, 2)
-	g3.AddArc(2, 3)
-	g3.AddArc(1, 4)
-	g3.AddArc(0, 4)
-	g3.Freeze()
+	g3 := hashTestGraph([2]NodeID{0, 4})
 	if g3.Fingerprint() == g1.Fingerprint() {
 		t.Error("an extra arc must change the fingerprint")
 	}
 }
 
 func TestSubViewFingerprint(t *testing.T) {
-	g := hashTestGraph(t)
+	g := hashTestGraph()
 	a := g.Overlay(NewSet(0, 1, 2))
 	b := g.Overlay(NewSet(0, 1, 2))
 	c := g.Overlay(NewSet(0, 1, 3))

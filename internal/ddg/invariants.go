@@ -7,7 +7,7 @@ import (
 )
 
 // CheckInvariants verifies the structural invariants every well-formed
-// DDG must satisfy, in either phase:
+// DDG must satisfy:
 //
 //   - struct-of-arrays consistency (every per-node array has one entry per
 //     node);
@@ -20,11 +20,8 @@ import (
 //     describe the same arc set, and their total size matches NumArcs;
 //   - loop-iteration indexes: every loop's index (deriving it if no view
 //     has yet) agrees with the scope chains node by node;
-//
-// and, for a frozen graph, that the CSR layout is well-formed (offset
-// arrays of the right length, monotone, covering the arc arrays) and that
-// the building-phase adjacency has been released — the frozen form is the
-// immutable one, so any surviving mutable state is a violation.
+//   - CSR layout: offset arrays of the right length, monotone, covering
+//     the arc arrays.
 //
 // It is run by tests, by `discovery -check` after tracing and after
 // simplification, and is cheap enough (O(arcs log arcs)) to gate any
@@ -39,40 +36,31 @@ func (g *Graph) CheckInvariants() error {
 		return fail("ddg: per-node arrays disagree: %d ops, %d pos, %d threads, %d scopes",
 			n, len(g.pos), len(g.thread), len(g.scope))
 	}
-	if g.frozen {
-		if g.succ != nil || g.pred != nil || g.succSet != nil {
-			return fail("ddg: frozen graph retains building-phase adjacency")
+	// A spilled graph's arc arrays live out of core; the per-node checks
+	// below read them back through the pager (Succs/Preds), so only the
+	// resident offset arrays are validated against the spilled arc
+	// count here — never against a flat array that no longer exists.
+	for _, csr := range []struct {
+		name string
+		off  []uint32
+		arcs int
+	}{
+		{"pred", g.predOff, g.arcLenPred()},
+		{"succ", g.succOff, g.arcLenSucc()},
+	} {
+		if len(csr.off) != n+1 {
+			return fail("ddg: %s offsets have %d entries, want %d", csr.name, len(csr.off), n+1)
 		}
-		// A spilled graph's arc arrays live out of core; the per-node checks
-		// below read them back through the pager (Succs/Preds), so only the
-		// resident offset arrays are validated against the spilled arc
-		// count here — never against a flat array that no longer exists.
-		for _, csr := range []struct {
-			name string
-			off  []uint32
-			arcs int
-		}{
-			{"pred", g.predOff, g.arcLenPred()},
-			{"succ", g.succOff, g.arcLenSucc()},
-		} {
-			if len(csr.off) != n+1 {
-				return fail("ddg: %s offsets have %d entries, want %d", csr.name, len(csr.off), n+1)
-			}
-			if n > 0 && csr.off[0] != 0 {
-				return fail("ddg: %s offsets start at %d, want 0", csr.name, csr.off[0])
-			}
-			for i := 0; i < n; i++ {
-				if csr.off[i] > csr.off[i+1] {
-					return fail("ddg: %s offsets decrease at node %d", csr.name, i)
-				}
-			}
-			if len(csr.off) > 0 && int(csr.off[n]) != csr.arcs {
-				return fail("ddg: %s offsets cover %d arcs, array has %d", csr.name, csr.off[n], csr.arcs)
+		if n > 0 && csr.off[0] != 0 {
+			return fail("ddg: %s offsets start at %d, want 0", csr.name, csr.off[0])
+		}
+		for i := 0; i < n; i++ {
+			if csr.off[i] > csr.off[i+1] {
+				return fail("ddg: %s offsets decrease at node %d", csr.name, i)
 			}
 		}
-	} else {
-		if len(g.succ) != n || len(g.pred) != n {
-			return fail("ddg: adjacency has %d/%d entries for %d nodes", len(g.succ), len(g.pred), n)
+		if len(csr.off) > 0 && int(csr.off[n]) != csr.arcs {
+			return fail("ddg: %s offsets cover %d arcs, array has %d", csr.name, csr.off[n], csr.arcs)
 		}
 	}
 

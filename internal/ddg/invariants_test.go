@@ -11,25 +11,37 @@ import (
 
 // chainGraph builds 0 -> 1 -> 2 -> 3 with an extra arc 0 -> 3.
 func chainGraph() *Graph {
-	g := New(4)
-	for i := 0; i < 4; i++ {
-		g.AddNode(mir.OpAdd, mir.Pos{}, 0, nil)
-	}
-	g.AddArc(0, 1)
-	g.AddArc(1, 2)
-	g.AddArc(2, 3)
-	g.AddArc(0, 3)
+	return arcGraph(sameOps(mir.OpAdd, 4), nil,
+		[2]NodeID{0, 1}, [2]NodeID{1, 2}, [2]NodeID{2, 3}, [2]NodeID{0, 3})
+}
+
+// cyclicGraph builds the chain 0 -> 1 -> 2 -> 3, then swaps the targets
+// of its arcs 0->1 and 2->3 on both CSR sides, leaving 0->3, 1->2 and the
+// backward arc 2->1 that closes a cycle. Every node keeps its degrees and
+// the two sides stay symmetric, so only the topological-id ordering is
+// broken — a graph no FrozenBuilder can produce.
+func cyclicGraph() *Graph {
+	g := arcGraph(sameOps(mir.OpFAdd, 4), nil, [2]NodeID{0, 1}, [2]NodeID{1, 2}, [2]NodeID{2, 3})
+	g.succArr[g.succOff[0]], g.succArr[g.succOff[2]] = 3, 1
+	g.predArr[g.predOff[1]], g.predArr[g.predOff[3]] = 2, 0
 	return g
 }
 
 func TestCheckInvariantsCleanGraph(t *testing.T) {
-	g := chainGraph()
-	if err := g.CheckInvariants(); err != nil {
-		t.Errorf("building-phase graph: %v", err)
+	if err := chainGraph().CheckInvariants(); err != nil {
+		t.Error(err)
 	}
-	g.Freeze()
-	if err := g.CheckInvariants(); err != nil {
-		t.Errorf("frozen graph: %v", err)
+}
+
+// TestCheckInvariantsRejectsCycle: the topological-id check alone rejects
+// a cycle, so no separate acyclicity pass is needed.
+func TestCheckInvariantsRejectsCycle(t *testing.T) {
+	err := cyclicGraph().CheckInvariants()
+	if !errors.Is(err, analysis.ErrInvariantViolation) {
+		t.Fatalf("cyclic graph: err = %v, want an invariant violation", err)
+	}
+	if !strings.Contains(err.Error(), "topological-id ordering") {
+		t.Errorf("violation does not name the topological-id ordering: %v", err)
 	}
 }
 
@@ -71,7 +83,6 @@ func TestFrozenBuilderRejectsBackwardArc(t *testing.T) {
 
 func TestCheckInvariantsDetectsAsymmetry(t *testing.T) {
 	g := chainGraph()
-	g.Freeze()
 	// Corrupt the frozen pred array: retarget an arc on the pred side only.
 	g.predArr[0] = 2 // node 1's pred becomes 2 (also backwards: 2 > 1)
 	if err := g.CheckInvariants(); err == nil {
@@ -81,7 +92,6 @@ func TestCheckInvariantsDetectsAsymmetry(t *testing.T) {
 
 func TestCheckInvariantsDetectsDuplicateArc(t *testing.T) {
 	g := chainGraph()
-	g.Freeze()
 	// Make node 3's preds [2, 2] instead of [2, 0] — a dedup violation
 	// that keeps the arc count consistent on the pred side.
 	for i := g.predOff[3]; i < g.predOff[4]; i++ {
@@ -89,16 +99,5 @@ func TestCheckInvariantsDetectsDuplicateArc(t *testing.T) {
 	}
 	if err := g.CheckInvariants(); err == nil {
 		t.Error("duplicate arc passed invariant checking")
-	}
-}
-
-func TestCheckInvariantsDetectsRetainedBuildingState(t *testing.T) {
-	g := chainGraph()
-	g.Freeze()
-	g.succ = make([][]NodeID, g.NumNodes()) // immutability leak
-	if err := g.CheckInvariants(); err == nil {
-		t.Error("retained building-phase adjacency passed invariant checking")
-	} else if !strings.Contains(err.Error(), "building-phase") {
-		t.Errorf("unexpected violation: %v", err)
 	}
 }

@@ -50,7 +50,7 @@ func (ix *LoopIterIndex) NumGroups() int {
 	return len(ix.Keys)
 }
 
-// iterIndexMemo caches a frozen graph's derived indexes; immutable once
+// iterIndexMemo caches a graph's derived indexes; immutable once
 // computed.
 type iterIndexMemo struct {
 	once sync.Once
@@ -58,18 +58,13 @@ type iterIndexMemo struct {
 }
 
 // LoopIterIndex returns the compaction index for the given static loop, or
-// nil when no node of the graph executed inside it. A frozen graph derives
-// the indexes of all its loops once, on first call; an unfrozen graph
-// derives them afresh on every call, so a graph that still gains nodes
-// never serves a stale index.
+// nil when no node of the graph executed inside it. The graph derives the
+// indexes of all its loops once, on first call.
 func (g *Graph) LoopIterIndex(loop mir.LoopID) *LoopIterIndex {
 	return g.iterIndexes()[loop]
 }
 
 func (g *Graph) iterIndexes() map[mir.LoopID]*LoopIterIndex {
-	if !g.frozen {
-		return deriveIterIndexes(g.scope)
-	}
 	g.iterMemo.once.Do(func() { g.iterMemo.ixs = deriveIterIndexes(g.scope) })
 	return g.iterMemo.ixs
 }

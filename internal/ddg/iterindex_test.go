@@ -2,7 +2,7 @@ package ddg
 
 // Unit tests for the loop-iteration compaction indexes: derivation from
 // the scope chains (including recursion that re-enters one static loop),
-// the frozen/unfrozen memo contract, subgraphs deriving their own
+// the memo contract, subgraphs deriving their own
 // indexes, and the invariant checker's drift detection — an index that
 // disagrees with the scope chains must be caught, because it would
 // silently change compacted views.
@@ -137,25 +137,21 @@ func TestIterIndexRecursion(t *testing.T) {
 	}
 }
 
-// TestIterIndexUnfrozenNotMemoized pins the memo contract: a graph still
-// being built derives afresh on every call, so a node added after a view
-// is reflected; once frozen, the derivation happens once.
+// TestIterIndexUnfrozenNotMemoized pins the memo contract: a graph derives
+// its indexes once.
 func TestIterIndexUnfrozenNotMemoized(t *testing.T) {
 	var root *Scope
 	s0 := root.Enter(1, 0)
-	g := New(2)
-	g.AddNode(mir.OpAdd, mir.Pos{}, 0, s0)
-	if n := g.LoopIterIndex(1).NumGroups(); n != 1 {
-		t.Fatalf("NumGroups = %d, want 1", n)
+	fb := NewFrozenBuilder(2, 0)
+	fb.AddNode(mir.OpAdd, mir.Pos{}, 0, s0)
+	fb.AddNode(mir.OpAdd, mir.Pos{}, 0, s0.NextIter())
+	g, err := fb.Finish()
+	if err != nil {
+		t.Fatal(err)
 	}
-	g.AddNode(mir.OpAdd, mir.Pos{}, 0, s0.NextIter())
-	if n := g.LoopIterIndex(1).NumGroups(); n != 2 {
-		t.Fatalf("NumGroups after AddNode = %d, want 2 (stale index served)", n)
-	}
-	g.Freeze()
 	ix := g.LoopIterIndex(1)
 	if ix.NumGroups() != 2 || g.LoopIterIndex(1) != ix {
-		t.Fatal("frozen graph did not memoize its index")
+		t.Fatal("graph did not memoize its index")
 	}
 }
 
@@ -197,7 +193,6 @@ func TestCheckInvariantsCatchesIndexDrift(t *testing.T) {
 func TestIterIndexRestrictsThroughInducedSubgraph(t *testing.T) {
 	g := buildLoopGraph(t)
 	sub, back := g.InducedSubgraph(NewSet(0, 1, 3, 4))
-	sub.Freeze()
 	if len(back) != 4 {
 		t.Fatalf("back map has %d entries, want 4", len(back))
 	}

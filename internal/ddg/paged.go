@@ -112,11 +112,11 @@ type arcPager struct {
 }
 
 // MaybeSpill spills the graph's arc arrays out of core when they exceed
-// cfg.Budget, returning whether it did. A zero budget, an unfrozen or
-// already-spilled graph, or arc arrays already under budget leave the
+// cfg.Budget, returning whether it did. A zero budget, an already-spilled
+// graph, or arc arrays already under budget leave the
 // graph untouched.
 func (g *Graph) MaybeSpill(cfg SpillConfig) (bool, error) {
-	if cfg.Budget <= 0 || !g.frozen || g.pager != nil {
+	if cfg.Budget <= 0 || g.pager != nil {
 		return false, nil
 	}
 	if int64(len(g.succArr)+len(g.predArr))*4 <= cfg.Budget {
@@ -129,13 +129,9 @@ func (g *Graph) MaybeSpill(cfg SpillConfig) (bool, error) {
 }
 
 // SpillArcs unconditionally moves the frozen graph's arc arrays into an
-// unlinked spill file and installs the pager. The graph must be frozen
-// and not already spilled.
+// unlinked spill file and installs the pager. The graph must not already
+// be spilled.
 func (g *Graph) SpillArcs(cfg SpillConfig) error {
-	if !g.frozen {
-		return analysis.Errorf(analysis.StageFinalize, analysis.InvalidInput,
-			"ddg: SpillArcs on an unfrozen graph")
-	}
 	if g.pager != nil {
 		return analysis.Errorf(analysis.StageFinalize, analysis.InvalidInput,
 			"ddg: SpillArcs on an already-spilled graph")

@@ -174,11 +174,6 @@ func TestMaybeSpillThreshold(t *testing.T) {
 }
 
 func TestSpillArcsErrors(t *testing.T) {
-	unfrozen := New(4)
-	unfrozen.AddNode(mir.OpFAdd, mir.Pos{File: "x.c", Line: 1}, 0, nil)
-	if err := unfrozen.SpillArcs(SpillConfig{Budget: 1}); err == nil {
-		t.Fatal("SpillArcs accepted an unfrozen graph")
-	}
 	g := buildRandomCSR(t, 5, 50, 3)
 	if err := g.SpillArcs(SpillConfig{Dir: t.TempDir(), Budget: 64}); err != nil {
 		t.Fatalf("SpillArcs: %v", err)

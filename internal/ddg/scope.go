@@ -56,15 +56,6 @@ func (s *Scope) FrameFor(loop mir.LoopID) (invocation uint64, iter int64, ok boo
 	return 0, 0, false
 }
 
-// Depth returns the nesting depth of the scope.
-func (s *Scope) Depth() int {
-	d := 0
-	for f := s; f != nil; f = f.Parent {
-		d++
-	}
-	return d
-}
-
 // String renders the scope innermost-last, e.g. "L1#0[3]/L2#7[0]".
 func (s *Scope) String() string {
 	if s == nil {

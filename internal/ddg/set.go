@@ -216,13 +216,6 @@ func (s Set) Key() string {
 	return string(buf)
 }
 
-// Clone returns a copy of the set.
-func (s Set) Clone() Set {
-	out := make(Set, len(s))
-	copy(out, s)
-	return out
-}
-
 // Partition splits s into k sets by label: s[i] goes to set label[i], in
 // [0, k). It is a counting sort whose forward fill keeps every set
 // ascending. The sets share one backing array, each capped at its own

@@ -177,12 +177,3 @@ func TestUnionAll(t *testing.T) {
 		t.Error("UnionAll() should be empty")
 	}
 }
-
-func TestClone(t *testing.T) {
-	a := NewSet(1, 2)
-	b := a.Clone()
-	b[0] = 9
-	if a[0] != 1 {
-		t.Error("Clone shares backing storage")
-	}
-}

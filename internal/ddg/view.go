@@ -136,28 +136,6 @@ func (sv *SubView) EachPred(u NodeID, fn func(v NodeID) bool) {
 	}
 }
 
-// HasExternalSucc reports whether u has a successor outside the member set
-// (a boundary out-arc of the sub-DDG).
-func (sv *SubView) HasExternalSucc(u NodeID) bool {
-	for _, v := range sv.base.Succs(u) {
-		if !sv.Contains(v) {
-			return true
-		}
-	}
-	return false
-}
-
-// HasExternalPred reports whether u has a predecessor outside the member
-// set (a boundary in-arc of the sub-DDG).
-func (sv *SubView) HasExternalPred(u NodeID) bool {
-	for _, v := range sv.base.Preds(u) {
-		if !sv.Contains(v) {
-			return true
-		}
-	}
-	return false
-}
-
 // --- GraphView: node attributes delegate to the base (ids are shared). ---
 
 // NumNodes returns the base graph's id-space size (not the member count),

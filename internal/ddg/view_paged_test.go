@@ -48,9 +48,9 @@ func viewSig(sv *SubView) string {
 				ixOrd = o
 			}
 		}
-		s += fmt.Sprintf("%d op=%v pos=%s:%d thread=%d scope=%s iter=%v/%t ord=%d succ=%v pred=%v extS=%t extP=%t\n",
+		s += fmt.Sprintf("%d op=%v pos=%s:%d thread=%d scope=%s iter=%v/%t ord=%d succ=%v pred=%v\n",
 			u, sv.Op(u), sv.Pos(u).File, sv.Pos(u).Line, sv.Thread(u), sv.ScopeOf(u).String(),
-			key, inLoop, ixOrd, sv.Succs(u), sv.Preds(u), sv.HasExternalSucc(u), sv.HasExternalPred(u))
+			key, inLoop, ixOrd, sv.Succs(u), sv.Preds(u))
 	}
 	loop := NewSet(1, 2, 3, 4)
 	s += fmt.Sprintf("convex=%t reach05=%t reach15=%t wcc=%v wc=%t wci=%t\n",

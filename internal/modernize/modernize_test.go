@@ -79,7 +79,10 @@ func TestSuggestCoversAllKinds(t *testing.T) {
 		patterns.KindLinearMapReduction, patterns.KindTiledMapReduction,
 		patterns.KindStencil, patterns.KindTreeReduction, patterns.KindPipeline,
 	}
-	g := ddg.New(0)
+	g, err := ddg.NewFrozenBuilder(0, 0).Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range kinds {
 		s := Suggest(g, &patterns.Pattern{Kind: k, Op: mir.OpFAdd})
 		if s == "" || strings.Contains(s, "no modernization template") {

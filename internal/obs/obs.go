@@ -17,7 +17,6 @@ package obs
 
 import (
 	"strconv"
-	"time"
 )
 
 // SpanID identifies one span within a Recorder. The zero SpanID means "no
@@ -37,9 +36,6 @@ func Str(key, val string) Attr { return Attr{Key: key, Val: val} }
 
 // Int builds an integer attribute.
 func Int(key string, v int64) Attr { return Attr{Key: key, Val: strconv.FormatInt(v, 10)} }
-
-// Dur builds a duration attribute.
-func Dur(key string, d time.Duration) Attr { return Attr{Key: key, Val: d.String()} }
 
 // AttrFailed is the attribute key marking a span failed. Ending a span
 // with Failed(...) sets it; exporters render such spans with a "!" marker

@@ -154,17 +154,6 @@ func (p *Pattern) Nodes() ddg.Set {
 	return p.nodes
 }
 
-// NumComponents returns the number of top-level components (partial plus
-// final chains count their components for tiled reductions).
-func (p *Pattern) NumComponents() int {
-	n := len(p.Comps)
-	for _, chain := range p.Partials {
-		n += len(chain)
-	}
-	n += len(p.Final)
-	return n
-}
-
 // Subsumes reports whether p's nodes are a superset of q's nodes; the
 // merge phase discards subsumed patterns (§5, Pattern Merging).
 func (p *Pattern) Subsumes(q *Pattern) bool {

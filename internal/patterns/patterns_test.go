@@ -9,10 +9,12 @@ import (
 
 // gb is a small graph builder for hand-constructed DDGs with loop scopes.
 type gb struct {
-	g *ddg.Graph
+	fb *ddg.FrozenBuilder
+	n  int
+	g  *ddg.Graph
 }
 
-func newGB() *gb { return &gb{g: ddg.New(16)} }
+func newGB() *gb { return &gb{fb: ddg.NewFrozenBuilder(16, 16)} }
 
 // node adds a node with the given op inside iteration iter of loop 1
 // (invocation 1); iter < 0 means no loop scope.
@@ -21,14 +23,48 @@ func (b *gb) node(op mir.Op, iter int64, preds ...ddg.NodeID) ddg.NodeID {
 	if iter >= 0 {
 		scope = &ddg.Scope{Loop: 1, Invocation: 1, Iter: iter}
 	}
-	id := b.g.AddNode(op, mir.Pos{File: "t.c", Line: int(id32(b.g)) + 1}, 0, scope)
-	for _, p := range preds {
-		b.g.AddArc(p, id)
-	}
-	return id
+	b.n++
+	return b.fb.AddNode(op, mir.Pos{File: "t.c", Line: b.n}, 0, scope, preds...)
 }
 
-func id32(g *ddg.Graph) int32 { return int32(g.NumNodes()) }
+// graph finishes the builder on first call and returns the graph; no node
+// may be added afterwards.
+func (b *gb) graph() *ddg.Graph {
+	if b.g == nil {
+		g, err := b.fb.Finish()
+		if err != nil {
+			panic(err)
+		}
+		b.g = g
+	}
+	return b.g
+}
+
+// extend rebuilds g with the arcs added and one extra node appended per
+// op in extra (zero position, thread 0, no scope). Ids, ops, positions
+// and scopes carry over, and each added arc goes after its target's own
+// predecessors.
+func extend(g *ddg.Graph, arcs [][2]ddg.NodeID, extra ...mir.Op) *ddg.Graph {
+	n := g.NumNodes()
+	added := make([][]ddg.NodeID, n+len(extra))
+	for _, a := range arcs {
+		added[a[1]] = append(added[a[1]], a[0])
+	}
+	fb := ddg.NewFrozenBuilder(n+len(extra), g.NumArcs()+len(arcs))
+	for i := 0; i < n; i++ {
+		u := ddg.NodeID(i)
+		preds := append(append([]ddg.NodeID(nil), g.Preds(u)...), added[i]...)
+		fb.AddNode(g.Op(u), g.Pos(u), g.Thread(u), g.ScopeOf(u), preds...)
+	}
+	for i, op := range extra {
+		fb.AddNode(op, mir.Pos{}, 0, nil, added[n+i]...)
+	}
+	out, err := fb.Finish()
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
 
 // buildMapDDG builds n independent two-op components (fsub -> fmul), each
 // fed by an external source and feeding an external sink.
@@ -42,7 +78,7 @@ func buildMapDDG(n int) (*ddg.Graph, ddg.Set) {
 		b.node(mir.OpFloor, -1, c) // sink
 		ambient = append(ambient, a, c)
 	}
-	return b.g, ddg.NewSet(ambient...)
+	return b.graph(), ddg.NewSet(ambient...)
 }
 
 func TestMatchMap(t *testing.T) {
@@ -70,7 +106,7 @@ func TestMatchMapRejectsDependentComponents(t *testing.T) {
 	g, ambient := buildMapDDG(3)
 	// Add a cross-iteration arc: component 0's fmul feeds component 1's fsub.
 	// Nodes: per i: src=4i, fsub=4i+1, fmul=4i+2, sink=4i+3.
-	g.AddArc(2, 5)
+	g = extend(g, [][2]ddg.NodeID{{2, 5}})
 	v := LoopView(g, ambient, 1)
 	if p := MatchMap(v); p != nil {
 		t.Errorf("map matched despite dependency: %v", p)
@@ -95,7 +131,7 @@ func TestMatchMapRejectsNoOutput(t *testing.T) {
 		c := b.node(mir.OpFMul, int64(i), a)
 		ambient = append(ambient, a, c)
 	}
-	v := LoopView(b.g, ddg.NewSet(ambient...), 1)
+	v := LoopView(b.graph(), ddg.NewSet(ambient...), 1)
 	if p := MatchMap(v); p != nil {
 		t.Errorf("map matched without outputs: %v", p)
 	}
@@ -118,7 +154,7 @@ func TestMatchMapRejectsInputlessComponent(t *testing.T) {
 		b.node(mir.OpFloor, -1, c) // sink
 		ambient = append(ambient, a, c)
 	}
-	v := LoopView(b.g, ddg.NewSet(ambient...), 1)
+	v := LoopView(b.graph(), ddg.NewSet(ambient...), 1)
 	if p := MatchMap(v); p != nil {
 		t.Errorf("map matched with an input-less component: %v", p)
 	}
@@ -140,7 +176,7 @@ func TestMatchConditionalMap(t *testing.T) {
 			ambient = append(ambient, c)
 		}
 	}
-	v := LoopView(b.g, ddg.NewSet(ambient...), 1)
+	v := LoopView(b.graph(), ddg.NewSet(ambient...), 1)
 	p := MatchMap(v)
 	if p == nil {
 		t.Fatal("conditional map not matched")
@@ -148,7 +184,7 @@ func TestMatchConditionalMap(t *testing.T) {
 	if p.Kind != KindConditionalMap || p.NumFull != 2 || len(p.Comps) != 4 {
 		t.Errorf("pattern = %v (NumFull=%d)", p, p.NumFull)
 	}
-	if err := Verify(b.g, p); err != nil {
+	if err := Verify(b.graph(), p); err != nil {
 		t.Errorf("verification failed: %v", err)
 	}
 }
@@ -163,7 +199,7 @@ func TestMatchMapRejectsMixedLabels(t *testing.T) {
 	src2 := b.node(mir.OpI2F, -1)
 	a2 := b.node(mir.OpFMul, 1, src2)
 	b.node(mir.OpFloor, -1, a2)
-	v := LoopView(b.g, ddg.NewSet(a1, a2), 1)
+	v := LoopView(b.graph(), ddg.NewSet(a1, a2), 1)
 	if p := MatchMap(v); p != nil {
 		t.Errorf("map matched with mixed labels: %v", p)
 	}
@@ -187,7 +223,7 @@ func buildChainDDG(n int) (*ddg.Graph, ddg.Set) {
 		prev = add
 	}
 	b.node(mir.OpFloor, -1, prev) // sink
-	return b.g, ddg.NewSet(adds...)
+	return b.graph(), ddg.NewSet(adds...)
 }
 
 func TestMatchLinearReduction(t *testing.T) {
@@ -241,7 +277,7 @@ func TestMatchLinearReductionRejectsNonAssociative(t *testing.T) {
 		prev = n
 	}
 	b.node(mir.OpFloor, -1, prev)
-	if p := MatchLinearReduction(NodeView(b.g, ddg.NewSet(nodes...)), nil); p != nil {
+	if p := MatchLinearReduction(NodeView(b.graph(), ddg.NewSet(nodes...)), nil); p != nil {
 		t.Errorf("non-associative chain matched: %v", p)
 	}
 }
@@ -261,7 +297,7 @@ func TestMatchLinearReductionRejectsMissingOutput(t *testing.T) {
 	elem2 := b.node(mir.OpI2F, -1)
 	a2 := b.node(mir.OpFAdd, 1, elem2, a1)
 	_ = a2 // no sink: final value unused
-	if p := MatchLinearReduction(NodeView(b.g, ddg.NewSet(a1, a2)), nil); p != nil {
+	if p := MatchLinearReduction(NodeView(b.graph(), ddg.NewSet(a1, a2)), nil); p != nil {
 		t.Errorf("reduction without output matched: %v", p)
 	}
 }
@@ -274,7 +310,7 @@ func TestMatchLinearReductionRejectsInputlessHead(t *testing.T) {
 	a2 := b.node(mir.OpFAdd, 1, b.node(mir.OpI2F, -1), a1)
 	a3 := b.node(mir.OpFAdd, 2, b.node(mir.OpI2F, -1), a2)
 	b.node(mir.OpFloor, -1, a3) // sink
-	if p := MatchLinearReduction(NodeView(b.g, ddg.NewSet(a1, a2, a3)), nil); p != nil {
+	if p := MatchLinearReduction(NodeView(b.graph(), ddg.NewSet(a1, a2, a3)), nil); p != nil {
 		t.Errorf("reduction with an input-less head matched: %v", p)
 	}
 }
@@ -315,7 +351,7 @@ func buildTiledDDG(m, p int) (*ddg.Graph, ddg.Set) {
 		prev = add
 	}
 	b.node(mir.OpFloor, -1, prev) // sink
-	return b.g, ddg.NewSet(all...)
+	return b.graph(), ddg.NewSet(all...)
 }
 
 func TestMatchTiledReduction(t *testing.T) {
@@ -356,7 +392,7 @@ func TestMatchTiledReductionRejectsUnevenChains(t *testing.T) {
 	f2 := b.node(mir.OpFAdd, 5, c1, f1)
 	b.node(mir.OpFloor, -1, f2)
 	all := ddg.NewSet(a1, a2, a3, c1, f1, f2)
-	if p := MatchTiledReduction(NodeView(b.g, all), nil); p != nil {
+	if p := MatchTiledReduction(NodeView(b.graph(), all), nil); p != nil {
 		t.Errorf("uneven tiled reduction matched: %v", p)
 	}
 }
@@ -388,7 +424,7 @@ func buildLinearMapReduction(n int) (*ddg.Graph, *Pattern, *Pattern) {
 		redComps[i] = ddg.NewSet(a)
 	}
 	redPat := &Pattern{Kind: KindLinearReduction, Comps: redComps, Op: mir.OpFAdd}
-	return b.g, mapPat, redPat
+	return b.graph(), mapPat, redPat
 }
 
 func TestMatchLinearMapReduction(t *testing.T) {
@@ -409,8 +445,7 @@ func TestMatchLinearMapReductionRejectsEscapingOutput(t *testing.T) {
 	g, m, r := buildLinearMapReduction(4)
 	// Map component 0's output is also used elsewhere: violates the
 	// "only taken as input by its corresponding component" interface.
-	g.AddNode(mir.OpFloor, mir.Pos{}, 0, nil)
-	g.AddArc(m.Comps[0][0], ddg.NodeID(g.NumNodes()-1))
+	g = extend(g, [][2]ddg.NodeID{{m.Comps[0][0], ddg.NodeID(g.NumNodes())}}, mir.OpFloor)
 	if p := MatchLinearMapReduction(g, m, r); p != nil {
 		t.Errorf("map-reduction matched despite escaping output: %v", p)
 	}
@@ -462,14 +497,14 @@ func TestMatchFusedMap(t *testing.T) {
 	}
 	a := &Pattern{Kind: KindMap, Comps: aComps, NumFull: 4}
 	bp := &Pattern{Kind: KindMap, Comps: bComps, NumFull: 4}
-	p := MatchFusedMap(b.g, a, bp)
+	p := MatchFusedMap(b.graph(), a, bp)
 	if p == nil {
 		t.Fatal("fused map not matched")
 	}
 	if p.Kind != KindFusedMap || len(p.Comps) != 4 || p.NumFull != 4 {
 		t.Errorf("pattern = %v", p)
 	}
-	if err := Verify(b.g, p); err != nil {
+	if err := Verify(b.graph(), p); err != nil {
 		t.Errorf("verification failed: %v", err)
 	}
 }
@@ -496,7 +531,7 @@ func TestMatchFusedMapRejectsMismatchedSpaces(t *testing.T) {
 	}
 	a := &Pattern{Kind: KindMap, Comps: aComps, NumFull: 2}
 	bp := &Pattern{Kind: KindMap, Comps: bComps, NumFull: 3}
-	if p := MatchFusedMap(b.g, a, bp); p != nil {
+	if p := MatchFusedMap(b.graph(), a, bp); p != nil {
 		t.Errorf("fused map matched despite mismatching spaces: %v", p)
 	}
 }
@@ -533,7 +568,7 @@ func TestMatchFusedMapWithConditionalFirstStage(t *testing.T) {
 		Comps:   []ddg.Set{aComps[0], aComps[1], aComps[2], aComps[3]},
 		NumFull: 2}
 	bp := &Pattern{Kind: KindMap, Comps: bComps, NumFull: 4}
-	p := MatchFusedMap(b.g, a, bp)
+	p := MatchFusedMap(b.graph(), a, bp)
 	if p == nil {
 		t.Fatal("conditional fused map not matched")
 	}
@@ -620,7 +655,7 @@ func TestLoopViewLooseNodes(t *testing.T) {
 	b := newGB()
 	src := b.node(mir.OpI2F, -1)
 	a := b.node(mir.OpFAdd, 0, src)
-	v := LoopView(b.g, ddg.NewSet(src, a), 1)
+	v := LoopView(b.graph(), ddg.NewSet(src, a), 1)
 	if v.NumGroups() != 2 {
 		t.Errorf("groups = %d, want 2 (loose node separate)", v.NumGroups())
 	}

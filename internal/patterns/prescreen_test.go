@@ -132,14 +132,14 @@ func TestPrescreenParallelArcsDeduplicated(t *testing.T) {
 	w := b.node(mir.OpFAdd, 1, u, u)
 	b.node(mir.OpFloor, -1, w)
 	nodes := ddg.NewSet(u, w)
-	p := PrescreenSub(b.g, nodes, 0)
+	p := PrescreenSub(b.graph(), nodes, 0)
 	if p.Arcs != 1 {
 		t.Errorf("parallel arcs counted as %d, want 1", p.Arcs)
 	}
 	if p.CannotMatch(KindLinearReduction) {
 		t.Errorf("two-node fadd chain prescreened away")
 	}
-	checkSound(t, b.g, nodes)
+	checkSound(t, b.graph(), nodes)
 }
 
 func TestGateDecidesShapeBeforeAdjacency(t *testing.T) {
@@ -210,7 +210,7 @@ func genScreenGraph(data []byte) (*ddg.Graph, ddg.Set) {
 			b.node(mir.OpFloor, -1, members[i]) // external consumer
 		}
 	}
-	return b.g, ddg.NewSet(members...)
+	return b.graph(), ddg.NewSet(members...)
 }
 
 // FuzzPrescreen fuzzes the one-sided soundness property: on arbitrary

@@ -32,21 +32,32 @@ func randomDAG(seed uint64) (*ddg.Graph, ddg.Set) {
 	r := &prng{s: seed | 1}
 	ops := []mir.Op{mir.OpFAdd, mir.OpFMul, mir.OpFSub, mir.OpI2F, mir.OpGt, mir.OpFDiv}
 	n := 6 + r.intn(14)
-	g := ddg.New(n)
+	nodeOps := make([]mir.Op, n)
+	lines := make([]int, n)
+	scopes := make([]*ddg.Scope, n)
 	for i := 0; i < n; i++ {
-		var scope *ddg.Scope
 		if r.intn(4) != 0 { // most nodes sit in some iteration of loop 1
-			scope = &ddg.Scope{Loop: 1, Invocation: 1, Iter: int64(r.intn(5))}
+			scopes[i] = &ddg.Scope{Loop: 1, Invocation: 1, Iter: int64(r.intn(5))}
 		}
-		g.AddNode(ops[r.intn(len(ops))], mir.Pos{File: "r.c", Line: 1 + r.intn(6)}, 0, scope)
+		nodeOps[i] = ops[r.intn(len(ops))]
+		lines[i] = 1 + r.intn(6)
 	}
 	// Random forward arcs keep the graph a DAG with the id-order invariant.
+	preds := make([][]ddg.NodeID, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if r.intn(4) == 0 {
-				g.AddArc(ddg.NodeID(i), ddg.NodeID(j))
+				preds[j] = append(preds[j], ddg.NodeID(i))
 			}
 		}
+	}
+	fb := ddg.NewFrozenBuilder(n, n*n/2)
+	for i := 0; i < n; i++ {
+		fb.AddNode(nodeOps[i], mir.Pos{File: "r.c", Line: lines[i]}, 0, scopes[i], preds[i]...)
+	}
+	g, err := fb.Finish()
+	if err != nil {
+		panic(err)
 	}
 	// Ambient: a random subset of at least half the nodes.
 	var amb []ddg.NodeID
@@ -73,13 +84,13 @@ func perturbedStructured(seed uint64) (*ddg.Graph, ddg.Set) {
 	default:
 		g, amb = buildTiledDDG(2+r.intn(3), 1+r.intn(3))
 	}
-	extra := r.intn(3)
-	for k := 0; k < extra; k++ {
+	extra := make([][2]ddg.NodeID, r.intn(3))
+	for k := range extra {
 		i := r.intn(g.NumNodes() - 1)
 		j := i + 1 + r.intn(g.NumNodes()-i-1)
-		g.AddArc(ddg.NodeID(i), ddg.NodeID(j))
+		extra[k] = [2]ddg.NodeID{ddg.NodeID(i), ddg.NodeID(j)}
 	}
-	return g, amb
+	return extend(g, extra), amb
 }
 
 func TestMatchersSoundOnRandomDAGs(t *testing.T) {
@@ -92,8 +103,8 @@ func TestMatchersSoundOnRandomDAGs(t *testing.T) {
 		} else {
 			g, amb = perturbedStructured(seed)
 		}
-		if err := g.CheckAcyclic(); err != nil {
-			t.Fatalf("seed %d: generator produced a cyclic graph: %v", seed, err)
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: generator produced a malformed graph: %v", seed, err)
 		}
 		for _, v := range []*View{NodeView(g, amb), LoopView(g, amb, 1)} {
 			check := func(p *Pattern) {
@@ -180,7 +191,7 @@ func bucketLoopGroups(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) []ddg.Set
 func nestedScopeDAG(seed uint64) (*ddg.Graph, ddg.Set) {
 	r := &prng{s: seed | 1}
 	n := 10 + r.intn(60)
-	g := ddg.New(n)
+	fb := ddg.NewFrozenBuilder(n, n)
 	var s *ddg.Scope
 	var inv uint64
 	for i := 0; i < n; i++ {
@@ -197,19 +208,22 @@ func nestedScopeDAG(seed uint64) (*ddg.Graph, ddg.Set) {
 				s = s.Exit()
 			}
 		}
-		g.AddNode(mir.OpFAdd, mir.Pos{File: "n.c", Line: 1 + r.intn(3)}, 0, s)
+		pos := mir.Pos{File: "n.c", Line: 1 + r.intn(3)}
+		var preds []ddg.NodeID
 		if i > 0 && r.intn(2) == 0 {
-			g.AddArc(ddg.NodeID(r.intn(i)), ddg.NodeID(i))
+			preds = append(preds, ddg.NodeID(r.intn(i)))
 		}
+		fb.AddNode(mir.OpFAdd, pos, 0, s, preds...)
+	}
+	g, err := fb.Finish()
+	if err != nil {
+		panic(err)
 	}
 	var amb []ddg.NodeID
 	for i := 0; i < n; i++ {
 		if r.intn(3) != 0 {
 			amb = append(amb, ddg.NodeID(i))
 		}
-	}
-	if seed%2 == 0 {
-		g.Freeze() // the memoized index path
 	}
 	return g, ddg.NewSet(amb...)
 }

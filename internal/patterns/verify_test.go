@@ -54,7 +54,7 @@ func TestVerifyMapRejectsMissingIO(t *testing.T) {
 	n2 := b.node(mir.OpFMul, 1)
 	p := &Pattern{Kind: KindMap, NumFull: 2,
 		Comps: []ddg.Set{ddg.NewSet(n1), ddg.NewSet(n2)}}
-	expectVerifyError(t, VerifyMap(b.g, p), "no input")
+	expectVerifyError(t, VerifyMap(b.graph(), p), "no input")
 }
 
 func TestVerifyLinearReductionRejectsNonAssociative(t *testing.T) {
@@ -66,10 +66,8 @@ func TestVerifyLinearReductionRejectsNonAssociative(t *testing.T) {
 	b.node(mir.OpFloor, -1, s2)
 	p := &Pattern{Kind: KindLinearReduction, Op: mir.OpFSub,
 		Comps: []ddg.Set{ddg.NewSet(s1), ddg.NewSet(s2)}}
-	expectVerifyError(t, VerifyLinearReduction(g2(b), p), "associative")
+	expectVerifyError(t, VerifyLinearReduction(b.graph(), p), "associative")
 }
-
-func g2(b *gb) *ddg.Graph { return b.g }
 
 func TestVerifyLinearReductionRejectsWrongOrder(t *testing.T) {
 	g, adds := buildChainDDG(3)
@@ -108,8 +106,7 @@ func TestVerifyMapReductionRejectsBrokenInterface(t *testing.T) {
 		t.Fatalf("valid map-reduction rejected: %v", err)
 	}
 	// Add an escaping use of a map component's value.
-	extra := g.AddNode(mir.OpFloor, mir.Pos{}, 0, nil)
-	g.AddArc(m.Comps[0][0], extra)
+	g = extend(g, [][2]ddg.NodeID{{m.Comps[0][0], ddg.NodeID(g.NumNodes())}}, mir.OpFloor)
 	expectVerifyError(t, VerifyMapReduction(g, p), "exactly one")
 }
 
@@ -135,7 +132,7 @@ func TestVerifyTreeReductionNegative(t *testing.T) {
 	if err := VerifyTreeReduction(g, p); err != nil {
 		t.Errorf("chain rejected as tree: %v", err)
 	}
-	g.AddArc(adds[0], adds[2]) // value reused by two tree nodes
+	g = extend(g, [][2]ddg.NodeID{{adds[0], adds[2]}}) // value reused by two tree nodes
 	if err := VerifyTreeReduction(g, p); err == nil {
 		t.Error("reused value accepted in tree")
 	}

@@ -146,18 +146,6 @@ func (r *BenchResult) FoundCount() (found, total int) {
 	return found, total
 }
 
-// MissedRespected reports whether every expected-miss stayed missed
-// (finding one would mean the reproduction diverges from the paper's
-// heuristics) and every expected find was found.
-func (r *BenchResult) MissedRespected() bool {
-	for _, er := range r.Expectations {
-		if er.Missed && er.Found {
-			return false
-		}
-	}
-	return true
-}
-
 // Accuracy classifies the additional patterns of this result as true or
 // false patterns by re-running the analysis on the benchmark's larger
 // sensitivity input (the automated analogue of the paper's manual §6.1

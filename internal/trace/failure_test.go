@@ -134,18 +134,26 @@ func TestCompleteTraceHasNoDiagnostic(t *testing.T) {
 }
 
 func TestCanonicalizeRejectsForeignThread(t *testing.T) {
-	g := ddg.New(1)
-	g.AddNode(mir.OpAdd, mir.Pos{}, 300, nil) // beyond maxThreads
-	_, err := Canonicalize(g)
+	fb := ddg.NewFrozenBuilder(1, 0)
+	fb.AddNode(mir.OpAdd, mir.Pos{}, 300, nil) // beyond maxThreads
+	g, err := fb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Canonicalize(g)
 	wantAnalysisError(t, err, analysis.ErrInvalidInput, "thread id")
 }
 
 func TestCanonicalizeRejectsOversizedStream(t *testing.T) {
 	setMaxNodesPerThread(t, 4)
-	g := ddg.New(5)
+	fb := ddg.NewFrozenBuilder(5, 0)
 	for i := 0; i < 5; i++ {
-		g.AddNode(mir.OpAdd, mir.Pos{}, 0, nil)
+		fb.AddNode(mir.OpAdd, mir.Pos{}, 0, nil)
 	}
-	_, err := Canonicalize(g)
+	g, err := fb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Canonicalize(g)
 	wantAnalysisError(t, err, analysis.ErrResourceExhausted, "exceeds")
 }

@@ -29,7 +29,7 @@ import (
 //
 // Emission order is predecessor-first, so nodes stream straight into a
 // ddg.FrozenBuilder: no intermediate per-node adjacency, and the result
-// is acyclic by construction (no CheckAcyclic pass needed).
+// is acyclic by construction.
 //
 // Buffers produced by the VM hot path are well-formed by construction, but
 // finalize also accepts buffers rebuilt from external graphs (the

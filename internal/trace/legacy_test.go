@@ -22,7 +22,7 @@ import (
 // against: same DDG up to the deterministic renumbering (see Canonicalize).
 type LegacyBuilder struct {
 	mu sync.Mutex
-	g  *ddg.Graph
+	fb *ddg.FrozenBuilder
 
 	shards [legacyShardCount]legacyShadowShard
 }
@@ -36,7 +36,7 @@ type legacyShadowShard struct {
 
 // NewLegacyBuilder returns an empty single-lock trace builder.
 func NewLegacyBuilder() *LegacyBuilder {
-	b := &LegacyBuilder{g: ddg.New(1024)}
+	b := &LegacyBuilder{fb: ddg.NewFrozenBuilder(1024, 1024)}
 	for i := range b.shards {
 		b.shards[i].m = map[int64]ddg.NodeID{}
 	}
@@ -63,15 +63,12 @@ func (t *legacyThreadTracer) LoadShadow(addr int64) ddg.NodeID { return t.b.Load
 func (t *legacyThreadTracer) StoreShadow(addr int64, def ddg.NodeID) { t.b.StoreShadow(addr, def) }
 
 // Node records an operation execution and its def-use arcs under the
-// global trace lock.
+// global trace lock. Ids follow global execution order, so every operand
+// already has one: the nodes stream straight into the FrozenBuilder.
 func (b *LegacyBuilder) Node(op mir.Op, pos mir.Pos, thread int32, scope *ddg.Scope, operands ...ddg.NodeID) ddg.NodeID {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	id := b.g.AddNode(op, pos, thread, scope)
-	for _, src := range operands {
-		b.g.AddArc(src, id)
-	}
-	return id
+	return b.fb.AddNode(op, pos, thread, scope, operands...)
 }
 
 // LoadShadow returns the defining node of the value at addr.
@@ -98,11 +95,11 @@ func (b *LegacyBuilder) StoreShadow(addr int64, def ddg.NodeID) {
 	s.m[addr] = def
 }
 
-// Graph returns the accumulated DDG. It must only be called after the
-// traced execution has finished. Legacy graphs assign node ids in global
-// execution order, so for multi-threaded programs the numbering depends
-// on the scheduler interleaving (the dataflow shape does not).
-func (b *LegacyBuilder) Graph() *ddg.Graph { return b.g }
+// Graph finishes and returns the accumulated DDG. It must be called once,
+// after the traced execution has finished. Legacy graphs assign node ids
+// in global execution order, so for multi-threaded programs the numbering
+// depends on the scheduler interleaving (the dataflow shape does not).
+func (b *LegacyBuilder) Graph() (*ddg.Graph, error) { return b.fb.Finish() }
 
 // RunLegacy executes the program under the single-lock tracer.
 func RunLegacy(prog *mir.Program, opts ...vm.Option) (*Result, error) {
@@ -116,10 +113,14 @@ func RunLegacy(prog *mir.Program, opts ...vm.Option) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: running %q (legacy): %w", prog.Name, err)
 	}
-	if err := b.g.CheckAcyclic(); err != nil {
+	g, err := b.Graph()
+	if err == nil {
+		err = g.CheckInvariants()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("trace: %q produced a malformed DDG (legacy): %w", prog.Name, err)
 	}
-	return &Result{Graph: b.g, Return: ret, Ops: m.Ops()}, nil
+	return &Result{Graph: g, Return: ret, Ops: m.Ops()}, nil
 }
 
 // Canonicalize renumbers a traced DDG into the deterministic order that

@@ -69,9 +69,6 @@ func TestStress8Threads(t *testing.T) {
 			if res.Graph.NumNodes() == 0 {
 				t.Fatal("empty DDG")
 			}
-			if !res.Graph.Frozen() {
-				t.Fatal("finalized DDG is not frozen")
-			}
 			threads := map[int32]bool{}
 			for u := ddg.NodeID(0); int(u) < res.Graph.NumNodes(); u++ {
 				threads[res.Graph.Thread(u)] = true

@@ -262,9 +262,9 @@ func Run(prog *mir.Program, opts ...vm.Option) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: running %q: %w", prog.Name, err)
 	}
-	// No CheckAcyclic pass: finalization emits predecessor-first into a
-	// ddg.FrozenBuilder, which rejects any arc that does not flow forward,
-	// so the merged DDG is acyclic by construction.
+	// Finalization emits predecessor-first into a ddg.FrozenBuilder, which
+	// rejects any arc that does not flow forward, so the merged DDG is
+	// acyclic by construction.
 	g, err := b.Graph()
 	if err != nil {
 		var ae *analysis.Error

@@ -187,8 +187,8 @@ func TestFigure2cTrace(t *testing.T) {
 	if len(threads) < 3 { // two workers + main
 		t.Errorf("adds executed by %d threads, want 3", len(threads))
 	}
-	// DDG is a DAG by construction; Run already checks, double-check here.
-	if err := g.CheckAcyclic(); err != nil {
+	// DDG is a DAG by construction; double-check here.
+	if err := g.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }
