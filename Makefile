@@ -6,7 +6,7 @@
 #   make benchsmoke — prescreen metric export + obs overhead gate
 #   make pipebench-smoke — build and smoke-test the pipeline benchmark
 #                  (bench/pipebench; `bash bench/pipebench/run.sh` times it)
-#   make cover   — coverage floors for internal/core, obs, sched, trace and ddg
+#   make cover   — coverage floors for internal/core, obs, sched, trace, ddg and cp
 #   make serversmoke — end-to-end daemon check: cold run, warm store hit
 #   make chaos   — fault-injection suite + chaos smoke against the binary
 
@@ -82,8 +82,8 @@ pipebench-smoke:
 
 # Coverage floors. The thresholds sit a few points under the levels the
 # suite reaches at the time of writing (core 95%, obs 92%, sched 94%,
-# trace 93%, ddg 92%), so real regressions fail while test-order jitter
-# does not.
+# trace 93%, ddg 92%, cp 94%), so real regressions fail while test-order
+# jitter does not.
 cover:
 	@mkdir -p .cover
 	$(GO) test -coverprofile=.cover/core.out ./internal/core/
@@ -91,7 +91,8 @@ cover:
 	$(GO) test -coverprofile=.cover/sched.out ./internal/sched/
 	$(GO) test -coverprofile=.cover/trace.out ./internal/trace/
 	$(GO) test -coverprofile=.cover/ddg.out ./internal/ddg/
-	@for spec in core:90 obs:88 sched:90 trace:88 ddg:90; do \
+	$(GO) test -coverprofile=.cover/cp.out ./internal/cp/
+	@for spec in core:90 obs:88 sched:90 trace:88 ddg:90 cp:90; do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		pct=$$($(GO) tool cover -func=.cover/$$pkg.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 		echo "internal/$$pkg coverage: $$pct% (floor $$floor%)"; \

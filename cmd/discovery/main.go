@@ -40,7 +40,6 @@ func main() {
 		noCache    = flag.Bool("no-cache", false, "disable the view-verdict solve cache (escape hatch; every solve runs)")
 		cacheStats = flag.Bool("cache-stats", false, "print view cache hit/miss/skip counts to stderr")
 		prescrStat = flag.Bool("prescreen-stats", false, "print prescreen check/skip counts to stderr")
-		restarts   = flag.Int64("solver-restarts", 0, "Luby restart slice in solver steps, with nogood recording (0 = plain DFS)")
 		check      = flag.Bool("check", false, "verify DDG structural invariants after tracing and after simplification")
 		memBudget  = flag.Int64("trace-memory-budget", 0, "resident DDG arc-byte budget; larger graphs page through an unlinked spill file (0 = fully resident)")
 		spillDir   = flag.String("ddg-spill-dir", "", "directory for DDG spill files (default: the system temp dir)")
@@ -141,7 +140,7 @@ func main() {
 	opts := core.Options{
 		VerifyMatches: *verify, Extensions: *extensions, DisableCache: *noCache,
 		Budget: *budget, SolverBudget: *solverBudg, SolverStepLimit: *solverStep,
-		SolverRestartSlice: *restarts, Obs: rec, ObsParent: analyzeSpan,
+		Obs: rec, ObsParent: analyzeSpan,
 		SpillBudget: *memBudget, SpillDir: *spillDir,
 	}
 	// -sched-workers exercises the daemon's configuration from the CLI: an

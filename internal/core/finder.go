@@ -58,14 +58,6 @@ type Options struct {
 	// reproducible, which makes degraded results testable. 0 means no
 	// limit.
 	SolverStepLimit int64
-	// SolverRestartSlice, when positive, arms Luby-scheduled solver
-	// restarts with nogood recording (see cp.Solver.RestartSlice): each
-	// solver run restarts after luby(i)×slice search steps, replaying its
-	// refuted prefixes as clauses. Restarts can change which solution an
-	// enumeration reaches first, so the option is part of the cache
-	// fingerprint and defaults to off (0), keeping default output
-	// byte-identical to the plain depth-first search.
-	SolverRestartSlice int64
 
 	// Extensions enables the pattern kinds beyond the paper's evaluated
 	// set (stencils and tree reductions, from the paper's future work).
@@ -514,12 +506,6 @@ func emitFindMetrics(rec obs.Recorder, res *Result, cache *ViewCache) {
 		if ks.Prescreened > 0 {
 			rec.Count(obs.L(obs.MetricPrescreenSkips, "kind", k), int64(ks.Prescreened))
 		}
-		if ks.Restarts > 0 {
-			rec.Count(obs.L(obs.MetricSolverRestarts, "kind", k), ks.Restarts)
-		}
-		if ks.Nogoods > 0 {
-			rec.Count(obs.L(obs.MetricSolverNogoods, "kind", k), ks.Nogoods)
-		}
 	}
 }
 
@@ -916,7 +902,6 @@ func budgetFor(ctx context.Context, opts Options, rec obs.Recorder, span obs.Spa
 		Ctx:          ctx,
 		SolveTimeout: opts.SolverBudget,
 		StepLimit:    opts.SolverStepLimit,
-		RestartSlice: opts.SolverRestartSlice,
 		Obs:          rec,
 		Span:         span,
 	}

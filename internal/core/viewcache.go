@@ -402,10 +402,7 @@ func cacheFingerprint(gs *ddg.Graph, opts Options) ddg.Hash128 {
 	}
 	h.Word(flags)
 	h.Word(uint64(opts.maxViewGroups()))
-	// Restarts can change which solution an enumeration finds first (and
-	// hence the stored pattern), so verdicts from different restart
-	// configurations must not be shared. The prescreen needs no word here:
-	// its verdicts agree with matcher verdicts by construction.
-	h.Word(uint64(opts.SolverRestartSlice))
+	// The prescreen needs no word here: its verdicts agree with matcher
+	// verdicts by construction.
 	return h.Sum()
 }

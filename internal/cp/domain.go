@@ -1,7 +1,7 @@
 // Package cp implements a small finite-domain constraint programming
 // solver: integer variables with bitset domains, propagators scheduled to a
-// fixpoint, and depth-first search with configurable branching, solution
-// enumeration, maximization, and time budgets.
+// fixpoint, and depth-first first-fail search with solution enumeration
+// and time and step budgets.
 //
 // It plays the role of the MiniZinc/Chuffed pair in the paper (§5, Pattern
 // Matching): the pattern definitions of §4 are expressed as combinatorial
@@ -34,27 +34,6 @@ func newDomainRange(lo, hi int) domain {
 		words[i/64] |= 1 << (i % 64)
 	}
 	return domain{words: words, offset: lo, size: n}
-}
-
-// newDomainValues returns the domain containing exactly the given values.
-func newDomainValues(values ...int) domain {
-	if len(values) == 0 {
-		return domain{}
-	}
-	lo, hi := values[0], values[0]
-	for _, v := range values {
-		lo, hi = min(lo, v), max(hi, v)
-	}
-	d := domain{words: make([]uint64, (hi-lo)/64+1), offset: lo}
-	for _, v := range values {
-		i := v - lo
-		w, b := i/64, uint(i%64)
-		if d.words[w]&(1<<b) == 0 {
-			d.words[w] |= 1 << b
-			d.size++
-		}
-	}
-	return d
 }
 
 func (d *domain) clone() domain {

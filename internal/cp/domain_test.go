@@ -19,8 +19,20 @@ func TestDomainRange(t *testing.T) {
 	}
 }
 
+// domainOf returns the domain holding exactly the values in [lo, hi] that
+// keep accepts, built as the solver builds domains: a range, then removals.
+func domainOf(lo, hi int, keep func(int) bool) domain {
+	d := newDomainRange(lo, hi)
+	for v := lo; v <= hi; v++ {
+		if !keep(v) {
+			d.remove(v)
+		}
+	}
+	return d
+}
+
 func TestDomainValues(t *testing.T) {
-	d := newDomainValues(10, -3, 10, 42)
+	d := domainOf(-3, 42, func(v int) bool { return v == -3 || v == 10 || v == 42 })
 	if d.size != 3 {
 		t.Errorf("size = %d, want 3", d.size)
 	}
@@ -34,8 +46,11 @@ func TestDomainValues(t *testing.T) {
 			t.Errorf("values = %v, want %v", got, want)
 		}
 	}
-	if newDomainValues().size != 0 {
-		t.Error("empty values domain should be empty")
+	if d.min() != -3 || d.max() != 42 {
+		t.Errorf("bounds = [%d,%d], want [-3,42]", d.min(), d.max())
+	}
+	if none := domainOf(0, 5, func(int) bool { return false }); !none.empty() {
+		t.Error("domain with every value removed should be empty")
 	}
 }
 
@@ -71,7 +86,8 @@ func TestDomainCloneIndependence(t *testing.T) {
 }
 
 func TestDomainString(t *testing.T) {
-	d := newDomainValues(1, 3)
+	d := newDomainRange(1, 3)
+	d.remove(2)
 	if d.String() != "{1,3}" {
 		t.Errorf("String = %q", d.String())
 	}
@@ -81,21 +97,24 @@ func TestDomainString(t *testing.T) {
 	}
 }
 
-// Property: for random value sets, min/max/size are consistent with the
-// values list.
+// Property: for random value sets carved out of a range by removals,
+// min/max/size are consistent with the values list, which is exactly the
+// set.
 func TestDomainConsistencyProperty(t *testing.T) {
 	prop := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
+		set := map[int]bool{}
+		for _, v := range raw {
+			set[int(v)%200] = true
 		}
-		vals := make([]int, len(raw))
-		for i, v := range raw {
-			vals[i] = int(v) % 200
-		}
-		d := newDomainValues(vals...)
+		d := domainOf(-199, 199, func(v int) bool { return set[v] })
 		list := d.values()
-		if len(list) != d.size {
+		if len(list) != d.size || d.size != len(set) {
 			return false
+		}
+		for _, v := range list {
+			if !set[v] {
+				return false
+			}
 		}
 		if d.size > 0 && (list[0] != d.min() || list[len(list)-1] != d.max()) {
 			return false

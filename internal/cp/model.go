@@ -10,9 +10,6 @@ type IntVar struct {
 	name string
 }
 
-// Name returns the variable's name.
-func (v *IntVar) Name() string { return v.name }
-
 func (v *IntVar) String() string { return v.name }
 
 // Model declares variables and constraints.
@@ -42,40 +39,12 @@ func (m *Model) newVar(name string, d domain) *IntVar {
 	return v
 }
 
-// Vars returns the declared variables.
-func (m *Model) Vars() []*IntVar { return m.vars }
-
 // Add registers a propagator and subscribes it to its variables.
 func (m *Model) Add(p Propagator) {
 	idx := len(m.props)
 	m.props = append(m.props, p)
 	for _, v := range p.Vars() {
 		m.watchers[v.id] = append(m.watchers[v.id], idx)
-	}
-}
-
-// mark returns a checkpoint of the model's propagator count, for use with
-// retract. The restart search uses the pair to scope learned nogood
-// clauses to one solve.
-func (m *Model) mark() int { return len(m.props) }
-
-// retract removes every propagator added after the mark checkpoint,
-// including its watcher subscriptions. Spaces created before the retract
-// must not be used afterwards.
-func (m *Model) retract(mark int) {
-	if len(m.props) <= mark {
-		return
-	}
-	m.props = m.props[:mark]
-	for id, ws := range m.watchers {
-		k := 0
-		for _, idx := range ws {
-			if idx < mark {
-				ws[k] = idx
-				k++
-			}
-		}
-		m.watchers[id] = ws[:k]
 	}
 }
 
@@ -128,9 +97,6 @@ func (s *Space) clone() *Space {
 	}
 	return c
 }
-
-// Failed reports whether the space is inconsistent.
-func (s *Space) Failed() bool { return s.failed }
 
 // Min returns the smallest value in v's domain.
 func (s *Space) Min(v *IntVar) int { return s.doms[v.id].min() }

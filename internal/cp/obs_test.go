@@ -40,13 +40,13 @@ func TestSolveSpanVerdicts(t *testing.T) {
 		{"unsat", func(m *Model) *Solver {
 			x := m.NewIntVar("x", 0, 3)
 			m.EqC(x, 2)
-			m.NeC(x, 2)
+			m.EqC(x, 3)
 			return &Solver{Model: m}
 		}, "unsat"},
 		{"undecided", func(m *Model) *Solver {
 			x := m.NewIntVar("x", 0, 3)
 			y := m.NewIntVar("y", 0, 3)
-			m.Ne(x, y)
+			m.AllDifferent([]*IntVar{x, y})
 			return &Solver{Model: m, Timeout: -1} // budget pre-exhausted
 		}, "undecided"},
 	}
@@ -96,7 +96,7 @@ func TestSolveAllEmitsOneSpan(t *testing.T) {
 	m := NewModel()
 	x := m.NewIntVar("x", 0, 3)
 	y := m.NewIntVar("y", 0, 3)
-	m.Ne(x, y)
+	m.AllDifferent([]*IntVar{x, y})
 	c := obs.NewCollector()
 	sv := &Solver{Model: m, Obs: c}
 	n := 0

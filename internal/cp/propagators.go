@@ -1,8 +1,8 @@
 package cp
 
-// Built-in constraints. Each is a bounds- or value-consistent propagator;
-// pattern-specific global constraints (e.g. reduction chains) implement
-// Propagator directly in the patterns package.
+// Built-in constraints: the ones the matchers post. Each is a bounds- or
+// value-consistent propagator; pattern-specific global constraints (e.g.
+// reduction chains) implement Propagator directly in the patterns package.
 
 // EqC posts x = c.
 func (m *Model) EqC(x *IntVar, c int) { m.Add(&eqC{x: x, c: c}) }
@@ -17,92 +17,8 @@ func (p *eqC) Propagate(s *Space) bool {
 	return s.Assign(p.x, p.c)
 }
 
-// NeC posts x ≠ c.
-func (m *Model) NeC(x *IntVar, c int) { m.Add(&neC{x: x, c: c}) }
-
-type neC struct {
-	x *IntVar
-	c int
-}
-
-func (p *neC) Vars() []*IntVar { return []*IntVar{p.x} }
-func (p *neC) Propagate(s *Space) bool {
-	return s.Remove(p.x, p.c)
-}
-
-// Eq posts x = y (value consistency).
-func (m *Model) Eq(x, y *IntVar) { m.Add(&eqVar{x: x, y: y}) }
-
-type eqVar struct{ x, y *IntVar }
-
-func (p *eqVar) Vars() []*IntVar { return []*IntVar{p.x, p.y} }
-func (p *eqVar) Propagate(s *Space) bool {
-	// Remove from each domain the values absent from the other.
-	for _, v := range s.Values(p.x) {
-		if !s.Contains(p.y, v) {
-			if !s.Remove(p.x, v) {
-				return false
-			}
-		}
-	}
-	for _, v := range s.Values(p.y) {
-		if !s.Contains(p.x, v) {
-			if !s.Remove(p.y, v) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Ne posts x ≠ y.
-func (m *Model) Ne(x, y *IntVar) { m.Add(&neVar{x: x, y: y}) }
-
-type neVar struct{ x, y *IntVar }
-
-func (p *neVar) Vars() []*IntVar { return []*IntVar{p.x, p.y} }
-func (p *neVar) Propagate(s *Space) bool {
-	if s.Assigned(p.x) {
-		if !s.Remove(p.y, s.Value(p.x)) {
-			return false
-		}
-	}
-	if s.Assigned(p.y) {
-		if !s.Remove(p.x, s.Value(p.y)) {
-			return false
-		}
-	}
-	return true
-}
-
-// Le posts x + c ≤ y.
-func (m *Model) Le(x *IntVar, c int, y *IntVar) { m.Add(&leVar{x: x, y: y, c: c}) }
-
-type leVar struct {
-	x, y *IntVar
-	c    int
-}
-
-func (p *leVar) Vars() []*IntVar { return []*IntVar{p.x, p.y} }
-func (p *leVar) Propagate(s *Space) bool {
-	if !s.RemoveAbove(p.x, s.Max(p.y)-p.c) {
-		return false
-	}
-	return s.RemoveBelow(p.y, s.Min(p.x)+p.c)
-}
-
-// LinRel is the relation of a linear constraint.
-type LinRel uint8
-
-// Linear relations.
-const (
-	LinEq LinRel = iota // Σ = rhs
-	LinLe               // Σ ≤ rhs
-	LinGe               // Σ ≥ rhs
-)
-
-// Linear posts Σ coeffs[i]*vars[i] rel rhs with bounds propagation.
-func (m *Model) Linear(coeffs []int, vars []*IntVar, rel LinRel, rhs int) {
+// Linear posts Σ coeffs[i]*vars[i] = rhs with bounds propagation.
+func (m *Model) Linear(coeffs []int, vars []*IntVar, rhs int) {
 	if len(coeffs) != len(vars) {
 		panic("cp: Linear coeffs/vars length mismatch")
 	}
@@ -110,7 +26,7 @@ func (m *Model) Linear(coeffs []int, vars []*IntVar, rel LinRel, rhs int) {
 	vs := make([]*IntVar, len(vars))
 	copy(cs, coeffs)
 	copy(vs, vars)
-	m.Add(&linear{coeffs: cs, vars: vs, rel: rel, rhs: rhs})
+	m.Add(&linear{coeffs: cs, vars: vs, rhs: rhs})
 }
 
 // SumEq posts Σ vars = rhs.
@@ -119,22 +35,12 @@ func (m *Model) SumEq(vars []*IntVar, rhs int) {
 	for i := range coeffs {
 		coeffs[i] = 1
 	}
-	m.Linear(coeffs, vars, LinEq, rhs)
-}
-
-// SumGe posts Σ vars ≥ rhs.
-func (m *Model) SumGe(vars []*IntVar, rhs int) {
-	coeffs := make([]int, len(vars))
-	for i := range coeffs {
-		coeffs[i] = 1
-	}
-	m.Linear(coeffs, vars, LinGe, rhs)
+	m.Linear(coeffs, vars, rhs)
 }
 
 type linear struct {
 	coeffs []int
 	vars   []*IntVar
-	rel    LinRel
 	rhs    int
 }
 
@@ -154,61 +60,57 @@ func (p *linear) Propagate(s *Space) bool {
 			hi += c * s.Min(v)
 		}
 	}
-	if p.rel == LinEq || p.rel == LinLe {
-		// Σ ≤ rhs: prune values that force the sum above rhs.
-		if lo > p.rhs {
-			s.failed = true
-			return false
+	// Σ ≤ rhs: prune values that force the sum above rhs.
+	if lo > p.rhs {
+		s.failed = true
+		return false
+	}
+	for i, v := range p.vars {
+		c := p.coeffs[i]
+		if c == 0 {
+			continue
 		}
-		for i, v := range p.vars {
-			c := p.coeffs[i]
-			if c == 0 {
-				continue
+		var termLo int
+		if c >= 0 {
+			termLo = c * s.Min(v)
+		} else {
+			termLo = c * s.Max(v)
+		}
+		slack := p.rhs - (lo - termLo)
+		if c > 0 {
+			if !s.RemoveAbove(v, floorDiv(slack, c)) {
+				return false
 			}
-			var termLo int
-			if c >= 0 {
-				termLo = c * s.Min(v)
-			} else {
-				termLo = c * s.Max(v)
-			}
-			slack := p.rhs - (lo - termLo)
-			if c > 0 {
-				if !s.RemoveAbove(v, floorDiv(slack, c)) {
-					return false
-				}
-			} else {
-				if !s.RemoveBelow(v, ceilDiv(slack, c)) {
-					return false
-				}
+		} else {
+			if !s.RemoveBelow(v, ceilDiv(slack, c)) {
+				return false
 			}
 		}
 	}
-	if p.rel == LinEq || p.rel == LinGe {
-		// Σ ≥ rhs: prune values that force the sum below rhs.
-		if hi < p.rhs {
-			s.failed = true
-			return false
+	// Σ ≥ rhs: prune values that force the sum below rhs.
+	if hi < p.rhs {
+		s.failed = true
+		return false
+	}
+	for i, v := range p.vars {
+		c := p.coeffs[i]
+		if c == 0 {
+			continue
 		}
-		for i, v := range p.vars {
-			c := p.coeffs[i]
-			if c == 0 {
-				continue
+		var termHi int
+		if c >= 0 {
+			termHi = c * s.Max(v)
+		} else {
+			termHi = c * s.Min(v)
+		}
+		slack := p.rhs - (hi - termHi) // term must be ≥ slack
+		if c > 0 {
+			if !s.RemoveBelow(v, ceilDiv(slack, c)) {
+				return false
 			}
-			var termHi int
-			if c >= 0 {
-				termHi = c * s.Max(v)
-			} else {
-				termHi = c * s.Min(v)
-			}
-			slack := p.rhs - (hi - termHi) // term must be ≥ slack
-			if c > 0 {
-				if !s.RemoveBelow(v, ceilDiv(slack, c)) {
-					return false
-				}
-			} else {
-				if !s.RemoveAbove(v, floorDiv(slack, c)) {
-					return false
-				}
+		} else {
+			if !s.RemoveAbove(v, floorDiv(slack, c)) {
+				return false
 			}
 		}
 	}
@@ -229,44 +131,6 @@ func ceilDiv(a, b int) int {
 		q++
 	}
 	return q
-}
-
-// Element posts arr[idx] = res, where arr is a constant array.
-func (m *Model) Element(arr []int, idx, res *IntVar) {
-	a := make([]int, len(arr))
-	copy(a, arr)
-	m.Add(&element{arr: a, idx: idx, res: res})
-}
-
-type element struct {
-	arr      []int
-	idx, res *IntVar
-}
-
-func (p *element) Vars() []*IntVar { return []*IntVar{p.idx, p.res} }
-
-func (p *element) Propagate(s *Space) bool {
-	// Prune idx values out of range or mapping to unsupported results.
-	for _, i := range s.Values(p.idx) {
-		if i < 0 || i >= len(p.arr) || !s.Contains(p.res, p.arr[i]) {
-			if !s.Remove(p.idx, i) {
-				return false
-			}
-		}
-	}
-	// Prune res values with no supporting index.
-	supported := map[int]bool{}
-	for _, i := range s.Values(p.idx) {
-		supported[p.arr[i]] = true
-	}
-	for _, v := range s.Values(p.res) {
-		if !supported[v] {
-			if !s.Remove(p.res, v) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // AllDifferent posts pairwise disequality over the variables (value
@@ -299,173 +163,6 @@ func (p *allDifferent) Propagate(s *Space) bool {
 				return false
 			}
 		}
-	}
-	return true
-}
-
-// Table posts that the variable tuple must equal one of the allowed tuples
-// (generalized arc consistency by support scanning).
-func (m *Model) Table(vars []*IntVar, tuples [][]int) {
-	vs := make([]*IntVar, len(vars))
-	copy(vs, vars)
-	ts := make([][]int, len(tuples))
-	for i, t := range tuples {
-		if len(t) != len(vars) {
-			panic("cp: Table tuple arity mismatch")
-		}
-		ts[i] = append([]int(nil), t...)
-	}
-	m.Add(&table{vars: vs, tuples: ts})
-}
-
-type table struct {
-	vars   []*IntVar
-	tuples [][]int
-}
-
-func (p *table) Vars() []*IntVar { return p.vars }
-
-func (p *table) Propagate(s *Space) bool {
-	// live[i] = tuple i still consistent with all domains.
-	supported := make([]map[int]bool, len(p.vars))
-	for i := range supported {
-		supported[i] = map[int]bool{}
-	}
-	anyLive := false
-	for _, t := range p.tuples {
-		live := true
-		for i, v := range p.vars {
-			if !s.Contains(v, t[i]) {
-				live = false
-				break
-			}
-		}
-		if live {
-			anyLive = true
-			for i := range p.vars {
-				supported[i][t[i]] = true
-			}
-		}
-	}
-	if !anyLive {
-		s.failed = true
-		return false
-	}
-	for i, v := range p.vars {
-		for _, val := range s.Values(v) {
-			if !supported[i][val] {
-				if !s.Remove(v, val) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// IfEqThenEq posts: x = xv  ⇒  y = yv.
-func (m *Model) IfEqThenEq(x *IntVar, xv int, y *IntVar, yv int) {
-	m.Add(&ifEqThenEq{x: x, xv: xv, y: y, yv: yv})
-}
-
-type ifEqThenEq struct {
-	x, y   *IntVar
-	xv, yv int
-}
-
-func (p *ifEqThenEq) Vars() []*IntVar { return []*IntVar{p.x, p.y} }
-
-func (p *ifEqThenEq) Propagate(s *Space) bool {
-	if s.Assigned(p.x) && s.Value(p.x) == p.xv {
-		return s.Assign(p.y, p.yv)
-	}
-	// Contrapositive: y ≠ yv ⇒ x ≠ xv.
-	if !s.Contains(p.y, p.yv) {
-		return s.Remove(p.x, p.xv)
-	}
-	return true
-}
-
-// Count posts |{i : vars[i] = value}| = countVar.
-func (m *Model) Count(vars []*IntVar, value int, countVar *IntVar) {
-	vs := make([]*IntVar, len(vars))
-	copy(vs, vars)
-	m.Add(&count{vars: vs, value: value, countVar: countVar})
-}
-
-type count struct {
-	vars     []*IntVar
-	value    int
-	countVar *IntVar
-}
-
-func (p *count) Vars() []*IntVar { return append(append([]*IntVar{}, p.vars...), p.countVar) }
-
-func (p *count) Propagate(s *Space) bool {
-	fixed, possible := 0, 0
-	for _, v := range p.vars {
-		if !s.Contains(v, p.value) {
-			continue
-		}
-		possible++
-		if s.Assigned(v) {
-			fixed++
-		}
-	}
-	if !s.RemoveBelow(p.countVar, fixed) || !s.RemoveAbove(p.countVar, possible) {
-		return false
-	}
-	// If the count is pinned at either bound, force the undecided vars.
-	if s.Assigned(p.countVar) {
-		target := s.Value(p.countVar)
-		switch {
-		case target == fixed:
-			// No more occurrences allowed: remove value from undecided.
-			for _, v := range p.vars {
-				if !s.Assigned(v) {
-					if !s.Remove(v, p.value) {
-						return false
-					}
-				}
-			}
-		case target == possible:
-			// Every candidate must take the value.
-			for _, v := range p.vars {
-				if s.Contains(v, p.value) && !s.Assigned(v) {
-					if !s.Assign(v, p.value) {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
-}
-
-// BoolEqReif posts b ⇔ (x = c), with b a 0/1 variable.
-func (m *Model) BoolEqReif(x *IntVar, c int, b *IntVar) {
-	m.Add(&boolEqReif{x: x, c: c, b: b})
-}
-
-type boolEqReif struct {
-	x, b *IntVar
-	c    int
-}
-
-func (p *boolEqReif) Vars() []*IntVar { return []*IntVar{p.x, p.b} }
-
-func (p *boolEqReif) Propagate(s *Space) bool {
-	if !s.Contains(p.x, p.c) {
-		return s.Assign(p.b, 0)
-	}
-	if s.Assigned(p.x) && s.Value(p.x) == p.c {
-		return s.Assign(p.b, 1)
-	}
-	if s.Assigned(p.b) {
-		if s.Value(p.b) == 1 {
-			return s.Assign(p.x, p.c)
-		}
-		return s.Remove(p.x, p.c)
 	}
 	return true
 }

@@ -23,11 +23,6 @@ type Stats struct {
 	// LimitHit reports that the step limit (nodes + propagations) was
 	// exhausted.
 	LimitHit bool
-	// Restarts counts Luby-scheduled restarts taken (see
-	// Solver.RestartSlice); Nogoods counts the refuted-prefix clauses
-	// recorded across them. Both are zero when restarts are not armed.
-	Restarts int64
-	Nogoods  int64
 	// Err records a panic recovered during the run — a solver or propagator
 	// bug contained at the Solve boundary, as a match-stage
 	// *analysis.Error. The counters above remain valid for the partial
@@ -51,38 +46,18 @@ func (s *Stats) Add(other Stats) {
 	s.TimedOut = s.TimedOut || other.TimedOut
 	s.Cancelled = s.Cancelled || other.Cancelled
 	s.LimitHit = s.LimitHit || other.LimitHit
-	s.Restarts += other.Restarts
-	s.Nogoods += other.Nogoods
 	if s.Err == nil {
 		s.Err = other.Err
 	}
 }
 
-// BranchOrder selects the next variable and the value order to try.
-type BranchOrder interface {
-	// Select returns the variable to branch on, or nil when all relevant
-	// variables are assigned (a solution).
-	Select(s *Space) *IntVar
-	// ValueOrder returns the values of v to try, best first.
-	ValueOrder(s *Space, v *IntVar) []int
-}
-
-// FirstFail branches on the unassigned variable with the smallest domain,
-// trying values in increasing order. Vars limits branching to a subset;
-// nil means all model variables.
-type FirstFail struct {
-	Vars []*IntVar
-}
-
-// Select implements BranchOrder.
-func (f *FirstFail) Select(s *Space) *IntVar {
-	vars := f.Vars
-	if vars == nil {
-		vars = s.model.vars
-	}
+// firstFail returns the unassigned variable with the smallest domain,
+// the earliest declared on ties, or nil when every variable is assigned
+// (a solution).
+func firstFail(s *Space) *IntVar {
 	var best *IntVar
 	bestSize := int(^uint(0) >> 1)
-	for _, v := range vars {
+	for _, v := range s.model.vars {
 		if sz := s.Size(v); sz > 1 && sz < bestSize {
 			best, bestSize = v, sz
 		}
@@ -90,34 +65,10 @@ func (f *FirstFail) Select(s *Space) *IntVar {
 	return best
 }
 
-// ValueOrder implements BranchOrder.
-func (f *FirstFail) ValueOrder(s *Space, v *IntVar) []int { return s.Values(v) }
-
-// MaxValueFirst is FirstFail with decreasing value order, useful when
-// larger values encode "included in the pattern".
-type MaxValueFirst struct {
-	Vars []*IntVar
-}
-
-// Select implements BranchOrder.
-func (f *MaxValueFirst) Select(s *Space) *IntVar {
-	return (&FirstFail{Vars: f.Vars}).Select(s)
-}
-
-// ValueOrder implements BranchOrder.
-func (f *MaxValueFirst) ValueOrder(s *Space, v *IntVar) []int {
-	vals := s.Values(v)
-	for i, j := 0, len(vals)-1; i < j; i, j = i+1, j-1 {
-		vals[i], vals[j] = vals[j], vals[i]
-	}
-	return vals
-}
-
-// Solver runs depth-first search with propagation over a model.
+// Solver runs depth-first search with propagation over a model,
+// branching first-fail (firstFail) and trying values in increasing order.
 type Solver struct {
 	Model *Model
-	// Branch defaults to FirstFail over all variables.
-	Branch BranchOrder
 	// Timeout bounds the wall-clock search time; zero means no limit. The
 	// paper uses a 60-second budget per solver run. A negative Timeout
 	// means the budget is already exhausted: the solver returns
@@ -131,17 +82,6 @@ type Solver struct {
 	// no limit. Unlike Timeout it is reproducible across machines, which
 	// the degraded-result tests rely on.
 	StepLimit int64
-	// RestartSlice, when positive, arms Luby-scheduled restarts with
-	// nogood recording (see restart.go): attempt i runs for
-	// luby(i)×RestartSlice steps, then restarts from the root after
-	// recording its explored prefixes as clauses. Zero — the default —
-	// keeps the plain depth-first search. Restarts are deterministic (the
-	// slice is counted in steps, not wall time) but can change which
-	// solution an enumeration reaches first.
-	RestartSlice int64
-	// Objective, if set, is maximized: search restarts pruning solutions
-	// not strictly better (branch-and-bound).
-	Objective *IntVar
 	// Obs, when non-nil and enabled, receives one span per solve (under
 	// SpanParent) carrying the run's verdict and effort counters. The
 	// solver emits nothing per search node, so observability costs one
@@ -152,36 +92,25 @@ type Solver struct {
 
 	stats    Stats
 	deadline time.Time
-
-	// Restart state (see restart.go): the current decision path, the step
-	// count at which the current slice expires, and the flag distinguishing
-	// a slice expiry from a real resource limit.
-	trail      []decision
-	sliceEnd   int64
-	restartNow bool
 }
 
 // Stats returns effort counters from the last Solve/SolveAll call.
 func (sv *Solver) Stats() Stats { return sv.stats }
 
-// Solve returns the first solution (or the best one under branch-and-bound
-// when Objective is set), or nil if unsatisfiable or out of time.
+// Solve returns the first solution, or nil if unsatisfiable or out of
+// time.
 func (sv *Solver) Solve() Solution {
-	var best Solution
-	sv.solveInternal(func(sol Solution) bool {
-		best = sol
-		return sv.Objective != nil // keep searching only when optimizing
+	var first Solution
+	sv.SolveAll(func(sol Solution) bool {
+		first = sol
+		return false
 	})
-	return best
+	return first
 }
 
 // SolveAll enumerates solutions until the callback returns false, the
 // search space is exhausted, or the timeout expires.
 func (sv *Solver) SolveAll(cb func(Solution) bool) {
-	sv.solveInternal(cb)
-}
-
-func (sv *Solver) solveInternal(cb func(Solution) bool) {
 	start := time.Now()
 	sv.stats = Stats{}
 	// The solve span. Its deferred end is registered before the recover
@@ -216,35 +145,10 @@ func (sv *Solver) solveInternal(cb func(Solution) bool) {
 		sv.stats.Elapsed = time.Since(start)
 		return
 	}
-	branch := sv.Branch
-	if branch == nil {
-		branch = &FirstFail{}
-	}
-	bound := -1 << 62
-	restarts := sv.RestartSlice > 0
-	sv.sliceEnd = 0
-	sv.trail = sv.trail[:0]
-	if restarts {
-		// Learned nogoods live only for this solve: retract them from the
-		// model on the way out so the model can be solved again cleanly.
-		mark := sv.Model.mark()
-		defer sv.Model.retract(mark)
-	}
-	for attempt := int64(1); ; attempt++ {
-		if restarts {
-			sv.sliceEnd = sv.stats.Nodes + sv.stats.Propagations + luby(attempt)*sv.RestartSlice
-		}
-		sv.restartNow = false
-		root := sv.Model.newSpace()
-		root.scheduleAll()
-		if !root.failed && root.propagate(&sv.stats) {
-			sv.dfs(root, branch, cb, &bound)
-		}
-		if !sv.restartNow {
-			break // exhausted, solved, aborted by the callback, or limited
-		}
-		sv.stats.Restarts++
-		sv.recordNogoods()
+	root := sv.Model.newSpace()
+	root.scheduleAll()
+	if !root.failed && root.propagate(&sv.stats) {
+		sv.dfs(root, cb)
 	}
 	sv.stats.Elapsed = time.Since(start)
 }
@@ -265,11 +169,6 @@ func (sv *Solver) spanAttrs() []obs.Attr {
 		obs.Int("nodes", sv.stats.Nodes),
 		obs.Int("propagations", sv.stats.Propagations),
 		obs.Int("solutions", sv.stats.Solutions),
-	}
-	if sv.stats.Restarts > 0 {
-		attrs = append(attrs,
-			obs.Int("restarts", sv.stats.Restarts),
-			obs.Int("nogoods", sv.stats.Nogoods))
 	}
 	if sv.stats.Limited() {
 		attrs = append(attrs, obs.Str("limited", strconv.FormatBool(true)))
@@ -298,79 +197,33 @@ func (sv *Solver) stopNow() bool {
 			return true
 		}
 	}
-	// The restart slice is checked after the real limits, so a slice expiry
-	// never masks a genuine resource bound.
-	if sv.sliceEnd > 0 && sv.stats.Nodes+sv.stats.Propagations > sv.sliceEnd {
-		sv.restartNow = true
-		return true
-	}
 	return false
 }
 
 // dfs explores the space; it returns false to abort the whole search.
-func (sv *Solver) dfs(s *Space, branch BranchOrder, cb func(Solution) bool, bound *int) bool {
+func (sv *Solver) dfs(s *Space, cb func(Solution) bool) bool {
 	sv.stats.Nodes++
 	if sv.stopNow() {
 		return false
 	}
-	if sv.Objective != nil {
-		// Branch and bound: require strictly better than incumbent.
-		if !s.RemoveBelow(sv.Objective, *bound+1) || !s.propagate(&sv.stats) {
-			sv.stats.Failures++
-			return true
-		}
-	}
-	v := branch.Select(s)
+	v := firstFail(s)
 	if v == nil {
-		// All branching variables assigned. Model variables outside the
-		// branching set are still free: fix each to its domain minimum
-		// *through* Assign+propagate so assignment-triggered propagators
-		// get to veto the leaf — reading s.Min directly can produce a
-		// Solution that violates constraints.
-		for _, mv := range sv.Model.vars {
-			if s.Assigned(mv) {
-				continue
-			}
-			if !s.Assign(mv, s.Min(mv)) || !s.propagate(&sv.stats) {
-				sv.stats.Failures++
-				return true
-			}
-		}
 		sol := Solution{}
 		for _, mv := range sv.Model.vars {
 			sol[mv] = s.Value(mv)
 		}
 		sv.stats.Solutions++
-		if sv.Objective != nil {
-			*bound = sol[sv.Objective]
-		}
 		return cb(sol)
 	}
-	// Track the decision path for nogood extraction: values below idx at
-	// each level are fully explored when the search is abandoned. On an
-	// abort the trail is left intact for recordNogoods; on a normal return
-	// this level's frame is popped.
-	order := branch.ValueOrder(s, v)
-	tracking := sv.sliceEnd > 0
-	lvl := len(sv.trail)
-	if tracking {
-		sv.trail = append(sv.trail, decision{v: v, vals: order})
-	}
-	for i, val := range order {
-		if tracking {
-			sv.trail[lvl].idx = i
-		}
+	for _, val := range s.Values(v) {
 		child := s.clone()
 		if !child.Assign(v, val) || !child.propagate(&sv.stats) {
 			sv.stats.Failures++
 			continue
 		}
-		if !sv.dfs(child, branch, cb, bound) {
+		if !sv.dfs(child, cb) {
 			return false
 		}
-	}
-	if tracking {
-		sv.trail = sv.trail[:lvl]
 	}
 	return true
 }

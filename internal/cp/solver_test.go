@@ -11,7 +11,7 @@ func TestBasicPropagation(t *testing.T) {
 	x := m.NewIntVar("x", 0, 10)
 	y := m.NewIntVar("y", 0, 10)
 	m.EqC(x, 4)
-	m.Eq(x, y)
+	m.Linear([]int{1, -1}, []*IntVar{x, y}, 0) // x = y
 	sol := (&Solver{Model: m}).Solve()
 	if sol == nil {
 		t.Fatal("no solution")
@@ -25,28 +25,9 @@ func TestUnsat(t *testing.T) {
 	m := NewModel()
 	x := m.NewIntVar("x", 0, 5)
 	m.EqC(x, 3)
-	m.NeC(x, 3)
+	m.Linear([]int{2}, []*IntVar{x}, 5) // 2x = 5 has no integer solution
 	if sol := (&Solver{Model: m}).Solve(); sol != nil {
 		t.Errorf("unexpected solution %v", sol)
-	}
-}
-
-func TestLeAndNe(t *testing.T) {
-	m := NewModel()
-	x := m.NewIntVar("x", 0, 3)
-	y := m.NewIntVar("y", 0, 3)
-	m.Le(x, 1, y) // x + 1 <= y
-	m.Ne(x, y)
-	count := 0
-	(&Solver{Model: m}).SolveAll(func(sol Solution) bool {
-		if sol.Value(x)+1 > sol.Value(y) {
-			t.Errorf("violated: x=%d y=%d", sol.Value(x), sol.Value(y))
-		}
-		count++
-		return true
-	})
-	if count != 6 { // (0,1..3), (1,2..3), (2,3)
-		t.Errorf("solutions = %d, want 6", count)
 	}
 }
 
@@ -55,7 +36,7 @@ func TestLinearEquation(t *testing.T) {
 	m := NewModel()
 	x := m.NewIntVar("x", 0, 10)
 	y := m.NewIntVar("y", 0, 10)
-	m.Linear([]int{2, 3}, []*IntVar{x, y}, LinEq, 12)
+	m.Linear([]int{2, 3}, []*IntVar{x, y}, 12)
 	sols := map[[2]int]bool{}
 	(&Solver{Model: m}).SolveAll(func(sol Solution) bool {
 		sols[[2]int{sol.Value(x), sol.Value(y)}] = true
@@ -73,100 +54,25 @@ func TestLinearEquation(t *testing.T) {
 }
 
 func TestLinearWithNegativeCoeffs(t *testing.T) {
-	// x - y >= 2, x,y in [0,5]
+	// x - 2y = -3, x,y in [0,5]: the negative coefficient exercises the
+	// rounding of both bound directions.
 	m := NewModel()
 	x := m.NewIntVar("x", 0, 5)
 	y := m.NewIntVar("y", 0, 5)
-	m.Linear([]int{1, -1}, []*IntVar{x, y}, LinGe, 2)
-	n := 0
+	m.Linear([]int{1, -2}, []*IntVar{x, y}, -3)
+	var got [][2]int
 	(&Solver{Model: m}).SolveAll(func(sol Solution) bool {
-		if sol.Value(x)-sol.Value(y) < 2 {
-			t.Errorf("violated: %d - %d", sol.Value(x), sol.Value(y))
+		got = append(got, [2]int{sol.Value(x), sol.Value(y)})
+		return true
+	})
+	want := [][2]int{{1, 2}, {3, 3}, {5, 4}}
+	if len(got) != len(want) {
+		t.Fatalf("solutions = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("solutions = %v, want %v", got, want)
 		}
-		n++
-		return true
-	})
-	if n != 10 { // x-y in {2..5}: 4+3+2+1
-		t.Errorf("solutions = %d, want 10", n)
-	}
-}
-
-func TestElement(t *testing.T) {
-	m := NewModel()
-	idx := m.NewIntVar("idx", 0, 4)
-	res := m.NewIntVar("res", 0, 100)
-	m.Element([]int{7, 3, 7, 9, 1}, idx, res)
-	m.EqC(res, 7)
-	vals := map[int]bool{}
-	(&Solver{Model: m}).SolveAll(func(sol Solution) bool {
-		vals[sol.Value(idx)] = true
-		return true
-	})
-	if len(vals) != 2 || !vals[0] || !vals[2] {
-		t.Errorf("idx solutions = %v, want {0,2}", vals)
-	}
-}
-
-func TestTable(t *testing.T) {
-	m := NewModel()
-	x := m.NewIntVar("x", 0, 2)
-	y := m.NewIntVar("y", 0, 2)
-	m.Table([]*IntVar{x, y}, [][]int{{0, 1}, {1, 2}, {2, 0}})
-	m.EqC(x, 1)
-	sol := (&Solver{Model: m}).Solve()
-	if sol == nil || sol.Value(y) != 2 {
-		t.Errorf("table propagation failed: %v", sol)
-	}
-}
-
-func TestIfEqThenEq(t *testing.T) {
-	m := NewModel()
-	x := m.NewIntVar("x", 0, 1)
-	y := m.NewIntVar("y", 0, 5)
-	m.IfEqThenEq(x, 1, y, 3)
-	m.EqC(x, 1)
-	sol := (&Solver{Model: m}).Solve()
-	if sol == nil || sol.Value(y) != 3 {
-		t.Errorf("implication failed: %v", sol)
-	}
-	// Contrapositive.
-	m2 := NewModel()
-	x2 := m2.NewIntVar("x", 0, 1)
-	y2 := m2.NewIntVar("y", 0, 5)
-	m2.IfEqThenEq(x2, 1, y2, 3)
-	m2.NeC(y2, 3)
-	sol = (&Solver{Model: m2}).Solve()
-	if sol == nil || sol.Value(x2) != 0 {
-		t.Errorf("contrapositive failed: %v", sol)
-	}
-}
-
-func TestBoolEqReif(t *testing.T) {
-	m := NewModel()
-	x := m.NewIntVar("x", 0, 5)
-	b := m.NewBoolVar("b")
-	m.BoolEqReif(x, 2, b)
-	m.EqC(b, 1)
-	sol := (&Solver{Model: m}).Solve()
-	if sol == nil || sol.Value(x) != 2 {
-		t.Errorf("reified forward failed: %v", sol)
-	}
-	m2 := NewModel()
-	x2 := m2.NewIntVar("x", 0, 5)
-	b2 := m2.NewBoolVar("b")
-	m2.BoolEqReif(x2, 2, b2)
-	m2.EqC(x2, 2)
-	sol = (&Solver{Model: m2}).Solve()
-	if sol == nil || sol.Value(b2) != 1 {
-		t.Errorf("reified backward failed: %v", sol)
-	}
-	m3 := NewModel()
-	x3 := m3.NewIntVar("x", 3, 5)
-	b3 := m3.NewBoolVar("b")
-	m3.BoolEqReif(x3, 2, b3)
-	sol = (&Solver{Model: m3}).Solve()
-	if sol == nil || sol.Value(b3) != 0 {
-		t.Errorf("reified negative failed: %v", sol)
 	}
 }
 
@@ -228,10 +134,12 @@ func TestSendMoreMoney(t *testing.T) {
 	m := NewModel()
 	letters := map[string]*IntVar{}
 	for _, l := range []string{"S", "E", "N", "D", "M", "O", "R", "Y"} {
-		letters[l] = m.NewIntVar(l, 0, 9)
+		lo := 0
+		if l == "S" || l == "M" {
+			lo = 1
+		}
+		letters[l] = m.NewIntVar(l, lo, 9)
 	}
-	m.NeC(letters["S"], 0)
-	m.NeC(letters["M"], 0)
 	vars := []*IntVar{}
 	for _, v := range letters {
 		vars = append(vars, v)
@@ -247,7 +155,7 @@ func TestSendMoreMoney(t *testing.T) {
 			letters["M"], letters["O"], letters["R"], letters["E"],
 			letters["M"], letters["O"], letters["N"], letters["E"], letters["Y"],
 		},
-		LinEq, 0)
+		0)
 	sol := (&Solver{Model: m}).Solve()
 	if sol == nil {
 		t.Fatal("SEND+MORE=MONEY unsolved")
@@ -261,25 +169,6 @@ func TestSendMoreMoney(t *testing.T) {
 	}
 	if get("M") != 1 || get("O") != 0 || get("S") != 9 {
 		t.Errorf("non-canonical solution: S=%d M=%d O=%d", get("S"), get("M"), get("O"))
-	}
-}
-
-func TestMaximize(t *testing.T) {
-	m := NewModel()
-	x := m.NewIntVar("x", 0, 10)
-	y := m.NewIntVar("y", 0, 10)
-	obj := m.NewIntVar("obj", 0, 20)
-	m.Linear([]int{1, 1, -1}, []*IntVar{x, y, obj}, LinEq, 0) // obj = x+y
-	m.Linear([]int{2, 1}, []*IntVar{x, y}, LinLe, 14)
-	sv := &Solver{Model: m, Objective: obj}
-	sol := sv.Solve()
-	if sol == nil {
-		t.Fatal("no solution")
-	}
-	// Maximize x+y subject to 2x+y ≤ 14 with x,y ≤ 10: y=10 forces x ≤ 2,
-	// giving the optimum 12.
-	if sol.Value(obj) != 12 {
-		t.Errorf("objective = %d, want 12 (x=%d y=%d)", sol.Value(obj), sol.Value(x), sol.Value(y))
 	}
 }
 
@@ -323,7 +212,7 @@ func TestStatsPopulated(t *testing.T) {
 	m := NewModel()
 	x := m.NewIntVar("x", 0, 3)
 	y := m.NewIntVar("y", 0, 3)
-	m.Ne(x, y)
+	m.AllDifferent([]*IntVar{x, y})
 	sv := &Solver{Model: m}
 	var n int
 	sv.SolveAll(func(Solution) bool { n++; return true })
@@ -336,95 +225,31 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestFirstFailSubset(t *testing.T) {
+// TestFirstFailOrder pins the search order: branch on the variable with
+// the smallest domain (the earliest declared on ties), values ascending.
+// Matchers that keep the first solution depend on it.
+func TestFirstFailOrder(t *testing.T) {
 	m := NewModel()
-	x := m.NewIntVar("x", 0, 9)
+	x := m.NewIntVar("x", 0, 2)
 	y := m.NewIntVar("y", 0, 1)
-	_ = x
-	sv := &Solver{Model: m, Branch: &FirstFail{Vars: []*IntVar{y}}}
-	n := 0
-	sv.SolveAll(func(sol Solution) bool {
-		n++
+	z := m.NewIntVar("z", 5, 6)
+	var got [][3]int
+	(&Solver{Model: m}).SolveAll(func(sol Solution) bool {
+		got = append(got, [3]int{sol.Value(x), sol.Value(y), sol.Value(z)})
 		return true
 	})
-	// Branching only on y: 2 "solutions" (x left at min).
-	if n != 2 {
-		t.Errorf("solutions = %d, want 2", n)
+	// y and z (two values each) are fixed before x; y before z.
+	want := [][3]int{
+		{0, 0, 5}, {1, 0, 5}, {2, 0, 5}, {0, 0, 6}, {1, 0, 6}, {2, 0, 6},
+		{0, 1, 5}, {1, 1, 5}, {2, 1, 5}, {0, 1, 6}, {1, 1, 6}, {2, 1, 6},
 	}
-}
-
-// TestSubsetBranchingSoundness is the regression test for the leaf-fixing
-// bug: with Branch.Vars a strict subset, non-branched variables used to be
-// read off as s.Min without Assign+propagate, so assignment-triggered
-// propagators (like noDiag, which only fires once a variable is fixed)
-// never vetoed the leaf and the returned Solution could violate x != y.
-func TestSubsetBranchingSoundness(t *testing.T) {
-	m := NewModel()
-	x := m.NewIntVar("x", 0, 3)
-	y := m.NewIntVar("y", 0, 3)
-	b := m.NewBoolVar("b")
-	m.Add(&noDiag{a: x, b: y, d: 0}) // x != y, triggered on assignment only
-	sv := &Solver{Model: m, Branch: &FirstFail{Vars: []*IntVar{b}}}
-	n := 0
-	sv.SolveAll(func(sol Solution) bool {
-		n++
-		if sol.Value(x) == sol.Value(y) {
-			t.Errorf("unsound leaf solution: x=%d y=%d violates x!=y",
-				sol.Value(x), sol.Value(y))
+	if len(got) != len(want) {
+		t.Fatalf("solutions = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("solution %d = %v, want %v (all: %v)", i, got[i], want[i], got)
 		}
-		return true
-	})
-	if n != 2 { // one per value of b; x,y fixed to minimal consistent values
-		t.Errorf("solutions = %d, want 2", n)
-	}
-}
-
-// TestSubsetBranchingLeafCanFail: when fixing the non-branched variables
-// to their minima is inconsistent, the leaf must fail rather than emit a
-// violating solution.
-func TestSubsetBranchingLeafCanFail(t *testing.T) {
-	// Three variables over two values, pairwise distinct: unsatisfiable,
-	// but only discoverable by assigning — the noDiag propagators are
-	// inert on unassigned domains, so the root space looks consistent and
-	// the failure must surface during the leaf's Assign+propagate cascade.
-	m := NewModel()
-	x := m.NewIntVar("x", 0, 1)
-	y := m.NewIntVar("y", 0, 1)
-	z := m.NewIntVar("z", 0, 1)
-	b := m.NewBoolVar("b")
-	m.Add(&noDiag{a: x, b: y, d: 0})
-	m.Add(&noDiag{a: x, b: z, d: 0})
-	m.Add(&noDiag{a: y, b: z, d: 0})
-	sv := &Solver{Model: m, Branch: &FirstFail{Vars: []*IntVar{b}}}
-	if sol := sv.Solve(); sol != nil {
-		t.Errorf("unsatisfiable model produced solution %v", sol)
-	}
-	if sv.Stats().Solutions != 0 {
-		t.Errorf("solutions counted on failed leaves: %d", sv.Stats().Solutions)
-	}
-}
-
-// TestMaximizeSubsetBranching runs branch-and-bound where the objective is
-// not in the branching set: the bound must be taken from a propagated,
-// consistent leaf, not from an unconstrained minimum.
-func TestMaximizeSubsetBranching(t *testing.T) {
-	m := NewModel()
-	x := m.NewIntVar("x", 0, 5)
-	y := m.NewIntVar("y", 0, 5)
-	obj := m.NewIntVar("obj", 0, 10)
-	m.Linear([]int{1, 1, -1}, []*IntVar{x, y, obj}, LinEq, 0) // obj = x+y
-	m.Add(&noDiag{a: x, b: y, d: 0})                          // x != y
-	sv := &Solver{Model: m, Objective: obj, Branch: &FirstFail{Vars: []*IntVar{x, y}}}
-	sol := sv.Solve()
-	if sol == nil {
-		t.Fatal("no solution")
-	}
-	if sol.Value(obj) != sol.Value(x)+sol.Value(y) {
-		t.Errorf("inconsistent leaf: obj=%d but x+y=%d",
-			sol.Value(obj), sol.Value(x)+sol.Value(y))
-	}
-	if sol.Value(obj) != 9 { // max x+y with x,y<=5, x!=y: 5+4
-		t.Errorf("objective = %d, want 9", sol.Value(obj))
 	}
 }
 
@@ -506,18 +331,8 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-func TestMaxValueFirst(t *testing.T) {
-	m := NewModel()
-	x := m.NewIntVar("x", 0, 5)
-	sv := &Solver{Model: m, Branch: &MaxValueFirst{}}
-	sol := sv.Solve()
-	if sol == nil || sol.Value(x) != 5 {
-		t.Errorf("MaxValueFirst first solution x=%v, want 5", sol)
-	}
-}
-
-// TestMagicSeries solves the magic series problem with the Count
-// constraint: s[i] = number of occurrences of i in s. Length 4 has two
+// TestMagicSeries solves the magic series problem with a counting
+// propagator: s[i] = number of occurrences of i in s. Length 4 has two
 // solutions ([1 2 1 0] and [2 0 2 0]); lengths 5 and 7 have one each.
 func TestMagicSeries(t *testing.T) {
 	for n, wantSols := range map[int]int{4: 2, 5: 1, 7: 1} {
@@ -527,7 +342,7 @@ func TestMagicSeries(t *testing.T) {
 			s[i] = m.NewIntVar("s", 0, n)
 		}
 		for i := 0; i < n; i++ {
-			m.Count(s, i, s[i])
+			m.Add(&countEq{vars: s, value: i, count: s[i]})
 		}
 		// Classic redundant constraint to prune: sum s[i] = n.
 		m.SumEq(s, n)
@@ -555,26 +370,47 @@ func TestMagicSeries(t *testing.T) {
 	}
 }
 
-func TestCountPropagation(t *testing.T) {
-	m := NewModel()
-	a := m.NewIntVar("a", 0, 2)
-	b := m.NewIntVar("b", 0, 2)
-	c := m.NewIntVar("c", 0, 2)
-	n := m.NewIntVar("n", 0, 3)
-	m.Count([]*IntVar{a, b, c}, 1, n)
-	m.EqC(n, 3) // all three must be 1
-	sol := (&Solver{Model: m}).Solve()
-	if sol == nil || sol.Value(a) != 1 || sol.Value(b) != 1 || sol.Value(c) != 1 {
-		t.Errorf("count=3 should force all ones: %v", sol)
-	}
+// countEq forbids |{i : vars[i] = value}| != count, pinning count between
+// the occurrences already fixed and those still possible, and forcing the
+// undecided variables once count sits at either bound.
+type countEq struct {
+	vars  []*IntVar
+	value int
+	count *IntVar
+}
 
-	m2 := NewModel()
-	a2 := m2.NewIntVar("a", 1, 1) // fixed at the value
-	b2 := m2.NewIntVar("b", 0, 2)
-	n2 := m2.NewIntVar("n", 1, 1) // exactly one occurrence
-	m2.Count([]*IntVar{a2, b2}, 1, n2)
-	sol = (&Solver{Model: m2}).Solve()
-	if sol == nil || sol.Value(b2) == 1 {
-		t.Errorf("count=1 with a fixed occurrence should exclude b=1: %v", sol)
+func (p *countEq) Vars() []*IntVar { return append(append([]*IntVar{}, p.vars...), p.count) }
+
+func (p *countEq) Propagate(s *Space) bool {
+	fixed, possible := 0, 0
+	for _, v := range p.vars {
+		if !s.Contains(v, p.value) {
+			continue
+		}
+		possible++
+		if s.Assigned(v) {
+			fixed++
+		}
 	}
+	if !s.RemoveBelow(p.count, fixed) || !s.RemoveAbove(p.count, possible) {
+		return false
+	}
+	if !s.Assigned(p.count) {
+		return true
+	}
+	switch target := s.Value(p.count); target {
+	case fixed:
+		for _, v := range p.vars {
+			if !s.Assigned(v) && !s.Remove(v, p.value) {
+				return false
+			}
+		}
+	case possible:
+		for _, v := range p.vars {
+			if !s.Assigned(v) && s.Contains(v, p.value) && !s.Assign(v, p.value) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -14,8 +14,6 @@ const (
 	// Counters (labeled with kind where noted).
 	MetricSolverRuns      = "discovery_solver_runs_total"     // kind
 	MetricSolverTimeouts  = "discovery_solver_timeouts_total" // kind
-	MetricSolverRestarts  = "discovery_solver_restarts_total" // kind
-	MetricSolverNogoods   = "discovery_solver_nogoods_total"  // kind
 	MetricCacheHits       = "discovery_cache_hits_total"      // kind
 	MetricCacheMisses     = "discovery_cache_misses_total"    // kind
 	MetricCacheSkips      = "discovery_cache_skips_total"     // kind

@@ -14,8 +14,6 @@ func TestCanonicalMetricNames(t *testing.T) {
 		"MetricPrescreenSeconds": MetricPrescreenSeconds,
 		"MetricSolverRuns":       MetricSolverRuns,
 		"MetricSolverTimeouts":   MetricSolverTimeouts,
-		"MetricSolverRestarts":   MetricSolverRestarts,
-		"MetricSolverNogoods":    MetricSolverNogoods,
 		"MetricCacheHits":        MetricCacheHits,
 		"MetricCacheMisses":      MetricCacheMisses,
 		"MetricCacheSkips":       MetricCacheSkips,
@@ -42,8 +40,6 @@ func TestCanonicalMetricNames(t *testing.T) {
 		"MetricPrescreenSeconds": "discovery_prescreen_seconds",
 		"MetricSolverRuns":       "discovery_solver_runs_total",
 		"MetricSolverTimeouts":   "discovery_solver_timeouts_total",
-		"MetricSolverRestarts":   "discovery_solver_restarts_total",
-		"MetricSolverNogoods":    "discovery_solver_nogoods_total",
 		"MetricCacheHits":        "discovery_cache_hits_total",
 		"MetricCacheMisses":      "discovery_cache_misses_total",
 		"MetricCacheSkips":       "discovery_cache_skips_total",

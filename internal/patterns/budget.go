@@ -34,10 +34,6 @@ type KindStats struct {
 	Propagations int64
 	Solutions    int64
 	Elapsed      time.Duration
-	// Restarts and Nogoods accumulate the solver's Luby-restart activity
-	// (cp.Stats.Restarts/Nogoods); zero unless a restart slice is armed.
-	Restarts int64
-	Nogoods  int64
 	// Prescreened counts solves answered by the structural prescreen
 	// (prescreen.go) — provably-UNSAT views that never reached the matcher.
 	// A prescreened solve is also booked as a cache interaction (hit or
@@ -62,8 +58,6 @@ func (k *KindStats) Add(other KindStats) {
 	k.Propagations += other.Propagations
 	k.Solutions += other.Solutions
 	k.Elapsed += other.Elapsed
-	k.Restarts += other.Restarts
-	k.Nogoods += other.Nogoods
 	k.Prescreened += other.Prescreened
 	k.CacheHits += other.CacheHits
 	k.CacheMisses += other.CacheMisses
@@ -110,11 +104,6 @@ type Budget struct {
 	// StepLimit bounds each run's nodes+propagations deterministically;
 	// zero means no limit.
 	StepLimit int64
-	// RestartSlice, when positive, arms Luby-scheduled solver restarts
-	// with nogood recording: each attempt runs for luby(i)×RestartSlice
-	// steps before restarting (see cp.Solver.RestartSlice). Zero — the
-	// default — keeps the solver's plain depth-first search.
-	RestartSlice int64
 	// Obs, when non-nil and enabled, receives one span per solver run
 	// (parented under Span) and a solve-latency histogram sample. Nil —
 	// the default — keeps the solve path free of observability work.
@@ -163,7 +152,6 @@ func (b *Budget) arm(sv *cp.Solver) {
 	}
 	sv.Timeout = t
 	sv.StepLimit = b.StepLimit
-	sv.RestartSlice = b.RestartSlice
 	sv.Obs = b.Obs
 	sv.SpanParent = b.Span
 }
@@ -187,8 +175,6 @@ func (b *Budget) record(kind Kind, st cp.Stats) {
 	ks.Propagations += st.Propagations
 	ks.Solutions += st.Solutions
 	ks.Elapsed += st.Elapsed
-	ks.Restarts += st.Restarts
-	ks.Nogoods += st.Nogoods
 	if st.Limited() {
 		ks.Timeouts++
 		b.Exceeded = true

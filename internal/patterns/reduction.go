@@ -66,7 +66,7 @@ func MatchLinearReduction(v *View, budget *Budget) *Pattern {
 					continue
 				}
 				if v.HasArc(i, j) {
-					model.Linear([]int{1, -1}, []*cp.IntVar{pos[j], pos[i]}, cp.LinEq, 1)
+					model.Linear([]int{1, -1}, []*cp.IntVar{pos[j], pos[i]}, 1)
 				} else {
 					model.Add(&diffNe{a: pos[i], b: pos[j], d: 1})
 				}

@@ -90,13 +90,9 @@ func solverEffort(res *core.Result) string {
 	sb.WriteString("solver effort per pattern kind:\n")
 	for _, k := range kinds {
 		ks := res.SolverStats[k]
-		fmt.Fprintf(&sb, "  %-22s %d run(s), %d timed out; %d nodes, %d propagations, %d solutions in %v",
+		fmt.Fprintf(&sb, "  %-22s %d run(s), %d timed out; %d nodes, %d propagations, %d solutions in %v\n",
 			k, ks.Runs, ks.Timeouts, ks.Nodes, ks.Propagations, ks.Solutions,
 			ks.Elapsed.Round(time.Millisecond))
-		if ks.Restarts > 0 || ks.Nogoods > 0 {
-			fmt.Fprintf(&sb, "; %d restart(s), %d nogood(s)", ks.Restarts, ks.Nogoods)
-		}
-		sb.WriteString("\n")
 	}
 	return sb.String()
 }
@@ -120,10 +116,6 @@ type KindStatsJSON struct {
 	CacheHits    int   `json:"cache_hits,omitempty"`
 	CacheMisses  int   `json:"cache_misses,omitempty"`
 	CacheSkips   int   `json:"cache_skips,omitempty"`
-	// Restarts/Nogoods stay zero unless solver restarts are enabled
-	// (-solver-restarts), so default outputs are unchanged.
-	Restarts int64 `json:"restarts,omitempty"`
-	Nogoods  int64 `json:"nogoods,omitempty"`
 }
 
 // CacheJSON is the view-cache rollup across all pattern kinds.
@@ -237,8 +229,6 @@ func JSONWith(res *core.Result, opts JSONOptions) ([]byte, error) {
 				CacheHits:   ks.CacheHits,
 				CacheMisses: ks.CacheMisses,
 				CacheSkips:  ks.CacheSkips,
-				Restarts:    ks.Restarts,
-				Nogoods:     ks.Nogoods,
 			}
 		}
 	}

@@ -207,3 +207,39 @@ func TestJSONCacheBlockExplicit(t *testing.T) {
 		t.Errorf("cache block = %+v, want %+v", got.Diagnostics.Cache, want)
 	}
 }
+
+// TestJSONPrescreenBlock: the "prescreen" block is opt-in — absent from
+// the default export, which keeps old outputs byte-identical, and present
+// with the run's census checks and skips under IncludePrescreenStats.
+func TestJSONPrescreenBlock(t *testing.T) {
+	res := tracedSumProgram(t, core.Options{})
+	checks, skips := res.PrescreenStats()
+	if checks == 0 {
+		t.Fatal("run recorded no prescreen checks")
+	}
+
+	data, err := JSON(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"prescreen"`) {
+		t.Errorf("default export emits a prescreen block:\n%s", data)
+	}
+
+	data, err = JSONWith(res, JSONOptions{IncludePrescreenStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"prescreen":`, `"checks":`} {
+		if !strings.Contains(string(data), field) {
+			t.Errorf("JSON export missing %s:\n%s", field, data)
+		}
+	}
+	var got SummaryJSON
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if p := got.Diagnostics.Prescreen; p == nil || *p != (PrescreenJSON{Checks: checks, Skips: skips}) {
+		t.Errorf("prescreen block = %+v, want checks=%d skips=%d", p, checks, skips)
+	}
+}

@@ -49,8 +49,6 @@ type RequestOptions struct {
 	SolverBudgetMS int64 `json:"solver_budget_ms,omitempty"`
 	// SolverSteps is the deterministic per-solve step limit (0 = none).
 	SolverSteps int64 `json:"solver_steps,omitempty"`
-	// SolverRestarts arms Luby-scheduled restarts with this slice.
-	SolverRestarts int64 `json:"solver_restarts,omitempty"`
 	// MaxViewGroups skips views larger than this many groups (0 = default).
 	MaxViewGroups int `json:"max_view_groups,omitempty"`
 	// Verify re-checks matches against the unrelaxed definitions.
@@ -157,8 +155,7 @@ func (s *Server) validate(req *Request) (*starbench.Benchmark, starbench.Version
 		return nil, "", 0, badRequest("unknown version %q (seq or pthreads)", req.Version)
 	}
 	o := req.Options
-	if o.BudgetMS < 0 || o.SolverBudgetMS < 0 || o.SolverSteps < 0 ||
-		o.SolverRestarts < 0 || o.MaxViewGroups < 0 {
+	if o.BudgetMS < 0 || o.SolverBudgetMS < 0 || o.SolverSteps < 0 || o.MaxViewGroups < 0 {
 		return nil, "", 0, badRequest("options must be non-negative")
 	}
 	budget := time.Duration(o.BudgetMS) * time.Millisecond
@@ -176,14 +173,13 @@ func (s *Server) validate(req *Request) (*starbench.Benchmark, starbench.Version
 // request value so the fingerprinted options match what actually ran.
 func (s *Server) coreOptions(o RequestOptions, budget time.Duration) core.Options {
 	return core.Options{
-		VerifyMatches:      o.Verify,
-		Extensions:         o.Extensions,
-		MaxViewGroups:      o.MaxViewGroups,
-		Budget:             budget,
-		SolverBudget:       time.Duration(o.SolverBudgetMS) * time.Millisecond,
-		SolverStepLimit:    o.SolverSteps,
-		SolverRestartSlice: o.SolverRestarts,
-		DisableCache:       o.NoCache,
+		VerifyMatches:   o.Verify,
+		Extensions:      o.Extensions,
+		MaxViewGroups:   o.MaxViewGroups,
+		Budget:          budget,
+		SolverBudget:    time.Duration(o.SolverBudgetMS) * time.Millisecond,
+		SolverStepLimit: o.SolverSteps,
+		DisableCache:    o.NoCache,
 	}
 }
 
@@ -194,9 +190,10 @@ func (s *Server) coreOptions(o RequestOptions, budget time.Duration) core.Option
 // assert).
 func optionsFingerprint(opts core.Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v1|verify=%t|ext=%t|mvg=%d|budget=%d|sbudget=%d|steps=%d|restart=%d",
+	// restart=0 is a constant kept so existing -store disk keys still resolve.
+	fmt.Fprintf(h, "v1|verify=%t|ext=%t|mvg=%d|budget=%d|sbudget=%d|steps=%d|restart=0",
 		opts.VerifyMatches, opts.Extensions, opts.MaxViewGroups,
-		opts.Budget, opts.SolverBudget, opts.SolverStepLimit, opts.SolverRestartSlice)
+		opts.Budget, opts.SolverBudget, opts.SolverStepLimit)
 	return fmt.Sprintf("%x", h.Sum(nil))[:32]
 }
 

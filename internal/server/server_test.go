@@ -146,10 +146,10 @@ func TestValidation(t *testing.T) {
 		`{"bench":"md5","version":"seq","options":{"budget_ms":-5}}`,
 		`{"bench":"md5","version":"seq","options":{"solver_budget_ms":-1}}`,
 		`{"bench":"md5","version":"seq","options":{"solver_steps":-1}}`,
-		`{"bench":"md5","version":"seq","options":{"solver_restarts":-1}}`,
 		`{"bench":"md5","version":"seq","options":{"max_view_groups":-1}}`,
 		`{"bench":"md5","version":"seq","bogus_field":1}`,
-		`{"bench":"md5","version":"seq","options":{"no_prescreen":true}}`, // removed option
+		`{"bench":"md5","version":"seq","options":{"no_prescreen":true}}`,    // removed option
+		`{"bench":"md5","version":"seq","options":{"solver_restarts":1000}}`, // removed option
 		`not json`,
 	} {
 		if _, code := analyze(t, ts, body); code != 400 {
@@ -163,6 +163,30 @@ func TestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 405 {
 		t.Errorf("GET /analyze: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestOptionsFingerprintPinned pins the options fingerprint of a default
+// and a non-default request: the fingerprint keys persisted store entries,
+// so any change to its hashed bytes orphans existing -store disk
+// directories.
+func TestOptionsFingerprintPinned(t *testing.T) {
+	s := &Server{cfg: Config{}.withDefaults()}
+	for _, tc := range []struct {
+		name   string
+		opts   RequestOptions
+		budget time.Duration
+		want   string
+	}{
+		{"default", RequestOptions{}, s.cfg.DefaultBudget, "7d18684b3e401ec314420cf9b8226120"},
+		{"non-default", RequestOptions{
+			SolverBudgetMS: 250, SolverSteps: 5000, MaxViewGroups: 9,
+			Verify: true, Extensions: true, NoCache: true,
+		}, 90 * time.Second, "8297d0c59870278428f57e6f544a4d52"},
+	} {
+		if got := optionsFingerprint(s.coreOptions(tc.opts, tc.budget)); got != tc.want {
+			t.Errorf("%s: options fingerprint %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 
