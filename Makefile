@@ -6,7 +6,8 @@
 #   make benchsmoke — prescreen metric export + obs overhead gate
 #   make pipebench-smoke — build and smoke-test the pipeline benchmark
 #                  (bench/pipebench; `bash bench/pipebench/run.sh` times it)
-#   make cover   — coverage floors for internal/core, obs, sched, trace, ddg and cp
+#   make cover   — coverage floors for internal/core, obs, sched, trace, ddg, cp
+#                  and store
 #   make serversmoke — end-to-end daemon check: cold run, warm store hit
 #   make chaos   — fault-injection suite + chaos smoke against the binary
 
@@ -65,10 +66,11 @@ benchsmoke:
 serversmoke:
 	sh scripts/serversmoke.sh
 
-# The chaos harness: resilience and fault-injection unit suites under the
-# race detector, the scripted-plan chaos tests over the serving stack,
-# then the smoke script driving the real binary through a crash-recovery
-# restart and a scripted store outage.
+# The chaos harness: the store (memory fallback, crash-safe disk) and
+# fault-injection unit suites under the race detector, the scripted-plan
+# chaos tests over the serving stack, then the smoke script driving the
+# real binary through a crash-recovery restart and a scripted store
+# outage.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/store/
 	$(GO) test -race -count=1 -run Chaos ./internal/server/
@@ -82,8 +84,8 @@ pipebench-smoke:
 
 # Coverage floors. The thresholds sit a few points under the levels the
 # suite reaches at the time of writing (core 95%, obs 92%, sched 94%,
-# trace 93%, ddg 92%, cp 94%), so real regressions fail while test-order
-# jitter does not.
+# trace 93%, ddg 92%, cp 94%, store 78%), so real regressions fail while
+# test-order jitter does not.
 cover:
 	@mkdir -p .cover
 	$(GO) test -coverprofile=.cover/core.out ./internal/core/
@@ -92,7 +94,8 @@ cover:
 	$(GO) test -coverprofile=.cover/trace.out ./internal/trace/
 	$(GO) test -coverprofile=.cover/ddg.out ./internal/ddg/
 	$(GO) test -coverprofile=.cover/cp.out ./internal/cp/
-	@for spec in core:90 obs:88 sched:90 trace:88 ddg:90 cp:90; do \
+	$(GO) test -coverprofile=.cover/store.out ./internal/store/
+	@for spec in core:90 obs:88 sched:90 trace:88 ddg:90 cp:90 store:75; do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		pct=$$($(GO) tool cover -func=.cover/$$pkg.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 		echo "internal/$$pkg coverage: $$pct% (floor $$floor%)"; \

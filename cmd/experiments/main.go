@@ -22,7 +22,6 @@ import (
 	"discovery/internal/core"
 	"discovery/internal/experiments"
 	"discovery/internal/obs"
-	"discovery/internal/report"
 )
 
 func main() {
@@ -174,13 +173,13 @@ func main() {
 	}
 	if collector != nil {
 		if *obsOn {
-			fmt.Fprint(os.Stderr, report.PhaseTree(collector, 0))
+			fmt.Fprint(os.Stderr, obs.RenderTree(collector, obs.RenderOptions{}))
 		}
 		if *metrics {
-			fmt.Fprint(os.Stderr, report.PrometheusMetrics(collector))
+			fmt.Fprint(os.Stderr, obs.Prometheus(collector.Metrics()))
 		}
 		if *obsOut != "" {
-			data, err := report.ObservabilityJSON(collector)
+			data, err := obs.JSON(collector)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "obs export failed: %v\n", err)
 				os.Exit(1)

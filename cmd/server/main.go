@@ -40,17 +40,9 @@ func main() {
 		memBudget  = flag.Int64("trace-memory-budget", 0, "per-request resident DDG arc-byte budget; larger graphs page through unlinked spill files (0 = fully resident)")
 		spillDir   = flag.String("ddg-spill-dir", "", "directory for DDG spill files (default: the system temp dir)")
 
-		// Resilience: retry/breaker/fallback around the store, admission
-		// brownout, and the deterministic fault-injection seam.
-		noResilience  = flag.Bool("no-resilience", false, "use the store bare: no retry, breaker, or memory fallback")
-		storeRetries  = flag.Int("store-retries", 3, "total tries per store operation")
-		storeRetryMin = flag.Duration("store-retry-base", 10*time.Millisecond, "backoff before the first store retry (doubles, capped)")
-		brkThreshold  = flag.Int("breaker-threshold", 5, "consecutive store failures that trip the circuit breaker")
-		brkCooldown   = flag.Duration("breaker-cooldown", 15*time.Second, "how long a tripped breaker fails fast before probing")
-		noBrownout    = flag.Bool("no-brownout", false, "disable admission brownout (pressure-clamped budgets)")
-		brownoutAt    = flag.Float64("brownout-threshold", 0.75, "queue occupancy where budget clamping starts")
-		brownoutMin   = flag.Float64("brownout-min", 0.1, "budget fraction still granted at 100% queue occupancy")
-		faultPlan     = flag.String("fault-plan", "", "JSON fault plan for chaos testing (see internal/fault); empty = none")
+		// The deterministic fault-injection seam. The store's memory
+		// fallback and admission brownout are always on and take no flags.
+		faultPlan = flag.String("fault-plan", "", "JSON fault plan for chaos testing (see internal/fault); empty = none")
 	)
 	flag.Parse()
 
@@ -81,18 +73,6 @@ func main() {
 		SpillBudget:      *memBudget,
 		SpillDir:         *spillDir,
 		Store:            st,
-		Resilience: server.ResilienceConfig{
-			Disable:          *noResilience,
-			RetryAttempts:    *storeRetries,
-			RetryBase:        *storeRetryMin,
-			BreakerThreshold: *brkThreshold,
-			BreakerCooldown:  *brkCooldown,
-		},
-		Brownout: server.BrownoutConfig{
-			Disable:     *noBrownout,
-			Threshold:   *brownoutAt,
-			MinFraction: *brownoutMin,
-		},
 	}
 
 	// A fault plan turns the daemon into its own chaos subject: scripted,

@@ -32,9 +32,9 @@ const (
 	StageFinalize
 	// StageMatch is pattern finding (simplify through merge, solver runs).
 	StageMatch
-	// StageStore is result persistence (internal/store backends and their
-	// resilience decorators) — the serving layer's I/O boundary, outside
-	// the verify→match pipeline proper.
+	// StageStore is result persistence (internal/store backends and the
+	// fallback decorator) — the serving layer's I/O boundary, outside the
+	// verify→match pipeline proper.
 	StageStore
 )
 
@@ -75,9 +75,10 @@ const (
 	// Internal: a recovered panic — a bug contained by a recover boundary.
 	Internal
 	// Transient: the operation failed for a reason expected to pass — an
-	// I/O error, an injected fault, a latency-induced deadline. Retrying
-	// the same operation is sound and may succeed; permanent-failure kinds
-	// (InvalidInput, InvariantViolation) must not be retried.
+	// I/O error, an injected fault, a latency-induced deadline. A later
+	// attempt may succeed, so the serving layer degrades (memory fallback,
+	// then recompute) rather than failing the request; permanent-failure
+	// kinds (InvalidInput, InvariantViolation) fail the same way again.
 	Transient
 )
 

@@ -118,8 +118,8 @@ func TestStoreStageAndTransientKind(t *testing.T) {
 	if !errors.Is(wrapped, &Error{Stage: StageStore}) {
 		t.Error("store stage wildcard did not match")
 	}
-	// Permanent kinds must stay distinguishable from transient ones: the
-	// retry layer keys its predicate on exactly this split.
+	// Permanent kinds must stay distinguishable from transient ones: a
+	// caller's fault must never read as a backend outage.
 	if errors.Is(Errorf(StageStore, InvalidInput, "bad key"), ErrTransient) {
 		t.Error("invalid input classified transient")
 	}

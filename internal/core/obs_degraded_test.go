@@ -13,7 +13,6 @@ import (
 
 	"discovery/internal/core"
 	"discovery/internal/obs"
-	"discovery/internal/report"
 	"discovery/internal/starbench"
 	"discovery/internal/trace"
 )
@@ -70,14 +69,14 @@ func TestObsSpanTreeClosedUnderPhasePanic(t *testing.T) {
 			}
 
 			// The tree exports through every format without issue.
-			tree := report.PhaseTree(c, -1)
+			tree := obs.RenderTree(c, obs.RenderOptions{MaxChildren: -1})
 			if !strings.Contains(tree, "find") || !strings.Contains(tree, " !") {
 				t.Errorf("phase tree missing root or failure marker:\n%s", tree)
 			}
-			if _, err := report.ObservabilityJSON(c); err != nil {
+			if _, err := obs.JSON(c); err != nil {
 				t.Errorf("JSON export failed: %v", err)
 			}
-			_ = report.PrometheusMetrics(c)
+			_ = obs.Prometheus(c.Metrics())
 
 			// Metrics recorded before (and despite) the failure survive:
 			// the end-of-run gauges are emitted by a defer that outlives

@@ -14,7 +14,6 @@ import (
 	"discovery/internal/core"
 	"discovery/internal/ddg"
 	"discovery/internal/obs"
-	"discovery/internal/report"
 	"discovery/internal/starbench"
 	"discovery/internal/trace"
 )
@@ -49,7 +48,7 @@ func TestFindSpillExportsPagingMetrics(t *testing.T) {
 		t.Errorf("peak resident %d bytes exceeds the budget headroom %d", st.PeakResidentBytes, headroom)
 	}
 
-	text := report.PrometheusMetrics(c)
+	text := obs.Prometheus(c.Metrics())
 	for _, name := range []string{
 		obs.MetricDDGSpills,
 		obs.MetricDDGPageFaults,

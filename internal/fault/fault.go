@@ -29,8 +29,7 @@ type Action string
 
 const (
 	// ActionError fails the operation with a transient-typed injected
-	// error (the retry/breaker layers see exactly what a flaky disk
-	// produces).
+	// error (the store fallback sees exactly what a flaky disk produces).
 	ActionError Action = "error"
 	// ActionLatency delays the operation by LatencyMS, then lets it
 	// proceed normally — the I/O-stall half of the failure space.

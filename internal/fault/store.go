@@ -10,8 +10,8 @@ import (
 )
 
 // Store wraps inner with the plan's scripted store faults. The decorator
-// sits below the resilience stack (retry → breaker → fallback), standing
-// in for the unreliable device those layers exist to survive.
+// sits below the server's memory fallback, standing in for the unreliable
+// device that fallback exists to survive.
 func (p *Plan) Store(inner store.Store) store.Store {
 	return &faultStore{plan: p, inner: inner}
 }

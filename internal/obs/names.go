@@ -48,13 +48,10 @@ const (
 	MetricServerQueueDepth     = "discovery_server_queue_depth"     // gauge
 	MetricServerInFlight       = "discovery_server_in_flight"       // gauge
 
-	// Fault-tolerant serving (resilient store + admission brownout).
+	// Fault-tolerant serving (store fallback + admission brownout).
 	// Counters unless noted.
 	MetricServerCancelled     = "discovery_server_requests_cancelled_total" // client gone while queued
-	MetricServerStoreRetries  = "discovery_server_store_retries_total"
-	MetricServerStoreFallback = "discovery_server_store_fallback_total" // ops absorbed by the memory spill
-	MetricServerBreakerTrips  = "discovery_server_store_breaker_trips_total"
-	MetricServerBreakerState  = "discovery_server_store_breaker_state" // gauge: 0 closed, 1 half-open, 2 open
+	MetricServerStoreFallback = "discovery_server_store_fallback_total"     // ops absorbed by the memory spill
 	MetricServerBrownout      = "discovery_server_brownout_clamped_total"
 	MetricServerPanics        = "discovery_server_panics_total" // worker-boundary recoveries
 

@@ -250,7 +250,7 @@ func (s *Server) process(ctx context.Context, req *Request, queueWait time.Durat
 	// (see the write-back condition below), so the clamp can never leak a
 	// truncated answer under the full-budget fingerprint.
 	var brownoutMS int64
-	if factor := s.cfg.Brownout.factor(occupancy); factor < 1 {
+	if factor := brownoutFactor(occupancy); factor < 1 {
 		clamped := time.Duration(float64(opts.Budget) * factor)
 		if clamped < 50*time.Millisecond {
 			clamped = 50 * time.Millisecond
@@ -420,7 +420,7 @@ func (s *Server) process(ctx context.Context, req *Request, queueWait time.Durat
 		Report:      json.RawMessage(doc),
 	}
 	if collector != nil {
-		resp.PhaseTree = report.PhaseTree(collector, 12)
+		resp.PhaseTree = obs.RenderTree(collector, obs.RenderOptions{MaxChildren: 12})
 	}
 	s.reg.Count(obs.L(obs.MetricServerRequests, "status", "ok"), 1)
 	s.reg.Observe(obs.MetricServerRequestSeconds, elapsed.Seconds())

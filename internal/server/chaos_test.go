@@ -7,14 +7,13 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"discovery/internal/fault"
 	"discovery/internal/store"
 )
 
 // The chaos harness drives the real serving stack — admission queue,
-// workers, resilient store, phase hooks — through scripted fault plans
+// workers, store fallback, phase hooks — through scripted fault plans
 // (testdata/faultplans) and checks the tentpole invariant on every
 // response: its answer is byte-identical to the fault-free run's, or it
 // is explicitly degraded (Degraded/Interrupted/BrownoutMS in
@@ -51,16 +50,6 @@ var chaosRequests = []string{
 	`{"bench":"md5","version":"seq"}`,
 	`{"bench":"md5","version":"pthreads"}`,
 	`{"bench":"md5","version":"pthreads"}`,
-}
-
-// chaosResilience is the production stack with test-speed timings.
-func chaosResilience() ResilienceConfig {
-	return ResilienceConfig{
-		RetryAttempts:    3,
-		RetryBase:        time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  10 * time.Second,
-	}
 }
 
 // chaosBaseline computes the fault-free report for each distinct request
@@ -128,9 +117,8 @@ func TestChaosPlans(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, ts := newTestServer(t, Config{
-				Store:      plan.Store(disk),
-				PhaseHook:  plan.PhaseHook(),
-				Resilience: chaosResilience(),
+				Store:     plan.Store(disk),
+				PhaseHook: plan.PhaseHook(),
 			})
 			for _, req := range chaosRequests {
 				resp, code, err := analyzeErr(ts, req)
@@ -153,13 +141,13 @@ func TestChaosPlans(t *testing.T) {
 	}
 }
 
-// TestChaosBreakerTripServesWarmFromFallback is the degraded-serving
+// TestChaosStoreOutageServesWarmFromFallback is the degraded-serving
 // acceptance path: with the primary store persistently failing, the
-// breaker trips and the daemon keeps answering — the second identical
-// request is served warm from the memory fallback with zero solver runs.
-func TestChaosBreakerTripServesWarmFromFallback(t *testing.T) {
+// daemon keeps answering — the second identical request is served warm
+// from the memory fallback with zero solver runs.
+func TestChaosStoreOutageServesWarmFromFallback(t *testing.T) {
 	baseline := chaosBaseline(t)
-	plan, err := fault.Load("testdata/faultplans/breaker-trip.json")
+	plan, err := fault.Load("testdata/faultplans/store-outage.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,9 +156,8 @@ func TestChaosBreakerTripServesWarmFromFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts := newTestServer(t, Config{
-		Store:      plan.Store(disk),
-		PhaseHook:  plan.PhaseHook(),
-		Resilience: chaosResilience(),
+		Store:     plan.Store(disk),
+		PhaseHook: plan.PhaseHook(),
 	})
 
 	req := `{"bench":"md5","version":"seq"}`
@@ -194,12 +181,9 @@ func TestChaosBreakerTripServesWarmFromFallback(t *testing.T) {
 		t.Fatal("fallback-served answer differs from the fault-free run")
 	}
 
-	if st := s.breaker.State(); st != store.BreakerOpen {
-		t.Fatalf("breaker state %v after persistent failures, want open", st)
-	}
-	if s.breaker.Trips() == 0 || s.fallback.DegradedOps() == 0 {
-		t.Fatalf("resilience accounting empty: trips %d degraded ops %d",
-			s.breaker.Trips(), s.fallback.DegradedOps())
+	if !s.st.Degraded() || s.st.DegradedOps() == 0 {
+		t.Fatalf("fallback accounting after persistent failures: degraded %t degraded ops %d",
+			s.st.Degraded(), s.st.DegradedOps())
 	}
 
 	// /healthz reports the rung: still serving, but degraded.
@@ -208,12 +192,12 @@ func TestChaosBreakerTripServesWarmFromFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var health struct {
-		Status  string `json:"status"`
-		Breaker string `json:"store_breaker"`
+		Status        string `json:"status"`
+		StoreDegraded bool   `json:"store_degraded"`
 	}
 	json.NewDecoder(hr.Body).Decode(&health)
 	hr.Body.Close()
-	if health.Status != "degraded" || health.Breaker != "open" {
+	if health.Status != "degraded" || !health.StoreDegraded {
 		t.Fatalf("healthz under outage: %+v", health)
 	}
 }
@@ -236,7 +220,7 @@ func TestChaosTornPutRestartNeverServesCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := New(Config{Store: plan.Store(disk1), Resilience: chaosResilience()})
+	s1 := New(Config{Store: plan.Store(disk1)})
 	ts1 := httptest.NewServer(s1.Handler())
 	first, code, err := analyzeErr(ts1, req)
 	if err != nil || code != 200 {
@@ -258,7 +242,7 @@ func TestChaosTornPutRestartNeverServesCorrupt(t *testing.T) {
 	if disk2.Quarantined() == 0 {
 		t.Fatal("recovery scan quarantined nothing; the torn writes vanished")
 	}
-	s2 := New(Config{Store: disk2, Resilience: chaosResilience()})
+	s2 := New(Config{Store: disk2})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer func() { ts2.Close(); s2.Close(); disk2.Close() }()
 

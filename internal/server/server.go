@@ -66,15 +66,10 @@ type Config struct {
 	// request. Default GOMAXPROCS.
 	SchedWorkers int
 	// Store persists results across requests (nil disables memoization;
-	// the ViewCache still warms).
+	// the ViewCache still warms). The server wraps it in a store.Fallback
+	// onto an in-memory store, so a failing backend degrades to
+	// memory-only memoization instead of losing results.
 	Store store.Store
-	// Resilience tunes the retry/breaker/fallback stack wrapped around
-	// Store. Zero value = enabled with defaults; set Disable to use Store
-	// bare.
-	Resilience ResilienceConfig
-	// Brownout tunes admission-pressure budget clamping. Zero value =
-	// enabled with defaults.
-	Brownout BrownoutConfig
 	// PhaseHook, when non-nil, runs at every analysis phase boundary
 	// (trace, then each finder phase via core.Options.PhaseHook). It is
 	// the daemon's fault-injection seam — see internal/fault.Plan.
@@ -109,7 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.SchedWorkers <= 0 {
 		c.SchedWorkers = runtime.GOMAXPROCS(0)
 	}
-	c.Brownout = c.Brownout.withDefaults()
 	return c
 }
 
@@ -118,15 +112,11 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	cache *core.ViewCache
-	st    store.Store // nil = no store; else the resilient stack (or raw when disabled)
-	reg   *obs.Registry
-	pool  *sched.Pool // shared solve scheduler: one pool across all requests
-
-	// breaker and fallback are handles into the resilient store stack
-	// (nil when Resilience.Disable or no store): breaker state feeds
-	// /healthz, fallback's degraded-op count feeds /stats.
-	breaker  *store.Breaker
-	fallback *store.Fallback
+	// st is Config.Store behind its memory fallback (nil = no store); its
+	// degraded flag feeds /healthz and its degraded-op count /stats.
+	st   *store.Fallback
+	reg  *obs.Registry
+	pool *sched.Pool // shared solve scheduler: one pool across all requests
 
 	queue chan *job
 	wg    sync.WaitGroup
@@ -149,7 +139,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   core.NewViewCacheSized(cfg.CacheGenerations),
-		st:      cfg.Store,
 		reg:     obs.NewRegistry(),
 		queue:   make(chan *job, cfg.QueueDepth),
 		mux:     http.NewServeMux(),
@@ -159,9 +148,10 @@ func New(cfg Config) *Server {
 	// registry, so pool gauges and counters surface in /metrics without
 	// polluting any request's phase tree.
 	s.pool = sched.NewPool(cfg.SchedWorkers, &teeRecorder{spans: obs.Nop, reg: s.reg})
-	if cfg.Store != nil && !cfg.Resilience.Disable {
-		s.breaker, s.fallback = s.buildResilientStore(cfg.Store)
-		s.st = s.fallback
+	if cfg.Store != nil {
+		s.st = store.NewFallback(cfg.Store, store.NewMemory(), func(string, error) {
+			s.reg.Count(obs.MetricServerStoreFallback, 1)
+		})
 	}
 	s.mux.HandleFunc("/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -236,13 +226,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports liveness plus the degradation ladder's current
-// rung: "ok" (full service), "degraded" (still answering, but the store
-// breaker is not closed and/or brownout is clamping budgets). The daemon
-// never reports unhealthy while it can serve — degraded-but-available is
-// the whole point of the resilience stack.
+// rung: "ok" (full service), "degraded" (still answering, but the store's
+// last primary operation failed and/or brownout is clamping budgets). The
+// daemon never reports unhealthy while it can serve — degraded-but-available
+// is the whole point of the memory fallback and of brownout.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	occupancy := float64(len(s.queue)) / float64(cap(s.queue))
-	brownout := s.cfg.Brownout.factor(occupancy) < 1
+	brownout := brownoutFactor(occupancy) < 1
 	status := "ok"
 	sst := s.pool.Stats()
 	out := map[string]any{
@@ -256,10 +246,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if brownout {
 		status = "degraded"
 	}
-	if s.breaker != nil {
-		st := s.breaker.State()
-		out["store_breaker"] = st.String()
-		if st != store.BreakerClosed {
+	if s.st != nil {
+		degraded := s.st.Degraded()
+		out["store_degraded"] = degraded
+		if degraded {
 			status = "degraded"
 		}
 	}
@@ -285,11 +275,9 @@ type statsJSON struct {
 	Cache     core.CacheSnapshot `json:"cache"`
 	StoreLen  int                `json:"store_len"`
 	StoreKind string             `json:"store_kind"`
-	// Resilience accounting (zero / "disabled" without a resilient store).
-	BreakerState     string `json:"breaker_state,omitempty"`
-	BreakerTrips     int64  `json:"breaker_trips"`
-	StoreDegradedOps int64  `json:"store_degraded_ops"`
-	StoreQuarantined int    `json:"store_quarantined"`
+	// Degradation accounting (zero without a store).
+	StoreDegradedOps int64 `json:"store_degraded_ops"`
+	StoreQuarantined int   `json:"store_quarantined"`
 }
 
 // schedJSON is the /stats projection of the shared solve pool: capacity,
@@ -341,13 +329,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		if n, err := s.st.Len(); err == nil {
 			out.StoreLen = n
 		}
-	}
-	if s.breaker != nil {
-		out.BreakerState = s.breaker.State().String()
-		out.BreakerTrips = s.breaker.Trips()
-	}
-	if s.fallback != nil {
-		out.StoreDegradedOps = s.fallback.DegradedOps()
+		out.StoreDegradedOps = s.st.DegradedOps()
 	}
 	if q, ok := s.cfg.Store.(interface{ Quarantined() int }); ok {
 		out.StoreQuarantined = q.Quarantined()

@@ -134,7 +134,8 @@ func (d *Disk) quarantine(key string) {
 // Get implements Store. A file that exists but does not parse back to its
 // key is treated as a miss — and quarantined, so the store never serves a
 // corrupt entry and a later Put can rewrite the key cleanly. I/O failures
-// other than absence are transient-typed for the retry layer.
+// other than absence are transient-typed: the backend failed, not the
+// caller, and a Fallback above answers from its secondary.
 func (d *Disk) Get(key string) (*Entry, bool, error) {
 	if !keyPattern.MatchString(key) {
 		return nil, false, nil // invalid keys are never stored

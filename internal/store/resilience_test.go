@@ -1,14 +1,11 @@
 package store
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"discovery/internal/analysis"
 )
@@ -17,15 +14,13 @@ import (
 // until fail reaches zero; afterwards they delegate to the wrapped store.
 type flaky struct {
 	Store
-	mu    sync.Mutex
-	fail  int
-	calls int
+	mu   sync.Mutex
+	fail int
 }
 
 func (f *flaky) step() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.calls++
 	if f.fail > 0 {
 		f.fail--
 		return analysis.Errorf(analysis.StageStore, analysis.Transient, "flaky backend")
@@ -52,225 +47,6 @@ func (f *flaky) Len() (int, error) {
 		return 0, err
 	}
 	return f.Store.Len()
-}
-
-func noSleep(ctx context.Context, d time.Duration) {}
-
-func TestRetryRecoversTransientFailures(t *testing.T) {
-	inner := &flaky{Store: NewMemory(), fail: 2}
-	var seen []string
-	r := NewRetry(inner, RetryConfig{
-		Attempts: 3,
-		Sleep:    noSleep,
-		OnRetry:  func(op string, attempt int, err error) { seen = append(seen, fmt.Sprintf("%s/%d", op, attempt)) },
-	})
-	if err := r.Put(&Entry{Key: "res-a-b"}); err != nil {
-		t.Fatalf("put through two transient failures: %v", err)
-	}
-	if got, want := fmt.Sprint(seen), "[put/1 put/2]"; got != want {
-		t.Errorf("OnRetry saw %v, want %v", seen, want)
-	}
-	if r.Retries() != 2 {
-		t.Errorf("Retries() = %d, want 2", r.Retries())
-	}
-	if _, ok, err := r.Get("res-a-b"); err != nil || !ok {
-		t.Fatalf("get after recovered put: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestRetryGivesUpAfterAttempts(t *testing.T) {
-	inner := &flaky{Store: NewMemory(), fail: 100}
-	r := NewRetry(inner, RetryConfig{Attempts: 3, Sleep: noSleep})
-	if err := r.Put(&Entry{Key: "res-a-b"}); !errors.Is(err, analysis.ErrTransient) {
-		t.Fatalf("exhausted retries returned %v, want the transient backend error", err)
-	}
-	if inner.calls != 3 {
-		t.Errorf("backend saw %d calls, want 3", inner.calls)
-	}
-}
-
-func TestRetryDoesNotRetryPermanentErrors(t *testing.T) {
-	inner := &flaky{Store: NewMemory()}
-	r := NewRetry(inner, RetryConfig{Attempts: 5, Sleep: noSleep})
-	if err := r.Put(&Entry{Key: "no spaces allowed"}); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("invalid key returned %v, want ErrInvalid", err)
-	}
-	if r.Retries() != 0 {
-		t.Errorf("permanent error was retried %d times", r.Retries())
-	}
-
-	closed := NewMemory()
-	closed.Close()
-	r2 := NewRetry(closed, RetryConfig{Attempts: 5, Sleep: noSleep})
-	if _, _, err := r2.Get("res-a-b"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("closed store returned %v, want ErrClosed", err)
-	}
-	if r2.Retries() != 0 {
-		t.Errorf("ErrClosed was retried %d times", r2.Retries())
-	}
-}
-
-func TestRetryContextAware(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already dead: the first failure must not back off at all
-	inner := &flaky{Store: NewMemory(), fail: 100}
-	slept := false
-	r := NewRetry(inner, RetryConfig{
-		Attempts: 5,
-		Ctx:      ctx,
-		Sleep:    func(context.Context, time.Duration) { slept = true },
-	})
-	start := time.Now()
-	_, _, err := r.Get("res-a-b")
-	if !errors.Is(err, analysis.ErrTransient) {
-		t.Fatalf("cancelled retry returned %v", err)
-	}
-	if slept {
-		t.Error("retry slept after its context was cancelled")
-	}
-	if inner.calls != 1 {
-		t.Errorf("backend saw %d calls after cancellation, want 1", inner.calls)
-	}
-	if time.Since(start) > time.Second {
-		t.Error("cancelled retry took a real backoff")
-	}
-}
-
-func TestRetryJitterDeterministic(t *testing.T) {
-	sample := func(seed uint64) []time.Duration {
-		r := NewRetry(NewMemory(), RetryConfig{Seed: seed})
-		var out []time.Duration
-		for i := 0; i < 8; i++ {
-			out = append(out, r.jitter(100*time.Millisecond))
-		}
-		return out
-	}
-	a, b := sample(7), sample(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at %d: %v vs %v", i, a[i], b[i])
-		}
-		if a[i] < 50*time.Millisecond || a[i] >= 100*time.Millisecond {
-			t.Fatalf("jitter %v outside [d/2, d)", a[i])
-		}
-	}
-	if fmt.Sprint(a) == fmt.Sprint(sample(8)) {
-		t.Error("different seeds produced identical jitter streams")
-	}
-}
-
-// clock is a manual time source for breaker cooldown tests.
-type clock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *clock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *clock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func TestBreakerTripsAndRecovers(t *testing.T) {
-	ck := &clock{t: time.Unix(1000, 0)}
-	inner := &flaky{Store: NewMemory(), fail: 3}
-	var transitions []string
-	b := NewBreaker(inner, BreakerConfig{
-		Threshold: 3,
-		Cooldown:  10 * time.Second,
-		OnStateChange: func(from, to BreakerState) {
-			transitions = append(transitions, fmt.Sprintf("%s>%s", from, to))
-		},
-		now: ck.now,
-	})
-
-	// Three consecutive failures trip it.
-	for i := 0; i < 3; i++ {
-		if _, _, err := b.Get("res-a-b"); err == nil {
-			t.Fatalf("failure %d unexpectedly succeeded", i)
-		}
-	}
-	if b.State() != BreakerOpen || b.Trips() != 1 {
-		t.Fatalf("after threshold: state=%v trips=%d", b.State(), b.Trips())
-	}
-
-	// Open: fail fast, backend untouched.
-	before := inner.calls
-	if _, _, err := b.Get("res-a-b"); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open breaker returned %v, want ErrBreakerOpen", err)
-	}
-	if inner.calls != before {
-		t.Error("open breaker touched the backend")
-	}
-
-	// Cooldown elapses: the probe goes through (backend healthy now) and
-	// the breaker closes.
-	ck.advance(11 * time.Second)
-	if _, _, err := b.Get("res-a-b"); err != nil {
-		t.Fatalf("half-open probe failed: %v", err)
-	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("after successful probe: state=%v", b.State())
-	}
-	want := "[closed>open open>half-open half-open>closed]"
-	if got := fmt.Sprint(transitions); got != want {
-		t.Errorf("transitions %v, want %v", got, want)
-	}
-}
-
-func TestBreakerFailedProbeReopens(t *testing.T) {
-	ck := &clock{t: time.Unix(1000, 0)}
-	inner := &flaky{Store: NewMemory(), fail: 100}
-	b := NewBreaker(inner, BreakerConfig{Threshold: 1, Cooldown: time.Second, now: ck.now})
-	b.Get("res-a-b") // trips
-	ck.advance(2 * time.Second)
-	if _, _, err := b.Get("res-a-b"); err == nil {
-		t.Fatal("probe against a dead backend succeeded")
-	}
-	if b.State() != BreakerOpen || b.Trips() != 2 {
-		t.Fatalf("failed probe: state=%v trips=%d", b.State(), b.Trips())
-	}
-}
-
-func TestBreakerIgnoresCallerFaults(t *testing.T) {
-	b := NewBreaker(NewMemory(), BreakerConfig{Threshold: 1})
-	for i := 0; i < 5; i++ {
-		if err := b.Put(&Entry{Key: "bad key!"}); !errors.Is(err, ErrInvalid) {
-			t.Fatalf("invalid put returned %v", err)
-		}
-	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("caller faults tripped the breaker: state=%v", b.State())
-	}
-}
-
-func TestBreakerSuccessResetsFailureCount(t *testing.T) {
-	inner := &flaky{Store: NewMemory()}
-	b := NewBreaker(inner, BreakerConfig{Threshold: 2})
-	fail := func() {
-		inner.mu.Lock()
-		inner.fail = 1
-		inner.mu.Unlock()
-		b.Get("res-a-b")
-	}
-	fail()
-	if _, _, err := b.Get("res-a-b"); err != nil { // success resets the streak
-		t.Fatal(err)
-	}
-	fail()
-	if b.State() != BreakerClosed {
-		t.Fatal("non-consecutive failures tripped the breaker")
-	}
-	fail()
-	if b.State() != BreakerOpen {
-		t.Fatal("consecutive failures did not trip the breaker")
-	}
 }
 
 func TestFallbackAbsorbsPrimaryFailures(t *testing.T) {
@@ -401,42 +177,44 @@ func TestDiskStartupScanRecoversCrashDebris(t *testing.T) {
 	}
 }
 
-func TestResilientChainEndToEnd(t *testing.T) {
-	// The full production stack: Fallback(Breaker(Retry(flaky-disk)), mem).
-	// A burst of failures longer than the retry budget trips the breaker;
-	// service continues through the secondary; after cooldown the probe
-	// closes the breaker and the primary serves again.
-	ck := &clock{t: time.Unix(1000, 0)}
-	inner := &flaky{Store: NewMemory(), fail: 100}
-	r := NewRetry(inner, RetryConfig{Attempts: 2, Sleep: noSleep})
-	b := NewBreaker(r, BreakerConfig{Threshold: 2, Cooldown: time.Second, now: ck.now})
-	f := NewFallback(b, NewMemory(), nil)
+func TestFallbackDegradedClearsOnRecovery(t *testing.T) {
+	// A failing primary raises the degraded flag and the secondary serves
+	// the spilled entry; once the primary heals, its next operation clears
+	// the flag, and the outage-window entry is still found through the
+	// second look.
+	primary := &flaky{Store: NewMemory(), fail: 100}
+	f := NewFallback(primary, NewMemory(), nil)
+	if f.Degraded() {
+		t.Fatal("fresh fallback reports degraded")
+	}
 
 	if err := f.Put(&Entry{Key: "res-a-b", Patterns: 3}); err != nil {
 		t.Fatal(err)
 	}
-	f.Put(&Entry{Key: "res-c-d"})
-	if b.State() != BreakerOpen {
-		t.Fatalf("breaker after failure burst: %v", b.State())
+	if !f.Degraded() {
+		t.Fatal("failed primary put did not raise the degraded flag")
 	}
-	// Degraded serving: the spilled entry answers through the secondary.
 	if got, ok, err := f.Get("res-a-b"); err != nil || !ok || got.Patterns != 3 {
-		t.Fatalf("degraded get: ok=%v err=%v", ok, err)
+		t.Fatalf("degraded get: ok=%v err=%v got=%+v", ok, err, got)
+	}
+	if !f.Degraded() || f.DegradedOps() != 2 {
+		t.Fatalf("during outage: degraded=%v ops=%d", f.Degraded(), f.DegradedOps())
 	}
 
-	// Backend heals; cooldown elapses; probe closes the breaker.
-	inner.mu.Lock()
-	inner.fail = 0
-	inner.mu.Unlock()
-	ck.advance(2 * time.Second)
+	// The primary heals: its next operation (a clean miss) clears the flag.
+	primary.mu.Lock()
+	primary.fail = 0
+	primary.mu.Unlock()
+	if _, ok, err := f.Get("res-a-b"); err != nil || !ok {
+		t.Fatalf("spilled entry lost after recovery: ok=%v err=%v", ok, err)
+	}
+	if f.Degraded() {
+		t.Fatal("healthy primary operation did not clear the degraded flag")
+	}
 	if err := f.Put(&Entry{Key: "res-e-f"}); err != nil {
 		t.Fatal(err)
 	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("breaker after recovery: %v", b.State())
-	}
-	// The degraded-window entry is still visible via the second look.
-	if _, ok, err := f.Get("res-a-b"); err != nil || !ok {
-		t.Fatalf("spilled entry lost after recovery: ok=%v err=%v", ok, err)
+	if f.Degraded() || f.DegradedOps() != 2 {
+		t.Fatalf("after recovery: degraded=%v ops=%d", f.Degraded(), f.DegradedOps())
 	}
 }

@@ -10,7 +10,9 @@
 // single-process serving, and an on-disk JSON directory for durability.
 // Entries are immutable once put — a put to an existing key is a no-op
 // (first write wins, matching the ViewCache's verdict discipline), which
-// makes concurrent duplicate submissions idempotent.
+// makes concurrent duplicate submissions idempotent. One decorator,
+// Fallback, spills to a second store while the first one fails; it is the
+// only degradation layer the serving daemon stacks on a backend.
 package store
 
 import (
@@ -20,11 +22,9 @@ import (
 	"time"
 )
 
-// Sentinel errors, matched with errors.Is. The split is load-bearing for
-// the resilience decorators: Retry only retries errors that are neither
-// ErrInvalid (the caller's fault, permanent) nor ErrClosed (the store is
-// gone for good), and Breaker counts only the retryable remainder as
-// backend failures.
+// Sentinel errors, matched with errors.Is. They separate the caller's
+// fault (ErrInvalid) and a finished store (ErrClosed) from backend I/O
+// failures, which the disk backend types as analysis.Transient.
 var (
 	// ErrInvalid marks a request the store rejected by contract (nil
 	// entry, malformed key). Retrying cannot help.

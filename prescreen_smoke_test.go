@@ -13,7 +13,6 @@ import (
 
 	"discovery/internal/core"
 	"discovery/internal/obs"
-	"discovery/internal/report"
 	"discovery/internal/starbench"
 	"discovery/internal/trace"
 )
@@ -32,7 +31,7 @@ func TestPrescreenSkipRateExported(t *testing.T) {
 		t.Fatalf("default find ran %d prescreen check(s) with %d skip(s); want both positive", checks, skips)
 	}
 
-	text := report.PrometheusMetrics(col)
+	text := obs.Prometheus(col.Metrics())
 	for _, name := range []string{obs.MetricPrescreenSkips, obs.MetricPrescreenChecks, obs.MetricPrescreenSeconds} {
 		if !strings.Contains(text, name) {
 			t.Errorf("metric %q missing from the Prometheus export", name)
