@@ -22,7 +22,7 @@ func graphFromBytes(data []byte) (*Graph, error) {
 	}
 	fb := NewFrozenBuilder(len(data)+1, len(data)*3)
 	pos := mir.Pos{File: "fuzz.c", Line: 1}
-	fb.AddNode(mir.OpFAdd, pos, 0, nil)
+	fb.AddNode(mir.OpFAdd, fb.PosID(pos), 0, fb.ScopeID(nil))
 	for i, b := range data {
 		id := i + 1
 		var preds []NodeID
@@ -35,7 +35,7 @@ func graphFromBytes(data []byte) (*Graph, error) {
 		if b&4 != 0 {
 			preds = append(preds, NodeID(i)) // chain arc: previous node
 		}
-		fb.AddNode(mir.OpFMul, pos, int32(b>>6), nil, preds...)
+		fb.AddNode(mir.OpFMul, fb.PosID(pos), int32(b>>6), fb.ScopeID(nil), preds...)
 	}
 	return fb.Finish()
 }
@@ -213,7 +213,7 @@ func FuzzIterIndex(f *testing.F) {
 			if i > 0 && data[i%len(data)]&0x20 != 0 {
 				preds = append(preds, NodeID(i-1))
 			}
-			fb.AddNode(mir.OpAdd, pos, 0, s, preds...)
+			fb.AddNode(mir.OpAdd, fb.PosID(pos), 0, fb.ScopeID(s), preds...)
 		}
 		g, err := fb.Finish()
 		if err != nil {

@@ -24,7 +24,11 @@ type NodeID uint32
 const NoNode = ^NodeID(0)
 
 // Graph is a dynamic dataflow graph. The struct-of-arrays layout keeps
-// traces of hundreds of thousands of nodes compact.
+// traces of hundreds of thousands of nodes compact: every per-node array
+// holds fixed-width integers and no pointers, so a node costs a fixed
+// number of bytes that the garbage collector never scans. A node's source
+// position and loop scope are ids into tables of the distinct values (see
+// tables).
 //
 // Every graph is built by a FrozenBuilder and is immutable once finished.
 // Adjacency is held in compressed sparse row (CSR) form — two flat arrays
@@ -32,9 +36,10 @@ const NoNode = ^NodeID(0)
 // verifiers traverse cache-linearly.
 type Graph struct {
 	ops    []mir.Op
-	pos    []mir.Pos
+	pos    []uint32 // ids into tab.pos
 	thread []int32
-	scope  []*Scope
+	scope  []uint32 // ids into tab.scopes
+	tab    *tables
 	arcs   int
 
 	// CSR adjacency. succOff/predOff have NumNodes()+1 entries; the
@@ -68,13 +73,13 @@ func (g *Graph) NumArcs() int { return g.arcs }
 func (g *Graph) Op(u NodeID) mir.Op { return g.ops[u] }
 
 // Pos returns the source position of node u.
-func (g *Graph) Pos(u NodeID) mir.Pos { return g.pos[u] }
+func (g *Graph) Pos(u NodeID) mir.Pos { return g.tab.pos[g.pos[u]] }
 
 // Thread returns the thread that executed node u.
 func (g *Graph) Thread(u NodeID) int32 { return g.thread[u] }
 
 // ScopeOf returns the dynamic loop scope of node u (may be nil).
-func (g *Graph) ScopeOf(u NodeID) *Scope { return g.scope[u] }
+func (g *Graph) ScopeOf(u NodeID) *Scope { return g.tab.scopes[g.scope[u]] }
 
 // Succs returns the successors of u. The returned slice is shared; callers
 // must not mutate it.
@@ -111,6 +116,7 @@ func (g *Graph) String() string {
 // graph, returning it together with the mapping from new to old
 // ids — keep itself, since new id i is keep[i]. It is used by DDG
 // simplification, which rebuilds the graph without auxiliary computation.
+// The subgraph shares g's position and scope tables and copies the ids.
 //
 // New ids follow keep's sorted order, so the topological-id invariant
 // carries over: every kept predecessor of a node precedes it, and the
@@ -121,7 +127,9 @@ func (g *Graph) String() string {
 // caller bug, reported by panic.
 func (g *Graph) InducedSubgraph(keep Set) (*Graph, []NodeID) {
 	if len(keep) == 0 {
-		out, _ := NewFrozenBuilder(0, 0).Finish()
+		fb := NewFrozenBuilder(0, 0)
+		fb.g.tab = g.tab
+		out, _ := fb.Finish()
 		return out, keep
 	}
 	lo := keep[0]
@@ -134,6 +142,7 @@ func (g *Graph) InducedSubgraph(keep Set) (*Graph, []NodeID) {
 	}
 	// Size the arc array by the kept share of the graph's arcs.
 	fb := NewFrozenBuilder(len(keep), int(int64(g.arcs)*int64(len(keep))/int64(max(g.NumNodes(), 1))))
+	fb.g.tab = g.tab
 	var preds []NodeID
 	for _, u := range keep {
 		preds = preds[:0]

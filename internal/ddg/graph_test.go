@@ -21,7 +21,7 @@ func arcGraph(ops []mir.Op, pos func(i int) mir.Pos, arcs ...[2]NodeID) *Graph {
 		if pos != nil {
 			p = pos(i)
 		}
-		fb.AddNode(op, p, 0, nil, preds[i]...)
+		fb.AddNode(op, fb.PosID(p), 0, fb.ScopeID(nil), preds[i]...)
 	}
 	g, err := fb.Finish()
 	if err != nil {
@@ -49,7 +49,7 @@ func buildDiamond() *Graph {
 func TestGraphAccessors(t *testing.T) {
 	fb := NewFrozenBuilder(1, 0)
 	scope := (&Scope{}).Enter(3, 7)
-	id := fb.AddNode(mir.OpMul, mir.Pos{File: "f.c", Line: 12}, 2, scope)
+	id := fb.AddNode(mir.OpMul, fb.PosID(mir.Pos{File: "f.c", Line: 12}), 2, fb.ScopeID(scope))
 	g, err := fb.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -199,12 +199,46 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
+// TestInducedSubgraphSharesTables: a subgraph names its nodes' positions
+// and scopes by the parent's ids over the parent's tables, and resolves
+// them to the same values.
+func TestInducedSubgraphSharesTables(t *testing.T) {
+	s := (*Scope)(nil).Enter(1, 1)
+	scopes := []*Scope{nil, s, s.NextIter(), nil}
+	fb := NewFrozenBuilder(4, 3)
+	for i, sc := range scopes {
+		preds := []NodeID{}
+		if i > 0 {
+			preds = append(preds, NodeID(i-1))
+		}
+		fb.AddNode(mir.OpAdd, fb.PosID(mir.Pos{File: "s.c", Line: 10 - i}), 0, fb.ScopeID(sc), preds...)
+	}
+	g, err := fb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, back := g.InducedSubgraph(NewSet(1, 2))
+	if sub.tab != g.tab {
+		t.Error("induced subgraph copied the parent's tables")
+	}
+	for i, u := range back {
+		v := NodeID(i)
+		if sub.Pos(v) != g.Pos(u) || sub.ScopeOf(v) != g.ScopeOf(u) {
+			t.Errorf("node %d: (%v, %v), parent node %d has (%v, %v)",
+				v, sub.Pos(v), sub.ScopeOf(v), u, g.Pos(u), g.ScopeOf(u))
+		}
+	}
+	if err := sub.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestIterationOf(t *testing.T) {
 	fb := NewFrozenBuilder(2, 0)
 	s := (&Scope{Loop: 0}).Enter(1, 5) // loop 1, invocation 5, iter 0
 	s = s.NextIter().NextIter()        // iter 2
-	u := fb.AddNode(mir.OpAdd, mir.Pos{}, 0, s)
-	v := fb.AddNode(mir.OpAdd, mir.Pos{}, 0, nil)
+	u := fb.AddNode(mir.OpAdd, fb.PosID(mir.Pos{}), 0, fb.ScopeID(s))
+	v := fb.AddNode(mir.OpAdd, fb.PosID(mir.Pos{}), 0, fb.ScopeID(nil))
 	g, err := fb.Finish()
 	if err != nil {
 		t.Fatal(err)

@@ -127,7 +127,7 @@ func (g *Graph) Fingerprint() Hash128 {
 		// stacks, so this is cheap relative to the arc walk above.
 		for u := 0; u < g.NumNodes(); u++ {
 			depth := uint64(0)
-			for f := g.scope[u]; f != nil; f = f.Parent {
+			for f := g.ScopeOf(NodeID(u)); f != nil; f = f.Parent {
 				h.Word(uint64(f.Loop))
 				h.Word(f.Invocation)
 				h.Word(uint64(f.Iter))

@@ -10,7 +10,7 @@ import (
 // DDG must satisfy:
 //
 //   - struct-of-arrays consistency (every per-node array has one entry per
-//     node);
+//     node, and every position and scope id names an entry of the tables);
 //   - no sentinel (NoNode) or self arcs;
 //   - topological-id ordering: every arc flows from a lower to a higher
 //     node id (Convex and the pattern matchers prune with it; it also
@@ -35,6 +35,12 @@ func (g *Graph) CheckInvariants() error {
 	if len(g.pos) != n || len(g.thread) != n || len(g.scope) != n {
 		return fail("ddg: per-node arrays disagree: %d ops, %d pos, %d threads, %d scopes",
 			n, len(g.pos), len(g.thread), len(g.scope))
+	}
+	for u := 0; u < n; u++ {
+		if int(g.pos[u]) >= len(g.tab.pos) || int(g.scope[u]) >= len(g.tab.scopes) {
+			return fail("ddg: node %d names position %d of %d or scope %d of %d",
+				u, g.pos[u], len(g.tab.pos), g.scope[u], len(g.tab.scopes))
+		}
 	}
 	// A spilled graph's arc arrays live out of core; the per-node checks
 	// below read them back through the pager (Succs/Preds), so only the

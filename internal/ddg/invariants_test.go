@@ -47,9 +47,9 @@ func TestCheckInvariantsRejectsCycle(t *testing.T) {
 
 func TestCheckInvariantsFrozenBuilderGraph(t *testing.T) {
 	fb := NewFrozenBuilder(3, 4)
-	a := fb.AddNode(mir.OpAdd, mir.Pos{}, 0, nil)
-	b := fb.AddNode(mir.OpMul, mir.Pos{}, 0, nil, a)
-	fb.AddNode(mir.OpFAdd, mir.Pos{}, 1, nil, a, b, NoNode, a) // NoNode and dup dropped
+	a := fb.AddNode(mir.OpAdd, fb.PosID(mir.Pos{}), 0, fb.ScopeID(nil))
+	b := fb.AddNode(mir.OpMul, fb.PosID(mir.Pos{}), 0, fb.ScopeID(nil), a)
+	fb.AddNode(mir.OpFAdd, fb.PosID(mir.Pos{}), 1, fb.ScopeID(nil), a, b, NoNode, a) // NoNode and dup dropped
 	g, err := fb.Finish()
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -64,8 +64,8 @@ func TestCheckInvariantsFrozenBuilderGraph(t *testing.T) {
 
 func TestFrozenBuilderRejectsBackwardArc(t *testing.T) {
 	fb := NewFrozenBuilder(2, 2)
-	fb.AddNode(mir.OpAdd, mir.Pos{}, 0, nil, 5) // pred 5 does not exist yet
-	fb.AddNode(mir.OpMul, mir.Pos{}, 0, nil)
+	fb.AddNode(mir.OpAdd, fb.PosID(mir.Pos{}), 0, fb.ScopeID(nil), 5) // pred 5 does not exist yet
+	fb.AddNode(mir.OpMul, fb.PosID(mir.Pos{}), 0, fb.ScopeID(nil))
 	g, err := fb.Finish()
 	if err == nil {
 		t.Fatal("Finish accepted a forward-referencing pred")
@@ -99,5 +99,32 @@ func TestCheckInvariantsDetectsDuplicateArc(t *testing.T) {
 	}
 	if err := g.CheckInvariants(); err == nil {
 		t.Error("duplicate arc passed invariant checking")
+	}
+}
+
+func TestFrozenBuilderRejectsUnknownTableID(t *testing.T) {
+	fb := NewFrozenBuilder(2, 0)
+	fb.AddNode(mir.OpAdd, fb.PosID(mir.Pos{}), 0, fb.ScopeID(nil))
+	fb.AddNode(mir.OpMul, 7, 0, 0) // no position 7 was interned
+	g, err := fb.Finish()
+	if g != nil || !errors.Is(err, analysis.ErrInvariantViolation) {
+		t.Fatalf("Finish = %v, %v; want an invariant violation", g, err)
+	}
+	if !strings.Contains(err.Error(), "position 7 of 1") {
+		t.Errorf("error lacks context: %v", err)
+	}
+}
+
+func TestCheckInvariantsDetectsBadTableID(t *testing.T) {
+	for _, corrupt := range []func(g *Graph){
+		func(g *Graph) { g.pos[2] = uint32(len(g.tab.pos)) },
+		func(g *Graph) { g.scope[1] = uint32(len(g.tab.scopes)) },
+	} {
+		g := chainGraph()
+		corrupt(g)
+		err := g.CheckInvariants()
+		if !errors.Is(err, analysis.ErrInvariantViolation) || !strings.Contains(err.Error(), "names position") {
+			t.Errorf("out-of-table id: err = %v, want an invariant violation naming the ids", err)
+		}
 	}
 }

@@ -65,22 +65,23 @@ func (g *Graph) LoopIterIndex(loop mir.LoopID) *LoopIterIndex {
 }
 
 func (g *Graph) iterIndexes() map[mir.LoopID]*LoopIterIndex {
-	g.iterMemo.once.Do(func() { g.iterMemo.ixs = deriveIterIndexes(g.scope) })
+	g.iterMemo.once.Do(func() { g.iterMemo.ixs = deriveIterIndexes(g.scope, g.tab.scopes) })
 	return g.iterMemo.ixs
 }
 
 // deriveIterIndexes builds one index per static loop appearing in any
-// scope chain. Consecutive nodes of one iteration share the identical
-// *Scope (scopes are persistent stacks), so a chain is walked only where
-// the scope changes from the previous node's. Each node is charged to its
-// innermost frame of each loop — the frame Scope.FrameFor reports — which
-// matters when recursion nests the same static loop twice in one chain.
+// scope chain; ids are the nodes' scope ids into scopes. Consecutive nodes
+// of one iteration share the identical *Scope (scopes are persistent
+// stacks), so a chain is walked only where the scope changes from the
+// previous node's. Each node is charged to its innermost frame of each
+// loop — the frame Scope.FrameFor reports — which matters when recursion
+// nests the same static loop twice in one chain.
 // While scanning, each run of one key gets a provisional number (a key met
 // again after another key gets a second); at the end the provisional keys
 // are sorted by (invocation, iteration), equal keys merged, and the
 // ordinals renumbered to the distinct keys' positions. Loops are slots of
 // a slice indexed by id, so no step hashes.
-func deriveIterIndexes(scopes []*Scope) map[mir.LoopID]*LoopIterIndex {
+func deriveIterIndexes(ids []uint32, scopes []*Scope) map[mir.LoopID]*LoopIterIndex {
 	type charge struct {
 		ix  *LoopIterIndex
 		ord int32
@@ -88,8 +89,8 @@ func deriveIterIndexes(scopes []*Scope) map[mir.LoopID]*LoopIterIndex {
 	var byLoop []*LoopIterIndex // by loop id; Keys provisional until the end
 	var cur []charge            // the current scope's innermost frame per loop
 	var prev *Scope
-	for u, s := range scopes {
-		if s != prev {
+	for u, id := range ids {
+		if s := scopes[id]; s != prev {
 			cur = cur[:0]
 		frames:
 			for f := s; f != nil; f = f.Parent {
@@ -98,7 +99,7 @@ func deriveIterIndexes(scopes []*Scope) map[mir.LoopID]*LoopIterIndex {
 				}
 				ix := byLoop[f.Loop]
 				if ix == nil {
-					ord := make([]int32, len(scopes))
+					ord := make([]int32, len(ids))
 					for i := range ord {
 						ord[i] = -1
 					}
@@ -171,7 +172,8 @@ func (g *Graph) checkIterIndexes() error {
 	}
 	ixs := g.iterIndexes()
 	var prev *Scope
-	for u, s := range g.scope {
+	for u, id := range g.scope {
+		s := g.tab.scopes[id]
 		if s == prev {
 			continue
 		}

@@ -22,11 +22,11 @@ func buildLoopGraph(t *testing.T) *Graph {
 	s1 := s0.NextIter()
 	fb := NewFrozenBuilder(5, 5)
 	pos := mir.Pos{File: "loop.c", Line: 1}
-	fb.AddNode(mir.OpFAdd, pos, 0, nil)
-	fb.AddNode(mir.OpFAdd, pos, 0, s0, 0)
-	fb.AddNode(mir.OpFMul, pos, 0, s0, 1)
-	fb.AddNode(mir.OpFAdd, pos, 0, s1, 2)
-	fb.AddNode(mir.OpFMul, pos, 0, s1, 3)
+	fb.AddNode(mir.OpFAdd, fb.PosID(pos), 0, fb.ScopeID(nil))
+	fb.AddNode(mir.OpFAdd, fb.PosID(pos), 0, fb.ScopeID(s0), 0)
+	fb.AddNode(mir.OpFMul, fb.PosID(pos), 0, fb.ScopeID(s0), 1)
+	fb.AddNode(mir.OpFAdd, fb.PosID(pos), 0, fb.ScopeID(s1), 2)
+	fb.AddNode(mir.OpFMul, fb.PosID(pos), 0, fb.ScopeID(s1), 3)
 	g, err := fb.Finish()
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -107,9 +107,9 @@ func TestIterIndexRecursion(t *testing.T) {
 	pos := mir.Pos{File: "rec.c", Line: 1}
 	for i, s := range scopes {
 		if i == 0 {
-			fb.AddNode(mir.OpAdd, pos, 0, s)
+			fb.AddNode(mir.OpAdd, fb.PosID(pos), 0, fb.ScopeID(s))
 		} else {
-			fb.AddNode(mir.OpAdd, pos, 0, s, NodeID(i-1))
+			fb.AddNode(mir.OpAdd, fb.PosID(pos), 0, fb.ScopeID(s), NodeID(i-1))
 		}
 	}
 	g, err := fb.Finish()
@@ -143,8 +143,8 @@ func TestIterIndexUnfrozenNotMemoized(t *testing.T) {
 	var root *Scope
 	s0 := root.Enter(1, 0)
 	fb := NewFrozenBuilder(2, 0)
-	fb.AddNode(mir.OpAdd, mir.Pos{}, 0, s0)
-	fb.AddNode(mir.OpAdd, mir.Pos{}, 0, s0.NextIter())
+	fb.AddNode(mir.OpAdd, fb.PosID(mir.Pos{}), 0, fb.ScopeID(s0))
+	fb.AddNode(mir.OpAdd, fb.PosID(mir.Pos{}), 0, fb.ScopeID(s0.NextIter()))
 	g, err := fb.Finish()
 	if err != nil {
 		t.Fatal(err)

@@ -133,8 +133,8 @@ func kernelGraph(seed uint64, n, fan int) *Graph {
 		if r.next()%3 == 0 {
 			op = mir.OpFMul
 		}
-		fb.AddNode(op, mir.Pos{File: "k.c", Line: 1 + int(r.next()%5)}, int32(r.next()%2),
-			scopes[r.next()%uint64(len(scopes))], preds...)
+		fb.AddNode(op, fb.PosID(mir.Pos{File: "k.c", Line: 1 + int(r.next()%5)}), int32(r.next()%2),
+			fb.ScopeID(scopes[r.next()%uint64(len(scopes))]), preds...)
 	}
 	g, err := fb.Finish()
 	if err != nil {

@@ -37,7 +37,7 @@ func buildRandomCSR(t *testing.T, seed uint64, n, fan int) *Graph {
 				preds = append(preds, NodeID(r.next()%uint64(u)))
 			}
 		}
-		fb.AddNode(mir.OpFAdd, mir.Pos{File: "rand.c", Line: u + 1}, 0, nil, preds...)
+		fb.AddNode(mir.OpFAdd, fb.PosID(mir.Pos{File: "rand.c", Line: u + 1}), 0, fb.ScopeID(nil), preds...)
 	}
 	g, err := fb.Finish()
 	if err != nil {
@@ -252,8 +252,8 @@ func TestSpillEmptyAndTinyGraphs(t *testing.T) {
 	}
 
 	fb := NewFrozenBuilder(2, 1)
-	fb.AddNode(mir.OpFAdd, mir.Pos{File: "x.c", Line: 1}, 0, nil)
-	fb.AddNode(mir.OpFAdd, mir.Pos{File: "x.c", Line: 2}, 0, nil, 0)
+	fb.AddNode(mir.OpFAdd, fb.PosID(mir.Pos{File: "x.c", Line: 1}), 0, fb.ScopeID(nil))
+	fb.AddNode(mir.OpFAdd, fb.PosID(mir.Pos{File: "x.c", Line: 2}), 0, fb.ScopeID(nil), 0)
 	tiny, err := fb.Finish()
 	if err != nil {
 		t.Fatalf("Finish: %v", err)

@@ -22,13 +22,47 @@ type Scope struct {
 
 // Enter pushes a frame for a new loop invocation; iteration starts at 0.
 func (s *Scope) Enter(loop mir.LoopID, invocation uint64) *Scope {
-	return &Scope{Parent: s, Loop: loop, Invocation: invocation}
+	return (*ScopeSlab)(nil).Enter(s, loop, invocation)
 }
 
 // NextIter returns the scope advanced to the next iteration of its top
 // frame. Scopes are immutable; a fresh frame is returned.
-func (s *Scope) NextIter() *Scope {
-	return &Scope{Parent: s.Parent, Loop: s.Loop, Invocation: s.Invocation, Iter: s.Iter + 1}
+func (s *Scope) NextIter() *Scope { return (*ScopeSlab)(nil).NextIter(s) }
+
+// ScopeSlab allocates scope frames in fixed-size chunks, so a loop costs
+// one allocation per chunk of iterations rather than one per iteration.
+// The zero value is ready to use; a nil *ScopeSlab allocates each frame on
+// its own. A slab is not safe for concurrent use (the VM keeps one per
+// thread), but the frames it returns are ordinary immutable Scopes.
+type ScopeSlab struct {
+	free []Scope
+}
+
+// scopeSlabChunk is the number of frames one slab allocation holds.
+const scopeSlabChunk = 256
+
+func (a *ScopeSlab) frame(f Scope) *Scope {
+	var s *Scope
+	if a == nil {
+		s = new(Scope)
+	} else {
+		if len(a.free) == 0 {
+			a.free = make([]Scope, scopeSlabChunk)
+		}
+		s, a.free = &a.free[0], a.free[1:]
+	}
+	*s = f
+	return s
+}
+
+// Enter is s.Enter(loop, invocation) with the frame taken from the slab.
+func (a *ScopeSlab) Enter(s *Scope, loop mir.LoopID, invocation uint64) *Scope {
+	return a.frame(Scope{Parent: s, Loop: loop, Invocation: invocation})
+}
+
+// NextIter is s.NextIter() with the frame taken from the slab.
+func (a *ScopeSlab) NextIter(s *Scope) *Scope {
+	return a.frame(Scope{Parent: s.Parent, Loop: s.Loop, Invocation: s.Invocation, Iter: s.Iter + 1})
 }
 
 // Exit pops the top frame.
@@ -83,7 +117,7 @@ type IterationKey struct {
 // IterationOf returns the iteration key of node u with respect to loop, or
 // ok=false if u did not execute inside that loop.
 func (g *Graph) IterationOf(u NodeID, loop mir.LoopID) (IterationKey, bool) {
-	inv, iter, ok := g.scope[u].FrameFor(loop)
+	inv, iter, ok := g.ScopeOf(u).FrameFor(loop)
 	if !ok {
 		return IterationKey{}, false
 	}

@@ -23,12 +23,12 @@ func buildViewGraph(t *testing.T) *Graph {
 	s0 := root.Enter(7, 0)
 	s1 := s0.NextIter()
 	fb := NewFrozenBuilder(6, 10)
-	fb.AddNode(mir.OpSub, mir.Pos{File: "v.c", Line: 1}, 0, nil)
-	fb.AddNode(mir.OpFAdd, mir.Pos{File: "v.c", Line: 2}, 1, s0, 0)
-	fb.AddNode(mir.OpFMul, mir.Pos{File: "v.c", Line: 3}, 1, s0, 1)
-	fb.AddNode(mir.OpFAdd, mir.Pos{File: "v.c", Line: 2}, 2, s1, 0)
-	fb.AddNode(mir.OpFMul, mir.Pos{File: "v.c", Line: 3}, 2, s1, 3)
-	fb.AddNode(mir.OpFAdd, mir.Pos{File: "v.c", Line: 4}, 0, nil, 2, 4)
+	fb.AddNode(mir.OpSub, fb.PosID(mir.Pos{File: "v.c", Line: 1}), 0, fb.ScopeID(nil))
+	fb.AddNode(mir.OpFAdd, fb.PosID(mir.Pos{File: "v.c", Line: 2}), 1, fb.ScopeID(s0), 0)
+	fb.AddNode(mir.OpFMul, fb.PosID(mir.Pos{File: "v.c", Line: 3}), 1, fb.ScopeID(s0), 1)
+	fb.AddNode(mir.OpFAdd, fb.PosID(mir.Pos{File: "v.c", Line: 2}), 2, fb.ScopeID(s1), 0)
+	fb.AddNode(mir.OpFMul, fb.PosID(mir.Pos{File: "v.c", Line: 3}), 2, fb.ScopeID(s1), 3)
+	fb.AddNode(mir.OpFAdd, fb.PosID(mir.Pos{File: "v.c", Line: 4}), 0, fb.ScopeID(nil), 2, 4)
 	g, err := fb.Finish()
 	if err != nil {
 		t.Fatalf("Finish: %v", err)

@@ -24,7 +24,7 @@ func (b *gb) node(op mir.Op, iter int64, preds ...ddg.NodeID) ddg.NodeID {
 		scope = &ddg.Scope{Loop: 1, Invocation: 1, Iter: iter}
 	}
 	b.n++
-	return b.fb.AddNode(op, mir.Pos{File: "t.c", Line: b.n}, 0, scope, preds...)
+	return b.fb.AddNode(op, b.fb.PosID(mir.Pos{File: "t.c", Line: b.n}), 0, b.fb.ScopeID(scope), preds...)
 }
 
 // graph finishes the builder on first call and returns the graph; no node
@@ -54,10 +54,10 @@ func extend(g *ddg.Graph, arcs [][2]ddg.NodeID, extra ...mir.Op) *ddg.Graph {
 	for i := 0; i < n; i++ {
 		u := ddg.NodeID(i)
 		preds := append(append([]ddg.NodeID(nil), g.Preds(u)...), added[i]...)
-		fb.AddNode(g.Op(u), g.Pos(u), g.Thread(u), g.ScopeOf(u), preds...)
+		fb.AddNode(g.Op(u), fb.PosID(g.Pos(u)), g.Thread(u), fb.ScopeID(g.ScopeOf(u)), preds...)
 	}
 	for i, op := range extra {
-		fb.AddNode(op, mir.Pos{}, 0, nil, added[n+i]...)
+		fb.AddNode(op, fb.PosID(mir.Pos{}), 0, fb.ScopeID(nil), added[n+i]...)
 	}
 	out, err := fb.Finish()
 	if err != nil {

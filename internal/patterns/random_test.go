@@ -53,7 +53,7 @@ func randomDAG(seed uint64) (*ddg.Graph, ddg.Set) {
 	}
 	fb := ddg.NewFrozenBuilder(n, n*n/2)
 	for i := 0; i < n; i++ {
-		fb.AddNode(nodeOps[i], mir.Pos{File: "r.c", Line: lines[i]}, 0, scopes[i], preds[i]...)
+		fb.AddNode(nodeOps[i], fb.PosID(mir.Pos{File: "r.c", Line: lines[i]}), 0, fb.ScopeID(scopes[i]), preds[i]...)
 	}
 	g, err := fb.Finish()
 	if err != nil {
@@ -213,7 +213,7 @@ func nestedScopeDAG(seed uint64) (*ddg.Graph, ddg.Set) {
 		if i > 0 && r.intn(2) == 0 {
 			preds = append(preds, ddg.NodeID(r.intn(i)))
 		}
-		fb.AddNode(mir.OpFAdd, pos, 0, s, preds...)
+		fb.AddNode(mir.OpFAdd, fb.PosID(pos), 0, fb.ScopeID(s), preds...)
 	}
 	g, err := fb.Finish()
 	if err != nil {

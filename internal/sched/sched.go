@@ -15,7 +15,8 @@
 // Scheduling model:
 //
 //   - Per-owner deques. Each Owner holds its own priority queue of
-//     submitted tasks, ordered by (Class, submission order). Within one
+//     submitted tasks, ordered by (Class, submission order): one FIFO per
+//     class, the lowest non-empty class served first. Within one
 //     run that reproduces the finder's cheapest-and-likeliest-first order
 //     exactly; the queue never interleaves another run's priorities.
 //
@@ -45,8 +46,8 @@
 package sched
 
 import (
-	"container/heap"
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -64,8 +65,8 @@ type Task struct {
 	// panics; the pool's last-resort recover keeps a worker alive but
 	// discards the panic value (see Stats.Panics).
 	Do func(expired bool)
-	// Class is the priority class; lower runs first within the owner.
-	// Ties resolve in submission order.
+	// Class is the priority class, a small non-negative number; lower
+	// runs first within the owner. Ties resolve in submission order.
 	Class int
 	// Deadline, when non-zero, is the instant past which the task is
 	// dropped at claim time instead of run.
@@ -98,31 +99,50 @@ type Stats struct {
 	Panics int64
 }
 
-// queuedTask is a Task plus its intra-owner tie-break.
-type queuedTask struct {
-	Task
-	seq int64
+// fifo is the queue of one priority class: tasks[head:] are queued in
+// submission order.
+type fifo struct {
+	tasks []Task
+	head  int
 }
 
-// taskHeap orders queued tasks by (Class, seq): priority class first,
-// submission order within a class.
-type taskHeap []queuedTask
+// classQueues is one owner's queued tasks, a FIFO per class indexed by
+// Class. Serving the head of the lowest non-empty class yields exactly
+// (Class, submission) order.
+type classQueues struct {
+	byClass []fifo
+	n       int // queued tasks over all classes
+}
 
-func (h taskHeap) Len() int { return len(h) }
-func (h taskHeap) Less(i, j int) bool {
-	if h[i].Class != h[j].Class {
-		return h[i].Class < h[j].Class
+func (q *classQueues) push(t Task) {
+	if n := t.Class + 1 - len(q.byClass); n > 0 {
+		q.byClass = append(q.byClass, make([]fifo, n)...)
 	}
-	return h[i].seq < h[j].seq
+	f := &q.byClass[t.Class]
+	f.tasks = append(f.tasks, t)
+	q.n++
 }
-func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)   { *h = append(*h, x.(queuedTask)) }
-func (h *taskHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = queuedTask{}
-	*h = old[:n-1]
+
+// headClass returns the lowest class with a queued task; q must not be
+// empty.
+func (q *classQueues) headClass() int {
+	c := 0
+	for q.byClass[c].head == len(q.byClass[c].tasks) {
+		c++
+	}
+	return c
+}
+
+// pop removes and returns the next task; q must not be empty.
+func (q *classQueues) pop() Task {
+	f := &q.byClass[q.headClass()]
+	t := f.tasks[f.head]
+	f.tasks[f.head] = Task{} // drop the closure for the collector
+	f.head++
+	if f.head == len(f.tasks) {
+		f.tasks, f.head = f.tasks[:0], 0
+	}
+	q.n--
 	return t
 }
 
@@ -157,8 +177,7 @@ type Owner struct {
 	ctx  context.Context
 	done sync.Cond // signalled when pending reaches zero; shares pool.mu
 
-	q       taskHeap
-	seq     int64
+	q       classQueues
 	pending int // queued + running tasks of this owner
 	closed  bool
 }
@@ -244,9 +263,14 @@ func (p *Pool) NewOwner(ctx context.Context) *Owner {
 }
 
 // Submit queues tasks on the owner's deque. Tasks with a nil Do are
-// ignored. Safe to call from any goroutine, including from inside a
-// running task of the same owner.
+// ignored; a negative Class is a caller bug and panics. Safe to call from
+// any goroutine, including from inside a running task of the same owner.
 func (o *Owner) Submit(tasks ...Task) {
+	for _, t := range tasks {
+		if t.Class < 0 {
+			panic(fmt.Sprintf("sched: Submit of a task with negative Class %d", t.Class))
+		}
+	}
 	p := o.pool
 	p.mu.Lock()
 	if o.closed {
@@ -258,8 +282,7 @@ func (o *Owner) Submit(tasks ...Task) {
 		if t.Do == nil {
 			continue
 		}
-		o.seq++
-		heap.Push(&o.q, queuedTask{Task: t, seq: o.seq})
+		o.q.push(t)
 		n++
 	}
 	o.pending += n
@@ -283,13 +306,13 @@ func (o *Owner) Wait() {
 	p := o.pool
 	p.mu.Lock()
 	for o.pending > 0 {
-		if len(o.q) > 0 {
-			t := heap.Pop(&o.q).(queuedTask)
+		if o.q.n > 0 {
+			t := o.q.pop()
 			p.queued--
 			p.running++
 			p.helped++
 			p.mu.Unlock()
-			p.exec(o, t.Task)
+			p.exec(o, t)
 			p.mu.Lock()
 			continue
 		}
@@ -362,10 +385,10 @@ func (p *Pool) claimLocked() (*Owner, Task, bool) {
 	for i := 0; i < n; i++ {
 		idx := (p.rr + i) % n
 		o := p.owners[idx]
-		if len(o.q) == 0 {
+		if o.q.n == 0 {
 			continue
 		}
-		if c := o.q[0].Class; c < bestClass {
+		if c := o.q.headClass(); c < bestClass {
 			bestClass, best = c, idx
 		}
 	}
@@ -374,10 +397,10 @@ func (p *Pool) claimLocked() (*Owner, Task, bool) {
 	}
 	p.rr = (best + 1) % n
 	o := p.owners[best]
-	t := heap.Pop(&o.q).(queuedTask)
+	t := o.q.pop()
 	p.queued--
 	p.running++
-	return o, t.Task, true
+	return o, t, true
 }
 
 // exec runs one claimed task outside the lock and books its completion.

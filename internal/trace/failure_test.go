@@ -36,30 +36,50 @@ func wantAnalysisError(t *testing.T, err error, sentinel *analysis.Error, substr
 	}
 }
 
+// appendRec appends one record with the given operands to tb, naming the
+// zero position and the nil scope. opEnd is stored as given, so a test can
+// corrupt it.
+func appendRec(tb *threadBuf, opEnd uint32, operands ...ddg.NodeID) {
+	for _, o := range operands {
+		tb.operands.push(o)
+	}
+	tb.recs.push(nodeRec{op: mir.OpAdd, pos: tb.posID(mir.Pos{}), scope: tb.scopeID(nil), opEnd: opEnd})
+}
+
 func TestFinalizeRejectsCorruptOffsets(t *testing.T) {
 	tb := &threadBuf{thread: 0}
-	tb.recs = append(tb.recs, nodeRec{op: mir.OpAdd, opEnd: 7}) // 7 > len(operands)
+	appendRec(tb, 7) // 7 > len(operands)
 	_, err := finalize([]*threadBuf{tb})
 	wantAnalysisError(t, err, analysis.ErrInvalidInput, "corrupt operand offsets")
 }
 
 func TestFinalizeRejectsDanglingOperand(t *testing.T) {
 	tb := &threadBuf{thread: 0}
-	tb.operands = append(tb.operands, packProv(3, 0)) // thread 3 recorded nothing
-	tb.recs = append(tb.recs, nodeRec{op: mir.OpAdd, opEnd: 1})
+	appendRec(tb, 1, packProv(3, 0)) // thread 3 recorded nothing
 	_, err := finalize([]*threadBuf{tb})
 	wantAnalysisError(t, err, analysis.ErrInvalidInput, "outside the recorded buffers")
+}
+
+func TestFinalizeRejectsUnknownTableID(t *testing.T) {
+	for _, corrupt := range []func(r *nodeRec){
+		func(r *nodeRec) { r.pos = 1 },
+		func(r *nodeRec) { r.scope = 5 },
+	} {
+		tb := &threadBuf{thread: 0}
+		appendRec(tb, 0)
+		corrupt(tb.recs.at(0)) // the thread's tables hold one entry each
+		_, err := finalize([]*threadBuf{tb})
+		wantAnalysisError(t, err, analysis.ErrInvalidInput, "names position")
+	}
 }
 
 func TestFinalizeStuckOnOperandCycle(t *testing.T) {
 	// Each thread's only node depends on the other's: no real execution
 	// can record this, and the merge must diagnose it rather than spin.
 	a := &threadBuf{thread: 0}
-	a.operands = []ddg.NodeID{packProv(1, 0)}
-	a.recs = []nodeRec{{op: mir.OpAdd, opEnd: 1}}
+	appendRec(a, 1, packProv(1, 0))
 	b := &threadBuf{thread: 1}
-	b.operands = []ddg.NodeID{packProv(0, 0)}
-	b.recs = []nodeRec{{op: mir.OpAdd, opEnd: 1}}
+	appendRec(b, 1, packProv(0, 0))
 	_, err := finalize([]*threadBuf{a, b})
 	wantAnalysisError(t, err, analysis.ErrInvariantViolation, "stuck")
 }
@@ -67,7 +87,7 @@ func TestFinalizeStuckOnOperandCycle(t *testing.T) {
 func TestBuilderGraphErrorMemoized(t *testing.T) {
 	b := NewBuilder()
 	tb := b.buf(0)
-	tb.recs = append(tb.recs, nodeRec{op: mir.OpAdd, opEnd: 9})
+	appendRec(tb, 9)
 	_, err1 := b.Graph()
 	_, err2 := b.Graph()
 	if err1 == nil || err1 != err2 {
@@ -92,7 +112,7 @@ func TestBuilderRejectsForeignThreadID(t *testing.T) {
 			t.Fatalf("panic value misclassified: %v", ae)
 		}
 	}()
-	b.Node(mir.OpAdd, mir.Pos{}, maxThreads, nil)
+	b.Node(mir.OpAdd, mir.Pos{}, maxThreads, nil, ddg.NoNode, ddg.NoNode)
 }
 
 func TestTruncatedTraceDegradesGracefully(t *testing.T) {
@@ -135,7 +155,7 @@ func TestCompleteTraceHasNoDiagnostic(t *testing.T) {
 
 func TestCanonicalizeRejectsForeignThread(t *testing.T) {
 	fb := ddg.NewFrozenBuilder(1, 0)
-	fb.AddNode(mir.OpAdd, mir.Pos{}, 300, nil) // beyond maxThreads
+	fb.AddNode(mir.OpAdd, fb.PosID(mir.Pos{}), 300, fb.ScopeID(nil)) // beyond maxThreads
 	g, err := fb.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +168,7 @@ func TestCanonicalizeRejectsOversizedStream(t *testing.T) {
 	setMaxNodesPerThread(t, 4)
 	fb := ddg.NewFrozenBuilder(5, 0)
 	for i := 0; i < 5; i++ {
-		fb.AddNode(mir.OpAdd, mir.Pos{}, 0, nil)
+		fb.AddNode(mir.OpAdd, fb.PosID(mir.Pos{}), 0, fb.ScopeID(nil))
 	}
 	g, err := fb.Finish()
 	if err != nil {

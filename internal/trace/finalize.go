@@ -3,6 +3,7 @@ package trace
 import (
 	"discovery/internal/analysis"
 	"discovery/internal/ddg"
+	"discovery/internal/mir"
 )
 
 // finalize merges per-thread trace buffers into one DDG with dense node
@@ -31,30 +32,43 @@ import (
 // ddg.FrozenBuilder: no intermediate per-node adjacency, and the result
 // is acyclic by construction.
 //
+// Each buffer's position and scope tables are appended to the graph's in
+// thread order, so the merged tables, like the ids, depend only on the
+// buffer contents.
+//
 // Buffers produced by the VM hot path are well-formed by construction, but
 // finalize also accepts buffers rebuilt from external graphs (the
 // equivalence tests' Canonicalize) and fuzzed ones, so it validates
 // shape up front and returns typed errors — InvalidInput for malformed
-// buffers, InvariantViolation for an operand cycle — instead of crashing.
+// buffers or out-of-table ids, InvariantViolation for an operand cycle —
+// instead of crashing.
 func finalize(bufs []*threadBuf) (*ddg.Graph, error) {
-	total, maxArcs := 0, 0
+	total, maxArcs, npos, nscopes := 0, 0, 0, 0
 	for _, tb := range bufs {
 		if tb == nil {
 			continue
 		}
-		total += len(tb.recs)
-		maxArcs += len(tb.operands)
-		// Operand offsets must be monotone and within the operand slice, or
-		// operandsOf would slice out of range below.
+		total += tb.recs.n
+		maxArcs += tb.operands.n
+		npos += len(tb.pos)
+		nscopes += tb.scopes.n
+		// Operand offsets must be monotone and within the operand stream,
+		// and table ids within the thread's tables, or the merge below
+		// would index out of range.
 		prev := uint32(0)
-		for i := range tb.recs {
-			end := tb.recs[i].opEnd
-			if end < prev || int(end) > len(tb.operands) {
+		for i := 0; i < tb.recs.n; i++ {
+			r := tb.recs.at(i)
+			if r.opEnd < prev || int(r.opEnd) > tb.operands.n {
 				return nil, analysis.Errorf(analysis.StageFinalize, analysis.InvalidInput,
 					"trace: thread %d node %d has corrupt operand offsets (%d after %d, %d recorded)",
-					tb.thread, i, end, prev, len(tb.operands)).OnThread(tb.thread)
+					tb.thread, i, r.opEnd, prev, tb.operands.n).OnThread(tb.thread)
 			}
-			prev = end
+			if int(r.pos) >= len(tb.pos) || int(r.scope) >= tb.scopes.n {
+				return nil, analysis.Errorf(analysis.StageFinalize, analysis.InvalidInput,
+					"trace: thread %d node %d names position %d of %d or scope %d of %d",
+					tb.thread, i, r.pos, len(tb.pos), r.scope, tb.scopes.n).OnThread(tb.thread)
+			}
+			prev = r.opEnd
 		}
 	}
 	// Every operand must name a recorded node: the merge indexes its remap
@@ -64,10 +78,11 @@ func finalize(bufs []*threadBuf) (*ddg.Graph, error) {
 		if tb == nil {
 			continue
 		}
-		for i := range tb.recs {
-			for _, src := range tb.operandsOf(i) {
-				st, si := unpackProv(src)
-				if st >= len(bufs) || bufs[st] == nil || si >= len(bufs[st].recs) {
+		for i := 0; i < tb.recs.n; i++ {
+			start, end := tb.operandRange(i)
+			for j := start; j < end; j++ {
+				st, si := unpackProv(*tb.operands.at(j))
+				if st >= len(bufs) || bufs[st] == nil || si >= bufs[st].recs.n {
 					return nil, analysis.Errorf(analysis.StageFinalize, analysis.InvalidInput,
 						"trace: node (%d,%d) references operand (%d,%d) outside the recorded buffers",
 						tb.thread, i, st, si).OnThread(tb.thread)
@@ -75,19 +90,31 @@ func finalize(bufs []*threadBuf) (*ddg.Graph, error) {
 			}
 		}
 	}
-	fb := ddg.NewFrozenBuilder(total, maxArcs)
-
+	// The per-thread tables are concatenated in thread order, so a
+	// record's ids become global by adding its thread's bases.
+	pos := make([]mir.Pos, 0, npos)
+	scopes := make([]*ddg.Scope, 0, nscopes)
+	posBase := make([]uint32, len(bufs))
+	scopeBase := make([]uint32, len(bufs))
 	// remap[t][i] is 1 + the final id of provisional node (t, i); 0 (the
 	// allocator's zero) means unemitted.
 	remap := make([][]ddg.NodeID, len(bufs))
 	for t, tb := range bufs {
 		if tb != nil {
-			remap[t] = make([]ddg.NodeID, len(tb.recs))
+			posBase[t], scopeBase[t] = uint32(len(pos)), uint32(len(scopes))
+			pos = append(pos, tb.pos...)
+			for k := range tb.scopes.c {
+				scopes = append(scopes, tb.scopes.filled(k)...)
+			}
+			remap[t] = make([]ddg.NodeID, tb.recs.n)
 		}
 	}
+	fb := ddg.NewFrozenBuilder(total, maxArcs)
+	fb.UseTables(pos, scopes)
 	ready := func(tb *threadBuf, i int) bool {
-		for _, src := range tb.operandsOf(i) {
-			st, si := unpackProv(src)
+		start, end := tb.operandRange(i)
+		for j := start; j < end; j++ {
+			st, si := unpackProv(*tb.operands.at(j))
 			if remap[st][si] == 0 {
 				return false
 			}
@@ -103,15 +130,16 @@ func finalize(bufs []*threadBuf) (*ddg.Graph, error) {
 			if tb == nil {
 				continue
 			}
-			for cursor[t] < len(tb.recs) && ready(tb, cursor[t]) {
+			for cursor[t] < tb.recs.n && ready(tb, cursor[t]) {
 				i := cursor[t]
 				preds = preds[:0]
-				for _, src := range tb.operandsOf(i) {
-					st, si := unpackProv(src)
+				start, end := tb.operandRange(i)
+				for j := start; j < end; j++ {
+					st, si := unpackProv(*tb.operands.at(j))
 					preds = append(preds, remap[st][si]-1)
 				}
-				r := &tb.recs[i]
-				id := fb.AddNode(r.op, r.pos, tb.thread, r.scope, preds...)
+				r := tb.recs.at(i)
+				id := fb.AddNode(r.op, posBase[t]+r.pos, tb.thread, scopeBase[t]+r.scope, preds...)
 				remap[t][i] = id + 1
 				cursor[t]++
 				emitted++

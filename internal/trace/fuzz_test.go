@@ -2,7 +2,8 @@ package trace
 
 // FuzzFinalize drives the buffer merge with adversarial per-thread
 // buffers: dangling operand references, corrupt operand offsets, operand
-// cycles, self-references. Finalize must either return a typed
+// cycles, self-references, position and scope ids outside the thread's
+// tables. Finalize must either return a typed
 // *analysis.Error or produce a graph that passes full invariant checking
 // — it must never panic and never hang.
 
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"discovery/internal/analysis"
+	"discovery/internal/ddg"
 	"discovery/internal/mir"
 )
 
@@ -28,6 +30,8 @@ func buildFuzzBufs(data []byte) []*threadBuf {
 		pos++
 		return b
 	}
+	scope := (*ddg.Scope)(nil).Enter(1, 1)
+	scopes := []*ddg.Scope{nil, scope, scope.NextIter()}
 	nRecords := int(next()) % 24
 	for i := 0; i < nRecords; i++ {
 		th := int32(next()) % nThreads
@@ -42,13 +46,20 @@ func buildFuzzBufs(data []byte) []*threadBuf {
 			// caught by up-front validation, not by an index panic.
 			ot := int32(next()) % (nThreads + 1)
 			oi := int(next()) % 8
-			tb.operands = append(tb.operands, packProv(ot, oi))
+			tb.operands.push(packProv(ot, oi))
 		}
-		end := uint32(len(tb.operands))
+		end := uint32(tb.operands.n)
 		if ctl&0x80 != 0 {
 			end += uint32(next()) % 5 // corrupt the offset occasionally
 		}
-		tb.recs = append(tb.recs, nodeRec{op: mir.OpAdd, opEnd: end})
+		sel := next()
+		pos := tb.posID(mir.Pos{File: "f.c", Line: 1 + int(sel%4)})
+		sc := tb.scopeID(scopes[int(sel>>2)%len(scopes)])
+		if ctl&0x40 != 0 {
+			// Raw ids, which may lie past the thread's tables.
+			pos, sc = uint32(sel%8), uint32(sel>>3%8)
+		}
+		tb.recs.push(nodeRec{op: mir.OpAdd, pos: pos, scope: sc, opEnd: end})
 	}
 	return bufs
 }
@@ -60,6 +71,8 @@ func FuzzFinalize(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 1, 0, 1, 1, 0, 0})    // mutual dependency
 	f.Add([]byte{1, 0, 0x81, 0xff})             // corrupt offset
 	f.Add([]byte{9, 0, 2, 0, 0, 0, 1, 1, 1, 1, 0, 2, 2, 2, 0, 0, 1, 0})
+	f.Add([]byte{2, 0, 0, 5, 0, 0x40, 0x3f})       // out-of-table ids
+	f.Add([]byte{2, 1, 0, 4, 1, 0x41, 1, 0, 0x09}) // raw ids within the tables
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := finalize(buildFuzzBufs(data))
 		if err != nil {

@@ -54,8 +54,8 @@ type legacyThreadTracer struct {
 	thread int32
 }
 
-func (t *legacyThreadTracer) Node(op mir.Op, pos mir.Pos, scope *ddg.Scope, operands ...ddg.NodeID) ddg.NodeID {
-	return t.b.Node(op, pos, t.thread, scope, operands...)
+func (t *legacyThreadTracer) Node(op mir.Op, pos mir.Pos, scope *ddg.Scope, x, y ddg.NodeID) ddg.NodeID {
+	return t.b.Node(op, pos, t.thread, scope, x, y)
 }
 
 func (t *legacyThreadTracer) LoadShadow(addr int64) ddg.NodeID { return t.b.LoadShadow(addr) }
@@ -65,10 +65,10 @@ func (t *legacyThreadTracer) StoreShadow(addr int64, def ddg.NodeID) { t.b.Store
 // Node records an operation execution and its def-use arcs under the
 // global trace lock. Ids follow global execution order, so every operand
 // already has one: the nodes stream straight into the FrozenBuilder.
-func (b *LegacyBuilder) Node(op mir.Op, pos mir.Pos, thread int32, scope *ddg.Scope, operands ...ddg.NodeID) ddg.NodeID {
+func (b *LegacyBuilder) Node(op mir.Op, pos mir.Pos, thread int32, scope *ddg.Scope, x, y ddg.NodeID) ddg.NodeID {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.fb.AddNode(op, pos, thread, scope, operands...)
+	return b.fb.AddNode(op, b.fb.PosID(pos), thread, b.fb.ScopeID(scope), x, y)
 }
 
 // LoadShadow returns the defining node of the value at addr.
@@ -154,21 +154,22 @@ func Canonicalize(g *ddg.Graph) (*ddg.Graph, error) {
 		if bufs[t] == nil {
 			bufs[t] = &threadBuf{thread: t}
 		}
-		if len(bufs[t].recs) >= maxNodesPerThread {
+		tb := bufs[t]
+		if tb.recs.n >= maxNodesPerThread {
 			return nil, analysis.Errorf(analysis.StageFinalize, analysis.ResourceExhausted,
 				"trace: Canonicalize: thread %d stream exceeds %d nodes", t, maxNodesPerThread).OnThread(t)
 		}
-		prov[u] = packProv(t, len(bufs[t].recs))
-		bufs[t].recs = append(bufs[t].recs, nodeRec{op: g.Op(u), pos: g.Pos(u), scope: g.ScopeOf(u)})
+		prov[u] = packProv(t, tb.recs.n)
+		tb.recs.push(nodeRec{op: g.Op(u), pos: tb.posID(g.Pos(u)), scope: tb.scopeID(g.ScopeOf(u))})
 	}
 	for i := 0; i < n; i++ {
 		u := ddg.NodeID(i)
 		tb := bufs[g.Thread(u)]
 		for _, p := range g.Preds(u) {
-			tb.operands = append(tb.operands, prov[p])
+			tb.operands.push(prov[p])
 		}
 		_, idx := unpackProv(prov[u])
-		tb.recs[idx].opEnd = uint32(len(tb.operands))
+		tb.recs.at(idx).opEnd = uint32(tb.operands.n)
 	}
 	return finalize(bufs)
 }

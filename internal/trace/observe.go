@@ -26,7 +26,7 @@ func (b *Builder) threadNodes() (threads []int32, counts []int) {
 	for _, tb := range b.bufs {
 		if tb != nil {
 			threads = append(threads, tb.thread)
-			counts = append(counts, len(tb.recs))
+			counts = append(counts, tb.recs.n)
 		}
 	}
 	return threads, counts

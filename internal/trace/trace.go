@@ -58,26 +58,81 @@ func unpackProv(id ddg.NodeID) (thread, index int) {
 	return int(id >> provIndexBits), int(id & provIndexMask)
 }
 
-// nodeRec is one traced operation execution. opEnd is the end offset of
-// the node's operands in the owning buffer's operands slice; node i's
-// operands are operands[recs[i-1].opEnd:recs[i].opEnd] (0 for i == 0).
+// nodeRec is one traced operation execution: 16 bytes and no pointers,
+// so the garbage collector never scans a trace buffer. pos and scope are
+// ids into the owning buffer's intern tables; opEnd is the end offset of
+// the node's operands in the buffer's operand stream, so node i's
+// operands are operands[recs[i-1].opEnd:recs[i].opEnd] (from 0 for
+// i == 0).
 type nodeRec struct {
 	op    mir.Op
-	pos   mir.Pos
-	scope *ddg.Scope
+	pos   uint32
+	scope uint32
 	opEnd uint32
 }
 
+// Trace buffers grow in chunks of chunkLen elements.
+const (
+	chunkBits = 10
+	chunkLen  = 1 << chunkBits
+	chunkMask = chunkLen - 1
+)
+
+// chunks is an append-only sequence kept in fixed-size chunks, so growing
+// it never copies or re-zeroes what it already holds.
+type chunks[T any] struct {
+	c [][]T
+	n int
+}
+
+func (s *chunks[T]) push(v T) {
+	if s.n>>chunkBits == len(s.c) {
+		s.c = append(s.c, make([]T, chunkLen))
+	}
+	s.c[s.n>>chunkBits][s.n&chunkMask] = v
+	s.n++
+}
+
+// at returns element i, which must be below s.n.
+func (s *chunks[T]) at(i int) *T { return &s.c[i>>chunkBits][i&chunkMask] }
+
+// filled returns chunk k's elements, which are those below s.n.
+func (s *chunks[T]) filled(k int) []T {
+	return s.c[k][:min(chunkLen, s.n-k<<chunkBits)]
+}
+
+// maxLineTable bounds the per-file line tables; positions on later (or
+// negative) lines get a fresh id on each occurrence instead of a slot.
+const maxLineTable = 1 << 20
+
 // threadBuf is the private trace log of one VM thread: one record per
-// executed operation, plus the flattened operand lists (provisional ids,
-// NoNode operands dropped at record time). Appends are unsynchronized —
-// only the owning thread touches the buffer until the run completes.
+// executed operation, the flattened operand lists (provisional ids,
+// NoNode operands dropped at record time), and the tables of distinct
+// positions and scopes the records name by id. Appends are
+// unsynchronized — only the owning thread touches the buffer until the
+// run completes.
 type threadBuf struct {
 	shadow *shadowMemory
 	thread int32
 
-	recs     []nodeRec
-	operands []ddg.NodeID
+	recs     chunks[nodeRec]
+	operands chunks[ddg.NodeID]
+
+	// pos is the position table. lines maps each file to a line-indexed
+	// table of 1 + the id of that line's position (0: none yet); file and
+	// fileLines cache the last file's entry, so interning a position
+	// hashes a string only when the file changes.
+	pos       []mir.Pos
+	lines     map[string][]uint32
+	file      string
+	fileLines []uint32
+
+	// scopes is the scope table, one entry per loop iteration or so,
+	// chunked like the records. A thread's scope changes only at loop
+	// boundaries, so a node whose scope is the last entry reuses its id
+	// and any other scope is appended; a scope re-entered later may get a
+	// second id, which names the same frame.
+	scopes chunks[*ddg.Scope]
 
 	// truncated is set when the buffer reaches maxNodesPerThread. From then
 	// on Node drops records and returns ddg.NoNode, so the execution keeps
@@ -88,28 +143,63 @@ type threadBuf struct {
 
 // Node records an operation execution in the thread's buffer and returns
 // its provisional id, or ddg.NoNode once the buffer is full.
-func (b *threadBuf) Node(op mir.Op, pos mir.Pos, scope *ddg.Scope, operands ...ddg.NodeID) ddg.NodeID {
-	index := len(b.recs)
+func (b *threadBuf) Node(op mir.Op, pos mir.Pos, scope *ddg.Scope, x, y ddg.NodeID) ddg.NodeID {
+	index := b.recs.n
 	if index >= maxNodesPerThread {
 		b.truncated = true
 		return ddg.NoNode
 	}
-	for _, src := range operands {
-		if src != ddg.NoNode {
-			b.operands = append(b.operands, src)
-		}
+	if x != ddg.NoNode {
+		b.operands.push(x)
 	}
-	b.recs = append(b.recs, nodeRec{op: op, pos: pos, scope: scope, opEnd: uint32(len(b.operands))})
+	if y != ddg.NoNode {
+		b.operands.push(y)
+	}
+	b.recs.push(nodeRec{op: op, pos: b.posID(pos), scope: b.scopeID(scope), opEnd: uint32(b.operands.n)})
 	return packProv(b.thread, index)
 }
 
-// operandsOf returns node i's recorded operands.
-func (b *threadBuf) operandsOf(i int) []ddg.NodeID {
-	start := uint32(0)
-	if i > 0 {
-		start = b.recs[i-1].opEnd
+// posID interns p in the position table.
+func (b *threadBuf) posID(p mir.Pos) uint32 {
+	if p.File != b.file || b.lines == nil {
+		if b.lines == nil {
+			b.lines = map[string][]uint32{}
+		}
+		b.lines[b.file] = b.fileLines
+		b.file, b.fileLines = p.File, b.lines[p.File]
 	}
-	return b.operands[start:b.recs[i].opEnd]
+	if uint(p.Line) < uint(len(b.fileLines)) {
+		if id := b.fileLines[p.Line]; id != 0 {
+			return id - 1
+		}
+	}
+	id := uint32(len(b.pos))
+	b.pos = append(b.pos, p)
+	if uint(p.Line) < maxLineTable {
+		if n := p.Line + 1 - len(b.fileLines); n > 0 {
+			b.fileLines = append(b.fileLines, make([]uint32, n)...)
+		}
+		b.fileLines[p.Line] = id + 1
+	}
+	return id
+}
+
+// scopeID interns s in the scope table.
+func (b *threadBuf) scopeID(s *ddg.Scope) uint32 {
+	if n := b.scopes.n; n > 0 && *b.scopes.at(n - 1) == s {
+		return uint32(n - 1)
+	}
+	b.scopes.push(s)
+	return uint32(b.scopes.n - 1)
+}
+
+// operandRange returns the bounds of node i's operands in the operand
+// stream.
+func (b *threadBuf) operandRange(i int) (start, end int) {
+	if i > 0 {
+		start = int(b.recs.at(i - 1).opEnd)
+	}
+	return start, int(b.recs.at(i).opEnd)
 }
 
 // LoadShadow returns the defining node of the value at addr.
@@ -170,8 +260,8 @@ func (b *Builder) buf(thread int32) *threadBuf {
 // Node records an operation execution and its def-use arcs on behalf of
 // the given thread. It is a convenience for direct (non-VM) use; the VM
 // hot path goes through per-thread handles instead.
-func (b *Builder) Node(op mir.Op, pos mir.Pos, thread int32, scope *ddg.Scope, operands ...ddg.NodeID) ddg.NodeID {
-	return b.buf(thread).Node(op, pos, scope, operands...)
+func (b *Builder) Node(op mir.Op, pos mir.Pos, thread int32, scope *ddg.Scope, x, y ddg.NodeID) ddg.NodeID {
+	return b.buf(thread).Node(op, pos, scope, x, y)
 }
 
 // LoadShadow returns the defining node of the value at addr.

@@ -232,7 +232,7 @@ func TestBuilderShadowDirect(t *testing.T) {
 	if got := b.LoadShadow(100); got != ddg.NoNode {
 		t.Errorf("untouched shadow = %v, want NoNode", got)
 	}
-	id := b.Node(mir.OpAdd, mir.Pos{}, 0, nil)
+	id := b.Node(mir.OpAdd, mir.Pos{}, 0, nil, ddg.NoNode, ddg.NoNode)
 	b.StoreShadow(100, id)
 	if got := b.LoadShadow(100); got != id {
 		t.Errorf("shadow = %v, want %v", got, id)

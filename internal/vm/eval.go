@@ -9,14 +9,16 @@ import (
 )
 
 // thread is the per-thread execution context: its id, its current dynamic
-// loop scope, its private tracing handle, and its pending (unpublished)
-// operation count. The scope is what the paper's runtime support traces
-// "on loop boundaries" (§6, Implementation).
+// loop scope and the slab its scope frames come from, its private tracing
+// handle, and its pending (unpublished) operation count. The scope is what
+// the paper's runtime support traces "on loop boundaries" (§6,
+// Implementation).
 type thread struct {
 	m       *Machine
 	id      int32
 	state   *threadState
 	scope   *ddg.Scope
+	scopes  ddg.ScopeSlab
 	tr      ThreadTracer
 	pending int64
 	invs    uint64
@@ -156,10 +158,10 @@ func (m *Machine) execStmt(t *thread, fr *frame, s mir.Stmt) (traced, bool, erro
 				break
 			}
 			if !entered {
-				t.scope = t.scope.Enter(s.Loop, inv)
+				t.scope = t.scopes.Enter(t.scope, s.Loop, inv)
 				entered = true
 			} else {
-				t.scope = t.scope.NextIter()
+				t.scope = t.scopes.NextIter(t.scope)
 			}
 			fr.set(s.Var, traced{v: mir.IntV(i), def: ddg.NoNode})
 			ret, returned, err := m.execStmts(t, fr, s.Body)
@@ -184,10 +186,10 @@ func (m *Machine) execStmt(t *thread, fr *frame, s mir.Stmt) (traced, bool, erro
 		entered := false
 		for iter := 0; ; iter++ {
 			if !entered {
-				t.scope = t.scope.Enter(s.Loop, inv)
+				t.scope = t.scopes.Enter(t.scope, s.Loop, inv)
 				entered = true
 			} else {
-				t.scope = t.scope.NextIter()
+				t.scope = t.scopes.NextIter(t.scope)
 			}
 			cond, err := m.evalExpr(t, fr, s.Cond)
 			if err != nil {
@@ -343,7 +345,7 @@ func (m *Machine) evalExpr(t *thread, fr *frame, e mir.Expr) (traced, error) {
 		}
 		def := ddg.NoNode
 		if t.tr != nil {
-			def = t.tr.Node(e.Op, e.Position(), t.scope, x.def)
+			def = t.tr.Node(e.Op, e.Position(), t.scope, x.def, ddg.NoNode)
 		}
 		return traced{v: v, def: def}, nil
 

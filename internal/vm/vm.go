@@ -38,9 +38,10 @@ type Tracer interface {
 // traced program synchronizes the underlying memory (the analogue of the
 // paper's synchronized shadow memory, §3).
 type ThreadTracer interface {
-	// Node records the execution of an operation, returning the new node
-	// id. Operand ids may be ddg.NoNode for constant or untraced inputs.
-	Node(op mir.Op, pos mir.Pos, scope *ddg.Scope, operands ...ddg.NodeID) ddg.NodeID
+	// Node records the execution of an operation with operands x and y,
+	// returning the new node id. Operand ids are ddg.NoNode for constant
+	// or untraced inputs and for the absent y of a unary operation.
+	Node(op mir.Op, pos mir.Pos, scope *ddg.Scope, x, y ddg.NodeID) ddg.NodeID
 	// LoadShadow returns the node that defined the value at addr, or
 	// ddg.NoNode if the location was never traced.
 	LoadShadow(addr int64) ddg.NodeID
