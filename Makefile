@@ -6,8 +6,8 @@
 #   make benchsmoke — prescreen metric export + obs overhead gate
 #   make pipebench-smoke — build and smoke-test the pipeline benchmark
 #                  (bench/pipebench; `bash bench/pipebench/run.sh` times it)
-#   make cover   — coverage floors for internal/core, obs, sched, trace, ddg, cp
-#                  and store
+#   make cover   — coverage floors for internal/core, obs, sched, trace, ddg,
+#                  patterns and store
 #   make serversmoke — end-to-end daemon check: cold run, warm store hit
 #   make chaos   — fault-injection suite + chaos smoke against the binary
 
@@ -44,9 +44,9 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMIRValidate$$' -fuzztime $(FUZZTIME) ./internal/mir
 	$(GO) test -run '^$$' -fuzz '^FuzzVM$$' -fuzztime $(FUZZTIME) ./internal/vm
-	$(GO) test -run '^$$' -fuzz '^FuzzSolver$$' -fuzztime $(FUZZTIME) ./internal/cp
 	$(GO) test -run '^$$' -fuzz '^FuzzFinalize$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzPrescreen$$' -fuzztime $(FUZZTIME) ./internal/patterns
+	$(GO) test -run '^$$' -fuzz '^FuzzReductionOracle$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedCSR$$' -fuzztime $(FUZZTIME) ./internal/ddg
 	$(GO) test -run '^$$' -fuzz '^FuzzSetOps$$' -fuzztime $(FUZZTIME) ./internal/ddg
 	$(GO) test -run '^$$' -fuzz '^FuzzIterIndex$$' -fuzztime $(FUZZTIME) ./internal/ddg
@@ -84,8 +84,8 @@ pipebench-smoke:
 
 # Coverage floors. The thresholds sit a few points under the levels the
 # suite reaches at the time of writing (core 95%, obs 92%, sched 94%,
-# trace 93%, ddg 92%, cp 94%, store 78%), so real regressions fail while
-# test-order jitter does not.
+# trace 93%, ddg 92%, patterns 79%, store 78%), so real regressions fail
+# while test-order jitter does not.
 cover:
 	@mkdir -p .cover
 	$(GO) test -coverprofile=.cover/core.out ./internal/core/
@@ -93,9 +93,9 @@ cover:
 	$(GO) test -coverprofile=.cover/sched.out ./internal/sched/
 	$(GO) test -coverprofile=.cover/trace.out ./internal/trace/
 	$(GO) test -coverprofile=.cover/ddg.out ./internal/ddg/
-	$(GO) test -coverprofile=.cover/cp.out ./internal/cp/
+	$(GO) test -coverprofile=.cover/patterns.out ./internal/patterns/
 	$(GO) test -coverprofile=.cover/store.out ./internal/store/
-	@for spec in core:90 obs:88 sched:90 trace:88 ddg:90 cp:90 store:75; do \
+	@for spec in core:90 obs:88 sched:90 trace:88 ddg:90 patterns:75 store:75; do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		pct=$$($(GO) tool cover -func=.cover/$$pkg.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 		echo "internal/$$pkg coverage: $$pct% (floor $$floor%)"; \

@@ -35,10 +35,8 @@ func main() {
 		verify     = flag.Bool("verify", true, "re-verify matches against the unrelaxed definitions")
 		extensions = flag.Bool("extensions", false, "enable the future-work pattern kinds (stencil, pipeline, tree reduction)")
 		budget     = flag.Duration("budget", 0, "global wall-clock budget for pattern finding (0 = none)")
-		solverBudg = flag.Duration("solver-budget", 0, "per-solve constraint solver timeout (0 = the 60s default)")
-		solverStep = flag.Int64("solver-steps", 0, "deterministic per-solve step limit, nodes+propagations (0 = none)")
 		noCache    = flag.Bool("no-cache", false, "disable the view-verdict solve cache (escape hatch; every solve runs)")
-		cacheStats = flag.Bool("cache-stats", false, "print view cache hit/miss/skip counts to stderr")
+		cacheStats = flag.Bool("cache-stats", false, "print view cache hit/miss counts to stderr")
 		prescrStat = flag.Bool("prescreen-stats", false, "print prescreen check/skip counts to stderr")
 		check      = flag.Bool("check", false, "verify DDG structural invariants after tracing and after simplification")
 		memBudget  = flag.Int64("trace-memory-budget", 0, "resident DDG arc-byte budget; larger graphs page through an unlinked spill file (0 = fully resident)")
@@ -139,8 +137,8 @@ func main() {
 	}
 	opts := core.Options{
 		VerifyMatches: *verify, Extensions: *extensions, DisableCache: *noCache,
-		Budget: *budget, SolverBudget: *solverBudg, SolverStepLimit: *solverStep,
-		Obs: rec, ObsParent: analyzeSpan,
+		Budget: *budget,
+		Obs:    rec, ObsParent: analyzeSpan,
 		SpillBudget: *memBudget, SpillDir: *spillDir,
 	}
 	// -sched-workers exercises the daemon's configuration from the CLI: an

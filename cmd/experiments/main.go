@@ -26,15 +26,13 @@ import (
 
 func main() {
 	var (
-		run        = flag.String("run", "all", "experiment to run")
-		factors    = flag.String("factors", "1,2,4", "input scale ladder for figure7")
-		budget     = flag.Duration("budget", 0, "global wall-clock budget per pattern finding run (0 = none)")
-		solverBudg = flag.Duration("solver-budget", 0, "per-solve constraint solver timeout (0 = the 60s default)")
-		solverStep = flag.Int64("solver-steps", 0, "deterministic per-solve step limit, nodes+propagations (0 = none)")
-		obsOn      = flag.Bool("obs", false, "record phase spans and metrics across all runs; print the phase tree to stderr")
-		obsOut     = flag.String("obs-out", "", "write the observability JSON document (spans + metrics) to this file (implies -obs)")
-		metrics    = flag.Bool("metrics", false, "print metrics in Prometheus text format to stderr (implies -obs)")
-		pprofOut   = flag.String("pprof", "", "capture profiles around the experiments into PREFIX.cpu.pprof and PREFIX.heap.pprof")
+		run      = flag.String("run", "all", "experiment to run")
+		factors  = flag.String("factors", "1,2,4", "input scale ladder for figure7")
+		budget   = flag.Duration("budget", 0, "global wall-clock budget per pattern finding run (0 = none)")
+		obsOn    = flag.Bool("obs", false, "record phase spans and metrics across all runs; print the phase tree to stderr")
+		obsOut   = flag.String("obs-out", "", "write the observability JSON document (spans + metrics) to this file (implies -obs)")
+		metrics  = flag.Bool("metrics", false, "print metrics in Prometheus text format to stderr (implies -obs)")
+		pprofOut = flag.String("pprof", "", "capture profiles around the experiments into PREFIX.cpu.pprof and PREFIX.heap.pprof")
 	)
 	flag.Parse()
 
@@ -62,8 +60,6 @@ func main() {
 	opts := func() core.Options {
 		o := experiments.Opts()
 		o.Budget = *budget
-		o.SolverBudget = *solverBudg
-		o.SolverStepLimit = *solverStep
 		o.Obs = rec
 		return o
 	}

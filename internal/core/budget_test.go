@@ -9,12 +9,12 @@ import (
 	"discovery/internal/sched"
 )
 
-// TestTinyStepLimitDegradedDeterministic: with a deliberately tiny
-// deterministic solver budget, Find must still return, label the result as
-// degraded (timed-out views, per-kind timeout counts) instead of silently
-// reporting "no pattern", and do so reproducibly — the step limit, unlike a
-// wall-clock budget, cuts the search at the same point every run.
-func TestTinyStepLimitDegradedDeterministic(t *testing.T) {
+// TestSmallViewGateDegradedDeterministic: with a view-size gate smaller
+// than the program's reduction views, Find must still return, label the
+// result degraded (skipped views) instead of silently reporting "no
+// pattern", and do so reproducibly — the gate, unlike a wall-clock budget,
+// cuts the same views every run.
+func TestSmallViewGateDegradedDeterministic(t *testing.T) {
 	g := traceProgram(t, seqSumProgram(6))
 
 	run := func() *Result {
@@ -24,30 +24,30 @@ func TestTinyStepLimitDegradedDeterministic(t *testing.T) {
 		defer pool.Close()
 		opts := defaultOpts()
 		opts.Scheduler = pool
-		opts.SolverStepLimit = 1
+		opts.MaxViewGroups = 3
 		return Find(g, opts)
 	}
 	res := run()
 
-	if res.TimedOutViews == 0 {
-		t.Fatal("tiny step limit produced no timed-out views")
+	if res.SkippedViews == 0 {
+		t.Fatal("a 3-group view gate skipped no views")
 	}
 	if !res.Degraded() {
-		t.Error("resource-limited result not labeled Degraded")
+		t.Error("view-gated result not labeled Degraded")
 	}
-	ks, ok := res.SolverStats[patterns.KindLinearReduction]
-	if !ok || ks.Runs == 0 || ks.Timeouts == 0 {
-		t.Errorf("linear-reduction solver stats = %+v, want runs with timeouts", ks)
+	// The skipped views are exactly what goes missing: the sum's reduction
+	// and the map-reduction built on it.
+	full := kinds(Find(g, defaultOpts()))
+	if full[patterns.KindLinearMapReduction] == 0 {
+		t.Fatal("ungated run found no linear map-reduction")
 	}
-	// The budget must cut the solver's cross-check, not the structural
-	// matchers: the undecided reduction views are exactly what goes missing.
 	if n := kinds(res)[patterns.KindLinearMapReduction]; n != 0 {
-		t.Errorf("step-limited run still confirmed %d linear map-reductions", n)
+		t.Errorf("view-gated run still confirmed %d linear map-reductions", n)
 	}
 
 	// Reproducibility: everything except wall-clock time is identical.
 	res2 := run()
-	if res2.TimedOutViews != res.TimedOutViews ||
+	if res2.SkippedViews != res.SkippedViews ||
 		res2.Iterations != res.Iterations ||
 		len(res2.Patterns) != len(res.Patterns) ||
 		len(res2.SolverStats) != len(res.SolverStats) {
@@ -68,13 +68,13 @@ func TestTinyStepLimitDegradedDeterministic(t *testing.T) {
 func TestUnbudgetedFindClean(t *testing.T) {
 	g := traceProgram(t, fig2cProgram(4, 2))
 	res := Find(g, defaultOpts())
-	if res.TimedOutViews != 0 || res.Interrupted || res.Degraded() {
-		t.Errorf("unbudgeted run reported limits: timedOut=%d interrupted=%v",
-			res.TimedOutViews, res.Interrupted)
+	if res.SkippedViews != 0 || res.Interrupted || res.Degraded() {
+		t.Errorf("unbudgeted run reported limits: skipped=%d interrupted=%v",
+			res.SkippedViews, res.Interrupted)
 	}
-	// Solver effort is still accounted even when nothing is limited.
-	if ks := res.SolverStats[patterns.KindLinearReduction]; ks.Runs == 0 || ks.Timeouts != 0 {
-		t.Errorf("linear-reduction stats = %+v, want clean counted runs", ks)
+	// Matcher effort is still accounted even when nothing is limited.
+	if ks := res.SolverStats[patterns.KindLinearReduction]; ks.Runs == 0 || ks.Solutions == 0 {
+		t.Errorf("linear-reduction stats = %+v, want counted runs that found patterns", ks)
 	}
 }
 

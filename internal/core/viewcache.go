@@ -31,16 +31,12 @@ import (
 // they consult different kind slots or, where they overlap, ask the same
 // question of the same view.
 //
-// Three verdicts exist: "pattern" (with the matched pattern), "no
-// pattern", and "budget-undecided" — a solve cut short by its resource
-// limits. Undecided entries carry the budget score of the failed attempt
-// and are retried only when the current budget grew; otherwise the lookup
-// reports a skip and the caller marks the outcome exceeded, preserving
-// the degraded-result accounting of an uncached run. Decided verdicts are
-// first-write-wins: once a (view, kind) slot holds a decided verdict,
-// later stores (a concurrent run racing on the same solve, or a prescreen
-// prune racing a matcher run) never replace it, so every run that looked
-// the entry up observed the same answer.
+// Every verdict is decided: "pattern" (with the matched pattern) or "no
+// pattern", the latter from a matcher run or from the structural
+// prescreen. Verdicts are first-write-wins: once a (view, kind) slot holds
+// one, later stores (a concurrent run racing on the same solve, or a
+// prescreen prune racing a matcher run) never replace it, so every run
+// that looked the entry up observed the same answer.
 //
 // A ViewCache is safe for concurrent use, including sharing between
 // concurrent Find runs: the generation and entry maps are mutex-guarded,
@@ -100,37 +96,27 @@ type cacheVerdict uint8
 const (
 	verdictNone cacheVerdict = iota + 1
 	verdictPattern
-	verdictUndecided
 	// verdictPrescreened is a "no pattern" verdict decided by the
 	// structural prescreen rather than a matcher run: the census proved
 	// the view cannot match the kind. It behaves as a decided negative on
 	// lookup, distinguished only so the skip-rate accounting can tell
-	// prescreen answers from solver answers.
+	// prescreen answers from matcher answers.
 	verdictPrescreened
 )
-
-// decided reports whether the verdict is final (pattern, none, or
-// prescreened) as opposed to budget-undecided.
-func (v cacheVerdict) decided() bool { return v != 0 && v != verdictUndecided }
 
 type cacheEntry struct {
 	verdict cacheVerdict
 	pat     *patterns.Pattern
-	score   patterns.BudgetScore // budget of the undecided attempt
 }
 
 // lookupStatus is the outcome of a cache lookup.
 type lookupStatus uint8
 
 const (
-	// cacheMiss: no usable entry; run the solve and store the verdict.
+	// cacheMiss: no entry; run the solve and store the verdict.
 	cacheMiss lookupStatus = iota
-	// cacheHit: a decided verdict was returned.
+	// cacheHit: a verdict was returned.
 	cacheHit
-	// cacheSkip: a previous attempt was undecided under a budget at least
-	// as large; the solve is pointless, but the outcome is still
-	// "undecided", not "no pattern".
-	cacheSkip
 	// cacheHitPrescreened: a decided "no pattern" verdict produced by the
 	// structural prescreen was returned. Callers treat it as a hit and
 	// additionally book it as prescreen-answered.
@@ -232,24 +218,22 @@ func (rc *runCache) storeGroupCount(view ddg.Hash128, n int) {
 	rc.g.groups[view] = n
 }
 
-// decided reports whether a decided verdict (pattern, none, or
-// prescreened) is stored for (view, kind). The match scheduler uses it to
-// order likely cache hits first; it records nothing and proves nothing —
-// a false answer only costs priority, never correctness.
+// decided reports whether a verdict (pattern, none, or prescreened) is
+// stored for (view, kind). The match scheduler uses it to order likely
+// cache hits first; it records nothing and proves nothing — a false answer
+// only costs priority, never correctness.
 func (rc *runCache) decided(view ddg.Hash128, kind patterns.Kind) bool {
 	if rc == nil {
 		return false
 	}
 	rc.c.mu.RLock()
 	defer rc.c.mu.RUnlock()
-	e, ok := rc.g.entries[cacheKey{view, kind}]
-	return ok && e.verdict.decided()
+	_, ok := rc.g.entries[cacheKey{view, kind}]
+	return ok
 }
 
-// lookup consults the cache for the view's verdict under kind. score is
-// the current budget's effort allowance, used to decide whether an
-// undecided entry is worth retrying (cacheMiss) or not (cacheSkip).
-func (rc *runCache) lookup(view ddg.Hash128, kind patterns.Kind, score patterns.BudgetScore) (lookupStatus, *patterns.Pattern) {
+// lookup consults the cache for the view's verdict under kind.
+func (rc *runCache) lookup(view ddg.Hash128, kind patterns.Kind) (lookupStatus, *patterns.Pattern) {
 	if rc == nil {
 		return cacheMiss, nil
 	}
@@ -259,50 +243,37 @@ func (rc *runCache) lookup(view ddg.Hash128, kind patterns.Kind, score patterns.
 	if !ok {
 		return cacheMiss, nil
 	}
-	if e.verdict == verdictUndecided {
-		if score.Grew(e.score) {
-			return cacheMiss, nil // a larger budget might decide it
-		}
-		return cacheSkip, nil
-	}
 	if e.verdict == verdictPrescreened {
 		return cacheHitPrescreened, nil
 	}
 	return cacheHit, e.pat
 }
 
-// store records the verdict of a solve that ran: the verified pattern, "no
-// pattern" (pat nil, undecided false), or "budget-undecided" (pat nil,
-// undecided true) together with the budget score of the failed attempt.
+// store records the verdict of a solve that ran: the verified pattern, or
+// "no pattern" (pat nil).
 //
-// Decided verdicts are first-write-wins: when concurrent runs race the
-// same solve (both missed before either stored), the first stored answer
-// stands and the loser's — by determinism, identical — result is
-// discarded, so later readers can never observe a verdict flip. An
-// undecided result likewise never replaces a decided one: a budget-capped
-// retry racing a completed solve must not demote its answer.
-func (rc *runCache) store(view ddg.Hash128, kind patterns.Kind, pat *patterns.Pattern, undecided bool, score patterns.BudgetScore) {
+// Verdicts are first-write-wins: when concurrent runs race the same solve
+// (both missed before either stored), the first stored answer stands and
+// the loser's — by determinism, identical — result is discarded, so later
+// readers can never observe a verdict flip.
+func (rc *runCache) store(view ddg.Hash128, kind patterns.Kind, pat *patterns.Pattern) {
 	if rc == nil {
 		return
 	}
 	e := cacheEntry{verdict: verdictNone, pat: pat}
-	switch {
-	case pat != nil:
+	if pat != nil {
 		e.verdict = verdictPattern
 		// Materialize the pattern's node-set memo before publication, so
 		// consumers of the shared entry start from an immutable pattern
 		// (the sync.Once guard makes even a cold memo safe; this keeps
 		// the common path contention-free).
 		pat.Nodes()
-	case undecided:
-		e.verdict = verdictUndecided
-		e.score = score
 	}
 	rc.c.mu.Lock()
 	defer rc.c.mu.Unlock()
 	key := cacheKey{view, kind}
-	if old, ok := rc.g.entries[key]; ok && old.verdict.decided() {
-		return // first decided write wins
+	if _, ok := rc.g.entries[key]; ok {
+		return // first write wins
 	}
 	rc.g.entries[key] = e
 }
@@ -310,7 +281,7 @@ func (rc *runCache) store(view ddg.Hash128, kind patterns.Kind, pat *patterns.Pa
 // storePrescreened records a prescreen-decided "no pattern" verdict: the
 // structural census proved the view cannot match kind, so no matcher ran
 // and none ever needs to for this (view, kind) under this fingerprint.
-// Like store, it never replaces a decided verdict: a concurrent matcher
+// Like store, it never replaces a stored verdict: a concurrent matcher
 // run that already stored its (by prescreen soundness, nil) answer wins,
 // and in particular a stored pattern can never be silently demoted to a
 // negative by a racing prune.
@@ -321,8 +292,8 @@ func (rc *runCache) storePrescreened(view ddg.Hash128, kind patterns.Kind) {
 	rc.c.mu.Lock()
 	defer rc.c.mu.Unlock()
 	key := cacheKey{view, kind}
-	if old, ok := rc.g.entries[key]; ok && old.verdict.decided() {
-		return // first decided write wins
+	if _, ok := rc.g.entries[key]; ok {
+		return // first write wins
 	}
 	rc.g.entries[key] = cacheEntry{verdict: verdictPrescreened}
 	rc.g.prescreened++
@@ -384,9 +355,8 @@ const hashSeedCacheFP = 0x3d9f1b7e5a2c4d69
 // post-verification; Extensions because it changes what the map slot
 // produces (stencil refinement) and whether tree reductions run;
 // compaction and the view-size gate because they decide which views exist
-// at all. Budget options are deliberately excluded — undecided entries
-// carry their budget score instead, so a bigger budget retries rather than
-// invalidates.
+// at all. The global budget is deliberately excluded: it decides which
+// solves run, never what a solve returns.
 func cacheFingerprint(gs *ddg.Graph, opts Options) ddg.Hash128 {
 	h := ddg.NewHasher(hashSeedCacheFP)
 	h.Hash(gs.Fingerprint())

@@ -14,62 +14,27 @@ func TestViewCacheVerdicts(t *testing.T) {
 
 	vA := ddg.Hash128{Hi: 10, Lo: 1}
 	vB := ddg.Hash128{Hi: 10, Lo: 2}
-	score := patterns.BudgetScore{TimeoutNS: 100, Steps: 1000}
 
-	if st, _ := rc.lookup(vA, patterns.KindMap, score); st != cacheMiss {
+	if st, _ := rc.lookup(vA, patterns.KindMap); st != cacheMiss {
 		t.Fatalf("empty cache: want miss, got %v", st)
 	}
 
 	// "no pattern" verdict hits with a nil pattern.
-	rc.store(vA, patterns.KindMap, nil, false, score)
-	if st, p := rc.lookup(vA, patterns.KindMap, score); st != cacheHit || p != nil {
+	rc.store(vA, patterns.KindMap, nil)
+	if st, p := rc.lookup(vA, patterns.KindMap); st != cacheHit || p != nil {
 		t.Errorf("no-pattern entry: want hit/nil, got %v/%v", st, p)
 	}
 
 	// A pattern verdict hits with the stored pattern.
 	pat := &patterns.Pattern{Kind: patterns.KindMap}
-	rc.store(vB, patterns.KindMap, pat, false, score)
-	if st, p := rc.lookup(vB, patterns.KindMap, score); st != cacheHit || p != pat {
+	rc.store(vB, patterns.KindMap, pat)
+	if st, p := rc.lookup(vB, patterns.KindMap); st != cacheHit || p != pat {
 		t.Errorf("pattern entry: want hit with pattern, got %v/%v", st, p)
 	}
 
 	// Verdicts are per kind: the same view under another kind is a miss.
-	if st, _ := rc.lookup(vB, patterns.KindLinearReduction, score); st != cacheMiss {
+	if st, _ := rc.lookup(vB, patterns.KindLinearReduction); st != cacheMiss {
 		t.Errorf("other kind: want miss, got %v", st)
-	}
-}
-
-func TestViewCacheUndecidedRetriesOnlyWhenBudgetGrew(t *testing.T) {
-	c := NewViewCache()
-	rc := c.acquire(ddg.Hash128{Hi: 1})
-	v := ddg.Hash128{Hi: 3, Lo: 4}
-	small := patterns.BudgetScore{TimeoutNS: 100, Steps: 50}
-
-	rc.store(v, patterns.KindMap, nil, true, small)
-
-	// Same or smaller budget: skip (re-solving cannot decide it).
-	if st, _ := rc.lookup(v, patterns.KindMap, small); st != cacheSkip {
-		t.Errorf("same budget: want skip, got %v", st)
-	}
-	smaller := patterns.BudgetScore{TimeoutNS: 50, Steps: 50}
-	if st, _ := rc.lookup(v, patterns.KindMap, smaller); st != cacheSkip {
-		t.Errorf("smaller budget: want skip, got %v", st)
-	}
-
-	// Strictly more time or more steps: retry.
-	moreTime := patterns.BudgetScore{TimeoutNS: 200, Steps: 50}
-	if st, _ := rc.lookup(v, patterns.KindMap, moreTime); st != cacheMiss {
-		t.Errorf("grown timeout: want miss, got %v", st)
-	}
-	moreSteps := patterns.BudgetScore{TimeoutNS: 100, Steps: 51}
-	if st, _ := rc.lookup(v, patterns.KindMap, moreSteps); st != cacheMiss {
-		t.Errorf("grown steps: want miss, got %v", st)
-	}
-
-	// A decided verdict overwrites the undecided entry.
-	rc.store(v, patterns.KindMap, nil, false, moreTime)
-	if st, _ := rc.lookup(v, patterns.KindMap, small); st != cacheHit {
-		t.Errorf("after decided store: want hit, got %v", st)
 	}
 }
 
@@ -82,10 +47,9 @@ func TestViewCacheGenerationsIsolateFingerprints(t *testing.T) {
 	fp1 := ddg.Hash128{Hi: 1}
 	fp2 := ddg.Hash128{Hi: 2}
 	v := ddg.Hash128{Lo: 9}
-	score := patterns.BudgetScore{}
 
 	rc1 := c.acquire(fp1)
-	rc1.store(v, patterns.KindMap, nil, false, score)
+	rc1.store(v, patterns.KindMap, nil)
 	rc1.storeGroupCount(v, 7)
 	if s := c.Snapshot(); s.Entries != 1 || s.GroupCounts != 1 || s.Generations != 1 || s.Resets != 0 {
 		t.Fatalf("after store: %+v", s)
@@ -93,7 +57,7 @@ func TestViewCacheGenerationsIsolateFingerprints(t *testing.T) {
 
 	// Same fingerprint: the same generation, contents shared.
 	if rc := c.acquire(fp1); true {
-		if st, _ := rc.lookup(v, patterns.KindMap, score); st != cacheHit {
+		if st, _ := rc.lookup(v, patterns.KindMap); st != cacheHit {
 			t.Errorf("same fp re-acquire must share entries: got %v", st)
 		}
 		if n, ok := rc.groupCount(v); !ok || n != 7 {
@@ -103,19 +67,19 @@ func TestViewCacheGenerationsIsolateFingerprints(t *testing.T) {
 
 	// A different fingerprint sees none of fp1's entries...
 	rc2 := c.acquire(fp2)
-	if st, _ := rc2.lookup(v, patterns.KindMap, score); st != cacheMiss {
+	if st, _ := rc2.lookup(v, patterns.KindMap); st != cacheMiss {
 		t.Errorf("other generation must not see fp1 entries: got %v", st)
 	}
 	if _, ok := rc2.groupCount(v); ok {
 		t.Error("other generation must not see fp1 group counts")
 	}
-	rc2.store(v, patterns.KindMap, nil, false, score)
+	rc2.store(v, patterns.KindMap, nil)
 
 	// ...and — the bugfix — fp1's entries survive fp2's run.
 	if s := c.Snapshot(); s.Entries != 2 || s.Generations != 2 || s.Resets != 0 {
 		t.Errorf("both generations must coexist: %+v", s)
 	}
-	if st, _ := c.acquire(fp1).lookup(v, patterns.KindMap, score); st != cacheHit {
+	if st, _ := c.acquire(fp1).lookup(v, patterns.KindMap); st != cacheHit {
 		t.Error("fp1 entries must survive a run under fp2")
 	}
 }
@@ -123,10 +87,9 @@ func TestViewCacheGenerationsIsolateFingerprints(t *testing.T) {
 func TestViewCacheGenerationLRUBound(t *testing.T) {
 	c := NewViewCacheSized(2)
 	v := ddg.Hash128{Lo: 9}
-	score := patterns.BudgetScore{}
 	store := func(hi uint64) {
 		rc := c.acquire(ddg.Hash128{Hi: hi})
-		rc.store(v, patterns.KindMap, nil, false, score)
+		rc.store(v, patterns.KindMap, nil)
 	}
 
 	store(1)
@@ -138,10 +101,10 @@ func TestViewCacheGenerationLRUBound(t *testing.T) {
 	if s.Generations != 2 || s.Resets != 1 {
 		t.Fatalf("want 2 generations after 1 eviction, got %+v", s)
 	}
-	if st, _ := c.acquire(ddg.Hash128{Hi: 1}).lookup(v, patterns.KindMap, score); st != cacheHit {
+	if st, _ := c.acquire(ddg.Hash128{Hi: 1}).lookup(v, patterns.KindMap); st != cacheHit {
 		t.Error("recently-used generation 1 must survive")
 	}
-	if st, _ := c.acquire(ddg.Hash128{Hi: 2}).lookup(v, patterns.KindMap, score); st != cacheMiss {
+	if st, _ := c.acquire(ddg.Hash128{Hi: 2}).lookup(v, patterns.KindMap); st != cacheMiss {
 		t.Error("LRU generation 2 must have been evicted")
 	}
 	// Re-admitting 2 evicted another generation (the map stays bounded).
@@ -158,37 +121,31 @@ func TestViewCacheDecidedFirstWriteWins(t *testing.T) {
 	c := NewViewCache()
 	rc := c.acquire(ddg.Hash128{Hi: 5})
 	v := ddg.Hash128{Hi: 8, Lo: 8}
-	score := patterns.BudgetScore{TimeoutNS: 100, Steps: 50}
 	pat := &patterns.Pattern{Kind: patterns.KindMap}
 
-	rc.store(v, patterns.KindMap, pat, false, score)
+	rc.store(v, patterns.KindMap, pat)
 
 	// A prescreen prune must not demote the stored pattern to a negative.
 	rc.storePrescreened(v, patterns.KindMap)
-	if st, p := rc.lookup(v, patterns.KindMap, score); st != cacheHit || p != pat {
+	if st, p := rc.lookup(v, patterns.KindMap); st != cacheHit || p != pat {
 		t.Fatalf("prescreen overwrote a decided pattern verdict: %v/%v", st, p)
 	}
 	if s := c.Snapshot(); s.Prescreened != 0 {
 		t.Errorf("suppressed prescreen store must not count: %+v", s)
 	}
 
-	// A racing decided store must not replace the first answer...
-	rc.store(v, patterns.KindMap, nil, false, score)
-	if st, p := rc.lookup(v, patterns.KindMap, score); st != cacheHit || p != pat {
-		t.Fatalf("second decided store replaced the first: %v/%v", st, p)
-	}
-	// ...nor may an undecided retry demote it.
-	rc.store(v, patterns.KindMap, nil, true, score)
-	if st, p := rc.lookup(v, patterns.KindMap, score); st != cacheHit || p != pat {
-		t.Fatalf("undecided store demoted a decided verdict: %v/%v", st, p)
+	// A racing store must not replace the first answer.
+	rc.store(v, patterns.KindMap, nil)
+	if st, p := rc.lookup(v, patterns.KindMap); st != cacheHit || p != pat {
+		t.Fatalf("second store replaced the first: %v/%v", st, p)
 	}
 
 	// Prescreened entries are decided too: a later matcher store (racing
 	// prune, both answering nil) keeps the prescreened classification.
 	v2 := ddg.Hash128{Hi: 8, Lo: 9}
 	rc.storePrescreened(v2, patterns.KindMap)
-	rc.store(v2, patterns.KindMap, nil, false, score)
-	if st, _ := rc.lookup(v2, patterns.KindMap, score); st != cacheHitPrescreened {
+	rc.store(v2, patterns.KindMap, nil)
+	if st, _ := rc.lookup(v2, patterns.KindMap); st != cacheHitPrescreened {
 		t.Errorf("prescreened verdict must survive a racing matcher store: %v", st)
 	}
 }
@@ -199,13 +156,13 @@ func TestViewCacheNilSafe(t *testing.T) {
 	if rc != nil {
 		t.Fatal("nil cache acquire must return a nil handle")
 	}
-	rc.store(ddg.Hash128{}, patterns.KindMap, nil, false, patterns.BudgetScore{})
+	rc.store(ddg.Hash128{}, patterns.KindMap, nil)
 	rc.storeGroupCount(ddg.Hash128{}, 3)
 	rc.storePrescreened(ddg.Hash128{}, patterns.KindMap)
 	if rc.decided(ddg.Hash128{}, patterns.KindMap) {
 		t.Error("nil handle decided: want false")
 	}
-	if st, _ := rc.lookup(ddg.Hash128{}, patterns.KindMap, patterns.BudgetScore{}); st != cacheMiss {
+	if st, _ := rc.lookup(ddg.Hash128{}, patterns.KindMap); st != cacheMiss {
 		t.Errorf("nil cache lookup: want miss, got %v", st)
 	}
 	if _, ok := rc.groupCount(ddg.Hash128{}); ok {
@@ -235,10 +192,10 @@ func TestCacheFingerprintSensitivity(t *testing.T) {
 			t.Errorf("%s must change the cache fingerprint", tc.name)
 		}
 	}
-	// Budget options must NOT change it: undecided entries carry scores.
-	budgeted := Options{SolverBudget: 1, SolverStepLimit: 5, Budget: 1}
-	if cacheFingerprint(g, budgeted) != base {
-		t.Error("budget options must not invalidate the cache")
+	// The global budget must NOT change it: it decides which solves run,
+	// never what a solve returns.
+	if cacheFingerprint(g, Options{Budget: 1}) != base {
+		t.Error("the budget must not invalidate the cache")
 	}
 	// And a different graph must.
 	g2 := traceProgram(t, genProgram(8))

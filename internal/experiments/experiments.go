@@ -151,10 +151,8 @@ type Table3Row struct {
 	FoundCount       int
 	ExpectedCount    int
 	Additional       int
-	// TimedOut counts views this run left undecided within the solver
-	// budget; Interrupted reports a global-budget expiry. Both are zero in
+	// Interrupted reports a global-budget expiry. It is false in
 	// unbudgeted runs, keeping the default table byte-identical.
-	TimedOut    int
 	Interrupted bool
 }
 
@@ -165,12 +163,11 @@ type Table3Result struct {
 	Found, Expected, Missed int
 	// IterationProfile[it] counts expected patterns found in iteration it.
 	IterationProfile map[int]int
-	// TimedOutViews and InterruptedRuns total the resource-limited outcomes
-	// across all rows (the paper's Table 3 reports the analogous
-	// resource-limited solver runs).
-	TimedOutViews   int
+	// InterruptedRuns totals the resource-limited outcomes across all rows
+	// (the paper's Table 3 reports the analogous resource-limited solver
+	// runs).
 	InterruptedRuns int
-	// SolverStats rolls up constraint-solver effort across all runs.
+	// SolverStats rolls up matcher effort across all runs.
 	SolverStats map[patterns.Kind]patterns.KindStats
 	// Results keeps the raw per-run results for downstream experiments.
 	Results []*starbench.BenchResult
@@ -206,9 +203,7 @@ func RunTable3(opts core.Options) (*Table3Result, error) {
 				}
 			}
 			row.Additional = len(res.Additional)
-			row.TimedOut = res.Finder.TimedOutViews
 			row.Interrupted = res.Finder.Interrupted
-			out.TimedOutViews += row.TimedOut
 			if row.Interrupted {
 				out.InterruptedRuns++
 			}
@@ -255,18 +250,12 @@ func (t *Table3Result) Text() string {
 	}
 	// Resource-limit rollup, rendered only when a budget actually cut
 	// something short so unbudgeted tables stay byte-identical.
-	if t.TimedOutViews > 0 || t.InterruptedRuns > 0 {
-		fmt.Fprintf(&sb, "\nresource-limited: %d view(s) undecided within the solver budget, %d run(s) interrupted\n",
-			t.TimedOutViews, t.InterruptedRuns)
+	if t.InterruptedRuns > 0 {
+		fmt.Fprintf(&sb, "\nresource-limited: %d run(s) interrupted\n", t.InterruptedRuns)
 		for _, r := range t.Rows {
-			if r.TimedOut == 0 && !r.Interrupted {
-				continue
-			}
-			fmt.Fprintf(&sb, "  %-14s %-9s  %d timed-out view(s)", r.Bench, r.Version, r.TimedOut)
 			if r.Interrupted {
-				sb.WriteString("  (interrupted)")
+				fmt.Fprintf(&sb, "  %-14s %-9s  (interrupted)\n", r.Bench, r.Version)
 			}
-			sb.WriteByte('\n')
 		}
 		kinds := make([]patterns.Kind, 0, len(t.SolverStats))
 		for k := range t.SolverStats {
@@ -275,8 +264,8 @@ func (t *Table3Result) Text() string {
 		sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 		for _, k := range kinds {
 			ks := t.SolverStats[k]
-			fmt.Fprintf(&sb, "  solver %-22s %d run(s), %d timed out, %d nodes, %d propagations\n",
-				k, ks.Runs, ks.Timeouts, ks.Nodes, ks.Propagations)
+			fmt.Fprintf(&sb, "  matcher %-22s %d run(s), %d pattern(s)\n",
+				k, ks.Runs, ks.Solutions)
 		}
 	}
 	return sb.String()

@@ -6,17 +6,15 @@ package obs
 // variants are built with L, e.g. L(MetricSolverRuns, "kind", kind).
 const (
 	// Histograms.
-	MetricSolveSeconds     = "discovery_solve_seconds"      // per solver-run latency
+	MetricSolveSeconds     = "discovery_solve_seconds"      // per reduction matcher run latency
 	MetricViewGroups       = "discovery_view_groups"        // group count per built view
 	MetricTraceThreadNodes = "discovery_trace_thread_nodes" // traced nodes per VM thread
 	MetricPrescreenSeconds = "discovery_prescreen_seconds"  // per-sub-DDG census latency
 
 	// Counters (labeled with kind where noted).
-	MetricSolverRuns      = "discovery_solver_runs_total"     // kind
-	MetricSolverTimeouts  = "discovery_solver_timeouts_total" // kind
+	MetricSolverRuns      = "discovery_solver_runs_total"     // kind; reduction matcher runs past the census gate
 	MetricCacheHits       = "discovery_cache_hits_total"      // kind
 	MetricCacheMisses     = "discovery_cache_misses_total"    // kind
-	MetricCacheSkips      = "discovery_cache_skips_total"     // kind
 	MetricPrescreenSkips  = "discovery_prescreen_skips_total" // kind; solves answered by the census
 	MetricPrescreenChecks = "discovery_prescreen_checks_total"
 	MetricTraceNodes      = "discovery_trace_nodes_total"

@@ -13,10 +13,8 @@ func TestCanonicalMetricNames(t *testing.T) {
 		"MetricTraceThreadNodes": MetricTraceThreadNodes,
 		"MetricPrescreenSeconds": MetricPrescreenSeconds,
 		"MetricSolverRuns":       MetricSolverRuns,
-		"MetricSolverTimeouts":   MetricSolverTimeouts,
 		"MetricCacheHits":        MetricCacheHits,
 		"MetricCacheMisses":      MetricCacheMisses,
-		"MetricCacheSkips":       MetricCacheSkips,
 		"MetricPrescreenSkips":   MetricPrescreenSkips,
 		"MetricPrescreenChecks":  MetricPrescreenChecks,
 		"MetricTraceNodes":       MetricTraceNodes,
@@ -39,10 +37,8 @@ func TestCanonicalMetricNames(t *testing.T) {
 		"MetricTraceThreadNodes": "discovery_trace_thread_nodes",
 		"MetricPrescreenSeconds": "discovery_prescreen_seconds",
 		"MetricSolverRuns":       "discovery_solver_runs_total",
-		"MetricSolverTimeouts":   "discovery_solver_timeouts_total",
 		"MetricCacheHits":        "discovery_cache_hits_total",
 		"MetricCacheMisses":      "discovery_cache_misses_total",
-		"MetricCacheSkips":       "discovery_cache_skips_total",
 		"MetricPrescreenSkips":   "discovery_prescreen_skips_total",
 		"MetricPrescreenChecks":  "discovery_prescreen_checks_total",
 		"MetricTraceNodes":       "discovery_trace_nodes_total",

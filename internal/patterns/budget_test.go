@@ -1,95 +1,21 @@
 package patterns
 
 import (
-	"context"
 	"testing"
 	"time"
 )
 
-// TestLinearReductionBudgetExceeded: a structurally valid chain whose cp
-// cross-check is cut short by a tiny step limit must come back nil with
-// Exceeded set — distinguishable from "no pattern" — instead of silently
-// posing as unsatisfiable.
-func TestLinearReductionBudgetExceeded(t *testing.T) {
-	g, adds := buildChainDDG(8)
-	v := NodeView(g, adds)
-
-	b := &Budget{StepLimit: 1}
-	if p := MatchLinearReduction(v, b); p != nil {
-		t.Errorf("step-limited solve still produced a pattern: %v", p)
-	}
-	if !b.Exceeded {
-		t.Fatal("budget not marked exceeded")
-	}
-	ks := b.Kinds[KindLinearReduction]
-	if ks == nil || ks.Runs != 1 || ks.Timeouts != 1 {
-		t.Errorf("per-kind stats = %+v, want 1 run, 1 timeout", ks)
-	}
-
-	// With room to run, the same view matches and the budget stays clean.
-	b2 := &Budget{StepLimit: 1 << 20}
-	if p := MatchLinearReduction(v, b2); p == nil {
-		t.Fatal("unlimited budget failed to match")
-	}
-	if b2.Exceeded {
-		t.Error("successful solve marked exceeded")
-	}
-	ks2 := b2.Kinds[KindLinearReduction]
-	if ks2 == nil || ks2.Runs != 1 || ks2.Timeouts != 0 || ks2.Nodes == 0 {
-		t.Errorf("per-kind stats = %+v, want a clean counted run", ks2)
-	}
-}
-
-func TestTiledReductionBudgetExceeded(t *testing.T) {
-	g, all := buildTiledDDG(3, 2)
-	v := NodeView(g, all)
-	b := &Budget{StepLimit: 1}
-	if p := MatchTiledReduction(v, b); p != nil {
-		t.Errorf("step-limited solve still produced a pattern: %v", p)
-	}
-	if !b.Exceeded {
-		t.Fatal("budget not marked exceeded")
-	}
-	if ks := b.Kinds[KindTiledReduction]; ks == nil || ks.Timeouts != 1 {
-		t.Errorf("per-kind stats = %+v, want 1 timeout", ks)
-	}
-}
-
-// TestBudgetClampsToContextDeadline: a context whose deadline has already
-// passed must make the next solve report a timeout immediately — the
-// per-solve timeout is derived from the remaining global budget.
-func TestBudgetClampsToContextDeadline(t *testing.T) {
-	g, adds := buildChainDDG(6)
-	v := NodeView(g, adds)
-	ctx, cancel := context.WithDeadline(context.Background(),
-		time.Now().Add(-time.Second))
-	defer cancel()
-	b := &Budget{Ctx: ctx, SolveTimeout: time.Hour}
-	if p := MatchLinearReduction(v, b); p != nil {
-		t.Errorf("expired deadline still produced a pattern: %v", p)
-	}
-	if !b.Exceeded {
-		t.Error("expired global budget not marked exceeded")
-	}
-	if ks := b.Kinds[KindLinearReduction]; ks == nil || ks.Nodes != 0 {
-		t.Errorf("expired budget should not search: %+v", ks)
-	}
-}
-
 func TestBudgetMerge(t *testing.T) {
-	a := &Budget{Exceeded: true, Kinds: map[Kind]*KindStats{
-		KindLinearReduction: {Runs: 2, Timeouts: 1, Nodes: 10},
+	a := &Budget{Kinds: map[Kind]*KindStats{
+		KindLinearReduction: {Runs: 2, Solutions: 1, CacheMisses: 4},
 	}}
 	b := &Budget{Kinds: map[Kind]*KindStats{
-		KindLinearReduction: {Runs: 1, Nodes: 5},
+		KindLinearReduction: {Runs: 1, Elapsed: time.Millisecond},
 		KindTiledReduction:  {Runs: 3, Solutions: 2},
 	}}
 	b.Merge(a)
-	if !b.Exceeded {
-		t.Error("Exceeded not propagated by Merge")
-	}
 	lr := b.Kinds[KindLinearReduction]
-	if lr.Runs != 3 || lr.Timeouts != 1 || lr.Nodes != 15 {
+	if lr.Runs != 3 || lr.Solutions != 1 || lr.CacheMisses != 4 || lr.Elapsed != time.Millisecond {
 		t.Errorf("merged linear stats = %+v", lr)
 	}
 	if tr := b.Kinds[KindTiledReduction]; tr.Runs != 3 || tr.Solutions != 2 {
@@ -100,4 +26,21 @@ func TestBudgetMerge(t *testing.T) {
 	if b.Kinds[KindLinearReduction].Runs != 3 {
 		t.Error("Merge aliased source KindStats")
 	}
+}
+
+// TestBudgetRecordRun: a booked run counts once, a pattern it returned
+// counts as a solution, and its wall time accumulates; a nil budget
+// records nothing.
+func TestBudgetRecordRun(t *testing.T) {
+	b := &Budget{}
+	b.RecordRun(KindTiledReduction, true, 2*time.Millisecond)
+	b.RecordRun(KindTiledReduction, false, time.Millisecond)
+	ks := b.Kinds[KindTiledReduction]
+	if ks.Runs != 2 || ks.Solutions != 1 || ks.Elapsed != 3*time.Millisecond {
+		t.Errorf("tiled stats = %+v, want 2 runs, 1 solution, 3ms", ks)
+	}
+	var nilBudget *Budget
+	nilBudget.RecordRun(KindLinearReduction, true, time.Second)
+	nilBudget.RecordCacheHit(KindLinearReduction)
+	nilBudget.Merge(b)
 }

@@ -125,7 +125,7 @@ func MatchTreeReduction(v *View) *Pattern {
 	// The census gate decides (3b) one associative op and the in-tree
 	// shape: at most one use of every node inside the view, exactly one
 	// sink (the root), and n-1 arcs, which with one root means connected.
-	if v.cannotMatch(KindTreeReduction) {
+	if v.CannotMatch(KindTreeReduction) {
 		return nil
 	}
 	n := v.NumGroups()

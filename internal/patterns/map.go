@@ -7,8 +7,8 @@ package patterns
 // With that framing, the §4.2 constraints — component independence (2b),
 // input (2c) and output (2d) arcs — plus the relaxed isomorphism (1c) and
 // convexity (1e) leave no combinatorial freedom, so the map model is
-// decided by propagation alone; the reduction models (reduction.go) are
-// where the constraint solver searches.
+// decided by propagation alone. The reduction models (reduction.go) have
+// little more: a chain order, or the head of a tiled final chain.
 
 import "discovery/internal/ddg"
 
@@ -20,7 +20,7 @@ func MatchMap(v *View) *Pattern {
 	// between groups, hence no transitive dependencies either — (2c) an
 	// input element for every component, and (2d) an output element for at
 	// least one.
-	if v.cannotMatch(KindMap) {
+	if v.CannotMatch(KindMap) {
 		return nil
 	}
 	n := v.NumGroups()

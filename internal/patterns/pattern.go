@@ -5,12 +5,15 @@
 // Matching follows the paper's Algorithm 1 semantics: a matcher decides
 // whether an entire sub-DDG, observed through a View (compacted for
 // loop-derived sub-DDGs, node-per-node for associative components),
-// constitutes an instance of one pattern definition. The constraint
-// programming solver (internal/cp) assigns the combinatorial structure —
-// reduction chain orders and tiled partial/final partitions — while the
+// constitutes an instance of one pattern definition. Where the paper
+// solves a constraint model, the matchers decide by structure: a census
+// gate, then the combinatorial structure — reduction chain orders and
+// tiled partial/final partitions — read off the view's arcs. The
 // isomorphism and connectivity constraints use the label relaxations the
 // paper describes (§5, Pattern Matching). Direct definitional verifiers
-// (verify.go) re-check matches against the unrelaxed §4 constraints.
+// (verify.go) re-check matches against the unrelaxed §4 constraints, and a
+// brute-force oracle over the paper's reduction models (oracle_test.go)
+// checks the reduction matchers' verdicts.
 package patterns
 
 import (

@@ -11,14 +11,13 @@ package patterns
 //     a compacted loop view the groups are unknown, so only the size, op
 //     and boundary rules that hold under any grouping apply.
 //   - View.build counts them at group level from the adjacency it derives
-//     anyway. That census is exact, and View.cannotMatch — every matcher's
+//     anyway. That census is exact, and View.CannotMatch — every matcher's
 //     first statement — is the matchers' only structural gate.
 //
 // A CannotMatch verdict is therefore sound by construction (the matcher
-// would return nil at its gate) and never suppresses a constraint-solver
-// run the matcher would have performed, which keeps outputs, including
-// the per-kind solver-effort accounting, identical with the prescreen on
-// or off. The node-level payoff is one O(nodes + arcs) pass instead of the
+// would return nil at its gate) and never suppresses a matcher run past
+// that gate, which keeps outputs, including the per-kind matcher-run
+// accounting, identical with the prescreen on or off. The node-level payoff is one O(nodes + arcs) pass instead of the
 // grouping build (maps and sorts for compacted loop views) and the label
 // construction. Verdicts are content-addressed into the finder's view
 // cache under the same 128-bit view hash the solve verdicts use.
@@ -86,7 +85,7 @@ func prescreenBit(k Kind) uint32 {
 
 // CannotMatch reports that the census proves the view cannot match kind:
 // the kind's matcher is guaranteed to return nil, and would have decided so
-// before reaching the constraint solver. False means Maybe, never "match".
+// at its gate. False means Maybe, never "match".
 func (p *Prescreen) CannotMatch(k Kind) bool {
 	if p == nil {
 		return false

@@ -24,9 +24,9 @@ func runMatcherOn(v *View, k Kind) *Pattern {
 	case KindMap:
 		return MatchMap(v)
 	case KindLinearReduction:
-		return MatchLinearReduction(v, nil)
+		return MatchLinearReduction(v)
 	case KindTiledReduction:
-		return MatchTiledReduction(v, nil)
+		return MatchTiledReduction(v)
 	default:
 		return MatchTreeReduction(v)
 	}

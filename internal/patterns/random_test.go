@@ -118,8 +118,8 @@ func TestMatchersSoundOnRandomDAGs(t *testing.T) {
 				}
 			}
 			check(MatchMap(v))
-			check(MatchLinearReduction(v, nil))
-			check(MatchTiledReduction(v, nil))
+			check(MatchLinearReduction(v))
+			check(MatchTiledReduction(v))
 			check(MatchTreeReduction(v))
 		}
 	}
@@ -136,8 +136,8 @@ func TestMatchersDeterministicOnRandomDAGs(t *testing.T) {
 			s := ""
 			for _, v := range []*View{NodeView(g, amb), LoopView(g, amb, 1)} {
 				for _, p := range []*Pattern{
-					MatchMap(v), MatchLinearReduction(v, nil),
-					MatchTiledReduction(v, nil), MatchTreeReduction(v),
+					MatchMap(v), MatchLinearReduction(v),
+					MatchTiledReduction(v), MatchTreeReduction(v),
 				} {
 					if p == nil {
 						s += "-;"

@@ -83,7 +83,7 @@ func TestVerifyLinearReductionRejectsWrongOrder(t *testing.T) {
 func TestVerifyTiledReductionRejectsBrokenChanneling(t *testing.T) {
 	g, all := buildTiledDDG(2, 2)
 	v := NodeView(g, all)
-	p := MatchTiledReduction(v, nil)
+	p := MatchTiledReduction(v)
 	if p == nil {
 		t.Fatal("tiled reduction not matched")
 	}

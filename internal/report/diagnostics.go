@@ -3,10 +3,10 @@ package report
 // Diagnostics rendering and the machine-readable summary. The paper's
 // evaluation reports which solver runs were resource-limited (Table 3);
 // this file surfaces the equivalent for a finder run: whether the global
-// budget interrupted it, how many views were undecided within the solver
-// budget, and the per-kind solver effort rollup. The text section renders
-// only for degraded runs so default (unbudgeted) outputs stay byte-for-byte
-// what they were before budgets existed.
+// budget interrupted it, how many views the size gate skipped, and the
+// per-kind matcher effort rollup. The text section renders only for
+// degraded runs so default (unbudgeted) outputs stay byte-for-byte what
+// they were before budgets existed.
 
 import (
 	"encoding/json"
@@ -20,8 +20,8 @@ import (
 )
 
 // Diagnostics renders the resource-limit section of a result: why the
-// pattern set is a lower bound, and what the solver spent. Returns "" for a
-// run that no bound cut short.
+// pattern set is a lower bound, and what the matchers spent. Returns "" for
+// a run that no bound cut short.
 func Diagnostics(res *core.Result) string {
 	if !res.Degraded() {
 		return ""
@@ -30,10 +30,6 @@ func Diagnostics(res *core.Result) string {
 	sb.WriteString("resource limits hit; the pattern set is a lower bound:\n")
 	if res.Interrupted {
 		sb.WriteString("  - interrupted: global budget or context expired before the fixpoint\n")
-	}
-	if res.TimedOutViews > 0 {
-		fmt.Fprintf(&sb, "  - %d view(s) undecided within the solver budget (not \"no pattern\")\n",
-			res.TimedOutViews)
 	}
 	if res.SkippedViews > 0 {
 		fmt.Fprintf(&sb, "  - %d view(s) skipped for exceeding the view size limit\n",
@@ -69,14 +65,14 @@ func PrescreenStats(res *core.Result) string {
 // CacheStats renders a one-line view-cache summary ("" when the run
 // recorded no cache activity, e.g. under -no-cache).
 func CacheStats(res *core.Result) string {
-	hits, misses, skips := res.CacheStats()
-	if hits+misses+skips == 0 {
+	hits, misses, _ := res.CacheStats()
+	if hits+misses == 0 {
 		return ""
 	}
-	return fmt.Sprintf("view cache: %d hit(s), %d miss(es), %d skip(s)", hits, misses, skips)
+	return fmt.Sprintf("view cache: %d hit(s), %d miss(es)", hits, misses)
 }
 
-// solverEffort renders the per-kind solver rollup lines.
+// solverEffort renders the per-kind matcher rollup lines.
 func solverEffort(res *core.Result) string {
 	if len(res.SolverStats) == 0 {
 		return ""
@@ -87,12 +83,11 @@ func solverEffort(res *core.Result) string {
 	}
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 	var sb strings.Builder
-	sb.WriteString("solver effort per pattern kind:\n")
+	sb.WriteString("matcher effort per pattern kind:\n")
 	for _, k := range kinds {
 		ks := res.SolverStats[k]
-		fmt.Fprintf(&sb, "  %-22s %d run(s), %d timed out; %d nodes, %d propagations, %d solutions in %v\n",
-			k, ks.Runs, ks.Timeouts, ks.Nodes, ks.Propagations, ks.Solutions,
-			ks.Elapsed.Round(time.Millisecond))
+		fmt.Fprintf(&sb, "  %-22s %d run(s), %d pattern(s) in %v\n",
+			k, ks.Runs, ks.Solutions, ks.Elapsed.Round(time.Millisecond))
 	}
 	return sb.String()
 }
@@ -104,25 +99,21 @@ type PatternJSON struct {
 	Ops   string `json:"ops"`
 }
 
-// KindStatsJSON is the solver effort attributed to one pattern kind.
+// KindStatsJSON is the matcher effort attributed to one pattern kind:
+// reduction matcher runs past the census gate, the patterns they returned
+// ("solutions") and their wall time, plus the kind's cache outcomes.
 type KindStatsJSON struct {
-	Runs         int   `json:"runs"`
-	Timeouts     int   `json:"timeouts"`
-	Nodes        int64 `json:"nodes"`
-	Failures     int64 `json:"failures"`
-	Propagations int64 `json:"propagations"`
-	Solutions    int64 `json:"solutions"`
-	ElapsedMS    int64 `json:"elapsed_ms"`
-	CacheHits    int   `json:"cache_hits,omitempty"`
-	CacheMisses  int   `json:"cache_misses,omitempty"`
-	CacheSkips   int   `json:"cache_skips,omitempty"`
+	Runs        int   `json:"runs"`
+	Solutions   int64 `json:"solutions"`
+	ElapsedMS   int64 `json:"elapsed_ms"`
+	CacheHits   int   `json:"cache_hits,omitempty"`
+	CacheMisses int   `json:"cache_misses,omitempty"`
 }
 
 // CacheJSON is the view-cache rollup across all pattern kinds.
 type CacheJSON struct {
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
-	Skips  int `json:"skips"`
 }
 
 // PrescreenJSON is the structural-prescreen rollup: census runs and the
@@ -142,14 +133,13 @@ type FailureJSON struct {
 
 // DiagnosticsJSON describes the resource-limit outcome of a run.
 type DiagnosticsJSON struct {
-	Degraded      bool                     `json:"degraded"`
-	Interrupted   bool                     `json:"interrupted"`
-	TimedOutViews int                      `json:"timed_out_views"`
-	SkippedViews  int                      `json:"skipped_views"`
-	PoolLimited   bool                     `json:"pool_limited"`
-	Failures      []FailureJSON            `json:"failures,omitempty"`
-	Solver        map[string]KindStatsJSON `json:"solver,omitempty"`
-	Cache         *CacheJSON               `json:"cache,omitempty"`
+	Degraded     bool                     `json:"degraded"`
+	Interrupted  bool                     `json:"interrupted"`
+	SkippedViews int                      `json:"skipped_views"`
+	PoolLimited  bool                     `json:"pool_limited"`
+	Failures     []FailureJSON            `json:"failures,omitempty"`
+	Solver       map[string]KindStatsJSON `json:"solver,omitempty"`
+	Cache        *CacheJSON               `json:"cache,omitempty"`
 	// Prescreen is emitted only on request (IncludePrescreenStats): the
 	// prescreen answers solves on every default run, so an unconditional
 	// block would churn every existing consumer's output.
@@ -197,11 +187,10 @@ func JSONWith(res *core.Result, opts JSONOptions) ([]byte, error) {
 		Matches:         len(res.Matches),
 		Patterns:        []PatternJSON{},
 		Diagnostics: DiagnosticsJSON{
-			Degraded:      res.Degraded(),
-			Interrupted:   res.Interrupted,
-			TimedOutViews: res.TimedOutViews,
-			SkippedViews:  res.SkippedViews,
-			PoolLimited:   res.PoolLimited,
+			Degraded:     res.Degraded(),
+			Interrupted:  res.Interrupted,
+			SkippedViews: res.SkippedViews,
+			PoolLimited:  res.PoolLimited,
 		},
 	}
 	for _, f := range res.Failures {
@@ -222,18 +211,16 @@ func JSONWith(res *core.Result, opts JSONOptions) ([]byte, error) {
 		out.Diagnostics.Solver = map[string]KindStatsJSON{}
 		for k, ks := range res.SolverStats {
 			out.Diagnostics.Solver[kindSlug(k)] = KindStatsJSON{
-				Runs: ks.Runs, Timeouts: ks.Timeouts,
-				Nodes: ks.Nodes, Failures: ks.Failures,
-				Propagations: ks.Propagations, Solutions: ks.Solutions,
+				Runs:        ks.Runs,
+				Solutions:   ks.Solutions,
 				ElapsedMS:   ks.Elapsed.Milliseconds(),
 				CacheHits:   ks.CacheHits,
 				CacheMisses: ks.CacheMisses,
-				CacheSkips:  ks.CacheSkips,
 			}
 		}
 	}
-	if hits, misses, skips := res.CacheStats(); hits+misses+skips > 0 || opts.IncludeCacheStats {
-		out.Diagnostics.Cache = &CacheJSON{Hits: hits, Misses: misses, Skips: skips}
+	if hits, misses, _ := res.CacheStats(); hits+misses > 0 || opts.IncludeCacheStats {
+		out.Diagnostics.Cache = &CacheJSON{Hits: hits, Misses: misses}
 	}
 	if opts.IncludePrescreenStats {
 		checks, skips := res.PrescreenStats()

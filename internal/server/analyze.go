@@ -45,10 +45,6 @@ type RequestOptions struct {
 	// the server's default; values above the server's maximum are
 	// clamped). The effective budget maps onto core.Options.Budget.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
-	// SolverBudgetMS caps each constraint-solver run (0 = the default).
-	SolverBudgetMS int64 `json:"solver_budget_ms,omitempty"`
-	// SolverSteps is the deterministic per-solve step limit (0 = none).
-	SolverSteps int64 `json:"solver_steps,omitempty"`
 	// MaxViewGroups skips views larger than this many groups (0 = default).
 	MaxViewGroups int `json:"max_view_groups,omitempty"`
 	// Verify re-checks matches against the unrelaxed definitions.
@@ -91,14 +87,15 @@ type StoreInfo struct {
 }
 
 // Diagnostics is the per-request cost accounting. On a store hit the
-// solver/cache/prescreen counters are all zero — nothing ran — and
+// matcher/cache/prescreen counters are all zero — nothing ran — and
 // TracedNodes/Patterns/Degraded describe the original run that produced
 // the stored result.
 type Diagnostics struct {
+	// SolverRuns counts the run's reduction matcher runs past the census
+	// gate (patterns.KindStats.Runs over every kind).
 	SolverRuns      int   `json:"solver_runs"`
 	CacheHits       int   `json:"cache_hits"`
 	CacheMisses     int   `json:"cache_misses"`
-	CacheSkips      int   `json:"cache_skips"`
 	PrescreenChecks int   `json:"prescreen_checks"`
 	PrescreenSkips  int   `json:"prescreen_skips"`
 	TracedNodes     int   `json:"traced_nodes"`
@@ -155,7 +152,7 @@ func (s *Server) validate(req *Request) (*starbench.Benchmark, starbench.Version
 		return nil, "", 0, badRequest("unknown version %q (seq or pthreads)", req.Version)
 	}
 	o := req.Options
-	if o.BudgetMS < 0 || o.SolverBudgetMS < 0 || o.SolverSteps < 0 || o.MaxViewGroups < 0 {
+	if o.BudgetMS < 0 || o.MaxViewGroups < 0 {
 		return nil, "", 0, badRequest("options must be non-negative")
 	}
 	budget := time.Duration(o.BudgetMS) * time.Millisecond
@@ -173,13 +170,11 @@ func (s *Server) validate(req *Request) (*starbench.Benchmark, starbench.Version
 // request value so the fingerprinted options match what actually ran.
 func (s *Server) coreOptions(o RequestOptions, budget time.Duration) core.Options {
 	return core.Options{
-		VerifyMatches:   o.Verify,
-		Extensions:      o.Extensions,
-		MaxViewGroups:   o.MaxViewGroups,
-		Budget:          budget,
-		SolverBudget:    time.Duration(o.SolverBudgetMS) * time.Millisecond,
-		SolverStepLimit: o.SolverSteps,
-		DisableCache:    o.NoCache,
+		VerifyMatches: o.Verify,
+		Extensions:    o.Extensions,
+		MaxViewGroups: o.MaxViewGroups,
+		Budget:        budget,
+		DisableCache:  o.NoCache,
 	}
 }
 
@@ -190,10 +185,10 @@ func (s *Server) coreOptions(o RequestOptions, budget time.Duration) core.Option
 // assert).
 func optionsFingerprint(opts core.Options) string {
 	h := sha256.New()
-	// restart=0 is a constant kept so existing -store disk keys still resolve.
-	fmt.Fprintf(h, "v1|verify=%t|ext=%t|mvg=%d|budget=%d|sbudget=%d|steps=%d|restart=0",
-		opts.VerifyMatches, opts.Extensions, opts.MaxViewGroups,
-		opts.Budget, opts.SolverBudget, opts.SolverStepLimit)
+	// sbudget=0, steps=0 and restart=0 are constants kept so existing
+	// -store disk keys still resolve.
+	fmt.Fprintf(h, "v1|verify=%t|ext=%t|mvg=%d|budget=%d|sbudget=0|steps=0|restart=0",
+		opts.VerifyMatches, opts.Extensions, opts.MaxViewGroups, opts.Budget)
 	return fmt.Sprintf("%x", h.Sum(nil))[:32]
 }
 
@@ -384,7 +379,7 @@ func (s *Server) process(ctx context.Context, req *Request, queueWait time.Durat
 	diag.Patterns = len(res.Patterns)
 	diag.Degraded = res.Degraded()
 	diag.Interrupted = res.Interrupted
-	diag.CacheHits, diag.CacheMisses, diag.CacheSkips = res.CacheStats()
+	diag.CacheHits, diag.CacheMisses, _ = res.CacheStats()
 	diag.PrescreenChecks, diag.PrescreenSkips = res.PrescreenStats()
 	for _, ks := range res.SolverStats {
 		diag.SolverRuns += ks.Runs

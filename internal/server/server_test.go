@@ -144,12 +144,12 @@ func TestValidation(t *testing.T) {
 		`{"bench":"nope","version":"seq"}`,
 		`{"bench":"md5","version":"openmp"}`,
 		`{"bench":"md5","version":"seq","options":{"budget_ms":-5}}`,
-		`{"bench":"md5","version":"seq","options":{"solver_budget_ms":-1}}`,
-		`{"bench":"md5","version":"seq","options":{"solver_steps":-1}}`,
 		`{"bench":"md5","version":"seq","options":{"max_view_groups":-1}}`,
 		`{"bench":"md5","version":"seq","bogus_field":1}`,
 		`{"bench":"md5","version":"seq","options":{"no_prescreen":true}}`,    // removed option
 		`{"bench":"md5","version":"seq","options":{"solver_restarts":1000}}`, // removed option
+		`{"bench":"md5","version":"seq","options":{"solver_budget_ms":250}}`, // removed option
+		`{"bench":"md5","version":"seq","options":{"solver_steps":5000}}`,    // removed option
 		`not json`,
 	} {
 		if _, code := analyze(t, ts, body); code != 400 {
@@ -180,9 +180,8 @@ func TestOptionsFingerprintPinned(t *testing.T) {
 	}{
 		{"default", RequestOptions{}, s.cfg.DefaultBudget, "7d18684b3e401ec314420cf9b8226120"},
 		{"non-default", RequestOptions{
-			SolverBudgetMS: 250, SolverSteps: 5000, MaxViewGroups: 9,
-			Verify: true, Extensions: true, NoCache: true,
-		}, 90 * time.Second, "8297d0c59870278428f57e6f544a4d52"},
+			MaxViewGroups: 9, Verify: true, Extensions: true, NoCache: true,
+		}, 90 * time.Second, "68fa49b9b869c22496d072132ca55296"},
 	} {
 		if got := optionsFingerprint(s.coreOptions(tc.opts, tc.budget)); got != tc.want {
 			t.Errorf("%s: options fingerprint %s, want %s", tc.name, got, tc.want)
