@@ -1,9 +1,9 @@
 // Package discovery is a reproduction of "Modernizing Parallel Code with
 // Pattern Analysis" (Castañeda Lozano, Cole, Franke — PPoPP 2021): a
 // dynamic analysis that finds parallel patterns (maps, reductions, and
-// their compositions) in legacy sequential and parallel code by constraint
-// matching on traced dynamic dataflow graphs, plus everything the paper's
-// evaluation needs — the Starbench kernels, a constraint solver, a
+// their compositions) in legacy sequential and parallel code by matching
+// the paper's pattern constraints on traced dynamic dataflow graphs, plus
+// everything the paper's evaluation needs — the Starbench kernels, a
 // skeleton library, and the portability study machinery.
 //
 // See README.md for an overview, DESIGN.md for the system inventory and

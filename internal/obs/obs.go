@@ -5,8 +5,8 @@
 // to spans).
 //
 // The package is dependency-free (standard library only) so every layer of
-// the pipeline — the tracer, the finder, the constraint solver, the view
-// cache — can emit into it without import cycles. Emission goes through
+// the pipeline — the tracer, the finder, the matchers, the view cache —
+// can emit into it without import cycles. Emission goes through
 // the Recorder interface; the default is Nop, whose methods do nothing, so
 // instrumented code pays one interface call (and can skip even attribute
 // construction by checking Enabled) when observability is off. Collector

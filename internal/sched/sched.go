@@ -36,7 +36,7 @@
 //   - Deadlines checked at claim time. A Task may carry a Deadline (the
 //     run's budget) and its Owner a context; a task claimed past either
 //     is dropped — Do(true) runs for its bookkeeping, the solve does not —
-//     so a doomed task costs a clock read, not a solver run.
+//     so a doomed task costs a clock read, not a match.
 //
 // Determinism: the pool promises nothing about execution order, and the
 // finder does not need it to — results land in pre-assigned slots and are
