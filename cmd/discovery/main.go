@@ -35,8 +35,6 @@ func main() {
 		verify     = flag.Bool("verify", true, "re-verify matches against the unrelaxed definitions")
 		extensions = flag.Bool("extensions", false, "enable the future-work pattern kinds (stencil, pipeline, tree reduction)")
 		budget     = flag.Duration("budget", 0, "global wall-clock budget for pattern finding (0 = none)")
-		noCache    = flag.Bool("no-cache", false, "disable the view-verdict solve cache (escape hatch; every solve runs)")
-		cacheStats = flag.Bool("cache-stats", false, "print view cache hit/miss counts to stderr")
 		prescrStat = flag.Bool("prescreen-stats", false, "print prescreen check/skip counts to stderr")
 		check      = flag.Bool("check", false, "verify DDG structural invariants after tracing and after simplification")
 		memBudget  = flag.Int64("trace-memory-budget", 0, "resident DDG arc-byte budget; larger graphs page through an unlinked spill file (0 = fully resident)")
@@ -136,7 +134,7 @@ func main() {
 		}
 	}
 	opts := core.Options{
-		VerifyMatches: *verify, Extensions: *extensions, DisableCache: *noCache,
+		VerifyMatches: *verify, Extensions: *extensions,
 		Budget: *budget,
 		Obs:    rec, ObsParent: analyzeSpan,
 		SpillBudget: *memBudget, SpillDir: *spillDir,
@@ -170,13 +168,6 @@ func main() {
 	if d := tr.Diagnostic(); d != nil {
 		res.Failures = append(res.Failures, d)
 	}
-	if *cacheStats {
-		line := report.CacheStats(res)
-		if line == "" {
-			line = "view cache: disabled"
-		}
-		fmt.Fprintln(os.Stderr, line)
-	}
 	if *prescrStat {
 		// Unlike report.PrescreenStats, which omits a run with no censuses
 		// from the summary, the flag always prints the counts.
@@ -208,12 +199,10 @@ func main() {
 	case "html":
 		fmt.Print(report.HTML(built.Prog, res))
 	case "json":
-		// -cache-stats makes the JSON "cache" block explicit even when the
-		// run recorded no cache activity (e.g. under -no-cache), so asking
-		// for the stats always yields them, zeroed rather than absent.
-		// -prescreen-stats does the same for the "prescreen" block.
+		// -prescreen-stats makes the JSON "prescreen" block explicit, so
+		// asking for the stats always yields them, zeroed rather than
+		// absent.
 		data, err := report.JSONWith(res, report.JSONOptions{
-			IncludeCacheStats:     *cacheStats,
 			IncludePrescreenStats: *prescrStat,
 		})
 		if err != nil {

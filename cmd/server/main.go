@@ -35,7 +35,6 @@ func main() {
 		queueDepth = flag.Int("queue", 16, "admission queue depth beyond the workers (full queue => 503)")
 		defBudget  = flag.Duration("default-budget", 60*time.Second, "per-request budget when the request sets none")
 		maxBudget  = flag.Duration("max-budget", 5*time.Minute, "ceiling on requested budgets")
-		cacheGens  = flag.Int("cache-gens", 16, "coexisting ViewCache generations (distinct graph+options fingerprints)")
 		schedWork  = flag.Int("sched-workers", 0, "shared solve-scheduler pool size across all requests (0 = GOMAXPROCS)")
 		memBudget  = flag.Int64("trace-memory-budget", 0, "per-request resident DDG arc-byte budget; larger graphs page through unlinked spill files (0 = fully resident)")
 		spillDir   = flag.String("ddg-spill-dir", "", "directory for DDG spill files (default: the system temp dir)")
@@ -64,15 +63,14 @@ func main() {
 	}
 
 	cfg := server.Config{
-		MaxInFlight:      *inflight,
-		QueueDepth:       *queueDepth,
-		DefaultBudget:    *defBudget,
-		MaxBudget:        *maxBudget,
-		CacheGenerations: *cacheGens,
-		SchedWorkers:     *schedWork,
-		SpillBudget:      *memBudget,
-		SpillDir:         *spillDir,
-		Store:            st,
+		MaxInFlight:   *inflight,
+		QueueDepth:    *queueDepth,
+		DefaultBudget: *defBudget,
+		MaxBudget:     *maxBudget,
+		SchedWorkers:  *schedWork,
+		SpillBudget:   *memBudget,
+		SpillDir:      *spillDir,
+		Store:         st,
 	}
 
 	// A fault plan turns the daemon into its own chaos subject: scripted,

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"discovery/internal/obs"
 	"discovery/internal/sched"
 	"discovery/internal/trace"
 )
@@ -42,17 +43,13 @@ func TestCacheEquivalenceOnRandomPrograms(t *testing.T) {
 				opts.Extensions = true
 			}
 
-			off := opts
-			off.DisableCache = true
-			want := resultSig(Find(tr.Graph, off))
-
-			if got := resultSig(Find(tr.Graph, opts)); got != want {
-				t.Errorf("fresh cache diverges:\nno-cache: %s\ncached:   %s", want, got)
-			}
+			want := resultSig(Find(tr.Graph, opts))
 
 			shared := opts
 			shared.Cache = NewViewCache()
-			Find(tr.Graph, shared) // prime
+			if got := resultSig(Find(tr.Graph, shared)); got != want {
+				t.Errorf("fresh cache diverges:\nno-cache: %s\ncached:   %s", want, got)
+			}
 			res := Find(tr.Graph, shared)
 			if got := resultSig(res); got != want {
 				t.Errorf("warm cache diverges:\nno-cache: %s\nwarm:     %s", want, got)
@@ -75,8 +72,7 @@ func TestSharedCacheAcrossGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		off := Options{DisableCache: true}
-		want := resultSig(Find(tr.Graph, off))
+		want := resultSig(Find(tr.Graph, Options{}))
 		res := Find(tr.Graph, Options{Cache: cache})
 		if got := resultSig(res); got != want {
 			t.Errorf("seed %d with shared cache diverges:\nwant %s\ngot  %s", seed, want, got)
@@ -89,5 +85,51 @@ func TestSharedCacheAcrossGraphs(t *testing.T) {
 	}
 	if s := cache.Snapshot(); s.Generations != 2 || s.Resets != 0 {
 		t.Errorf("want 2 coexisting generations and no evictions, got %+v", s)
+	}
+}
+
+// TestFindWithoutCacheKeepsNone: a Find given no Options.Cache keeps no
+// cache of its own. It runs no cache phase, emits no cache-prepare span,
+// hashes no sub-DDG view, and books no cache hits or misses — also in the
+// pipeline pass. The same run given a cache does all four, which shows
+// the checks can see them.
+func TestFindWithoutCacheKeepsNone(t *testing.T) {
+	tr, err := trace.Run(genProgram(102))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(cache *ViewCache) (res *Result, cachePhase, prepareSpan, hashed bool) {
+		c := obs.NewCollector()
+		res = Find(tr.Graph, Options{
+			Extensions: true, Cache: cache, Obs: c,
+			PhaseHook: func(p string) { cachePhase = cachePhase || p == "cache" },
+		})
+		for _, s := range c.Spans() {
+			prepareSpan = prepareSpan || s.Name == "cache-prepare"
+		}
+		for _, m := range res.Matches {
+			hashed = hashed || !m.Sub.vhash.IsZero()
+		}
+		return res, cachePhase, prepareSpan, hashed
+	}
+
+	res, cachePhase, prepareSpan, hashed := run(nil)
+	if len(res.Matches) == 0 {
+		t.Fatal("no matches: the view-hash check sees nothing")
+	}
+	if cachePhase || prepareSpan {
+		t.Errorf("no cache given, yet the cache phase ran (hook %v, span %v)", cachePhase, prepareSpan)
+	}
+	if hashed {
+		t.Error("no cache given, yet a matched sub-DDG's view was hashed")
+	}
+	if hits, misses, _ := res.CacheStats(); hits+misses != 0 {
+		t.Errorf("no cache given, yet %d hit(s) and %d miss(es) were booked", hits, misses)
+	}
+
+	res, cachePhase, prepareSpan, hashed = run(NewViewCache())
+	if hits, misses, _ := res.CacheStats(); !cachePhase || !prepareSpan || !hashed || misses == 0 {
+		t.Errorf("with a cache: phase %v, span %v, hashed %v, %d hit(s), %d miss(es); want all and misses",
+			cachePhase, prepareSpan, hashed, hits, misses)
 	}
 }

@@ -1,10 +1,10 @@
 package core_test
 
 // Cache/no-cache equivalence on the real corpus. The view-verdict cache is
-// an optimization, not a semantics change: with caching enabled (fresh or
-// warm across repeated runs) Find must produce byte-identical patterns and
-// matches to the materialized -no-cache path, on every Starbench benchmark
-// and version. The signatures below serialize the complete pattern
+// an optimization, not a semantics change: given a shared cache (cold, and
+// warm on a repeated run) Find must produce byte-identical patterns and
+// matches to a run without a cache, on every Starbench benchmark and
+// version. The signatures below serialize the complete pattern
 // structure (kind, components, tiling, compound parts, operators) plus the
 // match provenance, so any divergence — ordering included — fails.
 
@@ -81,8 +81,8 @@ func findSig(res *core.Result) string {
 }
 
 // runModes traces the benchmark once and compares Find signatures across
-// cache modes: disabled, fresh per-run cache, and a shared cache measured
-// on its warm (second) run.
+// cache modes: no cache, then one shared cache on its cold (first) and
+// warm (second) run.
 func runModes(t *testing.T, name string, v starbench.Version, opts core.Options) {
 	t.Helper()
 	b := starbench.ByName(name)
@@ -102,21 +102,16 @@ func runModes(t *testing.T, name string, v starbench.Version, opts core.Options)
 		t.Fatalf("trace: %v", err)
 	}
 
-	off := opts
-	off.DisableCache = true
-	want := findSig(core.Find(tr.Graph, off))
+	want := findSig(core.Find(tr.Graph, opts))
 
-	fresh := opts
-	if got := findSig(core.Find(tr.Graph, fresh)); got != want {
-		t.Errorf("fresh cache diverges from -no-cache:\n--- no-cache ---\n%s--- cached ---\n%s", want, got)
+	shared := opts
+	shared.Cache = core.NewViewCache()
+	if got := findSig(core.Find(tr.Graph, shared)); got != want {
+		t.Errorf("fresh shared cache diverges from no cache:\n--- no cache ---\n%s--- cold ---\n%s", want, got)
 	}
-
-	warm := opts
-	warm.Cache = core.NewViewCache()
-	core.Find(tr.Graph, warm) // prime
-	res := core.Find(tr.Graph, warm)
+	res := core.Find(tr.Graph, shared)
 	if got := findSig(res); got != want {
-		t.Errorf("warm shared cache diverges from -no-cache:\n--- no-cache ---\n%s--- warm ---\n%s", want, got)
+		t.Errorf("warm shared cache diverges from no cache:\n--- no cache ---\n%s--- warm ---\n%s", want, got)
 	}
 	hits, misses, _ := res.CacheStats()
 	if hits == 0 || misses != 0 {

@@ -98,16 +98,14 @@ type Options struct {
 	// differential tests' reference (export_test.go).
 	noPrescreen bool
 
-	// DisableCache turns off the view–verdict cache (the -no-cache escape
-	// hatch): every solve runs even when an identical view was already
-	// decided, and Cache is ignored.
-	DisableCache bool
-	// Cache, when non-nil, is consulted and populated in place of the
-	// run-private cache, letting repeated runs over the same trace share
-	// verdicts (see ViewCache). Safe to share between concurrent FindCtx
-	// runs: each run binds to the generation of its own run fingerprint
-	// (graph + match-relevant options), so runs over different graphs
-	// neither see nor evict each other's entries.
+	// Cache, when non-nil, is the view–verdict cache the run consults and
+	// populates, letting repeated runs over the same trace share verdicts
+	// (see ViewCache); the analysis daemon passes its shared one. Safe to
+	// share between concurrent FindCtx runs: each run binds to the
+	// generation of its own run fingerprint (graph + match-relevant
+	// options), so runs over different graphs neither see nor evict each
+	// other's entries. Nil — the default — means no cache: the run hashes
+	// no graph or view for it and books no cache hits or misses.
 	Cache *ViewCache
 
 	// Ablation switches.
@@ -299,16 +297,12 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 		}
 	}
 
-	// The view–verdict cache. A caller-supplied cache carries verdicts
-	// across runs — sequential or concurrent; otherwise a run-private one
-	// still serves the group-count gate and deduplicates any identical
-	// views within this run. acquire binds this run to the generation of
-	// its fingerprint, so a shared cache's other tenants are invisible.
-	if !opts.DisableCache {
+	// The view–verdict cache, when the caller passed one: it carries
+	// verdicts across runs — sequential or concurrent. acquire binds this
+	// run to the generation of its fingerprint, so the cache's other
+	// tenants are invisible.
+	if opts.Cache != nil {
 		cache = opts.Cache
-		if cache == nil {
-			cache = NewViewCache()
-		}
 		sp := rec.StartSpan("cache-prepare", root)
 		ok := guard(res, "cache", func() { rcache = cache.acquire(cacheFingerprint(gs, opts)) })
 		if !ok {
@@ -484,8 +478,10 @@ func emitFindMetrics(rec obs.Recorder, res *Result, cache *ViewCache) {
 	for kind, ks := range res.SolverStats {
 		k := kind.String()
 		rec.Count(obs.L(obs.MetricSolverRuns, "kind", k), int64(ks.Runs))
-		rec.Count(obs.L(obs.MetricCacheHits, "kind", k), int64(ks.CacheHits))
-		rec.Count(obs.L(obs.MetricCacheMisses, "kind", k), int64(ks.CacheMisses))
+		if cache != nil {
+			rec.Count(obs.L(obs.MetricCacheHits, "kind", k), int64(ks.CacheHits))
+			rec.Count(obs.L(obs.MetricCacheMisses, "kind", k), int64(ks.CacheMisses))
+		}
 		if ks.Prescreened > 0 {
 			rec.Count(obs.L(obs.MetricPrescreenSkips, "kind", k), int64(ks.Prescreened))
 		}
@@ -691,16 +687,8 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 	}
 	compact := !opts.DisableCompact
 	// Views are memoized on the sub-DDGs, so a stage viewed by the match
-	// phase (or by several candidate pairings here) is built once; with a
-	// warm cache the group-count gate needs no view at all.
-	groupsOf := func(s *SubDDG) int {
-		if n, ok := cache.groupCount(s.ViewHash(compact)); ok {
-			return n
-		}
-		n := s.CachedView(gs, compact).NumGroups()
-		cache.storeGroupCount(s.ViewHash(compact), n)
-		return n
-	}
+	// phase (or by several candidate pairings here) is built once.
+	groupsOf := func(s *SubDDG) int { return s.CachedView(gs, compact).NumGroups() }
 	// Local tally of this pass's cache counters; merged into
 	// res.SolverStats at the end.
 	pb := &patterns.Budget{}
@@ -709,10 +697,11 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 	// The pass enumerates pairs sequentially — gate checks and cache
 	// lookups in deterministic (a, b) order, so the counters and the
 	// hit/miss pattern are exactly the sequential pass's — and fans only
-	// the cache misses out as scheduler tasks. Matches are folded in
+	// the solves out as scheduler tasks. Matches are folded in
 	// enumeration order after the barrier, so the reported list is
 	// identical whatever order the solves ran in. With a warm cache every
-	// pair resolves at enumeration and no task is submitted at all.
+	// pair resolves at enumeration and no task is submitted at all;
+	// without a cache every pair is solved.
 	type pipeSolve struct {
 		p *patterns.Pattern
 	}
@@ -735,44 +724,44 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 			}
 			// The pipeline verdict is a property of the ordered stage pair,
 			// cached under the pair's combined view hash.
-			h := ddg.NewHasher(hashSeedPipelinePair)
-			h.Hash(a.ViewHash(compact))
-			h.Hash(b.ViewHash(compact))
-			pair := h.Sum()
-			if ps := pendingSolves[pair]; ps != nil {
-				// An earlier pair this pass already owns this hash's solve.
-				// Sequentially its store landed before this lookup, so this
-				// is a cache hit on that solve's verdict — resolved at the
-				// fold, when the solve has run.
-				pb.RecordCacheHit(patterns.KindPipeline)
-				jobs = append(jobs, pairJob{a: a, solve: ps})
-				return
-			}
-			switch status, pat := cache.lookup(pair, patterns.KindPipeline); status {
-			case cacheHit:
-				pb.RecordCacheHit(patterns.KindPipeline)
-				jobs = append(jobs, pairJob{a: a, p: pat})
-			default:
-				if cache != nil {
-					pb.RecordCacheMiss(patterns.KindPipeline)
+			var pair ddg.Hash128
+			ps := &pipeSolve{}
+			if cache != nil {
+				h := ddg.NewHasher(hashSeedPipelinePair)
+				h.Hash(a.ViewHash(compact))
+				h.Hash(b.ViewHash(compact))
+				pair = h.Sum()
+				if prev := pendingSolves[pair]; prev != nil {
+					// An earlier pair this pass already owns this hash's
+					// solve. Sequentially its store landed before this
+					// lookup, so this is a cache hit on that solve's verdict
+					// — resolved at the fold, when the solve has run.
+					pb.RecordCacheHit(patterns.KindPipeline)
+					jobs = append(jobs, pairJob{a: a, solve: prev})
+					return
 				}
-				ps := &pipeSolve{}
+				if status, pat := cache.lookup(pair, patterns.KindPipeline); status == cacheHit {
+					pb.RecordCacheHit(patterns.KindPipeline)
+					jobs = append(jobs, pairJob{a: a, p: pat})
+					return
+				}
+				pb.RecordCacheMiss(patterns.KindPipeline)
 				pendingSolves[pair] = ps
-				jobs = append(jobs, pairJob{a: a, solve: ps})
-				sc.submit("pipelines", classSolve, func(expired bool) {
-					if expired {
-						return
-					}
-					p := patterns.MatchPipeline(gs, a.CachedView(gs, compact), b.CachedView(gs, compact))
-					if p != nil && opts.VerifyMatches {
-						if err := patterns.Verify(gs, p); err != nil {
-							p = nil
-						}
-					}
-					cache.store(pair, patterns.KindPipeline, p)
-					ps.p = p
-				})
 			}
+			jobs = append(jobs, pairJob{a: a, solve: ps})
+			sc.submit("pipelines", classSolve, func(expired bool) {
+				if expired {
+					return
+				}
+				p := patterns.MatchPipeline(gs, a.CachedView(gs, compact), b.CachedView(gs, compact))
+				if p != nil && opts.VerifyMatches {
+					if err := patterns.Verify(gs, p); err != nil {
+						p = nil
+					}
+				}
+				cache.store(pair, patterns.KindPipeline, p)
+				ps.p = p
+			})
 		})
 	}
 	sc.wait()
@@ -1010,8 +999,9 @@ func runMatchPhase(ctx context.Context, gs *ddg.Graph, active []*SubDDG, opts Op
 }
 
 // buildTasks splits the active sub-DDGs into solve tasks and sorts them by
-// priority. View hashes are computed here, on the main goroutine, so the
-// sub-DDG memos are written before any worker reads them.
+// priority. With a cache, view hashes are computed here, on the main
+// goroutine, so the sub-DDG memos are written before any worker reads
+// them; without one, no view is hashed.
 func (mp *matchPhase) buildTasks(active []*SubDDG) {
 	for i, s := range active {
 		st := &subState{s: s}
@@ -1030,7 +1020,7 @@ func (mp *matchPhase) buildTasks(active []*SubDDG) {
 		default:
 			slots = []int{slotMap, slotLinear, slotTiled}
 		}
-		if !st.fused {
+		if !st.fused && mp.cache != nil {
 			st.vhash = s.ViewHash(mp.compact)
 		}
 		st.pending.Store(int32(len(slots)))
@@ -1156,15 +1146,9 @@ func (mp *matchPhase) prep(st *subState) {
 		// Groups never outnumber nodes, so only a view bigger than the gate
 		// in node count can exceed it in group count — small views pass
 		// without being built or counted.
-		if st.s.Nodes.Len() > max {
-			n, ok := mp.cache.groupCount(st.vhash)
-			if !ok {
-				n = mp.viewOf(st).NumGroups()
-			}
-			if n > max {
-				st.skip = true
-				return
-			}
+		if st.s.Nodes.Len() > max && mp.viewOf(st).NumGroups() > max {
+			st.skip = true
+			return
 		}
 		if !mp.opts.noPrescreen {
 			rec := mp.rec
@@ -1181,14 +1165,12 @@ func (mp *matchPhase) prep(st *subState) {
 }
 
 // viewOf builds (once) and returns the sub-DDG's matching view, recording
-// its group count in the cache and the size histogram.
+// its group count in the size histogram.
 func (mp *matchPhase) viewOf(st *subState) *patterns.View {
 	st.viewOnce.Do(func() {
 		st.view = st.s.CachedView(mp.gs, mp.compact)
-		n := st.view.NumGroups()
-		mp.cache.storeGroupCount(st.vhash, n)
 		if mp.rec.Enabled() {
-			mp.rec.Observe(obs.MetricViewGroups, float64(n))
+			mp.rec.Observe(obs.MetricViewGroups, float64(st.view.NumGroups()))
 		}
 	})
 	return st.view

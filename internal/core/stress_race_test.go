@@ -22,7 +22,8 @@ import (
 func TestConcurrentFindSharedViewCache(t *testing.T) {
 	// Three distinct programs — three distinct graph fingerprints — plus
 	// an options variation that forks a fourth fingerprint off the first
-	// graph. Baselines are computed cache-off, sequentially, up front.
+	// graph. Baselines are computed without a cache, sequentially, up
+	// front.
 	seeds := []uint64{141, 142, 144} // distinct traced-graph fingerprints
 	type workload struct {
 		name  string
@@ -48,9 +49,7 @@ func TestConcurrentFindSharedViewCache(t *testing.T) {
 		opts:  Options{VerifyMatches: true, Extensions: true},
 	})
 	for _, w := range work {
-		off := w.opts
-		off.DisableCache = true
-		w.want = resultSig(Find(w.graph, off))
+		w.want = resultSig(Find(w.graph, w.opts))
 	}
 
 	cache := NewViewCache()
@@ -88,7 +87,7 @@ func TestConcurrentFindSharedViewCache(t *testing.T) {
 		t.Error(err)
 	}
 
-	// All four fingerprints fit the default generation bound, so nothing
+	// All four fingerprints fit the generation bound, so nothing
 	// was evicted and every generation stayed warm to the end.
 	if s := cache.Snapshot(); s.Generations != len(work) || s.Resets != 0 {
 		t.Errorf("want %d coexisting generations and no evictions, got %+v", len(work), s)
@@ -134,13 +133,13 @@ func TestConcurrentFindSharedSchedulerPool(t *testing.T) {
 		work = append(work, &workload{
 			name:  fmt.Sprintf("seed%d", seed),
 			graph: tr.Graph,
-			opts:  Options{VerifyMatches: true, DisableCache: true},
+			opts:  Options{VerifyMatches: true},
 		})
 	}
 	work = append(work, &workload{
 		name:  "seed141-extensions",
 		graph: work[0].graph,
-		opts:  Options{VerifyMatches: true, DisableCache: true, Extensions: true},
+		opts:  Options{VerifyMatches: true, Extensions: true},
 	})
 	// Solo baselines on a zero-worker pool: the sequential reference.
 	solo := sched.NewPool(0, nil)
@@ -224,9 +223,7 @@ func TestSharedSchedulerPoolWithSharedCache(t *testing.T) {
 		})
 	}
 	for _, w := range work {
-		off := w.opts
-		off.DisableCache = true
-		w.want = resultSig(Find(w.graph, off))
+		w.want = resultSig(Find(w.graph, w.opts))
 	}
 
 	pool := sched.NewPool(3, nil)

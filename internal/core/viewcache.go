@@ -8,11 +8,12 @@ import (
 )
 
 // ViewCache is a content-addressed map from view hash to per-kind match
-// verdicts, consulted before every sub-DDG solve. Repeated runs over the
-// same trace — re-evaluations, experiment sweeps, benchmark reps, and
-// identical submissions to the analysis server — present identical views
-// (the deterministic tracer guarantees identical node ids), so a warm
-// cache answers their solves without even building the views.
+// verdicts, consulted before every sub-DDG solve of a Find run that is
+// given one (Options.Cache). It is the analysis daemon's: identical
+// submissions present identical views (the deterministic tracer
+// guarantees identical node ids), so a warm cache answers their solves
+// without even building the views. A single run finds almost nothing to
+// reuse within itself, so a Find without a cache keeps none.
 //
 // Entries are partitioned into generations, one per run fingerprint
 // (graph content + the options that alter match outcomes, see
@@ -21,7 +22,7 @@ import (
 // different graphs sharing one cache neither pollute nor evict each
 // other's warm verdicts. The generation map is LRU-bounded: admitting a
 // fingerprint beyond the bound evicts the least-recently-acquired
-// generation, counted in Snapshot().Resets.
+// generation, counted in Snapshot().Resets. The bound is maxGenerations.
 //
 // Soundness rests on the cache key: within one generation a view's match
 // outcome is a pure function of (node set, grouping provenance), which is
@@ -46,9 +47,6 @@ import (
 type ViewCache struct {
 	mu sync.RWMutex
 
-	// maxGens bounds len(gens); 0 means defaultMaxGenerations.
-	maxGens int
-
 	// tick is a logical clock advanced on every acquire; each generation
 	// remembers the tick of its last acquire, which is the LRU order.
 	tick uint64
@@ -60,13 +58,12 @@ type ViewCache struct {
 	evictions int
 }
 
-// defaultMaxGenerations bounds how many run fingerprints a cache retains
+// maxGenerations bounds how many run fingerprints a cache retains
 // entries for at once. Each generation costs memory proportional to its
-// run's sub-DDG pool, so the bound is the cache's footprint knob: large
-// enough that a serving mix of several distinct workloads stays warm,
-// small enough that an adversarial stream of unique graphs cannot grow
-// the cache without bound.
-const defaultMaxGenerations = 8
+// run's sub-DDG pool: 16 keeps the daemon's whole workload registry warm
+// at default options, while an adversarial stream of unique graphs
+// cannot grow the cache without bound.
+const maxGenerations = 16
 
 // cacheGen holds one run fingerprint's entries. All fields are guarded by
 // the owning ViewCache's mutex. A generation evicted from the LRU map
@@ -75,10 +72,6 @@ const defaultMaxGenerations = 8
 type cacheGen struct {
 	fp      ddg.Hash128
 	lastUse uint64
-
-	// groups caches each view's group count, so the oversized-view gate is
-	// answered without building the view.
-	groups  map[ddg.Hash128]int
 	entries map[cacheKey]cacheEntry
 
 	// prescreened counts the stored entries whose verdict came from the
@@ -123,28 +116,11 @@ const (
 	cacheHitPrescreened
 )
 
-// NewViewCache returns an empty cache with the default generation bound,
-// ready to be passed as Options.Cache to share verdicts across Find runs
-// — sequential or concurrent.
+// NewViewCache returns an empty cache, ready to be passed as
+// Options.Cache to share verdicts across Find runs — sequential or
+// concurrent.
 func NewViewCache() *ViewCache {
 	return &ViewCache{}
-}
-
-// NewViewCacheSized is NewViewCache with an explicit bound on how many
-// run fingerprints retain entries at once (minimum 1). The analysis
-// server sizes this to its expected concurrent-tenant mix.
-func NewViewCacheSized(maxGenerations int) *ViewCache {
-	if maxGenerations < 1 {
-		maxGenerations = 1
-	}
-	return &ViewCache{maxGens: maxGenerations}
-}
-
-func (c *ViewCache) maxGenerations() int {
-	if c.maxGens > 0 {
-		return c.maxGens
-	}
-	return defaultMaxGenerations
 }
 
 // acquire binds a run to its fingerprint's generation, creating it (and
@@ -168,7 +144,7 @@ func (c *ViewCache) acquire(fp ddg.Hash128) *runCache {
 	if c.gens == nil {
 		c.gens = map[ddg.Hash128]*cacheGen{}
 	}
-	for len(c.gens) >= c.maxGenerations() {
+	for len(c.gens) >= maxGenerations {
 		var oldest *cacheGen
 		for _, g := range c.gens {
 			if oldest == nil || g.lastUse < oldest.lastUse {
@@ -181,7 +157,6 @@ func (c *ViewCache) acquire(fp ddg.Hash128) *runCache {
 	g := &cacheGen{
 		fp:      fp,
 		lastUse: c.tick,
-		groups:  map[ddg.Hash128]int{},
 		entries: map[cacheKey]cacheEntry{},
 	}
 	c.gens[fp] = g
@@ -191,31 +166,10 @@ func (c *ViewCache) acquire(fp ddg.Hash128) *runCache {
 // runCache is a ViewCache bound to one run's generation: every lookup and
 // store goes to that generation's maps, under the shared cache mutex. The
 // zero of its pointer type (nil) is a valid, always-missing cache, which
-// is what a disabled or failed cache setup degrades to.
+// is what a run without a cache, or with a failed cache setup, holds.
 type runCache struct {
 	c *ViewCache
 	g *cacheGen
-}
-
-// groupCount returns the cached group count of the view, if known.
-func (rc *runCache) groupCount(view ddg.Hash128) (int, bool) {
-	if rc == nil {
-		return 0, false
-	}
-	rc.c.mu.RLock()
-	defer rc.c.mu.RUnlock()
-	n, ok := rc.g.groups[view]
-	return n, ok
-}
-
-// storeGroupCount records the view's group count.
-func (rc *runCache) storeGroupCount(view ddg.Hash128, n int) {
-	if rc == nil {
-		return
-	}
-	rc.c.mu.Lock()
-	defer rc.c.mu.Unlock()
-	rc.g.groups[view] = n
 }
 
 // decided reports whether a verdict (pattern, none, or prescreened) is
@@ -299,25 +253,16 @@ func (rc *runCache) storePrescreened(view ddg.Hash128, kind patterns.Kind) {
 	rc.g.prescreened++
 }
 
-// snapshot returns the ViewCache-wide snapshot (nil-safe on the handle).
-func (rc *runCache) snapshot() CacheSnapshot {
-	if rc == nil {
-		return CacheSnapshot{}
-	}
-	return rc.c.Snapshot()
-}
-
 // CacheSnapshot describes a cache's current contents, summed across its
 // retained generations.
 type CacheSnapshot struct {
-	// Entries is the number of stored verdicts; GroupCounts the number of
-	// cached view sizes.
-	Entries, GroupCounts int
+	// Entries is the number of stored verdicts.
+	Entries int
 	// Prescreened is the number of stored verdicts decided by the
 	// structural prescreen (a subset of Entries).
 	Prescreened int
 	// Generations is the number of run fingerprints currently retaining
-	// entries (bounded by the cache's generation limit).
+	// entries (at most maxGenerations).
 	Generations int
 	// Resets counts generation evictions since creation: fingerprints
 	// whose entries were dropped because the LRU-bounded generation map
@@ -340,7 +285,6 @@ func (c *ViewCache) Snapshot() CacheSnapshot {
 	}
 	for _, g := range c.gens {
 		s.Entries += len(g.entries)
-		s.GroupCounts += len(g.groups)
 		s.Prescreened += g.prescreened
 	}
 	return s

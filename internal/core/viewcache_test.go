@@ -50,28 +50,19 @@ func TestViewCacheGenerationsIsolateFingerprints(t *testing.T) {
 
 	rc1 := c.acquire(fp1)
 	rc1.store(v, patterns.KindMap, nil)
-	rc1.storeGroupCount(v, 7)
-	if s := c.Snapshot(); s.Entries != 1 || s.GroupCounts != 1 || s.Generations != 1 || s.Resets != 0 {
+	if s := c.Snapshot(); s.Entries != 1 || s.Generations != 1 || s.Resets != 0 {
 		t.Fatalf("after store: %+v", s)
 	}
 
 	// Same fingerprint: the same generation, contents shared.
-	if rc := c.acquire(fp1); true {
-		if st, _ := rc.lookup(v, patterns.KindMap); st != cacheHit {
-			t.Errorf("same fp re-acquire must share entries: got %v", st)
-		}
-		if n, ok := rc.groupCount(v); !ok || n != 7 {
-			t.Errorf("group count lost: %d %v", n, ok)
-		}
+	if st, _ := c.acquire(fp1).lookup(v, patterns.KindMap); st != cacheHit {
+		t.Errorf("same fp re-acquire must share entries: got %v", st)
 	}
 
 	// A different fingerprint sees none of fp1's entries...
 	rc2 := c.acquire(fp2)
 	if st, _ := rc2.lookup(v, patterns.KindMap); st != cacheMiss {
 		t.Errorf("other generation must not see fp1 entries: got %v", st)
-	}
-	if _, ok := rc2.groupCount(v); ok {
-		t.Error("other generation must not see fp1 group counts")
 	}
 	rc2.store(v, patterns.KindMap, nil)
 
@@ -85,21 +76,25 @@ func TestViewCacheGenerationsIsolateFingerprints(t *testing.T) {
 }
 
 func TestViewCacheGenerationLRUBound(t *testing.T) {
-	c := NewViewCacheSized(2)
+	c := NewViewCache()
 	v := ddg.Hash128{Lo: 9}
 	store := func(hi uint64) {
 		rc := c.acquire(ddg.Hash128{Hi: hi})
 		rc.store(v, patterns.KindMap, nil)
 	}
 
-	store(1)
-	store(2)
+	for hi := uint64(1); hi <= maxGenerations; hi++ {
+		store(hi)
+	}
+	if s := c.Snapshot(); s.Generations != maxGenerations || s.Resets != 0 {
+		t.Fatalf("want %d generations and no eviction at the bound, got %+v", maxGenerations, s)
+	}
 	c.acquire(ddg.Hash128{Hi: 1}) // refresh 1: now 2 is the LRU victim
-	store(3)                      // evicts 2
+	store(maxGenerations + 1)     // evicts 2
 
 	s := c.Snapshot()
-	if s.Generations != 2 || s.Resets != 1 {
-		t.Fatalf("want 2 generations after 1 eviction, got %+v", s)
+	if s.Generations != maxGenerations || s.Resets != 1 {
+		t.Fatalf("want %d generations after 1 eviction, got %+v", maxGenerations, s)
 	}
 	if st, _ := c.acquire(ddg.Hash128{Hi: 1}).lookup(v, patterns.KindMap); st != cacheHit {
 		t.Error("recently-used generation 1 must survive")
@@ -108,7 +103,7 @@ func TestViewCacheGenerationLRUBound(t *testing.T) {
 		t.Error("LRU generation 2 must have been evicted")
 	}
 	// Re-admitting 2 evicted another generation (the map stays bounded).
-	if s := c.Snapshot(); s.Generations != 2 || s.Resets != 2 {
+	if s := c.Snapshot(); s.Generations != maxGenerations || s.Resets != 2 {
 		t.Errorf("bound must hold after re-admission: %+v", s)
 	}
 }
@@ -157,7 +152,6 @@ func TestViewCacheNilSafe(t *testing.T) {
 		t.Fatal("nil cache acquire must return a nil handle")
 	}
 	rc.store(ddg.Hash128{}, patterns.KindMap, nil)
-	rc.storeGroupCount(ddg.Hash128{}, 3)
 	rc.storePrescreened(ddg.Hash128{}, patterns.KindMap)
 	if rc.decided(ddg.Hash128{}, patterns.KindMap) {
 		t.Error("nil handle decided: want false")
@@ -165,14 +159,8 @@ func TestViewCacheNilSafe(t *testing.T) {
 	if st, _ := rc.lookup(ddg.Hash128{}, patterns.KindMap); st != cacheMiss {
 		t.Errorf("nil cache lookup: want miss, got %v", st)
 	}
-	if _, ok := rc.groupCount(ddg.Hash128{}); ok {
-		t.Error("nil cache groupCount: want !ok")
-	}
 	if s := c.Snapshot(); s != (CacheSnapshot{}) {
 		t.Errorf("nil cache snapshot: %+v", s)
-	}
-	if s := rc.snapshot(); s != (CacheSnapshot{}) {
-		t.Errorf("nil handle snapshot: %+v", s)
 	}
 }
 

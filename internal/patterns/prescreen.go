@@ -17,10 +17,12 @@ package patterns
 // A CannotMatch verdict is therefore sound by construction (the matcher
 // would return nil at its gate) and never suppresses a matcher run past
 // that gate, which keeps outputs, including the per-kind matcher-run
-// accounting, identical with the prescreen on or off. The node-level payoff is one O(nodes + arcs) pass instead of the
-// grouping build (maps and sorts for compacted loop views) and the label
-// construction. Verdicts are content-addressed into the finder's view
-// cache under the same 128-bit view hash the solve verdicts use.
+// accounting, identical with the prescreen on or off. The node-level
+// payoff is one O(nodes + arcs) pass instead of the grouping build (maps
+// and sorts for compacted loop views) and the label construction. When the
+// finder is given a view cache (Options.Cache), verdicts are
+// content-addressed into it under the same 128-bit view hash the solve
+// verdicts use.
 
 import (
 	"discovery/internal/ddg"

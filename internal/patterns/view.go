@@ -21,15 +21,13 @@ import (
 // Only the grouping is built eagerly. Group arcs, boundary flags, and
 // labels derive lazily from a zero-copy overlay of the ambient node set
 // (ddg.SubView) the first time a matcher asks for them — a view that is
-// answered from the finder's verdict cache, or refuted by the group count
+// answered from a shared verdict cache, or refuted by the group count
 // and ops alone (CannotMatch), never touches the graph's adjacency at all.
 // Nothing of the base graph is copied either way.
 type View struct {
 	G       ddg.GraphView
 	Ambient ddg.Set   // the sub-DDG's nodes
 	Groups  []ddg.Set // view node -> original nodes
-
-	hash ddg.Hash128 // content hash: ViewKey(Ambient, loop)
 
 	sub     *ddg.SubView // lazy overlay of Ambient over G
 	subOnce sync.Once
@@ -111,7 +109,7 @@ func LoopView(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) *View {
 		groups = append(groups, all[start:start+1:start+1])
 		start++
 	}
-	return &View{G: g, Ambient: nodes, Groups: groups, hash: ViewKey(nodes, loop)}
+	return &View{G: g, Ambient: nodes, Groups: groups}
 }
 
 // NodeView builds the node-per-node view of a sub-DDG (associative
@@ -121,12 +119,8 @@ func NodeView(g ddg.GraphView, nodes ddg.Set) *View {
 	for i := range nodes {
 		groups[i] = nodes[i : i+1 : i+1]
 	}
-	return &View{G: g, Ambient: nodes, Groups: groups, hash: ViewKey(nodes, 0)}
+	return &View{G: g, Ambient: nodes, Groups: groups}
 }
-
-// Hash returns the view's content hash (see ViewKey): equal hashes within
-// one graph mean identical groupings and identical match outcomes.
-func (v *View) Hash() ddg.Hash128 { return v.hash }
 
 // Sub returns the zero-copy overlay of the view's ambient set, building it
 // on first use.

@@ -41,9 +41,6 @@ func Diagnostics(res *core.Result) string {
 	for _, f := range res.Failures {
 		fmt.Fprintf(&sb, "  - contained failure: %v\n", f)
 	}
-	if line := CacheStats(res); line != "" {
-		sb.WriteString("  " + line + "\n")
-	}
 	if line := PrescreenStats(res); line != "" {
 		sb.WriteString("  " + line + "\n")
 	}
@@ -62,24 +59,24 @@ func PrescreenStats(res *core.Result) string {
 	return fmt.Sprintf("prescreen: %d check(s), %d solve(s) skipped", checks, skips)
 }
 
-// CacheStats renders a one-line view-cache summary ("" when the run
-// recorded no cache activity, e.g. under -no-cache).
-func CacheStats(res *core.Result) string {
-	hits, misses, _ := res.CacheStats()
-	if hits+misses == 0 {
-		return ""
-	}
-	return fmt.Sprintf("view cache: %d hit(s), %d miss(es)", hits, misses)
+// effortBooked reports whether a kind's tally holds anything the reports
+// show: reduction matcher runs or cache outcomes. A kind that only the
+// prescreen answered has none, and leaving it out keeps the reports the
+// same with the prescreen on or off.
+func effortBooked(ks patterns.KindStats) bool {
+	return ks.Runs > 0 || ks.CacheHits > 0 || ks.CacheMisses > 0
 }
 
 // solverEffort renders the per-kind matcher rollup lines.
 func solverEffort(res *core.Result) string {
-	if len(res.SolverStats) == 0 {
-		return ""
+	var kinds []patterns.Kind
+	for k, ks := range res.SolverStats {
+		if effortBooked(ks) {
+			kinds = append(kinds, k)
+		}
 	}
-	kinds := make([]patterns.Kind, 0, len(res.SolverStats))
-	for k := range res.SolverStats {
-		kinds = append(kinds, k)
+	if len(kinds) == 0 {
+		return ""
 	}
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 	var sb strings.Builder
@@ -159,12 +156,6 @@ type SummaryJSON struct {
 
 // JSONOptions adjusts what JSONWith includes beyond the defaults.
 type JSONOptions struct {
-	// IncludeCacheStats forces the diagnostics "cache" block even when the
-	// run recorded no cache activity, as an explicit zeroed block. Without
-	// it a consumer asking for cache stats on a cache-disabled run saw the
-	// field silently vanish — indistinguishable from an old producer that
-	// never emitted it.
-	IncludeCacheStats bool
 	// IncludePrescreenStats adds the diagnostics "prescreen" block
 	// (checks and skipped solves). Off by default to keep existing
 	// outputs byte-identical.
@@ -207,19 +198,22 @@ func JSONWith(res *core.Result, opts JSONOptions) ([]byte, error) {
 			Ops:   p.OpsSummary(res.Graph),
 		})
 	}
-	if len(res.SolverStats) > 0 {
-		out.Diagnostics.Solver = map[string]KindStatsJSON{}
-		for k, ks := range res.SolverStats {
-			out.Diagnostics.Solver[kindSlug(k)] = KindStatsJSON{
-				Runs:        ks.Runs,
-				Solutions:   ks.Solutions,
-				ElapsedMS:   ks.Elapsed.Milliseconds(),
-				CacheHits:   ks.CacheHits,
-				CacheMisses: ks.CacheMisses,
-			}
+	for k, ks := range res.SolverStats {
+		if !effortBooked(ks) {
+			continue
+		}
+		if out.Diagnostics.Solver == nil {
+			out.Diagnostics.Solver = map[string]KindStatsJSON{}
+		}
+		out.Diagnostics.Solver[kindSlug(k)] = KindStatsJSON{
+			Runs:        ks.Runs,
+			Solutions:   ks.Solutions,
+			ElapsedMS:   ks.Elapsed.Milliseconds(),
+			CacheHits:   ks.CacheHits,
+			CacheMisses: ks.CacheMisses,
 		}
 	}
-	if hits, misses, _ := res.CacheStats(); hits+misses > 0 || opts.IncludeCacheStats {
+	if hits, misses, _ := res.CacheStats(); hits+misses > 0 {
 		out.Diagnostics.Cache = &CacheJSON{Hits: hits, Misses: misses}
 	}
 	if opts.IncludePrescreenStats {

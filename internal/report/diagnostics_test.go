@@ -78,7 +78,7 @@ func TestDiagnosticsInterrupted(t *testing.T) {
 
 func TestJSONExport(t *testing.T) {
 	res := tracedSumProgram(t, core.Options{
-		VerifyMatches: true, MaxViewGroups: 6,
+		VerifyMatches: true, MaxViewGroups: 6, Cache: core.NewViewCache(),
 	})
 	data, err := JSON(res)
 	if err != nil {
@@ -157,49 +157,33 @@ func TestKindStatsElapsedMS(t *testing.T) {
 	}
 }
 
-// TestJSONCacheBlockExplicit: a consumer passing IncludeCacheStats gets
-// the "cache" block even when the run recorded no cache activity (cache
-// disabled), as explicit zeros — absent only in the default export, where
-// omitting it keeps old outputs byte-identical.
+// TestJSONCacheBlockExplicit: the "cache" block is present exactly when
+// the run booked cache activity. A run given no cache omits it, which
+// keeps library outputs free of it; a run given a cache carries its real
+// counts.
 func TestJSONCacheBlockExplicit(t *testing.T) {
-	res := tracedSumProgram(t, core.Options{DisableCache: true})
+	res := tracedSumProgram(t, core.Options{})
 	if h, m, _ := res.CacheStats(); h+m != 0 {
-		t.Fatalf("cache-disabled run recorded cache activity: %d/%d", h, m)
+		t.Fatalf("run without a cache recorded cache activity: %d/%d", h, m)
 	}
-
 	data, err := JSON(res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(string(data), `"cache"`) {
-		t.Errorf("default export emits a cache block for a cache-less run:\n%s", data)
+		t.Errorf("export emits a cache block for a cache-less run:\n%s", data)
 	}
 
-	data, err = JSONWith(res, JSONOptions{IncludeCacheStats: true})
+	res = tracedSumProgram(t, core.Options{Cache: core.NewViewCache()})
+	hits, misses, _ := res.CacheStats()
+	if hits+misses == 0 {
+		t.Fatal("run with a cache recorded no cache activity")
+	}
+	data, err = JSON(res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got SummaryJSON
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Diagnostics.Cache == nil {
-		t.Fatal("IncludeCacheStats did not emit the cache block")
-	}
-	if *got.Diagnostics.Cache != (CacheJSON{}) {
-		t.Errorf("cache block = %+v, want explicit zeros", *got.Diagnostics.Cache)
-	}
-
-	// With the cache on, both exports agree and carry the real counts.
-	res = tracedSumProgram(t, core.Options{})
-	hits, misses, _ := res.CacheStats()
-	if hits+misses == 0 {
-		t.Fatal("cache-enabled run recorded no cache activity")
-	}
-	data, err = JSONWith(res, JSONOptions{IncludeCacheStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}

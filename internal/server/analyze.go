@@ -51,7 +51,8 @@ type RequestOptions struct {
 	Verify bool `json:"verify,omitempty"`
 	// Extensions enables the future-work pattern kinds.
 	Extensions bool `json:"extensions,omitempty"`
-	// NoCache opts this request out of the shared ViewCache.
+	// NoCache opts this request out of the shared ViewCache: its Find
+	// runs with no cache at all.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
@@ -174,7 +175,6 @@ func (s *Server) coreOptions(o RequestOptions, budget time.Duration) core.Option
 		Extensions:    o.Extensions,
 		MaxViewGroups: o.MaxViewGroups,
 		Budget:        budget,
-		DisableCache:  o.NoCache,
 	}
 }
 
@@ -351,7 +351,7 @@ func (s *Server) process(ctx context.Context, req *Request, queueWait time.Durat
 		s.reg.Count(obs.MetricServerStoreMisses, 1)
 	}
 
-	if !opts.DisableCache {
+	if !req.Options.NoCache {
 		opts.Cache = s.cache
 	}
 	// Every request solves on the one shared pool: total solver

@@ -71,9 +71,7 @@ func TestConcurrentRequestsMatchDirectRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := wl.opts
-		opts.DisableCache = true
-		res := core.Find(tr.Graph, opts)
+		res := core.Find(tr.Graph, wl.opts)
 		doc, err := report.JSON(res)
 		if err != nil {
 			t.Fatal(err)
