@@ -2,7 +2,9 @@
 # End-to-end smoke test for the analysis daemon: build cmd/server, start
 # it over a fresh disk store, submit the same Starbench workload twice,
 # and assert the second response is answered from the result store with
-# zero solver activity. Exercises the real binary, the HTTP surface, and
+# zero solver activity; then submit it once more with no_store and
+# no_cache and assert it computes the same patterns with no cache
+# activity. Exercises the real binary, the HTTP surface, and
 # the store round-trip — the parts a package test stubs.
 set -eu
 
@@ -60,6 +62,27 @@ if [ "$(echo "$cold" | jq -c '.report')" != "$(echo "$warm" | jq -c '.report')" 
     exit 1
 fi
 
+# no_cache is kept for clients that compare cold and warm analyses: the
+# request runs with no view cache, books no cache activity, and finds the
+# same patterns. no_store makes it compute instead of replaying the store.
+NOCACHE="{\"bench\":\"$BENCH\",\"version\":\"pthreads\",\"no_store\":true,\"options\":{\"verify\":true,\"no_cache\":true}}"
+code=$(curl -s -o "$WORK/nocache.json" -w '%{http_code}' -X POST "http://127.0.0.1:$PORT/analyze" -d "$NOCACHE")
+if [ "$code" != 200 ]; then
+    echo "serversmoke: no_cache request got HTTP $code:" >&2
+    cat "$WORK/nocache.json" >&2
+    exit 1
+fi
+nocache=$(cat "$WORK/nocache.json")
+echo "$nocache" | jq -e '.store.status == "bypass" and .diagnostics.cache_hits == 0 and .diagnostics.cache_misses == 0' >/dev/null || {
+    echo "serversmoke: no_cache run not a cache-free store bypass:" >&2
+    echo "$nocache" | jq '.store, .diagnostics' >&2
+    exit 1
+}
+if [ "$(echo "$cold" | jq -c '.report.patterns')" != "$(echo "$nocache" | jq -c '.report.patterns')" ]; then
+    echo "serversmoke: no_cache patterns differ from the cold run's" >&2
+    exit 1
+fi
+
 metrics=$(curl -sf "http://127.0.0.1:$PORT/metrics")
 echo "$metrics" | grep -q discovery_server_store_hits_total || {
     echo "serversmoke: /metrics missing the store-hit counter" >&2
@@ -77,4 +100,4 @@ echo "$metrics" | grep -q discovery_sched_tasks_total || {
     exit 1
 }
 
-echo "serversmoke: ok (cold miss computed, warm hit served with solver_runs=0)"
+echo "serversmoke: ok (cold miss computed, warm hit served with solver_runs=0, no_cache run cache-free)"
