@@ -1,6 +1,7 @@
 package ddg
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -159,67 +160,99 @@ func (g *Graph) Reaches(u, v NodeID) bool {
 // grow along the path, and re-entry lands at an id ≤ max) nor below its
 // minimum (symmetrically, backwards); both searches prune accordingly,
 // which keeps the check local to the pattern's id range.
+//
+// Both searches therefore stay inside the window [minID, maxID], and
+// their marks are bitsets over it: open holds the exterior nodes a path
+// may pass through (ambient and not in the set), fwd the ones reachable
+// from the set. The backward search stops at the first open node that
+// reaches the set and is forward-marked: a path leaves and re-enters.
 func (g *Graph) Convex(nodes Set, ambient Set) bool {
 	if len(nodes) == 0 {
 		return true
 	}
-	var inAmbient func(NodeID) bool
-	if ambient == nil {
-		inAmbient = func(NodeID) bool { return true }
-	} else {
-		inAmbient = ambient.Contains
-	}
 	minID, maxID := nodes[0], nodes[len(nodes)-1]
-	// Forward: exterior nodes reachable from the set (bounded by maxID).
-	fwd := map[NodeID]bool{}
+	width := int(maxID-minID) + 1
+	words := (width + 63) >> 6
+	bits := make([]uint64, 3*words)
+	open, fwd, bwd := bits[:words], bits[words:2*words], bits[2*words:]
+	if ambient == nil {
+		for w := range open {
+			open[w] = ^uint64(0)
+		}
+	} else {
+		lo, _ := slices.BinarySearch(ambient, minID)
+		for _, u := range ambient[lo:] {
+			if u > maxID {
+				break
+			}
+			i := u - minID
+			open[i>>6] |= 1 << (i & 63)
+		}
+	}
+	for _, u := range nodes {
+		i := u - minID
+		open[i>>6] &^= 1 << (i & 63)
+	}
+	// Forward: exterior nodes reachable from the set. Successors of the
+	// set's members lie above minID, so only the bound at maxID is tested.
 	var stack []NodeID
-	push := func(v NodeID) {
-		if v < maxID && inAmbient(v) && !nodes.Contains(v) && !fwd[v] {
-			fwd[v] = true
+	pushF := func(v NodeID) {
+		if v >= maxID {
+			return
+		}
+		i, m := v-minID, uint64(1)<<((v-minID)&63)
+		if open[i>>6]&m != 0 && fwd[i>>6]&m == 0 {
+			fwd[i>>6] |= m
 			stack = append(stack, v)
 		}
 	}
 	for _, u := range nodes {
 		for _, v := range g.Succs(u) {
-			push(v)
+			pushF(v)
 		}
 	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.Succs(u) {
-			push(v)
-		}
-	}
-	if len(fwd) == 0 {
+	if len(stack) == 0 {
 		return true
 	}
-	// Backward: exterior nodes that reach the set (bounded by minID).
-	bwd := map[NodeID]bool{}
-	stack = stack[:0]
-	pushB := func(v NodeID) {
-		if v > minID && inAmbient(v) && !nodes.Contains(v) && !bwd[v] {
-			bwd[v] = true
-			stack = append(stack, v)
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range g.Succs(u) {
+			pushF(v)
 		}
+	}
+	// Backward: exterior nodes that reach the set (bounded by minID). One
+	// that is also forward-marked witnesses a path that leaves and
+	// re-enters: not convex.
+	pushB := func(v NodeID) bool {
+		if v <= minID {
+			return true
+		}
+		i, m := v-minID, uint64(1)<<((v-minID)&63)
+		if open[i>>6]&m == 0 || bwd[i>>6]&m != 0 {
+			return true
+		}
+		if fwd[i>>6]&m != 0 {
+			return false
+		}
+		bwd[i>>6] |= m
+		stack = append(stack, v)
+		return true
 	}
 	for _, u := range nodes {
 		for _, v := range g.Preds(u) {
-			pushB(v)
+			if !pushB(v) {
+				return false
+			}
 		}
 	}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, v := range g.Preds(u) {
-			pushB(v)
-		}
-	}
-	// A node both reachable from the set and reaching the set witnesses a
-	// path that leaves and re-enters: not convex.
-	for u := range fwd {
-		if bwd[u] {
-			return false
+			if !pushB(v) {
+				return false
+			}
 		}
 	}
 	return true

@@ -2,10 +2,11 @@ package ddg
 
 // Differential oracles for the dense graph kernels. The map-based
 // versions below are the straightforward formulations the kernels
-// replaced — union-find over a map with a final sort, and an induced
-// adjacency read off the parent graph through a map remap — kept here as
-// references: every component, its order, and every adjacency list of an
-// induced graph must agree.
+// replaced — union-find over a map with a final sort, an induced
+// adjacency read off the parent graph through a map remap, and convexity
+// as two map-marked searches compared at the end — kept here as
+// references: every component, its order, every adjacency list of an
+// induced graph and every convexity verdict must agree.
 
 import (
 	"fmt"
@@ -94,6 +95,48 @@ func oracleInduced(g *Graph, keep Set) (preds, succs [][]NodeID) {
 		slices.Sort(succs[i])
 	}
 	return preds, succs
+}
+
+// oracleConvex is the map-based convexity check: mark the exterior nodes
+// reachable from the set (below its maximum id) and those reaching it
+// (above its minimum id), then look for a node marked both ways.
+func oracleConvex(g *Graph, nodes, ambient Set) bool {
+	if len(nodes) == 0 {
+		return true
+	}
+	inAmbient := func(v NodeID) bool { return ambient == nil || ambient.Contains(v) }
+	minID, maxID := nodes[0], nodes[len(nodes)-1]
+	search := func(next func(NodeID) []NodeID, inside func(NodeID) bool) map[NodeID]bool {
+		marked := map[NodeID]bool{}
+		var stack []NodeID
+		push := func(v NodeID) {
+			if inside(v) && inAmbient(v) && !nodes.Contains(v) && !marked[v] {
+				marked[v] = true
+				stack = append(stack, v)
+			}
+		}
+		for _, u := range nodes {
+			for _, v := range next(u) {
+				push(v)
+			}
+		}
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range next(u) {
+				push(v)
+			}
+		}
+		return marked
+	}
+	fwd := search(g.Succs, func(v NodeID) bool { return v < maxID })
+	bwd := search(g.Preds, func(v NodeID) bool { return v > minID })
+	for u := range fwd {
+		if bwd[u] {
+			return false
+		}
+	}
+	return true
 }
 
 func renderSets(sets []Set) string {
@@ -203,6 +246,9 @@ func checkKernels(t *testing.T, g, ref *Graph, subs []Set) {
 			t.Fatalf("WeaklyConnectedWithInputs(%v) = %t, want %t", sub, got, wantI)
 		}
 		checkInduced(t, g, ref, sub)
+		if got, want := g.Convex(sub, nil), oracleConvex(ref, sub, nil); got != want {
+			t.Fatalf("Convex(%v) = %t, want %t", sub, got, want)
+		}
 
 		// The SubView forms, over every other subset as the member set.
 		for _, amb := range subs {
@@ -222,6 +268,12 @@ func checkKernels(t *testing.T, g, ref *Graph, subs []Set) {
 			}
 			if got, want := sv.WeaklyConnectedWithInputs(sub), oracleWithInputs(ref, in, memberPreds); got != want {
 				t.Fatalf("SubView(%v).WeaklyConnectedWithInputs(%v) = %t, want %t", amb, sub, got, want)
+			}
+			if got, want := g.Convex(sub, amb), oracleConvex(ref, sub, amb); got != want {
+				t.Fatalf("Convex(%v, ambient %v) = %t, want %t", sub, amb, got, want)
+			}
+			if got, want := sv.Convex(sub, nil), oracleConvex(ref, in, amb); got != want {
+				t.Fatalf("SubView(%v).Convex(%v) = %t, want %t", amb, sub, got, want)
 			}
 		}
 	}
@@ -263,8 +315,8 @@ func checkInduced(t *testing.T, g, ref *Graph, keep Set) {
 }
 
 // FuzzGraphKernels holds WeaklyConnectedComponents (components and their
-// order), WeaklyConnected, WeaklyConnectedWithInputs, their SubView forms
-// and InducedSubgraph against the map-based oracles, over random forward
+// order), WeaklyConnected, WeaklyConnectedWithInputs, Convex, their SubView
+// forms and InducedSubgraph against the map-based oracles, over random forward
 // DAGs and subsets, on a resident base and on the same graph spilled.
 func FuzzGraphKernels(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(2), []byte{})
