@@ -236,3 +236,42 @@ func BenchmarkTable2_Inputs(b *testing.B) {
 		b.Log("\n" + text)
 	}
 }
+
+// BenchmarkFindMD5Wide and BenchmarkFindMD5Long time one cold core.Find on
+// the two md5 shapes of the pipebench workloads (sequential md5; tracing
+// is done once, outside the timer), with allocations reported. Profile
+// Find on either without the bench module:
+//
+//	go test -run '^$' -bench FindMD5Wide -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// md5-wide is 64 buffers of 4 words: 8,771 sub-DDGs, so the match,
+// subtract and fuse sweeps dominate. md5-long is 2 buffers of 65,536
+// words: a few huge sub-DDGs, matched under a raised view-size gate (the
+// pipebench workload also pages the graph; here it stays resident).
+func BenchmarkFindMD5Wide(b *testing.B) {
+	benchFindMD5(b, 64, 4, core.Options{})
+}
+
+func BenchmarkFindMD5Long(b *testing.B) {
+	benchFindMD5(b, 2, 65536, core.Options{MaxViewGroups: 1 << 20})
+}
+
+func benchFindMD5(b *testing.B, nbuf, bufwords int64, opts core.Options) {
+	bench := starbench.MD5()
+	built := bench.Build(starbench.Seq, starbench.Params{"nbuf": nbuf, "bufwords": bufwords, "nproc": 2})
+	tr, err := trace.Run(built.Prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *core.Result
+	for i := 0; i < b.N; i++ {
+		res = core.Find(tr.Graph, opts)
+	}
+	b.StopTimer()
+	if res.Degraded() {
+		b.Fatalf("Find degraded: %+v", res.Failures)
+	}
+	b.ReportMetric(float64(len(res.Patterns)), "patterns")
+}

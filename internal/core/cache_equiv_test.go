@@ -83,7 +83,7 @@ func TestSharedCacheAcrossGraphs(t *testing.T) {
 			}
 		}
 	}
-	if s := cache.Snapshot(); s.Generations != 2 || s.Resets != 0 {
+	if s := cache.Snapshot(); s.Generations != 2 || s.Evictions != 0 {
 		t.Errorf("want 2 coexisting generations and no evictions, got %+v", s)
 	}
 }

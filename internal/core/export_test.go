@@ -3,26 +3,20 @@ package core
 import (
 	"discovery/internal/ddg"
 	"discovery/internal/mir"
-	"discovery/internal/patterns"
 )
 
 // WithoutPrescreen returns opts with the structural prescreen turned off:
-// every (sub-DDG × kind) solve reaches the cache and then its matcher. The
+// every kind of every sub-DDG reaches the cache and then its matcher. The
 // prescreen differential suite uses it as the reference run.
 func WithoutPrescreen(opts Options) Options {
 	opts.noPrescreen = true
 	return opts
 }
 
-// SetMatchTaskHook installs (or, with nil, removes) the hook run at the
-// entry of every (sub-DDG × kind) solve task, on the worker goroutine.
-// Tests use it to observe that kinds of one sub-DDG really run as
-// independent tasks on separate workers.
-func SetMatchTaskHook(h func(kind patterns.Kind)) { matchTaskHook = h }
-
 // SetSweepItemHook installs (or, with nil, removes) the hook run before
-// every item of a subtract or fuse sweep, with the phase name. Tests use
-// it to cancel a run in the middle of a claimed chunk.
+// every sweep item (a sub-DDG of the match phase, a pool entry of subtract
+// or fuse, a pipeline pair), with the phase name. Tests use it to cancel a
+// run mid-sweep or to hold executors at a rendezvous.
 func SetSweepItemHook(h func(phase string)) { sweepItemHook = h }
 
 // MaxPositionClasses exposes the cap on positionClosedSubsets' subset

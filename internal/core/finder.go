@@ -25,8 +25,10 @@ type Options struct {
 	// pool (sched.Default), which with the run's own helping goroutine
 	// gives GOMAXPROCS executors. The daemon passes one sized pool of its
 	// own so its metrics reach the daemon's registry. Every run sharing a
-	// pool is one owner among many: a small warm run's tasks interleave
-	// with a large cold run's instead of queueing behind it. Scheduling
+	// pool is one owner among many: pool workers take the owners' tasks
+	// round-robin, and each run also executes its own tasks on its
+	// waiting goroutine, so a small warm run never queues behind a large
+	// cold one whole. Scheduling
 	// never changes output, only execution order: results are delivered
 	// in deterministic owner order whichever pool ran them.
 	Scheduler *sched.Pool
@@ -71,7 +73,7 @@ type Options struct {
 
 	// Obs receives this run's phase spans and metrics (see internal/obs):
 	// a "find" root span, one span per phase per iteration, one per
-	// match task, and the unified metric rollup
+	// sub-DDG a match phase takes, and the unified metric rollup
 	// that mirrors SolverStats/CacheStats. Nil — the default — resolves
 	// to the zero-cost no-op recorder, keeping the hot path free of
 	// observability work and the output byte-identical to an
@@ -176,10 +178,10 @@ type Result struct {
 	// misses).
 	SolverStats map[patterns.Kind]patterns.KindStats
 	// Failures collects errors contained by the finder's recover
-	// boundaries: panics inside a phase or a match task, converted to
-	// structured match-stage errors. The rest of the run
-	// continued, so the other Result fields hold the partial outcome; a
-	// non-empty Failures marks the run degraded.
+	// boundaries: panics inside a phase, a sweep item or one kind's
+	// match, converted to structured match-stage errors. The rest of the
+	// run continued, so the other Result fields hold the partial outcome;
+	// a non-empty Failures marks the run degraded.
 	Failures []*analysis.Error
 
 	// phaseHook carries Options.PhaseHook to guard without threading a
@@ -227,8 +229,8 @@ func Find(g *ddg.Graph, opts Options) *Result {
 // an unbounded match phase.
 //
 // FindCtx is also the match stage's recover boundary: each phase runs
-// guarded, so an internal panic — in a phase or a match task — is
-// contained, recorded on Result.Failures, and the finder
+// guarded, so an internal panic — in a phase, a sweep item or one kind's
+// match — is contained, recorded on Result.Failures, and the finder
 // carries what it has into the remaining phases. A degraded Result with
 // Failures is therefore partial, never absent.
 func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
@@ -312,13 +314,13 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 		endPhase(rec, sp, ok,
 			obs.Int("entries", int64(snap.Entries)),
 			obs.Int("generations", int64(snap.Generations)),
-			obs.Int("resets", int64(snap.Resets)))
+			obs.Int("evictions", int64(snap.Evictions)))
 	}
 
-	// The solve scheduler: every parallelizable unit of the run — a
-	// (sub-DDG × kind) match solve, a subtract or fuse candidate sweep, a
-	// pipeline pair solve — is submitted to the run's owner on the pool
-	// and waited out at each phase barrier.
+	// The solve scheduler: every parallel phase of the run — match,
+	// subtract, fuse, pipelines — sweeps its items (sub-DDGs, pool
+	// entries, stage pairs) over the run's owner on the pool and waits
+	// them out at the phase barrier.
 	sc := newRunSched(ctx, opts, res)
 	defer sc.close()
 
@@ -368,8 +370,8 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 		res.Iterations = iter
 		iterSpan := rec.StartSpan("iteration", root, obs.Int("i", int64(iter)))
 
-		// Phase: match (parallel across active sub-DDGs). Worker panics are
-		// contained per sub-DDG inside runMatchPhase; this guard covers the
+		// Phase: match (parallel across active sub-DDGs). Panics are
+		// contained per kind inside runMatchPhase; this guard covers the
 		// phase's own bookkeeping.
 		var matched []*SubDDG
 		sp := rec.StartSpan("match", iterSpan, obs.Int("active", int64(len(active))))
@@ -492,7 +494,7 @@ func emitFindMetrics(rec obs.Recorder, res *Result, cache *ViewCache) {
 // is recorded on res.Failures as a structured match-stage error naming the
 // phase; whatever the phase wrote before dying is kept, and guard reports
 // false so the caller can fall back. Phases run on the calling goroutine —
-// task panics are contained separately (runSched.submit), since a
+// task panics are contained separately (runSched.item), since a
 // recover only catches panics on its own stack.
 func guard(res *Result, phase string, fn func()) (ok bool) {
 	defer func() {
@@ -520,52 +522,46 @@ func interrupted(ctx context.Context, res *Result) bool {
 	return false
 }
 
-// sweep fans the index range [0, n) out over the scheduler as chunked
-// tasks running body, and waits them out. Panics inside a chunk are
-// contained per chunk by the scheduler (runSched.submit); chunks claimed
-// past the run's deadline are dropped, and a running chunk stops at its
-// next item once the run's context is done (the skipped indices
-// contribute nothing, and the interrupted(ctx, res) the caller runs
-// afterwards labels the result). Runs on the phase goroutine; returns only
-// after every chunk finished.
+// sweep runs body(i) for every index in [0, n) on the run's executors
+// and waits them out. It submits one claimer task per executor, and each
+// claimer takes the next unclaimed index from a shared counter until none
+// is left, so one slow item never holds a batch of others behind it. A
+// claimer checks the run's context before each claim: once it is done the
+// unclaimed indices are skipped (they contribute nothing, and the
+// interrupted(ctx, res) the caller runs afterwards labels the result),
+// while a claimed item always runs to its end. Each item runs inside the
+// task recover boundary (runSched.item), so a panic costs only that item.
+// Runs on the phase goroutine; returns only after every claimer finished.
 func sweep(sc *runSched, phase string, n int, body func(i int)) {
 	if n == 0 {
 		return
 	}
-	// Chunk count: enough slices for the executors to balance moderately
-	// uneven items without per-item task overhead on large pools.
-	chunks := sc.executors() * 4
-	if chunks > n {
-		chunks = n
-	}
-	size := (n + chunks - 1) / chunks
-	for lo := 0; lo < n; lo += size {
-		lo, hi := lo, lo+size
-		if hi > n {
-			hi = n
+	var next atomic.Int64
+	claim := func(expired bool) {
+		if expired {
+			return
 		}
-		sc.submit(phase, classSolve, func(expired bool) {
-			if expired {
+		// A non-blocking receive on Done is lock-free, so checking before
+		// each claim costs nothing a subtract diff would notice.
+		done := sc.ctx.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			i := int(next.Add(1) - 1)
+			if i >= n {
 				return
 			}
-			// A non-blocking receive on Done is lock-free, so checking
-			// between items costs nothing a subtract diff would notice.
-			done := sc.ctx.Done()
-			for i := lo; i < hi; i++ {
-				if i > lo {
-					select {
-					case <-done:
-						return
-					default:
-					}
-				}
-				if sweepItemHook != nil {
-					sweepItemHook(phase)
-				}
-				body(i)
-			}
-		})
+			sc.item(phase, i, body)
+		}
 	}
+	tasks := make([]sched.Task, min(sc.executors(), n))
+	for c := range tasks {
+		tasks[c] = sched.Task{Deadline: sc.deadline, Do: claim}
+	}
+	sc.owner.Submit(tasks...)
 	sc.wait()
 }
 
@@ -696,14 +692,16 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 
 	// The pass enumerates pairs sequentially — gate checks and cache
 	// lookups in deterministic (a, b) order, so the counters and the
-	// hit/miss pattern are exactly the sequential pass's — and fans only
-	// the solves out as scheduler tasks. Matches are folded in
-	// enumeration order after the barrier, so the reported list is
-	// identical whatever order the solves ran in. With a warm cache every
-	// pair resolves at enumeration and no task is submitted at all;
-	// without a cache every pair is solved.
+	// hit/miss pattern are exactly the sequential pass's — and sweeps only
+	// the solves over the scheduler. Matches are folded in enumeration
+	// order after the barrier, so the reported list is identical whatever
+	// order the solves ran in. With a warm cache every pair resolves at
+	// enumeration and the sweep is empty; without a cache every pair is
+	// solved.
 	type pipeSolve struct {
-		p *patterns.Pattern
+		a, b *SubDDG
+		pair ddg.Hash128
+		p    *patterns.Pattern
 	}
 	type pairJob struct {
 		a     *SubDDG
@@ -711,6 +709,7 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 		solve *pipeSolve        // a miss's pending result, shared by duplicate hashes
 	}
 	var jobs []pairJob
+	var solves []*pipeSolve
 	pendingSolves := map[ddg.Hash128]*pipeSolve{}
 	ix := newNodeIndex(nodeSets(stages))
 	for ai, a := range stages {
@@ -724,14 +723,13 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 			}
 			// The pipeline verdict is a property of the ordered stage pair,
 			// cached under the pair's combined view hash.
-			var pair ddg.Hash128
-			ps := &pipeSolve{}
+			ps := &pipeSolve{a: a, b: b}
 			if cache != nil {
 				h := ddg.NewHasher(hashSeedPipelinePair)
 				h.Hash(a.ViewHash(compact))
 				h.Hash(b.ViewHash(compact))
-				pair = h.Sum()
-				if prev := pendingSolves[pair]; prev != nil {
+				ps.pair = h.Sum()
+				if prev := pendingSolves[ps.pair]; prev != nil {
 					// An earlier pair this pass already owns this hash's
 					// solve. Sequentially its store landed before this
 					// lookup, so this is a cache hit on that solve's verdict
@@ -740,31 +738,29 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 					jobs = append(jobs, pairJob{a: a, solve: prev})
 					return
 				}
-				if status, pat := cache.lookup(pair, patterns.KindPipeline); status == cacheHit {
+				if status, pat := cache.lookup(ps.pair, patterns.KindPipeline); status == cacheHit {
 					pb.RecordCacheHit(patterns.KindPipeline)
 					jobs = append(jobs, pairJob{a: a, p: pat})
 					return
 				}
 				pb.RecordCacheMiss(patterns.KindPipeline)
-				pendingSolves[pair] = ps
+				pendingSolves[ps.pair] = ps
 			}
 			jobs = append(jobs, pairJob{a: a, solve: ps})
-			sc.submit("pipelines", classSolve, func(expired bool) {
-				if expired {
-					return
-				}
-				p := patterns.MatchPipeline(gs, a.CachedView(gs, compact), b.CachedView(gs, compact))
-				if p != nil && opts.VerifyMatches {
-					if err := patterns.Verify(gs, p); err != nil {
-						p = nil
-					}
-				}
-				cache.store(pair, patterns.KindPipeline, p)
-				ps.p = p
-			})
+			solves = append(solves, ps)
 		})
 	}
-	sc.wait()
+	sweep(sc, "pipelines", len(solves), func(i int) {
+		ps := solves[i]
+		p := patterns.MatchPipeline(gs, ps.a.CachedView(gs, compact), ps.b.CachedView(gs, compact))
+		if p != nil && opts.VerifyMatches {
+			if err := patterns.Verify(gs, p); err != nil {
+				p = nil
+			}
+		}
+		cache.store(ps.pair, patterns.KindPipeline, p)
+		ps.p = p
+	})
 	interrupted(ctx, res)
 	for _, j := range jobs {
 		p := j.p
@@ -781,17 +777,6 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 // hashSeedPipelinePair tags ordered stage-pair hashes in the view cache.
 const hashSeedPipelinePair = 0x6b8d2f4a1c3e5077
 
-// Scheduler task classes. Decided-verdict match tasks resolve with one
-// cache lookup, so they jump the queue; everything else — matcher runs and
-// the subtract/fuse/pipeline sweeps — shares one class and runs in
-// submission order. The classes matter across runs, not within one: a
-// shared pool serves every owner's class-0 backlog before anyone's
-// class-1 work.
-const (
-	classDecided = 0
-	classSolve   = 1
-)
-
 // runSched is one Find run's client handle on its solve pool
 // (Options.Scheduler, else sched.Default): one owner on the pool, plus
 // the run's task recover boundary. The submitting goroutine executes its
@@ -803,8 +788,8 @@ type runSched struct {
 	ctx   context.Context
 	res   *Result
 	// deadline is the run's global budget as a per-task deadline, checked
-	// by the pool at claim time: once it passes, remaining tasks are
-	// dropped before any match work runs (the run budget, enforced at the
+	// by the pool at claim time: once it passes, claimers not yet started
+	// are dropped before any work runs (the run budget, enforced at the
 	// steal point). The zero time means no deadline.
 	deadline time.Time
 
@@ -830,27 +815,28 @@ func newRunSched(ctx context.Context, opts Options, res *Result) *runSched {
 // close deregisters the run's owner; the pool outlives the run.
 func (rs *runSched) close() { rs.owner.Close() }
 
-// executors is the parallel capacity this run sees; phase chunking sizes
-// its task batches with it.
+// executors is the parallel capacity this run sees: a sweep submits one
+// claimer per executor.
 func (rs *runSched) executors() int { return rs.pool.Executors() }
 
-// submit queues one task of the named phase under the run's deadline.
-// It is the task recover boundary: a panic inside do is recorded as a
-// structured "<phase> task failed" error, and the next wait appends it to
-// Result.Failures; the run's other tasks carry on.
-func (rs *runSched) submit(phase string, class int, do func(expired bool)) {
-	rs.owner.Submit(sched.Task{Class: class, Deadline: rs.deadline, Do: func(expired bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				ae := analysis.Recovered(analysis.StageMatch, r)
-				rs.mu.Lock()
-				rs.fails = append(rs.fails, analysis.Wrap(ae.Stage, ae.Kind, ae,
-					"%s task failed", phase))
-				rs.mu.Unlock()
-			}
-		}()
-		do(expired)
-	}})
+// item runs one sweep item of the named phase. It is the task recover
+// boundary: a panic inside body is recorded as a structured "<phase> task
+// failed" error, and the next wait appends it to Result.Failures; the
+// claimer goes on to its next item.
+func (rs *runSched) item(phase string, i int, body func(int)) {
+	defer func() {
+		if r := recover(); r != nil {
+			ae := analysis.Recovered(analysis.StageMatch, r)
+			rs.mu.Lock()
+			rs.fails = append(rs.fails, analysis.Wrap(ae.Stage, ae.Kind, ae,
+				"%s task failed", phase))
+			rs.mu.Unlock()
+		}
+	}()
+	if sweepItemHook != nil {
+		sweepItemHook(phase)
+	}
+	body(i)
 }
 
 // wait blocks until every submitted task completed, helping the pool by
@@ -865,71 +851,25 @@ func (rs *runSched) wait() {
 	rs.mu.Unlock()
 }
 
-// Kind slots: the canonical per-sub-DDG solve order. Assembling a
-// sub-DDG's matches in slot order reproduces the sequential matcher's
-// append order exactly, whatever order the tasks actually ran in.
-const (
-	slotMap = iota
-	slotLinear
-	slotTiled
-	slotTree
-	numKindSlots
+// sweepItemHook, when non-nil, runs before every sweep item, on the
+// executing goroutine, with the sweep's phase name. Tests install it
+// through export_test.go to observe or interrupt a phase mid-sweep.
+var sweepItemHook func(phase string)
+
+// The pattern kinds a sub-DDG is matched against, in the order its
+// matches are assembled: map, linear, tiled — an associative component
+// skips the map — then the combining-tree follow-up (extensions, only
+// where linear and tiled both missed).
+var (
+	plainKinds = []patterns.Kind{patterns.KindMap, patterns.KindLinearReduction, patterns.KindTiledReduction}
+	assocKinds = plainKinds[1:]
 )
 
-func slotKind(slot int) patterns.Kind {
-	switch slot {
-	case slotMap:
-		return patterns.KindMap
-	case slotLinear:
-		return patterns.KindLinearReduction
-	case slotTiled:
-		return patterns.KindTiledReduction
-	default:
-		return patterns.KindTreeReduction
-	}
-}
-
-// subState is the shared per-sub-DDG state of the match scheduler. Its
-// tasks may run on different workers concurrently: the gate/prescreen prep
-// and the view build are once-guarded, per-kind results land in disjoint
-// slots, and the last task to finish (pending reaching zero) assembles
-// s.Matched and books the per-sub counters exactly once.
-type subState struct {
-	s     *SubDDG
-	vhash ddg.Hash128
-	fused bool
-
-	pending atomic.Int32
-	dropped atomic.Bool // any task was dropped at claim time (deadline/cancel)
-
-	prepOnce sync.Once
-	skip     bool                // oversized-view gate verdict
-	pre      *patterns.Prescreen // nil when disabled or skipped
-
-	viewOnce sync.Once
-	view     *patterns.View
-
-	slots      [numKindSlots]*patterns.Pattern
-	fusedFound []*patterns.Pattern
-}
-
-// matchTask is one unit of match work: one pattern kind on one sub-DDG
-// (or the whole compound matching of a fused sub-DDG, slot < 0).
-type matchTask struct {
-	st   *subState
-	slot int
-	// Priority key: decided-verdict tasks first (class 0 — they resolve
-	// with one cache lookup), then by view size ascending, then by pool
-	// and slot order for determinism.
-	class, nodes, subIdx int
-}
-
-// matchPhase carries the match phase's shared state: the task list built
-// in priority order and submitted to the scheduler as one batch, and the
-// accumulators its tasks merge into from whatever executor ran them. The
-// counters are commutative and the tally merge is order-insensitive for
-// everything the default output reads, so any task-to-executor assignment
-// rolls up the same.
+// matchPhase carries the match phase's shared state: the accumulators
+// each sub-DDG's item merges into once, from whatever executor ran it.
+// The counters are commutative and the tally merge is order-insensitive
+// for everything the default output reads, so any item-to-executor
+// assignment rolls up the same.
 type matchPhase struct {
 	gs      *ddg.Graph
 	opts    Options
@@ -938,36 +878,31 @@ type matchPhase struct {
 	span    obs.SpanID
 	compact bool
 
-	tasks []matchTask
-
-	skips     atomic.Int64
-	preChecks atomic.Int64
-
-	mu     sync.Mutex
-	rollup patterns.Budget
-	fails  []*analysis.Error
+	mu        sync.Mutex
+	rollup    patterns.Budget
+	fails     []*analysis.Error
+	skips     int
+	preChecks int
 }
 
-// sweepItemHook, when non-nil, runs before every item a sweep chunk
-// processes, on the executing goroutine, with the sweep's phase name.
-// Test-only, like matchTaskHook.
-var sweepItemHook func(phase string)
-
-// matchTaskHook, when non-nil, runs at the entry of every solve task with
-// the task's pattern kind, on the worker goroutine. Tests install it
-// through export_test.go to observe task-level concurrency.
-var matchTaskHook func(kind patterns.Kind)
+// subMatch is one sub-DDG's matching state, private to the item that
+// matches it.
+type subMatch struct {
+	s     *SubDDG
+	vhash ddg.Hash128
+	pre   *patterns.Prescreen // nil when disabled or skipped
+	view  *patterns.View      // built on first use
+	b     patterns.Budget
+	fails []*analysis.Error
+}
 
 // runMatchPhase matches every active sub-DDG against the pattern
 // definitions and returns the sub-DDGs with at least one match. The unit
-// of parallel work is a (sub-DDG × kind) solve task, submitted to the
-// run's scheduler in priority order — likely cache hits first (their own
-// class), then small views before large — so one pathological kind
-// occupies one executor, not a whole sub-DDG's worth of others behind it.
-// Tasks claimed after the run's deadline or cancellation are dropped by
-// the scheduler before any match work; their sub-DDGs stay unmatched and
-// the remainder is reported via res.Interrupted rather than silently
-// smaller.
+// of parallel work is the sub-DDG: one sweep item runs its gate, census,
+// view and every kind. Once the run's deadline or cancellation is seen,
+// the unclaimed sub-DDGs stay unmatched — a sub-DDG is matched whole or
+// not at all — and the remainder is reported via res.Interrupted rather
+// than silently smaller.
 func runMatchPhase(ctx context.Context, gs *ddg.Graph, active []*SubDDG, opts Options, res *Result, cache *runCache, sc *runSched, rec obs.Recorder, span obs.SpanID) []*SubDDG {
 	mp := &matchPhase{
 		gs:      gs,
@@ -977,14 +912,9 @@ func runMatchPhase(ctx context.Context, gs *ddg.Graph, active []*SubDDG, opts Op
 		span:    span,
 		compact: !opts.DisableCompact,
 	}
-	mp.buildTasks(active)
-	for _, t := range mp.tasks {
-		t := t
-		sc.submit("match", t.class, func(expired bool) { mp.runTask(t, expired) })
-	}
-	sc.wait()
-	res.SkippedViews += int(mp.skips.Load())
-	res.PrescreenChecks += int(mp.preChecks.Load())
+	sweep(sc, "match", len(active), func(i int) { mp.matchSub(active[i]) })
+	res.SkippedViews += mp.skips
+	res.PrescreenChecks += mp.preChecks
 	res.Failures = append(res.Failures, mp.fails...)
 	rollupStats(res, &mp.rollup)
 	interrupted(ctx, res)
@@ -998,185 +928,126 @@ func runMatchPhase(ctx context.Context, gs *ddg.Graph, active []*SubDDG, opts Op
 	return matched
 }
 
-// buildTasks splits the active sub-DDGs into solve tasks and sorts them by
-// priority. With a cache, view hashes are computed here, on the main
-// goroutine, so the sub-DDG memos are written before any worker reads
-// them; without one, no view is hashed.
-func (mp *matchPhase) buildTasks(active []*SubDDG) {
-	for i, s := range active {
-		st := &subState{s: s}
-		var slots []int
-		switch {
-		case s.FusedA != nil:
-			// Compound matching combines the constituents' patterns; it is
-			// one cheap task with no view, gate, or cache interaction.
-			st.fused = true
-			slots = []int{-1}
-		case s.Assoc:
-			// The combining-tree follow-up (extensions, only when linear and
-			// tiled both miss) is not a schedulable task: it runs inline when
-			// the sub-DDG's last prerequisite task completes.
-			slots = []int{slotLinear, slotTiled}
-		default:
-			slots = []int{slotMap, slotLinear, slotTiled}
-		}
-		if !st.fused && mp.cache != nil {
-			st.vhash = s.ViewHash(mp.compact)
-		}
-		st.pending.Store(int32(len(slots)))
-		nodes := s.Nodes.Len()
-		for _, slot := range slots {
-			t := matchTask{st: st, slot: slot, class: classSolve, nodes: nodes, subIdx: i}
-			if slot >= 0 && mp.cache.decided(st.vhash, slotKind(slot)) {
-				t.class = classDecided
-			}
-			mp.tasks = append(mp.tasks, t)
-		}
-	}
-	sort.SliceStable(mp.tasks, func(i, j int) bool {
-		a, b := mp.tasks[i], mp.tasks[j]
-		if a.class != b.class {
-			return a.class < b.class
-		}
-		if a.nodes != b.nodes {
-			return a.nodes < b.nodes
-		}
-		if a.subIdx != b.subIdx {
-			return a.subIdx < b.subIdx
-		}
-		return a.slot < b.slot
-	})
-}
-
-// runTask executes one solve task: span, per-task tally, the recover
-// boundary, result slotting, and — when it was the sub-DDG's last pending
-// task — the sub-DDG's completion. An expired task (claimed past the
-// run's deadline or cancellation) does only the completion bookkeeping:
-// it marks the sub-DDG dropped so finishSub leaves it unmatched — the
-// sequential finder never decided it, so reporting a partial slot
-// assembly would invent results a budget-free run could not produce.
-func (mp *matchPhase) runTask(t matchTask, expired bool) {
-	st := t.st
-	if expired {
-		st.dropped.Store(true)
-		if st.pending.Add(-1) == 0 {
-			mp.finishSub(st)
-		}
-		return
-	}
-	if matchTaskHook != nil && !st.fused {
-		matchTaskHook(slotKind(t.slot))
-	}
+// matchSub matches one sub-DDG and merges its tally, failures and skip
+// into the phase once. A fused sub-DDG combines its constituents'
+// patterns; any other passes the size gate and the prescreen census, then
+// tries each kind in assembly order.
+func (mp *matchPhase) matchSub(s *SubDDG) {
 	rec := mp.rec
 	var span obs.SpanID
 	if rec.Enabled() {
-		kind := "fused"
-		if !st.fused {
-			kind = slotKind(t.slot).String()
+		span = rec.StartSpan("match-sub", mp.span, obs.Int("nodes", int64(s.Nodes.Len())))
+	}
+	m := &subMatch{s: s, b: patterns.Budget{Obs: rec}}
+	var found []*patterns.Pattern
+	skipped := false
+	if s.FusedA != nil {
+		m.contain(func() { found = mp.matchFused(s) })
+	} else if m.contain(func() { skipped = mp.prep(m) }) && !skipped {
+		kinds := plainKinds
+		if s.Assoc {
+			kinds = assocKinds
 		}
-		span = rec.StartSpan("match-task", mp.span,
-			obs.Int("nodes", int64(st.s.Nodes.Len())),
-			obs.Str("kind", kind))
+		for _, kind := range kinds {
+			if p := mp.matchKind(m, kind); p != nil {
+				found = append(found, p)
+			}
+		}
+		if s.Assoc && mp.opts.Extensions && len(found) == 0 {
+			// The combining-tree generalization, only where the paper's
+			// specific variants did not apply.
+			if p := mp.matchKind(m, patterns.KindTreeReduction); p != nil {
+				found = append(found, p)
+			}
+		}
 	}
-	b := &patterns.Budget{Obs: rec}
-	var p *patterns.Pattern
-	fail := mp.safeTask(st, t.slot, b, &p)
-	if fail != nil {
-		mp.mu.Lock()
-		mp.fails = append(mp.fails, fail)
-		mp.mu.Unlock()
+	s.Matched = found
+	mp.mu.Lock()
+	mp.rollup.Merge(&m.b)
+	mp.fails = append(mp.fails, m.fails...)
+	if skipped {
+		mp.skips++
 	}
-	if !st.fused && t.slot >= 0 && p != nil {
-		st.slots[t.slot] = p
+	if m.pre != nil {
+		mp.preChecks++
 	}
+	mp.mu.Unlock()
 	if rec.Enabled() {
-		matched := 0
-		if p != nil {
-			matched = 1
-		}
-		if st.fused {
-			matched = len(st.fusedFound)
-		}
-		attrs := []obs.Attr{obs.Int("matched", int64(matched))}
-		if st.skip {
+		attrs := []obs.Attr{obs.Int("matched", int64(len(found)))}
+		if skipped {
 			attrs = append(attrs, obs.Str("skipped", "true"))
 		}
-		if fail != nil {
-			attrs = append(attrs, obs.Failed(fail.Error()))
+		if len(m.fails) > 0 {
+			attrs = append(attrs, obs.Failed(m.fails[0].Error()))
 		}
 		rec.EndSpan(span, attrs...)
 	}
-	mp.mu.Lock()
-	mp.rollup.Merge(b)
-	mp.mu.Unlock()
-	if st.pending.Add(-1) == 0 {
-		mp.finishSub(st)
-	}
 }
 
-// safeTask is the per-task recover boundary: a panic while solving one
-// (sub-DDG × kind) costs that task's result, not the phase — and not even
-// the sub-DDG's other kinds.
-func (mp *matchPhase) safeTask(st *subState, slot int, b *patterns.Budget, out **patterns.Pattern) (fail *analysis.Error) {
+// contain is the per-kind recover boundary: a panic inside fn — one
+// kind's solve, the gate and census, or a fused sub-DDG's compound
+// matching — is recorded on the sub-DDG's failures and costs only fn's
+// result, not the sub-DDG's other kinds. It reports whether fn returned.
+func (m *subMatch) contain(fn func()) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			ae := analysis.Recovered(analysis.StageMatch, r)
-			*out = nil
-			fail = analysis.Wrap(ae.Stage, ae.Kind, ae,
-				"matching a sub-DDG of %d nodes failed", st.s.Nodes.Len())
+			m.fails = append(m.fails, analysis.Wrap(ae.Stage, ae.Kind, ae,
+				"matching a sub-DDG of %d nodes failed", m.s.Nodes.Len()))
+			ok = false
 		}
 	}()
-	if st.fused {
-		st.fusedFound = mp.matchFused(st.s)
-		return nil
-	}
-	mp.prep(st)
-	if st.skip {
-		return nil
-	}
-	*out = mp.matchKind(st, slotKind(slot), b)
-	return nil
+	fn()
+	return true
 }
 
-// prep runs the sub-DDG's once-per-sub work on the first task to arrive:
-// the oversized-view gate and the structural prescreen census.
-func (mp *matchPhase) prep(st *subState) {
-	st.prepOnce.Do(func() {
-		max := mp.opts.maxViewGroups()
-		// Groups never outnumber nodes, so only a view bigger than the gate
-		// in node count can exceed it in group count — small views pass
-		// without being built or counted.
-		if st.s.Nodes.Len() > max && mp.viewOf(st).NumGroups() > max {
-			st.skip = true
-			return
+// prep runs the sub-DDG's once-per-sub work ahead of its kinds: the view
+// hash the cache keys verdicts by, the oversized-view gate (reporting
+// whether it skips the sub-DDG) and the structural prescreen census.
+func (mp *matchPhase) prep(m *subMatch) (skip bool) {
+	s := m.s
+	if mp.cache != nil {
+		m.vhash = s.ViewHash(mp.compact)
+	}
+	max := mp.opts.maxViewGroups()
+	// Groups never outnumber nodes, so only a view bigger than the gate in
+	// node count can exceed it in group count — small views pass without
+	// being built or counted.
+	if s.Nodes.Len() > max && mp.viewOf(m).NumGroups() > max {
+		return true
+	}
+	if !mp.opts.noPrescreen {
+		if mp.rec.Enabled() {
+			t0 := time.Now()
+			m.pre = patterns.PrescreenSub(mp.gs, s.Nodes, s.viewLoop(mp.compact))
+			mp.rec.Observe(obs.MetricPrescreenSeconds, time.Since(t0).Seconds())
+		} else {
+			m.pre = patterns.PrescreenSub(mp.gs, s.Nodes, s.viewLoop(mp.compact))
 		}
-		if !mp.opts.noPrescreen {
-			rec := mp.rec
-			if rec.Enabled() {
-				t0 := time.Now()
-				st.pre = patterns.PrescreenSub(mp.gs, st.s.Nodes, st.s.viewLoop(mp.compact))
-				rec.Observe(obs.MetricPrescreenSeconds, time.Since(t0).Seconds())
-			} else {
-				st.pre = patterns.PrescreenSub(mp.gs, st.s.Nodes, st.s.viewLoop(mp.compact))
-			}
-			mp.preChecks.Add(1)
-		}
-	})
+	}
+	return false
 }
 
 // viewOf builds (once) and returns the sub-DDG's matching view, recording
 // its group count in the size histogram.
-func (mp *matchPhase) viewOf(st *subState) *patterns.View {
-	st.viewOnce.Do(func() {
-		st.view = st.s.CachedView(mp.gs, mp.compact)
+func (mp *matchPhase) viewOf(m *subMatch) *patterns.View {
+	if m.view == nil {
+		m.view = m.s.CachedView(mp.gs, mp.compact)
 		if mp.rec.Enabled() {
-			mp.rec.Observe(obs.MetricViewGroups, float64(st.view.NumGroups()))
+			mp.rec.Observe(obs.MetricViewGroups, float64(m.view.NumGroups()))
 		}
-	})
-	return st.view
+	}
+	return m.view
 }
 
-// matchKind runs one kind's solve through the cache and the prescreen.
+// matchKind solves one kind of the sub-DDG inside the per-kind recover
+// boundary: a panic costs this kind's result and nothing else.
+func (mp *matchPhase) matchKind(m *subMatch, kind patterns.Kind) (p *patterns.Pattern) {
+	m.contain(func() { p = mp.solveKind(m, kind) })
+	return p
+}
+
+// solveKind runs one kind's solve through the cache and the prescreen.
 // Verdicts are stored post-verification, so a hit's pattern needs no
 // re-check. A prescreen prune books the same cache interactions a matcher
 // run would have (a miss, then a stored negative verdict), so the cache
@@ -1184,9 +1055,9 @@ func (mp *matchPhase) viewOf(st *subState) *patterns.View {
 // matcher run is booked with its wall time and whether it returned a
 // pattern, and only when the view passes the matcher's census gate, so
 // that tally is identical with the prescreen on or off as well.
-func (mp *matchPhase) matchKind(st *subState, kind patterns.Kind, b *patterns.Budget) *patterns.Pattern {
-	cache := mp.cache
-	switch status, pat := cache.lookup(st.vhash, kind); status {
+func (mp *matchPhase) solveKind(m *subMatch, kind patterns.Kind) *patterns.Pattern {
+	cache, b := mp.cache, &m.b
+	switch status, pat := cache.lookup(m.vhash, kind); status {
 	case cacheHit:
 		b.RecordCacheHit(kind)
 		return pat
@@ -1198,17 +1069,17 @@ func (mp *matchPhase) matchKind(st *subState, kind patterns.Kind, b *patterns.Bu
 	if cache != nil {
 		b.RecordCacheMiss(kind)
 	}
-	if st.pre.CannotMatch(kind) {
+	if m.pre.CannotMatch(kind) {
 		// Fast path: the census proved this kind's matcher returns nil, at
 		// O(view) cost instead of a matcher run.
 		b.RecordPrescreened(kind)
-		cache.storePrescreened(st.vhash, kind)
+		cache.storePrescreened(m.vhash, kind)
 		return nil
 	}
 	booked := (kind == patterns.KindLinearReduction || kind == patterns.KindTiledReduction) &&
-		!mp.viewOf(st).CannotMatch(kind)
+		!mp.viewOf(m).CannotMatch(kind)
 	start := time.Now()
-	p := mp.runMatcher(st, kind)
+	p := mp.runMatcher(m, kind)
 	if booked {
 		b.RecordRun(kind, p != nil, time.Since(start))
 	}
@@ -1217,22 +1088,22 @@ func (mp *matchPhase) matchKind(st *subState, kind patterns.Kind, b *patterns.Bu
 			p = nil
 		}
 	}
-	cache.store(st.vhash, kind, p)
+	cache.store(m.vhash, kind, p)
 	return p
 }
 
 // runMatcher dispatches to the kind's matcher over the (lazily built) view.
-func (mp *matchPhase) runMatcher(st *subState, kind patterns.Kind) *patterns.Pattern {
-	v := mp.viewOf(st)
+func (mp *matchPhase) runMatcher(m *subMatch, kind patterns.Kind) *patterns.Pattern {
+	v := mp.viewOf(m)
 	switch kind {
 	case patterns.KindMap:
-		m := patterns.MatchMap(v)
-		if mp.opts.Extensions && m != nil {
-			if stn := patterns.MatchStencil(mp.gs, m); stn != nil {
-				m = stn // report the more specific refinement
+		p := patterns.MatchMap(v)
+		if mp.opts.Extensions && p != nil {
+			if stn := patterns.MatchStencil(mp.gs, p); stn != nil {
+				p = stn // report the more specific refinement
 			}
 		}
-		return m
+		return p
 	case patterns.KindLinearReduction:
 		return patterns.MatchLinearReduction(v)
 	case patterns.KindTiledReduction:
@@ -1240,43 +1111,6 @@ func (mp *matchPhase) runMatcher(st *subState, kind patterns.Kind) *patterns.Pat
 	default:
 		return patterns.MatchTreeReduction(v)
 	}
-}
-
-// finishSub runs when a sub-DDG's last task completes: the tree-reduction
-// follow-up where it applies, the deterministic assembly of s.Matched in
-// slot order, and the once-per-sub skip accounting.
-func (mp *matchPhase) finishSub(st *subState) {
-	if st.dropped.Load() {
-		// A task of this sub-DDG was dropped at claim time: its slots are
-		// incomplete, and assembling a partial Matched would report a
-		// sub-DDG the unbounded finder never decided. Leave it unmatched —
-		// res.Interrupted labels the run, exactly like the old workers that
-		// stopped claiming and left the sub-DDG's completion never firing.
-		return
-	}
-	if st.fused {
-		st.s.Matched = st.fusedFound
-		return
-	}
-	if st.skip {
-		mp.skips.Add(1)
-		return
-	}
-	if st.s.Assoc && mp.opts.Extensions &&
-		st.slots[slotLinear] == nil && st.slots[slotTiled] == nil {
-		// The combining-tree generalization, only where the paper's
-		// specific variants did not apply. Runs inline on the completing
-		// executor: pending is already zero, so this nested runTask cannot
-		// re-trigger finishSub.
-		mp.runTask(matchTask{st: st, slot: slotTree}, false)
-	}
-	var found []*patterns.Pattern
-	for _, p := range st.slots {
-		if p != nil {
-			found = append(found, p)
-		}
-	}
-	st.s.Matched = found
 }
 
 // matchFused combines the patterns already matched on a fused sub-DDG's

@@ -89,7 +89,7 @@ func TestConcurrentFindSharedViewCache(t *testing.T) {
 
 	// All four fingerprints fit the generation bound, so nothing
 	// was evicted and every generation stayed warm to the end.
-	if s := cache.Snapshot(); s.Generations != len(work) || s.Resets != 0 {
+	if s := cache.Snapshot(); s.Generations != len(work) || s.Evictions != 0 {
 		t.Errorf("want %d coexisting generations and no evictions, got %+v", len(work), s)
 	}
 

@@ -22,7 +22,7 @@ import (
 // different graphs sharing one cache neither pollute nor evict each
 // other's warm verdicts. The generation map is LRU-bounded: admitting a
 // fingerprint beyond the bound evicts the least-recently-acquired
-// generation, counted in Snapshot().Resets. The bound is maxGenerations.
+// generation, counted in Snapshot().Evictions. The bound is maxGenerations.
 //
 // Soundness rests on the cache key: within one generation a view's match
 // outcome is a pure function of (node set, grouping provenance), which is
@@ -54,7 +54,7 @@ type ViewCache struct {
 	gens map[ddg.Hash128]*cacheGen
 
 	// evictions counts generations dropped by the LRU bound (surfaced as
-	// Snapshot().Resets).
+	// Snapshot().Evictions).
 	evictions int
 }
 
@@ -172,20 +172,6 @@ type runCache struct {
 	g *cacheGen
 }
 
-// decided reports whether a verdict (pattern, none, or prescreened) is
-// stored for (view, kind). The match scheduler uses it to order likely
-// cache hits first; it records nothing and proves nothing — a false answer
-// only costs priority, never correctness.
-func (rc *runCache) decided(view ddg.Hash128, kind patterns.Kind) bool {
-	if rc == nil {
-		return false
-	}
-	rc.c.mu.RLock()
-	defer rc.c.mu.RUnlock()
-	_, ok := rc.g.entries[cacheKey{view, kind}]
-	return ok
-}
-
 // lookup consults the cache for the view's verdict under kind.
 func (rc *runCache) lookup(view ddg.Hash128, kind patterns.Kind) (lookupStatus, *patterns.Pattern) {
 	if rc == nil {
@@ -254,22 +240,20 @@ func (rc *runCache) storePrescreened(view ddg.Hash128, kind patterns.Kind) {
 }
 
 // CacheSnapshot describes a cache's current contents, summed across its
-// retained generations.
+// retained generations. The daemon's /stats document renders it as its
+// cache block.
 type CacheSnapshot struct {
 	// Entries is the number of stored verdicts.
-	Entries int
+	Entries int `json:"entries"`
 	// Prescreened is the number of stored verdicts decided by the
 	// structural prescreen (a subset of Entries).
-	Prescreened int
+	Prescreened int `json:"prescreened"`
 	// Generations is the number of run fingerprints currently retaining
 	// entries (at most maxGenerations).
-	Generations int
-	// Resets counts generation evictions since creation: fingerprints
-	// whose entries were dropped because the LRU-bounded generation map
-	// was full. (Before generations existed this counted whole-cache
-	// fingerprint-mismatch invalidations; a mismatch now just selects a
-	// different generation, so only capacity evictions discard entries.)
-	Resets int
+	Generations int `json:"generations"`
+	// Evictions counts generations dropped since creation because the
+	// LRU-bounded generation map was full.
+	Evictions int `json:"evictions"`
 }
 
 // Snapshot returns the cache's current size and eviction count.
@@ -281,7 +265,7 @@ func (c *ViewCache) Snapshot() CacheSnapshot {
 	defer c.mu.RUnlock()
 	s := CacheSnapshot{
 		Generations: len(c.gens),
-		Resets:      c.evictions,
+		Evictions:   c.evictions,
 	}
 	for _, g := range c.gens {
 		s.Entries += len(g.entries)

@@ -50,7 +50,7 @@ func TestViewCacheGenerationsIsolateFingerprints(t *testing.T) {
 
 	rc1 := c.acquire(fp1)
 	rc1.store(v, patterns.KindMap, nil)
-	if s := c.Snapshot(); s.Entries != 1 || s.Generations != 1 || s.Resets != 0 {
+	if s := c.Snapshot(); s.Entries != 1 || s.Generations != 1 || s.Evictions != 0 {
 		t.Fatalf("after store: %+v", s)
 	}
 
@@ -67,7 +67,7 @@ func TestViewCacheGenerationsIsolateFingerprints(t *testing.T) {
 	rc2.store(v, patterns.KindMap, nil)
 
 	// ...and — the bugfix — fp1's entries survive fp2's run.
-	if s := c.Snapshot(); s.Entries != 2 || s.Generations != 2 || s.Resets != 0 {
+	if s := c.Snapshot(); s.Entries != 2 || s.Generations != 2 || s.Evictions != 0 {
 		t.Errorf("both generations must coexist: %+v", s)
 	}
 	if st, _ := c.acquire(fp1).lookup(v, patterns.KindMap); st != cacheHit {
@@ -86,14 +86,14 @@ func TestViewCacheGenerationLRUBound(t *testing.T) {
 	for hi := uint64(1); hi <= maxGenerations; hi++ {
 		store(hi)
 	}
-	if s := c.Snapshot(); s.Generations != maxGenerations || s.Resets != 0 {
+	if s := c.Snapshot(); s.Generations != maxGenerations || s.Evictions != 0 {
 		t.Fatalf("want %d generations and no eviction at the bound, got %+v", maxGenerations, s)
 	}
 	c.acquire(ddg.Hash128{Hi: 1}) // refresh 1: now 2 is the LRU victim
 	store(maxGenerations + 1)     // evicts 2
 
 	s := c.Snapshot()
-	if s.Generations != maxGenerations || s.Resets != 1 {
+	if s.Generations != maxGenerations || s.Evictions != 1 {
 		t.Fatalf("want %d generations after 1 eviction, got %+v", maxGenerations, s)
 	}
 	if st, _ := c.acquire(ddg.Hash128{Hi: 1}).lookup(v, patterns.KindMap); st != cacheHit {
@@ -103,7 +103,7 @@ func TestViewCacheGenerationLRUBound(t *testing.T) {
 		t.Error("LRU generation 2 must have been evicted")
 	}
 	// Re-admitting 2 evicted another generation (the map stays bounded).
-	if s := c.Snapshot(); s.Generations != maxGenerations || s.Resets != 2 {
+	if s := c.Snapshot(); s.Generations != maxGenerations || s.Evictions != 2 {
 		t.Errorf("bound must hold after re-admission: %+v", s)
 	}
 }
@@ -153,9 +153,6 @@ func TestViewCacheNilSafe(t *testing.T) {
 	}
 	rc.store(ddg.Hash128{}, patterns.KindMap, nil)
 	rc.storePrescreened(ddg.Hash128{}, patterns.KindMap)
-	if rc.decided(ddg.Hash128{}, patterns.KindMap) {
-		t.Error("nil handle decided: want false")
-	}
 	if st, _ := rc.lookup(ddg.Hash128{}, patterns.KindMap); st != cacheMiss {
 		t.Errorf("nil cache lookup: want miss, got %v", st)
 	}

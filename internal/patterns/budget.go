@@ -53,8 +53,8 @@ func (k *KindStats) Add(other KindStats) {
 }
 
 // Budget is the per-kind tally of one unit of match work: matcher runs,
-// prescreen answers and cache outcomes. The finder gives each match task
-// its own and merges them afterwards. A nil *Budget is valid everywhere
+// prescreen answers and cache outcomes. The finder gives each sub-DDG it
+// matches its own and merges it once afterwards. A nil *Budget is valid everywhere
 // and records nothing. A Budget is not safe for concurrent use.
 type Budget struct {
 	// Obs, when non-nil and enabled, receives one latency sample
@@ -118,7 +118,7 @@ func (b *Budget) RecordPrescreened(kind Kind) {
 	}
 }
 
-// Merge folds the tallies of other into b. Used to combine per-task
+// Merge folds the tallies of other into b. Used to combine per-sub-DDG
 // budgets; the sums do not depend on merge order.
 func (b *Budget) Merge(other *Budget) {
 	if b == nil || other == nil {

@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"discovery/internal/core"
+	"discovery/internal/sched"
 	"discovery/internal/starbench"
 )
 
@@ -55,6 +56,42 @@ func TestGoldenReports(t *testing.T) {
 				checkGolden(t, base+".txt", text)
 				checkGolden(t, base+".json", jsonData)
 			})
+		}
+	}
+}
+
+// TestGoldenReportsAcrossPools: the report does not depend on how many
+// executors ran the finder's sweeps. Find on every golden-corpus program
+// gives the golden JSON byte for byte on pools of 0, 1 and 3 workers.
+func TestGoldenReportsAcrossPools(t *testing.T) {
+	if *update {
+		t.Skip("the corpus is rewritten by TestGoldenReports")
+	}
+	for _, workers := range []int{0, 1, 3} {
+		pool := sched.NewPool(workers, nil)
+		defer pool.Close()
+		for _, b := range starbench.All() {
+			for _, v := range starbench.Versions() {
+				t.Run(fmt.Sprintf("workers=%d/%s/%s", workers, b.Name, v), func(t *testing.T) {
+					res, err := starbench.Evaluate(b, v, core.Options{Scheduler: pool})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := JSON(res.Finder)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(normalizeJSON(got), '\n')
+					want, err := os.ReadFile(filepath.Join("testdata", "golden", fmt.Sprintf("%s_%s.json", b.Name, v)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if string(got) != string(want) {
+						t.Errorf("JSON report on %d workers differs from the golden file: %s",
+							workers, firstDiff(got, want))
+					}
+				})
+			}
 		}
 	}
 }

@@ -8,23 +8,20 @@
 // machine by that factor, and the subtract/fuse/pipeline phases stayed
 // sequential because only the match phase owned goroutines. The scheduler
 // inverts the ownership: the process owns one sized Pool, each run
-// registers as an Owner, and every parallelizable unit of finder work — a
-// (sub-DDG × kind) solve, a subtract or fuse candidate sweep, a pipeline
-// pair solve — is a Task submitted to the pool.
+// registers as an Owner, and every parallel phase of a run — match,
+// subtract, fuse, pipelines — submits its work to the pool as Tasks.
 //
 // Scheduling model:
 //
-//   - Per-owner deques. Each Owner holds its own priority queue of
-//     submitted tasks, ordered by (Class, submission order): one FIFO per
-//     class, the lowest non-empty class served first. Within one
-//     run that reproduces the finder's cheapest-and-likeliest-first order
-//     exactly; the queue never interleaves another run's priorities.
+//   - Per-owner FIFOs. Each Owner holds its own queue of submitted tasks,
+//     served in submission order. The queue never interleaves another
+//     run's work.
 //
-//   - Work stealing across owners. Pool workers claim from whichever
-//     owner has the most urgent head task, round-robin among equals, so a
-//     worker that drains one run's deque steals from another run's. A
-//     small warm request therefore interleaves with a large cold one
-//     task-by-task instead of queueing behind it whole.
+//   - Work stealing across owners. Pool workers claim from the owners
+//     round-robin, starting past the last owner served, so a worker that
+//     drains one run's queue steals from another run's. A small warm
+//     request therefore interleaves with a large cold one task-by-task
+//     instead of queueing behind it whole.
 //
 //   - Helping waiters. Owner.Wait does not block while its own tasks are
 //     queued: the waiting goroutine claims and runs them itself
@@ -35,8 +32,8 @@
 //
 //   - Deadlines checked at claim time. A Task may carry a Deadline (the
 //     run's budget) and its Owner a context; a task claimed past either
-//     is dropped — Do(true) runs for its bookkeeping, the solve does not —
-//     so a doomed task costs a clock read, not a match.
+//     is dropped — Do(true) runs for its bookkeeping, the work does not —
+//     so a doomed task costs a clock read.
 //
 // Determinism: the pool promises nothing about execution order, and the
 // finder does not need it to — results land in pre-assigned slots and are
@@ -47,8 +44,6 @@ package sched
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -60,14 +55,11 @@ import (
 type Task struct {
 	// Do executes the task. expired is true when the task was claimed
 	// past its Deadline or after its Owner's context was done: the task
-	// must then do only its completion bookkeeping (slot accounting,
-	// pending counters), not the work itself. Do must contain its own
-	// panics; the pool's last-resort recover keeps a worker alive but
-	// discards the panic value (see Stats.Panics).
+	// must then do only its completion bookkeeping, not the work itself.
+	// Do must contain its own panics; the pool's last-resort recover
+	// keeps a worker alive but discards the panic value (see
+	// Stats.Panics).
 	Do func(expired bool)
-	// Class is the priority class, a small non-negative number; lower
-	// runs first within the owner. Ties resolve in submission order.
-	Class int
 	// Deadline, when non-zero, is the instant past which the task is
 	// dropped at claim time instead of run.
 	Deadline time.Time
@@ -99,50 +91,26 @@ type Stats struct {
 	Panics int64
 }
 
-// fifo is the queue of one priority class: tasks[head:] are queued in
-// submission order.
+// fifo is one owner's queue: tasks[head:] are queued in submission
+// order.
 type fifo struct {
 	tasks []Task
 	head  int
 }
 
-// classQueues is one owner's queued tasks, a FIFO per class indexed by
-// Class. Serving the head of the lowest non-empty class yields exactly
-// (Class, submission) order.
-type classQueues struct {
-	byClass []fifo
-	n       int // queued tasks over all classes
-}
+// n returns the number of queued tasks.
+func (q *fifo) n() int { return len(q.tasks) - q.head }
 
-func (q *classQueues) push(t Task) {
-	if n := t.Class + 1 - len(q.byClass); n > 0 {
-		q.byClass = append(q.byClass, make([]fifo, n)...)
-	}
-	f := &q.byClass[t.Class]
-	f.tasks = append(f.tasks, t)
-	q.n++
-}
-
-// headClass returns the lowest class with a queued task; q must not be
-// empty.
-func (q *classQueues) headClass() int {
-	c := 0
-	for q.byClass[c].head == len(q.byClass[c].tasks) {
-		c++
-	}
-	return c
-}
+func (q *fifo) push(t Task) { q.tasks = append(q.tasks, t) }
 
 // pop removes and returns the next task; q must not be empty.
-func (q *classQueues) pop() Task {
-	f := &q.byClass[q.headClass()]
-	t := f.tasks[f.head]
-	f.tasks[f.head] = Task{} // drop the closure for the collector
-	f.head++
-	if f.head == len(f.tasks) {
-		f.tasks, f.head = f.tasks[:0], 0
+func (q *fifo) pop() Task {
+	t := q.tasks[q.head]
+	q.tasks[q.head] = Task{} // drop the closure for the collector
+	q.head++
+	if q.head == len(q.tasks) {
+		q.tasks, q.head = q.tasks[:0], 0
 	}
-	q.n--
 	return t
 }
 
@@ -177,7 +145,7 @@ type Owner struct {
 	ctx  context.Context
 	done sync.Cond // signalled when pending reaches zero; shares pool.mu
 
-	q       classQueues
+	q       fifo
 	pending int // queued + running tasks of this owner
 	closed  bool
 }
@@ -214,8 +182,8 @@ func Default() *Pool { return defaultPool() }
 func (p *Pool) Workers() int { return p.workers }
 
 // Executors returns the parallel capacity one owner sees: the pool's
-// workers plus the owner's own helping goroutine. Phase chunking uses it
-// to size task batches.
+// workers plus the owner's own helping goroutine. The finder submits one
+// claimer task per executor for each parallel phase.
 func (p *Pool) Executors() int { return p.workers + 1 }
 
 // Stats snapshots the pool's counters.
@@ -262,15 +230,10 @@ func (p *Pool) NewOwner(ctx context.Context) *Owner {
 	return o
 }
 
-// Submit queues tasks on the owner's deque. Tasks with a nil Do are
-// ignored; a negative Class is a caller bug and panics. Safe to call from
-// any goroutine, including from inside a running task of the same owner.
+// Submit queues tasks on the owner's queue. Tasks with a nil Do are
+// ignored. Safe to call from any goroutine, including from inside a
+// running task of the same owner.
 func (o *Owner) Submit(tasks ...Task) {
-	for _, t := range tasks {
-		if t.Class < 0 {
-			panic(fmt.Sprintf("sched: Submit of a task with negative Class %d", t.Class))
-		}
-	}
 	p := o.pool
 	p.mu.Lock()
 	if o.closed {
@@ -300,13 +263,13 @@ func (o *Owner) Submit(tasks ...Task) {
 
 // Wait blocks until every task submitted so far (and any submitted while
 // waiting) has completed. The waiting goroutine helps: while its own
-// deque is non-empty it claims and runs its own tasks, so a run
+// queue is non-empty it claims and runs its own tasks, so a run
 // progresses even when every pool worker is serving other owners.
 func (o *Owner) Wait() {
 	p := o.pool
 	p.mu.Lock()
 	for o.pending > 0 {
-		if o.q.n > 0 {
+		if o.q.n() > 0 {
 			t := o.q.pop()
 			p.queued--
 			p.running++
@@ -342,8 +305,8 @@ func (o *Owner) Close() {
 	}
 }
 
-// worker is one pool goroutine: claim the most urgent task across owners,
-// run it, repeat; sleep when nothing is claimable, exit when the pool is
+// worker is one pool goroutine: claim the next owner's head task, run
+// it, repeat; sleep when nothing is claimable, exit when the pool is
 // closed and drained.
 func (p *Pool) worker() {
 	defer p.wg.Done()
@@ -372,35 +335,27 @@ func (p *Pool) worker() {
 	}
 }
 
-// claimLocked picks the owner whose head task has the lowest class —
-// round-robin among equals, starting past the last served owner so no
-// owner monopolizes the pool — and pops that task. Callers hold p.mu.
+// claimLocked pops the head task of the first owner with queued work,
+// scanning round-robin from just past the last served owner so no owner
+// monopolizes the pool. Callers hold p.mu.
 func (p *Pool) claimLocked() (*Owner, Task, bool) {
 	n := len(p.owners)
 	if n == 0 || p.queued == 0 {
 		return nil, Task{}, false
 	}
-	best := -1
-	bestClass := math.MaxInt
 	for i := 0; i < n; i++ {
 		idx := (p.rr + i) % n
 		o := p.owners[idx]
-		if o.q.n == 0 {
+		if o.q.n() == 0 {
 			continue
 		}
-		if c := o.q.headClass(); c < bestClass {
-			bestClass, best = c, idx
-		}
+		p.rr = (idx + 1) % n
+		t := o.q.pop()
+		p.queued--
+		p.running++
+		return o, t, true
 	}
-	if best < 0 {
-		return nil, Task{}, false
-	}
-	p.rr = (best + 1) % n
-	o := p.owners[best]
-	t := o.q.pop()
-	p.queued--
-	p.running++
-	return o, t, true
+	return nil, Task{}, false
 }
 
 // exec runs one claimed task outside the lock and books its completion.

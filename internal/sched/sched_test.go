@@ -65,22 +65,26 @@ func TestZeroWorkerPoolHelps(t *testing.T) {
 	}
 }
 
-// TestPriorityClasses: with a single executor (the helping waiter), tasks
-// run in (class, submission) order regardless of submission order.
-func TestPriorityClasses(t *testing.T) {
+// TestFIFOAcrossRefills: with a single executor (the helping waiter), an
+// owner's queue runs in submission order, including tasks submitted by
+// running tasks, and keeps it when drained and refilled.
+func TestFIFOAcrossRefills(t *testing.T) {
 	p := NewPool(0, nil)
 	defer p.Close()
 	o := p.NewOwner(nil)
 	defer o.Close()
-
 	var order []int
 	mark := func(id int) Task {
-		return Task{Class: id / 100, Do: func(expired bool) { order = append(order, id) }}
+		return Task{Do: func(bool) { order = append(order, id) }}
 	}
-	// Submit out of class order: class 2, 0, 1, 0.
-	o.Submit(mark(200), mark(1), mark(100), mark(2))
+	o.Submit(mark(10), Task{Do: func(bool) {
+		order = append(order, 0)
+		o.Submit(mark(1), mark(30), mark(11))
+	}})
 	o.Wait()
-	want := []int{1, 2, 100, 200}
+	o.Submit(mark(12), mark(2))
+	o.Wait()
+	want := []int{10, 0, 1, 30, 11, 12, 2}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -209,12 +213,12 @@ func TestStealsAcrossOwners(t *testing.T) {
 	b.Close()
 }
 
-// TestUrgentOwnerPreempts: a later owner's class-0 task is claimed before
-// an earlier owner's class-1 backlog — the anti-starvation property the
-// shared pool exists for (a small warm request never queues behind a
-// large cold one whole). Same pinning discipline as the steal test: the
-// single worker is the only executor, so its first claim after the gate
-// is the claim scan's verdict.
+// TestUrgentOwnerPreempts: a later owner's task is claimed before an
+// earlier owner's backlog — the owners are served round-robin, the
+// anti-starvation property the shared pool exists for (a small warm
+// request never queues behind a large cold one whole). Same pinning
+// discipline as the steal test: the single worker is the only executor,
+// so its first claim after the gate is the claim scan's verdict.
 func TestUrgentOwnerPreempts(t *testing.T) {
 	p := NewPool(1, nil)
 	defer p.Close()
@@ -233,19 +237,19 @@ func TestUrgentOwnerPreempts(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	slow.Submit(Task{Class: 0, Do: func(expired bool) { close(claimed); <-gate }})
+	slow.Submit(Task{Do: func(expired bool) { close(claimed); <-gate }})
 	<-claimed
 	for i := 0; i < 4; i++ {
-		slow.Submit(Task{Class: 1, Do: mark("slow")})
+		slow.Submit(Task{Do: mark("slow")})
 	}
-	fast.Submit(Task{Class: 0, Do: mark("fast")})
+	fast.Submit(Task{Do: mark("fast")})
 	close(gate)
 	awaitCompleted(t, p, 6)
 
 	mu.Lock()
 	defer mu.Unlock()
 	if len(order) != 5 || order[0] != "fast" {
-		t.Fatalf("claim order = %v, want the class-0 task first", order)
+		t.Fatalf("claim order = %v, want the later owner's task first", order)
 	}
 	slow.Close()
 	fast.Close()
@@ -289,7 +293,7 @@ func TestConcurrentOwners(t *testing.T) {
 			o := p.NewOwner(context.Background())
 			defer o.Close()
 			for j := 0; j < perOwner; j++ {
-				o.Submit(Task{Class: j % 3, Do: func(expired bool) { total.Add(1) }})
+				o.Submit(Task{Do: func(expired bool) { total.Add(1) }})
 				if j%30 == 0 {
 					o.Wait()
 				}

@@ -130,7 +130,7 @@ func TestConcurrentRequestsMatchDirectRuns(t *testing.T) {
 	// Every distinct (graph, options) fingerprint holds its own cache
 	// generation; nothing evicted under the default bound.
 	snap := s.cache.Snapshot()
-	if snap.Resets != 0 {
+	if snap.Evictions != 0 {
 		t.Errorf("cache evicted generations under capacity: %+v", snap)
 	}
 	if n, _ := s.st.Len(); n != 2*len(workloads) {

@@ -393,13 +393,26 @@ func TestEndpoints(t *testing.T) {
 		t.Errorf("healthz: %s", body)
 	}
 	var stats statsJSON
-	if err := json.Unmarshal([]byte(get("/stats")), &stats); err != nil {
+	statsBody := get("/stats")
+	if err := json.Unmarshal([]byte(statsBody), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Served != 1 || stats.StoreLen != 2 || stats.Cache.Generations != 1 {
+	if stats.Served != 1 || stats.StoreLen != 2 || stats.Cache.Generations != 1 || stats.Cache.Entries == 0 {
 		t.Errorf("stats after one analysis: %+v", stats)
 	}
-	// One analysis ran cold, so its solve tasks flowed through the shared
+	// The cache block is snake_case like the rest of the document.
+	var raw struct {
+		Cache map[string]int `json:"cache"`
+	}
+	if err := json.Unmarshal([]byte(statsBody), &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"entries", "prescreened", "generations", "evictions"} {
+		if _, ok := raw.Cache[key]; !ok || len(raw.Cache) != 4 {
+			t.Errorf("/stats cache block %v lacks %q or has other keys", raw.Cache, key)
+		}
+	}
+	// One analysis ran cold, so its phase tasks flowed through the shared
 	// pool: the sched block must show a sized, drained, non-idle pool.
 	if stats.Sched.Workers <= 0 || stats.Sched.Completed == 0 ||
 		stats.Sched.Completed != stats.Sched.Submitted ||

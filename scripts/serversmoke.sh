@@ -1,8 +1,8 @@
 #!/bin/sh
 # End-to-end smoke test for the analysis daemon: build cmd/server, start
 # it over a fresh disk store, submit the same Starbench workload twice,
-# and assert the second response is answered from the result store with
-# zero solver activity; then submit it once more with no_store and
+# and assert the first fills the shared view cache and the second is
+# answered from the result store with zero solver activity; then submit it once more with no_store and
 # no_cache and assert it computes the same patterns with no cache
 # activity. Exercises the real binary, the HTTP surface, and
 # the store round-trip — the parts a package test stubs.
@@ -46,6 +46,13 @@ echo "$cold" | jq -e '.store.status == "miss"' >/dev/null || {
 echo "$cold" | jq -e '.diagnostics.solver_runs > 0 and .diagnostics.patterns > 0' >/dev/null || {
     echo "serversmoke: cold run did no analysis work:" >&2
     echo "$cold" | jq '.diagnostics' >&2
+    exit 1
+}
+
+# The cold run filled the daemon's shared view cache.
+curl -sf "http://127.0.0.1:$PORT/stats" | jq -e '.cache.entries > 0' >/dev/null || {
+    echo "serversmoke: /stats cache block shows no entries after the cold run:" >&2
+    curl -sf "http://127.0.0.1:$PORT/stats" | jq -c '.cache' >&2
     exit 1
 }
 
