@@ -1,13 +1,16 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"discovery/internal/core"
 	"discovery/internal/ddg"
 	"discovery/internal/mir"
+	"discovery/internal/sched"
 	"discovery/internal/starbench"
 	"discovery/internal/trace"
 )
@@ -99,7 +102,11 @@ func oraclePositionClosedSubsets(g *ddg.Graph, comp ddg.Set) []ddg.Set {
 				parts = append(parts, cl)
 			}
 		}
-		out = append(out, ddg.UnionAll(parts...))
+		var union ddg.Set
+		for _, p := range parts {
+			union = union.Union(p)
+		}
+		out = append(out, union)
 	}
 	return out
 }
@@ -177,9 +184,138 @@ func TestSimplifyAndDecomposeMatchOracles(t *testing.T) {
 		}
 		graphs = append(graphs, gs)
 	}
-	for i, g := range graphs {
-		if got, want := renderSubs(core.Decompose(g)), renderSubs(oracleDecompose(g)); got != want {
-			t.Fatalf("graph %d (%d nodes): Decompose\n%s\noracle\n%s", i, g.NumNodes(), got, want)
+	for _, workers := range []int{0, 1, 3} {
+		pool := sched.NewPool(workers, nil)
+		for i, g := range graphs {
+			subs, res := core.DecomposeOn(context.Background(), pool, g)
+			if got, want := renderSubs(subs), renderSubs(oracleDecompose(g)); got != want {
+				t.Fatalf("%d workers, graph %d (%d nodes): Decompose\n%s\noracle\n%s", workers, i, g.NumNodes(), got, want)
+			}
+			if res.Degraded() {
+				t.Fatalf("%d workers, graph %d: degraded decomposition: %v", workers, i, res.Failures)
+			}
+			for _, s := range subs {
+				if fresh := (&core.SubDDG{Nodes: s.Nodes, Loop: s.Loop, Assoc: s.Assoc}); s.Key() != fresh.Key() {
+					t.Fatalf("%d workers, graph %d: %v keyed %x, want %x", workers, i, s, s.Key(), fresh.Key())
+				}
+			}
 		}
+		pool.Close()
+	}
+}
+
+// firstAssocComponent returns the first associative component the
+// decomposition sweeps, as oracleDecompose orders them: the first weakly
+// connected component of at least two nodes of the lowest associative
+// operation.
+func firstAssocComponent(g *ddg.Graph) ddg.Set {
+	for op := 0; op < 256; op++ {
+		var nodes []ddg.NodeID
+		for i := 0; i < g.NumNodes(); i++ {
+			if u := ddg.NodeID(i); int(g.Op(u)) == op && g.Op(u).Associative() {
+				nodes = append(nodes, u)
+			}
+		}
+		for _, comp := range g.WeaklyConnectedComponents(ddg.NewSet(nodes...)) {
+			if comp.Len() >= 2 {
+				return comp
+			}
+		}
+	}
+	return nil
+}
+
+// decomposeTestGraph is the simplified pthreads streamcluster graph: its
+// decomposition sweeps several associative components.
+func decomposeTestGraph(t *testing.T) *ddg.Graph {
+	t.Helper()
+	b := starbench.ByName("streamcluster")
+	tr, err := trace.Run(b.Build(starbench.Pthreads, b.Analysis).Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.Simplify(tr.Graph)
+}
+
+// TestDecomposeItemPanicLosesOneComponent: a panic in one decompose item
+// costs that associative component's sub-DDGs and nothing else, and is
+// recorded as a contained task failure. On a pool with no workers the
+// items run in component order, so the first one is the one that dies.
+func TestDecomposeItemPanicLosesOneComponent(t *testing.T) {
+	g := decomposeTestGraph(t)
+	comp0 := firstAssocComponent(g)
+	var want []*core.SubDDG
+	assocs := 0
+	for _, s := range oracleDecompose(g) {
+		if s.Assoc {
+			assocs++
+			if s.Nodes.SubsetOf(comp0) {
+				continue
+			}
+		}
+		want = append(want, s)
+	}
+	if comp0 == nil || assocs == len(oracleDecompose(g))-len(want) {
+		t.Fatalf("want a graph with associative sub-DDGs outside the first component")
+	}
+
+	pool := sched.NewPool(0, nil)
+	defer pool.Close()
+	fired := false
+	core.SetSweepItemHook(func(phase string) {
+		if phase == "decompose" && !fired {
+			fired = true
+			panic("injected decompose failure")
+		}
+	})
+	defer core.SetSweepItemHook(nil)
+	subs, res := core.DecomposeOn(context.Background(), pool, g)
+	if got, want := renderSubs(subs), renderSubs(want); got != want {
+		t.Errorf("after a failed item:\n%s\nwant\n%s", got, want)
+	}
+	if len(res.Failures) != 1 || !strings.Contains(res.Failures[0].Error(), "decompose task failed") {
+		t.Errorf("failures = %v, want one decompose task failure", res.Failures)
+	}
+	if res.Interrupted {
+		t.Error("a contained item failure labelled the run Interrupted")
+	}
+}
+
+// TestDecomposeInterruptedMidSweep: a context that ends during the
+// decompose sweep leaves the run's Result labelled Interrupted, and the
+// components left unclaimed contribute nothing.
+func TestDecomposeInterruptedMidSweep(t *testing.T) {
+	g := decomposeTestGraph(t)
+	pool := sched.NewPool(0, nil)
+	defer pool.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	items := 0
+	core.SetSweepItemHook(func(phase string) {
+		if phase == "decompose" {
+			items++
+			cancel()
+		}
+	})
+	defer core.SetSweepItemHook(nil)
+	subs, res := core.DecomposeOn(ctx, pool, g)
+	if items != 1 {
+		t.Errorf("%d decompose items ran; want the claimer to stop after the cancel in the first", items)
+	}
+	if !res.Interrupted || len(res.Failures) != 0 {
+		t.Errorf("interrupted=%v failures=%v; want Interrupted and no failure", res.Interrupted, res.Failures)
+	}
+	comp0 := firstAssocComponent(g)
+	for _, s := range subs {
+		if s.Assoc && !s.Nodes.SubsetOf(comp0) {
+			t.Errorf("unclaimed component yielded %v", s)
+		}
+	}
+
+	items = 0
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	if res := core.FindCtx(ctx, g, core.Options{Scheduler: pool}); !res.Interrupted || items != 1 {
+		t.Errorf("Find cancelled mid-decompose: interrupted=%v after %d items; want Interrupted after 1", res.Interrupted, items)
 	}
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+
 	"discovery/internal/ddg"
 	"discovery/internal/mir"
+	"discovery/internal/sched"
 )
 
 // WithoutPrescreen returns opts with the structural prescreen turned off:
@@ -14,12 +17,32 @@ func WithoutPrescreen(opts Options) Options {
 }
 
 // SetSweepItemHook installs (or, with nil, removes) the hook run before
-// every sweep item (a sub-DDG of the match phase, a pool entry of subtract
-// or fuse, a pipeline pair), with the phase name. Tests use it to cancel a
+// every sweep item (an associative component of decompose, a sub-DDG of
+// the match phase, a pool entry of subtract or fuse, a pipeline pair),
+// with the phase name. Tests use it to cancel a
 // run mid-sweep or to hold executors at a rendezvous.
 func SetSweepItemHook(h func(phase string)) { sweepItemHook = h }
 
-// MaxPositionClasses exposes the cap on positionClosedSubsets' subset
+// DecomposeOn runs the decomposition of g as FindCtx does, on a run of
+// its own under ctx on pool (nil: the process default pool). The Result
+// carries what the run records: contained item failures, and Interrupted
+// when ctx ended before the sweep did.
+func DecomposeOn(ctx context.Context, pool *sched.Pool, g *ddg.Graph) ([]*SubDDG, *Result) {
+	res := &Result{}
+	sc := newRunSched(ctx, Options{Scheduler: pool}, res)
+	defer sc.close()
+	subs := decompose(sc, g)
+	interrupted(ctx, res)
+	return subs, res
+}
+
+// Decompose is DecomposeOn with a background context on the default pool.
+func Decompose(g *ddg.Graph) []*SubDDG {
+	subs, _ := DecomposeOn(context.Background(), nil, g)
+	return subs
+}
+
+// MaxPositionClasses exposes the cap on eachPositionClosedSubset's subset
 // enumeration to the decomposition oracle.
 const MaxPositionClasses = maxPositionClasses
 

@@ -317,10 +317,10 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 			obs.Int("evictions", int64(snap.Evictions)))
 	}
 
-	// The solve scheduler: every parallel phase of the run — match,
-	// subtract, fuse, pipelines — sweeps its items (sub-DDGs, pool
-	// entries, stage pairs) over the run's owner on the pool and waits
-	// them out at the phase barrier.
+	// The solve scheduler: every parallel phase of the run — decompose,
+	// match, subtract, fuse, pipelines — sweeps its items (associative
+	// components, sub-DDGs, pool entries, stage pairs) over the run's
+	// owner on the pool and waits them out at the phase barrier.
 	sc := newRunSched(ctx, opts, res)
 	defer sc.close()
 
@@ -348,10 +348,11 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 	} else {
 		sp := rec.StartSpan("decompose", root)
 		ok := guard(res, "decompose", func() {
-			for _, s := range Decompose(gs) {
+			for _, s := range decompose(sc, gs) {
 				addPool(s)
 			}
 		})
+		interrupted(ctx, res)
 		if !ok && len(pool) == 0 {
 			// Decomposition died before producing anything; match the whole
 			// graph as one sub-DDG, the same degraded-but-sound view the
@@ -758,6 +759,9 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 				p = nil
 			}
 		}
+		if p != nil {
+			p.Nodes() // memoized here, so merge only reads it
+		}
 		cache.store(ps.pair, patterns.KindPipeline, p)
 		ps.p = p
 	})
@@ -890,6 +894,7 @@ type matchPhase struct {
 type subMatch struct {
 	s     *SubDDG
 	vhash ddg.Hash128
+	sub   *ddg.SubView        // the nodes' overlay, shared by census and view
 	pre   *patterns.Prescreen // nil when disabled or skipped
 	view  *patterns.View      // built on first use
 	b     patterns.Budget
@@ -961,6 +966,11 @@ func (mp *matchPhase) matchSub(s *SubDDG) {
 			}
 		}
 	}
+	// Memoize each pattern's node set here, on the item's executor, so
+	// that merge only reads it.
+	for _, p := range found {
+		p.Nodes()
+	}
 	s.Matched = found
 	mp.mu.Lock()
 	mp.rollup.Merge(&m.b)
@@ -1019,20 +1029,30 @@ func (mp *matchPhase) prep(m *subMatch) (skip bool) {
 	if !mp.opts.noPrescreen {
 		if mp.rec.Enabled() {
 			t0 := time.Now()
-			m.pre = patterns.PrescreenSub(mp.gs, s.Nodes, s.viewLoop(mp.compact))
+			m.pre = patterns.PrescreenSub(mp.gs, mp.overlayOf(m), s.viewLoop(mp.compact))
 			mp.rec.Observe(obs.MetricPrescreenSeconds, time.Since(t0).Seconds())
 		} else {
-			m.pre = patterns.PrescreenSub(mp.gs, s.Nodes, s.viewLoop(mp.compact))
+			m.pre = patterns.PrescreenSub(mp.gs, mp.overlayOf(m), s.viewLoop(mp.compact))
 		}
 	}
 	return false
 }
 
-// viewOf builds (once) and returns the sub-DDG's matching view, recording
-// its group count in the size histogram.
+// overlayOf builds (once) and returns the overlay of the sub-DDG's nodes,
+// which the census and the view share.
+func (mp *matchPhase) overlayOf(m *subMatch) *ddg.SubView {
+	if m.sub == nil {
+		m.sub = mp.gs.Overlay(m.s.Nodes)
+	}
+	return m.sub
+}
+
+// viewOf builds (once) and returns the sub-DDG's matching view over the
+// shared overlay, recording its group count in the size histogram.
 func (mp *matchPhase) viewOf(m *subMatch) *patterns.View {
 	if m.view == nil {
 		m.view = m.s.CachedView(mp.gs, mp.compact)
+		m.view.SetOverlay(mp.overlayOf(m))
 		if mp.rec.Enabled() {
 			mp.rec.Observe(obs.MetricViewGroups, float64(m.view.NumGroups()))
 		}
@@ -1150,17 +1170,14 @@ func (mp *matchPhase) matchFused(s *SubDDG) []*patterns.Pattern {
 // rollupStats folds a tally's per-kind matcher effort and cache counters
 // into the result.
 func rollupStats(res *Result, b *patterns.Budget) {
-	if len(b.Kinds) == 0 {
-		return
-	}
-	if res.SolverStats == nil {
-		res.SolverStats = map[patterns.Kind]patterns.KindStats{}
-	}
-	for kind, ks := range b.Kinds {
+	b.Each(func(kind patterns.Kind, ks patterns.KindStats) {
+		if res.SolverStats == nil {
+			res.SolverStats = map[patterns.Kind]patterns.KindStats{}
+		}
 		cur := res.SolverStats[kind]
-		cur.Add(*ks)
+		cur.Add(ks)
 		res.SolverStats[kind] = cur
-	}
+	})
 }
 
 func hasMapMatch(s *SubDDG) bool {

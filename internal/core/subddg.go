@@ -67,18 +67,23 @@ func (s *SubDDG) Key() ddg.Hash128 {
 			h.Hash(s.FusedB.Key())
 			s.key = h.Sum()
 		} else {
-			h := ddg.NewHasher(hashSeedPoolKey)
-			h.Hash(s.Nodes.Hash())
-			h.Word(uint64(s.Loop))
-			var assoc uint64
-			if s.Assoc {
-				assoc = 1
-			}
-			h.Word(assoc)
-			s.key = h.Sum()
+			s.key = poolKey(s.Nodes, s.Loop, s.Assoc)
 		}
 	}
 	return s.key
+}
+
+// poolKey is the key of a sub-DDG that is not fused.
+func poolKey(nodes ddg.Set, loop mir.LoopID, assoc bool) ddg.Hash128 {
+	h := ddg.NewHasher(hashSeedPoolKey)
+	h.Hash(nodes.Hash())
+	h.Word(uint64(loop))
+	var a uint64
+	if assoc {
+		a = 1
+	}
+	h.Word(a)
+	return h.Sum()
 }
 
 // Kind describes the provenance for diagnostics.
@@ -142,17 +147,48 @@ func (s *SubDDG) String() string {
 	return fmt.Sprintf("subddg(%s, %d nodes)", s.Kind(), s.Nodes.Len())
 }
 
-// Decompose partitions the simplified DDG into loop sub-DDGs (one per
+// decompose partitions the simplified DDG into loop sub-DDGs (one per
 // static loop, spanning all invocations and threads) and associative
 // component sub-DDGs (weakly connected components of same-operation
 // associative nodes), the two decomposition dimensions of paper §5.
-func Decompose(g *ddg.Graph) []*SubDDG {
-	var subs []*SubDDG
+//
+// The loop sub-DDGs come from one pass over the nodes. The associative
+// components are swept over the run's executors, one item each: an item
+// enumerates its component's position-closed subsets and their weakly
+// connected components, and keys each candidate. A sequential fold then
+// drops every candidate whose key an earlier one had, in component order,
+// so the sub-DDGs and their order do not depend on which executor ran
+// which item. The caller runs interrupted(ctx, res) afterwards, as after
+// every sweep: once the run is cancelled, the unclaimed components yield
+// nothing.
+func decompose(sc *runSched, g *ddg.Graph) []*SubDDG {
+	subs := loopSubs(g)
+	comps := assocComponents(g)
+	cands := make([][]assocCand, len(comps))
+	sweep(sc, "decompose", len(comps), func(i int) { cands[i] = assocCands(g, comps[i]) })
+	n := 0
+	for _, cs := range cands {
+		n += len(cs)
+	}
+	seen := make(map[ddg.Hash128]struct{}, n)
+	for _, cs := range cands {
+		for _, c := range cs {
+			if _, dup := seen[c.key]; !dup {
+				seen[c.key] = struct{}{}
+				subs = append(subs, &SubDDG{Nodes: c.nodes, Assoc: true, key: c.key})
+			}
+		}
+	}
+	return subs
+}
 
-	// Loop sub-DDGs, bucketed by loop id (static ids are small and dense).
-	// Nodes arrive in ascending order and join each loop of their chain
-	// once, so every bucket is already a Set. Consecutive nodes mostly
-	// share a scope, whose distinct loops are listed once per change.
+// loopSubs returns the loop sub-DDGs of g, by ascending loop id, each of
+// at least two nodes.
+func loopSubs(g *ddg.Graph) []*SubDDG {
+	// Bucketed by loop id (static ids are small and dense). Nodes arrive
+	// in ascending order and join each loop of their chain once, so every
+	// bucket is already a Set. Consecutive nodes mostly share a scope,
+	// whose distinct loops are listed once per change.
 	var byLoop [][]ddg.NodeID
 	var loops []mir.LoopID
 	var prev *ddg.Scope
@@ -173,24 +209,19 @@ func Decompose(g *ddg.Graph) []*SubDDG {
 			byLoop[id] = append(byLoop[id], u)
 		}
 	}
+	var subs []*SubDDG
 	for id, nodes := range byLoop {
 		if len(nodes) < 2 {
 			continue
 		}
 		subs = append(subs, &SubDDG{Nodes: nodes, Loop: mir.LoopID(id)})
 	}
+	return subs
+}
 
-	// Associative component sub-DDGs, per associative operation. A weakly
-	// connected component can mix executions of several static
-	// instructions — e.g. the accumulator inside dist() chains into the
-	// per-thread partial sums that chain into the final sum. A reduction
-	// pattern covers a subset of those instructions (the partial and final
-	// accumulators, but not dist's), so decomposition enumerates the
-	// connected subcomponents that are closed over static source positions
-	// (include an instruction, include all its executions in the
-	// component). This is the node-set freedom the paper's constraint
-	// models have natively; class counts per component are small, so the
-	// enumeration is cheap (and capped).
+// assocComponents returns the weakly connected components, of at least
+// two nodes, of each associative operation's nodes, by operation code.
+func assocComponents(g *ddg.Graph) []ddg.Set {
 	// Bucketed by operation code, in ascending node order: each bucket is
 	// already a Set.
 	var byOp [256]ddg.Set
@@ -200,27 +231,50 @@ func Decompose(g *ddg.Graph) []*SubDDG {
 			byOp[op] = append(byOp[op], u)
 		}
 	}
-	seen := map[ddg.Hash128]bool{}
-	addAssoc := func(nodes ddg.Set) {
-		if nodes.Len() < 2 || seen[nodes.Hash()] {
-			return
-		}
-		seen[nodes.Hash()] = true
-		subs = append(subs, &SubDDG{Nodes: nodes, Assoc: true})
-	}
+	var comps []ddg.Set
 	for _, all := range byOp {
 		for _, comp := range g.WeaklyConnectedComponents(all) {
-			if comp.Len() < 2 {
-				continue
-			}
-			for _, sub := range positionClosedSubsets(g, comp) {
-				for _, wcc := range g.WeaklyConnectedComponents(sub) {
-					addAssoc(wcc)
-				}
+			if comp.Len() >= 2 {
+				comps = append(comps, comp)
 			}
 		}
 	}
-	return subs
+	return comps
+}
+
+// assocCand is one candidate associative sub-DDG and its pool key.
+type assocCand struct {
+	nodes ddg.Set
+	key   ddg.Hash128
+}
+
+// assocCands returns the candidate sub-DDGs of one associative component.
+// A weakly connected component can mix executions of several static
+// instructions — e.g. the accumulator inside dist() chains into the
+// per-thread partial sums that chain into the final sum. A reduction
+// pattern covers a subset of those instructions (the partial and final
+// accumulators, but not dist's), so decomposition enumerates the
+// connected subcomponents that are closed over static source positions
+// (include an instruction, include all its executions in the component).
+// This is the node-set freedom the paper's constraint models have
+// natively; class counts per component are small, so the enumeration is
+// cheap (and capped). Each candidate of at least two nodes is hashed
+// once, into its key; the same node set may come from several subsets.
+// The component itself is one of them, and needs no splitting.
+func assocCands(g *ddg.Graph, comp ddg.Set) []assocCand {
+	var out []assocCand
+	eachPositionClosedSubset(g, comp, func(sub ddg.Set) {
+		if len(sub) == len(comp) { // comp itself, weakly connected already
+			out = append(out, assocCand{comp, poolKey(comp, 0, true)})
+			return
+		}
+		for _, wcc := range g.WeaklyConnectedComponents(sub) {
+			if wcc.Len() >= 2 {
+				out = append(out, assocCand{wcc, poolKey(wcc, 0, true)})
+			}
+		}
+	})
+	return out
 }
 
 // maxPositionClasses caps the subset enumeration in associative component
@@ -228,9 +282,12 @@ func Decompose(g *ddg.Graph) []*SubDDG {
 // the whole component plus its per-instruction slices.
 const maxPositionClasses = 6
 
-// positionClosedSubsets enumerates the subsets of comp that are closed
-// over static source positions, including comp itself.
-func positionClosedSubsets(g *ddg.Graph, comp ddg.Set) []ddg.Set {
+// eachPositionClosedSubset calls fn with each subset of comp that is
+// closed over static source positions, comp itself included: the union of
+// each nonempty set of position classes, by ascending class mask, the
+// classes in position order. The subset fn sees is valid only during the
+// call.
+func eachPositionClosedSubset(g *ddg.Graph, comp ddg.Set, fn func(ddg.Set)) {
 	// The distinct positions, sorted by (file, line); components mix few.
 	var poss []mir.Pos
 	for _, u := range comp {
@@ -239,7 +296,8 @@ func positionClosedSubsets(g *ddg.Graph, comp ddg.Set) []ddg.Set {
 		}
 	}
 	if len(poss) == 1 {
-		return []ddg.Set{comp}
+		fn(comp)
+		return
 	}
 	// One class per position, in position order.
 	cls := make([]int32, len(comp))
@@ -247,23 +305,25 @@ func positionClosedSubsets(g *ddg.Graph, comp ddg.Set) []ddg.Set {
 		c, _ := slices.BinarySearchFunc(poss, g.Pos(u), comparePos)
 		cls[i] = int32(c)
 	}
-	classes := ddg.Partition(comp, cls, len(poss))
-	if len(classes) > maxPositionClasses {
-		out := []ddg.Set{comp}
-		out = append(out, classes...)
-		return out
+	if len(poss) > maxPositionClasses {
+		fn(comp)
+		for _, cl := range ddg.Partition(comp, cls, len(poss)) {
+			fn(cl)
+		}
+		return
 	}
-	var out []ddg.Set
-	for mask := 1; mask < 1<<len(classes); mask++ {
-		var parts []ddg.Set
-		for i, cl := range classes {
-			if mask&(1<<i) != 0 {
-				parts = append(parts, cl)
+	// A subset is comp filtered by its class mask, so it comes out
+	// ascending; one buffer serves every mask.
+	buf := make(ddg.Set, 0, len(comp))
+	for mask := 1; mask < 1<<len(poss); mask++ {
+		buf = buf[:0]
+		for i, u := range comp {
+			if mask>>cls[i]&1 != 0 {
+				buf = append(buf, u)
 			}
 		}
-		out = append(out, ddg.UnionAll(parts...))
+		fn(buf)
 	}
-	return out
 }
 
 // comparePos orders source positions by file, then line.

@@ -82,10 +82,11 @@ func (g *Graph) Thread(u NodeID) int32 { return g.thread[u] }
 func (g *Graph) ScopeOf(u NodeID) *Scope { return g.tab.scopes[g.scope[u]] }
 
 // Succs returns the successors of u. The returned slice is shared; callers
-// must not mutate it.
+// must not mutate it. A resident read inlines into the caller; a spilled
+// graph's read goes out of line to the pager.
 func (g *Graph) Succs(u NodeID) []NodeID {
 	if g.pager != nil {
-		return g.pager.arcsOf(&g.pager.succ, u)
+		return g.pagedSuccs(u)
 	}
 	return g.succArr[g.succOff[u]:g.succOff[u+1]]
 }
@@ -93,7 +94,7 @@ func (g *Graph) Succs(u NodeID) []NodeID {
 // Preds returns the predecessors of u. The returned slice is shared.
 func (g *Graph) Preds(u NodeID) []NodeID {
 	if g.pager != nil {
-		return g.pager.arcsOf(&g.pager.pred, u)
+		return g.pagedPreds(u)
 	}
 	return g.predArr[g.predOff[u]:g.predOff[u+1]]
 }

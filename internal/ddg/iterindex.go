@@ -77,55 +77,80 @@ func (g *Graph) iterIndexes() map[mir.LoopID]*LoopIterIndex {
 // loop — the frame Scope.FrameFor reports — which matters when recursion
 // nests the same static loop twice in one chain.
 // While scanning, each run of one key gets a provisional number (a key met
-// again after another key gets a second); at the end the provisional keys
-// are sorted by (invocation, iteration), equal keys merged, and the
-// ordinals renumbered to the distinct keys' positions. Loops are slots of
-// a slice indexed by id, so no step hashes.
+// again after another key gets a second). A first scan counts each loop's
+// provisional keys, so the second sizes every key table once. When a
+// loop's provisional keys arrive strictly ascending, as every
+// single-threaded trace's do, they are already its sorted distinct keys
+// and the ordinals are final. Otherwise the keys are sorted by
+// (invocation, iteration), equal keys merged, and the ordinals renumbered
+// to the distinct keys' positions. Loops are slots of a slice indexed by
+// id, so no step hashes.
 func deriveIterIndexes(ids []uint32, scopes []*Scope) map[mir.LoopID]*LoopIterIndex {
+	var counts []int32 // by loop id: provisional keys
+	var last []IterationKey
+	var frames []*Scope
+	var prev *Scope
+	for _, id := range ids {
+		if s := scopes[id]; s != prev {
+			prev = s
+			frames = innermostFrames(frames[:0], s)
+			for _, f := range frames {
+				if int(f.Loop) >= len(counts) {
+					counts = append(counts, make([]int32, int(f.Loop)+1-len(counts))...)
+					last = append(last, make([]IterationKey, int(f.Loop)+1-len(last))...)
+				}
+				if k := f.key(); counts[f.Loop] == 0 || last[f.Loop] != k {
+					counts[f.Loop]++
+					last[f.Loop] = k
+				}
+			}
+		}
+	}
+
 	type charge struct {
 		ix  *LoopIterIndex
 		ord int32
 	}
-	var byLoop []*LoopIterIndex // by loop id; Keys provisional until the end
-	var cur []charge            // the current scope's innermost frame per loop
-	var prev *Scope
+	byLoop := make([]*LoopIterIndex, len(counts))
+	unsorted := make([]bool, len(counts))
+	var cur []charge // the current scope's innermost frame per loop
+	prev = nil
 	for u, id := range ids {
 		if s := scopes[id]; s != prev {
+			prev = s
+			frames = innermostFrames(frames[:0], s)
 			cur = cur[:0]
-		frames:
-			for f := s; f != nil; f = f.Parent {
-				if int(f.Loop) >= len(byLoop) {
-					byLoop = append(byLoop, make([]*LoopIterIndex, int(f.Loop)+1-len(byLoop))...)
-				}
+			for _, f := range frames {
 				ix := byLoop[f.Loop]
 				if ix == nil {
 					ord := make([]int32, len(ids))
 					for i := range ord {
 						ord[i] = -1
 					}
-					ix = &LoopIterIndex{Loop: f.Loop, ord: ord}
+					ix = &LoopIterIndex{Loop: f.Loop, Keys: make([]IterationKey, 0, counts[f.Loop]), ord: ord}
 					byLoop[f.Loop] = ix
 				}
-				for _, c := range cur {
-					if c.ix == ix { // an outer frame of a re-entered loop
-						continue frames
-					}
-				}
-				k := IterationKey{Loop: f.Loop, Invocation: f.Invocation, Iter: f.Iter}
+				k := f.key()
 				if n := len(ix.Keys); n == 0 || ix.Keys[n-1] != k {
+					if n > 0 && compareKeys(ix.Keys[n-1], k) >= 0 {
+						unsorted[f.Loop] = true
+					}
 					ix.Keys = append(ix.Keys, k)
 				}
 				cur = append(cur, charge{ix, int32(len(ix.Keys) - 1)})
 			}
-			prev = s
 		}
 		for _, c := range cur {
 			c.ix.ord[u] = c.ord
 		}
 	}
 	out := map[mir.LoopID]*LoopIterIndex{}
-	for _, ix := range byLoop {
+	for loop, ix := range byLoop {
 		if ix == nil {
+			continue
+		}
+		out[ix.Loop] = ix
+		if !unsorted[loop] {
 			continue
 		}
 		byKey := make([]int32, len(ix.Keys)) // sorted position -> provisional number
@@ -134,7 +159,7 @@ func deriveIterIndexes(ids []uint32, scopes []*Scope) map[mir.LoopID]*LoopIterIn
 		}
 		slices.SortFunc(byKey, func(a, b int32) int { return compareKeys(ix.Keys[a], ix.Keys[b]) })
 		renum := make([]int32, len(byKey)) // provisional number -> distinct key position
-		var keys []IterationKey
+		keys := make([]IterationKey, 0, len(byKey))
 		for _, o := range byKey {
 			if k := ix.Keys[o]; len(keys) == 0 || keys[len(keys)-1] != k {
 				keys = append(keys, k)
@@ -147,9 +172,28 @@ func deriveIterIndexes(ids []uint32, scopes []*Scope) map[mir.LoopID]*LoopIterIn
 			}
 		}
 		ix.Keys = keys
-		out[ix.Loop] = ix
 	}
 	return out
+}
+
+// innermostFrames appends to dst the innermost frame of each loop in s's
+// chain, innermost loop first, and returns it.
+func innermostFrames(dst []*Scope, s *Scope) []*Scope {
+frames:
+	for f := s; f != nil; f = f.Parent {
+		for _, g := range dst {
+			if g.Loop == f.Loop { // an outer frame of a re-entered loop
+				continue frames
+			}
+		}
+		dst = append(dst, f)
+	}
+	return dst
+}
+
+// key returns the iteration key of the frame f heads.
+func (f *Scope) key() IterationKey {
+	return IterationKey{Loop: f.Loop, Invocation: f.Invocation, Iter: f.Iter}
 }
 
 // compareKeys orders iteration keys of one loop by (invocation, iteration).

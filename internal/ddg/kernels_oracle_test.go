@@ -230,10 +230,47 @@ func kernelSubsets(n int, mask []byte) []Set {
 	return subs
 }
 
+// oracleUnionAll is UnionAll as first written: Union folded over the
+// pieces one at a time.
+func oracleUnionAll(sets ...Set) Set {
+	var out Set
+	for _, s := range sets {
+		out = out.Union(s)
+	}
+	return out
+}
+
+// checkUnionAll compares UnionAll with the fold on disjoint ordered
+// pieces (each sub cut into runs, empty runs between them), disjoint
+// interleaved ones (its components), overlapping ones (every sub) and
+// the same in reverse.
+func checkUnionAll(t *testing.T, g *Graph, subs []Set) {
+	t.Helper()
+	check := func(what string, pieces []Set) {
+		t.Helper()
+		got, want := UnionAll(pieces...), oracleUnionAll(pieces...)
+		if !got.Equal(want) || (got == nil) != (want == nil) {
+			t.Fatalf("UnionAll(%s %v) = %v, want %v", what, pieces, got, want)
+		}
+	}
+	check("no", nil)
+	check("overlapping", subs)
+	rev := slices.Clone(subs)
+	slices.Reverse(rev)
+	check("reversed", rev)
+	for _, sub := range subs {
+		third := len(sub) / 3
+		check("ordered", []Set{sub[:third], nil, sub[third : 2*third], {}, sub[2*third:]})
+		check("interleaved", g.WeaklyConnectedComponents(sub))
+		check("single", []Set{sub})
+	}
+}
+
 // checkKernels compares every dense kernel with its oracle on g (whose
 // adjacency the oracles read from ref, the same graph kept resident).
 func checkKernels(t *testing.T, g, ref *Graph, subs []Set) {
 	t.Helper()
+	checkUnionAll(t, g, subs)
 	for _, sub := range subs {
 		want := oracleWCC(ref, sub)
 		if got := g.WeaklyConnectedComponents(sub); renderSets(got) != renderSets(want) || len(got) != len(want) {

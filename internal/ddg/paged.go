@@ -296,6 +296,16 @@ func (p *arcPager) evict(keepT *arcTable, keepS int) {
 	}
 }
 
+// pagedSuccs and pagedPreds read one node's adjacency through the pager.
+// They stay out of line so that Graph.Succs and Graph.Preds fit the
+// inlining budget and a resident read costs no call.
+//
+//go:noinline
+func (g *Graph) pagedSuccs(u NodeID) []NodeID { return g.pager.arcsOf(&g.pager.succ, u) }
+
+//go:noinline
+func (g *Graph) pagedPreds(u NodeID) []NodeID { return g.pager.arcsOf(&g.pager.pred, u) }
+
 // arcsOf answers one adjacency read through the pager.
 func (p *arcPager) arcsOf(t *arcTable, u NodeID) []NodeID {
 	s := t.segOf(u)

@@ -239,11 +239,34 @@ func Partition(s Set, label []int32, k int) []Set {
 	return out
 }
 
-// UnionAll returns the union of several sets.
+// UnionAll returns the union of several sets in one allocation: the
+// pieces are concatenated, and when each nonempty piece starts above the
+// previous one's last id the concatenation is already the union.
+// Otherwise it is sorted and compacted. Linear in the total length for
+// ordered pieces, where folding Union one set at a time is quadratic in
+// their number.
 func UnionAll(sets ...Set) Set {
-	var out Set
+	if len(sets) == 0 {
+		return nil
+	}
+	n := 0
 	for _, s := range sets {
-		out = out.Union(s)
+		n += len(s)
+	}
+	out := make(Set, 0, n)
+	ordered := true
+	for _, s := range sets {
+		if len(s) == 0 {
+			continue
+		}
+		if len(out) > 0 && s[0] <= out[len(out)-1] {
+			ordered = false
+		}
+		out = append(out, s...)
+	}
+	if !ordered {
+		slices.Sort(out)
+		out = slices.Compact(out)
 	}
 	return out
 }

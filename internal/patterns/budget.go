@@ -54,28 +54,54 @@ func (k *KindStats) Add(other KindStats) {
 
 // Budget is the per-kind tally of one unit of match work: matcher runs,
 // prescreen answers and cache outcomes. The finder gives each sub-DDG it
-// matches its own and merges it once afterwards. A nil *Budget is valid everywhere
-// and records nothing. A Budget is not safe for concurrent use.
+// matches its own and merges it once afterwards, so the tallies live in a
+// fixed array, one slot per kind, and booking allocates nothing. A nil
+// *Budget is valid everywhere and records nothing. A Budget is not safe
+// for concurrent use.
 type Budget struct {
 	// Obs, when non-nil and enabled, receives one latency sample
 	// (obs.MetricSolveSeconds) per booked matcher run. Nil — the default —
 	// keeps the match path free of observability work.
 	Obs obs.Recorder
-	// Kinds accumulates the per-kind tallies.
-	Kinds map[Kind]*KindStats
+
+	// kinds holds one tally per kind. Every booking counts something, so
+	// a slot that is still zero was never booked.
+	kinds [numKindSlots]KindStats
 }
 
-// stats returns (allocating if needed) the KindStats bucket for kind.
-func (b *Budget) stats(kind Kind) *KindStats {
-	if b.Kinds == nil {
-		b.Kinds = map[Kind]*KindStats{}
+// numKindSlots counts the kinds a Budget tallies: the paper's seven, then
+// the extension kinds from KindStencil on.
+const numKindSlots = int(KindTiledMapReduction) + 1 + int(KindPipeline-KindStencil) + 1
+
+// kindSlot maps a kind to its Budget slot.
+func kindSlot(k Kind) int {
+	if k >= KindStencil {
+		return int(KindTiledMapReduction) + 1 + int(k-KindStencil)
 	}
-	ks := b.Kinds[kind]
-	if ks == nil {
-		ks = &KindStats{}
-		b.Kinds[kind] = ks
+	return int(k)
+}
+
+// slotKind is kindSlot's inverse.
+func slotKind(i int) Kind {
+	if i > int(KindTiledMapReduction) {
+		return KindStencil + Kind(i-int(KindTiledMapReduction)-1)
 	}
-	return ks
+	return Kind(i)
+}
+
+// stats returns the KindStats slot for kind.
+func (b *Budget) stats(kind Kind) *KindStats { return &b.kinds[kindSlot(kind)] }
+
+// Each calls fn with every kind booked and its tally, in kind order.
+func (b *Budget) Each(fn func(Kind, KindStats)) {
+	if b == nil {
+		return
+	}
+	for i, ks := range &b.kinds {
+		if ks != (KindStats{}) {
+			fn(slotKind(i), ks)
+		}
+	}
 }
 
 // RecordRun books one matcher run past the census gate under kind: whether
@@ -124,7 +150,5 @@ func (b *Budget) Merge(other *Budget) {
 	if b == nil || other == nil {
 		return
 	}
-	for kind, ks := range other.Kinds {
-		b.stats(kind).Add(*ks)
-	}
+	other.Each(func(kind Kind, ks KindStats) { b.stats(kind).Add(ks) })
 }

@@ -95,17 +95,19 @@ func (p *Prescreen) CannotMatch(k Kind) bool {
 	return p.cannot&prescreenBit(k) != 0
 }
 
-// PrescreenSub runs the census for the view of the node set under the
-// grouping provenance loop (zero = node-per-node), in one pass over the
-// overlay. Cost is O(members + member arcs); nothing of the grouping,
-// labels, or reachability structure is built.
-func PrescreenSub(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) *Prescreen {
+// PrescreenSub runs the census for the view of a node set under the
+// grouping provenance loop (zero = node-per-node), in one pass over sub,
+// the set's overlay on g (g.Overlay(nodes)). The finder builds that
+// overlay once per sub-DDG and hands the same one to the view
+// (View.SetOverlay). Cost is O(members + member arcs); nothing of the
+// grouping, labels, or reachability structure is built.
+func PrescreenSub(g ddg.GraphView, sub *ddg.SubView, loop mir.LoopID) *Prescreen {
+	nodes := sub.Nodes()
 	p := &Prescreen{
 		NumNodes:      nodes.Len(),
 		CompactedLoop: loop != 0,
 		AllAssocOneOp: true,
 	}
-	sub := g.Overlay(nodes)
 	indeg := make([]int32, p.NumNodes)
 	var scratch []ddg.NodeID
 	var firstOp mir.Op

@@ -40,7 +40,7 @@ func runMatcherOn(v *View, k Kind) *Pattern {
 func checkSound(t *testing.T, g *ddg.Graph, nodes ddg.Set) {
 	t.Helper()
 	for _, loop := range []mir.LoopID{0, 1} {
-		p := PrescreenSub(g, nodes, loop)
+		p := PrescreenSub(g, g.Overlay(nodes), loop)
 		var v *View
 		if loop == 0 {
 			v = NodeView(g, nodes)
@@ -68,7 +68,7 @@ func checkSound(t *testing.T, g *ddg.Graph, nodes ddg.Set) {
 
 func TestPrescreenCensusOnMap(t *testing.T) {
 	g, nodes := buildMapDDG(4)
-	p := PrescreenSub(g, nodes, 1)
+	p := PrescreenSub(g, g.Overlay(nodes), 1)
 	if !p.CompactedLoop {
 		t.Errorf("loop view not marked compacted")
 	}
@@ -94,7 +94,7 @@ func TestPrescreenCensusOnMap(t *testing.T) {
 
 func TestPrescreenCensusOnChain(t *testing.T) {
 	g, nodes := buildChainDDG(6)
-	p := PrescreenSub(g, nodes, 0)
+	p := PrescreenSub(g, g.Overlay(nodes), 0)
 	if p.Arcs != 5 || p.MaxIn != 1 || p.MaxOut != 1 || p.Sources != 1 || p.Sinks != 1 {
 		t.Errorf("chain census: arcs=%d maxIn=%d maxOut=%d sources=%d sinks=%d",
 			p.Arcs, p.MaxIn, p.MaxOut, p.Sources, p.Sinks)
@@ -113,7 +113,7 @@ func TestPrescreenCensusOnChain(t *testing.T) {
 
 func TestPrescreenCensusOnTiled(t *testing.T) {
 	g, nodes := buildTiledDDG(3, 4)
-	p := PrescreenSub(g, nodes, 0)
+	p := PrescreenSub(g, g.Overlay(nodes), 0)
 	if p.CannotMatch(KindTiledReduction) {
 		t.Errorf("prescreen rejects the canonical tiled reduction")
 	}
@@ -132,7 +132,7 @@ func TestPrescreenParallelArcsDeduplicated(t *testing.T) {
 	w := b.node(mir.OpFAdd, 1, u, u)
 	b.node(mir.OpFloor, -1, w)
 	nodes := ddg.NewSet(u, w)
-	p := PrescreenSub(b.graph(), nodes, 0)
+	p := PrescreenSub(b.graph(), b.graph().Overlay(nodes), 0)
 	if p.Arcs != 1 {
 		t.Errorf("parallel arcs counted as %d, want 1", p.Arcs)
 	}

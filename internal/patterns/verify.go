@@ -16,16 +16,20 @@ import (
 // disjointness, label isomorphism (exact multiset + internal arc count),
 // weak connectivity, and convexity within the whole graph.
 func VerifyPattern(g ddg.GraphView, comps []ddg.Set) error {
+	_, err := verifyPattern(g, comps)
+	return err
+}
+
+// verifyPattern is VerifyPattern returning, for a pattern that passes, the
+// owner table its (1b) check built, for the callers' arc checks.
+func verifyPattern(g ddg.GraphView, comps []ddg.Set) (*owners, error) {
 	if len(comps) == 0 {
-		return fmt.Errorf("pattern has no components")
+		return nil, fmt.Errorf("pattern has no components")
 	}
 	// (1b) disjoint components.
-	for i := range comps {
-		for j := i + 1; j < len(comps); j++ {
-			if !comps[i].Disjoint(comps[j]) {
-				return fmt.Errorf("components %d and %d share nodes", i, j)
-			}
-		}
+	own, i, j := newOwners(comps)
+	if i >= 0 {
+		return nil, fmt.Errorf("components %d and %d share nodes", i, j)
 	}
 	// (1d) weakly connected components, relaxed to connectivity through
 	// shared inputs (the transparent-load analogue; in a DDG with load
@@ -33,14 +37,93 @@ func VerifyPattern(g ddg.GraphView, comps []ddg.Set) error {
 	// inside the component).
 	for i, c := range comps {
 		if !g.WeaklyConnectedWithInputs(c) {
-			return fmt.Errorf("component %d is not weakly connected", i)
+			return nil, fmt.Errorf("component %d is not weakly connected", i)
 		}
 	}
 	// (1e) convexity.
 	if !g.Convex(ddg.UnionAll(comps...), nil) {
-		return fmt.Errorf("pattern is not convex")
+		return nil, fmt.Errorf("pattern is not convex")
 	}
-	return nil
+	return own, nil
+}
+
+// owners maps each node of a component sequence to the index of the
+// first component holding it, over the id span the components cover. It
+// turns the checks that compare every pair of components into one pass
+// over the components' nodes and out-arcs.
+type owners struct {
+	lo   ddg.NodeID
+	comp []int32 // by id - lo; -1: in no component
+}
+
+// newOwners builds the owner table of comps and reports the smallest pair
+// (i, j), i < j, of components sharing a node, or i = -1 when they are
+// disjoint. A node's first two holders are the smallest pair it is
+// shared by, and the smallest such pair over all nodes is the answer.
+func newOwners(comps []ddg.Set) (own *owners, i, j int) {
+	own = &owners{}
+	lo, hi := ddg.NoNode, ddg.NodeID(0)
+	for _, c := range comps {
+		if len(c) > 0 {
+			lo, hi = min(lo, c[0]), max(hi, c[len(c)-1])
+		}
+	}
+	if lo > hi {
+		return own, -1, -1
+	}
+	own.lo, own.comp = lo, make([]int32, hi-lo+1)
+	for k := range own.comp {
+		own.comp[k] = -1
+	}
+	i, j = -1, -1
+	for cj, c := range comps {
+		for _, u := range c {
+			ci := own.comp[u-lo]
+			if ci < 0 {
+				own.comp[u-lo] = int32(cj)
+			} else if i < 0 || int(ci) < i {
+				// Components are visited in order, so the first pair found
+				// for a given first holder has the smallest second one.
+				i, j = int(ci), cj
+			}
+		}
+	}
+	return own, i, j
+}
+
+// of returns the index of the component holding v, or -1.
+func (o *owners) of(v ddg.NodeID) int {
+	if v < o.lo || int(v-o.lo) >= len(o.comp) {
+		return -1
+	}
+	return int(o.comp[v-o.lo])
+}
+
+// firstArc returns, for the first component i (in order) with an arc into
+// another component j that bad(i, j) accepts, that i and the smallest
+// such j, or -1, -1: the pair the loop over every ordered pair of
+// components with ArcsBetween would report first, found in one pass over
+// each component's out-arcs. As ArcsBetween does on a restriction, it
+// reads only arcs leaving members of g.
+func (o *owners) firstArc(g ddg.GraphView, comps []ddg.Set, bad func(i, j int) bool) (int, int) {
+	sv, _ := g.(*ddg.SubView)
+	for i, c := range comps {
+		best := -1
+		for _, u := range c {
+			if sv != nil && !sv.Contains(u) {
+				continue
+			}
+			for _, v := range g.Succs(u) {
+				if j := o.of(v); j >= 0 && (best < 0 || j < best) && bad(i, j) {
+					best = j
+				}
+			}
+		}
+		if best >= 0 {
+			return i, best
+		}
+	}
+	return -1, -1
 }
 
 // verifyIsomorphic checks (1c) for a set of components with the exact
@@ -66,7 +149,8 @@ func VerifyMap(g ddg.GraphView, p *Pattern) error {
 	if !p.Kind.IsMapKind() {
 		return fmt.Errorf("not a map kind: %v", p.Kind)
 	}
-	if err := VerifyPattern(g, p.Comps); err != nil {
+	own, err := verifyPattern(g, p.Comps)
+	if err != nil {
 		return err
 	}
 	if len(p.Comps) < 2 {
@@ -82,12 +166,8 @@ func VerifyMap(g ddg.GraphView, p *Pattern) error {
 		}
 	}
 	// (2b) no arcs between components.
-	for i := range p.Comps {
-		for j := range p.Comps {
-			if i != j && len(g.ArcsBetween(p.Comps[i], p.Comps[j])) > 0 {
-				return fmt.Errorf("arc between components %d and %d", i, j)
-			}
-		}
+	if i, j := own.firstArc(g, p.Comps, func(i, j int) bool { return i != j }); i >= 0 {
+		return fmt.Errorf("arc between components %d and %d", i, j)
 	}
 	// (2c) every component has incoming arcs.
 	for i, c := range p.Comps {
@@ -113,7 +193,8 @@ func VerifyLinearReduction(g ddg.GraphView, p *Pattern) error {
 }
 
 func verifyChain(g ddg.GraphView, comps []ddg.Set) error {
-	if err := VerifyPattern(g, comps); err != nil {
+	own, err := verifyPattern(g, comps)
+	if err != nil {
 		return err
 	}
 	if err := verifyIsomorphic(g, comps); err != nil {
@@ -140,12 +221,8 @@ func verifyChain(g ddg.GraphView, comps []ddg.Set) error {
 		}
 	}
 	// (3d) no arcs between non-consecutive components.
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if absInt(i-j) > 1 && len(g.ArcsBetween(comps[i], comps[j])) > 0 {
-				return fmt.Errorf("arc between non-consecutive components %d and %d", i, j)
-			}
-		}
+	if i, j := own.firstArc(g, comps, func(i, j int) bool { return absInt(i-j) > 1 }); i >= 0 {
+		return fmt.Errorf("arc between non-consecutive components %d and %d", i, j)
 	}
 	// (3e) inputs.
 	for i, c := range comps {

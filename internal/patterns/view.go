@@ -122,6 +122,13 @@ func NodeView(g ddg.GraphView, nodes ddg.Set) *View {
 	return &View{G: g, Ambient: nodes, Groups: groups}
 }
 
+// SetOverlay hands the view an overlay already built over its ambient set
+// (v.G.Overlay(v.Ambient)), so that Sub returns it instead of building a
+// second one. It has no effect once Sub has run.
+func (v *View) SetOverlay(sub *ddg.SubView) {
+	v.subOnce.Do(func() { v.sub = sub })
+}
+
 // Sub returns the zero-copy overlay of the view's ambient set, building it
 // on first use.
 func (v *View) Sub() *ddg.SubView {
