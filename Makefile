@@ -10,11 +10,12 @@
 #                  patterns and store
 #   make serversmoke — end-to-end daemon check: cold run, warm store hit
 #   make chaos   — fault-injection suite + chaos smoke against the binary
+#   make loc     — non-test Go lines outside bench/, the size ROADMAP tracks
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz benchsmoke pipebench-smoke cover serversmoke chaos
+.PHONY: check build vet test race fuzz benchsmoke pipebench-smoke cover serversmoke chaos loc
 
 check: build vet test race
 
@@ -104,3 +105,8 @@ cover:
 			echo "coverage regression in internal/$$pkg: $$pct% < $$floor%"; exit 1; \
 		fi; \
 	done
+
+# The program's size as ROADMAP tracks it: lines of non-test Go, excluding
+# the benchmark module under bench/.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l

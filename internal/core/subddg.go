@@ -185,11 +185,33 @@ func decompose(sc *runSched, g *ddg.Graph) []*SubDDG {
 // loopSubs returns the loop sub-DDGs of g, by ascending loop id, each of
 // at least two nodes.
 func loopSubs(g *ddg.Graph) []*SubDDG {
-	// Bucketed by loop id (static ids are small and dense). Nodes arrive
-	// in ascending order and join each loop of their chain once, so every
-	// bucket is already a Set. Consecutive nodes mostly share a scope,
-	// whose distinct loops are listed once per change.
-	var byLoop [][]ddg.NodeID
+	// Bucketed by loop id (static ids are small and dense), counted first
+	// so that the buckets share one backing array. Nodes arrive in
+	// ascending order and join each loop of their chain once, so every
+	// bucket is already a Set.
+	var count []int
+	eachLoopNode(g, func(_ ddg.NodeID, id mir.LoopID) {
+		if int(id) >= len(count) {
+			count = append(count, make([]int, int(id)+1-len(count))...)
+		}
+		count[id]++
+	})
+	byLoop := presized(count)
+	eachLoopNode(g, func(u ddg.NodeID, id mir.LoopID) { byLoop[id] = append(byLoop[id], u) })
+	var subs []*SubDDG
+	for id, nodes := range byLoop {
+		if len(nodes) < 2 {
+			continue
+		}
+		subs = append(subs, &SubDDG{Nodes: nodes, Loop: mir.LoopID(id)})
+	}
+	return subs
+}
+
+// eachLoopNode calls fn once for every node of g and every distinct loop
+// of its scope chain, by ascending node. Consecutive nodes mostly share a
+// scope, whose distinct loops are listed once per change.
+func eachLoopNode(g *ddg.Graph, fn func(u ddg.NodeID, id mir.LoopID)) {
 	var loops []mir.LoopID
 	var prev *ddg.Scope
 	for i := 0; i < g.NumNodes(); i++ {
@@ -203,28 +225,42 @@ func loopSubs(g *ddg.Graph) []*SubDDG {
 			}
 		}
 		for _, id := range loops {
-			if int(id) >= len(byLoop) {
-				byLoop = append(byLoop, make([][]ddg.NodeID, int(id)+1-len(byLoop))...)
-			}
-			byLoop[id] = append(byLoop[id], u)
+			fn(u, id)
 		}
 	}
-	var subs []*SubDDG
-	for id, nodes := range byLoop {
-		if len(nodes) < 2 {
-			continue
-		}
-		subs = append(subs, &SubDDG{Nodes: nodes, Loop: mir.LoopID(id)})
+}
+
+// presized cuts one backing array into an empty bucket per key with room
+// for exactly count[key] nodes, so that filling the buckets by append
+// never reallocates.
+func presized(count []int) []ddg.Set {
+	total := 0
+	for _, n := range count {
+		total += n
 	}
-	return subs
+	all := make([]ddg.NodeID, total)
+	buckets := make([]ddg.Set, len(count))
+	off := 0
+	for k, n := range count {
+		buckets[k] = all[off : off : off+n]
+		off += n
+	}
+	return buckets
 }
 
 // assocComponents returns the weakly connected components, of at least
 // two nodes, of each associative operation's nodes, by operation code.
 func assocComponents(g *ddg.Graph) []ddg.Set {
-	// Bucketed by operation code, in ascending node order: each bucket is
-	// already a Set.
-	var byOp [256]ddg.Set
+	// Bucketed by operation code, counted first so that the buckets share
+	// one backing array, in ascending node order: each bucket is already a
+	// Set.
+	var count [256]int
+	for i := 0; i < g.NumNodes(); i++ {
+		if op := g.Op(ddg.NodeID(i)); op.Associative() {
+			count[op]++
+		}
+	}
+	byOp := presized(count[:])
 	for i := 0; i < g.NumNodes(); i++ {
 		u := ddg.NodeID(i)
 		if op := g.Op(u); op.Associative() {

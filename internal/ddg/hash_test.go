@@ -95,19 +95,3 @@ func TestGraphFingerprint(t *testing.T) {
 		t.Error("an extra arc must change the fingerprint")
 	}
 }
-
-func TestSubViewFingerprint(t *testing.T) {
-	g := hashTestGraph()
-	a := g.Overlay(NewSet(0, 1, 2))
-	b := g.Overlay(NewSet(0, 1, 2))
-	c := g.Overlay(NewSet(0, 1, 3))
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("equal restrictions must fingerprint equally")
-	}
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Error("different member sets must fingerprint differently")
-	}
-	if a.Fingerprint() == g.Fingerprint() {
-		t.Error("a restriction must not collide with its base")
-	}
-}

@@ -8,7 +8,7 @@ package ddg
 // locate a node's segment by binary search over segment start nodes,
 // fault the segment in if needed, and slice the resident buffer exactly
 // as the in-core path slices the flat array. Everything above the
-// GraphView surface (SubView, matchers, prescreen, invariant checks)
+// GraphView surface (member masks, matchers, prescreen, invariant checks)
 // runs unmodified and byte-identically: paging changes where bytes live,
 // never which bytes a read returns.
 //

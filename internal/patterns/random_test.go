@@ -228,31 +228,72 @@ func nestedScopeDAG(seed uint64) (*ddg.Graph, ddg.Set) {
 	return g, ddg.NewSet(amb...)
 }
 
+// scopedDAG returns the random graph and ambient of one seed: a third of
+// the seeds from randomDAG, the rest from nestedScopeDAG.
+func scopedDAG(seed uint64) (*ddg.Graph, ddg.Set) {
+	if seed%3 == 0 {
+		return randomDAG(seed)
+	}
+	return nestedScopeDAG(seed)
+}
+
 // TestLoopViewMatchesBucketOracle holds LoopView's groups — members and
 // order — against the map-bucket grouping, for loops present, nested and
-// absent (a nil index: every node loose), on whole ambients and on
-// overlays of them.
+// absent (a nil index: every node loose).
 func TestLoopViewMatchesBucketOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
-		var g *ddg.Graph
-		var amb ddg.Set
-		if seed%3 == 0 {
-			g, amb = randomDAG(seed)
-		} else {
-			g, amb = nestedScopeDAG(seed)
+		g, amb := scopedDAG(seed)
+		for _, loop := range []mir.LoopID{1, 2, 3} {
+			got := LoopView(g, amb, loop).Groups
+			want := bucketLoopGroups(g, amb, loop)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d loop %d: %d groups, oracle %d", seed, loop, len(got), len(want))
+			}
+			for i := range want {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("seed %d loop %d group %d: %v, oracle %v", seed, loop, i, got[i], want[i])
+				}
+			}
 		}
-		for _, gv := range []ddg.GraphView{g, g.Overlay(amb)} {
-			for _, loop := range []mir.LoopID{1, 2, 3} {
-				got := LoopView(gv, amb, loop).Groups
-				want := bucketLoopGroups(gv, amb, loop)
-				if len(got) != len(want) {
-					t.Fatalf("seed %d loop %d: %d groups, oracle %d", seed, loop, len(got), len(want))
+	}
+}
+
+// viewSig renders what the matchers read of a view's group structure:
+// per group its members, arcs, in- and out-degree, boundary flags, label
+// and op-set.
+func viewSig(v *View) string {
+	s := ""
+	for i, grp := range v.Groups {
+		s += fmt.Sprintf("%v arcs=%v in=%d out=%d ext=%t/%t label=%q opset=%q\n",
+			grp, v.Arcs(i), v.InDegree(i), v.OutDegree(i), v.ExtIn(i), v.ExtOut(i), v.Label(i), v.OpSet(i))
+	}
+	return s
+}
+
+// TestViewOverlayPaths holds the view's two overlay paths to each other.
+// The match phase builds a sub-DDG's overlay once, runs the census over
+// it and hands it to the view (SetOverlay); the pipeline pass lets the
+// view build its own (Sub). Node and loop views must derive the same
+// group structure either way, on the same random DAGs.
+func TestViewOverlayPaths(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		g, amb := scopedDAG(seed)
+		for _, loop := range []mir.LoopID{0, 1, 2} {
+			view := func() *View {
+				if loop == 0 {
+					return NodeView(g, amb)
 				}
-				for i := range want {
-					if !got[i].Equal(want[i]) {
-						t.Fatalf("seed %d loop %d group %d: %v, oracle %v", seed, loop, i, got[i], want[i])
-					}
-				}
+				return LoopView(g, amb, loop)
+			}
+			shared, sub := view(), g.Overlay(amb)
+			PrescreenSub(g, sub, loop)
+			shared.SetOverlay(sub)
+			own := view()
+			if got, want := viewSig(shared), viewSig(own); got != want {
+				t.Fatalf("seed %d loop %d: shared overlay\n%s\nown overlay\n%s", seed, loop, got, want)
+			}
+			if shared.Sub() != sub || own.Sub() == sub {
+				t.Fatalf("seed %d loop %d: the shared view must keep the overlay it was handed, the other build its own", seed, loop)
 			}
 		}
 	}

@@ -103,16 +103,11 @@ func (o *owners) of(v ddg.NodeID) int {
 // another component j that bad(i, j) accepts, that i and the smallest
 // such j, or -1, -1: the pair the loop over every ordered pair of
 // components with ArcsBetween would report first, found in one pass over
-// each component's out-arcs. As ArcsBetween does on a restriction, it
-// reads only arcs leaving members of g.
+// each component's out-arcs.
 func (o *owners) firstArc(g ddg.GraphView, comps []ddg.Set, bad func(i, j int) bool) (int, int) {
-	sv, _ := g.(*ddg.SubView)
 	for i, c := range comps {
 		best := -1
 		for _, u := range c {
-			if sv != nil && !sv.Contains(u) {
-				continue
-			}
 			for _, v := range g.Succs(u) {
 				if j := o.of(v); j >= 0 && (best < 0 || j < best) && bad(i, j) {
 					best = j
@@ -293,17 +288,14 @@ func VerifyTiledReduction(g ddg.GraphView, p *Pattern) error {
 			}
 		}
 	}
-	// (4e) no other arcs between partials and finals.
-	for k, chain := range p.Partials {
-		for i, c := range chain {
-			isLast := i == len(chain)-1
-			for fj, f := range p.Final {
-				arcs := len(g.ArcsBetween(c, f))
-				if arcs > 0 && !(isLast && fj == k) {
-					return fmt.Errorf("stray arc from partial %d[%d] to final %d", k, i, fj)
-				}
-			}
-		}
+	// (4e) no other arcs between partials and finals, read from the
+	// finals' owner table. (4b) made the finals a chain of single nodes,
+	// which in an acyclic graph are distinct, so each node has at most one
+	// final component. allComps lists partial k's component i at k*plen+i.
+	fin, _, _ := newOwners(p.Final)
+	partials := allComps[:len(p.Partials)*plen]
+	if c, fj := fin.firstArc(g, partials, func(c, fj int) bool { return c%plen != plen-1 || fj != c/plen }); c >= 0 {
+		return fmt.Errorf("stray arc from partial %d[%d] to final %d", c/plen, c%plen, fj)
 	}
 	// (1b)/(1e) over the whole structure.
 	return VerifyPattern(g, allComps)

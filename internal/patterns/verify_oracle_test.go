@@ -1,10 +1,10 @@
 package patterns
 
 // Differential oracle for the soundness net's pairwise checks. (1b) in
-// VerifyPattern, (2b) in VerifyMap and (3d) in verifyChain read one owner
-// table; the nested loops below are the checks as first written, testing
-// every pair of components. Old and new must give the same verdict and
-// the same error, on the whole graph and on a restriction of it.
+// VerifyPattern, (2b) in VerifyMap, (3d) in verifyChain and (4e) in
+// VerifyTiledReduction read owner tables; the nested loops below are the
+// checks as first written, testing every pair of components. Old and new
+// must give the same verdict and the same error.
 
 import (
 	"fmt"
@@ -131,6 +131,94 @@ func oracleVerifyChain(g ddg.GraphView, comps []ddg.Set) error {
 	return nil
 }
 
+// oracleVerifyTiled is VerifyTiledReduction with (4e) as ArcsBetween over
+// every (partial component, final component) pair.
+func oracleVerifyTiled(g ddg.GraphView, p *Pattern) error {
+	if p.Kind != KindTiledReduction {
+		return fmt.Errorf("not a tiled reduction: %v", p.Kind)
+	}
+	if len(p.Partials) < 2 {
+		return fmt.Errorf("tiled reduction needs at least two partial reductions")
+	}
+	if len(p.Final) != len(p.Partials) {
+		return fmt.Errorf("final reduction has %d components for %d partials",
+			len(p.Final), len(p.Partials))
+	}
+	plen := len(p.Partials[0])
+	var allComps []ddg.Set
+	for k, chain := range p.Partials {
+		if len(chain) != plen {
+			return fmt.Errorf("partial %d has length %d, want %d", k, len(chain), plen)
+		}
+		for i, c := range chain {
+			if _, ok := g.AllAssociative(c); !ok || len(c) != 1 {
+				return fmt.Errorf("partial %d component %d is not a single associative op", k, i)
+			}
+			if i > 0 && len(g.ArcsBetween(chain[i-1], c)) == 0 {
+				return fmt.Errorf("partial %d chain broken at %d", k, i)
+			}
+		}
+		allComps = append(allComps, chain...)
+	}
+	for i, c := range p.Final {
+		if _, ok := g.AllAssociative(c); !ok || len(c) != 1 {
+			return fmt.Errorf("final component %d is not a single associative op", i)
+		}
+		if i > 0 && len(g.ArcsBetween(p.Final[i-1], c)) == 0 {
+			return fmt.Errorf("final chain broken at %d", i)
+		}
+	}
+	allComps = append(allComps, p.Final...)
+	if err := verifyIsomorphic(g, allComps); err != nil {
+		return err
+	}
+	for k, chain := range p.Partials {
+		last := chain[len(chain)-1]
+		for _, u := range last {
+			for _, v := range p.Final[k] {
+				if !g.Reaches(u, v) {
+					return fmt.Errorf("partial %d does not reach final component %d", k, k)
+				}
+			}
+		}
+	}
+	for k, chain := range p.Partials {
+		for i, c := range chain {
+			isLast := i == len(chain)-1
+			for fj, f := range p.Final {
+				if len(g.ArcsBetween(c, f)) > 0 && !(isLast && fj == k) {
+					return fmt.Errorf("stray arc from partial %d[%d] to final %d", k, i, fj)
+				}
+			}
+		}
+	}
+	return oracleVerifyPattern(g, allComps)
+}
+
+// tiledSplit reads comps, whose length m divides, as m partial chains of
+// equal length in order, then the m finals.
+func tiledSplit(comps []ddg.Set, m int) *Pattern {
+	plen := len(comps)/m - 1
+	p := &Pattern{Kind: KindTiledReduction, Final: comps[m*plen:]}
+	for k := 0; k < m; k++ {
+		p.Partials = append(p.Partials, comps[k*plen:(k+1)*plen])
+	}
+	return p
+}
+
+// tiledCases returns the tiled reductions one component sequence is read
+// as: its tiledSplit for every m ≥ 2 that leaves each chain at least one
+// component.
+func tiledCases(comps []ddg.Set) []*Pattern {
+	var out []*Pattern
+	for m := 2; 2*m <= len(comps); m++ {
+		if len(comps)%m == 0 {
+			out = append(out, tiledSplit(comps, m))
+		}
+	}
+	return out
+}
+
 // verifyCases returns the component sequences one oracle input is checked
 // on: the loop view's groups, the ambient's nodes one per component in
 // order and reversed, and from split a random partition of the ambient
@@ -171,8 +259,8 @@ func verifyCases(g *ddg.Graph, amb ddg.Set, split uint64) [][]ddg.Set {
 }
 
 // checkVerifyOracle compares the owner-table checks with the nested loops
-// on one component sequence, as a pattern, a map, a conditional map and a
-// reduction chain.
+// on one component sequence, as a pattern, a map, a conditional map, a
+// reduction chain and each tiled reduction of tiledCases.
 func checkVerifyOracle(t *testing.T, g ddg.GraphView, comps []ddg.Set) {
 	t.Helper()
 	same := func(what string, got, want error) {
@@ -189,12 +277,15 @@ func checkVerifyOracle(t *testing.T, g ddg.GraphView, comps []ddg.Set) {
 		same("VerifyMap "+p.Kind.String(), VerifyMap(g, p), oracleVerifyMap(g, p))
 	}
 	same("verifyChain", verifyChain(g, comps), oracleVerifyChain(g, comps))
+	for _, p := range tiledCases(comps) {
+		same("VerifyTiledReduction", VerifyTiledReduction(g, p), oracleVerifyTiled(g, p))
+	}
 }
 
 // verifyOracleCase runs one fuzz input: every component sequence of
-// verifyCases on the graph and on its restriction to the ambient. An odd
-// split first adds an arc that skips at least one ambient node, the arc
-// (3d) refutes in a chain.
+// verifyCases on the graph. An odd split first adds an arc that skips at
+// least one ambient node, the arc (3d) refutes in a chain and, on a tiled
+// reduction's adds, (4e) may refute as a stray arc into a final.
 func verifyOracleCase(t *testing.T, gen uint8, seed uint64, a, b, flags, drop uint8, split uint64) {
 	g, amb := oracleInput(gen, seed, a, b, flags, drop)
 	if n := len(amb); n >= 3 && split&1 != 0 {
@@ -204,12 +295,30 @@ func verifyOracleCase(t *testing.T, gen uint8, seed uint64, a, b, flags, drop ui
 	}
 	for _, comps := range verifyCases(g, amb, split) {
 		checkVerifyOracle(t, g, comps)
-		checkVerifyOracle(t, g.Overlay(amb), comps)
 	}
 }
 
-// FuzzVerifyOracle holds (1b), (2b) and (3d) to the nested loops over the
-// random-DAG and pattern generators of the reduction oracle.
+// TestVerifyOracleOnTiledArcs adds each arc between two adds of a small
+// tiled reduction in turn, some of them the stray arcs (4e) refutes, and
+// holds every check to its oracle on the result.
+func TestVerifyOracleOnTiledArcs(t *testing.T) {
+	for m := 2; m <= 3; m++ {
+		for p := 1; p <= 3; p++ {
+			g, amb := buildTiledDDG(m, p)
+			for i := range amb {
+				for j := i + 1; j < len(amb); j++ {
+					ext := extend(g, [][2]ddg.NodeID{{amb[i], amb[j]}})
+					for _, comps := range verifyCases(ext, amb, uint64(i*len(amb)+j)) {
+						checkVerifyOracle(t, ext, comps)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzVerifyOracle holds (1b), (2b), (3d) and (4e) to the nested loops
+// over the random-DAG and pattern generators of the reduction oracle.
 func FuzzVerifyOracle(f *testing.F) {
 	for s := uint64(1); s <= 10; s++ {
 		f.Add(uint8(s%5), s, uint8(s), uint8(s*3), uint8(s*7), uint8(255), s*0x9e3779b9)
@@ -253,8 +362,9 @@ func (c *readCounter) ArcsBetween(a, b ddg.Set) [][2]ddg.NodeID {
 
 // TestVerifyWorkLinearInComponents gates the complexity of the pairwise
 // checks by a work count, not a clock: the adjacency entries VerifyMap
-// reads on a k-component map, and VerifyLinearReduction on a k-link
-// chain, grow linearly in k, where the nested loops grow quadratically.
+// reads on a k-component map, VerifyLinearReduction on a k-link chain and
+// VerifyTiledReduction on k partial chains grow linearly in k, where the
+// nested loops grow quadratically.
 func TestVerifyWorkLinearInComponents(t *testing.T) {
 	mapOf := func(k int) (*ddg.Graph, *Pattern) {
 		g, amb := buildMapDDG(k)
@@ -264,6 +374,10 @@ func TestVerifyWorkLinearInComponents(t *testing.T) {
 		g, adds := buildChainDDG(k)
 		return g, &Pattern{Kind: KindLinearReduction, Comps: NodeView(g, adds).Groups}
 	}
+	tiledOf := func(k int) (*ddg.Graph, *Pattern) {
+		g, adds := buildTiledDDG(k, 2)
+		return g, tiledSplit(NodeView(g, adds).Groups, k)
+	}
 	for _, tc := range []struct {
 		name         string
 		build        func(int) (*ddg.Graph, *Pattern)
@@ -271,6 +385,7 @@ func TestVerifyWorkLinearInComponents(t *testing.T) {
 	}{
 		{"map", mapOf, VerifyMap, oracleVerifyMap},
 		{"chain", chainOf, VerifyLinearReduction, func(g ddg.GraphView, p *Pattern) error { return oracleVerifyChain(g, p.Comps) }},
+		{"tiled", tiledOf, VerifyTiledReduction, oracleVerifyTiled},
 	} {
 		work := func(k int, check func(ddg.GraphView, *Pattern) error) int {
 			g, p := tc.build(k)

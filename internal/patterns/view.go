@@ -19,17 +19,18 @@ import (
 // views. Associative-component sub-DDGs are viewed node-per-node.
 //
 // Only the grouping is built eagerly. Group arcs, boundary flags, and
-// labels derive lazily from a zero-copy overlay of the ambient node set
-// (ddg.SubView) the first time a matcher asks for them — a view that is
-// answered from a shared verdict cache, or refuted by the group count
-// and ops alone (CannotMatch), never touches the graph's adjacency at all.
+// labels derive lazily from the graph and the member mask of the
+// ambient node set (ddg.SubView) the first time a matcher asks for them —
+// a view that is answered from a shared verdict cache, or refuted by the
+// group count and ops alone (CannotMatch), never touches the graph's
+// adjacency at all.
 // Nothing of the base graph is copied either way.
 type View struct {
 	G       ddg.GraphView
 	Ambient ddg.Set   // the sub-DDG's nodes
 	Groups  []ddg.Set // view node -> original nodes
 
-	sub     *ddg.SubView // lazy overlay of Ambient over G
+	sub     *ddg.SubView // lazy member mask of Ambient over G
 	subOnce sync.Once
 
 	// Lazily built group structure (ensure). Guarded by ensOnce: matchers
@@ -129,8 +130,8 @@ func (v *View) SetOverlay(sub *ddg.SubView) {
 	v.subOnce.Do(func() { v.sub = sub })
 }
 
-// Sub returns the zero-copy overlay of the view's ambient set, building it
-// on first use.
+// Sub returns the member mask of the view's ambient set, building it on
+// first use.
 func (v *View) Sub() *ddg.SubView {
 	v.subOnce.Do(func() {
 		v.sub = v.G.Overlay(v.Ambient)
