@@ -47,18 +47,6 @@ func main() {
 	)
 	flag.Parse()
 
-	lookup := func(name string) *starbench.Benchmark {
-		if b := starbench.ByName(name); b != nil {
-			return b
-		}
-		for _, b := range starbench.Extended() {
-			if b.Name == name {
-				return b
-			}
-		}
-		return nil
-	}
-
 	if *list {
 		for _, b := range starbench.All() {
 			fmt.Printf("%-14s analysis: %-28s reference: %s\n",
@@ -71,7 +59,7 @@ func main() {
 		return
 	}
 
-	b := lookup(*benchName)
+	b := starbench.Lookup(*benchName)
 	if b == nil {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q (try -list)\n", *benchName)
 		os.Exit(1)

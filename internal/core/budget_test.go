@@ -131,7 +131,7 @@ func TestFindCtxCancelMidRun(t *testing.T) {
 	if res == nil {
 		t.Fatal("FindCtx returned nil")
 	}
-	if res.Iterations > defaultOpts().maxIterations() {
+	if res.Iterations > maxIterations {
 		t.Errorf("iterations = %d out of range", res.Iterations)
 	}
 }

@@ -85,14 +85,7 @@ func findSig(res *core.Result) string {
 // warm (second) run.
 func runModes(t *testing.T, name string, v starbench.Version, opts core.Options) {
 	t.Helper()
-	b := starbench.ByName(name)
-	if b == nil {
-		for _, e := range starbench.Extended() {
-			if e.Name == name {
-				b = e
-			}
-		}
-	}
+	b := starbench.Lookup(name)
 	if b == nil {
 		t.Fatalf("unknown benchmark %q", name)
 	}
@@ -145,8 +138,8 @@ func TestFindEquivalenceExtensions(t *testing.T) {
 }
 
 func TestFindEquivalenceNoCompact(t *testing.T) {
-	// Compaction mode is part of the view hash; equivalence must also hold
-	// with compaction disabled (node-per-node views everywhere).
+	// Compaction mode is part of the cache fingerprint; equivalence must
+	// also hold with compaction disabled (node-per-node views everywhere).
 	runModes(t, "kmeans", starbench.Pthreads,
 		core.Options{VerifyMatches: true, DisableCompact: true})
 }

@@ -32,8 +32,6 @@ type Options struct {
 	// never changes output, only execution order: results are delivered
 	// in deterministic owner order whichever pool ran them.
 	Scheduler *sched.Pool
-	// MaxIterations bounds the match/subtract/fuse fixpoint loop.
-	MaxIterations int
 	// VerifyMatches re-checks every match against the unrelaxed §4
 	// definitions and drops violators (none arise in our experiments,
 	// mirroring the paper's observation).
@@ -94,20 +92,21 @@ type Options struct {
 	PhaseHook func(phase string)
 
 	// noPrescreen turns off the structural prescreen: every (sub-DDG ×
-	// kind) solve consults only the cache and then runs its matcher. The
+	// kind) solve that the cache did not answer runs its matcher. The
 	// prescreen is sound (it prunes only solves the matcher would reject
 	// at its census gate), so the switch exists only as the
 	// differential tests' reference (export_test.go).
 	noPrescreen bool
 
-	// Cache, when non-nil, is the view–verdict cache the run consults and
-	// populates, letting repeated runs over the same trace share verdicts
-	// (see ViewCache); the analysis daemon passes its shared one. Safe to
-	// share between concurrent FindCtx runs: each run binds to the
-	// generation of its own run fingerprint (graph + match-relevant
-	// options), so runs over different graphs neither see nor evict each
-	// other's entries. Nil — the default — means no cache: the run hashes
-	// no graph or view for it and books no cache hits or misses.
+	// Cache, when non-nil, is the view cache the run consults and
+	// populates, one match outcome per sub-DDG under its pool key, letting
+	// repeated runs over the same trace skip matching (see ViewCache); the
+	// analysis daemon passes its shared one. Safe to share between
+	// concurrent FindCtx runs: each run binds to the generation of its own
+	// run fingerprint (graph + match-relevant options), so runs over
+	// different graphs neither see nor evict each other's entries. Nil —
+	// the default — means no cache: the run fingerprints no graph for it
+	// and books no cache hits or misses.
 	Cache *ViewCache
 
 	// Ablation switches.
@@ -117,12 +116,8 @@ type Options struct {
 	DisableIterate   bool
 }
 
-func (o Options) maxIterations() int {
-	if o.MaxIterations > 0 {
-		return o.MaxIterations
-	}
-	return 10
-}
+// maxIterations bounds the match/subtract/fuse fixpoint loop.
+const maxIterations = 10
 
 func (o Options) maxViewGroups() int {
 	if o.MaxViewGroups > 0 {
@@ -168,9 +163,10 @@ type Result struct {
 	// sub-DDGs, and extension passes were abandoned.
 	Interrupted bool
 	// PrescreenChecks counts the structural censuses computed (one per
-	// non-fused sub-DDG that passed the size gate, when the prescreen is
-	// enabled). The per-kind solves they answered are in
-	// SolverStats[kind].Prescreened; PrescreenStats sums both sides.
+	// non-fused sub-DDG that passed the size gate and missed the view
+	// cache, when the prescreen is enabled). The per-kind solves they
+	// answered are in SolverStats[kind].Prescreened; PrescreenStats sums
+	// both sides.
 	PrescreenChecks int
 	// SolverStats rolls up matcher effort and cache outcomes per pattern
 	// kind (patterns.KindStats: reduction matcher runs, the patterns they
@@ -197,9 +193,10 @@ func (r *Result) Degraded() bool {
 }
 
 // CacheStats sums the view-cache outcomes recorded across all pattern
-// kinds: solves answered from the cache and solves that ran and populated
-// it. skips is always zero: it counted solves suppressed by a cached
-// "budget-undecided" verdict, and no verdict is undecided any more.
+// kinds: solves answered from a stored entry and solves that ran and
+// populated one. skips is always zero: it counted solves suppressed by a
+// cached "budget-undecided" verdict, and no verdict is undecided any
+// more.
 func (r *Result) CacheStats() (hits, misses, skips int) {
 	for _, ks := range r.SolverStats {
 		hits += ks.CacheHits
@@ -210,7 +207,7 @@ func (r *Result) CacheStats() (hits, misses, skips int) {
 
 // PrescreenStats sums the structural-prescreen activity across all pattern
 // kinds: censuses computed and per-kind solves they answered without a
-// matcher run (cold prunes and warm prescreened-verdict hits alike).
+// matcher run. A sub-DDG answered from the view cache runs no census.
 func (r *Result) PrescreenStats() (checks, skips int) {
 	for _, ks := range r.SolverStats {
 		skips += ks.Prescreened
@@ -364,7 +361,7 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 	active := append([]*SubDDG(nil), pool...)
 
 	// Fixpoint loop: match, subtract, fuse.
-	for iter := 1; len(active) > 0 && iter <= opts.maxIterations(); iter++ {
+	for iter := 1; len(active) > 0 && iter <= maxIterations; iter++ {
 		if interrupted(ctx, res) {
 			break
 		}
@@ -560,7 +557,7 @@ func sweep(sc *runSched, phase string, n int, body func(i int)) {
 	}
 	tasks := make([]sched.Task, min(sc.executors(), n))
 	for c := range tasks {
-		tasks[c] = sched.Task{Deadline: sc.deadline, Do: claim}
+		tasks[c] = sched.Task{Do: claim}
 	}
 	sc.owner.Submit(tasks...)
 	sc.wait()
@@ -683,119 +680,118 @@ func detectPipelines(ctx context.Context, gs *ddg.Graph, pool []*SubDDG, opts Op
 		iter = 1
 	}
 	compact := !opts.DisableCompact
-	// Views are memoized on the sub-DDGs, so a stage viewed by the match
-	// phase (or by several candidate pairings here) is built once.
-	groupsOf := func(s *SubDDG) int { return s.CachedView(gs, compact).NumGroups() }
+	// The pass's own views, one per stage, built by the sequential
+	// enumeration below and only read by the sweep.
+	views := map[*SubDDG]*patterns.View{}
+	groupsOf := func(s *SubDDG) int {
+		v := views[s]
+		if v == nil {
+			v = s.View(gs, compact)
+			views[s] = v
+		}
+		return v.NumGroups()
+	}
 	// Local tally of this pass's cache counters; merged into
 	// res.SolverStats at the end.
 	pb := &patterns.Budget{}
 	defer func() { rollupStats(res, pb) }()
 
-	// The pass enumerates pairs sequentially — gate checks and cache
-	// lookups in deterministic (a, b) order, so the counters and the
-	// hit/miss pattern are exactly the sequential pass's — and sweeps only
-	// the solves over the scheduler. Matches are folded in enumeration
-	// order after the barrier, so the reported list is identical whatever
-	// order the solves ran in. With a warm cache every pair resolves at
-	// enumeration and the sweep is empty; without a cache every pair is
-	// solved.
-	type pipeSolve struct {
+	// The pass enumerates pairs sequentially — cache lookups and gate
+	// checks in deterministic (a, b) order, so the counters are exactly
+	// the sequential pass's — and sweeps only the solves over the
+	// scheduler. Matches are folded in enumeration order after the
+	// barrier, so the reported list is identical whatever order the
+	// solves ran in. The stages are distinct pool entries, so no pair key
+	// repeats within a pass. With a warm cache every pair resolves at
+	// enumeration, no view is built and the sweep is empty; without a
+	// cache every pair is solved.
+	type pairJob struct {
 		a, b *SubDDG
-		pair ddg.Hash128
+		key  ddg.Hash128
 		p    *patterns.Pattern
 	}
-	type pairJob struct {
-		a     *SubDDG
-		p     *patterns.Pattern // resolved at enumeration (cache hit)
-		solve *pipeSolve        // a miss's pending result, shared by duplicate hashes
-	}
-	var jobs []pairJob
-	var solves []*pipeSolve
-	pendingSolves := map[ddg.Hash128]*pipeSolve{}
+	var jobs, solves []*pairJob
 	ix := newNodeIndex(nodeSets(stages))
 	for ai, a := range stages {
 		if interrupted(ctx, res) {
 			break
 		}
 		ix.flowTargets(gs, ai, func(bi int) {
-			b := stages[bi]
-			if groupsOf(a) > opts.maxViewGroups() || groupsOf(b) > opts.maxViewGroups() {
+			j := &pairJob{a: a, b: stages[bi]}
+			if cache != nil {
+				j.key = pairKey(j.a, j.b)
+				if e, ok := cache.lookup(j.key); ok {
+					for _, k := range e.kinds {
+						pb.RecordCacheHit(k)
+					}
+					if len(e.pats) > 0 {
+						j.p = e.pats[0]
+					}
+					jobs = append(jobs, j)
+					return
+				}
+			}
+			if groupsOf(j.a) > opts.maxViewGroups() || groupsOf(j.b) > opts.maxViewGroups() {
 				return
 			}
-			// The pipeline verdict is a property of the ordered stage pair,
-			// cached under the pair's combined view hash.
-			ps := &pipeSolve{a: a, b: b}
 			if cache != nil {
-				h := ddg.NewHasher(hashSeedPipelinePair)
-				h.Hash(a.ViewHash(compact))
-				h.Hash(b.ViewHash(compact))
-				ps.pair = h.Sum()
-				if prev := pendingSolves[ps.pair]; prev != nil {
-					// An earlier pair this pass already owns this hash's
-					// solve. Sequentially its store landed before this
-					// lookup, so this is a cache hit on that solve's verdict
-					// — resolved at the fold, when the solve has run.
-					pb.RecordCacheHit(patterns.KindPipeline)
-					jobs = append(jobs, pairJob{a: a, solve: prev})
-					return
-				}
-				if status, pat := cache.lookup(ps.pair, patterns.KindPipeline); status == cacheHit {
-					pb.RecordCacheHit(patterns.KindPipeline)
-					jobs = append(jobs, pairJob{a: a, p: pat})
-					return
-				}
 				pb.RecordCacheMiss(patterns.KindPipeline)
-				pendingSolves[ps.pair] = ps
 			}
-			jobs = append(jobs, pairJob{a: a, solve: ps})
-			solves = append(solves, ps)
+			jobs = append(jobs, j)
+			solves = append(solves, j)
 		})
 	}
 	sweep(sc, "pipelines", len(solves), func(i int) {
-		ps := solves[i]
-		p := patterns.MatchPipeline(gs, ps.a.CachedView(gs, compact), ps.b.CachedView(gs, compact))
+		j := solves[i]
+		p := patterns.MatchPipeline(gs, views[j.a], views[j.b])
 		if p != nil && opts.VerifyMatches {
 			if err := patterns.Verify(gs, p); err != nil {
 				p = nil
 			}
 		}
+		e := cacheEntry{kinds: pipelineKinds}
 		if p != nil {
 			p.Nodes() // memoized here, so merge only reads it
+			e.pats = []*patterns.Pattern{p}
 		}
-		cache.store(ps.pair, patterns.KindPipeline, p)
-		ps.p = p
+		cache.store(j.key, e)
+		j.p = p
 	})
 	interrupted(ctx, res)
 	for _, j := range jobs {
-		p := j.p
-		if j.solve != nil {
-			p = j.solve.p
-		}
-		if p != nil {
+		if j.p != nil {
 			res.Matches = append(res.Matches,
-				Match{Pattern: p, Sub: j.a, Iteration: iter})
+				Match{Pattern: j.p, Sub: j.a, Iteration: iter})
 		}
 	}
 }
 
-// hashSeedPipelinePair tags ordered stage-pair hashes in the view cache.
+// pipelineKinds lists the one kind a stage pair's solve books.
+var pipelineKinds = []patterns.Kind{patterns.KindPipeline}
+
+// hashSeedPipelinePair tags ordered stage-pair keys in the view cache.
 const hashSeedPipelinePair = 0x6b8d2f4a1c3e5077
+
+// pairKey is the view-cache key of the ordered stage pair (a, b).
+func pairKey(a, b *SubDDG) ddg.Hash128 {
+	h := ddg.NewHasher(hashSeedPipelinePair)
+	h.Hash(a.Key())
+	h.Hash(b.Key())
+	return h.Sum()
+}
 
 // runSched is one Find run's client handle on its solve pool
 // (Options.Scheduler, else sched.Default): one owner on the pool, plus
-// the run's task recover boundary. The submitting goroutine executes its
-// own tasks while it waits (sched.Owner help-first waiting), so a run
-// progresses even on a pool with no workers.
+// the run's task recover boundary. The owner carries the run's context,
+// the Budget deadline included, so the pool drops the run's tasks claimed
+// after it ends. The submitting goroutine executes its own tasks while it
+// waits (sched.Owner help-first waiting), so a run progresses even on a
+// pool with no workers.
 type runSched struct {
 	pool  *sched.Pool
 	owner *sched.Owner
 	ctx   context.Context
 	res   *Result
-	// deadline is the run's global budget as a per-task deadline, checked
-	// by the pool at claim time: once it passes, claimers not yet started
-	// are dropped before any work runs (the run budget, enforced at the
-	// steal point). The zero time means no deadline.
-	deadline time.Time
 
 	mu    sync.Mutex
 	fails []*analysis.Error // contained task panics, flushed by wait
@@ -806,13 +802,11 @@ func newRunSched(ctx context.Context, opts Options, res *Result) *runSched {
 	if pool == nil {
 		pool = sched.Default()
 	}
-	deadline, _ := ctx.Deadline()
 	return &runSched{
-		pool:     pool,
-		owner:    pool.NewOwner(ctx),
-		ctx:      ctx,
-		res:      res,
-		deadline: deadline,
+		pool:  pool,
+		owner: pool.NewOwner(ctx),
+		ctx:   ctx,
+		res:   res,
 	}
 }
 
@@ -892,22 +886,23 @@ type matchPhase struct {
 // subMatch is one sub-DDG's matching state, private to the item that
 // matches it.
 type subMatch struct {
-	s     *SubDDG
-	vhash ddg.Hash128
-	sub   *ddg.SubView        // the nodes' overlay, shared by census and view
-	pre   *patterns.Prescreen // nil when disabled or skipped
-	view  *patterns.View      // built on first use
-	b     patterns.Budget
-	fails []*analysis.Error
+	s      *SubDDG
+	sub    *ddg.SubView        // the nodes' overlay, shared by census and view
+	pre    *patterns.Prescreen // nil when disabled or skipped
+	view   *patterns.View      // built on first use, dropped with the item
+	b      patterns.Budget
+	missed []patterns.Kind // the kinds booked as cache misses
+	fails  []*analysis.Error
 }
 
 // runMatchPhase matches every active sub-DDG against the pattern
 // definitions and returns the sub-DDGs with at least one match. The unit
-// of parallel work is the sub-DDG: one sweep item runs its gate, census,
-// view and every kind. Once the run's deadline or cancellation is seen,
-// the unclaimed sub-DDGs stay unmatched — a sub-DDG is matched whole or
-// not at all — and the remainder is reported via res.Interrupted rather
-// than silently smaller.
+// of parallel work is the sub-DDG: one sweep item looks up its cache
+// entry or runs its gate, census, view and every kind. Once the run's
+// deadline or cancellation is seen, the unclaimed sub-DDGs stay
+// unmatched — a sub-DDG is matched whole or not at all — and the
+// remainder is reported via res.Interrupted rather than silently
+// smaller.
 func runMatchPhase(ctx context.Context, gs *ddg.Graph, active []*SubDDG, opts Options, res *Result, cache *runCache, sc *runSched, rec obs.Recorder, span obs.SpanID) []*SubDDG {
 	mp := &matchPhase{
 		gs:      gs,
@@ -935,8 +930,10 @@ func runMatchPhase(ctx context.Context, gs *ddg.Graph, active []*SubDDG, opts Op
 
 // matchSub matches one sub-DDG and merges its tally, failures and skip
 // into the phase once. A fused sub-DDG combines its constituents'
-// patterns; any other passes the size gate and the prescreen census, then
-// tries each kind in assembly order.
+// patterns; any other takes its outcome from the cache entry under its
+// pool key, which books one cache hit per kind the entry lists and runs
+// no gate, census or view, or else is matched by matchPlain and stores
+// its entry unless the item contained a failure.
 func (mp *matchPhase) matchSub(s *SubDDG) {
 	rec := mp.rec
 	var span obs.SpanID
@@ -945,31 +942,26 @@ func (mp *matchPhase) matchSub(s *SubDDG) {
 	}
 	m := &subMatch{s: s, b: patterns.Budget{Obs: rec}}
 	var found []*patterns.Pattern
-	skipped := false
+	skipped, miss := false, false
 	if s.FusedA != nil {
 		m.contain(func() { found = mp.matchFused(s) })
-	} else if m.contain(func() { skipped = mp.prep(m) }) && !skipped {
-		kinds := plainKinds
-		if s.Assoc {
-			kinds = assocKinds
+	} else if e, ok := mp.cache.lookup(s.Key()); ok {
+		found, skipped = e.pats, e.skipped
+		for _, kind := range e.kinds {
+			m.b.RecordCacheHit(kind)
 		}
-		for _, kind := range kinds {
-			if p := mp.matchKind(m, kind); p != nil {
-				found = append(found, p)
-			}
-		}
-		if s.Assoc && mp.opts.Extensions && len(found) == 0 {
-			// The combining-tree generalization, only where the paper's
-			// specific variants did not apply.
-			if p := mp.matchKind(m, patterns.KindTreeReduction); p != nil {
-				found = append(found, p)
-			}
-		}
+	} else {
+		found, skipped = mp.matchPlain(m)
+		miss = true
 	}
 	// Memoize each pattern's node set here, on the item's executor, so
-	// that merge only reads it.
+	// that merge only reads it and a stored entry's patterns are
+	// immutable when it is published.
 	for _, p := range found {
 		p.Nodes()
+	}
+	if miss && len(m.fails) == 0 {
+		mp.cache.store(s.Key(), cacheEntry{pats: found, skipped: skipped, kinds: m.missed})
 	}
 	s.Matched = found
 	mp.mu.Lock()
@@ -1011,14 +1003,37 @@ func (m *subMatch) contain(fn func()) (ok bool) {
 	return true
 }
 
-// prep runs the sub-DDG's once-per-sub work ahead of its kinds: the view
-// hash the cache keys verdicts by, the oversized-view gate (reporting
-// whether it skips the sub-DDG) and the structural prescreen census.
+// matchPlain matches a sub-DDG that is not fused and that the cache did
+// not answer: the size gate and the prescreen census, then each kind in
+// assembly order.
+func (mp *matchPhase) matchPlain(m *subMatch) (found []*patterns.Pattern, skipped bool) {
+	s := m.s
+	if m.contain(func() { skipped = mp.prep(m) }) && !skipped {
+		kinds := plainKinds
+		if s.Assoc {
+			kinds = assocKinds
+		}
+		for _, kind := range kinds {
+			if p := mp.matchKind(m, kind); p != nil {
+				found = append(found, p)
+			}
+		}
+		if s.Assoc && mp.opts.Extensions && len(found) == 0 {
+			// The combining-tree generalization, only where the paper's
+			// specific variants did not apply.
+			if p := mp.matchKind(m, patterns.KindTreeReduction); p != nil {
+				found = append(found, p)
+			}
+		}
+	}
+	return found, skipped
+}
+
+// prep runs the sub-DDG's once-per-sub work ahead of its kinds: the
+// oversized-view gate (reporting whether it skips the sub-DDG) and the
+// structural prescreen census.
 func (mp *matchPhase) prep(m *subMatch) (skip bool) {
 	s := m.s
-	if mp.cache != nil {
-		m.vhash = s.ViewHash(mp.compact)
-	}
 	max := mp.opts.maxViewGroups()
 	// Groups never outnumber nodes, so only a view bigger than the gate in
 	// node count can exceed it in group count — small views pass without
@@ -1051,7 +1066,7 @@ func (mp *matchPhase) overlayOf(m *subMatch) *ddg.SubView {
 // shared overlay, recording its group count in the size histogram.
 func (mp *matchPhase) viewOf(m *subMatch) *patterns.View {
 	if m.view == nil {
-		m.view = m.s.CachedView(mp.gs, mp.compact)
+		m.view = m.s.View(mp.gs, mp.compact)
 		m.view.SetOverlay(mp.overlayOf(m))
 		if mp.rec.Enabled() {
 			mp.rec.Observe(obs.MetricViewGroups, float64(m.view.NumGroups()))
@@ -1067,33 +1082,23 @@ func (mp *matchPhase) matchKind(m *subMatch, kind patterns.Kind) (p *patterns.Pa
 	return p
 }
 
-// solveKind runs one kind's solve through the cache and the prescreen.
-// Verdicts are stored post-verification, so a hit's pattern needs no
-// re-check. A prescreen prune books the same cache interactions a matcher
-// run would have (a miss, then a stored negative verdict), so the cache
-// accounting is identical with the prescreen on or off. A reduction
-// matcher run is booked with its wall time and whether it returned a
-// pattern, and only when the view passes the matcher's census gate, so
-// that tally is identical with the prescreen on or off as well.
+// solveKind runs one kind's solve through the prescreen. With a cache,
+// the solve is booked as a miss and the kind listed for the sub-DDG's
+// entry, prescreen prune or matcher run alike, so the cache accounting is
+// identical with the prescreen on or off. A reduction matcher run is
+// booked with its wall time and whether it returned a pattern, and only
+// when the view passes the matcher's census gate, so that tally is
+// identical with the prescreen on or off as well.
 func (mp *matchPhase) solveKind(m *subMatch, kind patterns.Kind) *patterns.Pattern {
-	cache, b := mp.cache, &m.b
-	switch status, pat := cache.lookup(m.vhash, kind); status {
-	case cacheHit:
-		b.RecordCacheHit(kind)
-		return pat
-	case cacheHitPrescreened:
-		b.RecordCacheHit(kind)
-		b.RecordPrescreened(kind)
-		return nil
-	}
-	if cache != nil {
+	b := &m.b
+	if mp.cache != nil {
 		b.RecordCacheMiss(kind)
+		m.missed = append(m.missed, kind)
 	}
 	if m.pre.CannotMatch(kind) {
 		// Fast path: the census proved this kind's matcher returns nil, at
 		// O(view) cost instead of a matcher run.
 		b.RecordPrescreened(kind)
-		cache.storePrescreened(m.vhash, kind)
 		return nil
 	}
 	booked := (kind == patterns.KindLinearReduction || kind == patterns.KindTiledReduction) &&
@@ -1108,7 +1113,6 @@ func (mp *matchPhase) solveKind(m *subMatch, kind patterns.Kind) *patterns.Patte
 			p = nil
 		}
 	}
-	cache.store(m.vhash, kind, p)
 	return p
 }
 

@@ -195,7 +195,7 @@ func partnerDiff(g *ddg.Graph, opts Options, headroom int) error {
 		return nil
 	}
 	active := append([]*SubDDG(nil), pool.subs...)
-	for iter := 1; len(active) > 0 && iter <= opts.maxIterations(); iter++ {
+	for iter := 1; len(active) > 0 && iter <= maxIterations; iter++ {
 		matched := runMatchPhase(ctx, gs, active, opts, res, nil, sc, obs.OrNop(nil), 0)
 		for _, s := range matched {
 			for _, p := range s.Matched {

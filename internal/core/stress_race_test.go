@@ -6,7 +6,7 @@ package core
 // target list), this exercises the three headline bugfixes at once —
 // the sync.Once-guarded Pattern.Nodes memo on cache-shared patterns,
 // per-fingerprint generations instead of the destructive global reset,
-// and first-write-wins decided verdicts when runs race the same solve.
+// and first-write-wins entries when runs race the same sub-DDG.
 
 import (
 	"context"
@@ -18,6 +18,20 @@ import (
 	"discovery/internal/sched"
 	"discovery/internal/trace"
 )
+
+// resultSig summarizes a Find outcome: final patterns plus every match
+// with its provenance, in order.
+func resultSig(res *Result) string {
+	s := fmt.Sprintf("iters=%d;", res.Iterations)
+	for _, p := range res.Patterns {
+		s += p.Kind.String() + ":" + p.Nodes().Key() + ";"
+	}
+	for _, m := range res.Matches {
+		s += fmt.Sprintf("it%d:%s:%s@%v;", m.Iteration, m.Pattern.Kind,
+			m.Pattern.Nodes().Key(), m.Sub.Key())
+	}
+	return s
+}
 
 func TestConcurrentFindSharedViewCache(t *testing.T) {
 	// Three distinct programs — three distinct graph fingerprints — plus

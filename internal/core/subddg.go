@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"discovery/internal/ddg"
 	"discovery/internal/mir"
@@ -33,10 +32,7 @@ type SubDDG struct {
 	// Matched patterns on this sub-DDG, filled by the match phase.
 	Matched []*patterns.Pattern
 
-	key      ddg.Hash128
-	vhash    ddg.Hash128
-	viewOnce sync.Once
-	view     *patterns.View
+	key ddg.Hash128
 }
 
 // Domain tags for the finder's hash keys (see ddg.NewHasher).
@@ -47,13 +43,14 @@ const (
 
 // Key canonically identifies the sub-DDG by node set and provenance; the
 // pool rejects duplicates by key, which is Algorithm 1's termination
-// argument (both key dimensions are finite). Provenance is part of the key
-// because the same node set can need a different view: a sequential
-// map-reduction loop and the fusion of its subtracted map with its
-// reduction cover identical nodes, but only the fused provenance can match
-// the compound pattern. The key is a 128-bit content hash — 16 bytes per
-// pool entry regardless of sub-DDG size, unlike the O(n) strings it
-// replaces.
+// argument (both key dimensions are finite), and a view cache stores the
+// sub-DDG's match outcome under it (ViewCache). Provenance is part of
+// the key because the same node set can need a different view: a
+// sequential map-reduction loop and the fusion of its subtracted map with
+// its reduction cover identical nodes, but only the fused provenance can
+// match the compound pattern. The key is a 128-bit content hash — 16
+// bytes per pool entry regardless of sub-DDG size, unlike the O(n)
+// strings it replaces.
 func (s *SubDDG) Key() ddg.Hash128 {
 	if s.key.IsZero() {
 		if s.FusedA != nil {
@@ -117,29 +114,6 @@ func (s *SubDDG) viewLoop(compact bool) mir.LoopID {
 		return s.Loop
 	}
 	return 0
-}
-
-// ViewHash returns the content hash of the sub-DDG's view without building
-// it (see patterns.ViewKey): the cache key a solve verdict is stored
-// under. Memoized; one Find run uses a single compaction mode, so the memo
-// never goes stale.
-func (s *SubDDG) ViewHash(compact bool) ddg.Hash128 {
-	if s.vhash.IsZero() {
-		s.vhash = patterns.ViewKey(s.Nodes, s.viewLoop(compact))
-	}
-	return s.vhash
-}
-
-// CachedView is View with the result memoized on the sub-DDG, so the match
-// phase and the pipeline pass share one lazily-built view per sub-DDG
-// instead of rebuilding it at each use. Once-guarded: the pipeline pass
-// runs its pair solves as concurrent scheduler tasks, and one stage can
-// appear in several pairs, so two tasks may reach for the same sub-DDG's
-// view at once (the match phase additionally serializes through
-// matchPhase.viewOf, which also funnels into this memo).
-func (s *SubDDG) CachedView(g ddg.GraphView, compact bool) *patterns.View {
-	s.viewOnce.Do(func() { s.view = s.View(g, compact) })
-	return s.view
 }
 
 // String summarizes the sub-DDG.

@@ -4,37 +4,36 @@ import (
 	"testing"
 
 	"discovery/internal/ddg"
+	"discovery/internal/obs"
 	"discovery/internal/patterns"
 )
 
 func TestViewCacheVerdicts(t *testing.T) {
 	c := NewViewCache()
-	fp := ddg.Hash128{Hi: 1, Lo: 2}
-	rc := c.acquire(fp)
+	rc := c.acquire(ddg.Hash128{Hi: 1, Lo: 2})
 
-	vA := ddg.Hash128{Hi: 10, Lo: 1}
-	vB := ddg.Hash128{Hi: 10, Lo: 2}
-
-	if st, _ := rc.lookup(vA, patterns.KindMap); st != cacheMiss {
-		t.Fatalf("empty cache: want miss, got %v", st)
+	kA := ddg.Hash128{Hi: 10, Lo: 1}
+	kB := ddg.Hash128{Hi: 10, Lo: 2}
+	if _, ok := rc.lookup(kA); ok {
+		t.Fatal("empty cache: want a miss")
 	}
 
-	// "no pattern" verdict hits with a nil pattern.
-	rc.store(vA, patterns.KindMap, nil)
-	if st, p := rc.lookup(vA, patterns.KindMap); st != cacheHit || p != nil {
-		t.Errorf("no-pattern entry: want hit/nil, got %v/%v", st, p)
+	// A skipped sub-DDG's entry: no patterns, no kinds.
+	rc.store(kA, cacheEntry{skipped: true})
+	if e, ok := rc.lookup(kA); !ok || !e.skipped || e.pats != nil || e.kinds != nil {
+		t.Errorf("skipped entry: got %+v, %v", e, ok)
 	}
 
-	// A pattern verdict hits with the stored pattern.
+	// A matched sub-DDG's entry hands back its patterns and booked kinds.
 	pat := &patterns.Pattern{Kind: patterns.KindMap}
-	rc.store(vB, patterns.KindMap, pat)
-	if st, p := rc.lookup(vB, patterns.KindMap); st != cacheHit || p != pat {
-		t.Errorf("pattern entry: want hit with pattern, got %v/%v", st, p)
+	kinds := []patterns.Kind{patterns.KindMap, patterns.KindLinearReduction}
+	rc.store(kB, cacheEntry{pats: []*patterns.Pattern{pat}, kinds: kinds})
+	e, ok := rc.lookup(kB)
+	if !ok || e.skipped || len(e.pats) != 1 || e.pats[0] != pat || len(e.kinds) != 2 {
+		t.Errorf("matched entry: got %+v, %v", e, ok)
 	}
-
-	// Verdicts are per kind: the same view under another kind is a miss.
-	if st, _ := rc.lookup(vB, patterns.KindLinearReduction); st != cacheMiss {
-		t.Errorf("other kind: want miss, got %v", st)
+	if s := c.Snapshot(); s.Entries != 2 {
+		t.Errorf("want 2 entries, got %+v", s)
 	}
 }
 
@@ -46,42 +45,38 @@ func TestViewCacheGenerationsIsolateFingerprints(t *testing.T) {
 	c := NewViewCache()
 	fp1 := ddg.Hash128{Hi: 1}
 	fp2 := ddg.Hash128{Hi: 2}
-	v := ddg.Hash128{Lo: 9}
+	k := ddg.Hash128{Lo: 9}
 
-	rc1 := c.acquire(fp1)
-	rc1.store(v, patterns.KindMap, nil)
+	c.acquire(fp1).store(k, cacheEntry{})
 	if s := c.Snapshot(); s.Entries != 1 || s.Generations != 1 || s.Evictions != 0 {
 		t.Fatalf("after store: %+v", s)
 	}
 
 	// Same fingerprint: the same generation, contents shared.
-	if st, _ := c.acquire(fp1).lookup(v, patterns.KindMap); st != cacheHit {
-		t.Errorf("same fp re-acquire must share entries: got %v", st)
+	if _, ok := c.acquire(fp1).lookup(k); !ok {
+		t.Error("same fp re-acquire must share entries")
 	}
 
 	// A different fingerprint sees none of fp1's entries...
 	rc2 := c.acquire(fp2)
-	if st, _ := rc2.lookup(v, patterns.KindMap); st != cacheMiss {
-		t.Errorf("other generation must not see fp1 entries: got %v", st)
+	if _, ok := rc2.lookup(k); ok {
+		t.Error("other generation must not see fp1 entries")
 	}
-	rc2.store(v, patterns.KindMap, nil)
+	rc2.store(k, cacheEntry{})
 
 	// ...and — the bugfix — fp1's entries survive fp2's run.
 	if s := c.Snapshot(); s.Entries != 2 || s.Generations != 2 || s.Evictions != 0 {
 		t.Errorf("both generations must coexist: %+v", s)
 	}
-	if st, _ := c.acquire(fp1).lookup(v, patterns.KindMap); st != cacheHit {
+	if _, ok := c.acquire(fp1).lookup(k); !ok {
 		t.Error("fp1 entries must survive a run under fp2")
 	}
 }
 
 func TestViewCacheGenerationLRUBound(t *testing.T) {
 	c := NewViewCache()
-	v := ddg.Hash128{Lo: 9}
-	store := func(hi uint64) {
-		rc := c.acquire(ddg.Hash128{Hi: hi})
-		rc.store(v, patterns.KindMap, nil)
-	}
+	k := ddg.Hash128{Lo: 9}
+	store := func(hi uint64) { c.acquire(ddg.Hash128{Hi: hi}).store(k, cacheEntry{}) }
 
 	for hi := uint64(1); hi <= maxGenerations; hi++ {
 		store(hi)
@@ -96,10 +91,10 @@ func TestViewCacheGenerationLRUBound(t *testing.T) {
 	if s.Generations != maxGenerations || s.Evictions != 1 {
 		t.Fatalf("want %d generations after 1 eviction, got %+v", maxGenerations, s)
 	}
-	if st, _ := c.acquire(ddg.Hash128{Hi: 1}).lookup(v, patterns.KindMap); st != cacheHit {
+	if _, ok := c.acquire(ddg.Hash128{Hi: 1}).lookup(k); !ok {
 		t.Error("recently-used generation 1 must survive")
 	}
-	if st, _ := c.acquire(ddg.Hash128{Hi: 2}).lookup(v, patterns.KindMap); st != cacheMiss {
+	if _, ok := c.acquire(ddg.Hash128{Hi: 2}).lookup(k); ok {
 		t.Error("LRU generation 2 must have been evicted")
 	}
 	// Re-admitting 2 evicted another generation (the map stays bounded).
@@ -108,40 +103,23 @@ func TestViewCacheGenerationLRUBound(t *testing.T) {
 	}
 }
 
-// TestViewCacheDecidedFirstWriteWins is the storePrescreened/store
-// overwrite regression test: once a decided verdict — in particular a
-// stored pattern — is in a (view, kind) slot, neither a racing prescreen
-// prune nor a racing solve nor an undecided retry may replace it.
+// TestViewCacheDecidedFirstWriteWins: once a key holds an entry, a racing
+// store of another outcome for the same key never replaces it, so every
+// reader observes the first stored outcome.
 func TestViewCacheDecidedFirstWriteWins(t *testing.T) {
 	c := NewViewCache()
 	rc := c.acquire(ddg.Hash128{Hi: 5})
-	v := ddg.Hash128{Hi: 8, Lo: 8}
+	k := ddg.Hash128{Hi: 8, Lo: 8}
 	pat := &patterns.Pattern{Kind: patterns.KindMap}
 
-	rc.store(v, patterns.KindMap, pat)
-
-	// A prescreen prune must not demote the stored pattern to a negative.
-	rc.storePrescreened(v, patterns.KindMap)
-	if st, p := rc.lookup(v, patterns.KindMap); st != cacheHit || p != pat {
-		t.Fatalf("prescreen overwrote a decided pattern verdict: %v/%v", st, p)
+	rc.store(k, cacheEntry{pats: []*patterns.Pattern{pat}})
+	rc.store(k, cacheEntry{skipped: true})
+	rc.store(k, cacheEntry{})
+	if e, _ := rc.lookup(k); e.skipped || len(e.pats) != 1 || e.pats[0] != pat {
+		t.Fatalf("a later store replaced the first: %+v", e)
 	}
-	if s := c.Snapshot(); s.Prescreened != 0 {
-		t.Errorf("suppressed prescreen store must not count: %+v", s)
-	}
-
-	// A racing store must not replace the first answer.
-	rc.store(v, patterns.KindMap, nil)
-	if st, p := rc.lookup(v, patterns.KindMap); st != cacheHit || p != pat {
-		t.Fatalf("second store replaced the first: %v/%v", st, p)
-	}
-
-	// Prescreened entries are decided too: a later matcher store (racing
-	// prune, both answering nil) keeps the prescreened classification.
-	v2 := ddg.Hash128{Hi: 8, Lo: 9}
-	rc.storePrescreened(v2, patterns.KindMap)
-	rc.store(v2, patterns.KindMap, nil)
-	if st, _ := rc.lookup(v2, patterns.KindMap); st != cacheHitPrescreened {
-		t.Errorf("prescreened verdict must survive a racing matcher store: %v", st)
+	if s := c.Snapshot(); s.Entries != 1 {
+		t.Errorf("suppressed stores must not count: %+v", s)
 	}
 }
 
@@ -151,13 +129,35 @@ func TestViewCacheNilSafe(t *testing.T) {
 	if rc != nil {
 		t.Fatal("nil cache acquire must return a nil handle")
 	}
-	rc.store(ddg.Hash128{}, patterns.KindMap, nil)
-	rc.storePrescreened(ddg.Hash128{}, patterns.KindMap)
-	if st, _ := rc.lookup(ddg.Hash128{}, patterns.KindMap); st != cacheMiss {
-		t.Errorf("nil cache lookup: want miss, got %v", st)
+	rc.store(ddg.Hash128{}, cacheEntry{skipped: true})
+	if _, ok := rc.lookup(ddg.Hash128{}); ok {
+		t.Error("nil cache lookup: want a miss")
 	}
 	if s := c.Snapshot(); s != (CacheSnapshot{}) {
 		t.Errorf("nil cache snapshot: %+v", s)
+	}
+}
+
+// TestMatchSubStoresOnlyCleanOutcomes: a match item stores its sub-DDG's
+// outcome under the pool key, except when it contained a failure — then
+// no entry is stored, and a later run matches the sub-DDG again.
+func TestMatchSubStoresOnlyCleanOutcomes(t *testing.T) {
+	g := traceProgram(t, genProgram(7))
+	rc := NewViewCache().acquire(ddg.Hash128{Hi: 1})
+	mp := &matchPhase{gs: g, cache: rc, rec: obs.OrNop(nil), compact: true}
+	good := &SubDDG{Nodes: g.Nodes()}
+	bad := &SubDDG{Nodes: ddg.NewSet(ddg.NodeID(g.NumNodes() + 5))} // not a node of g
+	mp.matchSub(good)
+	mp.matchSub(bad)
+	if len(mp.fails) != 1 {
+		t.Fatalf("want the bad sub-DDG's one contained failure, got %v", mp.fails)
+	}
+	e, ok := rc.lookup(good.Key())
+	if !ok || len(e.kinds) == 0 {
+		t.Errorf("clean outcome not stored with its kinds: %+v, %v", e, ok)
+	}
+	if _, ok := rc.lookup(bad.Key()); ok {
+		t.Error("an outcome with a contained failure was stored")
 	}
 }
 

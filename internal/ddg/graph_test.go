@@ -273,17 +273,3 @@ func TestScopeBasics(t *testing.T) {
 		t.Error("nil scope String")
 	}
 }
-
-func TestDOT(t *testing.T) {
-	g := buildDiamond()
-	dot := g.DOT(nil, map[string]Set{"gray": NewSet(1, 2)})
-	for _, want := range []string{"digraph", "n0 -> n1", "fillcolor=\"gray\""} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q", want)
-		}
-	}
-	sub := g.DOT(NewSet(0, 1), nil)
-	if strings.Contains(sub, "n3") {
-		t.Error("restricted DOT includes excluded node")
-	}
-}

@@ -32,12 +32,13 @@ type KindStats struct {
 	Propagations int64
 	// Prescreened counts solves answered by the structural prescreen
 	// (prescreen.go) — provably-UNSAT views that never reached the matcher.
-	// A prescreened solve is also booked as a cache interaction (hit or
-	// miss) so the cache accounting matches a prescreen-less run.
+	// A prescreened solve is also booked as a cache miss so the cache
+	// accounting matches a prescreen-less run.
 	Prescreened int
-	// Cache outcomes for this kind from the finder's view–verdict cache:
-	// Hits are solves answered from a cached verdict, Misses are solves
-	// that ran (and then populated the cache).
+	// Cache outcomes for this kind from the finder's view cache, which
+	// stores one outcome per sub-DDG: Hits are solves answered from a
+	// stored outcome, one per kind its entry lists; Misses are solves
+	// that ran and whose outcome the entry then stored.
 	CacheHits   int
 	CacheMisses int
 }

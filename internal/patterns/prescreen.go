@@ -20,9 +20,8 @@ package patterns
 // accounting, identical with the prescreen on or off. The node-level
 // payoff is one O(nodes + arcs) pass instead of the grouping build (maps
 // and sorts for compacted loop views) and the label construction. When the
-// finder is given a view cache (Options.Cache), verdicts are
-// content-addressed into it under the same 128-bit view hash the solve
-// verdicts use.
+// finder is given a view cache (Options.Cache), a sub-DDG whose outcome is
+// stored there runs no census at all.
 
 import (
 	"discovery/internal/ddg"

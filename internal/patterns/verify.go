@@ -244,10 +244,13 @@ func VerifyTiledReduction(g ddg.GraphView, p *Pattern) error {
 		return fmt.Errorf("final reduction has %d components for %d partials",
 			len(p.Final), len(p.Partials))
 	}
-	// (4a) each partial is a linear reduction of equal length. Partial
-	// chains of length 1 are degenerate linear reductions; check chain
-	// constraints only for length ≥ 2.
+	// (4a) each partial is a linear reduction of equal, non-zero length.
+	// Partial chains of length 1 are degenerate linear reductions; check
+	// chain constraints only for length ≥ 2.
 	plen := len(p.Partials[0])
+	if plen == 0 {
+		return fmt.Errorf("partial reductions are empty")
+	}
 	var allComps []ddg.Set
 	for k, chain := range p.Partials {
 		if len(chain) != plen {

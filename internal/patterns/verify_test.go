@@ -97,6 +97,17 @@ func TestVerifyTiledReductionRejectsBrokenChanneling(t *testing.T) {
 	if err := VerifyTiledReduction(g, swapped); err == nil {
 		t.Error("swapped final chain accepted")
 	}
+
+	// Empty partials of equal length are rejected by (4a), not indexed by
+	// (4d).
+	g, adds := buildChainDDG(3)
+	empty := &Pattern{
+		Kind:     KindTiledReduction,
+		Op:       mir.OpFAdd,
+		Partials: [][]ddg.Set{{}, {}},
+		Final:    []ddg.Set{ddg.NewSet(adds[0]), ddg.NewSet(adds[1])},
+	}
+	expectVerifyError(t, Verify(g, empty), "partial reductions are empty")
 }
 
 func TestVerifyMapReductionRejectsBrokenInterface(t *testing.T) {

@@ -21,9 +21,8 @@ import (
 // Only the grouping is built eagerly. Group arcs, boundary flags, and
 // labels derive lazily from the graph and the member mask of the
 // ambient node set (ddg.SubView) the first time a matcher asks for them —
-// a view that is answered from a shared verdict cache, or refuted by the
-// group count and ops alone (CannotMatch), never touches the graph's
-// adjacency at all.
+// a view refuted by the group count and ops alone (CannotMatch) never
+// touches the graph's adjacency at all.
 // Nothing of the base graph is copied either way.
 type View struct {
 	G       ddg.GraphView
@@ -50,26 +49,6 @@ type View struct {
 	opsets []string
 
 	reach [][]bool // group-level reachability closure (lazy, under mu)
-}
-
-// hashSeedView tags view hashes (see ViewKey).
-const hashSeedView = 0x71e3d5a9c4b8f017
-
-// ViewKey returns the 128-bit content hash identifying the view of a node
-// set under a grouping provenance: loop != 0 names the compacted loop view
-// (one group per dynamic (invocation, iteration) of that static loop);
-// loop == 0 names the node-per-node view. Within one graph the grouping —
-// and hence every match verdict — is a pure function of (nodes, loop), so
-// this pair is exactly what must be hashed: the same node set viewed under
-// a different loop, or uncompacted, partitions differently and may match
-// differently, while provenances that share a grouping (an associative
-// component and a whole-graph sub-DDG over the same nodes are both
-// node-per-node) may safely share cached verdicts.
-func ViewKey(nodes ddg.Set, loop mir.LoopID) ddg.Hash128 {
-	h := ddg.NewHasher(hashSeedView)
-	h.Word(uint64(loop))
-	h.Hash(nodes.Hash())
-	return h.Sum()
 }
 
 // LoopView builds the compacted view of a loop-derived sub-DDG: one group

@@ -30,10 +30,10 @@
 //     on pool capacity — and a pool of zero workers degrades to exactly
 //     the old sequential finder.
 //
-//   - Deadlines checked at claim time. A Task may carry a Deadline (the
-//     run's budget) and its Owner a context; a task claimed past either
-//     is dropped — Do(true) runs for its bookkeeping, the work does not —
-//     so a doomed task costs a clock read.
+//   - Cancellation checked at claim time. An Owner may carry a context
+//     (a run's, its budget deadline included); a task claimed after that
+//     context is done is dropped — Do(true) runs for its bookkeeping, the
+//     work does not — so a doomed task costs one context check.
 //
 // Determinism: the pool promises nothing about execution order, and the
 // finder does not need it to — results land in pre-assigned slots and are
@@ -54,15 +54,12 @@ import (
 // Task is one unit of schedulable work.
 type Task struct {
 	// Do executes the task. expired is true when the task was claimed
-	// past its Deadline or after its Owner's context was done: the task
-	// must then do only its completion bookkeeping, not the work itself.
+	// after its Owner's context was done: the task must then do only its
+	// completion bookkeeping, not the work itself.
 	// Do must contain its own panics; the pool's last-resort recover
 	// keeps a worker alive but discards the panic value (see
 	// Stats.Panics).
 	Do func(expired bool)
-	// Deadline, when non-zero, is the instant past which the task is
-	// dropped at claim time instead of run.
-	Deadline time.Time
 }
 
 // Stats is a point-in-time snapshot of pool activity.
@@ -76,8 +73,8 @@ type Stats struct {
 	Queued  int
 	Running int
 	// Submitted and Completed count tasks over the pool's lifetime;
-	// Expired are the completed tasks dropped at claim time by a deadline
-	// or a done owner context.
+	// Expired are the completed tasks dropped at claim time by a done
+	// owner context.
 	Submitted int64
 	Completed int64
 	Expired   int64
@@ -359,11 +356,10 @@ func (p *Pool) claimLocked() (*Owner, Task, bool) {
 }
 
 // exec runs one claimed task outside the lock and books its completion.
-// The deadline/context check happens here — at claim time, on the
-// executing goroutine — so a doomed task is dropped before any work runs.
+// The context check happens here — at claim time, on the executing
+// goroutine — so a doomed task is dropped before any work runs.
 func (p *Pool) exec(o *Owner, t Task) {
-	expired := (o.ctx != nil && o.ctx.Err() != nil) ||
-		(!t.Deadline.IsZero() && !time.Now().Before(t.Deadline))
+	expired := o.ctx != nil && o.ctx.Err() != nil
 	var start time.Time
 	if p.rec.Enabled() {
 		start = time.Now()

@@ -114,34 +114,6 @@ func TestSubmitFromTask(t *testing.T) {
 	}
 }
 
-// TestDeadlineExpiry: tasks claimed past their deadline are dropped —
-// Do(true) runs for bookkeeping, and the pool counts them expired.
-func TestDeadlineExpiry(t *testing.T) {
-	p := NewPool(1, nil)
-	defer p.Close()
-	o := p.NewOwner(nil)
-	defer o.Close()
-
-	var live, dropped atomic.Int64
-	past := time.Now().Add(-time.Hour)
-	for i := 0; i < 10; i++ {
-		o.Submit(Task{Deadline: past, Do: func(expired bool) {
-			if expired {
-				dropped.Add(1)
-			} else {
-				live.Add(1)
-			}
-		}})
-	}
-	o.Wait()
-	if live.Load() != 0 || dropped.Load() != 10 {
-		t.Fatalf("live=%d dropped=%d, want 0/10", live.Load(), dropped.Load())
-	}
-	if st := p.Stats(); st.Expired != 10 {
-		t.Fatalf("Stats.Expired = %d, want 10", st.Expired)
-	}
-}
-
 // TestOwnerContextExpiry: cancelling the owner's context drops every task
 // claimed afterwards.
 func TestOwnerContextExpiry(t *testing.T) {
@@ -163,6 +135,9 @@ func TestOwnerContextExpiry(t *testing.T) {
 	o.Wait()
 	if dropped != 5 {
 		t.Fatalf("dropped %d tasks, want 5", dropped)
+	}
+	if st := p.Stats(); st.Expired != 5 {
+		t.Fatalf("Stats.Expired = %d, want 5", st.Expired)
 	}
 }
 
@@ -321,9 +296,15 @@ func TestMetricsEmitted(t *testing.T) {
 	p := NewPool(2, rec)
 	o := p.NewOwner(nil)
 	o.Submit(Task{Do: func(expired bool) {}})
-	o.Submit(Task{Deadline: time.Now().Add(-time.Second), Do: func(expired bool) {}})
 	o.Wait()
 	o.Close()
+	// A task of an owner whose context is done expires at claim time.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := p.NewOwner(ctx)
+	done.Submit(Task{Do: func(expired bool) {}})
+	done.Wait()
+	done.Close()
 	p.Close()
 
 	text := obs.Prometheus(rec.Metrics())

@@ -127,24 +127,10 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{code: 400, msg: fmt.Sprintf(format, args...)}
 }
 
-// lookupBenchmark resolves a workload name against the evaluated suite
-// and the extended registry, mirroring the CLI's lookup.
-func lookupBenchmark(name string) *starbench.Benchmark {
-	if b := starbench.ByName(name); b != nil {
-		return b
-	}
-	for _, b := range starbench.Extended() {
-		if b.Name == name {
-			return b
-		}
-	}
-	return nil
-}
-
 // validate checks the request against the registries and normalizes the
 // budget against the server's default and ceiling.
 func (s *Server) validate(req *Request) (*starbench.Benchmark, starbench.Version, time.Duration, *httpError) {
-	b := lookupBenchmark(req.Bench)
+	b := starbench.Lookup(req.Bench)
 	if b == nil {
 		return nil, "", 0, badRequest("unknown benchmark %q (see GET /benchmarks)", req.Bench)
 	}

@@ -62,7 +62,7 @@ func TestConcurrentRequestsMatchDirectRuns(t *testing.T) {
 	// Ground truth: direct runs with every serving-layer mechanism off.
 	want := make([]string, len(workloads))
 	for i, wl := range workloads {
-		b := lookupBenchmark(wl.bench)
+		b := starbench.Lookup(wl.bench)
 		if b == nil {
 			t.Fatalf("benchmark %s missing", wl.bench)
 		}

@@ -1,8 +1,8 @@
 // Package server is the pattern-discovery daemon: a long-running HTTP/JSON
 // service that accepts analysis requests for registered Starbench
 // workloads, runs them through a bounded admission queue onto a fixed pool
-// of analysis workers, and shares one warm content-addressed ViewCache
-// across every concurrent request. That cache is the daemon's alone: a
+// of analysis workers, and shares one warm ViewCache — one match outcome
+// per sub-DDG, under its pool key — across every concurrent request. That cache is the daemon's alone: a
 // library or CLI Find keeps no view cache unless given one, and a request
 // with "no_cache" runs without it. It needs no sizing: it retains at most
 // 16 run fingerprints (graph + match options), least recently used
@@ -15,7 +15,7 @@
 // analysis core: cached patterns are immutable after store (Pattern.Nodes
 // memoizes under sync.Once, computed before publication), and the
 // ViewCache binds each run to the generation of its own run fingerprint
-// with first-write-wins verdicts — so concurrent requests over different
+// with first-write-wins entries — so concurrent requests over different
 // workloads neither see nor evict each other's entries, and requests over
 // the same workload converge on identical answers.
 //
@@ -24,7 +24,8 @@
 //	POST /analyze     — submit a request (Request), receive a Response
 //	GET  /healthz     — liveness plus queue/in-flight occupancy
 //	GET  /stats       — daemon counters, the shared cache's snapshot
-//	                    (core.CacheSnapshot), store size
+//	                    (core.CacheSnapshot: entries, generations,
+//	                    evictions), store size
 //	GET  /metrics     — Prometheus text format (daemon-wide registry)
 //	GET  /benchmarks  — the analyzable workload registry
 package server

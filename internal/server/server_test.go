@@ -407,8 +407,8 @@ func TestEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(statsBody), &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"entries", "prescreened", "generations", "evictions"} {
-		if _, ok := raw.Cache[key]; !ok || len(raw.Cache) != 4 {
+	for _, key := range []string{"entries", "generations", "evictions"} {
+		if _, ok := raw.Cache[key]; !ok || len(raw.Cache) != 3 {
 			t.Errorf("/stats cache block %v lacks %q or has other keys", raw.Cache, key)
 		}
 	}

@@ -169,3 +169,17 @@ func ByName(name string) *Benchmark {
 	}
 	return nil
 }
+
+// Lookup resolves a workload name against the evaluated suite first and
+// then the extended registry (Extended), or returns nil.
+func Lookup(name string) *Benchmark {
+	if b := ByName(name); b != nil {
+		return b
+	}
+	for _, b := range Extended() {
+		if b.Name == name {
+			return b
+		}
+	}
+	return nil
+}
