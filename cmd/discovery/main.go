@@ -21,7 +21,6 @@ import (
 	"discovery/internal/modernize"
 	"discovery/internal/obs"
 	"discovery/internal/report"
-	"discovery/internal/sched"
 	"discovery/internal/starbench"
 	"discovery/internal/trace"
 )
@@ -31,7 +30,6 @@ func main() {
 		benchName  = flag.String("bench", "streamcluster", "benchmark to analyze")
 		version    = flag.String("version", "pthreads", "benchmark version: seq or pthreads")
 		format     = flag.String("format", "summary", "output format: summary, text, html, or json")
-		schedWork  = flag.Int("sched-workers", 0, "run solves on an explicit scheduler pool of this many goroutines (0 = the process default pool)")
 		verify     = flag.Bool("verify", true, "re-verify matches against the unrelaxed definitions")
 		extensions = flag.Bool("extensions", false, "enable the future-work pattern kinds (stencil, pipeline, tree reduction)")
 		budget     = flag.Duration("budget", 0, "global wall-clock budget for pattern finding (0 = none)")
@@ -126,16 +124,6 @@ func main() {
 		Budget: *budget,
 		Obs:    rec, ObsParent: analyzeSpan,
 		SpillBudget: *memBudget, SpillDir: *spillDir,
-	}
-	// -sched-workers exercises the daemon's configuration from the CLI: an
-	// explicit pool of that size with the collector attached, instead of
-	// the process default pool. Output is the same on either pool; the
-	// flag exists to reproduce and profile the daemon's pool sizing and
-	// scheduler metrics outside the server.
-	if *schedWork > 0 {
-		pool := sched.NewPool(*schedWork, rec)
-		defer pool.Close()
-		opts.Scheduler = pool
 	}
 	start = time.Now()
 	res := core.Find(tr.Graph, opts)

@@ -83,13 +83,13 @@ func TestUnbudgetedFindClean(t *testing.T) {
 func TestMaxPoolSizeEnforced(t *testing.T) {
 	g := traceProgram(t, fig2cProgram(4, 2))
 	opts := defaultOpts()
-	opts.MaxPoolSize = 2
+	opts.poolBound = 2
 	res := Find(g, opts)
 	if !res.PoolLimited {
 		t.Error("pool cap of 2 not reported as PoolLimited")
 	}
 	if res.PoolSize > 2 {
-		t.Errorf("pool grew to %d despite MaxPoolSize=2", res.PoolSize)
+		t.Errorf("pool grew to %d despite a bound of 2", res.PoolSize)
 	}
 	if !res.Degraded() {
 		t.Error("pool-limited result not labeled Degraded")

@@ -30,7 +30,6 @@ func SetSweepItemHook(h func(phase string)) { sweepItemHook = h }
 func DecomposeOn(ctx context.Context, pool *sched.Pool, g *ddg.Graph) ([]*SubDDG, *Result) {
 	res := &Result{}
 	sc := newRunSched(ctx, Options{Scheduler: pool}, res)
-	defer sc.close()
 	subs := decompose(sc, g)
 	interrupted(ctx, res)
 	return subs, res

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"discovery/internal/analysis"
@@ -20,17 +19,16 @@ import (
 // the smallest benchmark, and (§6.1) that seven patterns need a second and
 // two a third iteration.
 type Options struct {
-	// Scheduler is the solve pool this run submits its parallel work to
+	// Scheduler is the solve pool this run sweeps its parallel phases on
 	// (see internal/sched). Nil — the default — means the process default
-	// pool (sched.Default), which with the run's own helping goroutine
-	// gives GOMAXPROCS executors. The daemon passes one sized pool of its
-	// own so its metrics reach the daemon's registry. Every run sharing a
-	// pool is one owner among many: pool workers take the owners' tasks
-	// round-robin, and each run also executes its own tasks on its
-	// waiting goroutine, so a small warm run never queues behind a large
-	// cold one whole. Scheduling
-	// never changes output, only execution order: results are delivered
-	// in deterministic owner order whichever pool ran them.
+	// pool (sched.Default), which with the run's own goroutine gives
+	// GOMAXPROCS executors. The daemon passes one sized pool of its own so
+	// its metrics reach the daemon's registry. Every sweep runs on its
+	// run's goroutine and offers itself to the pool's workers, which take
+	// the offers of all runs sharing the pool in arrival order, so a small
+	// warm run never queues behind a large cold one. Scheduling never
+	// changes output, only execution order: results are folded in index
+	// order whichever executor produced them.
 	Scheduler *sched.Pool
 	// VerifyMatches re-checks every match against the unrelaxed §4
 	// definitions and drops violators (none arise in our experiments,
@@ -39,9 +37,6 @@ type Options struct {
 	// MaxViewGroups skips matching views larger than this many groups,
 	// standing in for the paper's solver memory limit. 0 means 10000.
 	MaxViewGroups int
-	// MaxPoolSize stops generating new sub-DDGs once the pool exceeds
-	// this bound. 0 means 50000.
-	MaxPoolSize int
 
 	// Budget bounds the whole Find run's wall-clock time, the paper's
 	// per-solve limits lifted to an end-to-end deadline: when it expires,
@@ -97,6 +92,9 @@ type Options struct {
 	// at its census gate), so the switch exists only as the
 	// differential tests' reference (export_test.go).
 	noPrescreen bool
+	// poolBound, when positive, replaces maxPoolSize as the sub-DDG pool
+	// bound, so a test can reach the bound on a small program.
+	poolBound int
 
 	// Cache, when non-nil, is the view cache the run consults and
 	// populates, one match outcome per sub-DDG under its pool key, letting
@@ -119,18 +117,22 @@ type Options struct {
 // maxIterations bounds the match/subtract/fuse fixpoint loop.
 const maxIterations = 10
 
+// maxPoolSize stops generating new sub-DDGs once the pool reaches this
+// many entries.
+const maxPoolSize = 50000
+
+func (o Options) poolLimit() int {
+	if o.poolBound > 0 {
+		return o.poolBound
+	}
+	return maxPoolSize
+}
+
 func (o Options) maxViewGroups() int {
 	if o.MaxViewGroups > 0 {
 		return o.MaxViewGroups
 	}
 	return 10000
-}
-
-func (o Options) maxPoolSize() int {
-	if o.MaxPoolSize > 0 {
-		return o.MaxPoolSize
-	}
-	return 50000
 }
 
 // Match records one matched pattern: where it was found and when.
@@ -156,7 +158,7 @@ type Result struct {
 	PoolSize int
 	// SkippedViews counts sub-DDGs skipped for exceeding MaxViewGroups.
 	SkippedViews int
-	// PoolLimited reports that the sub-DDG pool hit MaxPoolSize.
+	// PoolLimited reports that the sub-DDG pool hit its size bound.
 	PoolLimited bool
 	// Interrupted reports that the global budget or the caller's context
 	// expired before the fixpoint completed; the remaining iterations,
@@ -316,10 +318,9 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 
 	// The solve scheduler: every parallel phase of the run — decompose,
 	// match, subtract, fuse, pipelines — sweeps its items (associative
-	// components, sub-DDGs, pool entries, stage pairs) over the run's
-	// owner on the pool and waits them out at the phase barrier.
+	// components, sub-DDGs, pool entries, stage pairs) over the pool, and
+	// the sweep returns at the phase barrier.
 	sc := newRunSched(ctx, opts, res)
-	defer sc.close()
 
 	// Phase: decompose (the decomposed sub-DDGs are compacted lazily when
 	// viewed, per sub-DDG provenance).
@@ -329,7 +330,7 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 		if s.Nodes.Len() == 0 || seen[s.Key()] {
 			return false
 		}
-		if len(pool) >= opts.maxPoolSize() {
+		if len(pool) >= opts.poolLimit() {
 			// Defensive bound; no benchmark reaches it. Enforced here, at
 			// the single point of growth, so the subtract AND fuse phases
 			// both respect it and PoolLimited cannot under-report.
@@ -492,7 +493,7 @@ func emitFindMetrics(rec obs.Recorder, res *Result, cache *ViewCache) {
 // is recorded on res.Failures as a structured match-stage error naming the
 // phase; whatever the phase wrote before dying is kept, and guard reports
 // false so the caller can fall back. Phases run on the calling goroutine —
-// task panics are contained separately (runSched.item), since a
+// item panics are contained separately (runSched.item), since a
 // recover only catches panics on its own stack.
 func guard(res *Result, phase string, fn func()) (ok bool) {
 	defer func() {
@@ -520,47 +521,22 @@ func interrupted(ctx context.Context, res *Result) bool {
 	return false
 }
 
-// sweep runs body(i) for every index in [0, n) on the run's executors
-// and waits them out. It submits one claimer task per executor, and each
-// claimer takes the next unclaimed index from a shared counter until none
-// is left, so one slow item never holds a batch of others behind it. A
-// claimer checks the run's context before each claim: once it is done the
-// unclaimed indices are skipped (they contribute nothing, and the
-// interrupted(ctx, res) the caller runs afterwards labels the result),
-// while a claimed item always runs to its end. Each item runs inside the
-// task recover boundary (runSched.item), so a panic costs only that item.
-// Runs on the phase goroutine; returns only after every claimer finished.
+// sweep runs body(i) for every index in [0, n) on the run's pool (see
+// sched.Pool.Sweep: the phase goroutine claims indices one at a time
+// alongside any pool workers that join, so one slow item never holds a
+// batch of others behind it) and then moves the contained item failures
+// onto the Result. Once the run's context is done the unclaimed indices
+// are skipped (they contribute nothing, and the interrupted(ctx, res) the
+// caller runs afterwards labels the result), while a claimed item always
+// runs to its end. Each item runs inside the item recover boundary
+// (runSched.item), so a panic costs only that item. Runs on the phase
+// goroutine, the Result's only writer at that point.
 func sweep(sc *runSched, phase string, n int, body func(i int)) {
-	if n == 0 {
-		return
-	}
-	var next atomic.Int64
-	claim := func(expired bool) {
-		if expired {
-			return
-		}
-		// A non-blocking receive on Done is lock-free, so checking before
-		// each claim costs nothing a subtract diff would notice.
-		done := sc.ctx.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			i := int(next.Add(1) - 1)
-			if i >= n {
-				return
-			}
-			sc.item(phase, i, body)
-		}
-	}
-	tasks := make([]sched.Task, min(sc.executors(), n))
-	for c := range tasks {
-		tasks[c] = sched.Task{Do: claim}
-	}
-	sc.owner.Submit(tasks...)
-	sc.wait()
+	sc.pool.Sweep(sc.ctx, n, func(i int) { sc.item(phase, i, body) })
+	sc.mu.Lock()
+	sc.res.Failures = append(sc.res.Failures, sc.fails...)
+	sc.fails = nil
+	sc.mu.Unlock()
 }
 
 // subtractPhase subtracts this iteration's matches from the unmatched
@@ -568,7 +544,7 @@ func sweep(sc *runSched, phase string, n int, body func(i int)) {
 // index writes only its own slot — and folded into the pool sequentially
 // in pool order afterwards, so the addPool call sequence (dedup, pool
 // bound, fresh order) is exactly the sequential loop's whatever order the
-// tasks ran in.
+// items ran in.
 //
 // Subtraction exposes patterns hidden inside sub-DDGs that did not match
 // anything themselves (maps buried in complex loops); subtracting from
@@ -780,21 +756,17 @@ func pairKey(a, b *SubDDG) ddg.Hash128 {
 	return h.Sum()
 }
 
-// runSched is one Find run's client handle on its solve pool
-// (Options.Scheduler, else sched.Default): one owner on the pool, plus
-// the run's task recover boundary. The owner carries the run's context,
-// the Budget deadline included, so the pool drops the run's tasks claimed
-// after it ends. The submitting goroutine executes its own tasks while it
-// waits (sched.Owner help-first waiting), so a run progresses even on a
-// pool with no workers.
+// runSched is one Find run's handle on its solve pool
+// (Options.Scheduler, else sched.Default): the pool, the run's context —
+// the Budget deadline included, so no item starts after the run ends —
+// and the run's item recover boundary.
 type runSched struct {
-	pool  *sched.Pool
-	owner *sched.Owner
-	ctx   context.Context
-	res   *Result
+	pool *sched.Pool
+	ctx  context.Context
+	res  *Result
 
 	mu    sync.Mutex
-	fails []*analysis.Error // contained task panics, flushed by wait
+	fails []*analysis.Error // contained item panics, flushed by sweep
 }
 
 func newRunSched(ctx context.Context, opts Options, res *Result) *runSched {
@@ -802,25 +774,13 @@ func newRunSched(ctx context.Context, opts Options, res *Result) *runSched {
 	if pool == nil {
 		pool = sched.Default()
 	}
-	return &runSched{
-		pool:  pool,
-		owner: pool.NewOwner(ctx),
-		ctx:   ctx,
-		res:   res,
-	}
+	return &runSched{pool: pool, ctx: ctx, res: res}
 }
 
-// close deregisters the run's owner; the pool outlives the run.
-func (rs *runSched) close() { rs.owner.Close() }
-
-// executors is the parallel capacity this run sees: a sweep submits one
-// claimer per executor.
-func (rs *runSched) executors() int { return rs.pool.Executors() }
-
-// item runs one sweep item of the named phase. It is the task recover
+// item runs one sweep item of the named phase. It is the item recover
 // boundary: a panic inside body is recorded as a structured "<phase> task
-// failed" error, and the next wait appends it to Result.Failures; the
-// claimer goes on to its next item.
+// failed" error, which the sweep appends to Result.Failures; the claimer
+// goes on to its next item.
 func (rs *runSched) item(phase string, i int, body func(int)) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -835,18 +795,6 @@ func (rs *runSched) item(phase string, i int, body func(int)) {
 		sweepItemHook(phase)
 	}
 	body(i)
-}
-
-// wait blocks until every submitted task completed, helping the pool by
-// executing this run's own tasks meanwhile, then moves the contained task
-// failures onto the Result. Runs on the phase goroutine, the Result's
-// only writer at that point.
-func (rs *runSched) wait() {
-	rs.owner.Wait()
-	rs.mu.Lock()
-	rs.res.Failures = append(rs.res.Failures, rs.fails...)
-	rs.fails = nil
-	rs.mu.Unlock()
 }
 
 // sweepItemHook, when non-nil, runs before every sweep item, on the

@@ -169,8 +169,7 @@ func partnerDiff(g *ddg.Graph, opts Options, headroom int) error {
 	res := &Result{}
 	gs := Simplify(g)
 	sc := newRunSched(ctx, opts, res)
-	defer sc.close()
-	pool := &subPool{seen: map[ddg.Hash128]bool{}, limit: opts.maxPoolSize()}
+	pool := &subPool{seen: map[ddg.Hash128]bool{}, limit: opts.poolLimit()}
 	for _, s := range Decompose(gs) {
 		pool.add(s)
 	}

@@ -13,10 +13,10 @@ import (
 )
 
 // TestTaskPanicContained: a panic inside one sweep item is the run's
-// task recover boundary's to catch — recorded once on Result.Failures as
+// item recover boundary's to catch — recorded once on Result.Failures as
 // "<phase> task failed" with the panic message, while every other item of
 // the phase still runs, on the claimer that met the panic too — and a
-// later barrier does not record it again. On a pool with no workers the
+// later sweep does not record it again. On a pool with no workers the
 // phase's only claimer met the panic; on one with three, any of four.
 func TestTaskPanicContained(t *testing.T) {
 	for _, workers := range []int{0, 3} {
@@ -25,7 +25,6 @@ func TestTaskPanicContained(t *testing.T) {
 			defer pool.Close()
 			res := &Result{}
 			sc := newRunSched(context.Background(), Options{Scheduler: pool}, res)
-			defer sc.close()
 
 			var ran atomic.Int64
 			sweep(sc, "subtract", 64, func(i int) {
@@ -50,7 +49,7 @@ func TestTaskPanicContained(t *testing.T) {
 
 			sweep(sc, "fuse", 8, func(int) {})
 			if len(res.Failures) != 1 {
-				t.Errorf("a clean barrier changed the failures: %v", res.Failures)
+				t.Errorf("a clean sweep changed the failures: %v", res.Failures)
 			}
 		})
 	}

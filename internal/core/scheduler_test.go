@@ -17,7 +17,7 @@ import (
 
 // TestMatchPhaseRunsSubDDGsOnTwoExecutors holds the first two match items
 // at a rendezvous: both must be running at once before either proceeds.
-// On a pool of one worker plus the run's helping waiter, that happens only
+// On a pool of one worker plus the sweep's caller, that happens only
 // if the phase hands its sub-DDGs to both executors; a phase that ran them
 // all on one executor would leave the first item waiting forever.
 func TestMatchPhaseRunsSubDDGsOnTwoExecutors(t *testing.T) {
@@ -67,8 +67,8 @@ func TestMatchPhaseRunsSubDDGsOnTwoExecutors(t *testing.T) {
 	}
 }
 
-// TestFindDefaultsToProcessPool: a Find with no Scheduler runs its tasks
-// on sched.Default() as one owner, and deregisters that owner on return.
+// TestFindDefaultsToProcessPool: a Find with no Scheduler sweeps its
+// phases on sched.Default(), and leaves it drained on return.
 func TestFindDefaultsToProcessPool(t *testing.T) {
 	b := starbench.ByName("rgbyuv")
 	tr, err := trace.Run(b.Build(starbench.Seq, b.Analysis).Prog)
@@ -82,10 +82,10 @@ func TestFindDefaultsToProcessPool(t *testing.T) {
 	if len(res.Patterns) == 0 {
 		t.Fatal("no patterns found")
 	}
-	if after.Submitted <= before.Submitted {
-		t.Errorf("default pool saw no submissions: %d before, %d after", before.Submitted, after.Submitted)
+	if after.Helped <= before.Helped {
+		t.Errorf("default pool ran no sweeps: %d before, %d after", before.Helped, after.Helped)
 	}
-	if after.Owners != before.Owners {
-		t.Errorf("default pool owners %d after the run, want %d as before", after.Owners, before.Owners)
+	if after.Queued != 0 || after.Running != 0 {
+		t.Errorf("default pool not drained after the run: %+v", after)
 	}
 }

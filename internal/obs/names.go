@@ -56,9 +56,9 @@ const (
 	// Shared solve scheduler (internal/sched). One pool serves every
 	// concurrent run, so these are process-level series, not per-request.
 	MetricSchedWorkers     = "discovery_sched_workers"       // gauge: pool goroutines
-	MetricSchedQueueDepth  = "discovery_sched_queue_depth"   // gauge: submitted, unclaimed tasks
-	MetricSchedTasks       = "discovery_sched_tasks_total"   // counter: tasks completed
-	MetricSchedSteals      = "discovery_sched_steals_total"  // counter: worker switched owners
-	MetricSchedExpired     = "discovery_sched_expired_total" // counter: dropped at claim time
-	MetricSchedTaskSeconds = "discovery_sched_task_seconds"  // histogram: executed-task latency
+	MetricSchedQueueDepth  = "discovery_sched_queue_depth"   // gauge: queued sweep offers
+	MetricSchedTasks       = "discovery_sched_tasks_total"   // counter: claimers run
+	MetricSchedSteals      = "discovery_sched_steals_total"  // counter: offers run by workers
+	MetricSchedExpired     = "discovery_sched_expired_total" // counter: offers dropped at take
+	MetricSchedTaskSeconds = "discovery_sched_task_seconds"  // histogram: claimer latency
 )

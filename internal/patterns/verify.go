@@ -27,7 +27,7 @@ func verifyPattern(g ddg.GraphView, comps []ddg.Set) (*owners, error) {
 		return nil, fmt.Errorf("pattern has no components")
 	}
 	// (1b) disjoint components.
-	own, i, j := newOwners(comps)
+	own, i, j := ownersOf(comps)
 	if i >= 0 {
 		return nil, fmt.Errorf("components %d and %d share nodes", i, j)
 	}
@@ -56,11 +56,11 @@ type owners struct {
 	comp []int32 // by id - lo; -1: in no component
 }
 
-// newOwners builds the owner table of comps and reports the smallest pair
+// ownersOf builds the owner table of comps and reports the smallest pair
 // (i, j), i < j, of components sharing a node, or i = -1 when they are
 // disjoint. A node's first two holders are the smallest pair it is
 // shared by, and the smallest such pair over all nodes is the answer.
-func newOwners(comps []ddg.Set) (own *owners, i, j int) {
+func ownersOf(comps []ddg.Set) (own *owners, i, j int) {
 	own = &owners{}
 	lo, hi := ddg.NoNode, ddg.NodeID(0)
 	for _, c := range comps {
@@ -295,7 +295,7 @@ func VerifyTiledReduction(g ddg.GraphView, p *Pattern) error {
 	// finals' owner table. (4b) made the finals a chain of single nodes,
 	// which in an acyclic graph are distinct, so each node has at most one
 	// final component. allComps lists partial k's component i at k*plen+i.
-	fin, _, _ := newOwners(p.Final)
+	fin, _, _ := ownersOf(p.Final)
 	partials := allComps[:len(p.Partials)*plen]
 	if c, fj := fin.firstArc(g, partials, func(c, fj int) bool { return c%plen != plen-1 || fj != c/plen }); c >= 0 {
 		return fmt.Errorf("stray arc from partial %d[%d] to final %d", c/plen, c%plen, fj)

@@ -2,7 +2,9 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,300 +13,226 @@ import (
 	"discovery/internal/obs"
 )
 
-// TestPoolRunsAllTasks: every submitted task runs exactly once, across
-// submission batches and Wait rounds.
+// TestPoolRunsAllTasks: a sweep runs every index exactly once, on pools
+// of 0, 1 and 4 workers, sweep after sweep, and leaves the pool drained.
 func TestPoolRunsAllTasks(t *testing.T) {
-	p := NewPool(3, nil)
-	defer p.Close()
-	o := p.NewOwner(context.Background())
-	defer o.Close()
-
-	var ran atomic.Int64
-	for round := 0; round < 4; round++ {
-		var tasks []Task
-		for i := 0; i < 50; i++ {
-			tasks = append(tasks, Task{Do: func(expired bool) {
-				if expired {
-					t.Error("unexpected expired task")
+	for _, workers := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			p := NewPool(workers, nil)
+			defer p.Close()
+			p.Sweep(context.Background(), 0, func(int) { t.Error("item of an empty sweep ran") })
+			for _, n := range []int{1, 3, 50, 200} {
+				runs := make([]atomic.Int32, n)
+				p.Sweep(context.Background(), n, func(i int) { runs[i].Add(1) })
+				for i := range runs {
+					if got := runs[i].Load(); got != 1 {
+						t.Fatalf("n=%d: index %d ran %d times, want 1", n, i, got)
+					}
 				}
-				ran.Add(1)
-			}})
-		}
-		o.Submit(tasks...)
-		o.Wait()
-	}
-	if got := ran.Load(); got != 200 {
-		t.Fatalf("ran %d tasks, want 200", got)
-	}
-	st := p.Stats()
-	if st.Submitted != 200 || st.Completed != 200 || st.Queued != 0 || st.Running != 0 {
-		t.Fatalf("stats after drain: %+v", st)
+			}
+			st := p.Stats()
+			if st.Queued != 0 || st.Running != 0 || st.Helped != 4 || st.Expired != 0 {
+				t.Fatalf("stats after four sweeps: %+v", st)
+			}
+		})
 	}
 }
 
-// TestZeroWorkerPoolHelps: a pool with no worker goroutines still
-// completes all work — the waiting owner executes its own tasks. This is
-// the degenerate case that makes the scheduler safe as a default: pool
-// capacity can never deadlock an owner.
+// TestZeroWorkerPoolHelps: a pool with no worker goroutines runs the
+// whole sweep on its caller. This is the degenerate case that makes the
+// scheduler safe as a default: pool capacity can never stall a sweep.
 func TestZeroWorkerPoolHelps(t *testing.T) {
 	p := NewPool(0, nil)
 	defer p.Close()
-	o := p.NewOwner(nil)
-	defer o.Close()
-
-	var ran int // no atomics needed: only the helping goroutine executes
-	for i := 0; i < 20; i++ {
-		o.Submit(Task{Do: func(expired bool) { ran++ }})
+	var order []int // no atomics needed: only the caller executes
+	p.Sweep(context.Background(), 20, func(i int) { order = append(order, i) })
+	if len(order) != 20 {
+		t.Fatalf("ran %d items, want 20", len(order))
 	}
-	o.Wait()
-	if ran != 20 {
-		t.Fatalf("ran %d tasks, want 20", ran)
-	}
-	if st := p.Stats(); st.Helped != 20 {
-		t.Fatalf("Helped = %d, want 20", st.Helped)
-	}
-}
-
-// TestFIFOAcrossRefills: with a single executor (the helping waiter), an
-// owner's queue runs in submission order, including tasks submitted by
-// running tasks, and keeps it when drained and refilled.
-func TestFIFOAcrossRefills(t *testing.T) {
-	p := NewPool(0, nil)
-	defer p.Close()
-	o := p.NewOwner(nil)
-	defer o.Close()
-	var order []int
-	mark := func(id int) Task {
-		return Task{Do: func(bool) { order = append(order, id) }}
-	}
-	o.Submit(mark(10), Task{Do: func(bool) {
-		order = append(order, 0)
-		o.Submit(mark(1), mark(30), mark(11))
-	}})
-	o.Wait()
-	o.Submit(mark(12), mark(2))
-	o.Wait()
-	want := []int{10, 0, 1, 30, 11, 12, 2}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("caller claimed %v, want indices in order", order)
 		}
 	}
-}
-
-// TestSubmitFromTask: a running task may submit follow-up work to its own
-// owner, and Wait covers it.
-func TestSubmitFromTask(t *testing.T) {
-	p := NewPool(2, nil)
-	defer p.Close()
-	o := p.NewOwner(nil)
-	defer o.Close()
-
-	var ran atomic.Int64
-	o.Submit(Task{Do: func(expired bool) {
-		ran.Add(1)
-		o.Submit(Task{Do: func(expired bool) { ran.Add(1) }})
-	}})
-	o.Wait()
-	if got := ran.Load(); got != 2 {
-		t.Fatalf("ran %d tasks, want 2", got)
+	if st := p.Stats(); st.Helped != 1 || st.Steals != 0 || st.Queued != 0 {
+		t.Fatalf("stats = %+v, want one sweep on its caller and no offer", st)
 	}
 }
 
-// TestOwnerContextExpiry: cancelling the owner's context drops every task
-// claimed afterwards.
-func TestOwnerContextExpiry(t *testing.T) {
-	p := NewPool(0, nil) // no workers: nothing claims until Wait helps
-	defer p.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	o := p.NewOwner(ctx)
-	defer o.Close()
-
-	var dropped int
-	for i := 0; i < 5; i++ {
-		o.Submit(Task{Do: func(expired bool) {
-			if expired {
-				dropped++
-			}
-		}})
-	}
-	cancel()
-	o.Wait()
-	if dropped != 5 {
-		t.Fatalf("dropped %d tasks, want 5", dropped)
-	}
-	if st := p.Stats(); st.Expired != 5 {
-		t.Fatalf("Stats.Expired = %d, want 5", st.Expired)
+// hold occupies the only worker of a 1-worker pool inside an item of a
+// 2-item sweep, and returns a function that releases it and waits for
+// that sweep to return. Both items are running once hold returns, so one
+// of them is on the worker.
+func hold(p *Pool) (release func()) {
+	arrived := make(chan struct{}, 2)
+	gate := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		p.Sweep(context.Background(), 2, func(int) {
+			arrived <- struct{}{}
+			<-gate
+		})
+		close(done)
+	}()
+	<-arrived
+	<-arrived
+	return func() {
+		close(gate)
+		<-done
 	}
 }
 
-// awaitCompleted spins until the pool has completed n tasks. Used by the
-// claim-order tests, which must not call Wait (the helping waiter would
-// execute the tasks itself and hide the worker's claim order).
-func awaitCompleted(t *testing.T, p *Pool, n int64) {
+// await spins until cond holds on the pool's stats.
+func await(t *testing.T, p *Pool, what string, cond func(Stats) bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for p.Stats().Completed < n {
+	for !cond(p.Stats()) {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool stuck at %+v, want %d completed", p.Stats(), n)
+			t.Fatalf("pool stuck at %+v, waiting for %s", p.Stats(), what)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestStealsAcrossOwners: a pool worker that drains one owner's deque
-// moves on to another owner's, and the switch is counted as a steal. The
-// worker is pinned on a gated first task so both queues are populated
-// before it claims again, and no goroutine Waits (helping would race the
-// worker for the tasks).
-func TestStealsAcrossOwners(t *testing.T) {
-	p := NewPool(1, nil)
-	defer p.Close()
-
-	a := p.NewOwner(nil)
-	b := p.NewOwner(nil)
-
-	claimed := make(chan struct{})
+// expireOffer runs a sweep on a 1-worker pool whose offer the worker
+// takes only after the sweep's context is done: the caller is inside the
+// sweep's first item, with the worker held, when the context is
+// cancelled, and then the worker is released. It returns how many items
+// of that sweep ran.
+func expireOffer(t *testing.T, p *Pool) int64 {
+	t.Helper()
+	release := hold(p)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	entered := make(chan struct{})
 	gate := make(chan struct{})
-	var bRan atomic.Int64
-	a.Submit(Task{Do: func(expired bool) { close(claimed); <-gate }})
-	<-claimed // the worker holds a's task
-	for i := 0; i < 3; i++ {
-		b.Submit(Task{Do: func(expired bool) { bRan.Add(1) }})
+	done := make(chan struct{})
+	var ran atomic.Int64
+	go func() {
+		p.Sweep(ctx, 100, func(int) {
+			if ran.Add(1) == 1 {
+				close(entered)
+				<-gate
+			}
+		})
+		close(done)
+	}()
+	<-entered
+	if st := p.Stats(); st.Queued != 1 {
+		t.Fatalf("stats = %+v, want the sweep's one offer queued behind the held worker", st)
 	}
+	cancel()
+	release()
+	await(t, p, "the offer to expire", func(st Stats) bool { return st.Expired == 1 })
 	close(gate)
-	awaitCompleted(t, p, 4)
-	if bRan.Load() != 3 {
-		t.Fatalf("bRan = %d, want 3", bRan.Load())
-	}
-	// The worker's only path to b's tasks was a switch away from a.
-	if st := p.Stats(); st.Steals == 0 {
-		t.Fatalf("Stats.Steals = 0, want > 0 (stats %+v)", st)
-	}
-	a.Close()
-	b.Close()
+	<-done
+	return ran.Load()
 }
 
-// TestUrgentOwnerPreempts: a later owner's task is claimed before an
-// earlier owner's backlog — the owners are served round-robin, the
-// anti-starvation property the shared pool exists for (a small warm
-// request never queues behind a large cold one whole). Same pinning
-// discipline as the steal test: the single worker is the only executor,
-// so its first claim after the gate is the claim scan's verdict.
-func TestUrgentOwnerPreempts(t *testing.T) {
+// TestOwnerContextExpiry: once the sweeping caller's context is done, no
+// item starts: the caller stops claiming, and a worker drops the sweep's
+// offer at take and books it as expired. A sweep whose context is done
+// before it starts runs nothing.
+func TestOwnerContextExpiry(t *testing.T) {
 	p := NewPool(1, nil)
 	defer p.Close()
-
-	slow := p.NewOwner(nil)
-	fast := p.NewOwner(nil)
-
-	claimed := make(chan struct{})
-	gate := make(chan struct{})
-	var mu sync.Mutex
-	var order []string
-	mark := func(tag string) func(bool) {
-		return func(expired bool) {
-			mu.Lock()
-			order = append(order, tag)
-			mu.Unlock()
-		}
+	if ran := expireOffer(t, p); ran != 1 {
+		t.Fatalf("%d items ran, want only the one claimed before the cancel", ran)
 	}
-	slow.Submit(Task{Do: func(expired bool) { close(claimed); <-gate }})
-	<-claimed
-	for i := 0; i < 4; i++ {
-		slow.Submit(Task{Do: mark("slow")})
+	if st := p.Stats(); st.Expired != 1 || st.Queued != 0 || st.Running != 0 {
+		t.Fatalf("stats = %+v, want one expired offer and a drained pool", st)
 	}
-	fast.Submit(Task{Do: mark("fast")})
-	close(gate)
-	awaitCompleted(t, p, 6)
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 5 || order[0] != "fast" {
-		t.Fatalf("claim order = %v, want the later owner's task first", order)
-	}
-	slow.Close()
-	fast.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p.Sweep(ctx, 10, func(int) { t.Error("item ran under a done context") })
 }
 
-// TestTaskPanicContained: a panicking task is counted and does not kill
-// the worker or wedge Wait.
+// TestUrgentSweepRunsOnCaller: a sweep never waits for pool capacity.
+// With a 1-worker pool's worker held inside another sweep's item, a
+// sweep of 100 items finishes on its caller before the worker is
+// released, and its offer is withdrawn, not run later.
+func TestUrgentSweepRunsOnCaller(t *testing.T) {
+	p := NewPool(1, nil)
+	defer p.Close()
+	release := hold(p)
+	var ran int // no atomics needed: only the caller executes
+	p.Sweep(context.Background(), 100, func(int) { ran++ })
+	if ran != 100 {
+		t.Fatalf("ran %d items with the worker held, want 100", ran)
+	}
+	if st := p.Stats(); st.Queued != 0 || st.Steals != 1 {
+		t.Fatalf("stats = %+v, want the offer withdrawn and only the held sweep's offer run", st)
+	}
+	release()
+	if st := p.Stats(); st.Steals != 1 || st.Expired != 0 || st.Running != 0 {
+		t.Fatalf("stats = %+v, want the withdrawn offer dropped unrun", st)
+	}
+}
+
+// TestTaskPanicContained: a panic escaping an item is counted by the
+// last-resort boundary, and the claimer goes on, so every other index
+// still runs and no worker dies.
 func TestTaskPanicContained(t *testing.T) {
-	p := NewPool(1, nil)
-	defer p.Close()
-	o := p.NewOwner(nil)
-	defer o.Close()
-
-	var after atomic.Bool
-	o.Submit(
-		Task{Do: func(expired bool) { panic("task bug") }},
-		Task{Do: func(expired bool) { after.Store(true) }},
-	)
-	o.Wait()
-	if !after.Load() {
-		t.Fatal("task after the panicking one did not run")
-	}
-	if st := p.Stats(); st.Panics != 1 {
-		t.Fatalf("Stats.Panics = %d, want 1", st.Panics)
+	for _, workers := range []int{0, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			p := NewPool(workers, nil)
+			defer p.Close()
+			var ran atomic.Int64
+			p.Sweep(context.Background(), 10, func(i int) {
+				if i == 3 {
+					panic("item bug")
+				}
+				ran.Add(1)
+			})
+			if got := ran.Load(); got != 9 {
+				t.Fatalf("ran %d items, want 9 (all but the panicking one)", got)
+			}
+			p.Sweep(context.Background(), 4, func(int) { ran.Add(1) })
+			if got := ran.Load(); got != 13 {
+				t.Fatalf("ran %d items after a second sweep, want 13", got)
+			}
+			if st := p.Stats(); st.Panics != 1 || st.Running != 0 {
+				t.Fatalf("stats = %+v, want one panic and a drained pool", st)
+			}
+		})
 	}
 }
 
-// TestConcurrentOwners: many owners submitting and waiting concurrently
-// under -race; all work completes, counts balance.
+// TestConcurrentOwners: many callers sweep concurrently on one pool under
+// -race; every item runs once and the pool ends drained.
 func TestConcurrentOwners(t *testing.T) {
 	p := NewPool(4, nil)
 	defer p.Close()
 
-	const owners, perOwner = 8, 120
+	const callers, sweeps, n = 8, 15, 40
 	var total atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < owners; i++ {
+	for c := 0; c < callers; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			o := p.NewOwner(context.Background())
-			defer o.Close()
-			for j := 0; j < perOwner; j++ {
-				o.Submit(Task{Do: func(expired bool) { total.Add(1) }})
-				if j%30 == 0 {
-					o.Wait()
-				}
+			for s := 0; s < sweeps; s++ {
+				p.Sweep(context.Background(), n, func(int) { total.Add(1) })
 			}
-			o.Wait()
 		}()
 	}
 	wg.Wait()
-	if got := total.Load(); got != owners*perOwner {
-		t.Fatalf("ran %d tasks, want %d", got, owners*perOwner)
+	if got := total.Load(); got != callers*sweeps*n {
+		t.Fatalf("ran %d items, want %d", got, callers*sweeps*n)
 	}
 	st := p.Stats()
-	if st.Queued != 0 || st.Running != 0 || st.Owners != 0 {
-		t.Fatalf("pool not drained: %+v", st)
-	}
-	if st.Completed != owners*perOwner {
-		t.Fatalf("Completed = %d, want %d", st.Completed, owners*perOwner)
+	if st.Queued != 0 || st.Running != 0 || st.Helped != callers*sweeps {
+		t.Fatalf("pool not drained or sweeps miscounted: %+v", st)
 	}
 }
 
-// TestMetricsEmitted: the pool reports its gauges and counters under the
-// canonical discovery_sched_* names.
+// TestMetricsEmitted: the pool reports its gauges, counters and task
+// histogram under the canonical discovery_sched_* names.
 func TestMetricsEmitted(t *testing.T) {
 	rec := obs.NewCollector()
-	p := NewPool(2, rec)
-	o := p.NewOwner(nil)
-	o.Submit(Task{Do: func(expired bool) {}})
-	o.Wait()
-	o.Close()
-	// A task of an owner whose context is done expires at claim time.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	done := p.NewOwner(ctx)
-	done.Submit(Task{Do: func(expired bool) {}})
-	done.Wait()
-	done.Close()
+	p := NewPool(1, rec)
+	expireOffer(t, p) // a stolen offer, a queued one, and an expired one
 	p.Close()
 
 	text := obs.Prometheus(rec.Metrics())
@@ -312,61 +240,74 @@ func TestMetricsEmitted(t *testing.T) {
 		obs.MetricSchedWorkers,
 		obs.MetricSchedQueueDepth,
 		obs.MetricSchedTasks,
+		obs.MetricSchedSteals,
 		obs.MetricSchedExpired,
+		obs.MetricSchedTaskSeconds,
 	} {
-		if !contains(text, name) {
+		if !strings.Contains(text, name) {
 			t.Errorf("metric %q missing from exposition:\n%s", name, text)
 		}
 	}
 }
 
-func contains(haystack, needle string) bool {
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		if haystack[i:i+len(needle)] == needle {
-			return true
-		}
-	}
-	return false
-}
-
-// TestCloseIdempotent: double Close is safe; Close drains nothing by
-// itself but returns once workers exit.
+// TestCloseIdempotent: double Close is safe, and a sweep after Close runs
+// whole on its caller.
 func TestCloseIdempotent(t *testing.T) {
 	p := NewPool(2, nil)
-	o := p.NewOwner(nil)
-	var ran atomic.Int64
-	o.Submit(Task{Do: func(expired bool) { ran.Add(1) }})
-	o.Wait()
-	o.Close()
 	p.Close()
 	p.Close()
-	if ran.Load() != 1 {
-		t.Fatalf("ran = %d, want 1", ran.Load())
+	var ran int // no atomics needed: only the caller executes
+	p.Sweep(context.Background(), 10, func(int) { ran++ })
+	if ran != 10 {
+		t.Fatalf("ran = %d after Close, want 10", ran)
+	}
+	if st := p.Stats(); st.Steals != 0 || st.Queued != 0 {
+		t.Fatalf("stats = %+v, want no offer on a closed pool", st)
 	}
 }
 
-// TestExecutors: the per-owner parallel capacity is workers + the helping
-// waiter.
+// TestExecutors: a sweep sees workers+1 executors — the pool's workers
+// plus its caller — and never more. The first workers+1 items wait until
+// all of them are running at once.
 func TestExecutors(t *testing.T) {
-	if got := NewPool(0, nil).Executors(); got != 1 {
-		t.Fatalf("Executors() = %d, want 1", got)
-	}
-	p := NewPool(3, nil)
-	defer p.Close()
-	if got := p.Executors(); got != 4 {
-		t.Fatalf("Executors() = %d, want 4", got)
+	for _, workers := range []int{0, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			p := NewPool(workers, nil)
+			defer p.Close()
+			executors := int32(workers + 1)
+			all := make(chan struct{})
+			var arrived, running, peak atomic.Int32
+			p.Sweep(context.Background(), 64, func(i int) {
+				r := running.Add(1)
+				for old := peak.Load(); r > old && !peak.CompareAndSwap(old, r); old = peak.Load() {
+				}
+				if arrived.Add(1) == executors {
+					close(all)
+				}
+				if i < int(executors) {
+					select {
+					case <-all:
+					case <-time.After(10 * time.Second):
+					}
+				}
+				running.Add(-1)
+			})
+			if got := peak.Load(); got != executors {
+				t.Fatalf("peak of %d items running at once, want %d", got, executors)
+			}
+		})
 	}
 }
 
 // TestDefaultPool: Default is one lazily built pool, the same on every
-// call, sized GOMAXPROCS−1 so a run plus its helping waiter sees
-// GOMAXPROCS executors.
+// call, sized GOMAXPROCS−1 so a sweep plus its caller sees GOMAXPROCS
+// executors.
 func TestDefaultPool(t *testing.T) {
 	p := Default()
 	if Default() != p {
 		t.Fatal("Default() returned two different pools")
 	}
-	if got, want := p.Workers(), max(runtime.GOMAXPROCS(0)-1, 0); got != want {
-		t.Fatalf("Default().Workers() = %d, want %d", got, want)
+	if got, want := p.Stats().Workers, max(runtime.GOMAXPROCS(0)-1, 0); got != want {
+		t.Fatalf("Default() has %d workers, want %d", got, want)
 	}
 }

@@ -342,8 +342,8 @@ func (s *Server) process(ctx context.Context, req *Request, queueWait time.Durat
 	}
 	// Every request solves on the one shared pool: total solver
 	// parallelism stays SchedWorkers regardless of how many analyses are
-	// in flight, and a small request's class-0 tasks can be claimed ahead
-	// of a large neighbor's backlog instead of queueing behind it.
+	// in flight, and every request's sweeps progress on its own worker
+	// goroutine instead of queueing behind a large neighbor's.
 	opts.Scheduler = s.pool
 	opts.Obs, opts.ObsParent = rec, root
 	res := core.FindCtx(ctx, tr.Graph, opts)

@@ -57,9 +57,9 @@ func (s *Server) submit(ctx context.Context, req *Request) (*Response, *httpErro
 	}
 }
 
-// retryAfter maps the shared solve pool's queued-task backlog onto a
-// Retry-After horizon: 1s when the pool is keeping up, up to 8s when
-// tasks are stacked deep behind every worker.
+// retryAfter maps the shared solve pool's backlog of queued sweep offers
+// onto a Retry-After horizon: 1s when the pool is keeping up, up to 8s
+// when offers are stacked deep behind every worker.
 func (s *Server) retryAfter() int {
 	st := s.pool.Stats()
 	perWorker := 0

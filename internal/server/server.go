@@ -62,8 +62,8 @@ type Config struct {
 	// MaxBudget caps any requested budget. Default 5m.
 	MaxBudget time.Duration
 	// SchedWorkers is the goroutine count of the shared solve-scheduler
-	// pool (internal/sched) every admitted analysis submits its solver
-	// tasks to. One pool serves all MaxInFlight workers, so total solve
+	// pool (internal/sched) every admitted analysis sweeps its parallel
+	// phases on. One pool serves all MaxInFlight workers, so total solve
 	// parallelism is bounded process-wide instead of multiplying per
 	// request. Default GOMAXPROCS.
 	SchedWorkers int
@@ -177,7 +177,7 @@ func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.queue)
 		s.wg.Wait()
-		// Workers drained, so no run holds a pool owner anymore.
+		// Workers drained, so no run sweeps on the pool anymore.
 		s.pool.Close()
 	})
 }
@@ -259,8 +259,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, 200, out)
 }
 
-// statsJSON is the /stats document: admission counters, the shared
-// cache's snapshot, and the store's size.
+// statsJSON is the /stats document: admission counters, the shared solve
+// pool's and cache's snapshots, and the store's size.
 type statsJSON struct {
 	Served    int64              `json:"served"`
 	Rejected  int64              `json:"rejected"`
@@ -270,43 +270,13 @@ type statsJSON struct {
 	QueueLen  int                `json:"queue_len"`
 	QueueCap  int                `json:"queue_cap"`
 	Workers   int                `json:"workers"`
-	Sched     schedJSON          `json:"sched"`
+	Sched     sched.Stats        `json:"sched"`
 	Cache     core.CacheSnapshot `json:"cache"`
 	StoreLen  int                `json:"store_len"`
 	StoreKind string             `json:"store_kind"`
 	// Degradation accounting (zero without a store).
 	StoreDegradedOps int64 `json:"store_degraded_ops"`
 	StoreQuarantined int   `json:"store_quarantined"`
-}
-
-// schedJSON is the /stats projection of the shared solve pool: capacity,
-// instantaneous load, and the lifetime counters that tell whether stealing
-// and deadline-dropping are actually happening in production.
-type schedJSON struct {
-	Workers   int   `json:"workers"`
-	Owners    int   `json:"owners"`
-	Queued    int   `json:"queued"`
-	Running   int   `json:"running"`
-	Submitted int64 `json:"submitted"`
-	Completed int64 `json:"completed"`
-	Expired   int64 `json:"expired"`
-	Steals    int64 `json:"steals"`
-	Helped    int64 `json:"helped"`
-}
-
-func schedStats(p *sched.Pool) schedJSON {
-	st := p.Stats()
-	return schedJSON{
-		Workers:   st.Workers,
-		Owners:    st.Owners,
-		Queued:    st.Queued,
-		Running:   st.Running,
-		Submitted: st.Submitted,
-		Completed: st.Completed,
-		Expired:   st.Expired,
-		Steals:    st.Steals,
-		Helped:    st.Helped,
-	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -319,7 +289,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		QueueLen:  len(s.queue),
 		QueueCap:  cap(s.queue),
 		Workers:   s.cfg.MaxInFlight,
-		Sched:     schedStats(s.pool),
+		Sched:     s.pool.Stats(),
 		Cache:     s.cache.Snapshot(),
 		StoreKind: "disabled",
 	}

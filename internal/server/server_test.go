@@ -400,9 +400,11 @@ func TestEndpoints(t *testing.T) {
 	if stats.Served != 1 || stats.StoreLen != 2 || stats.Cache.Generations != 1 || stats.Cache.Entries == 0 {
 		t.Errorf("stats after one analysis: %+v", stats)
 	}
-	// The cache block is snake_case like the rest of the document.
+	// The cache and sched blocks are snake_case like the rest of the
+	// document.
 	var raw struct {
 		Cache map[string]int `json:"cache"`
+		Sched map[string]int `json:"sched"`
 	}
 	if err := json.Unmarshal([]byte(statsBody), &raw); err != nil {
 		t.Fatal(err)
@@ -412,12 +414,17 @@ func TestEndpoints(t *testing.T) {
 			t.Errorf("/stats cache block %v lacks %q or has other keys", raw.Cache, key)
 		}
 	}
-	// One analysis ran cold, so its phase tasks flowed through the shared
-	// pool: the sched block must show a sized, drained, non-idle pool.
-	if stats.Sched.Workers <= 0 || stats.Sched.Completed == 0 ||
-		stats.Sched.Completed != stats.Sched.Submitted ||
-		stats.Sched.Owners != 0 || stats.Sched.Queued != 0 {
-		t.Errorf("sched stats after one analysis: %+v", stats.Sched)
+	schedKeys := []string{"workers", "queued", "running", "expired", "steals", "helped", "panics"}
+	for _, key := range schedKeys {
+		if _, ok := raw.Sched[key]; !ok || len(raw.Sched) != len(schedKeys) {
+			t.Errorf("/stats sched block %v lacks %q or has other keys", raw.Sched, key)
+		}
+	}
+	// One analysis ran cold, so its phases swept on the shared pool: the
+	// sched block must show a sized, drained, non-idle pool.
+	if st := stats.Sched; st.Workers <= 0 || st.Helped == 0 ||
+		st.Queued != 0 || st.Running != 0 || st.Panics != 0 {
+		t.Errorf("sched stats after one analysis: %+v", st)
 	}
 	if body := get("/metrics"); !strings.Contains(body, "discovery_server_requests_total") ||
 		!strings.Contains(body, "discovery_solver_runs_total") ||
