@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyOracle$$' -fuzztime $(FUZZTIME) ./internal/patterns
 	$(GO) test -run '^$$' -fuzz '^FuzzPagedCSR$$' -fuzztime $(FUZZTIME) ./internal/ddg
 	$(GO) test -run '^$$' -fuzz '^FuzzSetOps$$' -fuzztime $(FUZZTIME) ./internal/ddg
+	$(GO) test -run '^$$' -fuzz '^FuzzSubViewDiff$$' -fuzztime $(FUZZTIME) ./internal/ddg
 	$(GO) test -run '^$$' -fuzz '^FuzzIterIndex$$' -fuzztime $(FUZZTIME) ./internal/ddg
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphKernels$$' -fuzztime $(FUZZTIME) ./internal/ddg
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"discovery/internal/analysis"
@@ -324,42 +325,26 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 
 	// Phase: decompose (the decomposed sub-DDGs are compacted lazily when
 	// viewed, per sub-DDG provenance).
-	var pool []*SubDDG
-	seen := map[ddg.Hash128]bool{}
-	addPool := func(s *SubDDG) bool {
-		if s.Nodes.Len() == 0 || seen[s.Key()] {
-			return false
-		}
-		if len(pool) >= opts.poolLimit() {
-			// Defensive bound; no benchmark reaches it. Enforced here, at
-			// the single point of growth, so the subtract AND fuse phases
-			// both respect it and PoolLimited cannot under-report.
-			res.PoolLimited = true
-			return false
-		}
-		seen[s.Key()] = true
-		pool = append(pool, s)
-		return true
-	}
+	pool := newSubPool(opts.poolLimit())
 	if opts.DisableDecompose {
-		addPool(&SubDDG{Nodes: gs.Nodes()})
+		pool.add(&SubDDG{Nodes: gs.Nodes()})
 	} else {
 		sp := rec.StartSpan("decompose", root)
 		ok := guard(res, "decompose", func() {
 			for _, s := range decompose(sc, gs) {
-				addPool(s)
+				pool.add(s)
 			}
 		})
 		interrupted(ctx, res)
-		if !ok && len(pool) == 0 {
+		if !ok && len(pool.subs) == 0 {
 			// Decomposition died before producing anything; match the whole
 			// graph as one sub-DDG, the same degraded-but-sound view the
 			// DisableDecompose ablation uses.
-			addPool(&SubDDG{Nodes: gs.Nodes()})
+			pool.add(&SubDDG{Nodes: gs.Nodes()})
 		}
-		endPhase(rec, sp, ok, obs.Int("pool", int64(len(pool))))
+		endPhase(rec, sp, ok, obs.Int("pool", int64(len(pool.subs))))
 	}
-	active := append([]*SubDDG(nil), pool...)
+	active := append([]*SubDDG(nil), pool.subs...)
 
 	// Fixpoint loop: match, subtract, fuse.
 	for iter := 1; len(active) > 0 && iter <= maxIterations; iter++ {
@@ -397,7 +382,7 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 		// combinatorially, so matched sub-DDGs are skipped.
 		sp = rec.StartSpan("subtract", iterSpan)
 		ok = guard(res, "subtract", func() {
-			fresh = append(fresh, subtractPhase(ctx, pool, matched, sc, res, addPool)...)
+			fresh = append(fresh, subtractPhase(ctx, gs, pool, matched, sc, res)...)
 		})
 		endPhase(rec, sp, ok, obs.Int("fresh", int64(len(fresh))))
 
@@ -405,20 +390,21 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 		// map flowing into any pattern).
 		sp = rec.StartSpan("fuse", iterSpan)
 		ok = guard(res, "fuse", func() {
-			fresh = append(fresh, fusePhase(ctx, gs, pool, matched, sc, res, addPool)...)
+			fresh = append(fresh, fusePhase(ctx, gs, pool, matched, sc, res)...)
 		})
 		endPhase(rec, sp, ok, obs.Int("fresh", int64(len(fresh))))
 
 		rec.EndSpan(iterSpan)
 		active = fresh
 	}
-	res.PoolSize = len(pool)
+	res.PoolSize = len(pool.subs)
+	res.PoolLimited = pool.limited
 
 	// Extension: pipeline detection over pairs of unmatched stage loops
 	// (paper §9 future work; see patterns.MatchPipeline).
 	if opts.Extensions && !interrupted(ctx, res) {
-		sp := rec.StartSpan("pipelines", root, obs.Int("pool", int64(len(pool))))
-		ok := guard(res, "pipelines", func() { detectPipelines(ctx, gs, pool, opts, res, rcache, sc) })
+		sp := rec.StartSpan("pipelines", root, obs.Int("pool", int64(len(pool.subs))))
+		ok := guard(res, "pipelines", func() { detectPipelines(ctx, gs, pool.subs, opts, res, rcache, sc) })
 		endPhase(rec, sp, ok)
 	}
 
@@ -539,11 +525,95 @@ func sweep(sc *runSched, phase string, n int, body func(i int)) {
 	sc.mu.Unlock()
 }
 
+// subPool is the finder's sub-DDG pool: its entries in the order they
+// were admitted, the keys it holds, and its bound. Every entry passes
+// admit, the single point of growth, so decompose, subtract and fuse all
+// respect the bound and limited cannot under-report.
+type subPool struct {
+	subs    []*SubDDG
+	seen    map[ddg.Hash128]bool
+	limit   int
+	limited bool
+}
+
+func newSubPool(limit int) *subPool {
+	return &subPool{seen: map[ddg.Hash128]bool{}, limit: limit}
+}
+
+// admit reports whether the pool takes an entry under key, and reserves
+// the key if it does. It refuses a key it holds, and once it holds limit
+// entries, pending admitted ones not yet appended included, it refuses
+// every new key and records that the bound bit.
+func (p *subPool) admit(key ddg.Hash128, pending int) bool {
+	if p.seen[key] {
+		return false
+	}
+	if len(p.subs)+pending >= p.limit {
+		p.limited = true
+		return false
+	}
+	p.seen[key] = true
+	return true
+}
+
+// add appends s unless it is empty or the pool refuses its key.
+func (p *subPool) add(s *SubDDG) bool {
+	if s.Nodes.Len() == 0 || !p.admit(s.Key(), 0) {
+		return false
+	}
+	p.subs = append(p.subs, s)
+	return true
+}
+
+// cand is one candidate of a subtract or fuse phase, before its sub-DDG
+// is built: its pool key, the position j of the partner it derives from
+// (a matched set for subtract, a pool entry for fuse), and its node count
+// where the phase knows it ahead (subtract's difference).
+type cand struct {
+	key  ddg.Hash128
+	j, n int32
+}
+
+// foldCands adds a phase's candidates to the pool, those of each pool
+// position in the order its sweep item listed them, and returns the
+// sub-DDGs the pool took. The pool admits or refuses each candidate by key
+// alone, in that order, so dedup, the bound and the fresh order are the
+// sequential loop's, and a refused candidate costs its key and nothing
+// else. A second sweep builds only the admitted sub-DDGs, one item each.
+// A build item that never ran, because the run ended, or that failed
+// leaves no entry, and its key goes back.
+func (p *subPool) foldCands(sc *runSched, phase string, cands [][]cand, build func(i int, c cand) *SubDDG) []*SubDDG {
+	type pick struct {
+		i int
+		c cand
+	}
+	var picks []pick
+	for i, cs := range cands {
+		for _, c := range cs {
+			if p.admit(c.key, len(picks)) {
+				picks = append(picks, pick{i, c})
+			}
+		}
+	}
+	fresh := make([]*SubDDG, len(picks))
+	sweep(sc, phase, len(picks), func(k int) { fresh[k] = build(picks[k].i, picks[k].c) })
+	built := fresh[:0]
+	for k, s := range fresh {
+		if s == nil {
+			delete(p.seen, picks[k].c.key)
+			continue
+		}
+		built = append(built, s)
+	}
+	p.subs = append(p.subs, built...)
+	return built
+}
+
 // subtractPhase subtracts this iteration's matches from the unmatched
-// pool sub-DDGs. The candidate diffs are computed in parallel — each pool
-// index writes only its own slot — and folded into the pool sequentially
-// in pool order afterwards, so the addPool call sequence (dedup, pool
-// bound, fresh order) is exactly the sequential loop's whatever order the
+// pool sub-DDGs. Each pool entry's sweep item keys its candidate
+// differences — each writes only its own slot — and the pool folds them
+// in pool order afterwards (foldCands), so which candidates it takes, and
+// in which order, is exactly the sequential loop's whatever order the
 // items ran in.
 //
 // Subtraction exposes patterns hidden inside sub-DDGs that did not match
@@ -555,87 +625,103 @@ func sweep(sc *runSched, phase string, n int, body func(i int)) {
 // A match disjoint from g1 would leave it unchanged, so each g1 asks a
 // node index over the matches for the ones it shares a node with, in
 // matched order — the same candidates, in the same order, as testing
-// every match.
-func subtractPhase(ctx context.Context, pool, matched []*SubDDG, sc *runSched, res *Result, addPool func(*SubDDG) bool) []*SubDDG {
+// every match. A candidate is keyed from the member masks of g1 and the
+// match (SubView.DiffHash), at most one overlay per match and one per g1,
+// and only the differences the pool admits are built.
+func subtractPhase(ctx context.Context, gs *ddg.Graph, pool *subPool, matched []*SubDDG, sc *runSched, res *Result) []*SubDDG {
 	if len(matched) == 0 {
 		return nil
 	}
+	subs := pool.subs
 	sets := nodeSets(matched)
 	ix := newNodeIndex(sets)
-	cands := make([][]*SubDDG, len(pool))
-	sweep(sc, "subtract", len(pool), func(i int) {
-		g1 := pool[i]
+	// A match's mask is built by the first item that shares a node with
+	// it: on md5-wide most matches share none with any unmatched entry.
+	// Items racing on one build equal masks, and the first stored is kept.
+	masks := make([]atomic.Pointer[ddg.SubView], len(sets))
+	mask := func(j int32) *ddg.SubView {
+		if m := masks[j].Load(); m != nil {
+			return m
+		}
+		masks[j].CompareAndSwap(nil, gs.Overlay(sets[j]))
+		return masks[j].Load()
+	}
+	g1s := make([]*ddg.SubView, len(subs)) // each item's overlay, for the build
+	cands := make([][]cand, len(subs))
+	sweep(sc, "subtract", len(subs), func(i int) {
+		g1 := subs[i]
 		if len(g1.Matched) > 0 {
 			return
 		}
+		var v *ddg.SubView
 		for _, j := range ix.sharing(g1.Nodes) {
+			if v == nil {
+				v = gs.Overlay(g1.Nodes)
+			}
 			// Sharing a node, the difference is smaller than g1.
-			diff := g1.Nodes.Diff(sets[j])
-			if diff.Len() == 0 {
+			h, n := v.DiffHash(mask(j))
+			if n == 0 {
 				continue
 			}
-			c := &SubDDG{Nodes: diff, Loop: g1.Loop, Assoc: g1.Assoc}
-			c.Key() // memoized: hashed here in parallel, only looked up by the fold
-			cands[i] = append(cands[i], c)
+			cands[i] = append(cands[i], cand{key: provenanceKey(h, g1.Loop, g1.Assoc), j: j, n: int32(n)})
 		}
+		g1s[i] = v
 	})
 	interrupted(ctx, res)
-	return foldCands(cands, addPool)
-}
-
-// foldCands adds each phase's candidates to the pool in candidate order
-// and returns the ones the pool took.
-func foldCands(cands [][]*SubDDG, addPool func(*SubDDG) bool) []*SubDDG {
-	var fresh []*SubDDG
-	for _, cs := range cands {
-		for _, s := range cs {
-			if addPool(s) {
-				fresh = append(fresh, s)
-			}
-		}
-	}
+	fresh := pool.foldCands(sc, "subtract", cands, func(i int, c cand) *SubDDG {
+		g1 := subs[i]
+		return &SubDDG{Nodes: g1s[i].Diff(masks[c.j].Load(), int(c.n)), Loop: g1.Loop, Assoc: g1.Assoc, key: c.key}
+	})
+	interrupted(ctx, res)
 	return fresh
 }
 
 // fusePhase fuses adjacent pool sub-DDGs with compatible matches (a map
-// flowing into any pattern). Same shape as subtractPhase: parallel
-// candidate computation over the pool snapshot, sequential fold in
-// (a, b) order. The snapshot is taken before any candidate is added, so
-// tasks never observe this phase's own additions — the sequential loop
-// behaved identically, since every added fusion has no matches yet and
-// both loops skip matchless sub-DDGs. Partners come from a node index
-// over the matched pool entries (nodeIndex.flowTargets), in pool order.
-func fusePhase(ctx context.Context, gs *ddg.Graph, pool, matched []*SubDDG, sc *runSched, res *Result, addPool func(*SubDDG) bool) []*SubDDG {
+// flowing into any pattern). Same shape as subtractPhase: a parallel sweep
+// keys the candidates over the pool snapshot, and the pool folds them in
+// (a, b) order and builds the unions it admits. The snapshot is taken
+// before any candidate is added, so items never observe this phase's own
+// additions — the sequential loop behaved identically, since every added
+// fusion has no matches yet and both loops skip matchless sub-DDGs.
+// Partners come from a node index over the matched pool entries
+// (nodeIndex.flowTargets), in pool order.
+func fusePhase(ctx context.Context, gs *ddg.Graph, pool *subPool, matched []*SubDDG, sc *runSched, res *Result) []*SubDDG {
 	if len(matched) == 0 {
 		return nil
 	}
+	subs := pool.subs
 	isNew := make(map[*SubDDG]bool, len(matched))
 	for _, s := range matched {
 		isNew[s] = true
 	}
-	sets := make([]ddg.Set, len(pool))
-	for i, s := range pool {
+	sets := make([]ddg.Set, len(subs))
+	for i, s := range subs {
 		if len(s.Matched) > 0 {
 			sets[i] = s.Nodes
 		}
 	}
 	ix := newNodeIndex(sets)
-	cands := make([][]*SubDDG, len(pool))
-	sweep(sc, "fuse", len(pool), func(i int) {
-		a := pool[i]
+	cands := make([][]cand, len(subs))
+	sweep(sc, "fuse", len(subs), func(i int) {
+		a := subs[i]
 		if len(a.Matched) == 0 || !hasMapMatch(a) {
 			return
 		}
 		ix.flowTargets(gs, i, func(j int) {
 			// At least one of the pair must be a new match this iteration,
 			// otherwise the fusion already happened.
-			if b := pool[j]; isNew[a] || isNew[b] {
-				cands[i] = append(cands[i], &SubDDG{Nodes: a.Nodes.Union(b.Nodes), FusedA: a, FusedB: b})
+			if b := subs[j]; isNew[a] || isNew[b] {
+				cands[i] = append(cands[i], cand{key: fusedKey(a, b), j: int32(j)})
 			}
 		})
 	})
 	interrupted(ctx, res)
-	return foldCands(cands, addPool)
+	fresh := pool.foldCands(sc, "fuse", cands, func(i int, c cand) *SubDDG {
+		a, b := subs[i], subs[c.j]
+		return &SubDDG{Nodes: a.Nodes.Union(b.Nodes), FusedA: a, FusedB: b, key: c.key}
+	})
+	interrupted(ctx, res)
+	return fresh
 }
 
 // detectPipelines looks for stage pairs among unmatched loop sub-DDGs: the

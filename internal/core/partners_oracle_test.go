@@ -126,28 +126,8 @@ func mergePairwise(matches []Match) []*patterns.Pattern {
 	return final
 }
 
-// subPool is the finder's pool state: entries, dedup set and bound, with
-// FindCtx's addPool semantics.
-type subPool struct {
-	subs    []*SubDDG
-	seen    map[ddg.Hash128]bool
-	limit   int
-	limited bool
-}
-
-func (p *subPool) add(s *SubDDG) bool {
-	if s.Nodes.Len() == 0 || p.seen[s.Key()] {
-		return false
-	}
-	if len(p.subs) >= p.limit {
-		p.limited = true
-		return false
-	}
-	p.seen[s.Key()] = true
-	p.subs = append(p.subs, s)
-	return true
-}
-
+// clone copies the pool, so the pairwise oracle can run a phase on the
+// same state the indexed phase starts from.
 func (p *subPool) clone() *subPool {
 	c := &subPool{subs: append([]*SubDDG(nil), p.subs...), seen: make(map[ddg.Hash128]bool, len(p.seen)),
 		limit: p.limit, limited: p.limited}
@@ -169,7 +149,7 @@ func partnerDiff(g *ddg.Graph, opts Options, headroom int) error {
 	res := &Result{}
 	gs := Simplify(g)
 	sc := newRunSched(ctx, opts, res)
-	pool := &subPool{seen: map[ddg.Hash128]bool{}, limit: opts.poolLimit()}
+	pool := newSubPool(opts.poolLimit())
 	for _, s := range Decompose(gs) {
 		pool.add(s)
 	}
@@ -203,13 +183,13 @@ func partnerDiff(g *ddg.Graph, opts Options, headroom int) error {
 		}
 		oracle := pool.clone()
 		want := subtractPairwise(oracle.subs, matched, oracle.add)
-		fresh := subtractPhase(ctx, pool.subs, matched, sc, res, pool.add)
+		fresh := subtractPhase(ctx, gs, pool, matched, sc, res)
 		if err := compare(iter, "subtract", fresh, pool, want, oracle); err != nil {
 			return err
 		}
 		oracle = pool.clone()
 		want = fusePairwise(gs, oracle.subs, matched, oracle.add)
-		fused := fusePhase(ctx, gs, pool.subs, matched, sc, res, pool.add)
+		fused := fusePhase(ctx, gs, pool, matched, sc, res)
 		if err := compare(iter, "fuse", fused, pool, want, oracle); err != nil {
 			return err
 		}

@@ -59,10 +59,7 @@ func (s *SubDDG) Key() ddg.Hash128 {
 			// pairings (e.g. the row-level and pixel-level views of one
 			// loop nest fused with the same consumer), and only some
 			// pairings match compound patterns.
-			h := ddg.NewHasher(hashSeedFusedKey)
-			h.Hash(s.FusedA.Key())
-			h.Hash(s.FusedB.Key())
-			s.key = h.Sum()
+			s.key = fusedKey(s.FusedA, s.FusedB)
 		} else {
 			s.key = poolKey(s.Nodes, s.Loop, s.Assoc)
 		}
@@ -70,10 +67,25 @@ func (s *SubDDG) Key() ddg.Hash128 {
 	return s.key
 }
 
+// fusedKey is the key of the fusion of a into b.
+func fusedKey(a, b *SubDDG) ddg.Hash128 {
+	h := ddg.NewHasher(hashSeedFusedKey)
+	h.Hash(a.Key())
+	h.Hash(b.Key())
+	return h.Sum()
+}
+
 // poolKey is the key of a sub-DDG that is not fused.
 func poolKey(nodes ddg.Set, loop mir.LoopID, assoc bool) ddg.Hash128 {
+	return provenanceKey(nodes.Hash(), loop, assoc)
+}
+
+// provenanceKey composes the key of a sub-DDG that is not fused from the
+// hash of its node set (ddg.Set.Hash, or SubView.DiffHash, which streams
+// the same words) and its provenance.
+func provenanceKey(nodes ddg.Hash128, loop mir.LoopID, assoc bool) ddg.Hash128 {
 	h := ddg.NewHasher(hashSeedPoolKey)
-	h.Hash(nodes.Hash())
+	h.Hash(nodes)
 	h.Word(uint64(loop))
 	var a uint64
 	if assoc {

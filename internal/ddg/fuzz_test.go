@@ -84,7 +84,7 @@ func FuzzPagedCSR(f *testing.F) {
 // setPairFromBytes carves two sets from the fuzzer's bytes. data[0] picks
 // where the rest splits and a run-length multiplier for the second set,
 // so pairs range from equal sizes to one set over a hundred times the
-// other's (the binary-search branches of Diff and SubsetOf). Each byte
+// other's (the binary-search branch of SubsetOf). Each byte
 // adds a run of ids: its high nibble is the gap from the previous run's
 // start, its low nibble the run's length.
 func setPairFromBytes(data []byte) (Set, Set) {

@@ -51,15 +51,28 @@ type SpillConfig struct {
 	// Budget is the target resident-arc-byte bound. Zero or negative
 	// disables spilling entirely (MaybeSpill becomes a no-op).
 	Budget int64
-	// SegmentBytes is the target segment size; 0 means 64 KiB. Segments
+	// SegmentBytes is the target segment size; 0 means a quarter of the
+	// budget, at least 64 bytes and at most DefaultSegmentBytes. Segments
 	// are node-aligned, so a single node whose arc list exceeds the
 	// target still occupies one (oversized) segment.
 	SegmentBytes int
 }
 
-// DefaultSegmentBytes is the segment size used when SpillConfig leaves
-// SegmentBytes zero.
+// DefaultSegmentBytes is the largest segment size SpillConfig picks when
+// it leaves SegmentBytes zero: the size of every budget of 256 KiB or
+// more.
 const DefaultSegmentBytes = 64 << 10
+
+// segmentBytes returns the target segment size. A default segment is a
+// quarter of the budget, so that the segments of both arc tables that an
+// alternating Succs/Preds walk reads fit under it together; a segment as
+// large as the budget would evict the other table's on every switch.
+func (cfg SpillConfig) segmentBytes() int {
+	if cfg.SegmentBytes > 0 {
+		return cfg.SegmentBytes
+	}
+	return int(min(DefaultSegmentBytes, max(cfg.Budget/4, 64)))
+}
 
 // PageStats is a snapshot of a spilled graph's paging activity.
 type PageStats struct {
@@ -136,10 +149,7 @@ func (g *Graph) SpillArcs(cfg SpillConfig) error {
 		return analysis.Errorf(analysis.StageFinalize, analysis.InvalidInput,
 			"ddg: SpillArcs on an already-spilled graph")
 	}
-	segBytes := cfg.SegmentBytes
-	if segBytes <= 0 {
-		segBytes = DefaultSegmentBytes
-	}
+	segBytes := cfg.segmentBytes()
 	f, err := os.CreateTemp(cfg.Dir, "ddg-spill-*")
 	if err != nil {
 		return analysis.Errorf(analysis.StageFinalize, analysis.Transient,

@@ -90,17 +90,6 @@ func skewed(s, t Set) bool { return len(t) > 32*len(s) }
 // Diff returns s \ t.
 func (s Set) Diff(t Set) Set {
 	out := make(Set, 0, len(s))
-	if skewed(s, t) {
-		j := 0
-		for _, id := range s {
-			k, found := slices.BinarySearch(t[j:], id)
-			j += k
-			if !found {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
 	i, j := 0, 0
 	for i < len(s) {
 		for j < len(t) && t[j] < s[i] {

@@ -112,8 +112,7 @@ func TestSetAlgebraProperties(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 		// Skewed pairs, in both orders: one set more than 32 times the
-		// other's size takes the binary-search branches of Diff and
-		// SubsetOf.
+		// other's size takes the binary-search branch of SubsetOf.
 		skewedProp := func(x, y, z []byte) bool {
 			s, big := skewedPair(x, y)
 			return law(s, big, toSet(z)) && law(big, s, toSet(z))

@@ -10,7 +10,11 @@ package ddg
 // preserved. InducedSubgraph remains for simplification, which genuinely
 // rebuilds the graph.
 
-import "discovery/internal/mir"
+import (
+	"math/bits"
+
+	"discovery/internal/mir"
+)
 
 // GraphView is the read-only graph surface the pattern definitions (§4)
 // and Algorithm 1's matching phase need: node attributes, CSR adjacency,
@@ -23,7 +27,6 @@ type GraphView interface {
 	Op(u NodeID) mir.Op
 	Pos(u NodeID) mir.Pos
 	ScopeOf(u NodeID) *Scope
-	IterationOf(u NodeID, loop mir.LoopID) (IterationKey, bool)
 	// LoopIterIndex returns the compaction index for a static loop, which
 	// the graph derives from its scope chains (see iterindex.go), or nil
 	// when no node ran inside the loop; compacted views group by it.
@@ -90,4 +93,48 @@ func (sv *SubView) Len() int { return len(sv.nodes) }
 func (sv *SubView) Contains(u NodeID) bool {
 	w := int(u>>6) - sv.word0
 	return uint(w) < uint(len(sv.mask)) && sv.mask[w]&(1<<(u&63)) != 0
+}
+
+// word returns the mask word holding ids [64w, 64w+64): zero outside the
+// span the mask covers.
+func (sv *SubView) word(w int) uint64 {
+	if i := w - sv.word0; uint(i) < uint(len(sv.mask)) {
+		return sv.mask[i]
+	}
+	return 0
+}
+
+// DiffHash returns the content hash and the length of the member
+// difference sv \ b without building it: the Hash and Len of
+// sv.Nodes().Diff(b.Nodes()). One popcount pass over the words of sv's
+// mask less b's counts the difference, and a second folds its ids in
+// ascending order after the length, the word stream Set.Hash folds. Both
+// must be overlays of one graph.
+func (sv *SubView) DiffHash(b *SubView) (Hash128, int) {
+	n := 0
+	for i, m := range sv.mask {
+		n += bits.OnesCount64(m &^ b.word(sv.word0+i))
+	}
+	h := NewHasher(hashSeedSet)
+	h.Word(uint64(n))
+	for i, m := range sv.mask {
+		base := uint64(sv.word0+i) << 6
+		for m &^= b.word(sv.word0 + i); m != 0; m &= m - 1 {
+			h.Word(base + uint64(bits.TrailingZeros64(m)))
+		}
+	}
+	return h.Sum(), n
+}
+
+// Diff returns the member difference sv \ b, of n nodes as DiffHash
+// counted them, in a set allocated at exactly that size.
+func (sv *SubView) Diff(b *SubView, n int) Set {
+	out := make(Set, 0, n)
+	for i, m := range sv.mask {
+		base := NodeID(sv.word0+i) << 6
+		for m &^= b.word(sv.word0 + i); m != 0; m &= m - 1 {
+			out = append(out, base+NodeID(bits.TrailingZeros64(m)))
+		}
+	}
+	return out
 }

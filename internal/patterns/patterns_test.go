@@ -23,6 +23,11 @@ func (b *gb) node(op mir.Op, iter int64, preds ...ddg.NodeID) ddg.NodeID {
 	if iter >= 0 {
 		scope = &ddg.Scope{Loop: 1, Invocation: 1, Iter: iter}
 	}
+	return b.nodeIn(op, scope, preds...)
+}
+
+// nodeIn adds a node with the given op under an explicit scope chain.
+func (b *gb) nodeIn(op mir.Op, scope *ddg.Scope, preds ...ddg.NodeID) ddg.NodeID {
 	b.n++
 	return b.fb.AddNode(op, b.fb.PosID(mir.Pos{File: "t.c", Line: b.n}), 0, b.fb.ScopeID(scope), preds...)
 }

@@ -24,6 +24,8 @@ package patterns
 // stored there runs no census at all.
 
 import (
+	"slices"
+
 	"discovery/internal/ddg"
 	"discovery/internal/mir"
 )
@@ -107,7 +109,12 @@ func PrescreenSub(g ddg.GraphView, sub *ddg.SubView, loop mir.LoopID) *Prescreen
 		CompactedLoop: loop != 0,
 		AllAssocOneOp: true,
 	}
-	indeg := make([]int32, p.NumNodes)
+	// A compacted loop view groups by iteration ordinal: equal ordinals
+	// are equal (invocation, iteration) keys.
+	var iters *ddg.LoopIterIndex
+	if p.CompactedLoop {
+		iters = g.LoopIterIndex(loop)
+	}
 	var scratch []ddg.NodeID
 	var firstOp mir.Op
 	for i, u := range nodes {
@@ -120,36 +127,37 @@ func PrescreenSub(g ddg.GraphView, sub *ddg.SubView, loop mir.LoopID) *Prescreen
 				p.AllAssocOneOp = false
 			}
 		}
-		extIn, inView := false, false
-		for _, w := range g.Preds(u) {
-			if sub.Contains(w) {
-				inView = true
-			} else {
+		// In-degree counts distinct member predecessors, as the view's
+		// deduplicated group arcs do; a two-operand use lists its
+		// predecessor twice.
+		extIn, in := false, 0
+		preds := g.Preds(u)
+		for k, w := range preds {
+			if !sub.Contains(w) {
 				extIn = true
+			} else if !slices.Contains(preds[:k], w) {
+				in++
 			}
 		}
 		if extIn {
 			p.ExtIn++
-		} else if !inView {
+		} else if in == 0 {
 			p.Isolated++
 		}
-		// Distinct member successors (a two-operand use duplicates its arc;
-		// the matchers see deduplicated group arcs, so the census must too).
+		p.MaxIn = max(p.MaxIn, in)
+		switch in {
+		case 0:
+			p.Sources++
+		case 2:
+			p.Junctions++
+		}
+		// Distinct member successors, likewise.
 		scratch = scratch[:0]
 		extOut := false
 		for _, w := range g.Succs(u) {
 			if !sub.Contains(w) {
 				extOut = true
-				continue
-			}
-			dup := false
-			for _, x := range scratch {
-				if x == w {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			} else if !slices.Contains(scratch, w) {
 				scratch = append(scratch, w)
 			}
 		}
@@ -158,36 +166,22 @@ func PrescreenSub(g ddg.GraphView, sub *ddg.SubView, loop mir.LoopID) *Prescreen
 		}
 		out := len(scratch)
 		p.Arcs += out
-		if out > p.MaxOut {
-			p.MaxOut = out
-		}
+		p.MaxOut = max(p.MaxOut, out)
 		if out == 0 {
 			p.Sinks++
 		}
-		for _, w := range scratch {
-			indeg[nodes.IndexFrom(i, w)]++
-			if p.CompactedLoop && !p.InterGroup {
-				ku, oku := g.IterationOf(u, loop)
-				kw, okw := g.IterationOf(w, loop)
-				if !oku || !okw || ku != kw {
+		if p.CompactedLoop && !p.InterGroup {
+			ou, oku := iters.OrdinalOf(u)
+			for _, w := range scratch {
+				if ow, okw := iters.OrdinalOf(w); !oku || !okw || ou != ow {
 					p.InterGroup = true
+					break
 				}
 			}
 		}
 	}
 	if !p.CompactedLoop && p.Arcs > 0 {
 		p.InterGroup = true // node-per-node: any member arc crosses groups
-	}
-	for _, d := range indeg {
-		if int(d) > p.MaxIn {
-			p.MaxIn = int(d)
-		}
-		switch d {
-		case 0:
-			p.Sources++
-		case 2:
-			p.Junctions++
-		}
 	}
 	p.verdicts()
 	return p

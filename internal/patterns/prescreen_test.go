@@ -35,8 +35,9 @@ func runMatcherOn(v *View, k Kind) *Pattern {
 // checkSound fails if any CannotMatch verdict contradicts the matcher on
 // the node view or the loop-1 view of the set, or if the node-level census
 // disagrees with the view's group-level census: on the node view the two
-// must be equal field for field, and on the loop view every kind the node
-// level refutes must also be refuted at group level.
+// must be equal field for field, and on the loop view they must agree on
+// whether an arc crosses groups, and every kind the node level refutes
+// must also be refuted at group level.
 func checkSound(t *testing.T, g *ddg.Graph, nodes ddg.Set) {
 	t.Helper()
 	for _, loop := range []mir.LoopID{0, 1} {
@@ -59,6 +60,10 @@ func checkSound(t *testing.T, g *ddg.Graph, nodes ddg.Set) {
 		v.ensure()
 		if loop == 0 && *p != v.census {
 			t.Errorf("node view: node-level census %+v, group-level census %+v", *p, v.census)
+		}
+		if loop != 0 && p.InterGroup != v.census.InterGroup {
+			t.Errorf("loop view: node-level census says an arc crosses groups: %v, group-level census: %v",
+				p.InterGroup, v.census.InterGroup)
 		}
 		if extra := p.cannot &^ v.census.cannot; loop != 0 && extra != 0 {
 			t.Errorf("loop view: node-level census refutes kind bits %04b, group-level census does not", extra)
@@ -155,6 +160,50 @@ func TestGateDecidesShapeBeforeAdjacency(t *testing.T) {
 		if v.arcs != nil {
 			t.Errorf("%v: the gate built the view's adjacency for a shape-refuted view", k)
 		}
+	}
+}
+
+// TestPrescreenLoopCensusReenteredLoop screens loop views of a recursive
+// loop: loop 1 is entered again inside its own iterations, so a node's
+// scope chain holds two frames of it, and the inner frame is the node's
+// group. The census compares iteration ordinals, which must group by that
+// inner frame as the scope chains do: an arc from an outer iteration into
+// a loop it re-entered crosses groups, though both ends share the outer
+// frame, and an arc inside one inner iteration does not.
+func TestPrescreenLoopCensusReenteredLoop(t *testing.T) {
+	outer := []*ddg.Scope{{Loop: 1, Invocation: 1, Iter: 0}, {Loop: 1, Invocation: 1, Iter: 1}}
+	inner := []*ddg.Scope{
+		{Parent: outer[0], Loop: 1, Invocation: 2, Iter: 0},
+		{Parent: outer[1], Loop: 1, Invocation: 3, Iter: 0},
+	}
+	for _, tc := range []struct {
+		name  string
+		cross bool // whether the member arc leaves the outer iteration's own frame
+	}{
+		{"outer into re-entered", true},
+		{"within re-entered", false},
+	} {
+		b := newGB()
+		var members []ddg.NodeID
+		for i := range outer {
+			src := b.node(mir.OpI2F, -1)
+			head := b.nodeIn(mir.OpFSub, inner[i], src)
+			if tc.cross {
+				head = b.nodeIn(mir.OpFSub, outer[i], src)
+			}
+			body := b.nodeIn(mir.OpFMul, inner[i], head)
+			b.node(mir.OpFloor, -1, body)
+			members = append(members, head, body)
+		}
+		g, nodes := b.graph(), ddg.NewSet(members...)
+		p := PrescreenSub(g, g.Overlay(nodes), 1)
+		if p.InterGroup != tc.cross {
+			t.Errorf("%s: census InterGroup %v, want %v", tc.name, p.InterGroup, tc.cross)
+		}
+		if got := LoopView(g, nodes, 1).NumGroups(); tc.cross && got != 4 || !tc.cross && got != 2 {
+			t.Errorf("%s: loop view has %d groups", tc.name, got)
+		}
+		checkSound(t, g, nodes)
 	}
 }
 

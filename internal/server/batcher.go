@@ -39,12 +39,11 @@ func (s *Server) submit(ctx context.Context, req *Request) (*Response, *httpErro
 		// The bottom rung of the degradation ladder: brownout already
 		// clamped budgets on the way here, so a full queue means the
 		// daemon is saturated even at reduced per-request cost. Tell the
-		// client when to come back instead of letting it hammer — and
-		// scale the backoff by the solve pool's backlog, the best
-		// forward-looking signal of how long saturation will last (the
-		// admission queue alone says nothing about how much work each
-		// admitted request still holds).
-		return nil, &httpError{code: 503, msg: "queue full, retry later", retryAfter: s.retryAfter()}
+		// client to come back in a second instead of letting it hammer.
+		// The horizon is a constant: the solve pool's backlog never
+		// exceeds MaxInFlight offers per worker, so a horizon scaled by
+		// it could not tell one saturated moment from another.
+		return nil, &httpError{code: 503, msg: "queue full, retry later", retryAfter: retryAfterSeconds}
 	}
 	select {
 	case d := <-j.done:
@@ -57,28 +56,8 @@ func (s *Server) submit(ctx context.Context, req *Request) (*Response, *httpErro
 	}
 }
 
-// retryAfter maps the shared solve pool's backlog of queued sweep offers
-// onto a Retry-After horizon: 1s when the pool is keeping up, up to 8s
-// when offers are stacked deep behind every worker.
-func (s *Server) retryAfter() int {
-	st := s.pool.Stats()
-	perWorker := 0
-	if st.Workers > 0 {
-		perWorker = st.Queued / st.Workers
-	} else {
-		perWorker = st.Queued
-	}
-	switch {
-	case perWorker >= 64:
-		return 8
-	case perWorker >= 16:
-		return 4
-	case perWorker >= 4:
-		return 2
-	default:
-		return 1
-	}
-}
+// retryAfterSeconds is the Retry-After horizon of a queue-full 503.
+const retryAfterSeconds = 1
 
 // worker is one of MaxInFlight analysis loops. Workers are the batch: at
 // most MaxInFlight requests run concurrently, each binding to the shared

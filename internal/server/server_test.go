@@ -257,8 +257,8 @@ func TestAdmissionControl(t *testing.T) {
 	if or.StatusCode != 503 {
 		t.Fatalf("overflow submission: status %d, want 503", or.StatusCode)
 	}
-	if or.Header.Get("Retry-After") == "" {
-		t.Fatal("queue-full 503 missing the Retry-After header")
+	if got := or.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("queue-full 503 Retry-After %q, want 1", got)
 	}
 
 	blocker.unblock()

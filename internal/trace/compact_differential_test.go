@@ -46,7 +46,7 @@ func loopsOf(g *ddg.Graph) []mir.LoopID {
 // produce, read straight off the scope chains — one group per
 // (invocation, iteration) of loop in ascending order, then each node
 // without a frame for the loop on its own, in input order.
-func scopeChainGroups(g ddg.GraphView, nodes ddg.Set, loop mir.LoopID) []ddg.Set {
+func scopeChainGroups(g *ddg.Graph, nodes ddg.Set, loop mir.LoopID) []ddg.Set {
 	byIter := map[ddg.IterationKey][]ddg.NodeID{}
 	var keys []ddg.IterationKey
 	var loose []ddg.NodeID
