@@ -85,7 +85,7 @@ func BenchmarkFigure7_Scalability(b *testing.B) {
 	var res *experiments.Figure7Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.RunFigure7(benchOpts(), []int64{1, 2, 4})
+		res, err = experiments.RunFigure7(benchOpts(), []int64{1, 2, 4}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,6 +28,7 @@ func main() {
 	var (
 		run      = flag.String("run", "all", "experiment to run")
 		factors  = flag.String("factors", "1,2,4", "input scale ladder for figure7")
+		reps     = flag.Int("reps", 3, "timings per figure7 point; each point is their median")
 		budget   = flag.Duration("budget", 0, "global wall-clock budget per pattern finding run (0 = none)")
 		obsOn    = flag.Bool("obs", false, "record phase spans and metrics across all runs; print the phase tree to stderr")
 		obsOut   = flag.String("obs-out", "", "write the observability JSON document (spans + metrics) to this file (implies -obs)")
@@ -102,7 +103,7 @@ func main() {
 				}
 				fs = append(fs, f)
 			}
-			res, err := experiments.RunFigure7(opts(), fs)
+			res, err := experiments.RunFigure7(opts(), fs, *reps)
 			if err != nil {
 				return err
 			}

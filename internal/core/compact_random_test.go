@@ -126,6 +126,32 @@ func TestCompactionDifferentialRandomPrograms(t *testing.T) {
 	}
 }
 
+// TestCountGroupsIsLoopViewGroups holds the view-size gate's group count,
+// which reads iteration ordinals into a bitset and builds no view, equal
+// to the group count of the compacted view on random loop subsets, and
+// SubDDG.numGroups to the count of the view SubDDG.View builds.
+func TestCountGroupsIsLoopViewGroups(t *testing.T) {
+	for seed := uint64(1); seed <= 30; seed++ {
+		tr, err := trace.Run(genProgram(seed))
+		if err != nil {
+			t.Fatalf("seed %d: trace.Run: %v", seed, err)
+		}
+		g := Simplify(tr.Graph)
+		for _, s := range loopSubs(g) {
+			for si, nodes := range subsetsOf(g, seed+uint64(s.Loop)) {
+				if got, want := g.LoopIterIndex(s.Loop).CountGroups(nodes), patterns.LoopView(g, nodes, s.Loop).NumGroups(); got != want {
+					t.Fatalf("seed %d, loop %d, subset %d: counted %d groups, the loop view has %d", seed, s.Loop, si, got, want)
+				}
+			}
+			for _, compact := range []bool{false, true} {
+				if got, want := s.numGroups(g, compact), s.View(g, compact).NumGroups(); got != want {
+					t.Fatalf("seed %d, %v (compact %v): counted %d groups, its view has %d", seed, s, compact, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestFinderEquivalentWhenSpilled(t *testing.T) {
 	for seed := uint64(31); seed <= 40; seed++ {
 		seed := seed

@@ -54,3 +54,8 @@ func GenRandomProgram(seed uint64) *mir.Program { return genProgram(seed) }
 // search of subtract, fuse and merge checked against the pairwise oracle
 // at every phase (partners_oracle_test.go); nil means they agreed.
 func PartnerDiff(g *ddg.Graph, opts Options) error { return partnerDiff(g, opts, 0) }
+
+// ReferenceDiff runs Find and the reference Find of
+// reference_oracle_test.go (Algorithm 1 as written) on g, and returns
+// their first disagreement; nil means they agreed.
+func ReferenceDiff(g *ddg.Graph, opts Options) error { return referenceDiff(g, opts) }

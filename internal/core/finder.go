@@ -171,6 +171,11 @@ type Result struct {
 	// answered are in SolverStats[kind].Prescreened; PrescreenStats sums
 	// both sides.
 	PrescreenChecks int
+	// CensusReads counts the adjacency entries those censuses read, each
+	// census counted once, in the match phase that uses it: all of a
+	// sub-DDG's members' for one counted fresh, the leaving nodes' and
+	// their neighbours' for one the subtract phase derived.
+	CensusReads int
 	// SolverStats rolls up matcher effort and cache outcomes per pattern
 	// kind (patterns.KindStats: reduction matcher runs, the patterns they
 	// returned and their wall time; prescreen answers; cache hits and
@@ -358,9 +363,11 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 		// contained per kind inside runMatchPhase; this guard covers the
 		// phase's own bookkeeping.
 		var matched []*SubDDG
+		reads := res.CensusReads
 		sp := rec.StartSpan("match", iterSpan, obs.Int("active", int64(len(active))))
 		ok := guard(res, "match", func() { matched = runMatchPhase(ctx, gs, active, opts, res, rcache, sc, rec, sp) })
-		endPhase(rec, sp, ok, obs.Int("matched", int64(len(matched))))
+		endPhase(rec, sp, ok, obs.Int("matched", int64(len(matched))),
+			obs.Int("census_reads", int64(res.CensusReads-reads)))
 		for _, s := range matched {
 			for _, p := range s.Matched {
 				res.Matches = append(res.Matches, Match{Pattern: p, Sub: s, Iteration: iter})
@@ -461,6 +468,7 @@ func emitFindMetrics(rec obs.Recorder, res *Result, cache *ViewCache) {
 	}
 	if res.PrescreenChecks > 0 {
 		rec.Count(obs.MetricPrescreenChecks, int64(res.PrescreenChecks))
+		rec.Count(obs.MetricCensusReads, int64(res.CensusReads))
 	}
 	for kind, ks := range res.SolverStats {
 		k := kind.String()
@@ -626,8 +634,12 @@ func (p *subPool) foldCands(sc *runSched, phase string, cands [][]cand, build fu
 // node index over the matches for the ones it shares a node with, in
 // matched order — the same candidates, in the same order, as testing
 // every match. A candidate is keyed from the member masks of g1 and the
-// match (SubView.DiffHash), at most one overlay per match and one per g1,
-// and only the differences the pool admits are built.
+// match and g1's additive set hash (SubView.DiffHash), at most one overlay
+// per match and one per g1, and only the differences the pool admits are
+// built. A difference that loses fewer nodes than it keeps derives its
+// census from g1's, when g1 has one, from the nodes it loses and their
+// neighbours (patterns.Census.Without); any other is censused whole when
+// matched.
 func subtractPhase(ctx context.Context, gs *ddg.Graph, pool *subPool, matched []*SubDDG, sc *runSched, res *Result) []*SubDDG {
 	if len(matched) == 0 {
 		return nil
@@ -646,32 +658,36 @@ func subtractPhase(ctx context.Context, gs *ddg.Graph, pool *subPool, matched []
 		masks[j].CompareAndSwap(nil, gs.Overlay(sets[j]))
 		return masks[j].Load()
 	}
-	g1s := make([]*ddg.SubView, len(subs)) // each item's overlay, for the build
 	cands := make([][]cand, len(subs))
 	sweep(sc, "subtract", len(subs), func(i int) {
 		g1 := subs[i]
 		if len(g1.Matched) > 0 {
 			return
 		}
-		var v *ddg.SubView
 		for _, j := range ix.sharing(g1.Nodes) {
-			if v == nil {
-				v = gs.Overlay(g1.Nodes)
-			}
 			// Sharing a node, the difference is smaller than g1.
-			h, n := v.DiffHash(mask(j))
+			h, n := g1.overlay(gs).DiffHash(mask(j), g1.nodesHash())
 			if n == 0 {
 				continue
 			}
 			cands[i] = append(cands[i], cand{key: provenanceKey(h, g1.Loop, g1.Assoc), j: j, n: int32(n)})
 		}
-		g1s[i] = v
 	})
 	interrupted(ctx, res)
 	fresh := pool.foldCands(sc, "subtract", cands, func(i int, c cand) *SubDDG {
-		g1 := subs[i]
-		return &SubDDG{Nodes: g1s[i].Diff(masks[c.j].Load(), int(c.n)), Loop: g1.Loop, Assoc: g1.Assoc, key: c.key}
+		g1, m := subs[i], masks[c.j].Load()
+		d := &SubDDG{Nodes: g1.sub.Diff(m, int(c.n)), Loop: g1.Loop, Assoc: g1.Assoc, key: c.key}
+		d.hash, _ = g1.sub.DiffHash(m, g1.nodesHash())
+		if g1.census != nil && g1.Nodes.Len()-int(c.n) < int(c.n) {
+			d.census = g1.census.Without(gs, g1.sub, m)
+		}
+		return d
 	})
+	// A mask costs an eighth of a node set's bytes or more over a sparse
+	// span, so none outlives the phase: a later g1 rebuilds its own.
+	for _, s := range subs {
+		s.sub = nil
+	}
 	interrupted(ctx, res)
 	return fresh
 }
@@ -910,19 +926,20 @@ type matchPhase struct {
 	span    obs.SpanID
 	compact bool
 
-	mu        sync.Mutex
-	rollup    patterns.Budget
-	fails     []*analysis.Error
-	skips     int
-	preChecks int
+	mu          sync.Mutex
+	rollup      patterns.Budget
+	fails       []*analysis.Error
+	skips       int
+	preChecks   int
+	censusReads int
 }
 
 // subMatch is one sub-DDG's matching state, private to the item that
 // matches it.
 type subMatch struct {
 	s      *SubDDG
-	sub    *ddg.SubView        // the nodes' overlay, shared by census and view
-	pre    *patterns.Prescreen // nil when disabled or skipped
+	census *patterns.Census    // nil when disabled or skipped
+	pre    *patterns.Prescreen // the census's verdicts
 	view   *patterns.View      // built on first use, dropped with the item
 	b      patterns.Budget
 	missed []patterns.Kind // the kinds booked as cache misses
@@ -949,6 +966,7 @@ func runMatchPhase(ctx context.Context, gs *ddg.Graph, active []*SubDDG, opts Op
 	sweep(sc, "match", len(active), func(i int) { mp.matchSub(active[i]) })
 	res.SkippedViews += mp.skips
 	res.PrescreenChecks += mp.preChecks
+	res.CensusReads += mp.censusReads
 	res.Failures = append(res.Failures, mp.fails...)
 	rollupStats(res, &mp.rollup)
 	interrupted(ctx, res)
@@ -998,14 +1016,22 @@ func (mp *matchPhase) matchSub(s *SubDDG) {
 		mp.cache.store(s.Key(), cacheEntry{pats: found, skipped: skipped, kinds: m.missed})
 	}
 	s.Matched = found
+	// An unmatched sub-DDG keeps its census for the differences
+	// subtracted from it; a matched one is never subtracted from.
+	if len(found) > 0 {
+		s.sub, s.census = nil, nil
+	} else if m.census != nil {
+		s.census = m.census
+	}
 	mp.mu.Lock()
 	mp.rollup.Merge(&m.b)
 	mp.fails = append(mp.fails, m.fails...)
 	if skipped {
 		mp.skips++
 	}
-	if m.pre != nil {
+	if m.census != nil {
 		mp.preChecks++
+		mp.censusReads += m.census.Reads()
 	}
 	mp.mu.Unlock()
 	if rec.Enabled() {
@@ -1065,35 +1091,34 @@ func (mp *matchPhase) matchPlain(m *subMatch) (found []*patterns.Pattern, skippe
 
 // prep runs the sub-DDG's once-per-sub work ahead of its kinds: the
 // oversized-view gate (reporting whether it skips the sub-DDG) and the
-// structural prescreen census.
+// structural prescreen census. The census is the one the subtract phase
+// derived for the sub-DDG, when it did, and is otherwise counted over the
+// sub-DDG's overlay; either counts as one check.
 func (mp *matchPhase) prep(m *subMatch) (skip bool) {
 	s := m.s
 	max := mp.opts.maxViewGroups()
 	// Groups never outnumber nodes, so only a view bigger than the gate in
 	// node count can exceed it in group count — small views pass without
-	// being built or counted.
-	if s.Nodes.Len() > max && mp.viewOf(m).NumGroups() > max {
+	// being counted, and no view is built to count one.
+	if s.Nodes.Len() > max && s.numGroups(mp.gs, mp.compact) > max {
 		return true
 	}
-	if !mp.opts.noPrescreen {
-		if mp.rec.Enabled() {
-			t0 := time.Now()
-			m.pre = patterns.PrescreenSub(mp.gs, mp.overlayOf(m), s.viewLoop(mp.compact))
-			mp.rec.Observe(obs.MetricPrescreenSeconds, time.Since(t0).Seconds())
-		} else {
-			m.pre = patterns.PrescreenSub(mp.gs, mp.overlayOf(m), s.viewLoop(mp.compact))
-		}
+	if mp.opts.noPrescreen {
+		return false
+	}
+	var t0 time.Time
+	if mp.rec.Enabled() {
+		t0 = time.Now()
+	}
+	m.census = s.census
+	if m.census == nil {
+		m.census = patterns.NewCensus(mp.gs, s.overlay(mp.gs), s.viewLoop(mp.compact))
+	}
+	m.pre = m.census.Prescreen()
+	if mp.rec.Enabled() {
+		mp.rec.Observe(obs.MetricPrescreenSeconds, time.Since(t0).Seconds())
 	}
 	return false
-}
-
-// overlayOf builds (once) and returns the overlay of the sub-DDG's nodes,
-// which the census and the view share.
-func (mp *matchPhase) overlayOf(m *subMatch) *ddg.SubView {
-	if m.sub == nil {
-		m.sub = mp.gs.Overlay(m.s.Nodes)
-	}
-	return m.sub
 }
 
 // viewOf builds (once) and returns the sub-DDG's matching view over the
@@ -1101,7 +1126,7 @@ func (mp *matchPhase) overlayOf(m *subMatch) *ddg.SubView {
 func (mp *matchPhase) viewOf(m *subMatch) *patterns.View {
 	if m.view == nil {
 		m.view = m.s.View(mp.gs, mp.compact)
-		m.view.SetOverlay(mp.overlayOf(m))
+		m.view.SetOverlay(m.s.overlay(mp.gs))
 		if mp.rec.Enabled() {
 			mp.rec.Observe(obs.MetricViewGroups, float64(m.view.NumGroups()))
 		}

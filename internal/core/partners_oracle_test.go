@@ -82,17 +82,18 @@ func fusePairwise(gs *ddg.Graph, pool, matched []*SubDDG, addPool func(*SubDDG) 
 	return fresh
 }
 
-// mergePairwise tests each pattern against every strictly larger one: the
+// mergePairwise drops duplicate patterns by node-set equality, not by
+// hash, and tests each pattern against every strictly larger one: the
 // prefix of the size-sorted list.
 func mergePairwise(matches []Match) []*patterns.Pattern {
 	var out []*patterns.Pattern
 	type mergeKey struct {
-		nodes ddg.Hash128
+		nodes string
 		kind  patterns.Kind
 	}
 	seen := map[mergeKey]bool{}
 	for _, m := range matches {
-		key := mergeKey{m.Pattern.Nodes().Hash(), m.Pattern.Kind}
+		key := mergeKey{m.Pattern.Nodes().Key(), m.Pattern.Kind}
 		if seen[key] {
 			continue
 		}

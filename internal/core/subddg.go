@@ -32,7 +32,20 @@ type SubDDG struct {
 	// Matched patterns on this sub-DDG, filled by the match phase.
 	Matched []*patterns.Pattern
 
-	key ddg.Hash128
+	key  ddg.Hash128
+	hash ddg.Hash128 // Nodes.Hash(), memoized by nodesHash
+
+	// sub and census serve the subtract phases that take an unmatched
+	// sub-DDG as g1, and a matched one drops both. sub is the overlay of
+	// Nodes (overlay), built by the match or subtract phase that first
+	// needs it and dropped at the end of the next subtract phase. census
+	// is the structural census the match phase used, or the one subtract
+	// derived for the sub-DDG; each difference taken from the sub-DDG
+	// derives its own from it and the nodes it loses
+	// (patterns.Census.Without). One matched from the cache, or without
+	// the prescreen, has none.
+	sub    *ddg.SubView
+	census *patterns.Census
 }
 
 // Domain tags for the finder's hash keys (see ddg.NewHasher).
@@ -61,10 +74,28 @@ func (s *SubDDG) Key() ddg.Hash128 {
 			// pairings match compound patterns.
 			s.key = fusedKey(s.FusedA, s.FusedB)
 		} else {
-			s.key = poolKey(s.Nodes, s.Loop, s.Assoc)
+			s.key = provenanceKey(s.nodesHash(), s.Loop, s.Assoc)
 		}
 	}
 	return s.key
+}
+
+// overlay returns the overlay of the sub-DDG's nodes on g, building it on
+// first use.
+func (s *SubDDG) overlay(g *ddg.Graph) *ddg.SubView {
+	if s.sub == nil {
+		s.sub = g.Overlay(s.Nodes)
+	}
+	return s.sub
+}
+
+// nodesHash returns the additive hash of the sub-DDG's node set
+// (ddg.Set.Hash), computing it on first use.
+func (s *SubDDG) nodesHash() ddg.Hash128 {
+	if s.hash.IsZero() {
+		s.hash = s.Nodes.Hash()
+	}
+	return s.hash
 }
 
 // fusedKey is the key of the fusion of a into b.
@@ -75,14 +106,9 @@ func fusedKey(a, b *SubDDG) ddg.Hash128 {
 	return h.Sum()
 }
 
-// poolKey is the key of a sub-DDG that is not fused.
-func poolKey(nodes ddg.Set, loop mir.LoopID, assoc bool) ddg.Hash128 {
-	return provenanceKey(nodes.Hash(), loop, assoc)
-}
-
 // provenanceKey composes the key of a sub-DDG that is not fused from the
-// hash of its node set (ddg.Set.Hash, or SubView.DiffHash, which streams
-// the same words) and its provenance.
+// hash of its node set (ddg.Set.Hash, or SubView.DiffHash, which derives
+// the same sum from a parent's) and its provenance.
 func provenanceKey(nodes ddg.Hash128, loop mir.LoopID, assoc bool) ddg.Hash128 {
 	h := ddg.NewHasher(hashSeedPoolKey)
 	h.Hash(nodes)
@@ -117,6 +143,17 @@ func (s *SubDDG) View(g ddg.GraphView, compact bool) *patterns.View {
 		return patterns.LoopView(g, s.Nodes, s.Loop)
 	}
 	return patterns.NodeView(g, s.Nodes)
+}
+
+// numGroups returns the number of groups the sub-DDG's view has, without
+// building it: for a compacted loop view, its nodes' distinct iteration
+// ordinals plus the nodes outside the loop (ddg.LoopIterIndex.CountGroups),
+// and otherwise one per node.
+func (s *SubDDG) numGroups(g ddg.GraphView, compact bool) int {
+	if loop := s.viewLoop(compact); loop != 0 {
+		return g.LoopIterIndex(loop).CountGroups(s.Nodes)
+	}
+	return s.Nodes.Len()
 }
 
 // viewLoop is the grouping provenance the view would use: the sub-DDG's
@@ -287,12 +324,12 @@ func assocCands(g *ddg.Graph, comp ddg.Set) []assocCand {
 	var out []assocCand
 	eachPositionClosedSubset(g, comp, func(sub ddg.Set) {
 		if len(sub) == len(comp) { // comp itself, weakly connected already
-			out = append(out, assocCand{comp, poolKey(comp, 0, true)})
+			out = append(out, assocCand{comp, provenanceKey(comp.Hash(), 0, true)})
 			return
 		}
 		for _, wcc := range g.WeaklyConnectedComponents(sub) {
 			if wcc.Len() >= 2 {
-				out = append(out, assocCand{wcc, poolKey(wcc, 0, true)})
+				out = append(out, assocCand{wcc, provenanceKey(wcc.Hash(), 0, true)})
 			}
 		}
 	})

@@ -4,17 +4,21 @@ import (
 	"fmt"
 	"testing"
 
+	"discovery/internal/patterns"
 	"discovery/internal/trace"
 )
 
-// TestSubtractKeyIsPoolKey checks the key subtract streams from two member
-// masks, before it builds any difference, against the pool key of the
-// difference built as a set: poolKey(g1.Nodes.Diff(g2.Nodes), loop,
-// assoc). Every ordered pair of decomposed sub-DDGs that share a node is
-// tried, on random programs, and the difference SubView.Diff builds must
-// be that set, at exactly its size.
+// TestSubtractKeyIsPoolKey checks what subtract derives for a difference
+// g1 \ g2 before it builds it, on every ordered pair of decomposed sub-DDGs
+// that share a node in random programs, against the difference built as a
+// set: the key from g1's set hash and the two member masks must be the
+// pool key (SubDDG.Key) of g1.Nodes.Diff(g2.Nodes) under g1's provenance,
+// the node set SubView.Diff builds must be that set at exactly its size,
+// and the census derived from g1's must give a fresh census's verdicts.
+// DiffHash sums over the smaller of g1 ∩ g2 and g1 \ g2, and the test
+// fails unless both sides were taken.
 func TestSubtractKeyIsPoolKey(t *testing.T) {
-	pairs := 0
+	pairs, fromShared := 0, 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		tr, err := trace.Run(genProgram(seed))
 		if err != nil {
@@ -31,22 +35,34 @@ func TestSubtractKeyIsPoolKey(t *testing.T) {
 				}
 				pairs++
 				g2 := gs.Overlay(subs[j].Nodes)
-				h, n := v.DiffHash(g2)
+				h, n := v.DiffHash(g2, g1.Nodes.Hash())
 				want := g1.Nodes.Diff(subs[j].Nodes)
 				where := fmt.Sprintf("seed %d: %v minus %v", seed, g1, subs[j])
 				if n != want.Len() {
-					t.Fatalf("%s: streamed length %d, difference has %d nodes", where, n, want.Len())
+					t.Fatalf("%s: derived length %d, difference has %d nodes", where, n, want.Len())
 				}
-				if got := provenanceKey(h, g1.Loop, g1.Assoc); got != poolKey(want, g1.Loop, g1.Assoc) {
-					t.Fatalf("%s: streamed key differs from the pool key of the built difference", where)
+				if g1.Nodes.Len()-n < n {
+					fromShared++
+				}
+				built := &SubDDG{Nodes: want, Loop: g1.Loop, Assoc: g1.Assoc}
+				if got := provenanceKey(h, g1.Loop, g1.Assoc); got != built.Key() {
+					t.Fatalf("%s: derived key differs from the pool key of the built difference", where)
 				}
 				if got := v.Diff(g2, n); !got.Equal(want) || cap(got) != n {
 					t.Fatalf("%s: Diff built %v (cap %d), want %v", where, got, cap(got), want)
 				}
+				for _, loop := range []bool{false, true} {
+					vl := g1.viewLoop(loop)
+					got := patterns.NewCensus(gs, v, vl).Without(gs, v, g2).Prescreen()
+					fresh := patterns.PrescreenSub(gs, gs.Overlay(want), vl)
+					if *got != *fresh {
+						t.Fatalf("%s (loop %d): derived census %+v, fresh census %+v", where, vl, *got, *fresh)
+					}
+				}
 			}
 		}
 	}
-	if pairs == 0 {
-		t.Fatal("no decomposed sub-DDGs shared a node; the test compared nothing")
+	if pairs == 0 || fromShared == 0 || fromShared == pairs {
+		t.Fatalf("%d pairs, %d keyed from the shared nodes: both sides of DiffHash must be taken", pairs, fromShared)
 	}
 }

@@ -17,8 +17,9 @@ type Hash128 struct {
 	Hi, Lo uint64
 }
 
-// IsZero reports whether the hash is the (never produced) zero value,
-// usable as an "unset" sentinel.
+// IsZero reports whether the hash is the zero value, which no Hasher128
+// produces, so a hashed key can use it as an "unset" sentinel. (The
+// additive Set.Hash of the empty set is zero.)
 func (h Hash128) IsZero() bool { return h.Hi == 0 && h.Lo == 0 }
 
 // mix64 is the splitmix64 finalizer: a fast, well-distributed 64-bit
@@ -74,22 +75,39 @@ func (h *Hasher128) Sum() Hash128 {
 	}
 }
 
-// hashSeedSet tags Set.Hash so a set hash never equals a fingerprint or
-// view hash of coincidentally equal word streams.
+// hashSeedSet and hashSeedSetLo seed the two lanes of a set hash's id
+// terms; hashSeedFingerprint tags Fingerprint's stream.
 const (
 	hashSeedSet         = 0x5e7c0de5e7c0de01
+	hashSeedSetLo       = 0x3c6ef372fe94f82b
 	hashSeedFingerprint = 0xf19e4b7a3c2d5e81
 )
 
-// Hash returns the content hash of the node set. Equal sets hash equally;
-// the length is folded in so prefixes do not collide with extensions.
+// idHash is one id's term of a set hash: the id mixed independently into
+// each lane, plus one in the low lane, so that the terms of a set also sum
+// its length.
+func idHash(id NodeID) Hash128 {
+	return Hash128{Hi: mix64(uint64(id) ^ hashSeedSet), Lo: mix64(uint64(id)+hashSeedSetLo) + 1}
+}
+
+// add and sub combine set hashes lane by lane, modulo 2⁶⁴.
+func (h Hash128) add(x Hash128) Hash128 { return Hash128{Hi: h.Hi + x.Hi, Lo: h.Lo + x.Lo} }
+func (h Hash128) sub(x Hash128) Hash128 { return Hash128{Hi: h.Hi - x.Hi, Lo: h.Lo - x.Lo} }
+
+// Hash returns the additive content hash of the node set: the sum, lane
+// by lane, of its ids' terms, which also sums its length (AdHash: Bellare
+// and Micciancio, "A New Paradigm for Collision-Free Hashing", EUROCRYPT
+// '97). Equal sets hash equally, whatever order their ids were added in,
+// and the hash of s \ t for t ⊆ s is Hash(s) less the terms of t, so a set
+// that loses a few members is rekeyed from those members alone
+// (SubView.DiffHash). No set hash is persisted or reported: it keys the
+// finder's pool and merge within one process.
 func (s Set) Hash() Hash128 {
-	h := NewHasher(hashSeedSet)
-	h.Word(uint64(len(s)))
+	var h Hash128
 	for _, id := range s {
-		h.Word(uint64(id))
+		h = h.add(idHash(id))
 	}
-	return h.Sum()
+	return h
 }
 
 // fingerprint state lives on the Graph (graph.go) and memoizes via

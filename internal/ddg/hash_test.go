@@ -67,6 +67,32 @@ func TestSetHash(t *testing.T) {
 	}
 }
 
+// TestSetHashIsAdditive checks the property subtract keys rely on: a
+// set's hash is the lane-wise sum of its parts' hashes, so the hash of s \ t
+// for t ⊆ s is Hash(s) less Hash(t).
+func TestSetHashIsAdditive(t *testing.T) {
+	s := NewSet(0, 3, 64, 65, 200, 1<<20)
+	for mask := 0; mask < 1<<len(s); mask++ {
+		var in, out Set
+		for i, id := range s {
+			if mask>>i&1 != 0 {
+				in = append(in, id)
+			} else {
+				out = append(out, id)
+			}
+		}
+		if got := in.Hash().add(out.Hash()); got != s.Hash() {
+			t.Fatalf("Hash(%v) + Hash(%v) differs from Hash(%v)", in, out, s)
+		}
+		if got := s.Hash().sub(out.Hash()); got != in.Hash() {
+			t.Fatalf("Hash(%v) - Hash(%v) differs from Hash(%v)", s, out, in)
+		}
+	}
+	if !(Set{}).Hash().IsZero() {
+		t.Error("the empty set's hash must be the zero sum")
+	}
+}
+
 // hashTestGraph builds a small graph: a 4-node chain plus a fork,
 //
 //	0 -> 1 -> 2 -> 3

@@ -50,6 +50,31 @@ func (ix *LoopIterIndex) NumGroups() int {
 	return len(ix.Keys)
 }
 
+// CountGroups returns the number of groups the compacted view of nodes
+// over this index has: its distinct iteration ordinals, marked in a bitset
+// over the index's keys, plus one per node that did not run inside the
+// loop. It equals the group count of patterns.LoopView without sorting or
+// grouping anything. A nil index holds no node, so every node counts.
+func (ix *LoopIterIndex) CountGroups(nodes Set) int {
+	if ix == nil {
+		return len(nodes)
+	}
+	seen := make([]uint64, (len(ix.Keys)+63)/64)
+	n := 0
+	for _, u := range nodes {
+		o, ok := ix.OrdinalOf(u)
+		if !ok {
+			n++
+			continue
+		}
+		if w, b := o>>6, uint64(1)<<(o&63); seen[w]&b == 0 {
+			seen[w] |= b
+			n++
+		}
+	}
+	return n
+}
+
 // iterIndexMemo caches a graph's derived indexes; immutable once
 // computed.
 type iterIndexMemo struct {

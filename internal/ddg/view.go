@@ -104,26 +104,56 @@ func (sv *SubView) word(w int) uint64 {
 	return 0
 }
 
-// DiffHash returns the content hash and the length of the member
-// difference sv \ b without building it: the Hash and Len of
-// sv.Nodes().Diff(b.Nodes()). One popcount pass over the words of sv's
-// mask less b's counts the difference, and a second folds its ids in
-// ascending order after the length, the word stream Set.Hash folds. Both
-// must be overlays of one graph.
-func (sv *SubView) DiffHash(b *SubView) (Hash128, int) {
-	n := 0
-	for i, m := range sv.mask {
-		n += bits.OnesCount64(m &^ b.word(sv.word0+i))
+// DiffHash returns the Hash and Len of the member difference sv \ b
+// without building it, given h, the Hash of sv's members. One popcount
+// pass over the words both masks span counts the members they share, and
+// so the difference's size. The hash is summed over the smaller side: h
+// less the shared ids' terms, or the difference's own terms. Both must be
+// overlays of one graph.
+func (sv *SubView) DiffHash(b *SubView, h Hash128) (Hash128, int) {
+	lo, hi := sv.overlap(b)
+	common := 0
+	for w := lo; w < hi; w++ {
+		common += bits.OnesCount64(sv.mask[w-sv.word0] & b.mask[w-b.word0])
 	}
-	h := NewHasher(hashSeedSet)
-	h.Word(uint64(n))
+	n := len(sv.nodes) - common
+	if common < n {
+		for w := lo; w < hi; w++ {
+			base := uint64(w) << 6
+			for m := sv.mask[w-sv.word0] & b.mask[w-b.word0]; m != 0; m &= m - 1 {
+				h = h.sub(idHash(NodeID(base + uint64(bits.TrailingZeros64(m)))))
+			}
+		}
+		return h, n
+	}
+	var d Hash128
 	for i, m := range sv.mask {
 		base := uint64(sv.word0+i) << 6
 		for m &^= b.word(sv.word0 + i); m != 0; m &= m - 1 {
-			h.Word(base + uint64(bits.TrailingZeros64(m)))
+			d = d.add(idHash(NodeID(base + uint64(bits.TrailingZeros64(m)))))
 		}
 	}
-	return h.Sum(), n
+	return d, n
+}
+
+// overlap returns the range [lo, hi) of mask words that both sv's and b's
+// masks span; it is empty when their id ranges do not meet.
+func (sv *SubView) overlap(b *SubView) (lo, hi int) {
+	return max(sv.word0, b.word0), min(sv.word0+len(sv.mask), b.word0+len(b.mask))
+}
+
+// Intersect returns the member intersection sv ∩ b, read from the mask
+// words both masks span.
+func (sv *SubView) Intersect(b *SubView) Set {
+	lo, hi := sv.overlap(b)
+	var out Set
+	for w := lo; w < hi; w++ {
+		base := NodeID(w) << 6
+		for m := sv.mask[w-sv.word0] & b.mask[w-b.word0]; m != 0; m &= m - 1 {
+			out = append(out, base+NodeID(bits.TrailingZeros64(m)))
+		}
+	}
+	return out
 }
 
 // Diff returns the member difference sv \ b, of n nodes as DiffHash

@@ -47,9 +47,11 @@ func TestSubViewMembershipAndArcs(t *testing.T) {
 }
 
 // FuzzSubViewDiff checks SubView.DiffHash and Diff against Set.Diff and its
-// Hash, in both argument orders and against the set itself. Each byte of
-// as and bs is one member id; shift moves the second set along the ids, so
-// the two spans overlap, abut or lie words apart.
+// Hash, and SubView.Intersect against Set.Intersect, in both argument
+// orders and against the set itself; DiffHash sums over the smaller of the
+// shared members and the difference, so the pairs reach both sides. Each
+// byte of as and bs is one member id; shift moves the second set along the
+// ids, so the two spans overlap, abut or lie words apart.
 func FuzzSubViewDiff(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint16(0))                        // both empty
 	f.Add([]byte{}, []byte{1, 2}, uint16(0))                    // one empty
@@ -74,13 +76,16 @@ func FuzzSubViewDiff(f *testing.F) {
 		for _, p := range [][2]Set{{a, b}, {b, a}, {a, a}} {
 			s, u := g.Overlay(p[0]), g.Overlay(p[1])
 			want := p[0].Diff(p[1])
-			h, n := s.DiffHash(u)
+			h, n := s.DiffHash(u, p[0].Hash())
 			if n != want.Len() || h != want.Hash() {
 				t.Fatalf("%v \\ %v: DiffHash gave length %d, want %d, or a hash other than Set.Hash's",
 					p[0], p[1], n, want.Len())
 			}
 			if got := s.Diff(u, n); !got.Equal(want) || cap(got) != n {
 				t.Fatalf("%v \\ %v = %v (cap %d), want %v", p[0], p[1], got, cap(got), want)
+			}
+			if got, want := s.Intersect(u), p[0].Intersect(p[1]); !got.Equal(want) {
+				t.Fatalf("%v ∩ %v = %v, want %v", p[0], p[1], got, want)
 			}
 		}
 	})

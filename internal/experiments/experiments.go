@@ -15,6 +15,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -321,7 +322,8 @@ func (a *AccuracyResult) Text() string {
 // ---------------------------------------------------------------------------
 // Figure 7: scalability.
 
-// Figure7Row is one measurement point.
+// Figure7Row is one measurement point: the median of its repeated
+// timings, and the census work of one run.
 type Figure7Row struct {
 	Bench    string
 	Version  starbench.Version
@@ -329,14 +331,35 @@ type Figure7Row struct {
 	DDGNodes int
 	Total    time.Duration
 	Tracing  time.Duration
+	// CensusReads is the adjacency entries the finder's structural
+	// censuses read (core.Result.CensusReads): the same on every run.
+	CensusReads int
+}
+
+// Figure7Fit is one (benchmark, version)'s fit over its scale ladder.
+type Figure7Fit struct {
+	Bench   string
+	Version starbench.Version
+	// Slope and ReadsSlope are the fitted log-log slopes of time and of
+	// census reads against DDG size over all scales; Step is the time
+	// slope between the two largest scales, StepFrom and StepTo.
+	Slope, ReadsSlope float64
+	Step              float64
+	StepFrom, StepTo  int
 }
 
 // Figure7Result is the scalability experiment.
 type Figure7Result struct {
 	Rows []Figure7Row
-	// Slope is the fitted log-log slope of total time vs DDG size
-	// (1.0 = linear scaling, as the paper reports).
+	// Fits holds one fit per (benchmark, version), in row order.
+	Fits []Figure7Fit
+	// Slope is the fitted log-log slope of total time vs DDG size over
+	// every row (1.0 = linear scaling, as the paper reports). Pooling all
+	// programs into one line lets the differences between benchmarks
+	// flatten it; Fits shows each one's own.
 	Slope float64
+	// Reps is the number of timings each row is the median of.
+	Reps int
 }
 
 // scaleParams grows a benchmark's analysis input by the given factor.
@@ -359,44 +382,72 @@ func scaleParams(b *starbench.Benchmark, factor int64) starbench.Params {
 }
 
 // RunFigure7 measures pattern finding time across a ladder of input
-// scales. Factors are per-benchmark powers of two.
-func RunFigure7(opts core.Options, factors []int64) (*Figure7Result, error) {
+// scales. Factors are per-benchmark powers of two. Each point is timed
+// reps times (at least once), tracing and finding, and keeps the median
+// of each timing.
+func RunFigure7(opts core.Options, factors []int64, reps int) (*Figure7Result, error) {
 	if len(factors) == 0 {
 		factors = []int64{1, 2, 4}
 	}
-	out := &Figure7Result{}
+	reps = max(reps, 1)
+	out := &Figure7Result{Reps: reps}
 	for _, b := range starbench.All() {
 		for _, v := range starbench.Versions() {
+			first := len(out.Rows)
 			for _, f := range factors {
-				par := scaleParams(b, f)
-				built := b.Build(v, par)
-				start := time.Now()
-				tr, err := trace.Run(built.Prog)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s x%d: %w", b.Name, v, f, err)
+				built := b.Build(v, scaleParams(b, f))
+				row := Figure7Row{Bench: b.Name, Version: v, Scale: int(f)}
+				totals := make([]time.Duration, reps)
+				tracings := make([]time.Duration, reps)
+				for i := range totals {
+					start := time.Now()
+					tr, err := trace.Run(built.Prog)
+					if err != nil {
+						return nil, fmt.Errorf("%s/%s x%d: %w", b.Name, v, f, err)
+					}
+					tracings[i] = time.Since(start)
+					res := core.Find(tr.Graph, opts)
+					totals[i] = time.Since(start)
+					row.DDGNodes, row.CensusReads = tr.Graph.NumNodes(), res.CensusReads
 				}
-				tracing := time.Since(start)
-				core.Find(tr.Graph, opts)
-				out.Rows = append(out.Rows, Figure7Row{
-					Bench: b.Name, Version: v, Scale: int(f),
-					DDGNodes: tr.Graph.NumNodes(),
-					Total:    time.Since(start),
-					Tracing:  tracing,
-				})
+				row.Total, row.Tracing = median(totals), median(tracings)
+				out.Rows = append(out.Rows, row)
 			}
+			out.Fits = append(out.Fits, fitFigure7(out.Rows[first:]))
 		}
 	}
-	out.Slope = fitLogLogSlope(out.Rows)
+	out.Slope = fitLogLogSlope(out.Rows, rowTime)
 	return out, nil
 }
 
-// fitLogLogSlope least-squares fits log(time) against log(size).
-func fitLogLogSlope(rows []Figure7Row) float64 {
+// median returns the median of ds, the upper one of an even count.
+func median(ds []time.Duration) time.Duration {
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return s[len(s)/2]
+}
+
+// fitFigure7 fits one (benchmark, version)'s rows, in scale order.
+func fitFigure7(rows []Figure7Row) Figure7Fit {
+	fit := Figure7Fit{Bench: rows[0].Bench, Version: rows[0].Version,
+		Slope: fitLogLogSlope(rows, rowTime), ReadsSlope: fitLogLogSlope(rows, rowReads)}
+	if n := len(rows); n >= 2 {
+		last := rows[n-2:]
+		fit.Step, fit.StepFrom, fit.StepTo = fitLogLogSlope(last, rowTime), last[0].Scale, last[1].Scale
+	}
+	return fit
+}
+
+func rowTime(r Figure7Row) float64  { return float64(r.Total) }
+func rowReads(r Figure7Row) float64 { return float64(r.CensusReads) }
+
+// fitLogLogSlope least-squares fits log(y(row)) against log(size).
+func fitLogLogSlope(rows []Figure7Row, y func(Figure7Row) float64) float64 {
 	var xs, ys []float64
 	for _, r := range rows {
-		if r.DDGNodes > 0 && r.Total > 0 {
+		if r.DDGNodes > 0 && y(r) > 0 {
 			xs = append(xs, math.Log(float64(r.DDGNodes)))
-			ys = append(ys, math.Log(float64(r.Total)))
+			ys = append(ys, math.Log(y(r)))
 		}
 	}
 	n := float64(len(xs))
@@ -416,15 +467,21 @@ func fitLogLogSlope(rows []Figure7Row) float64 {
 // Text renders the scalability experiment.
 func (f *Figure7Result) Text() string {
 	var sb strings.Builder
-	sb.WriteString("Figure 7: pattern finding time by DDG size\n\n")
-	fmt.Fprintf(&sb, "%-14s %-9s %-6s %10s %12s %12s\n",
-		"bench.", "version", "scale", "DDG nodes", "total", "tracing")
+	fmt.Fprintf(&sb, "Figure 7: pattern finding time by DDG size (median of %d timings per point)\n\n", f.Reps)
+	fmt.Fprintf(&sb, "%-14s %-9s %-6s %10s %12s %12s %12s\n",
+		"bench.", "version", "scale", "DDG nodes", "total", "tracing", "census reads")
 	for _, r := range f.Rows {
-		fmt.Fprintf(&sb, "%-14s %-9s x%-5d %10d %12v %12v\n",
+		fmt.Fprintf(&sb, "%-14s %-9s x%-5d %10d %12v %12v %12d\n",
 			r.Bench, r.Version, r.Scale, r.DDGNodes,
-			r.Total.Round(time.Millisecond), r.Tracing.Round(time.Millisecond))
+			r.Total.Round(time.Millisecond), r.Tracing.Round(time.Millisecond), r.CensusReads)
 	}
-	fmt.Fprintf(&sb, "\nfitted log-log slope of time vs size: %.2f "+
+	sb.WriteString("\nlog-log slopes against DDG size, per benchmark\n\n")
+	fmt.Fprintf(&sb, "%-14s %-9s %10s %14s %12s\n", "bench.", "version", "time", "last step", "census reads")
+	for _, fit := range f.Fits {
+		fmt.Fprintf(&sb, "%-14s %-9s %10.2f %14s %12.2f\n", fit.Bench, fit.Version, fit.Slope,
+			fmt.Sprintf("%.2f (x%d→x%d)", fit.Step, fit.StepFrom, fit.StepTo), fit.ReadsSlope)
+	}
+	fmt.Fprintf(&sb, "\nfitted log-log slope of time vs size, pooled over every program: %.2f "+
 		"(1.0 = linear, the paper's finding; O(n log n) fits ~1.1)\n", f.Slope)
 	return sb.String()
 }

@@ -66,12 +66,20 @@ func TestTable3Headline(t *testing.T) {
 }
 
 func TestFigure7SmallLadder(t *testing.T) {
-	res, err := RunFigure7(fastOpts(), []int64{1, 2})
+	res, err := RunFigure7(fastOpts(), []int64{1, 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 8*2*2 {
 		t.Fatalf("rows = %d", len(res.Rows))
+	}
+	if len(res.Fits) != 8*2 || res.Reps != 2 {
+		t.Fatalf("fits = %d, reps = %d", len(res.Fits), res.Reps)
+	}
+	for i, fit := range res.Fits {
+		if r := res.Rows[2*i]; fit.Bench != r.Bench || fit.Version != r.Version || fit.StepFrom != 1 || fit.StepTo != 2 {
+			t.Errorf("fit %d is %s/%s x%d→x%d, its rows are %s/%s", i, fit.Bench, fit.Version, fit.StepFrom, fit.StepTo, r.Bench, r.Version)
+		}
 	}
 	// Larger inputs give larger DDGs.
 	for i := 0; i+1 < len(res.Rows); i += 2 {
@@ -84,8 +92,10 @@ func TestFigure7SmallLadder(t *testing.T) {
 	if res.Slope <= 0 {
 		t.Errorf("slope = %g", res.Slope)
 	}
-	if !strings.Contains(res.Text(), "fitted log-log slope") {
-		t.Error("text missing slope")
+	for _, want := range []string{"fitted log-log slope", "last step", "census reads"} {
+		if !strings.Contains(res.Text(), want) {
+			t.Errorf("text missing %q", want)
+		}
 	}
 }
 

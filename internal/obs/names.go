@@ -17,6 +17,7 @@ const (
 	MetricCacheMisses     = "discovery_cache_misses_total"    // kind
 	MetricPrescreenSkips  = "discovery_prescreen_skips_total" // kind; solves answered by the census
 	MetricPrescreenChecks = "discovery_prescreen_checks_total"
+	MetricCensusReads     = "discovery_census_reads_total" // adjacency entries the censuses read
 	MetricTraceNodes      = "discovery_trace_nodes_total"
 	MetricMatches         = "discovery_matches_total"
 

@@ -17,6 +17,7 @@ func TestCanonicalMetricNames(t *testing.T) {
 		"MetricCacheMisses":      MetricCacheMisses,
 		"MetricPrescreenSkips":   MetricPrescreenSkips,
 		"MetricPrescreenChecks":  MetricPrescreenChecks,
+		"MetricCensusReads":      MetricCensusReads,
 		"MetricTraceNodes":       MetricTraceNodes,
 		"MetricMatches":          MetricMatches,
 		"MetricTraceThroughput":  MetricTraceThroughput,
@@ -41,6 +42,7 @@ func TestCanonicalMetricNames(t *testing.T) {
 		"MetricCacheMisses":      "discovery_cache_misses_total",
 		"MetricPrescreenSkips":   "discovery_prescreen_skips_total",
 		"MetricPrescreenChecks":  "discovery_prescreen_checks_total",
+		"MetricCensusReads":      "discovery_census_reads_total",
 		"MetricTraceNodes":       "discovery_trace_nodes_total",
 		"MetricMatches":          "discovery_matches_total",
 		"MetricTraceThroughput":  "discovery_trace_nodes_per_second",

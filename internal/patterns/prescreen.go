@@ -6,10 +6,12 @@ package patterns
 // censuses of the same facts. Telegin et al. (PAPERS.md) show cheap
 // graph-label censuses answer parallelizability questions without search.
 //
-//   - PrescreenSub counts them at node level in one pass over the overlay,
-//     before any view is built. For a node view that census is exact; for
-//     a compacted loop view the groups are unknown, so only the size, op
-//     and boundary rules that hold under any grouping apply.
+//   - Census counts them at node level in one pass over the overlay,
+//     before any view is built, as a sum of per-member contributions, and
+//     Census.Without derives the census of a subset from the members that
+//     leave and their neighbours. For a node view that census is exact;
+//     for a compacted loop view the groups are unknown, so only the size,
+//     op and boundary rules that hold under any grouping apply.
 //   - View.build counts them at group level from the adjacency it derives
 //     anyway. That census is exact, and View.CannotMatch — every matcher's
 //     first statement — is the matchers' only structural gate.
@@ -31,7 +33,7 @@ import (
 )
 
 // Prescreen is the structural census of one view, with per-kind
-// CannotMatch verdicts derived from it. PrescreenSub's census counts
+// CannotMatch verdicts derived from it. A Census (Census.Prescreen) counts
 // nodes; a view's own census (View.build) counts groups, and "member"
 // below then reads "group". A nil *Prescreen is valid and means "not
 // screened" (every kind Maybe).
@@ -98,90 +100,247 @@ func (p *Prescreen) CannotMatch(k Kind) bool {
 
 // PrescreenSub runs the census for the view of a node set under the
 // grouping provenance loop (zero = node-per-node), in one pass over sub,
-// the set's overlay on g (g.Overlay(nodes)). The finder builds that
-// overlay once per sub-DDG and hands the same one to the view
-// (View.SetOverlay). Cost is O(members + member arcs); nothing of the
-// grouping, labels, or reachability structure is built.
+// the set's overlay on g (g.Overlay(nodes)), and derives its verdicts.
+// Cost is O(members + member arcs); nothing of the grouping, labels, or
+// reachability structure is built.
 func PrescreenSub(g ddg.GraphView, sub *ddg.SubView, loop mir.LoopID) *Prescreen {
-	nodes := sub.Nodes()
-	p := &Prescreen{
-		NumNodes:      nodes.Len(),
-		CompactedLoop: loop != 0,
-		AllAssocOneOp: true,
+	return NewCensus(g, sub, loop).Prescreen()
+}
+
+// Census is the node-level census of one member set under a grouping
+// provenance: the sum, over its members, of each member's contribution —
+// its boundary flags, its distinct in- and out-degree within the set, its
+// op, and (for a compacted loop view) the member arcs it sends across
+// iteration ordinals — with histograms of the degrees and ops, so that
+// the maxima and the one-op flag stay exact when members leave. A
+// member's contribution depends on the set only through which of its
+// neighbours are members, so Without derives the census of a subset from
+// the members that leave and their neighbours alone. It reads the member
+// mask (ddg.SubView) the finder keeps per sub-DDG and hands to the view
+// (View.SetOverlay).
+type Census struct {
+	loop mir.LoopID
+
+	// The member, arc, source, sink and junction counts are read off the
+	// degree histograms: members per distinct in-/out-degree.
+	inDeg, outDeg                     []int32
+	ops                               []opCount
+	extIn, extOut, isolated, crossing int
+
+	reads int // adjacency entries read to derive the census
+
+	// Most members have small degrees and most sets few ops: a fresh
+	// census's histograms start in these, allocated with it.
+	degBuf [8]int32
+	opsBuf [2]opCount
+}
+
+// opCount is the number of members of one op.
+type opCount struct {
+	op mir.Op
+	n  int32
+}
+
+// members is the membership test of a census: the members of in, less
+// those of out when out is set.
+type members struct{ in, out *ddg.SubView }
+
+func (m members) has(u ddg.NodeID) bool {
+	return m.in.Contains(u) && (m.out == nil || !m.out.Contains(u))
+}
+
+// NewCensus counts the census of sub's members, the view of its node set
+// under loop, in one pass over the members' adjacency.
+func NewCensus(g ddg.GraphView, sub *ddg.SubView, loop mir.LoopID) *Census {
+	c := &Census{loop: loop}
+	c.inDeg, c.outDeg, c.ops = c.degBuf[0:4:4], c.degBuf[4:8:8], c.opsBuf[:0:2]
+	t := c.tally(g, members{in: sub})
+	var buf [8]ddg.NodeID
+	scratch := buf[:0]
+	for _, u := range sub.Nodes() {
+		scratch = c.count(&t, u, 1, scratch)
 	}
-	// A compacted loop view groups by iteration ordinal: equal ordinals
-	// are equal (invocation, iteration) keys.
-	var iters *ddg.LoopIterIndex
-	if p.CompactedLoop {
-		iters = g.LoopIterIndex(loop)
-	}
-	var scratch []ddg.NodeID
-	var firstOp mir.Op
-	for i, u := range nodes {
-		if p.AllAssocOneOp {
-			op := g.Op(u)
-			if i == 0 {
-				firstOp = op
-			}
-			if !op.Associative() || op != firstOp {
-				p.AllAssocOneOp = false
-			}
-		}
-		// In-degree counts distinct member predecessors, as the view's
-		// deduplicated group arcs do; a two-operand use lists its
-		// predecessor twice.
-		extIn, in := false, 0
-		preds := g.Preds(u)
-		for k, w := range preds {
-			if !sub.Contains(w) {
-				extIn = true
-			} else if !slices.Contains(preds[:k], w) {
-				in++
+	return c
+}
+
+// Without derives, from c, the census of sub's members, the census of
+// sub \ removed under the same grouping, exactly, field by field. It
+// subtracts the contributions of R = sub ∩ removed and of N, the
+// survivors adjacent to R, and adds N's contributions back over the
+// survivors: every other member keeps its neighbours, and so its
+// contribution. The cost is O(adjacency of R and N), against a fresh
+// census's O(adjacency of sub \ removed); the finder uses it where R is
+// the smaller side. Both overlays must be of g.
+func (c *Census) Without(g ddg.GraphView, sub, removed *ddg.SubView) *Census {
+	d := *c
+	d.inDeg = append(d.degBuf[0:0:4], c.inDeg...)
+	d.outDeg = append(d.degBuf[4:4:8], c.outDeg...)
+	d.ops = append(d.opsBuf[:0:2], c.ops...)
+	d.reads = 0
+	before, after := d.tally(g, members{in: sub}), d.tally(g, members{in: sub, out: removed})
+	var scratch, near []ddg.NodeID
+	for _, u := range sub.Intersect(removed) {
+		scratch = d.count(&before, u, -1, scratch)
+		// These are the lists count just read, so Reads counts them once.
+		for _, w := range g.Preds(u) {
+			if after.m.has(w) {
+				near = append(near, w)
 			}
 		}
-		if extIn {
-			p.ExtIn++
-		} else if in == 0 {
-			p.Isolated++
-		}
-		p.MaxIn = max(p.MaxIn, in)
-		switch in {
-		case 0:
-			p.Sources++
-		case 2:
-			p.Junctions++
-		}
-		// Distinct member successors, likewise.
-		scratch = scratch[:0]
-		extOut := false
 		for _, w := range g.Succs(u) {
-			if !sub.Contains(w) {
-				extOut = true
-			} else if !slices.Contains(scratch, w) {
-				scratch = append(scratch, w)
-			}
-		}
-		if extOut {
-			p.ExtOut++
-		}
-		out := len(scratch)
-		p.Arcs += out
-		p.MaxOut = max(p.MaxOut, out)
-		if out == 0 {
-			p.Sinks++
-		}
-		if p.CompactedLoop && !p.InterGroup {
-			ou, oku := iters.OrdinalOf(u)
-			for _, w := range scratch {
-				if ow, okw := iters.OrdinalOf(w); !oku || !okw || ou != ow {
-					p.InterGroup = true
-					break
-				}
+			if after.m.has(w) {
+				near = append(near, w)
 			}
 		}
 	}
-	if !p.CompactedLoop && p.Arcs > 0 {
-		p.InterGroup = true // node-per-node: any member arc crosses groups
+	slices.Sort(near)
+	for _, w := range slices.Compact(near) {
+		scratch = d.count(&before, w, -1, scratch)
+		scratch = d.count(&after, w, 1, scratch)
+	}
+	return &d
+}
+
+// tally is the state of one census pass: the graph, the membership test
+// it counts under, and the iteration index a compacted loop view groups
+// by (equal ordinals are equal (invocation, iteration) keys).
+type tally struct {
+	g     ddg.GraphView
+	m     members
+	iters *ddg.LoopIterIndex
+}
+
+func (c *Census) tally(g ddg.GraphView, m members) tally {
+	t := tally{g: g, m: m}
+	if c.loop != 0 {
+		t.iters = g.LoopIterIndex(c.loop)
+	}
+	return t
+}
+
+// count adds sign times member u's contribution under t's membership to
+// the census, listing u's distinct member successors in scratch, which it
+// returns for reuse.
+func (c *Census) count(t *tally, u ddg.NodeID, sign int32, scratch []ddg.NodeID) []ddg.NodeID {
+	preds, succs := t.g.Preds(u), t.g.Succs(u)
+	c.reads += len(preds) + len(succs)
+	// In-degree counts distinct member predecessors, as the view's
+	// deduplicated group arcs do; a two-operand use lists its predecessor
+	// twice.
+	extIn, in := false, 0
+	for k, w := range preds {
+		if !t.m.has(w) {
+			extIn = true
+		} else if !slices.Contains(preds[:k], w) {
+			in++
+		}
+	}
+	// Distinct member successors, likewise.
+	out := scratch[:0]
+	extOut := false
+	for _, w := range succs {
+		if !t.m.has(w) {
+			extOut = true
+		} else if !slices.Contains(out, w) {
+			out = append(out, w)
+		}
+	}
+	// A compacted loop view's arc crosses groups when its ends' ordinals
+	// differ, or either end ran outside the loop.
+	n := int(sign)
+	if c.loop != 0 && len(out) > 0 {
+		ou, oku := t.iters.OrdinalOf(u)
+		for _, w := range out {
+			if ow, okw := t.iters.OrdinalOf(w); !oku || !okw || ou != ow {
+				c.crossing += n
+			}
+		}
+	}
+	if extIn {
+		c.extIn += n
+	} else if in == 0 {
+		c.isolated += n
+	}
+	if extOut {
+		c.extOut += n
+	}
+	if in < len(c.inDeg) {
+		c.inDeg[in] += sign
+	} else {
+		c.inDeg = grow(c.inDeg, in, sign)
+	}
+	if len(out) < len(c.outDeg) {
+		c.outDeg[len(out)] += sign
+	} else {
+		c.outDeg = grow(c.outDeg, len(out), sign)
+	}
+	op := t.g.Op(u)
+	for i := range c.ops {
+		if c.ops[i].op == op {
+			c.ops[i].n += sign
+			return out
+		}
+	}
+	c.ops = append(c.ops, opCount{op: op, n: sign})
+	return out
+}
+
+// grow returns hist extended to hold k, with hist[k] set to sign.
+func grow(hist []int32, k int, sign int32) []int32 {
+	hist = append(hist, make([]int32, k+1-len(hist))...)
+	hist[k] = sign
+	return hist
+}
+
+// top returns the largest k with hist[k] > 0, or 0.
+func top(hist []int32) int {
+	for k := len(hist) - 1; k > 0; k-- {
+		if hist[k] > 0 {
+			return k
+		}
+	}
+	return 0
+}
+
+// at returns hist[k], zero past its end.
+func at(hist []int32, k int) int {
+	if k < len(hist) {
+		return int(hist[k])
+	}
+	return 0
+}
+
+// Reads returns the adjacency entries read to derive the census: every
+// member's predecessors and successors for a fresh one, those of the
+// leaving members and, twice, of their surviving neighbours for one
+// derived by Without.
+func (c *Census) Reads() int { return c.reads }
+
+// Prescreen returns the census's per-kind verdicts.
+func (c *Census) Prescreen() *Prescreen {
+	p := &Prescreen{
+		ExtIn: c.extIn, ExtOut: c.extOut,
+		MaxIn: top(c.inDeg), MaxOut: top(c.outDeg),
+		Sources: at(c.inDeg, 0), Sinks: at(c.outDeg, 0), Junctions: at(c.inDeg, 2),
+		Isolated:      c.isolated,
+		InterGroup:    c.crossing > 0,
+		CompactedLoop: c.loop != 0,
+	}
+	for k, m := range c.outDeg { // every member, by its distinct out-arcs
+		p.NumNodes += int(m)
+		p.Arcs += k * int(m)
+	}
+	// Every member is one node of one common associative op when at most
+	// one op has members, and it is associative.
+	held, op := 0, mir.Op(0)
+	for _, e := range c.ops {
+		if e.n > 0 {
+			held, op = held+1, e.op
+		}
+	}
+	p.AllAssocOneOp = held == 0 || held == 1 && op.Associative()
+	if !p.CompactedLoop {
+		p.InterGroup = p.Arcs > 0 // node-per-node: any member arc crosses groups
 	}
 	p.verdicts()
 	return p

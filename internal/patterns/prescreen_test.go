@@ -9,6 +9,7 @@ package patterns
 // suite in core guards end to end).
 
 import (
+	"fmt"
 	"testing"
 
 	"discovery/internal/ddg"
@@ -274,4 +275,90 @@ func FuzzPrescreen(f *testing.F) {
 		g, nodes := genScreenGraph(data)
 		checkSound(t, g, nodes)
 	})
+}
+
+// censusSig renders every count of a census, histograms without their
+// trailing zeros and ops without their empty entries, so that a census
+// derived by Without and a fresh one compare field by field.
+func censusSig(c *Census) string {
+	trim := func(h []int32) []int32 {
+		for len(h) > 0 && h[len(h)-1] == 0 {
+			h = h[:len(h)-1]
+		}
+		return h
+	}
+	ops := map[mir.Op]int32{}
+	for _, e := range c.ops {
+		if e.n != 0 {
+			ops[e.op] = e.n
+		}
+	}
+	return fmt.Sprint(c.loop, c.extIn, c.extOut, c.isolated, c.crossing, trim(c.inDeg), trim(c.outDeg), ops)
+}
+
+// checkDelta fails unless, for the node view and the loop-1 view, the
+// census Without derives for nodes \ removed from the census of nodes
+// equals a fresh census of nodes \ removed, in every count and verdict.
+func checkDelta(t *testing.T, g *ddg.Graph, nodes, removed ddg.Set) {
+	t.Helper()
+	sub, rm := g.Overlay(nodes), g.Overlay(removed)
+	diff := nodes.Diff(removed)
+	for _, loop := range []mir.LoopID{0, 1} {
+		got := NewCensus(g, sub, loop).Without(g, sub, rm)
+		want := NewCensus(g, g.Overlay(diff), loop)
+		if a, b := censusSig(got), censusSig(want); a != b {
+			t.Fatalf("loop=%d: %v minus %v: derived census %s, fresh census %s", loop, nodes, removed, a, b)
+		}
+		if a, b := got.Prescreen(), want.Prescreen(); *a != *b {
+			t.Fatalf("loop=%d: %v minus %v: derived prescreen %+v, fresh prescreen %+v", loop, nodes, removed, *a, *b)
+		}
+	}
+}
+
+// FuzzPrescreenDelta fuzzes Census.Without against a fresh census of the
+// difference. The members of genScreenGraph's set whose bit is set in pick
+// leave it; with outside, so does every node outside the set, as a
+// matched sub-DDG reaching past the one it is subtracted from would. The
+// seeds remove nothing, one node, fewer nodes than stay, more than stay,
+// all but one node and every node.
+func FuzzPrescreenDelta(f *testing.F) {
+	long := []byte{24, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 0, 1, 0, 1, 0, 1}
+	f.Add([]byte{}, uint32(0), false)
+	f.Add([]byte{7, 1, 2, 3}, uint32(1), true)
+	f.Add(long, uint32(0x000101), false)
+	f.Add(long, uint32(0x0fff0f), true)
+	f.Add(long, uint32(0xfffffe), false)
+	f.Add(long, uint32(0xffffffff), true)
+	f.Add([]byte{200, 9, 33, 1, 77, 5, 0, 8, 14, 3, 91, 2}, uint32(0x5a5a5a), false)
+	f.Fuzz(func(t *testing.T, data []byte, pick uint32, outside bool) {
+		g, nodes := genScreenGraph(data)
+		var gone []ddg.NodeID
+		for i, u := range nodes {
+			if pick>>(i%32)&1 != 0 {
+				gone = append(gone, u)
+			}
+		}
+		if outside {
+			for u := 0; u < g.NumNodes(); u++ {
+				if !nodes.Contains(ddg.NodeID(u)) {
+					gone = append(gone, ddg.NodeID(u))
+				}
+			}
+		}
+		checkDelta(t, g, nodes, ddg.NewSet(gone...))
+	})
+}
+
+// TestPrescreenDeltaShapes derives the censuses of canonical shapes with
+// members removed: a chain cut in the middle (its junction-free halves), a
+// tiled reduction losing its final chain, and a map losing one iteration.
+func TestPrescreenDeltaShapes(t *testing.T) {
+	chain, cn := buildChainDDG(6)
+	checkDelta(t, chain, cn, ddg.NewSet(cn[2]))
+	checkDelta(t, chain, cn, ddg.NewSet(cn[0], cn[5]))
+	tiled, tn := buildTiledDDG(3, 4)
+	checkDelta(t, tiled, tn, tn[len(tn)-3:])
+	m, mn := buildMapDDG(4)
+	checkDelta(t, m, mn, mn[:2])
+	checkDelta(t, m, mn, mn)
 }
