@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"discovery/internal/core"
+	"discovery/internal/ddg"
 	"discovery/internal/experiments"
 	"discovery/internal/sc"
 	"discovery/internal/starbench"
@@ -246,14 +247,24 @@ func BenchmarkTable2_Inputs(b *testing.B) {
 //
 // md5-wide is 64 buffers of 4 words: 8,771 sub-DDGs, so the match,
 // subtract and fuse sweeps dominate. md5-long is 2 buffers of 65,536
-// words: a few huge sub-DDGs, matched under a raised view-size gate (the
-// pipebench workload also pages the graph; here it stays resident).
+// words: a few huge sub-DDGs, matched under a raised view-size gate, with
+// every graph fully resident. BenchmarkFindMD5LongPaged runs the same
+// Find as the pipebench md5-long workload does, paged.
 func BenchmarkFindMD5Wide(b *testing.B) {
 	benchFindMD5(b, 64, 4, core.Options{})
 }
 
 func BenchmarkFindMD5Long(b *testing.B) {
 	benchFindMD5(b, 2, 65536, core.Options{MaxViewGroups: 1 << 20})
+}
+
+// BenchmarkFindMD5LongPaged spills the traced md5-long graph under the
+// pipebench 2 MiB arc budget before timing, and Find spills the
+// simplified graph under the same budget, so every adjacency read goes
+// through the pager. The traced graph is spilled once and stays spilled
+// across iterations; each iteration's simplified graph is spilled afresh.
+func BenchmarkFindMD5LongPaged(b *testing.B) {
+	benchFindMD5(b, 2, 65536, core.Options{MaxViewGroups: 1 << 20, SpillBudget: 2 << 20, SpillDir: b.TempDir()})
 }
 
 func benchFindMD5(b *testing.B, nbuf, bufwords int64, opts core.Options) {
@@ -263,13 +274,25 @@ func benchFindMD5(b *testing.B, nbuf, bufwords int64, opts core.Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	if opts.SpillBudget > 0 {
+		if _, err := tr.Graph.MaybeSpill(ddg.SpillConfig{Dir: opts.SpillDir, Budget: opts.SpillBudget}); err != nil {
+			b.Fatal(err)
+		}
+		defer tr.Graph.CloseSpill()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
+		if res != nil && res.Graph != tr.Graph {
+			res.Graph.CloseSpill()
+		}
 		res = core.Find(tr.Graph, opts)
 	}
 	b.StopTimer()
+	if res.Graph != tr.Graph {
+		defer res.Graph.CloseSpill()
+	}
 	if res.Degraded() {
 		b.Fatalf("Find degraded: %+v", res.Failures)
 	}

@@ -1,13 +1,15 @@
 package ddg
 
 // FuzzPagedCSR drives the out-of-core pager with fuzzer-shaped graphs,
-// budgets, and segment sizes, and checks the only property that matters:
-// a spilled graph answers every adjacency read with exactly the bytes the
-// resident arrays held, and still passes full invariant checking. The
+// budgets, and segment sizes, and checks what paging promises: a spilled
+// graph answers every adjacency read, from two goroutines at once, with
+// exactly the bytes the resident arrays held, still passes full invariant
+// checking, and never holds more than its budget plus one segment. The
 // graph derivation from the input bytes is deterministic, so every crash
 // reproduces.
 
 import (
+	"sync"
 	"testing"
 
 	"discovery/internal/mir"
@@ -64,9 +66,21 @@ func FuzzPagedCSR(f *testing.F) {
 			t.Fatalf("SpillArcs(budget=%d seg=%d): %v", cfg.Budget, cfg.SegmentBytes, err)
 		}
 		defer paged.CloseSpill()
-		if got := renderAdj(paged); got != want {
-			t.Fatalf("paged adjacency diverged (budget=%d seg=%d):\ngot:\n%swant:\n%s",
-				cfg.Budget, cfg.SegmentBytes, got, want)
+		var renders [2]string
+		var wg sync.WaitGroup
+		for i := range renders {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				renders[i] = renderAdj(paged)
+			}()
+		}
+		wg.Wait()
+		for _, got := range renders {
+			if got != want {
+				t.Fatalf("paged adjacency diverged (budget=%d seg=%d):\ngot:\n%swant:\n%s",
+					cfg.Budget, cfg.SegmentBytes, got, want)
+			}
 		}
 		if err := paged.CheckInvariants(); err != nil {
 			t.Fatalf("spilled graph fails invariants: %v", err)
@@ -77,6 +91,16 @@ func FuzzPagedCSR(f *testing.F) {
 		st := paged.PageStats()
 		if st.SpilledBytes != int64(resident.NumArcs())*2*4 {
 			t.Fatalf("spilled %d bytes, want %d", st.SpilledBytes, resident.NumArcs()*2*4)
+		}
+		largest := int64(0)
+		for _, tab := range []*arcTable{&paged.pager.succ, &paged.pager.pred} {
+			for s := range tab.segs {
+				largest = max(largest, int64(tab.segs[s].arcs)*4)
+			}
+		}
+		if st.PeakResidentBytes > cfg.Budget+largest {
+			t.Fatalf("peak resident %d bytes over budget %d plus the largest segment's %d",
+				st.PeakResidentBytes, cfg.Budget, largest)
 		}
 	})
 }

@@ -21,7 +21,10 @@ import (
 //   - loop-iteration indexes: every loop's index (deriving it if no view
 //     has yet) agrees with the scope chains node by node;
 //   - CSR layout: offset arrays of the right length, monotone, covering
-//     the arc arrays.
+//     the arc arrays;
+//   - paging (spilled graphs only): segments tile the offset arrays in
+//     node order, and every lookup bucket names the segment holding the
+//     bucket's first node.
 //
 // It is run by tests, by `discovery -check` after tracing and after
 // simplification, and is cheap enough (O(arcs log arcs)) to gate any
@@ -42,17 +45,17 @@ func (g *Graph) CheckInvariants() error {
 				u, g.pos[u], len(g.tab.pos), g.scope[u], len(g.tab.scopes))
 		}
 	}
-	// A spilled graph's arc arrays live out of core; the per-node checks
-	// below read them back through the pager (Succs/Preds), so only the
-	// resident offset arrays are validated against the spilled arc
-	// count here — never against a flat array that no longer exists.
+	// A spilled graph's arc arrays live out of core: its offsets are
+	// checked against the pager's segment tables instead of the flat
+	// arrays, and the per-node checks below read the arcs back through
+	// the pager (Succs/Preds).
 	for _, csr := range []struct {
 		name string
 		off  []uint32
-		arcs int
+		arr  []NodeID
 	}{
-		{"pred", g.predOff, g.arcLenPred()},
-		{"succ", g.succOff, g.arcLenSucc()},
+		{"pred", g.predOff, g.predArr},
+		{"succ", g.succOff, g.succArr},
 	} {
 		if len(csr.off) != n+1 {
 			return fail("ddg: %s offsets have %d entries, want %d", csr.name, len(csr.off), n+1)
@@ -65,8 +68,15 @@ func (g *Graph) CheckInvariants() error {
 				return fail("ddg: %s offsets decrease at node %d", csr.name, i)
 			}
 		}
-		if len(csr.off) > 0 && int(csr.off[n]) != csr.arcs {
-			return fail("ddg: %s offsets cover %d arcs, array has %d", csr.name, csr.off[n], csr.arcs)
+		if g.pager == nil && int(csr.off[n]) != len(csr.arr) {
+			return fail("ddg: %s offsets cover %d arcs, array has %d", csr.name, csr.off[n], len(csr.arr))
+		}
+	}
+	if g.pager != nil {
+		for _, t := range []*arcTable{&g.pager.succ, &g.pager.pred} {
+			if err := t.check(); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -138,19 +148,37 @@ func (g *Graph) CheckInvariants() error {
 	return g.checkIterIndexes()
 }
 
-// arcLenSucc returns the successor arc-array length, whether the array is
-// resident or spilled (the pager's segment tables carry the count).
-func (g *Graph) arcLenSucc() int {
-	if g.pager != nil {
-		return g.pager.tableArcs(&g.pager.succ)
+// check audits one spilled table against the offset array it pages: the
+// segments tile the nodes in order and each holds exactly its nodes'
+// arcs, and each bucket names the segment holding its first node, so
+// segOf can reach the right segment by stepping forward. A stale bucket
+// that named a later segment would return another node's arcs.
+func (t *arcTable) check() error {
+	fail := func(format string, args ...any) error {
+		return analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation, format, args...)
 	}
-	return len(g.succArr)
-}
-
-// arcLenPred returns the predecessor arc-array length (see arcLenSucc).
-func (g *Graph) arcLenPred() int {
-	if g.pager != nil {
-		return g.pager.tableArcs(&g.pager.pred)
+	n := len(t.off) - 1
+	if len(t.startNode) != len(t.segs)+1 || t.startNode[0] != 0 || int(t.startNode[len(t.segs)]) != n {
+		return fail("ddg: spill segment table does not span nodes [0, %d)", n)
 	}
-	return len(g.predArr)
+	for s := range t.segs {
+		lo, hi := t.startNode[s], t.startNode[s+1]
+		if lo > hi || int(hi) > n {
+			return fail("ddg: spill segment %d covers nodes [%d, %d) of %d", s, lo, hi, n)
+		}
+		if seg := &t.segs[s]; seg.arcBase != t.off[lo] || seg.arcBase+seg.arcs != t.off[hi] {
+			return fail("ddg: spill segment %d holds arcs [%d, %d), its nodes hold [%d, %d)",
+				s, seg.arcBase, seg.arcBase+seg.arcs, t.off[lo], t.off[hi])
+		}
+	}
+	if want := (n + 1<<t.shift - 1) >> t.shift; len(t.bucket) != want {
+		return fail("ddg: spill lookup table has %d buckets, want %d", len(t.bucket), want)
+	}
+	for b, s := range t.bucket {
+		first := uint32(b << t.shift)
+		if int(s) >= len(t.segs) || t.startNode[s] > first || t.startNode[s+1] <= first {
+			return fail("ddg: spill lookup bucket %d names segment %d, which does not hold node %d", b, s, first)
+		}
+	}
+	return nil
 }

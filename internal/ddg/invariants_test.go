@@ -128,3 +128,29 @@ func TestCheckInvariantsDetectsBadTableID(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckInvariantsDetectsStaleSegmentLookup: a spilled graph whose
+// lookup bucket names the wrong segment fails the pager audit, even when
+// the bucket names an earlier segment, which segOf would step past.
+func TestCheckInvariantsDetectsStaleSegmentLookup(t *testing.T) {
+	for _, later := range []bool{true, false} {
+		g := buildRandomCSR(t, 13, 200, 4)
+		if err := g.SpillArcs(SpillConfig{Dir: t.TempDir(), Budget: 256, SegmentBytes: 64}); err != nil {
+			t.Fatalf("SpillArcs: %v", err)
+		}
+		defer g.CloseSpill()
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("fresh spilled graph fails invariants: %v", err)
+		}
+		tab := &g.pager.pred
+		if later {
+			tab.bucket[0]++
+		} else {
+			tab.bucket[len(tab.bucket)-1]--
+		}
+		err := g.CheckInvariants()
+		if !errors.Is(err, analysis.ErrInvariantViolation) || !strings.Contains(err.Error(), "lookup bucket") {
+			t.Errorf("later=%t: stale lookup table passed invariants: %v", later, err)
+		}
+	}
+}

@@ -5,41 +5,48 @@ package ddg
 // unlinked temp file in node-aligned segments and replaces them with a
 // pager that keeps a bounded set of segments resident. The per-node
 // offset arrays stay in memory — they ARE the page table: Succs/Preds
-// locate a node's segment by binary search over segment start nodes,
-// fault the segment in if needed, and slice the resident buffer exactly
-// as the in-core path slices the flat array. Everything above the
-// GraphView surface (member masks, matchers, prescreen, invariant checks)
-// runs unmodified and byte-identically: paging changes where bytes live,
-// never which bytes a read returns.
+// find a node's segment through a bucket table (the first segment of
+// each block of 2^k nodes, then a short forward step), fault the segment
+// in if needed, and slice the resident buffer exactly as the in-core
+// path slices the flat array. Everything above the GraphView surface
+// (member masks, matchers, prescreen, invariant checks) runs unmodified
+// and byte-identically: paging changes where bytes live, never which
+// bytes a read returns.
 //
-// Residency policy: least-recently-used eviction under a byte budget,
+// Residency policy: CLOCK (second-chance) eviction under a byte budget,
 // with the densest segments (most arcs per node — high-fan-out hubs such
 // as an initial value feeding every iteration of a reduction) pinned up
 // to a quarter of the budget, since hubs are touched by nearly every
-// traversal. The faulting segment is always allowed in, so a budget
+// traversal. A fault first evicts until the faulting segment fits, then
+// loads it; the faulting segment is always allowed in, so a budget
 // smaller than one segment degrades to "one segment at a time" rather
-// than deadlocking.
+// than deadlocking, and resident bytes never exceed the budget plus the
+// segment being faulted.
 //
-// Concurrency: a single mutex guards the segment tables; faults perform
-// file I/O under it, serializing reads of one graph (matchers overlap
-// work across graphs and groups, not raw adjacency reads of one node).
-// Returned slices alias the resident buffer; eviction only drops the
-// pager's reference, so a reader that raced an eviction keeps a live
-// buffer via the garbage collector — stale data is impossible because
-// segment contents are immutable.
+// Concurrency: a read of a resident segment takes no lock. It loads the
+// segment's buffer pointer atomically and slices it, and writes shared
+// memory only to set the segment's reference bit when the eviction hand
+// has cleared it. Faults and evictions run under one mutex, which also
+// serializes the file I/O. Returned slices alias the resident buffer;
+// eviction only drops the pager's reference, so a reader that raced an
+// eviction keeps a live buffer via the garbage collector — stale data is
+// impossible because segment contents are immutable.
 //
 // Lifecycle: the spill file is unlinked immediately after creation, so
 // the kernel reclaims it when the last descriptor closes — a crashed
-// process leaks nothing. CloseSpill releases the descriptor
-// deterministically; a finalizer backstops graphs that are simply
-// dropped (daemon cache eviction).
+// process leaks nothing. CloseSpill releases the descriptor and drops
+// every segment buffer, so a later read takes the locked path and panics;
+// a finalizer backstops graphs that are simply dropped (daemon cache
+// eviction).
 
 import (
 	"encoding/binary"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"discovery/internal/analysis"
 )
@@ -80,37 +87,65 @@ type PageStats struct {
 	SpilledBytes      int64 // bytes written to the spill file
 	Faults            int64 // segment loads from the spill file
 	Evictions         int64 // segments dropped to stay under budget
-	Reads             int64 // Succs/Preds calls answered through the pager
 	ResidentBytes     int64 // arc bytes currently in memory (incl. pinned)
 	PeakResidentBytes int64 // high-water mark of ResidentBytes
 	PinnedBytes       int64 // bytes held by pinned hot segments
 }
 
-// arcSeg is one node-aligned segment of an arc array.
+// arcSeg is one node-aligned segment of an arc array. buf is nil while
+// the segment is out of core; ref is its CLOCK reference bit.
 type arcSeg struct {
+	buf     atomic.Pointer[[]NodeID]
 	fileOff int64  // byte offset of the segment in the spill file
 	arcBase uint32 // arc index of the segment's first arc
 	arcs    uint32 // arc count
-	buf     []NodeID
-	lastUse uint64
+	ref     atomic.Bool
 	pinned  bool
 }
 
 // arcTable pages one CSR arc array (succ or pred). startNode has one
 // entry per segment plus a sentinel: segment s covers nodes
-// [startNode[s], startNode[s+1]).
+// [startNode[s], startNode[s+1]). bucket[b] is the segment holding node
+// b<<shift, the first node of bucket b.
 type arcTable struct {
 	off       []uint32 // the graph's resident offset array (shared)
 	startNode []uint32
 	segs      []arcSeg
+	bucket    []uint32
+	shift     uint
 }
 
-// segOf returns the segment containing node u's arc list.
-func (t *arcTable) segOf(u NodeID) int {
-	return sort.Search(len(t.segs), func(s int) bool { return t.startNode[s+1] > uint32(u) })
+// segOf returns the segment containing node u's arc list: its bucket's
+// segment, stepped forward past the segments that end at or before u.
+func (t *arcTable) segOf(u NodeID) *arcSeg {
+	s := t.bucket[uint32(u)>>t.shift]
+	for t.startNode[s+1] <= uint32(u) {
+		s++
+	}
+	return &t.segs[s]
 }
 
-// arcPager owns the spill file and both arc tables.
+// indexBuckets builds the bucket table. Buckets are the widest power of
+// two no wider than the average segment, so there are at least as many
+// buckets as segments and a lookup steps past about one boundary.
+func (t *arcTable) indexBuckets() {
+	n := len(t.off) - 1
+	for n>>(t.shift+1) >= len(t.segs) {
+		t.shift++
+	}
+	t.bucket = make([]uint32, (n+1<<t.shift-1)>>t.shift)
+	s := uint32(0)
+	for b := range t.bucket {
+		for t.startNode[s+1] <= uint32(b<<t.shift) {
+			s++
+		}
+		t.bucket[b] = s
+	}
+}
+
+// arcPager owns the spill file and both arc tables. The tables are
+// immutable once spilled, apart from each segment's atomic buffer and
+// reference bit; mu guards every mutable field below it.
 type arcPager struct {
 	mu     sync.Mutex
 	file   *os.File
@@ -119,9 +154,14 @@ type arcPager struct {
 	pred   arcTable
 
 	budget   int64
-	clock    uint64
 	resident int64
-	stats    PageStats
+	// clock is the CLOCK ring of resident unpinned segments; hand is the
+	// next one the eviction hand examines.
+	clock []*arcSeg
+	hand  int
+	// raw is the fault read buffer, reused across faults.
+	raw   []byte
+	stats PageStats
 }
 
 // MaybeSpill spills the graph's arc arrays out of core when they exceed
@@ -196,6 +236,7 @@ func (g *Graph) SpillArcs(cfg SpillConfig) error {
 				return err
 			}
 		}
+		t.indexBuckets()
 		return nil
 	}
 	if err := spillTable(&p.succ, g.succOff, g.succArr); err != nil {
@@ -223,8 +264,7 @@ func (g *Graph) SpillArcs(cfg SpillConfig) error {
 // traversal, and they are exactly what makes a segment dense.
 func (p *arcPager) pinHot() {
 	type cand struct {
-		t   *arcTable
-		s   int
+		seg *arcSeg
 		den float64
 	}
 	var cands []cand
@@ -234,42 +274,44 @@ func (p *arcPager) pinHot() {
 			if nodes == 0 {
 				continue
 			}
-			cands = append(cands, cand{t, s, float64(t.segs[s].arcs) / float64(nodes)})
+			cands = append(cands, cand{&t.segs[s], float64(t.segs[s].arcs) / float64(nodes)})
 		}
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].den > cands[j].den })
 	pinBudget := p.budget / 4
 	for _, c := range cands {
-		segBytes := int64(c.t.segs[c.s].arcs) * 4
+		segBytes := int64(c.seg.arcs) * 4
 		if p.stats.PinnedBytes+segBytes > pinBudget {
 			break
 		}
-		if err := p.load(c.t, c.s); err != nil {
+		if err := p.load(c.seg); err != nil {
 			break // pinning is an optimization; unpinned paging still works
 		}
-		c.t.segs[c.s].pinned = true
+		c.seg.pinned = true
 		p.stats.PinnedBytes += segBytes
 	}
 }
 
-// load faults segment s of table t into memory (caller holds no lock
-// during SpillArcs; at runtime the pager mutex is held).
-func (p *arcPager) load(t *arcTable, s int) error {
-	seg := &t.segs[s]
-	if seg.buf != nil {
-		return nil
+// load reads segment seg from the spill file into a fresh buffer and
+// publishes it. The caller holds the pager mutex (or, during SpillArcs,
+// is the only goroutine that can see the pager).
+func (p *arcPager) load(seg *arcSeg) error {
+	n := int(seg.arcs)
+	if cap(p.raw) < n*4 {
+		p.raw = make([]byte, n*4)
 	}
-	raw := make([]byte, int(seg.arcs)*4)
+	raw := p.raw[:n*4]
 	if _, err := p.file.ReadAt(raw, seg.fileOff); err != nil {
 		return analysis.Errorf(analysis.StageFinalize, analysis.Transient,
 			"ddg: reading spill segment: %v", err)
 	}
-	buf := make([]NodeID, seg.arcs)
+	buf := make([]NodeID, n)
 	for i := range buf {
 		buf[i] = NodeID(binary.LittleEndian.Uint32(raw[i*4:]))
 	}
-	seg.buf = buf
-	p.resident += int64(len(buf)) * 4
+	seg.ref.Store(false)
+	seg.buf.Store(&buf)
+	p.resident += int64(n) * 4
 	p.stats.Faults++
 	if p.resident > p.stats.PeakResidentBytes {
 		p.stats.PeakResidentBytes = p.resident
@@ -277,31 +319,24 @@ func (p *arcPager) load(t *arcTable, s int) error {
 	return nil
 }
 
-// evict drops least-recently-used unpinned segments until the resident
-// set fits the budget, never evicting the segment just faulted (keep).
-func (p *arcPager) evict(keepT *arcTable, keepS int) {
-	for p.resident > p.budget {
-		var vt *arcTable
-		vs := -1
-		best := ^uint64(0)
-		for _, t := range []*arcTable{&p.succ, &p.pred} {
-			for s := range t.segs {
-				seg := &t.segs[s]
-				if seg.buf == nil || seg.pinned || (t == keepT && s == keepS) {
-					continue
-				}
-				if seg.lastUse <= best {
-					best = seg.lastUse
-					vt, vs = t, s
-				}
-			}
+// evict runs the CLOCK hand until need more bytes fit under the budget
+// or no unpinned segment is resident. A referenced segment under the
+// hand loses its reference bit and is passed over; the first
+// unreferenced one is dropped.
+func (p *arcPager) evict(need int64) {
+	for p.resident+need > p.budget && len(p.clock) > 0 {
+		if p.hand >= len(p.clock) {
+			p.hand = 0
 		}
-		if vs < 0 {
-			return // nothing evictable: budget floor is the kept segment
+		seg := p.clock[p.hand]
+		if seg.ref.Load() {
+			seg.ref.Store(false)
+			p.hand++
+			continue
 		}
-		seg := &vt.segs[vs]
-		p.resident -= int64(len(seg.buf)) * 4
-		seg.buf = nil
+		p.clock = slices.Delete(p.clock, p.hand, p.hand+1)
+		p.resident -= int64(seg.arcs) * 4
+		seg.buf.Store(nil)
 		p.stats.Evictions++
 	}
 }
@@ -316,39 +351,40 @@ func (g *Graph) pagedSuccs(u NodeID) []NodeID { return g.pager.arcsOf(&g.pager.s
 //go:noinline
 func (g *Graph) pagedPreds(u NodeID) []NodeID { return g.pager.arcsOf(&g.pager.pred, u) }
 
-// arcsOf answers one adjacency read through the pager.
+// arcsOf answers one adjacency read through the pager. A resident
+// segment answers without a lock; an absent one faults.
 func (p *arcPager) arcsOf(t *arcTable, u NodeID) []NodeID {
-	s := t.segOf(u)
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		panic("ddg: adjacency read on a graph whose spill was closed")
+	seg := t.segOf(u)
+	buf := seg.buf.Load()
+	if buf == nil {
+		buf = p.fault(seg)
+	} else if !seg.ref.Load() {
+		seg.ref.Store(true)
 	}
-	seg := &t.segs[s]
-	if seg.buf == nil {
-		if err := p.load(t, s); err != nil {
-			p.mu.Unlock()
-			panic(err) // unlinked-file read failure: the storage is gone
-		}
-		p.evict(t, s)
-	}
-	p.clock++
-	seg.lastUse = p.clock
-	p.stats.Reads++
-	buf := seg.buf
-	base := seg.arcBase
-	p.mu.Unlock()
-	return buf[t.off[u]-base : t.off[u+1]-base]
+	return (*buf)[t.off[u]-seg.arcBase : t.off[u+1]-seg.arcBase]
 }
 
-// tableArcs returns the total arc count of one spilled table (the sum of
-// its segment arc counts) — the spilled analogue of len(succArr).
-func (p *arcPager) tableArcs(t *arcTable) int {
-	n := 0
-	for s := range t.segs {
-		n += int(t.segs[s].arcs)
+// fault brings seg in under the mutex: it evicts until seg fits the
+// budget, loads it, and puts it on the CLOCK ring unreferenced, just
+// behind the hand, so the hand reaches it last and keeps it only if a
+// later read has referenced it. A reader that lost the race to another
+// fault of seg finds it resident and returns it.
+func (p *arcPager) fault(seg *arcSeg) *[]NodeID {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		panic("ddg: adjacency read on a graph whose spill was closed")
 	}
-	return n
+	if buf := seg.buf.Load(); buf != nil {
+		return buf
+	}
+	p.evict(int64(seg.arcs) * 4)
+	if err := p.load(seg); err != nil {
+		panic(err) // unlinked-file read failure: the storage is gone
+	}
+	p.clock = slices.Insert(p.clock, p.hand, seg)
+	p.hand++
+	return seg.buf.Load()
 }
 
 // Spilled reports whether the graph's arc arrays live out of core.
@@ -368,10 +404,11 @@ func (g *Graph) PageStats() PageStats {
 	return st
 }
 
-// CloseSpill releases the spill file descriptor. The graph's adjacency
-// must not be read afterwards; callers close only when the graph is
-// done (end of a request, cache eviction). Idempotent; a nil receiver
-// or never-spilled graph is a no-op.
+// CloseSpill releases the spill file descriptor and drops every segment
+// buffer, pinned ones included, so that a later read faults and panics.
+// The graph's adjacency must not be read afterwards; callers close only
+// when the graph is done (end of a request, cache eviction). Idempotent;
+// a nil receiver or never-spilled graph is a no-op.
 func (g *Graph) CloseSpill() error {
 	if g == nil || g.pager == nil {
 		return nil
@@ -383,6 +420,12 @@ func (g *Graph) CloseSpill() error {
 		return nil
 	}
 	p.closed = true
+	for _, t := range []*arcTable{&p.succ, &p.pred} {
+		for s := range t.segs {
+			t.segs[s].buf.Store(nil)
+		}
+	}
+	p.clock, p.resident = nil, 0
 	runtime.SetFinalizer(p, nil)
 	return p.file.Close()
 }
