@@ -9,20 +9,27 @@ import (
 // nodeIndex is an inverted index from the nodes of the simplified graph
 // to the sets that contain them, in CSR form: the positions (into the
 // slice the index was built from) of the sets holding node v are
-// pos[off[v]:off[v+1]], ascending. Subtract, fuse, merge and pipeline
-// detection build one per phase over the sets they compare, so each asks
-// only the partners that can pass its test instead of every pair.
+// pos[off[v-lo]:off[v-lo+1]], ascending. Subtract, fuse, merge and
+// pipeline detection build one per phase over the sets they compare, so
+// each asks only the partners that can pass its test instead of every
+// pair.
+//
+// The index spans only the ids from lo, the lowest indexed node, to the
+// highest: the sets a phase compares are usually a small, late part of
+// the graph (md5-long's 189 matches lie in its last 1,200 of 394K ids),
+// so the index costs what the sets cover, not what the graph holds.
 //
 // Nodes of one loop iteration or one pattern component are numbered
 // consecutively and usually belong to exactly the same sets, and long id
-// ranges belong to none. runEnd[v] is the first node after v whose list
-// differs from v's, so a query reads each such run's list once and jumps
-// over the rest of it.
+// ranges belong to none. runEnd[v-lo] is the first node after v whose
+// list differs from v's, so a query reads each such run's list once and
+// jumps over the rest of it.
 type nodeIndex struct {
 	sets   []ddg.Set
+	lo     ddg.NodeID
 	off    []int32
 	pos    []int32
-	runEnd []int32
+	runEnd []ddg.NodeID
 	// live counts the non-empty indexed sets: once a query has met them
 	// all, the rest of its walk cannot add anything.
 	live int
@@ -32,38 +39,46 @@ type nodeIndex struct {
 // from every list, which is how callers leave out the sets a phase never
 // pairs with.
 func newNodeIndex(sets []ddg.Set) *nodeIndex {
-	n, live := 0, 0
+	lo, hi, live := ddg.NodeID(0), ddg.NodeID(0), 0
 	for _, s := range sets {
-		if len(s) > 0 {
-			live++
-			n = max(n, int(s[len(s)-1])+1)
+		if len(s) == 0 {
+			continue
 		}
+		if live == 0 || s[0] < lo {
+			lo = s[0]
+		}
+		hi = max(hi, s[len(s)-1])
+		live++
+	}
+	n := 0 // the span's width
+	if live > 0 {
+		n = int(hi-lo) + 1
 	}
 	off := make([]int32, n+1)
 	for _, s := range sets {
 		for _, v := range s {
-			off[v+1]++
+			off[v-lo+1]++
 		}
 	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
 	}
-	// Fill with off[v] as node v's cursor, which leaves it at the start of
-	// v+1's list; shifting by one restores the offsets.
+	// Fill with off[i] as span slot i's cursor, which leaves it at the
+	// start of slot i+1's list; shifting by one restores the offsets.
 	pos := make([]int32, off[n])
 	for i, s := range sets {
 		for _, v := range s {
-			pos[off[v]] = int32(i)
-			off[v]++
+			pos[off[v-lo]] = int32(i)
+			off[v-lo]++
 		}
 	}
 	copy(off[1:], off[:n])
 	off[0] = 0
-	ix := &nodeIndex{sets: sets, off: off, pos: pos, runEnd: make([]int32, n), live: live}
-	for v := n - 1; v >= 0; v-- {
-		ix.runEnd[v] = int32(v + 1)
-		if v+1 < n && slices.Equal(ix.list(ddg.NodeID(v)), ix.list(ddg.NodeID(v+1))) {
-			ix.runEnd[v] = ix.runEnd[v+1]
+	ix := &nodeIndex{sets: sets, lo: lo, off: off, pos: pos, runEnd: make([]ddg.NodeID, n), live: live}
+	for i := n - 1; i >= 0; i-- {
+		ix.runEnd[i] = lo + ddg.NodeID(i) + 1
+		if i+1 < n && slices.Equal(ix.pos[off[i]:off[i+1]], ix.pos[off[i+1]:off[i+2]]) {
+			ix.runEnd[i] = ix.runEnd[i+1]
 		}
 	}
 	return ix
@@ -79,23 +94,27 @@ func nodeSets(subs []*SubDDG) []ddg.Set {
 	return sets
 }
 
-// list returns the ascending positions of the indexed sets containing v.
+// list returns the ascending positions of the indexed sets containing v;
+// a node outside the span is in none.
 func (ix *nodeIndex) list(v ddg.NodeID) []int32 {
-	if int(v) >= len(ix.runEnd) {
+	if v < ix.lo || int(v-ix.lo) >= len(ix.runEnd) {
 		return nil
 	}
-	return ix.pos[ix.off[v]:ix.off[v+1]]
+	i := v - ix.lo
+	return ix.pos[ix.off[i]:ix.off[i+1]]
 }
 
 // sharing returns the ascending, duplicate-free positions of the indexed
 // sets that share at least one node with nodes — exactly the sets nodes
-// is not disjoint from. Each run of nodes with one list is read once: the
-// walk jumps from a node to the first node of nodes past its run, and it
-// stops once every indexed set has been met.
+// is not disjoint from. The walk starts at the first of nodes inside the
+// span and reads each run of nodes with one list once: it jumps from a
+// node to the first node of nodes past its run, and it stops at the
+// span's end or once every indexed set has been met.
 func (ix *nodeIndex) sharing(nodes ddg.Set) []int32 {
 	var seen []uint64
 	var out []int32
-	for k := 0; k < len(nodes) && int(nodes[k]) < len(ix.runEnd) && len(out) < ix.live; {
+	k, _ := slices.BinarySearch(nodes, ix.lo)
+	for k < len(nodes) && int(nodes[k]-ix.lo) < len(ix.runEnd) && len(out) < ix.live {
 		v := nodes[k]
 		for _, p := range ix.list(v) {
 			if seen == nil {
@@ -108,7 +127,7 @@ func (ix *nodeIndex) sharing(nodes ddg.Set) []int32 {
 		}
 		// Runs are short next to the sets queried, so a linear step beats
 		// a binary search here.
-		for end := ddg.NodeID(ix.runEnd[v]); k < len(nodes) && nodes[k] < end; k++ {
+		for end := ix.runEnd[v-ix.lo]; k < len(nodes) && nodes[k] < end; k++ {
 		}
 	}
 	slices.Sort(out)

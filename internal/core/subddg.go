@@ -292,11 +292,7 @@ func assocComponents(g *ddg.Graph) []ddg.Set {
 	}
 	var comps []ddg.Set
 	for _, all := range byOp {
-		for _, comp := range g.WeaklyConnectedComponents(all) {
-			if comp.Len() >= 2 {
-				comps = append(comps, comp)
-			}
-		}
+		comps = append(comps, g.NontrivialComponents(all)...)
 	}
 	return comps
 }
@@ -327,10 +323,8 @@ func assocCands(g *ddg.Graph, comp ddg.Set) []assocCand {
 			out = append(out, assocCand{comp, provenanceKey(comp.Hash(), 0, true)})
 			return
 		}
-		for _, wcc := range g.WeaklyConnectedComponents(sub) {
-			if wcc.Len() >= 2 {
-				out = append(out, assocCand{wcc, provenanceKey(wcc.Hash(), 0, true)})
-			}
+		for _, wcc := range g.NontrivialComponents(sub) {
+			out = append(out, assocCand{wcc, provenanceKey(wcc.Hash(), 0, true)})
 		}
 	})
 	return out
@@ -366,7 +360,7 @@ func eachPositionClosedSubset(g *ddg.Graph, comp ddg.Set, fn func(ddg.Set)) {
 	}
 	if len(poss) > maxPositionClasses {
 		fn(comp)
-		for _, cl := range ddg.Partition(comp, cls, len(poss)) {
+		for _, cl := range ddg.Partition(comp, cls, len(poss), 1) {
 			fn(cl)
 		}
 		return

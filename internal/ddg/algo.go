@@ -17,11 +17,23 @@ import (
 // its weakly connected components, returned in deterministic order (by
 // smallest member id), members ascending, as Partition lays them out.
 func (g *Graph) WeaklyConnectedComponents(nodes Set) []Set {
+	return g.componentsOf(nodes, 1)
+}
+
+// NontrivialComponents returns the weakly connected components of at least
+// two nodes of the induced subgraph over nodes, in the order
+// WeaklyConnectedComponents lists them. A singleton gets no set, so a
+// mostly disconnected input costs its labels and its nontrivial members.
+func (g *Graph) NontrivialComponents(nodes Set) []Set {
+	return g.componentsOf(nodes, 2)
+}
+
+func (g *Graph) componentsOf(nodes Set, minLen int) []Set {
 	comp, k := g.componentLabels(nodes)
 	if k == 0 {
 		return nil
 	}
-	return Partition(nodes, comp, k)
+	return Partition(nodes, comp, k, minLen)
 }
 
 // componentLabels runs union-find over positions in the sorted set nodes,
@@ -30,6 +42,11 @@ func (g *Graph) WeaklyConnectedComponents(nodes Set) []Set {
 // smallest member. Unions link toward the smaller position, so every root
 // is its component's smallest position and parent[i] <= i throughout;
 // one forward pass then resolves each position to its root.
+//
+// Each arc is found from its head, among the positions before it: an
+// operand count bounds a node's predecessors, where a shared input's
+// successors can be its whole fan-out, which every set extended by that
+// input (WeaklyConnectedWithInputs) would read again.
 func (g *Graph) componentLabels(nodes Set) (comp []int32, k int) {
 	n := len(nodes)
 	if n == 0 {
@@ -46,13 +63,13 @@ func (g *Graph) componentLabels(nodes Set) (comp []int32, k int) {
 		}
 		return i
 	}
-	lo, hi := nodes[0], nodes[n-1]
+	lo := nodes[0]
 	for i, u := range nodes {
-		for _, v := range g.Succs(u) {
-			if v < lo || v > hi {
+		for _, v := range g.Preds(u) {
+			if v < lo {
 				continue
 			}
-			j := nodes.IndexFrom(i, v)
+			j := nodes[:i].IndexOf(v)
 			if j < 0 {
 				continue
 			}

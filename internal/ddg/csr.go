@@ -16,7 +16,8 @@ type tables struct {
 
 // FrozenBuilder constructs a Graph; it is the only way to make one.
 // Callers stream nodes in final id order, each with its full predecessor
-// list; the builder packs predecessors into the CSR arrays as they arrive
+// list; the builder packs predecessors into the CSR arrays as they arrive,
+// counts each node's successors in the successor offsets it will return,
 // and derives the successor arrays in one counting-sort pass at Finish.
 //
 // Because every predecessor must already exist (AddNode rejects preds at
@@ -30,10 +31,9 @@ type tables struct {
 // UseTables installs whole tables (the tracer's merged ones), and PosID
 // and ScopeID intern one value at a time.
 type FrozenBuilder struct {
+	// g.succOff[u+1] counts u's successors until Finish turns the counts
+	// into offsets.
 	g *Graph
-	// succCnt[u] counts u's successors until Finish turns it into the
-	// CSR fill cursor.
-	succCnt []uint32
 	// err records the first invariant violation; once set, further bad
 	// preds are skipped and Finish reports the failure instead of a graph.
 	err *analysis.Error
@@ -53,8 +53,9 @@ func NewFrozenBuilder(nodes, maxArcs int) *FrozenBuilder {
 		tab:     &tables{},
 		predOff: make([]uint32, 1, nodes+1),
 		predArr: make([]NodeID, 0, maxArcs),
+		succOff: make([]uint32, 1, nodes+1),
 	}
-	return &FrozenBuilder{g: g, succCnt: make([]uint32, 0, nodes)}
+	return &FrozenBuilder{g: g}
 }
 
 // UseTables makes pos and scopes the builder's tables: position id i
@@ -121,7 +122,7 @@ func (fb *FrozenBuilder) AddNode(op mir.Op, pos uint32, thread int32, scope uint
 	g.pos = append(g.pos, pos)
 	g.thread = append(g.thread, thread)
 	g.scope = append(g.scope, scope)
-	fb.succCnt = append(fb.succCnt, 0)
+	g.succOff = append(g.succOff, 0)
 	start := len(g.predArr)
 outer:
 	for _, p := range preds {
@@ -141,7 +142,7 @@ outer:
 			}
 		}
 		g.predArr = append(g.predArr, p)
-		fb.succCnt[p]++
+		g.succOff[p+1]++
 	}
 	g.predOff = append(g.predOff, uint32(len(g.predArr)))
 	return id
@@ -153,27 +154,28 @@ outer:
 func (fb *FrozenBuilder) Finish() (*Graph, error) {
 	if fb.err != nil {
 		err := fb.err
-		fb.g, fb.succCnt, fb.err, fb.posIDs, fb.scopeIDs = nil, nil, nil, nil, nil
+		fb.g, fb.err, fb.posIDs, fb.scopeIDs = nil, nil, nil, nil
 		return nil, err
 	}
 	g := fb.g
 	n := len(g.ops)
 	g.arcs = len(g.predArr)
-	g.succOff = make([]uint32, n+1)
+	off := g.succOff
 	for u := 0; u < n; u++ {
-		g.succOff[u+1] = g.succOff[u] + fb.succCnt[u]
+		off[u+1] += off[u]
 	}
-	// Reuse succCnt as the per-node fill cursor.
-	copy(fb.succCnt, g.succOff[:n])
+	// Fill with off[u] as u's cursor, which leaves it at the start of
+	// u+1's list; shifting by one restores the offsets. Walking v in
+	// ascending order fills each successor list in ascending target order.
 	g.succArr = make([]NodeID, g.arcs)
 	for v := 0; v < n; v++ {
 		for _, u := range g.predArr[g.predOff[v]:g.predOff[v+1]] {
-			g.succArr[fb.succCnt[u]] = NodeID(v)
-			fb.succCnt[u]++
+			g.succArr[off[u]] = NodeID(v)
+			off[u]++
 		}
 	}
-	// Walking v in ascending order fills each successor list in ascending
-	// target order.
-	fb.g, fb.succCnt, fb.posIDs, fb.scopeIDs = nil, nil, nil, nil
+	copy(off[1:], off[:n])
+	off[0] = 0
+	fb.g, fb.posIDs, fb.scopeIDs = nil, nil, nil
 	return g, nil
 }

@@ -141,8 +141,14 @@ func (g *Graph) InducedSubgraph(keep Set) (*Graph, []NodeID) {
 	for i, u := range keep {
 		remap[u-lo] = NodeID(i)
 	}
-	// Size the arc array by the kept share of the graph's arcs.
-	fb := NewFrozenBuilder(len(keep), int(int64(g.arcs)*int64(len(keep))/int64(max(g.NumNodes(), 1))))
+	// Size the arc array by the arcs into kept nodes, a bound that always
+	// holds, so that it never regrows; the offsets stay resident on a
+	// spilled graph, so counting reads no arc.
+	arcsIn := 0
+	for _, u := range keep {
+		arcsIn += int(g.predOff[u+1] - g.predOff[u])
+	}
+	fb := NewFrozenBuilder(len(keep), arcsIn)
 	fb.g.tab = g.tab
 	var preds []NodeID
 	for _, u := range keep {

@@ -25,21 +25,25 @@ import (
 // LoopIterIndex is the per-loop compaction index of one graph: Keys lists
 // the loop's dynamic iterations sorted ascending by (invocation,
 // iteration) — the exact group order compacted views present — and ord
-// maps each node to its key's position, or -1 for nodes that did not
-// execute inside the loop.
+// maps each node of the loop's span, from its first node lo to its last,
+// to its key's position, or -1 for a node of the span that did not
+// execute inside the loop. Nodes outside the span are outside the loop,
+// so an index costs the ids its loop covers, not the whole graph's.
 type LoopIterIndex struct {
 	Loop mir.LoopID
 	Keys []IterationKey
+	lo   NodeID
 	ord  []int32
 }
 
 // OrdinalOf returns the dense iteration ordinal of node u, or ok=false if
 // u did not execute inside the loop. A nil index holds no node.
 func (ix *LoopIterIndex) OrdinalOf(u NodeID) (int32, bool) {
-	if ix == nil || int(u) >= len(ix.ord) || ix.ord[u] < 0 {
+	if ix == nil || u < ix.lo || int(u-ix.lo) >= len(ix.ord) {
 		return 0, false
 	}
-	return ix.ord[u], true
+	o := ix.ord[u-ix.lo]
+	return o, o >= 0
 }
 
 // NumGroups returns the number of dynamic iterations the index covers.
@@ -103,7 +107,8 @@ func (g *Graph) iterIndexes() map[mir.LoopID]*LoopIterIndex {
 // nests the same static loop twice in one chain.
 // While scanning, each run of one key gets a provisional number (a key met
 // again after another key gets a second). A first scan counts each loop's
-// provisional keys, so the second sizes every key table once. When a
+// provisional keys and finds its span, the first and last node in it, so
+// the second sizes every key table and ordinal array once. When a
 // loop's provisional keys arrive strictly ascending, as every
 // single-threaded trace's do, they are already its sorted distinct keys
 // and the ordinals are final. Otherwise the keys are sorted by
@@ -111,33 +116,48 @@ func (g *Graph) iterIndexes() map[mir.LoopID]*LoopIterIndex {
 // to the distinct keys' positions. Loops are slots of a slice indexed by
 // id, so no step hashes.
 func deriveIterIndexes(ids []uint32, scopes []*Scope) map[mir.LoopID]*LoopIterIndex {
-	var counts []int32 // by loop id: provisional keys
-	var last []IterationKey
+	// By loop id: the provisional key count, the last key met, and the
+	// span [lo, hi) from the loop's first node to one past its last.
+	type loopScan struct {
+		keys   int32
+		last   IterationKey
+		lo, hi int
+	}
+	var scan []loopScan
 	var frames []*Scope
 	var prev *Scope
-	for _, id := range ids {
+	for u, id := range ids {
 		if s := scopes[id]; s != prev {
 			prev = s
+			for _, f := range frames { // the loops the previous node ran in
+				scan[f.Loop].hi = u
+			}
 			frames = innermostFrames(frames[:0], s)
 			for _, f := range frames {
-				if int(f.Loop) >= len(counts) {
-					counts = append(counts, make([]int32, int(f.Loop)+1-len(counts))...)
-					last = append(last, make([]IterationKey, int(f.Loop)+1-len(last))...)
+				if int(f.Loop) >= len(scan) {
+					scan = append(scan, make([]loopScan, int(f.Loop)+1-len(scan))...)
 				}
-				if k := f.key(); counts[f.Loop] == 0 || last[f.Loop] != k {
-					counts[f.Loop]++
-					last[f.Loop] = k
+				l := &scan[f.Loop]
+				if l.keys == 0 {
+					l.lo = u
+				}
+				if k := f.key(); l.keys == 0 || l.last != k {
+					l.keys++
+					l.last = k
 				}
 			}
 		}
+	}
+	for _, f := range frames {
+		scan[f.Loop].hi = len(ids)
 	}
 
 	type charge struct {
 		ix  *LoopIterIndex
 		ord int32
 	}
-	byLoop := make([]*LoopIterIndex, len(counts))
-	unsorted := make([]bool, len(counts))
+	byLoop := make([]*LoopIterIndex, len(scan))
+	unsorted := make([]bool, len(scan))
 	var cur []charge // the current scope's innermost frame per loop
 	prev = nil
 	for u, id := range ids {
@@ -148,11 +168,12 @@ func deriveIterIndexes(ids []uint32, scopes []*Scope) map[mir.LoopID]*LoopIterIn
 			for _, f := range frames {
 				ix := byLoop[f.Loop]
 				if ix == nil {
-					ord := make([]int32, len(ids))
+					l := scan[f.Loop]
+					ord := make([]int32, l.hi-l.lo)
 					for i := range ord {
 						ord[i] = -1
 					}
-					ix = &LoopIterIndex{Loop: f.Loop, Keys: make([]IterationKey, 0, counts[f.Loop]), ord: ord}
+					ix = &LoopIterIndex{Loop: f.Loop, Keys: make([]IterationKey, 0, l.keys), lo: NodeID(l.lo), ord: ord}
 					byLoop[f.Loop] = ix
 				}
 				k := f.key()
@@ -166,7 +187,7 @@ func deriveIterIndexes(ids []uint32, scopes []*Scope) map[mir.LoopID]*LoopIterIn
 			}
 		}
 		for _, c := range cur {
-			c.ix.ord[u] = c.ord
+			c.ix.ord[u-int(c.ix.lo)] = c.ord
 		}
 	}
 	out := map[mir.LoopID]*LoopIterIndex{}
@@ -191,9 +212,9 @@ func deriveIterIndexes(ids []uint32, scopes []*Scope) map[mir.LoopID]*LoopIterIn
 			}
 			renum[o] = int32(len(keys) - 1)
 		}
-		for u, o := range ix.ord {
+		for i, o := range ix.ord {
 			if o >= 0 {
-				ix.ord[u] = renum[o]
+				ix.ord[i] = renum[o]
 			}
 		}
 		ix.Keys = keys
@@ -230,9 +251,11 @@ func compareKeys(a, b IterationKey) int {
 }
 
 // checkIterIndexes verifies the graph's indexes against the ground truth
-// the scope chains encode: every loop in a chain has an index, ord agrees
-// with IterationOf node by node, the ordinal's key is the node's key, and
-// the key table is sorted. Part of CheckInvariants — an index that drifted
+// the scope chains encode: every loop in a chain has an index, its span
+// runs from a node in the loop to a node in the loop inside the graph, ord
+// agrees with IterationOf node by node (nodes outside the span read as
+// outside the loop), the ordinal's key is the node's key, and the key
+// table is sorted. Part of CheckInvariants — an index that drifted
 // from the chains would silently change compacted views, the worst kind of
 // wrong.
 func (g *Graph) checkIterIndexes() error {
@@ -263,9 +286,9 @@ func (g *Graph) checkIterIndexes() error {
 		if ix.Loop != loop {
 			return fail("ddg: iteration index filed under loop %d names loop %d", loop, ix.Loop)
 		}
-		if len(ix.ord) != g.NumNodes() {
-			return fail("ddg: iteration index for loop %d covers %d nodes, graph has %d",
-				loop, len(ix.ord), g.NumNodes())
+		if n := len(ix.ord); n == 0 || int(ix.lo)+n > g.NumNodes() || ix.ord[0] < 0 || ix.ord[n-1] < 0 {
+			return fail("ddg: iteration index for loop %d spans nodes [%d, %d) of %d, not from a node in the loop to one",
+				loop, ix.lo, int(ix.lo)+n, g.NumNodes())
 		}
 		for i := 1; i < len(ix.Keys); i++ {
 			if compareKeys(ix.Keys[i-1], ix.Keys[i]) >= 0 {

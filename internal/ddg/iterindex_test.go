@@ -66,6 +66,9 @@ func TestOrdinalOf(t *testing.T) {
 	if ix.NumGroups() != 2 {
 		t.Fatalf("NumGroups = %d, want 2", ix.NumGroups())
 	}
+	if ix.lo != 1 || len(ix.ord) != 4 {
+		t.Errorf("index spans [%d, %d), want the loop's nodes [1, 5)", ix.lo, int(ix.lo)+len(ix.ord))
+	}
 	if _, ok := ix.OrdinalOf(0); ok {
 		t.Error("node outside the loop reported an ordinal")
 	}
@@ -156,20 +159,29 @@ func TestIterIndexUnfrozenNotMemoized(t *testing.T) {
 }
 
 // TestCheckInvariantsCatchesIndexDrift corrupts a derived index in place
-// and asserts the invariant checker rejects each flavor of drift.
+// and asserts the invariant checker rejects each flavor of drift. Loop 1
+// of buildLoopGraph runs in nodes 1-4, so its index spans them: ordinals
+// are written relative to the span's first node, and the span flavors
+// move the span's ends.
 func TestCheckInvariantsCatchesIndexDrift(t *testing.T) {
+	set := func(ix *LoopIterIndex, u NodeID, o int32) { ix.ord[u-ix.lo] = o }
 	cases := []struct {
 		name    string
 		corrupt func(g *Graph, ix *LoopIterIndex)
 	}{
-		{"wrong-group", func(_ *Graph, ix *LoopIterIndex) { ix.ord[2] = 1 }},   // node 2 moved to iteration 1
-		{"missing-node", func(_ *Graph, ix *LoopIterIndex) { ix.ord[2] = -1 }}, // node 2 dropped from the loop
-		{"phantom-node", func(_ *Graph, ix *LoopIterIndex) { ix.ord[0] = 0 }},  // node 0 pulled into the loop
-		{"out-of-range", func(_ *Graph, ix *LoopIterIndex) { ix.ord[4] = 2 }},
+		{"wrong-group", func(_ *Graph, ix *LoopIterIndex) { set(ix, 2, 1) }},   // node 2 moved to iteration 1
+		{"missing-node", func(_ *Graph, ix *LoopIterIndex) { set(ix, 2, -1) }}, // node 2 dropped from the loop
+		{"phantom-node", func(_ *Graph, ix *LoopIterIndex) { // node 0 pulled into the loop
+			ix.lo, ix.ord = 0, append([]int32{0}, ix.ord...)
+		}},
+		{"out-of-range", func(_ *Graph, ix *LoopIterIndex) { set(ix, 4, 2) }},
 		{"unsorted-keys", func(_ *Graph, ix *LoopIterIndex) { ix.Keys[0], ix.Keys[1] = ix.Keys[1], ix.Keys[0] }},
-		{"short", func(_ *Graph, ix *LoopIterIndex) { ix.ord = ix.ord[:3] }},
+		{"short", func(_ *Graph, ix *LoopIterIndex) { ix.ord = ix.ord[:0] }},
 		{"misfiled", func(_ *Graph, ix *LoopIterIndex) { ix.Loop = 9 }},
 		{"missing-loop", func(g *Graph, _ *LoopIterIndex) { delete(g.iterMemo.ixs, 1) }},
+		{"span-starts-after-first", func(_ *Graph, ix *LoopIterIndex) { ix.lo, ix.ord = ix.lo+1, ix.ord[1:] }},
+		{"span-ends-before-last", func(_ *Graph, ix *LoopIterIndex) { ix.ord = ix.ord[:len(ix.ord)-1] }},
+		{"span-past-graph", func(_ *Graph, ix *LoopIterIndex) { ix.ord = append(ix.ord, 1) }},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -205,25 +205,41 @@ func (s Set) Key() string {
 	return string(buf)
 }
 
-// Partition splits s into k sets by label: s[i] goes to set label[i], in
-// [0, k). It is a counting sort whose forward fill keeps every set
-// ascending. The sets share one backing array, each capped at its own
+// Partition splits s into sets by label: s[i] goes to set label[i], in
+// [0, k), and the sets of fewer than minLen members are left out, so that
+// only the kept members and set headers are allocated. It is a counting
+// sort whose forward fill keeps every set ascending; the kept sets follow
+// label order. They share one backing array, each capped at its own
 // length, so appending to one never overwrites the next.
-func Partition(s Set, label []int32, k int) []Set {
-	off := make([]int32, k+1)
+func Partition(s Set, label []int32, k, minLen int) []Set {
+	size := make([]int32, k)
 	for _, c := range label {
-		off[c+1]++
+		size[c]++
 	}
-	for c := 1; c <= k; c++ {
-		off[c] += off[c-1]
+	kept, total := 0, 0
+	for _, n := range size {
+		if int(n) >= minLen {
+			kept++
+			total += int(n)
+		}
 	}
-	all := make(Set, len(s))
-	out := make([]Set, k)
-	for c := range out {
-		out[c] = all[off[c]:off[c]:off[c+1]]
+	all := make(Set, total)
+	out := make([]Set, 0, kept)
+	// size[c] becomes label c's index in out, or -1 for a dropped set.
+	off := 0
+	for c, n := range size {
+		if int(n) < minLen {
+			size[c] = -1
+			continue
+		}
+		size[c] = int32(len(out))
+		out = append(out, all[off:off:off+int(n)])
+		off += int(n)
 	}
 	for i, c := range label {
-		out[c] = append(out[c], s[i])
+		if j := size[c]; j >= 0 {
+			out[j] = append(out[j], s[i])
+		}
 	}
 	return out
 }

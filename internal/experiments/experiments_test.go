@@ -121,9 +121,13 @@ func TestPhases(t *testing.T) {
 			t.Errorf("%s/%s: span times not recorded: trace %v, match %v, total %v",
 				row.Bench, row.Version, row.Trace, row.Phases["match"], row.Total)
 		}
+		if row.TotalAlloc == 0 || row.TotalAlloc < row.TraceAlloc {
+			t.Errorf("%s/%s: span allocations not recorded: trace %d, total %d",
+				row.Bench, row.Version, row.TraceAlloc, row.TotalAlloc)
+		}
 	}
 	text := res.Text()
-	for _, want := range []string{"tracing:", "matching:", "Per-benchmark phase times", "streamcluster"} {
+	for _, want := range []string{"tracing:", "matching:", "Per-benchmark phase times", "Per-benchmark allocated bytes", "streamcluster"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text missing %q:\n%s", want, text)
 		}

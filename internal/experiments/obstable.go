@@ -8,7 +8,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -18,7 +18,8 @@ import (
 	"discovery/internal/trace"
 )
 
-// PhaseRow is one benchmark version's phase split, in span wall time.
+// PhaseRow is one benchmark version's phase split, in span wall time and
+// in the heap bytes allocated while each span was open.
 type PhaseRow struct {
 	Bench   string
 	Version starbench.Version
@@ -31,6 +32,11 @@ type PhaseRow struct {
 	Phases map[string]time.Duration
 	// Total is the root "find" span's wall time plus Trace.
 	Total time.Duration
+	// TraceAlloc, Allocs and TotalAlloc are Trace, Phases and Total in
+	// allocated bytes.
+	TraceAlloc uint64
+	Allocs     map[string]uint64
+	TotalAlloc uint64
 }
 
 // matching is the row's matcher time: the fixpoint's match phases plus
@@ -102,16 +108,19 @@ func phaseRow(b *starbench.Benchmark, v starbench.Version, opts core.Options) (P
 	opts.Obs = c
 	core.Find(tr.Graph, opts)
 
-	row := PhaseRow{Bench: b.Name, Version: v, Nodes: tr.Graph.NumNodes(), Phases: map[string]time.Duration{}}
+	row := PhaseRow{Bench: b.Name, Version: v, Nodes: tr.Graph.NumNodes(),
+		Phases: map[string]time.Duration{}, Allocs: map[string]uint64{}}
 	for _, root := range obs.Tree(c) {
 		switch root.Span.Name {
 		case "trace":
-			row.Trace = root.Span.Wall
-			row.Total += root.Span.Wall
+			row.Trace, row.TraceAlloc = root.Span.Wall, root.Span.Alloc
 		case "find":
-			row.Total += root.Span.Wall
-			accumulatePhases(root, row.Phases)
+			row.accumulatePhases(root)
+		default:
+			continue
 		}
+		row.Total += root.Span.Wall
+		row.TotalAlloc += root.Span.Alloc
 	}
 	return row, nil
 }
@@ -119,15 +128,16 @@ func phaseRow(b *starbench.Benchmark, v starbench.Version, opts core.Options) (P
 // accumulatePhases sums the find span's phase children by name, one level
 // of "iteration" spans unwrapped so repeated match/subtract/fuse phases
 // aggregate across iterations.
-func accumulatePhases(find *obs.TreeNode, into map[string]time.Duration) {
+func (r *PhaseRow) accumulatePhases(find *obs.TreeNode) {
 	for _, child := range find.Children {
+		phases := []*obs.TreeNode{child}
 		if child.Span.Name == "iteration" {
-			for _, phase := range child.Children {
-				into[phase.Span.Name] += phase.Span.Wall
-			}
-			continue
+			phases = child.Children
 		}
-		into[child.Span.Name] += child.Span.Wall
+		for _, phase := range phases {
+			r.Phases[phase.Span.Name] += phase.Span.Wall
+			r.Allocs[phase.Span.Name] += phase.Span.Alloc
+		}
 	}
 }
 
@@ -144,32 +154,40 @@ func (p *PhasesResult) Text() string {
 		100*(p.TimeGrowth-1))
 
 	sb.WriteString("\nPer-benchmark phase times (from observability spans)\n\n")
-	fmt.Fprintf(&sb, "%-14s %-8s %9s", "benchmark", "version", "trace")
+	writePhaseTable(&sb, p.Rows, func(r PhaseRow) (time.Duration, map[string]time.Duration, time.Duration) {
+		return r.Trace, r.Phases, r.Total
+	}, fmtMS)
+	sb.WriteString("\nPer-benchmark allocated bytes (from observability spans)\n\n")
+	writePhaseTable(&sb, p.Rows, func(r PhaseRow) (uint64, map[string]uint64, uint64) {
+		return r.TraceAlloc, r.Allocs, r.TotalAlloc
+	}, obs.FormatBytes)
+	return sb.String()
+}
+
+// writePhaseTable renders one per-benchmark table: each row's trace, the
+// listed phases, the other phases summed, and the total, as cols reads
+// them from the row.
+func writePhaseTable[V time.Duration | uint64](sb *strings.Builder, rows []PhaseRow,
+	cols func(PhaseRow) (trace V, phases map[string]V, total V), format func(V) string) {
+	fmt.Fprintf(sb, "%-14s %-8s %9s", "benchmark", "version", "trace")
 	for _, ph := range phaseColumns {
-		fmt.Fprintf(&sb, " %9s", ph)
+		fmt.Fprintf(sb, " %9s", ph)
 	}
-	fmt.Fprintf(&sb, " %9s %9s\n", "other", "total")
-	for _, row := range p.Rows {
-		fmt.Fprintf(&sb, "%-14s %-8s %9s", row.Bench, row.Version, fmtMS(row.Trace))
-		listed := map[string]bool{}
+	fmt.Fprintf(sb, " %9s %9s\n", "other", "total")
+	for _, row := range rows {
+		trace, phases, total := cols(row)
+		fmt.Fprintf(sb, "%-14s %-8s %9s", row.Bench, row.Version, format(trace))
+		var other V
 		for _, ph := range phaseColumns {
-			listed[ph] = true
-			fmt.Fprintf(&sb, " %9s", fmtMS(row.Phases[ph]))
+			fmt.Fprintf(sb, " %9s", format(phases[ph]))
 		}
-		var other time.Duration
-		names := make([]string, 0, len(row.Phases))
-		for name := range row.Phases {
-			names = append(names, name)
-		}
-		sort.Strings(names) // deterministic accumulation order
-		for _, name := range names {
-			if !listed[name] {
-				other += row.Phases[name]
+		for name, v := range phases {
+			if !slices.Contains(phaseColumns, name) {
+				other += v
 			}
 		}
-		fmt.Fprintf(&sb, " %9s %9s\n", fmtMS(other), fmtMS(row.Total))
+		fmt.Fprintf(sb, " %9s %9s\n", format(other), format(total))
 	}
-	return sb.String()
 }
 
 // fmtMS renders a duration in fractional milliseconds.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"runtime/metrics"
 	rtrace "runtime/trace"
 	"sync"
 	"time"
@@ -19,6 +20,13 @@ import (
 // that overlap concurrently it double-counts; it answers "what did the
 // machine spend while this span was open", not "what did this goroutine
 // burn".
+//
+// Span allocation is the same kind of delta: the bytes the whole process
+// allocated on the heap (runtime/metrics /gc/heap/allocs:bytes) while
+// the span was open. It is approximate twice over: the runtime counts
+// small objects a cached span at a time, so a span that allocates a few
+// KB can read 0, and spans that overlap, as the daemon's concurrent
+// requests do, count each other's allocations.
 //
 // When the process is running under runtime/trace, every span is mirrored
 // 1:1 into a trace region of the same name, so go tool trace timelines
@@ -39,8 +47,10 @@ type spanRec struct {
 	parent SpanID
 	start  time.Time
 	cpu0   time.Duration // process CPU at start
+	alloc0 uint64        // process heap allocation at start
 	wall   time.Duration
 	cpu    time.Duration
+	alloc  uint64
 	ended  bool
 	failed bool
 	attrs  []Attr
@@ -57,7 +67,7 @@ func (c *Collector) Enabled() bool { return true }
 // StartSpan implements Recorder.
 func (c *Collector) StartSpan(name string, parent SpanID, attrs ...Attr) SpanID {
 	now := time.Now()
-	cpu := processCPU()
+	cpu, alloc := processCPU(), heapAllocs()
 	var region *rtrace.Region
 	if rtrace.IsEnabled() {
 		region = rtrace.StartRegion(context.Background(), name)
@@ -68,6 +78,7 @@ func (c *Collector) StartSpan(name string, parent SpanID, attrs ...Attr) SpanID 
 		parent: parent,
 		start:  now,
 		cpu0:   cpu,
+		alloc0: alloc,
 		attrs:  append([]Attr(nil), attrs...),
 	})
 	id := SpanID(len(c.spans))
@@ -86,7 +97,7 @@ func (c *Collector) StartSpan(name string, parent SpanID, attrs ...Attr) SpanID 
 // already-ended span is a no-op.
 func (c *Collector) EndSpan(id SpanID, attrs ...Attr) {
 	now := time.Now()
-	cpu := processCPU()
+	cpu, alloc := processCPU(), heapAllocs()
 	c.mu.Lock()
 	if id == 0 || int(id) > len(c.spans) || c.spans[id-1].ended {
 		c.mu.Unlock()
@@ -96,6 +107,7 @@ func (c *Collector) EndSpan(id SpanID, attrs ...Attr) {
 	s.ended = true
 	s.wall = now.Sub(s.start)
 	s.cpu = cpu - s.cpu0
+	s.alloc = alloc - s.alloc0
 	for _, a := range attrs {
 		if a.Key == AttrFailed {
 			s.failed = true
@@ -140,6 +152,9 @@ type Span struct {
 	// CPU is the process CPU consumed while the span was open (see the
 	// Collector doc for what that means under parallelism).
 	CPU time.Duration
+	// Alloc is the heap bytes the process allocated while the span was
+	// open, process-wide like CPU.
+	Alloc uint64
 	// Ended reports the span was closed; an open span at snapshot time
 	// (a crash that skipped cleanup) exports with Ended false.
 	Ended bool
@@ -164,7 +179,7 @@ func (s Span) Attr(key string) (string, bool) {
 // duration so far.
 func (c *Collector) Spans() []Span {
 	now := time.Now()
-	cpu := processCPU()
+	cpu, alloc := processCPU(), heapAllocs()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Span, len(c.spans))
@@ -177,6 +192,7 @@ func (c *Collector) Spans() []Span {
 			Start:  s.start,
 			Wall:   s.wall,
 			CPU:    s.cpu,
+			Alloc:  s.alloc,
 			Ended:  s.ended,
 			Failed: s.failed,
 			Attrs:  append([]Attr(nil), s.attrs...),
@@ -184,7 +200,23 @@ func (c *Collector) Spans() []Span {
 		if !s.ended {
 			out[i].Wall = now.Sub(s.start)
 			out[i].CPU = cpu - s.cpu0
+			out[i].Alloc = alloc - s.alloc0
 		}
 	}
 	return out
 }
+
+// heapAllocs returns the bytes the process has allocated on the heap so
+// far; spans record deltas of it. A sample passed to metrics.Read escapes
+// to the heap, so the samples are pooled: a read allocates nothing.
+func heapAllocs() uint64 {
+	sample := allocSamples.Get().(*[1]metrics.Sample)
+	metrics.Read(sample[:])
+	n := sample[0].Value.Uint64()
+	allocSamples.Put(sample)
+	return n
+}
+
+var allocSamples = sync.Pool{New: func() any {
+	return &[1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+}}

@@ -63,8 +63,10 @@ func (o RenderOptions) maxChildren() int {
 
 // RenderTree renders the collector's span forest as an indented tree:
 // one line per span with wall time, CPU time (where the platform provides
-// it), and attributes; failed spans carry a "!" marker, spans still open
-// at render time an "(open)" marker.
+// it), allocated bytes and attributes; failed spans carry a "!" marker,
+// spans still open at render time an "(open)" marker. The wall time is
+// always a line's second field (third after "!"), where pipebench's
+// phase-tree parser reads it.
 func RenderTree(c *Collector, opts RenderOptions) string {
 	var sb strings.Builder
 	for _, root := range Tree(c) {
@@ -82,6 +84,9 @@ func renderNode(sb *strings.Builder, n *TreeNode, lead, childLead string, opts R
 	fmt.Fprintf(sb, "  %s", fmtDur(s.Wall))
 	if s.CPU > 0 {
 		fmt.Fprintf(sb, " (cpu %s)", fmtDur(s.CPU))
+	}
+	if s.Alloc > 0 {
+		fmt.Fprintf(sb, " (alloc %s)", FormatBytes(s.Alloc))
 	}
 	if !s.Ended {
 		sb.WriteString(" (open)")
@@ -153,6 +158,19 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
+// FormatBytes renders a byte count compactly: B below 1 KiB, then KB or
+// MB (binary multiples) with one decimal.
+func FormatBytes(n uint64) string {
+	switch {
+	case n >= 1<<20:
+		return fmt.Sprintf("%.1fMB", float64(n)/(1<<20))
+	case n >= 1<<10:
+		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
+	default:
+		return fmt.Sprintf("%dB", n)
+	}
+}
+
 // SpanJSON is one span in the JSON export.
 type SpanJSON struct {
 	ID      uint64            `json:"id"`
@@ -161,6 +179,7 @@ type SpanJSON struct {
 	StartUS int64             `json:"start_us"` // offset from the collector's epoch
 	WallUS  int64             `json:"wall_us"`
 	CPUUS   int64             `json:"cpu_us,omitempty"`
+	Alloc   uint64            `json:"alloc_bytes,omitempty"`
 	Ended   bool              `json:"ended"`
 	Failed  bool              `json:"failed,omitempty"`
 	Attrs   map[string]string `json:"attrs,omitempty"`
@@ -195,6 +214,7 @@ func JSON(c *Collector) ([]byte, error) {
 			StartUS: s.Start.Sub(epoch).Microseconds(),
 			WallUS:  s.Wall.Microseconds(),
 			CPUUS:   s.CPU.Microseconds(),
+			Alloc:   s.Alloc,
 			Ended:   s.Ended,
 			Failed:  s.Failed,
 		}

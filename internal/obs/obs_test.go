@@ -128,6 +128,51 @@ func TestRenderTree(t *testing.T) {
 	}
 }
 
+// allocSink keeps TestSpanAllocBytes's allocation live, so the compiler
+// cannot drop it.
+var allocSink []byte
+
+// TestSpanAllocBytes: a span records the heap bytes allocated while it
+// was open, exports them as alloc_bytes and renders them after the wall
+// and CPU times, so that the wall time stays a line's second field.
+func TestSpanAllocBytes(t *testing.T) {
+	c := NewCollector()
+	id := c.StartSpan("build", 0)
+	allocSink = make([]byte, 4<<20)
+	c.EndSpan(id)
+	sp := c.Spans()[0]
+	if sp.Alloc < 4<<20 {
+		t.Errorf("span allocated %d bytes, want at least %d", sp.Alloc, 4<<20)
+	}
+	data, err := JSON(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc Document
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Spans[0].Alloc != sp.Alloc {
+		t.Errorf("alloc_bytes = %d, want %d", doc.Spans[0].Alloc, sp.Alloc)
+	}
+	line := strings.TrimSpace(RenderTree(c, RenderOptions{}))
+	f := strings.Fields(line)
+	if _, err := time.ParseDuration(f[1]); err != nil || !strings.Contains(line, "(alloc 4.") {
+		t.Errorf("rendered line %q: want the wall time second and a 4.xMB alloc", line)
+	}
+	if n := testing.AllocsPerRun(100, func() { heapAllocs() }); n != 0 {
+		t.Errorf("reading the allocation counter allocates %.0f times", n)
+	}
+}
+
+func TestFormatBytes(t *testing.T) {
+	for n, want := range map[uint64]string{0: "0B", 1023: "1023B", 1536: "1.5KB", 5 << 20: "5.0MB"} {
+		if got := FormatBytes(n); got != want {
+			t.Errorf("FormatBytes(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
+
 func TestRenderTreeFoldsChildren(t *testing.T) {
 	c := NewCollector()
 	root := c.StartSpan("match", 0)
