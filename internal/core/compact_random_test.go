@@ -137,7 +137,7 @@ func TestCountGroupsIsLoopViewGroups(t *testing.T) {
 			t.Fatalf("seed %d: trace.Run: %v", seed, err)
 		}
 		g := Simplify(tr.Graph)
-		for _, s := range loopSubs(g) {
+		for _, s := range scopeChainLoopSubs(g) {
 			for si, nodes := range subsetsOf(g, seed+uint64(s.Loop)) {
 				if got, want := g.LoopIterIndex(s.Loop).CountGroups(nodes), patterns.LoopView(g, nodes, s.Loop).NumGroups(); got != want {
 					t.Fatalf("seed %d, loop %d, subset %d: counted %d groups, the loop view has %d", seed, s.Loop, si, got, want)

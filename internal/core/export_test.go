@@ -16,11 +16,20 @@ func WithoutPrescreen(opts Options) Options {
 	return opts
 }
 
+// WithInlineCensus returns opts with every census counted inside its
+// match item, none in chunks ahead of the match sweep: the reference run
+// of the chunked census tests.
+func WithInlineCensus(opts Options) Options {
+	opts.inlineCensus = true
+	return opts
+}
+
 // SetSweepItemHook installs (or, with nil, removes) the hook run before
-// every sweep item (an associative component of decompose, a sub-DDG of
-// the match phase, a pool entry of subtract or fuse, a pipeline pair),
-// with the phase name. Tests use it to cancel a
-// run mid-sweep or to hold executors at a rendezvous.
+// every sweep item (one of decompose's two scans, an associative
+// component of decompose, a census chunk, a sub-DDG of the match phase, a
+// pool entry of subtract or fuse, a pipeline pair), with the phase name.
+// Tests use it to cancel a run mid-sweep or to hold executors at a
+// rendezvous.
 func SetSweepItemHook(h func(phase string)) { sweepItemHook = h }
 
 // DecomposeOn runs the decomposition of g as FindCtx does, on a run of
@@ -59,3 +68,8 @@ func PartnerDiff(g *ddg.Graph, opts Options) error { return partnerDiff(g, opts,
 // reference_oracle_test.go (Algorithm 1 as written) on g, and returns
 // their first disagreement; nil means they agreed.
 func ReferenceDiff(g *ddg.Graph, opts Options) error { return referenceDiff(g, opts) }
+
+// LoopSubsDiff compares the loop sub-DDGs decompose reads off g's
+// iteration indexes with the bucketing of g's nodes by their scope chains
+// (loopsubs_oracle_test.go); nil means they agreed.
+func LoopSubsDiff(g *ddg.Graph) error { return loopSubsDiff(g) }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,6 +95,11 @@ type Options struct {
 	// at its census gate), so the switch exists only as the
 	// differential tests' reference (export_test.go).
 	noPrescreen bool
+	// inlineCensus counts every census inside its match item and none in
+	// chunks ahead of the match sweep (preCensus); the tests holding the
+	// chunked censuses' outcome and bookkeeping equal to the inline ones'
+	// use it as their reference (export_test.go).
+	inlineCensus bool
 	// poolBound, when positive, replaces maxPoolSize as the sub-DDG pool
 	// bound, so a test can reach the bound on a small program.
 	poolBound int
@@ -322,10 +329,12 @@ func FindCtx(ctx context.Context, g *ddg.Graph, opts Options) (res *Result) {
 			obs.Int("evictions", int64(snap.Evictions)))
 	}
 
-	// The solve scheduler: every parallel phase of the run — decompose,
-	// match, subtract, fuse, pipelines — sweeps its items (associative
-	// components, sub-DDGs, pool entries, stage pairs) over the pool, and
-	// the sweep returns at the phase barrier.
+	// The solve scheduler: every parallel phase of the run — decompose's
+	// two scans and its components, the match phase's census chunks and
+	// sub-DDGs, subtract, fuse, pipelines — sweeps its items over the pool
+	// from this goroutine, which claims items alongside the workers, and
+	// the sweep returns at the phase barrier. The scans derive the loop
+	// iteration indexes, so no match item waits on their derivation.
 	sc := newRunSched(ctx, opts, res)
 
 	// Phase: decompose (the decomposed sub-DDGs are compacted lazily when
@@ -937,13 +946,14 @@ type matchPhase struct {
 // subMatch is one sub-DDG's matching state, private to the item that
 // matches it.
 type subMatch struct {
-	s      *SubDDG
-	census *patterns.Census    // nil when disabled or skipped
-	pre    *patterns.Prescreen // the census's verdicts
-	view   *patterns.View      // built on first use, dropped with the item
-	b      patterns.Budget
-	missed []patterns.Kind // the kinds booked as cache misses
-	fails  []*analysis.Error
+	s       *SubDDG
+	counted *patterns.Census    // counted ahead by preCensus, past the gate
+	census  *patterns.Census    // nil when disabled or skipped
+	pre     *patterns.Prescreen // the census's verdicts
+	view    *patterns.View      // built on first use, dropped with the item
+	b       patterns.Budget
+	missed  []patterns.Kind // the kinds booked as cache misses
+	fails   []*analysis.Error
 }
 
 // runMatchPhase matches every active sub-DDG against the pattern
@@ -963,7 +973,8 @@ func runMatchPhase(ctx context.Context, gs *ddg.Graph, active []*SubDDG, opts Op
 		span:    span,
 		compact: !opts.DisableCompact,
 	}
-	sweep(sc, "match", len(active), func(i int) { mp.matchSub(active[i]) })
+	counted := mp.preCensus(sc, active)
+	sweep(sc, "match", len(active), func(i int) { mp.matchSub(active[i], counted[i]) })
 	res.SkippedViews += mp.skips
 	res.PrescreenChecks += mp.preChecks
 	res.CensusReads += mp.censusReads
@@ -980,19 +991,77 @@ func runMatchPhase(ctx context.Context, gs *ddg.Graph, active []*SubDDG, opts Op
 	return matched
 }
 
+// preCensus counts ahead, in chunks, the census of each active sub-DDG
+// that prep would count fresh and that holds more than one census chunk
+// of members (patterns.CensusChunks): one not fused, not answered by the
+// cache, past the size gate, with the prescreen on and no census of its
+// own. Every such sub-DDG's chunks are the items of one sweep ("census"),
+// summed afterwards, so that one large census runs on every executor:
+// counted inside its match item, it could not be split, since a sweep
+// started on a pool worker gets no help from its caller. It returns the
+// censuses by active position, nil where prep counts its own, which is
+// also the case for a sub-DDG whose chunks did not all run (the context
+// ended, or an item panicked). The rules are prep's, so the checks and
+// census reads a run books are the same either way.
+func (mp *matchPhase) preCensus(sc *runSched, active []*SubDDG) []*patterns.Census {
+	counted := make([]*patterns.Census, len(active))
+	if mp.opts.noPrescreen || mp.opts.inlineCensus {
+		return counted
+	}
+	type chunk struct{ sub, i int } // active position, chunk index
+	var chunks []chunk
+	parts := make([][]*patterns.Census, len(active)) // by active position, its chunks' censuses
+	for k, s := range active {
+		n := patterns.CensusChunks(s.Nodes.Len())
+		if n == 1 || s.FusedA != nil || s.census != nil {
+			continue
+		}
+		if _, hit := mp.cache.lookup(s.Key()); hit || mp.overGate(s) {
+			continue
+		}
+		s.overlay(mp.gs) // built here, read by every chunk
+		for i := 0; i < n; i++ {
+			chunks = append(chunks, chunk{k, i})
+		}
+		parts[k] = make([]*patterns.Census, n)
+	}
+	sweep(sc, "census", len(chunks), func(j int) {
+		c := chunks[j]
+		s := active[c.sub]
+		parts[c.sub][c.i] = patterns.NewCensusChunk(mp.gs, s.sub, s.viewLoop(mp.compact), c.i)
+	})
+	for k, ps := range parts {
+		if ps != nil && !slices.Contains(ps, nil) {
+			counted[k] = patterns.SumCensus(ps)
+		}
+	}
+	return counted
+}
+
+// overGate reports whether the size gate skips s: its view has more
+// groups than the gate admits. Groups never outnumber nodes, so only a
+// view bigger than the gate in node count can exceed it in group count —
+// small views pass without being counted, and no view is built to count
+// one.
+func (mp *matchPhase) overGate(s *SubDDG) bool {
+	max := mp.opts.maxViewGroups()
+	return s.Nodes.Len() > max && s.numGroups(mp.gs, mp.compact) > max
+}
+
 // matchSub matches one sub-DDG and merges its tally, failures and skip
-// into the phase once. A fused sub-DDG combines its constituents'
+// into the phase once. counted, when non-nil, is the sub-DDG's census
+// counted ahead by preCensus. A fused sub-DDG combines its constituents'
 // patterns; any other takes its outcome from the cache entry under its
 // pool key, which books one cache hit per kind the entry lists and runs
 // no gate, census or view, or else is matched by matchPlain and stores
 // its entry unless the item contained a failure.
-func (mp *matchPhase) matchSub(s *SubDDG) {
+func (mp *matchPhase) matchSub(s *SubDDG, counted *patterns.Census) {
 	rec := mp.rec
 	var span obs.SpanID
 	if rec.Enabled() {
 		span = rec.StartSpan("match-sub", mp.span, obs.Int("nodes", int64(s.Nodes.Len())))
 	}
-	m := &subMatch{s: s, b: patterns.Budget{Obs: rec}}
+	m := &subMatch{s: s, counted: counted, b: patterns.Budget{Obs: rec}}
 	var found []*patterns.Pattern
 	skipped, miss := false, false
 	if s.FusedA != nil {
@@ -1092,15 +1161,12 @@ func (mp *matchPhase) matchPlain(m *subMatch) (found []*patterns.Pattern, skippe
 // prep runs the sub-DDG's once-per-sub work ahead of its kinds: the
 // oversized-view gate (reporting whether it skips the sub-DDG) and the
 // structural prescreen census. The census is the one the subtract phase
-// derived for the sub-DDG, when it did, and is otherwise counted over the
-// sub-DDG's overlay; either counts as one check.
+// derived for the sub-DDG, or the one preCensus counted in chunks, when
+// there is one, and is otherwise counted over the sub-DDG's overlay; each
+// counts as one check.
 func (mp *matchPhase) prep(m *subMatch) (skip bool) {
 	s := m.s
-	max := mp.opts.maxViewGroups()
-	// Groups never outnumber nodes, so only a view bigger than the gate in
-	// node count can exceed it in group count — small views pass without
-	// being counted, and no view is built to count one.
-	if s.Nodes.Len() > max && s.numGroups(mp.gs, mp.compact) > max {
+	if m.counted == nil && mp.overGate(s) {
 		return true
 	}
 	if mp.opts.noPrescreen {
@@ -1110,7 +1176,7 @@ func (mp *matchPhase) prep(m *subMatch) (skip bool) {
 	if mp.rec.Enabled() {
 		t0 = time.Now()
 	}
-	m.census = s.census
+	m.census = cmp.Or(s.census, m.counted)
 	if m.census == nil {
 		m.census = patterns.NewCensus(mp.gs, s.overlay(mp.gs), s.viewLoop(mp.compact))
 	}

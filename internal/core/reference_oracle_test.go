@@ -5,8 +5,10 @@ package core
 // the graph, builds a view of every sub-DDG the size gate admits and runs
 // every matcher on it, with no census; it subtracts and fuses pair by pair
 // over materialised node sets, deduplicates the pool by node-set equality
-// instead of by hash, and merges pair by pair. Keys, censuses, overlays,
-// node indexes and sweeps all stay out of it, so a fast path that loses,
+// instead of by hash, and merges pair by pair. Its loop sub-DDGs bucket
+// nodes by their scope chains, not by iteration index. Keys, censuses,
+// overlays, node indexes and sweeps all stay out of it, so a fast path
+// that loses,
 // adds or reorders a match, a pool entry or a skipped view disagrees with
 // it.
 
@@ -58,7 +60,7 @@ func findReference(g *ddg.Graph, opts Options) *Result {
 	gs := Simplify(g)
 	res.Graph, res.SimplifiedNodes = gs, gs.NumNodes()
 	pool := &refPool{seen: map[string]bool{}, limit: opts.poolLimit()}
-	for _, s := range loopSubs(gs) {
+	for _, s := range scopeChainLoopSubs(gs) {
 		pool.add(s)
 	}
 	for _, comp := range assocComponents(gs) {

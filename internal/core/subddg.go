@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -175,18 +176,34 @@ func (s *SubDDG) String() string {
 // component sub-DDGs (weakly connected components of same-operation
 // associative nodes), the two decomposition dimensions of paper §5.
 //
-// The loop sub-DDGs come from one pass over the nodes. The associative
-// components are swept over the run's executors, one item each: an item
-// enumerates its component's position-closed subsets and their weakly
-// connected components, and keys each candidate. A sequential fold then
-// drops every candidate whose key an earlier one had, in component order,
-// so the sub-DDGs and their order do not depend on which executor ran
-// which item. The caller runs interrupted(ctx, res) afterwards, as after
-// every sweep: once the run is cancelled, the unclaimed components yield
+// Its two node-linear scans are independent, so they run as one sweep of
+// two items ("decompose-scan"): the first finds the associative
+// components; the second reads the loop sub-DDGs off the graph's
+// iteration indexes, deriving them, so that no later phase waits on their
+// derivation. The order is measured (DESIGN §16): in the other one, a
+// pool worker running the associative scan kept garbage alive when the
+// collector preempted it and scanned its innermost frame conservatively,
+// and md5-long's peak RSS rose by a tenth. A scan item that panics costs
+// only its own sub-DDGs.
+//
+// The components are then swept over the run's executors, one item each:
+// an item enumerates its component's position-closed subsets and their
+// weakly connected components, and keys each candidate. A sequential fold
+// then drops every candidate whose key an earlier one had, in component
+// order, so the sub-DDGs and their order do not depend on which executor
+// ran which item. The caller runs interrupted(ctx, res) afterwards, as
+// after every sweep: once the run is cancelled, the unclaimed items yield
 // nothing.
 func decompose(sc *runSched, g *ddg.Graph) []*SubDDG {
-	subs := loopSubs(g)
-	comps := assocComponents(g)
+	var subs []*SubDDG
+	var comps []ddg.Set
+	sweep(sc, "decompose-scan", 2, func(i int) {
+		if i == 0 {
+			comps = assocComponents(g)
+		} else {
+			subs = loopSubs(g)
+		}
+	})
 	cands := make([][]assocCand, len(comps))
 	sweep(sc, "decompose", len(comps), func(i int) { cands[i] = assocCands(g, comps[i]) })
 	n := 0
@@ -206,51 +223,17 @@ func decompose(sc *runSched, g *ddg.Graph) []*SubDDG {
 }
 
 // loopSubs returns the loop sub-DDGs of g, by ascending loop id, each of
-// at least two nodes.
+// at least two nodes. A loop's members are the nodes its iteration index
+// gives an ordinal, those whose scope chain holds the loop, so the graph's
+// scope chains are walked once, by the indexes' derivation.
 func loopSubs(g *ddg.Graph) []*SubDDG {
-	// Bucketed by loop id (static ids are small and dense), counted first
-	// so that the buckets share one backing array. Nodes arrive in
-	// ascending order and join each loop of their chain once, so every
-	// bucket is already a Set.
-	var count []int
-	eachLoopNode(g, func(_ ddg.NodeID, id mir.LoopID) {
-		if int(id) >= len(count) {
-			count = append(count, make([]int, int(id)+1-len(count))...)
-		}
-		count[id]++
-	})
-	byLoop := presized(count)
-	eachLoopNode(g, func(u ddg.NodeID, id mir.LoopID) { byLoop[id] = append(byLoop[id], u) })
 	var subs []*SubDDG
-	for id, nodes := range byLoop {
-		if len(nodes) < 2 {
-			continue
+	for _, ix := range g.LoopIterIndexes() {
+		if nodes := ix.Members(); len(nodes) >= 2 {
+			subs = append(subs, &SubDDG{Nodes: nodes, Loop: ix.Loop})
 		}
-		subs = append(subs, &SubDDG{Nodes: nodes, Loop: mir.LoopID(id)})
 	}
 	return subs
-}
-
-// eachLoopNode calls fn once for every node of g and every distinct loop
-// of its scope chain, by ascending node. Consecutive nodes mostly share a
-// scope, whose distinct loops are listed once per change.
-func eachLoopNode(g *ddg.Graph, fn func(u ddg.NodeID, id mir.LoopID)) {
-	var loops []mir.LoopID
-	var prev *ddg.Scope
-	for i := 0; i < g.NumNodes(); i++ {
-		u := ddg.NodeID(i)
-		if s := g.ScopeOf(u); s != prev {
-			prev, loops = s, loops[:0]
-			for f := s; f != nil; f = f.Parent {
-				if !slices.Contains(loops, f.Loop) {
-					loops = append(loops, f.Loop)
-				}
-			}
-		}
-		for _, id := range loops {
-			fn(u, id)
-		}
-	}
 }
 
 // presized cuts one backing array into an empty bucket per key with room
@@ -274,20 +257,36 @@ func presized(count []int) []ddg.Set {
 // assocComponents returns the weakly connected components, of at least
 // two nodes, of each associative operation's nodes, by operation code.
 func assocComponents(g *ddg.Graph) []ddg.Set {
-	// Bucketed by operation code, counted first so that the buckets share
-	// one backing array, in ascending node order: each bucket is already a
-	// Set.
+	// A component of two or more nodes holds only nodes that an arc joins
+	// to a node of their own operation, so only those are bucketed: one
+	// pass over the associative nodes' predecessors marks both ends of
+	// every such arc in a bitset over the graph. The buckets are counted
+	// first so that they share one backing array, and filled from the
+	// bitset in ascending node order: each bucket is already a Set.
+	joined := make([]uint64, (g.NumNodes()+63)/64)
 	var count [256]int
-	for i := 0; i < g.NumNodes(); i++ {
-		if op := g.Op(ddg.NodeID(i)); op.Associative() {
-			count[op]++
+	mark := func(u ddg.NodeID) {
+		if w, b := u>>6, uint64(1)<<(u&63); joined[w]&b == 0 {
+			joined[w] |= b
+			count[g.Op(u)]++
 		}
 	}
-	byOp := presized(count[:])
 	for i := 0; i < g.NumNodes(); i++ {
 		u := ddg.NodeID(i)
 		if op := g.Op(u); op.Associative() {
-			byOp[op] = append(byOp[op], u)
+			for _, v := range g.Preds(u) {
+				if g.Op(v) == op {
+					mark(u)
+					mark(v)
+				}
+			}
+		}
+	}
+	byOp := presized(count[:])
+	for w, word := range joined {
+		for ; word != 0; word &= word - 1 {
+			u := ddg.NodeID(w*64 + bits.TrailingZeros64(word))
+			byOp[g.Op(u)] = append(byOp[g.Op(u)], u)
 		}
 	}
 	var comps []ddg.Set

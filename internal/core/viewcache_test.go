@@ -147,8 +147,8 @@ func TestMatchSubStoresOnlyCleanOutcomes(t *testing.T) {
 	mp := &matchPhase{gs: g, cache: rc, rec: obs.OrNop(nil), compact: true}
 	good := &SubDDG{Nodes: g.Nodes()}
 	bad := &SubDDG{Nodes: ddg.NewSet(ddg.NodeID(g.NumNodes() + 5))} // not a node of g
-	mp.matchSub(good)
-	mp.matchSub(bad)
+	mp.matchSub(good, nil)
+	mp.matchSub(bad, nil)
 	if len(mp.fails) != 1 {
 		t.Fatalf("want the bad sub-DDG's one contained failure, got %v", mp.fails)
 	}

@@ -14,18 +14,20 @@ type tables struct {
 	scopes []*Scope
 }
 
-// FrozenBuilder constructs a Graph; it is the only way to make one.
-// Callers stream nodes in final id order, each with its full predecessor
-// list; the builder packs predecessors into the CSR arrays as they arrive,
-// counts each node's successors in the successor offsets it will return,
-// and derives the successor arrays in one counting-sort pass at Finish.
+// FrozenBuilder constructs a Graph. Callers stream nodes in final id
+// order, each with its full predecessor list; the builder packs
+// predecessors into the CSR arrays as they arrive, counts each node's
+// successors in the successor offsets it will return, and derives the
+// successor arrays in one counting-sort pass at Finish.
 //
 // Because every predecessor must already exist (AddNode rejects preds at
 // or beyond the new node's id), a finished graph satisfies the
 // topological-id invariant by construction and so cannot contain a cycle.
 // The tracer's finalization, where the merge order makes
-// predecessor-first emission natural, and InducedSubgraph both build
-// through it.
+// predecessor-first emission natural, builds through it.
+// InducedSubgraph, which knows its node count and arc bound up front,
+// writes the same arrays in place, checking the invariant itself, and
+// only calls Finish.
 //
 // Nodes name their position and scope by id in the builder's tables:
 // UseTables installs whole tables (the tracer's merged ones), and PosID

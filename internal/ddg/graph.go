@@ -11,8 +11,8 @@ package ddg
 
 import (
 	"fmt"
-	"slices"
 
+	"discovery/internal/analysis"
 	"discovery/internal/mir"
 )
 
@@ -30,7 +30,7 @@ const NoNode = ^NodeID(0)
 // position and loop scope are ids into tables of the distinct values (see
 // tables).
 //
-// Every graph is built by a FrozenBuilder and is immutable once finished.
+// Every graph is finished by a FrozenBuilder and is immutable afterwards.
 // Adjacency is held in compressed sparse row (CSR) form — two flat arrays
 // plus offset indexes — which the finder, simplifier, and pattern
 // verifiers traverse cache-linearly.
@@ -120,12 +120,15 @@ func (g *Graph) String() string {
 // The subgraph shares g's position and scope tables and copies the ids.
 //
 // New ids follow keep's sorted order, so the topological-id invariant
-// carries over: every kept predecessor of a node precedes it, and the
-// nodes stream straight into a FrozenBuilder through a dense remap over
-// keep's id span. Each node's predecessors go in ascending order and
-// FrozenBuilder fills successors ascending, the order the graph's own
-// arcs had. A graph violating the invariant has no such order; it is a
-// caller bug, reported by panic.
+// carries over: every kept predecessor of a node precedes it. The node
+// count is exact and the arcs into kept nodes bound the arc count, so the
+// per-node arrays and the predecessor CSR are written in place, through a
+// dense remap over keep's id span, and FrozenBuilder.Finish derives the
+// successors from them. The remap is monotone and a graph's predecessor
+// lists are distinct, so each remapped list stays distinct and needs only
+// an insertion step per arc to come out ascending (a traced node has at
+// most two operands). A graph violating the invariant has no such order;
+// it is a caller bug, reported by panic.
 func (g *Graph) InducedSubgraph(keep Set) (*Graph, []NodeID) {
 	if len(keep) == 0 {
 		fb := NewFrozenBuilder(0, 0)
@@ -148,20 +151,38 @@ func (g *Graph) InducedSubgraph(keep Set) (*Graph, []NodeID) {
 	for _, u := range keep {
 		arcsIn += int(g.predOff[u+1] - g.predOff[u])
 	}
-	fb := NewFrozenBuilder(len(keep), arcsIn)
-	fb.g.tab = g.tab
-	var preds []NodeID
-	for _, u := range keep {
-		preds = preds[:0]
-		for _, p := range g.Preds(u) {
-			if p >= lo && int(p-lo) < len(remap) && remap[p-lo] != NoNode {
-				preds = append(preds, remap[p-lo])
-			}
-		}
-		slices.Sort(preds)
-		fb.AddNode(g.ops[u], g.pos[u], g.thread[u], g.scope[u], preds...)
+	n := len(keep)
+	out := &Graph{
+		ops:     make([]mir.Op, n),
+		pos:     make([]uint32, n),
+		thread:  make([]int32, n),
+		scope:   make([]uint32, n),
+		tab:     g.tab,
+		predOff: make([]uint32, n+1),
+		predArr: make([]NodeID, 0, arcsIn),
+		succOff: make([]uint32, n+1), // successor counts until Finish
 	}
-	out, err := fb.Finish()
+	for i, u := range keep {
+		out.ops[i], out.pos[i], out.thread[i], out.scope[i] = g.ops[u], g.pos[u], g.thread[u], g.scope[u]
+		start := len(out.predArr)
+		for _, p := range g.Preds(u) {
+			if p < lo || int(p-lo) >= len(remap) || remap[p-lo] == NoNode {
+				continue
+			}
+			q := remap[p-lo]
+			if q >= NodeID(i) {
+				panic(analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation,
+					"ddg: InducedSubgraph: pred %d of node %d does not precede it", p, u))
+			}
+			out.predArr = append(out.predArr, q)
+			for k := len(out.predArr) - 1; k > start && out.predArr[k-1] > q; k-- {
+				out.predArr[k], out.predArr[k-1] = out.predArr[k-1], q
+			}
+			out.succOff[q+1]++
+		}
+		out.predOff[i+1] = uint32(len(out.predArr))
+	}
+	out, err := (&FrozenBuilder{g: out}).Finish()
 	if err != nil {
 		panic(err)
 	}

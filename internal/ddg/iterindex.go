@@ -15,7 +15,6 @@ package ddg
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"sync"
 
 	"discovery/internal/analysis"
@@ -79,21 +78,59 @@ func (ix *LoopIterIndex) CountGroups(nodes Set) int {
 	return n
 }
 
-// iterIndexMemo caches a graph's derived indexes; immutable once
-// computed.
+// Members returns the nodes that executed inside the loop, ascending: the
+// nodes of the span with an ordinal. A nil index has none.
+func (ix *LoopIterIndex) Members() Set {
+	if ix == nil {
+		return nil
+	}
+	n := 0
+	for _, o := range ix.ord {
+		if o >= 0 {
+			n++
+		}
+	}
+	out := make(Set, 0, n)
+	for i, o := range ix.ord {
+		if o >= 0 {
+			out = append(out, ix.lo+NodeID(i))
+		}
+	}
+	return out
+}
+
+// iterIndexMemo caches a graph's derived indexes, by loop id (nil for a
+// loop no node ran in); immutable once computed.
 type iterIndexMemo struct {
 	once sync.Once
-	ixs  map[mir.LoopID]*LoopIterIndex
+	ixs  []*LoopIterIndex
 }
 
 // LoopIterIndex returns the compaction index for the given static loop, or
 // nil when no node of the graph executed inside it. The graph derives the
 // indexes of all its loops once, on first call.
 func (g *Graph) LoopIterIndex(loop mir.LoopID) *LoopIterIndex {
-	return g.iterIndexes()[loop]
+	if ixs := g.iterIndexes(); int(loop) < len(ixs) {
+		return ixs[loop]
+	}
+	return nil
 }
 
-func (g *Graph) iterIndexes() map[mir.LoopID]*LoopIterIndex {
+// LoopIterIndexes returns the index of every loop some node of the graph
+// executed inside, by ascending loop id, deriving them on first call as
+// LoopIterIndex does. Their derivation is the graph's one walk of its
+// scope chains.
+func (g *Graph) LoopIterIndexes() []*LoopIterIndex {
+	var out []*LoopIterIndex
+	for _, ix := range g.iterIndexes() {
+		if ix != nil {
+			out = append(out, ix)
+		}
+	}
+	return out
+}
+
+func (g *Graph) iterIndexes() []*LoopIterIndex {
 	g.iterMemo.once.Do(func() { g.iterMemo.ixs = deriveIterIndexes(g.scope, g.tab.scopes) })
 	return g.iterMemo.ixs
 }
@@ -114,8 +151,8 @@ func (g *Graph) iterIndexes() map[mir.LoopID]*LoopIterIndex {
 // and the ordinals are final. Otherwise the keys are sorted by
 // (invocation, iteration), equal keys merged, and the ordinals renumbered
 // to the distinct keys' positions. Loops are slots of a slice indexed by
-// id, so no step hashes.
-func deriveIterIndexes(ids []uint32, scopes []*Scope) map[mir.LoopID]*LoopIterIndex {
+// id, so no step hashes; the result is that slice.
+func deriveIterIndexes(ids []uint32, scopes []*Scope) []*LoopIterIndex {
 	// By loop id: the provisional key count, the last key met, and the
 	// span [lo, hi) from the loop's first node to one past its last.
 	type loopScan struct {
@@ -190,13 +227,8 @@ func deriveIterIndexes(ids []uint32, scopes []*Scope) map[mir.LoopID]*LoopIterIn
 			c.ix.ord[u-int(c.ix.lo)] = c.ord
 		}
 	}
-	out := map[mir.LoopID]*LoopIterIndex{}
 	for loop, ix := range byLoop {
-		if ix == nil {
-			continue
-		}
-		out[ix.Loop] = ix
-		if !unsorted[loop] {
+		if ix == nil || !unsorted[loop] {
 			continue
 		}
 		byKey := make([]int32, len(ix.Keys)) // sorted position -> provisional number
@@ -219,7 +251,7 @@ func deriveIterIndexes(ids []uint32, scopes []*Scope) map[mir.LoopID]*LoopIterIn
 		}
 		ix.Keys = keys
 	}
-	return out
+	return byLoop
 }
 
 // innermostFrames appends to dst the innermost frame of each loop in s's
@@ -262,7 +294,6 @@ func (g *Graph) checkIterIndexes() error {
 	fail := func(format string, args ...any) error {
 		return analysis.Errorf(analysis.StageFinalize, analysis.InvariantViolation, format, args...)
 	}
-	ixs := g.iterIndexes()
 	var prev *Scope
 	for u, id := range g.scope {
 		s := g.tab.scopes[id]
@@ -271,18 +302,16 @@ func (g *Graph) checkIterIndexes() error {
 		}
 		prev = s
 		for f := s; f != nil; f = f.Parent {
-			if ixs[f.Loop] == nil {
+			if g.LoopIterIndex(f.Loop) == nil {
 				return fail("ddg: node %d runs in loop %d, which has no iteration index", u, f.Loop)
 			}
 		}
 	}
-	loops := make([]mir.LoopID, 0, len(ixs))
-	for loop := range ixs {
-		loops = append(loops, loop)
-	}
-	sort.Slice(loops, func(i, j int) bool { return loops[i] < loops[j] })
-	for _, loop := range loops {
-		ix := ixs[loop]
+	for id, ix := range g.iterIndexes() {
+		if ix == nil {
+			continue
+		}
+		loop := mir.LoopID(id)
 		if ix.Loop != loop {
 			return fail("ddg: iteration index filed under loop %d names loop %d", loop, ix.Loop)
 		}

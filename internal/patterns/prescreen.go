@@ -152,15 +152,81 @@ func (m members) has(u ddg.NodeID) bool {
 // NewCensus counts the census of sub's members, the view of its node set
 // under loop, in one pass over the members' adjacency.
 func NewCensus(g ddg.GraphView, sub *ddg.SubView, loop mir.LoopID) *Census {
+	return newCensus(g, sub, loop, sub.Nodes())
+}
+
+// censusChunk is the member count of one chunk of a census counted in
+// chunks (NewCensusChunk); a variable so that tests can make it small.
+var censusChunk = 1 << 15
+
+// CensusChunks returns the number of chunks NewCensusChunk cuts a set of
+// n members into: one for a set that fits in one chunk.
+func CensusChunks(n int) int {
+	return max(1, (n+censusChunk-1)/censusChunk)
+}
+
+// NewCensusChunk counts the contributions of chunk i of sub's members, in
+// member order, under the membership of all of sub. A census is a sum of
+// per-member contributions, so SumCensus of every chunk's census equals
+// NewCensus field by field; the chunks can be counted concurrently.
+func NewCensusChunk(g ddg.GraphView, sub *ddg.SubView, loop mir.LoopID, i int) *Census {
+	nodes := sub.Nodes()
+	return newCensus(g, sub, loop, nodes[min(i*censusChunk, len(nodes)):min((i+1)*censusChunk, len(nodes))])
+}
+
+// newCensus counts the contributions of us, members of sub, under sub's
+// membership.
+func newCensus(g ddg.GraphView, sub *ddg.SubView, loop mir.LoopID, us []ddg.NodeID) *Census {
 	c := &Census{loop: loop}
 	c.inDeg, c.outDeg, c.ops = c.degBuf[0:4:4], c.degBuf[4:8:8], c.opsBuf[:0:2]
 	t := c.tally(g, members{in: sub})
 	var buf [8]ddg.NodeID
 	scratch := buf[:0]
-	for _, u := range sub.Nodes() {
+	for _, u := range us {
 		scratch = c.count(&t, u, 1, scratch)
 	}
 	return c
+}
+
+// SumCensus returns the sum of the censuses of a member set's chunks, in
+// chunk order, all under one grouping: each count, histogram bin and read
+// total added, and the ops in the order they first appear, as one census
+// over the chunks' members in turn lists them.
+func SumCensus(chunks []*Census) *Census {
+	c := &Census{}
+	c.inDeg, c.outDeg, c.ops = c.degBuf[0:4:4], c.degBuf[4:8:8], c.opsBuf[:0:2]
+	for _, d := range chunks {
+		c.loop = d.loop
+		c.extIn += d.extIn
+		c.extOut += d.extOut
+		c.isolated += d.isolated
+		c.crossing += d.crossing
+		c.reads += d.reads
+		c.inDeg = addHist(c.inDeg, d.inDeg)
+		c.outDeg = addHist(c.outDeg, d.outDeg)
+	ops:
+		for _, e := range d.ops {
+			for i := range c.ops {
+				if c.ops[i].op == e.op {
+					c.ops[i].n += e.n
+					continue ops
+				}
+			}
+			c.ops = append(c.ops, e)
+		}
+	}
+	return c
+}
+
+// addHist returns hist with add's bins added, extended to add's length.
+func addHist(hist, add []int32) []int32 {
+	if len(add) > len(hist) {
+		hist = append(hist, make([]int32, len(add)-len(hist))...)
+	}
+	for k, m := range add {
+		hist[k] += m
+	}
+	return hist
 }
 
 // Without derives, from c, the census of sub's members, the census of

@@ -349,6 +349,55 @@ func FuzzPrescreenDelta(f *testing.F) {
 	})
 }
 
+// checkChunks fails unless, for the node view and the loop-1 view, the sum
+// of nodes' census counted in chunks of chunk members equals a whole
+// census in every field, histogram lengths, op order and reads included,
+// and in its verdicts.
+func checkChunks(t *testing.T, g *ddg.Graph, nodes ddg.Set, chunk int) {
+	t.Helper()
+	old := censusChunk
+	censusChunk = chunk
+	defer func() { censusChunk = old }()
+	sub := g.Overlay(nodes)
+	for _, loop := range []mir.LoopID{0, 1} {
+		n := CensusChunks(len(nodes))
+		if want := max(1, (len(nodes)+chunk-1)/chunk); n != want {
+			t.Fatalf("%d members in chunks of %d: %d chunks, want %d", len(nodes), chunk, n, want)
+		}
+		parts := make([]*Census, n)
+		for i := range parts {
+			parts[i] = NewCensusChunk(g, sub, loop, i)
+		}
+		got, want := SumCensus(parts), NewCensus(g, sub, loop)
+		fields := func(c *Census) string {
+			return fmt.Sprint(c.loop, c.extIn, c.extOut, c.isolated, c.crossing, c.reads, c.inDeg, c.outDeg, c.ops)
+		}
+		if a, b := fields(got), fields(want); a != b {
+			t.Fatalf("loop=%d, %v in chunks of %d: summed census %s, whole census %s", loop, nodes, chunk, a, b)
+		}
+		if a, b := got.Prescreen(), want.Prescreen(); *a != *b {
+			t.Fatalf("loop=%d, %v in chunks of %d: summed prescreen %+v, whole prescreen %+v", loop, nodes, chunk, *a, *b)
+		}
+	}
+}
+
+// FuzzCensusChunks fuzzes the census counted in chunks (NewCensusChunk,
+// SumCensus) against a whole census of genScreenGraph's set, for chunks
+// of one to eight members. The seeds cover an empty set, a set smaller
+// than one chunk, one exactly a chunk's multiple and one with a ragged
+// last chunk.
+func FuzzCensusChunks(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{7, 1, 2, 3}, uint8(7))
+	f.Add([]byte{24, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 0, 1, 0, 1, 0, 1}, uint8(3))
+	f.Add([]byte{200, 9, 33, 1, 77, 5, 0, 8, 14, 3, 91, 2}, uint8(2))
+	f.Add([]byte{16, 255, 128, 64, 32, 16, 8, 4, 2, 1}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		g, nodes := genScreenGraph(data)
+		checkChunks(t, g, nodes, 1+int(chunk%8))
+	})
+}
+
 // TestPrescreenDeltaShapes derives the censuses of canonical shapes with
 // members removed: a chain cut in the middle (its junction-free halves), a
 // tiled reduction losing its final chain, and a map losing one iteration.
